@@ -1,12 +1,7 @@
 let sim_config ?seed ?(warmup_fraction = 0.1) duration =
-  let base = Lognic_sim.Netsim.default_config in
-  let seed = Option.value seed ~default:base.Lognic_sim.Netsim.seed in
-  {
-    base with
-    Lognic_sim.Netsim.seed;
-    duration;
-    warmup = duration *. warmup_fraction;
-  }
+  let open Lognic_sim.Netsim.Config in
+  let c = with_horizon ~warmup:(duration *. warmup_fraction) duration default in
+  match seed with Some s -> with_seed s c | None -> c
 
 let header ppf title columns =
   Fmt.pf ppf "== %s ==@.%s@." title (String.concat "  " columns)

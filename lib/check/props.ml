@@ -257,7 +257,7 @@ let invariants_hold_everywhere ~count =
       let plain =
         Sim.Netsim.execute
           (Sim.Netsim.Run.with_config spec
-             { config with check_invariants = false })
+             (Sim.Netsim.Config.with_invariants false config))
       in
       let json m =
         Sim.Telemetry.Json.to_string (Sim.Netsim.measurement_to_json m)

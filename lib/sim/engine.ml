@@ -29,12 +29,14 @@ let[@inline] schedule_after t ~delay thunk =
 let run ?until ?observer ?profile t =
   let horizon = Option.value until ~default:infinity in
   let q = t.queue in
-  (* Separate loops so the no-observer, no-profile path (the default)
-     stays the exact hot loop: no per-event option match, no closure
-     call — and via locate/take, no per-event allocation at all. The
-     profiled variants bracket queue operations and observer callbacks
-     with {!Profile} phases; event thunks execute in whatever phase was
-     current ([phase_other] unless the thunk switches itself). *)
+  (* Two loops so the no-observer, no-profile path (the default) stays
+     the exact hot loop: no per-event option match, no closure call —
+     and via locate/take, no per-event allocation at all. The
+     instrumented loop calls the observer (if any) before each event
+     and, when profiling, brackets queue operations and observer
+     callbacks with {!Profile} phases; event thunks execute in whatever
+     phase was current ([phase_other] unless the thunk switches
+     itself). *)
   (match (observer, profile) with
   | None, None ->
     let rec loop () =
@@ -47,49 +49,31 @@ let run ?until ?observer ?profile t =
       end
     in
     loop ()
-  | Some observe, None ->
+  | _ ->
+    let[@inline] enter phase =
+      match profile with Some p -> Profile.enter p phase | None -> phase
+    in
+    let[@inline] leave prev =
+      match profile with Some p -> Profile.leave p prev | None -> ()
+    in
     let rec loop () =
+      let prev = enter Profile.phase_queue in
       if Event_queue.locate q ~horizon then begin
         let time = Event_queue.located_time q in
-        observe time;
+        (match observer with
+        | Some observe ->
+          let pq = enter Profile.phase_observer in
+          observe time;
+          leave pq
+        | None -> ());
         t.clock.(0) <- time;
         t.executed <- t.executed + 1;
         let thunk = Event_queue.take q in
+        leave prev;
         thunk ();
         loop ()
       end
-    in
-    loop ()
-  | None, Some p ->
-    let rec loop () =
-      let prev = Profile.enter p Profile.phase_queue in
-      if Event_queue.locate q ~horizon then begin
-        t.clock.(0) <- Event_queue.located_time q;
-        t.executed <- t.executed + 1;
-        let thunk = Event_queue.take q in
-        Profile.leave p prev;
-        thunk ();
-        loop ()
-      end
-      else Profile.leave p prev
-    in
-    loop ()
-  | Some observe, Some p ->
-    let rec loop () =
-      let prev = Profile.enter p Profile.phase_queue in
-      if Event_queue.locate q ~horizon then begin
-        let time = Event_queue.located_time q in
-        let pq = Profile.enter p Profile.phase_observer in
-        observe time;
-        Profile.leave p pq;
-        t.clock.(0) <- time;
-        t.executed <- t.executed + 1;
-        let thunk = Event_queue.take q in
-        Profile.leave p prev;
-        thunk ();
-        loop ()
-      end
-      else Profile.leave p prev
+      else leave prev
     in
     loop ());
   if horizon < infinity && t.clock.(0) < horizon then t.clock.(0) <- horizon

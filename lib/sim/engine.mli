@@ -31,7 +31,7 @@ val pending : t -> int
 
 val executed : t -> int
 (** Events executed so far (cumulative across [run] calls; cleared by
-    {!reset}) — the numerator of the events/sec headline bench. *)
+    {!reset}) — the numerator of the ledger's [engine.events_per_s]. *)
 
 val queue_resizes : t -> int
 (** Calendar rebuilds in this engine's queue since {!create} (not

@@ -52,14 +52,15 @@ let series_mean series label =
 
 let run ?config ?queue_model g ~hw ~traffic =
   let model = Lognic.Estimate.run ?queue_model g ~hw ~traffic in
-  let config = Option.value config ~default:Netsim.default_config in
+  let config = Option.value config ~default:Netsim.Config.default in
   (* The join needs sampled queue depths; default the probe interval to
      a fine grid when the caller didn't pick one. *)
   let config =
     match config.Netsim.sample_interval with
     | Some _ -> config
     | None ->
-      { config with Netsim.sample_interval = Some (config.duration /. 256.) }
+      Netsim.Config.with_sampling ~capacity:config.series_capacity
+        (config.duration /. 256.) config
   in
   let measurement = Netsim.run_single ~config g ~hw ~traffic in
   let tp = model.Lognic.Estimate.throughput in
@@ -288,12 +289,13 @@ type mix_report = {
 
 let run_mix ?config ?queue_model ?contention g ~hw ~mix =
   let model = Lognic.Estimate.run_mix ?queue_model ?contention g ~hw ~mix in
-  let config = Option.value config ~default:Netsim.default_config in
+  let config = Option.value config ~default:Netsim.Config.default in
   let config =
     match config.Netsim.sample_interval with
     | Some _ -> config
     | None ->
-      { config with Netsim.sample_interval = Some (config.duration /. 256.) }
+      Netsim.Config.with_sampling ~capacity:config.series_capacity
+        (config.duration /. 256.) config
   in
   let measurement = Netsim.run ~config g ~hw ~mix in
   let summary = measurement.Netsim.summary in
@@ -606,8 +608,8 @@ type tenant_report = {
 
 let run_tenants ?config ?queue_model g ~hw ~traffic ~tenants =
   let model = Lognic.Estimate.run ?queue_model g ~hw ~traffic in
-  let config = Option.value config ~default:Netsim.default_config in
-  let config = { config with Netsim.tenants = Some tenants } in
+  let config = Option.value config ~default:Netsim.Config.default in
+  let config = Netsim.Config.with_tenants tenants config in
   let measurement = Netsim.run_single ~config g ~hw ~traffic in
   let stats =
     match measurement.Netsim.tenants with
@@ -847,8 +849,8 @@ let run_flowcache ?config ?queue_model spec g ~hw ~traffic =
   let model =
     Lognic.Estimate.run_flowcache ?queue_model spec g ~hw ~traffic
   in
-  let config = Option.value config ~default:Netsim.default_config in
-  let config = { config with Netsim.flow_cache = Some spec } in
+  let config = Option.value config ~default:Netsim.Config.default in
+  let config = Netsim.Config.with_flow_cache spec config in
   (* Simulate the *converged* graph: per-packet routing at the cache
      vertices comes from actual lookups either way, but the δs feed the
      reach probabilities that scale per-packet medium bytes, so media

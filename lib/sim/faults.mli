@@ -4,7 +4,7 @@
     failing and recovering on a vertex, a medium's bandwidth degrading
     or flapping, a queue being shrunk by firmware, ingress shedding a
     burst — realized inside {!Ip_node}/{!Medium}/{!Netsim} when the run
-    executes. Guarantees (enforced by tests and the bench gate):
+    executes. Guarantees (held by the [faults] tests):
 
     - an {e empty} plan is byte-identical to a run that never heard of
       faults: no extra rng stream is split and no per-packet work is

@@ -20,7 +20,8 @@
     int-array LRUs (doubly linked recency list, chained hash buckets,
     lazy TTL expiry): the steady-state hot loop allocates nothing per
     flow or per packet, so million-flow populations cost setup memory
-    only (gated by [bench/main.exe --flowcache-overhead]). *)
+    only (the ledger's [flow_cache.words_per_event_delta] metric tracks
+    the residual, the per-arrival flow draw). *)
 
 val classes : int
 (** 3 — hot (EMC hit), warm (megaflow hit), cold (slow path). *)

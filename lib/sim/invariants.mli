@@ -13,8 +13,8 @@
     balancing instead of surfacing later as a subtly-wrong summary.
 
     Checking is opt-in ({!Netsim.config.check_invariants}); the disabled
-    path adds no work to the simulator hot loop (enforced by the
-    [bench/main.exe --invariant-overhead] gate). *)
+    path adds no work to the simulator hot loop (the ledger's
+    [layer.invariants.cost] metric tracks the enabled path's cost). *)
 
 type violation = {
   law : string;  (** stable kebab-case law name, e.g. ["packet-conservation"] *)

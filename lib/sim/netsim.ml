@@ -16,30 +16,29 @@ type config = {
   flow_cache : Lognic.Flowcache.spec option;
 }
 
-let default_config =
-  {
-    seed = 1;
-    duration = 0.1;
-    warmup = 0.01;
-    service_dist = Ip_node.Exponential;
-    arrival = Traffic_gen.Poisson;
-    sample_interval = None;
-    series_capacity = 4096;
-    trace = None;
-    check_invariants = false;
-    metrics = None;
-    tenants = None;
-    flow_cache = None;
-  }
-
-(* The builder is the supported way to assemble a config; the record
-   stays public (and byte-compatible) for existing literal-update code,
-   but new fields only ever grow the builder surface. Setters take the
+(* The builder is the only way to assemble or update a config: the
+   record is [private] outside this module, so every construction path
+   goes through [Config.default] and the setters. Setters take the
    config last so they chain: [Config.(default |> with_seed 7 |> ...)]. *)
 module Config = struct
   type t = config
 
-  let default = default_config
+  let default =
+    {
+      seed = 1;
+      duration = 0.1;
+      warmup = 0.01;
+      service_dist = Ip_node.Exponential;
+      arrival = Traffic_gen.Poisson;
+      sample_interval = None;
+      series_capacity = 4096;
+      trace = None;
+      check_invariants = false;
+      metrics = None;
+      tenants = None;
+      flow_cache = None;
+    }
+
   let with_seed seed c = { c with seed }
   let with_duration duration c = { c with duration }
   let with_warmup warmup c = { c with warmup }
@@ -70,7 +69,7 @@ module Run = struct
     faults : Faults.plan;
   }
 
-  let make ?(config = default_config) ?(faults = Faults.empty) graph ~hw ~mix =
+  let make ?(config = Config.default) ?(faults = Faults.empty) graph ~hw ~mix =
     { graph; hw; mix; config; faults }
 
   let single ?config ?faults graph ~hw ~traffic =
@@ -78,16 +77,6 @@ module Run = struct
 
   let with_config t config = { t with config }
   let with_faults t faults = { t with faults }
-  let with_mix t mix = { t with mix }
-  let with_hw t hw = { t with hw }
-  let with_seed t seed = { t with config = { t.config with seed } }
-  let with_duration t duration = { t with config = { t.config with duration } }
-
-  let with_tenants t tenants =
-    { t with config = { t.config with tenants = Some tenants } }
-
-  let with_flow_cache t spec =
-    { t with config = { t.config with flow_cache = Some spec } }
 end
 
 type vertex_stats = {
@@ -286,7 +275,7 @@ let execute_with ?engine:reused (spec : Run.t) =
   let tenant_classes = if tenanted_sched then nclasses else 0 in
   (* The checker is allocated only on request; every hook below matches
      on it first, so the disabled path costs one pointer compare per
-     hook site (gated by bench/main.exe --invariant-overhead). *)
+     hook site (the ledger's [layer.invariants.cost] tracks it). *)
   let checker = if config.check_invariants then Some (Invariants.create ()) else None in
   (* A reused engine is reset, which keeps its event-queue arrays warm:
      replicated runs stop paying queue (re)allocation per run, and the
@@ -389,8 +378,8 @@ let execute_with ?engine:reused (spec : Run.t) =
      the flow cache is enabled, after the tenant rng and before the
      trace rng (which must stay last) — so flow-cache-off runs leave
      every stream exactly where the pre-flow-cache code put it
-     (byte-identical measurements, gated by bench/main.exe
-     --flowcache-overhead), and enabled runs draw flow ids from their
+     (byte-identical measurements, held by the [flowcache_off_identity]
+     property), and enabled runs draw flow ids from their
      own stream, bit-identical at any --jobs. *)
   let flow_state =
     Option.map
@@ -651,9 +640,10 @@ let execute_with ?engine:reused (spec : Run.t) =
      sequence numbers but never the relative pop order of packet events
      (the same argument as the series sampler). Enabling metrics
      therefore never changes simulation results or measurement JSON
-     (gated by bench/main.exe --metrics-overhead). Instruments register
-     in deterministic order: the run entity, drop sites in interning
-     order, nodes in graph order, then media in report order. *)
+     (held by the [metrics] test "netsim: metrics on/off bit-identical").
+     Instruments register in deterministic order: the run entity, drop
+     sites in interning order, nodes in graph order, then media in report
+     order. *)
   let metrics, metrics_hist =
     match config.metrics with
     | None -> (None, None)
@@ -1433,7 +1423,7 @@ let execute_with ?engine:reused (spec : Run.t) =
 
 let execute spec = execute_with spec
 
-let run ?(config = default_config) g ~hw ~mix =
+let run ?(config = Config.default) g ~hw ~mix =
   execute (Run.make ~config g ~hw ~mix)
 
 let run_single ?config g ~hw ~traffic = run ?config g ~hw ~mix:[ (traffic, 1.) ]
@@ -1532,39 +1522,11 @@ type replicated = {
   resilience : resilience_replicated option;
 }
 
-let replication_configs config runs =
-  if runs < 2 then invalid_arg "Netsim.run_replicated: needs runs >= 2";
-  List.init runs (fun i -> { config with seed = config.seed + i })
-
 let replication_specs (spec : Run.t) runs =
-  List.map
-    (fun config -> Run.with_config spec config)
-    (replication_configs spec.Run.config runs)
-
-let replicated_stats summaries =
-  let runs = List.length summaries in
-  let stat f =
-    Array.of_list (List.map f summaries)
-  in
-  let throughputs = stat (fun s -> s.Telemetry.throughput) in
-  let latencies = stat (fun s -> s.Telemetry.mean_latency) in
-  let losses = stat (fun s -> s.Telemetry.loss_rate) in
-  let module St = Lognic_numerics.Stats in
-  {
-    runs;
-    throughput_mean = St.mean throughputs;
-    throughput_stddev = St.stddev throughputs;
-    latency_mean = St.mean latencies;
-    latency_stddev = St.stddev latencies;
-    loss_mean = St.mean losses;
-    entities = [];
-    resilience = None;
-  }
-
-let replicated_of_summaries summaries =
-  if List.length summaries < 2 then
-    invalid_arg "Netsim.replicated_of_summaries: needs >= 2";
-  replicated_stats summaries
+  if runs < 2 then invalid_arg "Netsim.execute_replicated: needs runs >= 2";
+  let config = spec.Run.config in
+  List.init runs (fun i ->
+      Run.with_config spec (Config.with_seed (config.seed + i) config))
 
 let resilience_across measurements =
   let per_run =
@@ -1589,9 +1551,9 @@ let resilience_across measurements =
       }
 
 let replicated_of_measurements measurements =
-  if List.length measurements < 2 then
-    invalid_arg "Netsim.replicated_of_measurements: needs >= 2";
-  let runs = float_of_int (List.length measurements) in
+  let runs = List.length measurements in
+  if runs < 2 then invalid_arg "Netsim.replicated_of_measurements: needs >= 2";
+  let n = float_of_int runs in
   (* Per-entity across-run means, in the first run's (deterministic)
      entity order: every replication simulates the same graph, so the
      entity lists line up run to run. *)
@@ -1617,11 +1579,20 @@ let replicated_of_measurements measurements =
     List.map
       (fun (entity, _, _) ->
         let u, d = Hashtbl.find acc entity in
-        { entity; utilization_mean = u /. runs; drops_mean = d /. runs })
+        { entity; utilization_mean = u /. n; drops_mean = d /. n })
       (entity_rows (List.hd measurements))
   in
+  let stat f = Array.of_list (List.map (fun m -> f m.summary) measurements) in
+  let throughputs = stat (fun s -> s.Telemetry.throughput) in
+  let latencies = stat (fun s -> s.Telemetry.mean_latency) in
+  let module St = Lognic_numerics.Stats in
   {
-    (replicated_stats (List.map (fun m -> m.summary) measurements)) with
+    runs;
+    throughput_mean = St.mean throughputs;
+    throughput_stddev = St.stddev throughputs;
+    latency_mean = St.mean latencies;
+    latency_stddev = St.stddev latencies;
+    loss_mean = St.mean (stat (fun s -> s.Telemetry.loss_rate));
     entities;
     resilience = resilience_across measurements;
   }
@@ -1633,6 +1604,3 @@ let execute_replicated ?(runs = 5) spec =
   let engine = Engine.create () in
   replicated_of_measurements
     (List.map (fun s -> execute_with ~engine s) (replication_specs spec runs))
-
-let run_replicated ?(config = default_config) ?(runs = 5) g ~hw ~mix =
-  execute_replicated ~runs (Run.make ~config g ~hw ~mix)

@@ -24,11 +24,15 @@
     {b Entry points.} {!Run.t} is the single run spec — graph, hardware,
     traffic mix, config, and fault plan in one record — executed by
     {!execute} / {!execute_replicated}. The historical entry points
-    ({!run}, {!run_single}, {!run_replicated}) remain as thin wrappers
-    over an empty-fault spec and produce byte-identical measurements;
-    prefer the spec API in new code, it is where future knobs land. *)
+    ({!run}, {!run_single}) remain as thin wrappers over an empty-fault
+    spec and produce byte-identical measurements; prefer the spec API in
+    new code, it is where future knobs land.
 
-type config = {
+    A {!config} is a [private] record: its fields are readable, but
+    {!Config.default} and the {!Config} setters are the only way to
+    build or update one. *)
+
+type config = private {
   seed : int;
   duration : float;  (** simulated seconds (default 0.1) *)
   warmup : float;  (** discarded prefix (default 10% of duration) *)
@@ -55,7 +59,8 @@ type config = {
           as {!measurement.invariants} (default [false]). Checking is
           read-only: it never changes a measured quantity, and the
           disabled path adds no work to the simulator hot loop
-          (enforced by [bench/main.exe --invariant-overhead]). *)
+          (held by the [invariants] test "JSON identical on/off" and
+          the [invariants_hold_everywhere] property). *)
   metrics : Metrics.config option;
       (** when [Some], sample a live metrics registry every
           [interval] sim-seconds, evaluate its SLO rules, and attach
@@ -63,8 +68,8 @@ type config = {
           Every instrument is a read-only probe (plus an
           allocation-free latency histogram) and no rng stream is
           split, so enabling metrics never changes simulation results
-          or measurement JSON (enforced by
-          [bench/main.exe --metrics-overhead]). *)
+          or measurement JSON (held by the [metrics] test
+          "measurement JSON identical with metrics on/off"). *)
   tenants : Tenant.set option;
       (** when [Some], run multi-tenant: every arrival is attributed to
           a tenant drawn by the set's offered-traffic shares, per-VF
@@ -75,8 +80,8 @@ type config = {
           one queue per traffic class, packet-granular WRR across
           groups by tenant weight). A {e single}-tenant set keeps the
           untenanted scheduler and rng streams, so its measurement JSON
-          is byte-identical to [tenants = None] (enforced by
-          [bench/main.exe --tenant-overhead]); with [>= 2] tenants the
+          is byte-identical to [tenants = None] (held by the
+          [tenant_single_identity] property); with [>= 2] tenants the
           tenant rng is split after the fault rng and before the trace
           rng. Default [None]. *)
   flow_cache : Lognic.Flowcache.spec option;
@@ -89,24 +94,22 @@ type config = {
           out-edge, miss the second; the static δs on those edges are
           ignored. Per-class (hot/warm/cold) telemetry accumulates into
           {!measurement.flow_cache}. Disabled runs are byte-identical
-          to builds without the feature (enforced by
-          [bench/main.exe --flowcache-overhead]). Both cache vertices
+          to builds without the feature (held by the
+          [flowcache_off_identity] property). Both cache vertices
           must exist with exactly two out-edges, or the run raises
           [Invalid_argument]. Default [None]. *)
 }
 
-val default_config : config
-
-(** The supported way to assemble a {!config}: start from
-    {!Config.default} and chain setters, e.g.
-    [Config.(default |> with_horizon 0.5 |> with_seed 7)]. The record
-    stays public for existing literal-update code, but new knobs land
-    here. Setters take the config {e last} so they pipeline. *)
+(** The only way to assemble a {!config}: start from {!Config.default}
+    and chain setters, e.g.
+    [Config.(default |> with_horizon 0.5 |> with_seed 7)]. Setters take
+    the config {e last} so they pipeline. *)
 module Config : sig
   type t = config
 
   val default : t
-  (** = {!default_config}. *)
+  (** Seed 1, 0.1 s horizon with a 0.01 s warmup, Poisson arrivals,
+      exponential service, every optional layer off. *)
 
   val with_seed : int -> t -> t
   val with_duration : float -> t -> t
@@ -153,7 +156,7 @@ module Run : sig
     hw:Lognic.Params.hardware ->
     mix:Lognic.Traffic.mix ->
     t
-  (** [config] defaults to {!default_config}, [faults] to
+  (** [config] defaults to {!Config.default}, [faults] to
       {!Faults.empty}. *)
 
   val single :
@@ -167,12 +170,6 @@ module Run : sig
 
   val with_config : t -> config -> t
   val with_faults : t -> Faults.plan -> t
-  val with_mix : t -> Lognic.Traffic.mix -> t
-  val with_hw : t -> Lognic.Params.hardware -> t
-  val with_seed : t -> int -> t
-  val with_duration : t -> float -> t
-  val with_tenants : t -> Tenant.set -> t
-  val with_flow_cache : t -> Lognic.Flowcache.spec -> t
 end
 
 type vertex_stats = {
@@ -296,7 +293,8 @@ val execute : Run.t -> measurement
 
     {b Determinism.} With [faults = Faults.empty] the measurement is
     byte-identical to the pre-fault-era {!run} (no fault rng is split,
-    no per-packet accounting is added — enforced by the bench gate).
+    no per-packet accounting is added — held by the [faults] tests
+    [wrappers_equivalent] and [empty_plan_identity]).
     With any plan, results are bit-identical at every [--jobs]: the
     fault rng is its own stream, split after the per-node rngs and
     before the tenant and trace rngs, and is drawn only while a
@@ -359,11 +357,10 @@ type replicated = {
   latency_stddev : float;
   loss_mean : float;
   entities : entity_replicated list;
-      (** per-entity across-run means (vertices first, then media);
-          empty when folded from bare summaries *)
+      (** per-entity across-run means (vertices first, then media) *)
   resilience : resilience_replicated option;
       (** across-run recovery-time / worst-interval statistics; [None]
-          for fault-free replications or bare summaries *)
+          for fault-free replications *)
 }
 
 val execute_replicated : ?runs:int -> Run.t -> replicated
@@ -372,33 +369,14 @@ val execute_replicated : ?runs:int -> Run.t -> replicated
     standard deviations, per-entity means, and (for faulted specs)
     recovery statistics. Raises [Invalid_argument] when [runs < 2]. *)
 
-val run_replicated :
-  ?config:config ->
-  ?runs:int ->
-  Lognic.Graph.t ->
-  hw:Lognic.Params.hardware ->
-  mix:Lognic.Traffic.mix ->
-  replicated
-(** Pre-spec entry point, kept for compatibility: exactly
-    [execute_replicated ~runs (Run.make ~config g ~hw ~mix)]. *)
-
-val replication_configs : config -> int -> config list
-(** The per-replication configs (seeds [config.seed + i] for
-    [i < runs]), exposed so alternative execution strategies
-    ({!Parallel.run_replicated}) derive identical seeds. Raises
-    [Invalid_argument] when [runs < 2]. *)
-
 val replication_specs : Run.t -> int -> Run.t list
-(** {!replication_configs} lifted to specs: the same spec with each
-    derived config. Raises [Invalid_argument] when [runs < 2]. *)
+(** The per-replication specs: the same spec with seeds
+    [config.seed + i] for [i < runs], exposed so alternative execution
+    strategies ({!Parallel.execute_replicated}) derive identical seeds.
+    Raises [Invalid_argument] when [runs < 2]. *)
 
 val replicated_of_measurements : measurement list -> replicated
 (** The fold from per-run measurements to {!replicated} statistics,
-    shared with {!Parallel.run_replicated} so both paths are
+    shared with {!Parallel.execute_replicated} so both paths are
     bit-identical. Raises [Invalid_argument] on fewer than two
     measurements. *)
-
-val replicated_of_summaries : Telemetry.summary list -> replicated
-(** Like {!replicated_of_measurements} when only summaries are at hand;
-    [entities] comes back empty and [resilience] is [None]. Raises
-    [Invalid_argument] on fewer than two summaries. *)

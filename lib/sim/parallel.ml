@@ -6,7 +6,3 @@ let sweep = P.sweep
 let execute_replicated ?jobs ?(runs = 5) spec =
   Netsim.replicated_of_measurements
     (map ?jobs Netsim.execute (Netsim.replication_specs spec runs))
-
-let run_replicated ?jobs ?(config = Netsim.default_config) ?(runs = 5) g ~hw
-    ~mix =
-  execute_replicated ?jobs ~runs (Netsim.Run.make ~config g ~hw ~mix)

@@ -15,7 +15,7 @@
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving, exception-propagating parallel [List.map]; see
     {!Lognic_numerics.Parallel.map}. [jobs] defaults to the global
-    default (set via [--jobs] in the CLI and bench). *)
+    default (set via [--jobs] in the CLI and the ledger). *)
 
 val sweep : ?jobs:int -> f:('a -> 'b) -> 'a list -> ('a * 'b) list
 (** [sweep ~f points] evaluates a parameter grid, returning
@@ -28,15 +28,3 @@ val execute_replicated : ?jobs:int -> ?runs:int -> Netsim.Run.t -> Netsim.replic
     including the per-entity stats and across-run resilience), hence
     bit-identical results for the same spec at any [jobs] — fault plans
     included. Raises [Invalid_argument] when [runs < 2]. *)
-
-val run_replicated :
-  ?jobs:int ->
-  ?config:Netsim.config ->
-  ?runs:int ->
-  Lognic.Graph.t ->
-  hw:Lognic.Params.hardware ->
-  mix:Lognic.Traffic.mix ->
-  Netsim.replicated
-(** Pre-spec entry point, kept for compatibility: exactly
-    [execute_replicated ~runs (Netsim.Run.make ~config g ~hw ~mix)]
-    (empty fault plan). Prefer {!execute_replicated} in new code. *)

@@ -18,7 +18,6 @@ let table =
     ("metrics", 1);  (* Metrics snapshot NDJSON lines *)
     ("alerts", 1);  (* Metrics.alerts_to_json *)
     ("profile", 1);  (* Metrics.profile_to_json *)
-    ("engine_bench", 1);  (* bench/main.exe --events-per-sec --json *)
     ("tenants", 1);  (* Explain.tenants_to_json (lognic tenants --json) *)
     ("flowcache", 1);  (* Explain.flowcache_to_json (lognic flowcache --json) *)
   ]

@@ -17,7 +17,7 @@
     (plus one flat log₂-bucket latency histogram), sized once at setup:
     recording through it allocates nothing, so runs with thousands of
     tenants add zero per-tenant words to the steady-state hot loop
-    (gated by [bench/main.exe --tenant-overhead]). *)
+    (the ledger's [tenant.words_per_event_delta] metric tracks it). *)
 
 type spec = {
   name : string;  (** VF / tenant label; unique within a set *)

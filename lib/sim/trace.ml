@@ -2,8 +2,6 @@ module Json = Telemetry.Json
 
 type config = { reservoir : int }
 
-let default_config = { reservoir = 64 }
-
 type phase = Queue | Service | Wire | Overhead
 
 let phase_name = function
@@ -43,7 +41,7 @@ type t = {
   mutable weight : float;  (* Algorithm L's running W *)
 }
 
-let create ?(config = default_config) ~rng () =
+let create ~config ~rng () =
   if config.reservoir < 1 then
     invalid_arg "Trace.create: reservoir must be >= 1";
   {

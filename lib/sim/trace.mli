@@ -19,9 +19,7 @@
     process of per-packet lifecycle rows, plus one process per entity
     whose rows are engine lanes. *)
 
-type config = { reservoir : int  (** packets held (default 64) *) }
-
-val default_config : config
+type config = { reservoir : int  (** packets held *) }
 
 type phase =
   | Queue  (** waiting in an IP queue or for medium admission *)
@@ -58,7 +56,7 @@ type record = {
 
 type t
 
-val create : ?config:config -> rng:Lognic_numerics.Rng.t -> unit -> t
+val create : config:config -> rng:Lognic_numerics.Rng.t -> unit -> t
 (** Raises [Invalid_argument] on a reservoir capacity < 1. The [rng]
     must be dedicated to the trace (split from the run seed) so that
     enabling tracing perturbs no other stochastic stream. *)

@@ -274,6 +274,35 @@ let contention_validation () =
 
 (* Extension #3: rate limiter *)
 
+(* Without a contention spec the contention report is observation-only:
+   it drives the identical simulation a plain [Netsim.run] with the same
+   pinned config would, so the measurement inside the report is
+   byte-identical to the standalone run. *)
+let contention_off_identity () =
+  let module D = Lognic_devices in
+  let module S = Lognic_sim in
+  let g =
+    D.Liquidio.inline_accel_graph ~spec:D.Accel_spec.md5 ~packet_size:U.mtu ()
+  in
+  let hw = D.Liquidio.hardware in
+  let config =
+    S.Netsim.Config.(
+      default |> with_horizon ~warmup:2e-4 1e-2
+      (* pinned explicitly: Explain.run_mix would otherwise default it *)
+      |> with_sampling (1e-2 /. 256.))
+  in
+  let mix =
+    [
+      (T.make ~rate:(D.Liquidio.line_rate /. 2.) ~packet_size:U.mtu, 0.6);
+      (T.make ~rate:(D.Liquidio.line_rate /. 4.) ~packet_size:512., 0.4);
+    ]
+  in
+  let json m = S.Telemetry.Json.to_string (S.Netsim.measurement_to_json m) in
+  let report = S.Contention.run ~config g ~hw ~mix in
+  Alcotest.(check string) "contention-off report = plain run, byte-identical"
+    (json (S.Netsim.run ~config g ~hw ~mix))
+    (json report.S.Contention.base.S.Explain.mix_measurement)
+
 let rate_limiter_insertion () =
   let g, w = chain ~alpha:0.5 (5. *. U.gbps) in
   let g', limiter =
@@ -549,11 +578,12 @@ let calibrate_overhead_intercept () =
 
 let optimizer_memoizes_duplicate_candidates () =
   (* Duplicate candidate values canonicalize to the same memo key, so
-     the second enumeration of each must be served from the LRU. *)
+     the second enumeration of each must be served from the LRU. One
+     domain: with several, two copies of a point can miss concurrently. *)
   let g, w = chain ~alpha:0. (1. *. U.gbps) in
   let traffic = T.make ~rate:(2.1 *. U.gbps) ~packet_size:1500. in
   let s =
-    O.optimize g ~hw ~traffic
+    O.optimize ~jobs:1 g ~hw ~traffic
       ~knobs:[ O.Vertex_throughput (w, [| 1e9; 2e9; 1e9; 2e9 |]) ]
       O.Maximize_throughput
   in
@@ -777,6 +807,7 @@ let suite =
     quick "mixed traffic: joint latency >= solo" mixed_traffic_joint_latency_exceeds_solo;
     quick "contention: slowdown and resource caps" mixed_traffic_contention_slowdown;
     quick "contention: validation" contention_validation;
+    quick "contention: off is byte-identical to a plain run" contention_off_identity;
     quick "rate limiter: insertion" rate_limiter_insertion;
     quick "rate limiter: end-to-end in sim" rate_limiter_end_to_end_in_sim;
     quick "rate limiter: validation" rate_limiter_validation;

@@ -175,17 +175,15 @@ let wrappers_equivalent () =
   let single = S.Netsim.run_single ~config g ~hw ~traffic in
   let via_single = S.Netsim.execute (S.Netsim.Run.single ~config g ~hw ~traffic) in
   Alcotest.(check bool) "run_single = execute(Run.single)" true
-    (single = via_single);
-  let legacy_rep = S.Netsim.run_replicated ~config ~runs:3 g ~hw ~mix in
-  let spec_rep = S.Netsim.execute_replicated ~runs:3 spec in
-  Alcotest.(check bool) "run_replicated = execute_replicated" true
-    (legacy_rep = spec_rep)
+    (single = via_single)
 
 let with_setters_update () =
   let g = pipeline () in
   let spec = S.Netsim.Run.make ~config g ~hw ~mix in
-  let spec = S.Netsim.Run.with_seed spec 42 in
-  let spec = S.Netsim.Run.with_duration spec 0.01 in
+  let spec =
+    S.Netsim.Run.with_config spec
+      S.Netsim.Config.(config |> with_seed 42 |> with_duration 0.01)
+  in
   Alcotest.(check int) "seed set" 42 spec.S.Netsim.Run.config.S.Netsim.seed;
   check_close "duration set" 0.01 spec.S.Netsim.Run.config.S.Netsim.duration;
   let plan = [ F.drop_burst ~probability:0.5 ~start:0. ~stop:0.01 ] in
@@ -252,7 +250,7 @@ let faulted_jobs_invariant () =
 
 (* --- degraded model vs simulation ---------------------------------- *)
 
-let long_config = { config with S.Netsim.duration = 0.05; warmup = 0.005 }
+let long_config = S.Netsim.Config.(config |> with_horizon ~warmup:0.005 0.05)
 
 (* Engine failure: 3 of 4 engines down squeezes the ip to 1 Gbps under
    a 2 Gbps offered load — the model says carried = 1 Gbps during the
@@ -289,7 +287,7 @@ let engine_failure_agreement () =
    clear — a drain transient the steady-state model doesn't see. *)
 let link_degradation_agreement () =
   let g = pipeline () in
-  let config = { config with S.Netsim.duration = 0.1; warmup = 0.005 } in
+  let config = S.Netsim.Config.(config |> with_horizon ~warmup:0.005 0.1) in
   let plan =
     [ F.medium_degraded ~medium:"interface" ~factor:0.04 ~start:0.02 ~stop:0.04 ]
   in

@@ -309,10 +309,8 @@ let metrics_jobs_invariant () =
       { M.default_config with interval = 2e-4 }
       base_config
   in
-  let run jobs =
-    S.Parallel.run_replicated ~jobs ~config ~runs:3 (pipeline ()) ~hw
-      ~mix:[ (traffic, 1.) ]
-  in
+  let spec = S.Netsim.Run.single ~config (pipeline ()) ~hw ~traffic in
+  let run jobs = S.Parallel.execute_replicated ~jobs ~runs:3 spec in
   let a = run 1 and b = run 4 in
   Alcotest.(check bool)
     "replicated stats bit-identical at any jobs count" true
@@ -450,6 +448,7 @@ let schema_registry () =
   Alcotest.(check int) "kinds covers the table"
     (List.length S.Schema.table)
     (List.length names);
+  Alcotest.(check int) "twelve document kinds" 12 (List.length names);
   let uniq = List.sort_uniq compare names in
   Alcotest.(check int) "kinds are unique" (List.length names)
     (List.length uniq);

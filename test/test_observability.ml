@@ -28,9 +28,10 @@ let pipeline ?(queue = 32) ?(ip_rate = 4. *. U.gbps) ?(alpha = 1.) () =
   let g = G.add_edge ~delta:1. ~alpha ~src:w ~dst:e g in
   g
 
+let untraced_config = S.Netsim.Config.(default |> with_horizon 0.02)
+
 let traced_config =
-  S.Netsim.Config.(
-    default |> with_horizon 0.02 |> with_trace { S.Trace.reservoir = 32 })
+  S.Netsim.Config.with_trace { S.Trace.reservoir = 32 } untraced_config
 
 let traffic = T.make ~rate:(3. *. U.gbps) ~packet_size:1500.
 
@@ -81,7 +82,7 @@ let reservoir_deterministic () =
   Alcotest.(check (list int)) "same seed, same reservoir" (ids (run ())) (ids (run ()));
   let other =
     S.Netsim.run_single
-      ~config:{ traced_config with seed = 7 }
+      ~config:(S.Netsim.Config.with_seed 7 traced_config)
       (pipeline ()) ~hw ~traffic
   in
   Alcotest.(check bool)
@@ -91,24 +92,22 @@ let reservoir_deterministic () =
 (* The zero-perturbation guarantee: enabling tracing must not change a
    single measured bit — the measurement JSON is byte-identical. *)
 let disabled_trace_bit_identical () =
-  let untraced = { traced_config with trace = None } in
   let dump config =
     S.Telemetry.Json.to_string
       (S.Netsim.measurement_to_json
          (S.Netsim.run_single ~config (pipeline ()) ~hw ~traffic))
   in
   Alcotest.(check string)
-    "measurement JSON identical with tracing on/off" (dump untraced)
+    "measurement JSON identical with tracing on/off" (dump untraced_config)
     (dump traced_config)
 
 (* Tracing composes with the parallel driver: --jobs N replication is
    bit-identical to sequential even with the trace recorder attached. *)
 let traced_jobs_invariant () =
-  let mix = [ (traffic, 1.) ] in
-  let run jobs =
-    S.Parallel.run_replicated ~jobs ~config:traced_config ~runs:3 (pipeline ())
-      ~hw ~mix
+  let spec =
+    S.Netsim.Run.single ~config:traced_config (pipeline ()) ~hw ~traffic
   in
+  let run jobs = S.Parallel.execute_replicated ~jobs ~runs:3 spec in
   let a = run 1 and b = run 4 in
   Alcotest.(check bool)
     "replicated stats bit-identical at any jobs count" true
@@ -133,7 +132,7 @@ let chrome_json_roundtrip () =
 
 (* Acceptance: explain names the same bottleneck as the analytic
    roofline, on a compute-bound and on an interface-bound graph. *)
-let explain_config = { traced_config with trace = None }
+let explain_config = untraced_config
 
 let explain_agrees_when_vertex_bound () =
   let g = pipeline ~ip_rate:(2. *. U.gbps) () in
@@ -298,7 +297,7 @@ let series_degenerate_intervals () =
 let probes_read_only_under_overload () =
   let g = pipeline ~queue:4 ~ip_rate:(1. *. U.gbps) () in
   let traffic = T.make ~rate:(8. *. U.gbps) ~packet_size:1500. in
-  let overload = { traced_config with trace = None } in
+  let overload = untraced_config in
   let dump config =
     S.Telemetry.Json.to_string
       (S.Netsim.measurement_to_json

@@ -640,11 +640,12 @@ let netsim_medium_sheds_load () =
 let netsim_replicated () =
   let g = pipeline () in
   let traffic = T.make ~rate:(2. *. U.gbps) ~packet_size:1500. in
-  let r =
-    S.Netsim.run_replicated
+  let spec =
+    S.Netsim.Run.single
       ~config:S.Netsim.Config.(default |> with_horizon 0.05)
-      ~runs:4 g ~hw ~mix:[ (traffic, 1.) ]
+      g ~hw ~traffic
   in
+  let r = S.Netsim.execute_replicated ~runs:4 spec in
   Alcotest.(check int) "runs" 4 r.S.Netsim.runs;
   check_within ~pct:3. "mean throughput near offered" (2. *. U.gbps)
     r.S.Netsim.throughput_mean;
@@ -653,8 +654,7 @@ let netsim_replicated () =
     (r.S.Netsim.latency_stddev > 0.
     && r.S.Netsim.latency_stddev < 0.2 *. r.S.Netsim.latency_mean);
   check_raises_invalid "needs >= 2 runs" (fun () ->
-      ignore
-        (S.Netsim.run_replicated ~runs:1 g ~hw ~mix:[ (traffic, 1.) ]))
+      ignore (S.Netsim.execute_replicated ~runs:1 spec))
 
 let netsim_overload_observability () =
   (* Acceptance regression: under heavy overload every entity's
@@ -726,7 +726,7 @@ let netsim_sampling () =
     ((2 * List.length m.vertex_stats) + List.length m.medium_stats)
     (List.length m.series);
   let expected_samples =
-    int_of_float (S.Netsim.default_config.duration /. dt)
+    int_of_float (S.Netsim.Config.default.duration /. dt)
   in
   List.iter
     (fun series ->
@@ -758,9 +758,10 @@ let netsim_replicated_entities () =
   let g = pipeline () in
   let traffic = T.make ~rate:(2. *. U.gbps) ~packet_size:1500. in
   let r =
-    S.Netsim.run_replicated
-      ~config:S.Netsim.Config.(default |> with_horizon 0.05)
-      ~runs:3 g ~hw ~mix:[ (traffic, 1.) ]
+    S.Netsim.execute_replicated ~runs:3
+      (S.Netsim.Run.single
+         ~config:S.Netsim.Config.(default |> with_horizon 0.05)
+         g ~hw ~traffic)
   in
   Alcotest.(check bool) "per-entity stats present" true
     (List.length r.S.Netsim.entities >= 5);
