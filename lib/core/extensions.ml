@@ -118,36 +118,6 @@ type mixed_report = {
   contention : class_contention list option;
 }
 
-(* The pre-joint-evaluation behavior, kept for comparison: every class
-   sees a private copy of the whole device and the aggregate is the
-   weight-averaged per-class result. Structurally optimistic on any
-   contended mix — the simulator interleaves classes into shared
-   queues — which is exactly the delta the joint [mixed_traffic]
-   closes (see MODEL.md). *)
-let mixed_traffic_independent ~hw ~graph_for mix =
-  let classes = Traffic.normalize_weights mix in
-  let evaluated =
-    List.map
-      (fun ((cls : Traffic.t), w) ->
-        let g = graph_for cls in
-        ( cls,
-          w,
-          Throughput.evaluate g ~hw ~traffic:cls,
-          Latency.evaluate g ~hw ~traffic:cls ))
-      classes
-  in
-  let throughput =
-    List.fold_left
-      (fun acc (_, w, (tp : Throughput.result), _) -> acc +. (w *. tp.attained))
-      0. evaluated
-  in
-  let latency =
-    List.fold_left
-      (fun acc (_, w, _, (lat : Latency.result)) -> acc +. (w *. lat.mean))
-      0. evaluated
-  in
-  { classes = evaluated; throughput; latency; contention = None }
-
 (* ---- joint multi-class evaluation ----------------------------------- *)
 
 (* Shared entities are matched across class graphs by identity: vertex

@@ -9,8 +9,9 @@
 
     {b Extension #2 — diverse traffic profiles.} When the application
     consumes several packet sizes, per-size execution graphs (C, δ and O
-    vary with size) are evaluated independently and the outputs combined
-    as the dist_size-weighted averages of Eqs 3 and 8.
+    vary with size) are evaluated jointly against the entities they
+    share ({!mixed_traffic}); the paper's dist_size-weighted averages of
+    Eqs 3 and 8 are recoverable from the per-class results.
 
     {b Extension #3 — non-work-conserving IPs.} A rate-limiter vertex —
     an enqueue/dequeue-only IP with a fixed-size queue — is inserted in
@@ -118,18 +119,6 @@ val mixed_traffic :
     share of every named resource ({!Throughput.Resource_bound}).
     Raises [Invalid_argument] on a demand-vector arity mismatch or a
     resource name absent from [hw.resources]. *)
-
-val mixed_traffic_independent :
-  hw:Params.hardware ->
-  graph_for:(Traffic.t -> Graph.t) ->
-  Traffic.mix ->
-  mixed_report
-(** The pre-joint behavior, kept for comparison and ablation: each
-    class is evaluated on a private copy of the device and the
-    aggregates are weight-averaged per-class results. Structurally
-    optimistic whenever classes actually share hardware — see the
-    "Mixed traffic" section of MODEL.md for the delta. [contention] is
-    always [None]. *)
 
 val mixed_tail :
   ?model:Latency.queue_model ->

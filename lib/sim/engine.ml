@@ -26,6 +26,18 @@ let[@inline] schedule_after t ~delay thunk =
   if delay < 0. then delay_error ();
   schedule t ~at:(t.clock.(0) +. delay) thunk
 
+(* Tick times are computed multiplicatively ([i * interval]) so
+   accumulated rounding never drops the final tick before [until]. *)
+let every t ~interval ~until f =
+  let time_of i = float_of_int i *. interval in
+  let rec tick i =
+    f (time_of i);
+    if time_of (i + 1) <= until then
+      schedule t ~at:(time_of (i + 1)) (fun () -> tick (i + 1))
+  in
+  if interval <= until then schedule t ~at:interval (fun () -> tick 1)
+  else schedule t ~at:until (fun () -> f until)
+
 let run ?until ?observer ?profile t =
   let horizon = Option.value until ~default:infinity in
   let q = t.queue in

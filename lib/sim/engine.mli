@@ -15,6 +15,14 @@ val schedule : t -> at:float -> (unit -> unit) -> unit
 val schedule_after : t -> delay:float -> (unit -> unit) -> unit
 (** Convenience for [schedule ~at:(now t +. delay)]; [delay >= 0]. *)
 
+val every : t -> interval:float -> until:float -> (float -> unit) -> unit
+(** [every t ~interval ~until f] calls [f time] at [time = i·interval]
+    for [i = 1, 2, ...] while [time <= until] — the shared periodic
+    scheduler behind series sampling and metrics ticks. An [interval]
+    beyond [until] still yields one call, at [until], so the end-of-run
+    state is always observed. Each tick schedules the next, so periodic
+    events interleave with packet events without reordering them. *)
+
 val run :
   ?until:float -> ?observer:(float -> unit) -> ?profile:Profile.t -> t -> unit
 (** Processes events in order until the queue empties or virtual time

@@ -50,87 +50,55 @@ let series_mean series label =
     Some (Lognic_numerics.Stats.mean (Array.map snd samples))
   | _ -> None
 
-let run ?config ?queue_model g ~hw ~traffic =
-  let model = Lognic.Estimate.run ?queue_model g ~hw ~traffic in
+(* The join needs sampled queue depths; default the probe interval to
+   a fine grid when the caller didn't pick one. *)
+let with_default_sampling config =
   let config = Option.value config ~default:Netsim.Config.default in
-  (* The join needs sampled queue depths; default the probe interval to
-     a fine grid when the caller didn't pick one. *)
-  let config =
-    match config.Netsim.sample_interval with
-    | Some _ -> config
-    | None ->
-      Netsim.Config.with_sampling ~capacity:config.series_capacity
-        (config.duration /. 256.) config
-  in
-  let measurement = Netsim.run_single ~config g ~hw ~traffic in
-  let tp = model.Lognic.Estimate.throughput in
-  let lat = model.Lognic.Estimate.latency in
-  let attained = tp.Lognic.Throughput.attained in
+  match config.Netsim.sample_interval with
+  | Some _ -> config
+  | None ->
+    Netsim.Config.with_sampling ~capacity:config.series_capacity
+      (config.duration /. 256.) config
+
+(* The per-entity join shared by [run] and [run_mix]: one row per
+   simulated vertex among the caps' vertices, then the interface, the
+   memory and each simulated dedicated link, ranked by simulated
+   utilization (the top row is the sim bottleneck). Model utilization
+   is [attained] over each cap; [vertex_model] supplies a vertex's
+   model queueing delay, queue depth and drop probability. *)
+let entity_join g (m : Netsim.measurement) (caps : Lognic.Throughput.result)
+    ~attained ~vertex_model =
   let medium_row label =
-    List.find_opt
-      (fun (s : Netsim.medium_stats) -> s.mlabel = label)
-      measurement.Netsim.medium_stats
+    List.find_opt (fun (s : Netsim.medium_stats) -> s.mlabel = label) m.medium_stats
   in
   let vertex_rows =
     List.filter_map
       (fun (vid, cap) ->
-        let v = G.vertex g vid in
-        let stats =
-          List.find_opt
-            (fun (s : Netsim.vertex_stats) -> s.vid = vid)
-            measurement.Netsim.vertex_stats
-        in
-        match stats with
+        match
+          List.find_opt (fun (s : Netsim.vertex_stats) -> s.vid = vid) m.vertex_stats
+        with
         | None -> None
         | Some s ->
-          let terms =
-            List.find_opt
-              (fun (t : Lognic.Latency.vertex_terms) -> t.vid = vid)
-              lat.Lognic.Latency.per_vertex
-          in
+          let name = (G.vertex g vid).G.label in
           let model_utilization = if cap > 0. then attained /. cap else 0. in
-          let model_queueing =
-            Option.map (fun (t : Lognic.Latency.vertex_terms) -> t.queueing) terms
-          in
-          let model_drop_probability =
-            Option.map
-              (fun (t : Lognic.Latency.vertex_terms) -> t.drop_probability)
-              terms
-          in
-          (* Little's law on the vertex's virtual shared queue: expected
-             packets in system = packet arrival rate × (Q + C/A). *)
-          let model_queue_depth =
-            Option.map
-              (fun (t : Lognic.Latency.vertex_terms) ->
-                let pkt_rate =
-                  traffic.Lognic.Traffic.rate
-                  *. Lognic.Throughput.vertex_inflow g vid
-                  /. traffic.Lognic.Traffic.packet_size
-                in
-                pkt_rate *. (t.queueing +. t.service))
-              terms
+          let model_queueing, model_queue_depth, model_drop_probability =
+            vertex_model vid
           in
           Some
             {
-              name = v.G.label;
+              name;
               model_utilization;
               sim_utilization = s.utilization;
               residual = s.utilization -. Float.min 1. model_utilization;
               model_queueing;
               model_queue_depth;
-              sim_queue_depth =
-                series_mean measurement.Netsim.series (v.G.label ^ ".depth");
+              sim_queue_depth = series_mean m.Netsim.series (name ^ ".depth");
               model_drop_probability;
               drops = s.drops;
             })
-      tp.Lognic.Throughput.vertex_caps
+      caps.Lognic.Throughput.vertex_caps
   in
   let shared_medium name cap sim_utilization =
-    let drops =
-      match medium_row name with
-      | Some s -> s.Netsim.m_rejections
-      | None -> 0
-    in
     let model_utilization =
       if cap > 0. && cap < infinity then attained /. cap else 0.
     in
@@ -141,37 +109,64 @@ let run ?config ?queue_model g ~hw ~traffic =
       residual = sim_utilization -. Float.min 1. model_utilization;
       model_queueing = None;
       model_queue_depth = None;
-      sim_queue_depth =
-        series_mean measurement.Netsim.series (name ^ ".backlog");
+      sim_queue_depth = series_mean m.Netsim.series (name ^ ".backlog");
       model_drop_probability = None;
-      drops;
+      drops =
+        (match medium_row name with Some s -> s.Netsim.m_rejections | None -> 0);
     }
   in
   let medium_rows =
     [
-      shared_medium "interface" tp.Lognic.Throughput.interface_cap
-        measurement.Netsim.interface_utilization;
-      shared_medium "memory" tp.Lognic.Throughput.memory_cap
-        measurement.Netsim.memory_utilization;
+      shared_medium "interface" caps.Lognic.Throughput.interface_cap
+        m.Netsim.interface_utilization;
+      shared_medium "memory" caps.Lognic.Throughput.memory_cap
+        m.Netsim.memory_utilization;
     ]
     @ List.filter_map
         (fun ((s, d), cap) ->
           let name = Printf.sprintf "link-%d-%d" s d in
           Option.map
-            (fun (m : Netsim.medium_stats) ->
-              shared_medium name cap m.m_utilization)
+            (fun (md : Netsim.medium_stats) -> shared_medium name cap md.m_utilization)
             (medium_row name))
-        tp.Lognic.Throughput.edge_caps
+        caps.Lognic.Throughput.edge_caps
   in
   let rows =
     List.stable_sort
       (fun a b -> Float.compare b.sim_utilization a.sim_utilization)
       (vertex_rows @ medium_rows)
   in
-  let model_bottleneck = bound_name g tp.Lognic.Throughput.bottleneck in
-  let sim_bottleneck =
-    match rows with [] -> "none" | top :: _ -> top.name
+  (rows, match rows with [] -> "none" | top :: _ -> top.name)
+
+let run ?config ?queue_model g ~hw ~traffic =
+  let model = Lognic.Estimate.run ?queue_model g ~hw ~traffic in
+  let config = with_default_sampling config in
+  let measurement = Netsim.run_single ~config g ~hw ~traffic in
+  let tp = model.Lognic.Estimate.throughput in
+  let lat = model.Lognic.Estimate.latency in
+  let attained = tp.Lognic.Throughput.attained in
+  let vertex_model vid =
+    let terms =
+      List.find_opt
+        (fun (t : Lognic.Latency.vertex_terms) -> t.vid = vid)
+        lat.Lognic.Latency.per_vertex
+    in
+    let term f = Option.map f terms in
+    ( term (fun t -> t.queueing),
+      (* Little's law on the vertex's virtual shared queue: expected
+         packets in system = packet arrival rate × (Q + C/A). *)
+      term (fun t ->
+          let pkt_rate =
+            traffic.Lognic.Traffic.rate
+            *. Lognic.Throughput.vertex_inflow g vid
+            /. traffic.Lognic.Traffic.packet_size
+          in
+          pkt_rate *. (t.queueing +. t.service)),
+      term (fun t -> t.drop_probability) )
   in
+  let rows, sim_bottleneck =
+    entity_join g measurement tp ~attained ~vertex_model
+  in
+  let model_bottleneck = bound_name g tp.Lognic.Throughput.bottleneck in
   let sim_throughput = measurement.Netsim.summary.Telemetry.throughput in
   let sim_latency = measurement.Netsim.summary.Telemetry.mean_latency in
   let model_latency = lat.Lognic.Latency.mean in
@@ -232,6 +227,19 @@ let to_json t =
 
 let to_string t = J.to_string (to_json t)
 
+(* The ranked entity table both [pp] and [pp_mix] end with. *)
+let pp_rows ppf rows =
+  Format.fprintf ppf
+    "  %-4s %-16s %9s %9s %9s %11s %9s %6s@\n" "rank" "entity" "model-u"
+    "sim-u" "residual" "modelQ(pkt)" "simQ" "drops";
+  List.iteri
+    (fun i r ->
+      let opt = function None -> "-" | Some x -> Printf.sprintf "%.3g" x in
+      Format.fprintf ppf "  %-4d %-16s %9.3f %9.3f %+9.3f %11s %9s %6d@\n"
+        (i + 1) r.name r.model_utilization r.sim_utilization r.residual
+        (opt r.model_queue_depth) (opt r.sim_queue_depth) r.drops)
+    rows
+
 let pp ppf t =
   let pct x = 100. *. x in
   Format.fprintf ppf "explain: model vs simulation@\n";
@@ -244,16 +252,7 @@ let pp ppf t =
   Format.fprintf ppf "  bottleneck  model=%s  sim=%s  (%s)@\n"
     t.model_bottleneck t.sim_bottleneck
     (if t.agree then "agree" else "disagree");
-  Format.fprintf ppf
-    "  %-4s %-16s %9s %9s %9s %11s %9s %6s@\n" "rank" "entity" "model-u"
-    "sim-u" "residual" "modelQ(pkt)" "simQ" "drops";
-  List.iteri
-    (fun i r ->
-      let opt = function None -> "-" | Some x -> Printf.sprintf "%.3g" x in
-      Format.fprintf ppf "  %-4d %-16s %9.3f %9.3f %+9.3f %11s %9s %6d@\n"
-        (i + 1) r.name r.model_utilization r.sim_utilization r.residual
-        (opt r.model_queue_depth) (opt r.sim_queue_depth) r.drops)
-    t.rows
+  pp_rows ppf t.rows
 
 let to_text t = Format.asprintf "%a" pp t
 
@@ -289,14 +288,7 @@ type mix_report = {
 
 let run_mix ?config ?queue_model ?contention g ~hw ~mix =
   let model = Lognic.Estimate.run_mix ?queue_model ?contention g ~hw ~mix in
-  let config = Option.value config ~default:Netsim.Config.default in
-  let config =
-    match config.Netsim.sample_interval with
-    | Some _ -> config
-    | None ->
-      Netsim.Config.with_sampling ~capacity:config.series_capacity
-        (config.duration /. 256.) config
-  in
+  let config = with_default_sampling config in
   let measurement = Netsim.run ~config g ~hw ~mix in
   let summary = measurement.Netsim.summary in
   let window = summary.Telemetry.window in
@@ -343,113 +335,39 @@ let run_mix ?config ?queue_model ?contention g ~hw ~mix =
   let first_cls = match classes with (c, _, _, _) :: _ -> c | [] -> assert false in
   let caps = Lognic.Throughput.evaluate g ~hw ~traffic:first_cls in
   let total_attained = model.Lognic.Extensions.throughput in
-  let vertex_rows =
-    List.filter_map
-      (fun (vid, cap) ->
-        let v = G.vertex g vid in
-        match
-          List.find_opt
-            (fun (s : Netsim.vertex_stats) -> s.vid = vid)
-            measurement.Netsim.vertex_stats
-        with
-        | None -> None
-        | Some s ->
-          let per_class_terms =
-            List.filter_map
-              (fun ((cls : Lognic.Traffic.t), w, _, (lat : Lognic.Latency.result)) ->
-                Option.map
-                  (fun (t : Lognic.Latency.vertex_terms) -> (cls, w, t))
-                  (List.find_opt
-                     (fun (t : Lognic.Latency.vertex_terms) -> t.vid = vid)
-                     lat.Lognic.Latency.per_vertex))
-              classes
-          in
-          let model_queue_depth =
-            match per_class_terms with
-            | [] -> None
-            | terms ->
-              Some
-                (List.fold_left
-                   (fun acc ((cls : Lognic.Traffic.t), _, (t : Lognic.Latency.vertex_terms)) ->
-                     let pkt_rate =
-                       cls.rate
-                       *. Lognic.Throughput.vertex_inflow g vid
-                       /. cls.packet_size
-                     in
-                     acc +. (pkt_rate *. (t.queueing +. t.service)))
-                   0. terms)
-          in
-          let weighted f =
-            match per_class_terms with
-            | [] -> None
-            | terms ->
-              Some (List.fold_left (fun acc (_, w, t) -> acc +. (w *. f t)) 0. terms)
-          in
-          let model_utilization =
-            if cap > 0. then total_attained /. cap else 0.
-          in
-          Some
-            {
-              name = v.G.label;
-              model_utilization;
-              sim_utilization = s.utilization;
-              residual = s.utilization -. Float.min 1. model_utilization;
-              model_queueing =
-                weighted (fun (t : Lognic.Latency.vertex_terms) -> t.queueing);
-              model_queue_depth;
-              sim_queue_depth =
-                series_mean measurement.Netsim.series (v.G.label ^ ".depth");
-              model_drop_probability =
-                weighted (fun (t : Lognic.Latency.vertex_terms) ->
-                    t.drop_probability);
-              drops = s.drops;
-            })
-      caps.Lognic.Throughput.vertex_caps
-  in
-  let medium_row label =
-    List.find_opt
-      (fun (s : Netsim.medium_stats) -> s.mlabel = label)
-      measurement.Netsim.medium_stats
-  in
-  let shared_medium name cap sim_utilization =
-    let drops =
-      match medium_row name with Some s -> s.Netsim.m_rejections | None -> 0
-    in
-    let model_utilization =
-      if cap > 0. && cap < infinity then total_attained /. cap else 0.
-    in
-    {
-      name;
-      model_utilization;
-      sim_utilization;
-      residual = sim_utilization -. Float.min 1. model_utilization;
-      model_queueing = None;
-      model_queue_depth = None;
-      sim_queue_depth = series_mean measurement.Netsim.series (name ^ ".backlog");
-      model_drop_probability = None;
-      drops;
-    }
-  in
-  let medium_rows =
-    [
-      shared_medium "interface" caps.Lognic.Throughput.interface_cap
-        measurement.Netsim.interface_utilization;
-      shared_medium "memory" caps.Lognic.Throughput.memory_cap
-        measurement.Netsim.memory_utilization;
-    ]
-    @ List.filter_map
-        (fun ((s, d), cap) ->
-          let name = Printf.sprintf "link-%d-%d" s d in
+  let vertex_model vid =
+    let per_class_terms =
+      List.filter_map
+        (fun ((cls : Lognic.Traffic.t), w, _, (lat : Lognic.Latency.result)) ->
           Option.map
-            (fun (m : Netsim.medium_stats) ->
-              shared_medium name cap m.m_utilization)
-            (medium_row name))
-        caps.Lognic.Throughput.edge_caps
+            (fun (t : Lognic.Latency.vertex_terms) -> (cls, w, t))
+            (List.find_opt
+               (fun (t : Lognic.Latency.vertex_terms) -> t.vid = vid)
+               lat.Lognic.Latency.per_vertex))
+        classes
+    in
+    let weighted f =
+      match per_class_terms with
+      | [] -> None
+      | terms ->
+        Some (List.fold_left (fun acc (_, w, t) -> acc +. (w *. f t)) 0. terms)
+    in
+    ( weighted (fun (t : Lognic.Latency.vertex_terms) -> t.queueing),
+      (match per_class_terms with
+      | [] -> None
+      | terms ->
+        Some
+          (List.fold_left
+             (fun acc ((cls : Lognic.Traffic.t), _, (t : Lognic.Latency.vertex_terms)) ->
+               let pkt_rate =
+                 cls.rate *. Lognic.Throughput.vertex_inflow g vid /. cls.packet_size
+               in
+               acc +. (pkt_rate *. (t.queueing +. t.service)))
+             0. terms)),
+      weighted (fun (t : Lognic.Latency.vertex_terms) -> t.drop_probability) )
   in
-  let mix_rows =
-    List.stable_sort
-      (fun a b -> Float.compare b.sim_utilization a.sim_utilization)
-      (vertex_rows @ medium_rows)
+  let mix_rows, mix_sim_bottleneck =
+    entity_join g measurement caps ~attained:total_attained ~vertex_model
   in
   (* the joint model bottleneck: the bound of the class with the
      tightest capacity, the mix-level analogue of [report.model_bottleneck] *)
@@ -463,9 +381,6 @@ let run_mix ?config ?queue_model ?contention g ~hw ~mix =
     with
     | (_, _, tp, _) :: _ -> bound_name g tp.Lognic.Throughput.bottleneck
     | [] -> "none"
-  in
-  let mix_sim_bottleneck =
-    match mix_rows with [] -> "none" | top :: _ -> top.name
   in
   let mix_sim_throughput = summary.Telemetry.throughput in
   let mix_sim_latency = summary.Telemetry.mean_latency in
@@ -561,16 +476,7 @@ let pp_mix ppf t =
         (pct r.c_throughput_error) r.c_model_latency (opt r.c_sim_latency)
         (opt_pct r.c_latency_error))
     t.class_rows;
-  Format.fprintf ppf
-    "  %-4s %-16s %9s %9s %9s %11s %9s %6s@\n" "rank" "entity" "model-u"
-    "sim-u" "residual" "modelQ(pkt)" "simQ" "drops";
-  List.iteri
-    (fun i r ->
-      let opt = function None -> "-" | Some x -> Printf.sprintf "%.3g" x in
-      Format.fprintf ppf "  %-4d %-16s %9.3f %9.3f %+9.3f %11s %9s %6d@\n"
-        (i + 1) r.name r.model_utilization r.sim_utilization r.residual
-        (opt r.model_queue_depth) (opt r.sim_queue_depth) r.drops)
-    t.mix_rows
+  pp_rows ppf t.mix_rows
 
 let mix_to_text t = Format.asprintf "%a" pp_mix t
 

@@ -3,8 +3,9 @@
     A plan is a list of timed events over the run horizon — engines
     failing and recovering on a vertex, a medium's bandwidth degrading
     or flapping, a queue being shrunk by firmware, ingress shedding a
-    burst — realized inside {!Ip_node}/{!Medium}/{!Netsim} when the run
-    executes. Guarantees (held by the [faults] tests):
+    burst — realized by {!realize} on the run's {!Ip_node}s and
+    {!Medium}s when {!Netsim.execute} runs it. Guarantees (held by the
+    [faults] tests):
 
     - an {e empty} plan is byte-identical to a run that never heard of
       faults: no extra rng stream is split and no per-packet work is
@@ -82,3 +83,94 @@ val modifiers :
     of each interval folded into one composed modifier. *)
 
 val pp : Format.formatter -> plan -> unit
+
+(** {1 Realization inside a simulation run}
+
+    {!Netsim.execute} realizes a non-empty plan as one {!runtime}: the
+    plan's apply/revert events on the run's engine, the drop-burst
+    probability with its dedicated rng, and per-sub-interval accounting
+    of every packet by {e birth} time. An empty plan realizes nothing. *)
+
+(** Per-sub-interval accounting of a faulted run: the run horizon cut at
+    every fault boundary and refined with a uniform duration/64 grid.
+    Packets are attributed to the sub-interval of their {e birth} time,
+    whole-run (not warmup-windowed) — the point is to see the timeline,
+    including the transient. *)
+type interval_stats = {
+  i_start : float;
+  i_stop : float;
+  i_faults : string list;  (** active {!fault_label}s; [[]] on healthy stretches *)
+  i_offered : int;
+  i_delivered : int;
+  i_dropped : int;
+  i_throughput : float;  (** delivered bytes / sub-interval length *)
+  i_latency : float;  (** mean delivered latency (0 when nothing was delivered) *)
+}
+
+(** Per-run recovery summary, derived from the interval rows. *)
+type resilience = {
+  recovery_time : float option;
+      (** seconds from the last fault clearing until the first
+          sub-interval whose throughput regains ≥ 90% of the healthy
+          baseline (the time-weighted throughput of pre-fault healthy
+          sub-intervals); [None] when faults extend to the horizon, the
+          run never recovers, or no healthy baseline exists *)
+  worst_throughput : float;  (** lowest faulted sub-interval throughput *)
+  worst_start : float;  (** where that sub-interval starts *)
+}
+
+(** Across-run resilience statistics (faulted replications only). *)
+type resilience_replicated = {
+  recovered_runs : int;  (** runs whose [recovery_time] was [Some] *)
+  recovery_mean : float;  (** mean over recovered runs (0 when none) *)
+  recovery_max : float;
+  worst_throughput_mean : float;
+  worst_throughput_min : float;
+}
+
+type runtime
+(** A plan realized in one run. *)
+
+val realize :
+  plan ->
+  Engine.t ->
+  rng:Lognic_numerics.Rng.t ->
+  nodes:Ip_node.t list ->
+  media:Medium.t list ->
+  duration:float ->
+  runtime
+(** Validate every target against the run's nodes (by label) and media,
+    then schedule each event's apply at [start] and revert at [stop]
+    (events starting at or after [duration] are skipped, reverts at or
+    after it are left out). [rng] is the run's dedicated fault stream.
+    Raises [Invalid_argument] on an unknown or infinite-throughput
+    vertex, an unknown medium, or a non-positive [duration]. *)
+
+val shed : runtime -> bool
+(** Whether an active drop burst sheds the arriving packet. Draws from
+    the fault rng only while a burst is active. *)
+
+val record_offered : runtime -> float array -> unit
+val record_delivered : runtime -> float array -> unit
+val record_dropped : runtime -> float array -> unit
+(** Per-packet interval accounting; the argument is the flight's
+    {!Telemetry.flight_slots} array (birth time and size; at delivery
+    also the completion time in [slot_now]). *)
+
+val birth_bins : runtime -> (int * int) array
+(** Per sub-interval: packets offered, and packets resolved (delivered +
+    dropped) — input to {!Invariants.check_horizon}. *)
+
+val summarize : runtime -> interval_stats list * resilience option
+(** The chronological interval rows tiling [\[0, duration)], and the
+    recovery summary (present iff some fault was active before the
+    horizon). *)
+
+val resilience_across :
+  resilience option list -> resilience_replicated option
+(** Across-run statistics over the runs that have a recovery summary;
+    [None] when none does. *)
+
+val interval_to_json : interval_stats -> Telemetry.Json.t
+val resilience_to_json : resilience -> Telemetry.Json.t
+val resilience_replicated_to_json : resilience_replicated -> Telemetry.Json.t

@@ -233,6 +233,27 @@ let create ~(spec : FC.spec) ~warmup =
     c_hist = Array.make (classes * Tenant.hist_buckets) 0;
   }
 
+let roles (spec : FC.spec) g =
+  let module G = Lognic.Graph in
+  let roles = Array.make (G.vertex_count g) 0 in
+  let resolve role label =
+    match G.find_vertex g ~label with
+    | None ->
+      invalid_arg (Printf.sprintf "Netsim.run: flow cache needs a vertex %S" label)
+    | Some v ->
+      let outs = List.length (G.out_edges g v.G.id) in
+      if outs <> 2 then
+        invalid_arg
+          (Printf.sprintf
+             "Netsim.run: flow-cache vertex %S needs exactly 2 out-edges (hit, \
+              miss), has %d"
+             label outs);
+      roles.(v.G.id) <- role
+  in
+  resolve 1 spec.FC.emc_label;
+  resolve 2 spec.FC.megaflow_label;
+  roles
+
 let[@inline] draw t ~bits = sample t.fc_sampler bits
 
 (* Lookup counters follow the arrival windowing convention: counted by

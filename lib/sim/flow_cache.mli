@@ -34,6 +34,14 @@ val create : spec:Lognic.Flowcache.spec -> warmup:float -> t
 (** Build the sampler and tables. Setup cost is O(flows + entries)
     memory and time; nothing further is allocated while running. *)
 
+val roles : Lognic.Flowcache.spec -> Lognic.Graph.t -> int array
+(** Each vertex's routing role, indexed by vertex id: [1] for the
+    vertex labelled [spec.emc_label], [2] for [spec.megaflow_label],
+    [0] (delta-proportional routing) elsewhere. Raises
+    [Invalid_argument] unless both cache vertices exist with exactly two
+    out-edges — the first added is the hit route, the second the miss
+    route. *)
+
 val draw : t -> bits:int -> int
 (** Map a 30-bit draw ([0, 2^30)) to a flow id with popularity
     Zipf(spec.zipf) — one multiply, two loads, one compare;

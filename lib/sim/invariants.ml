@@ -194,6 +194,73 @@ let check_summary t ~horizon (s : Telemetry.summary) =
       "packet rate must be delivered packets over the window"
   end
 
+let check_admitted t ~time ~limit node =
+  let entity = Ip_node.label node in
+  check_bound t ~law:"queue-capacity" ~entity ~time ~limit
+    ~actual:(float_of_int (Ip_node.in_system node))
+    "in-system requests must not exceed the queue capacity";
+  check_bound t ~law:"engine-count" ~entity ~time
+    ~limit:(float_of_int (Ip_node.engines node))
+    ~actual:(float_of_int (Ip_node.busy_engines node))
+    "busy engines must not exceed the configured engine count"
+
+let check_medium t ~time m =
+  check_bound t ~law:"medium-buffer" ~entity:(Medium.label m) ~time
+    ~limit:(Medium.buffer m) ~actual:(Medium.backlog m)
+    "admitted backlog must fit the rate-matching buffer"
+
+let check_delivery t ~id ~time fs =
+  packet_delivered t ~id ~time;
+  (* Eq. 2 tiling: each hop adds its pieces from the same event times
+     that advance the clock, so only float rounding separates the
+     two sides. *)
+  check_close t ~law:"latency-tiling" ~entity:(packet_entity id) ~time ~tol:1e-9
+    ~expected:(time -. fs.(Telemetry.slot_born))
+    ~actual:
+      (fs.(Telemetry.slot_queueing)
+      +. fs.(Telemetry.slot_service)
+      +. fs.(Telemetry.slot_wire)
+      +. fs.(Telemetry.slot_overhead))
+    "queueing + service + wire + overhead must equal birth-to-egress time"
+
+let check_horizon t ~horizon ~nodes ~media ~generated ?(birth_bins = [||])
+    summary =
+  let time = horizon in
+  List.iter
+    (fun node ->
+      let entity = Ip_node.label node in
+      let busy = Ip_node.busy_within node ~until:horizon in
+      check_bound t ~law:"utilization" ~entity ~time ~limit:1.
+        ~actual:(Ip_node.utilization node ~until:horizon)
+        "node utilization must not exceed 1 at the horizon";
+      check_bound t ~law:"busy-time" ~entity ~time
+        ~limit:(float_of_int (Ip_node.engines node) *. horizon)
+        ~actual:busy "engine-busy seconds must fit engines times the horizon";
+      check_nonneg t ~law:"busy-time" ~entity ~time ~actual:busy
+        "horizon-clipped busy time cannot be negative")
+    nodes;
+  List.iter
+    (fun m ->
+      let entity = Medium.label m in
+      let busy = Medium.busy_within m ~until:horizon in
+      check_bound t ~law:"utilization" ~entity ~time ~limit:1.
+        ~actual:(Medium.utilization m ~until:horizon)
+        "medium utilization must not exceed 1 at the horizon";
+      check_bound t ~law:"busy-time" ~entity ~time ~limit:horizon ~actual:busy
+        "medium-busy seconds must fit the horizon";
+      check_nonneg t ~law:"busy-time" ~entity ~time ~actual:busy
+        "horizon-clipped busy time cannot be negative")
+    media;
+  check_conservation t ~time ~generated;
+  Array.iteri
+    (fun i (offered, resolved) ->
+      check_bound t ~law:"interval-accounting"
+        ~entity:(Printf.sprintf "interval-%d" i) ~time
+        ~limit:(float_of_int offered) ~actual:(float_of_int resolved)
+        "a birth bin cannot resolve more packets than it offered")
+    birth_bins;
+  check_summary t ~horizon summary
+
 let report t =
   {
     checks = t.n_checks;

@@ -127,6 +127,38 @@ val check_summary : t -> horizon:float -> Telemetry.summary -> unit
     the window fits the horizon, and (when anything was delivered)
     p50 ≤ p99 ≤ max and mean ≤ max. *)
 
+(** {1 Simulator hooks}
+
+    The entity laws {!Netsim} checks when [check_invariants] is on. *)
+
+val check_admitted : t -> time:float -> limit:float -> Ip_node.t -> unit
+(** Right after a node admits a request: requests in the system fit
+    [limit] (the node's queue capacity under its queueing convention)
+    and busy engines fit the configured count. *)
+
+val check_medium : t -> time:float -> Medium.t -> unit
+(** Right after a medium admits a transfer: the backlog fits its
+    buffer. *)
+
+val check_delivery : t -> id:int -> time:float -> float array -> unit
+(** {!packet_delivered}, plus the Eq. 2 tiling law on the flight's
+    {!Telemetry.flight_slots} array: queueing + service + wire +
+    overhead equal birth-to-egress time. *)
+
+val check_horizon :
+  t ->
+  horizon:float ->
+  nodes:Ip_node.t list ->
+  media:Medium.t list ->
+  generated:int ->
+  ?birth_bins:(int * int) array ->
+  Telemetry.summary ->
+  unit
+(** The end-of-run laws, in order: horizon-clipped utilization and busy
+    time of every node and medium, {!check_conservation}, the
+    [(offered, resolved)] count of each fault birth bin
+    ({!Faults.birth_bins}; default none), then {!check_summary}. *)
+
 (** {1 Reporting} *)
 
 val report : t -> report

@@ -165,125 +165,6 @@ let expand_pattern weights =
     weights;
   pattern
 
-let validate_common ~engines ~rate_per_engine ~capacity =
-  if engines < 1 then invalid_arg "Ip_node.create: engines must be >= 1";
-  if rate_per_engine <= 0. then
-    invalid_arg "Ip_node.create: rate_per_engine must be > 0";
-  if capacity < 1 then invalid_arg "Ip_node.create: queue_capacity must be >= 1"
-
-let make engine ~rng ~label ~engines ~rate_per_engine ~entries_per_queue
-    ~weights ~single_queue ~service_dist ~track_lanes ~hier =
-  let groups, queues_per_group =
-    match hier with
-    | None -> (0, 0)
-    | Some (gw, cw) -> (Array.length gw, Array.length cw.(0))
-  in
-  let nqueues =
-    match hier with
-    | None -> Array.length weights
-    | Some _ -> groups * queues_per_group
-  in
-  let t =
-    {
-      engine;
-      rng;
-      label;
-      engines;
-      rate_per_engine;
-      entries_per_queue;
-      single_queue;
-      service_dist;
-      queues =
-        (let slots = match hier with None -> 16 | Some _ -> 4 in
-         Array.init nqueues (fun _ -> ring_create slots));
-      queued_total = 0;
-      drops_per_queue = Array.make nqueues 0;
-      pattern = expand_pattern weights;
-      cursor = 0;
-      groups;
-      queues_per_group;
-      queue_group =
-        (match hier with
-        | None -> [||]
-        | Some _ -> Array.init nqueues (fun q -> q / queues_per_group));
-      fast_grant =
-        single_queue || nqueues = 1
-        || (groups > 0 && queues_per_group = 1);
-      grp_weight = (match hier with None -> [||] | Some (gw, _) -> Array.copy gw);
-      grp_credit = Array.make (max 1 groups) 0;
-      grp_queued = Array.make (max 1 groups) 0;
-      grp_next = Array.make (max 1 groups) (-1);
-      grp_prev = Array.make (max 1 groups) (-1);
-      grp_cur = -1;
-      grp_pat =
-        (match hier with
-        | None -> [||]
-        | Some (_, cw) -> Array.map expand_pattern cw);
-      grp_cursor = Array.make (max 1 groups) 0;
-      offline = 0;
-      capacity_override = None;
-      busy_engines = 0;
-      completions = 0;
-      fb = Array.make 2 0.;
-      ifl = Array.make engines 0.;
-      ifl_len = 0;
-      sv_finish = Array.make engines 0.;
-      sv_lane = Array.make engines 0;
-      sv_k = Array.make engines noop;
-      sv_fire = Array.make engines noop;
-      (* slot [0] on top of the stack so the first start takes slot 0 *)
-      sv_free = Array.init engines (fun i -> engines - 1 - i);
-      sv_free_top = engines;
-      (* lane [0] on top of the stack so the first claim is lane 0 *)
-      free_lanes =
-        (if track_lanes then Array.init engines (fun i -> engines - 1 - i)
-         else [||]);
-      free_top = (if track_lanes then engines else 0);
-      prof = None;
-    }
-  in
-  t
-
-let create ?(track_lanes = false) engine ~rng ~label ~engines ~rate_per_engine
-    ~queue_capacity ~service_dist =
-  validate_common ~engines ~rate_per_engine ~capacity:queue_capacity;
-  make engine ~rng ~label ~engines ~rate_per_engine
-    ~entries_per_queue:queue_capacity ~weights:[| 1 |] ~single_queue:true
-    ~service_dist ~track_lanes ~hier:None
-
-let create_multiqueue ?(track_lanes = false) engine ~rng ~label ~engines
-    ~rate_per_engine ~entries_per_queue ~weights ~service_dist =
-  validate_common ~engines ~rate_per_engine ~capacity:entries_per_queue;
-  if Array.length weights = 0 then
-    invalid_arg "Ip_node.create_multiqueue: no queues";
-  if Array.exists (fun w -> w < 1) weights then
-    invalid_arg "Ip_node.create_multiqueue: weights must be >= 1";
-  make engine ~rng ~label ~engines ~rate_per_engine ~entries_per_queue ~weights
-    ~single_queue:false ~service_dist ~track_lanes ~hier:None
-
-let create_hierarchical ?(track_lanes = false) engine ~rng ~label ~engines
-    ~rate_per_engine ~entries_per_queue ~group_weights ~class_weights
-    ~service_dist =
-  validate_common ~engines ~rate_per_engine ~capacity:entries_per_queue;
-  let groups = Array.length group_weights in
-  if groups = 0 then invalid_arg "Ip_node.create_hierarchical: no groups";
-  if Array.exists (fun w -> w < 1) group_weights then
-    invalid_arg "Ip_node.create_hierarchical: group weights must be >= 1";
-  if Array.length class_weights <> groups then
-    invalid_arg "Ip_node.create_hierarchical: one class-weight row per group";
-  let qpg = Array.length class_weights.(0) in
-  if qpg = 0 then invalid_arg "Ip_node.create_hierarchical: no class queues";
-  Array.iter
-    (fun row ->
-      if Array.length row <> qpg then
-        invalid_arg "Ip_node.create_hierarchical: ragged class-weight rows";
-      if Array.exists (fun w -> w < 1) row then
-        invalid_arg "Ip_node.create_hierarchical: class weights must be >= 1")
-    class_weights;
-  make engine ~rng ~label ~engines ~rate_per_engine ~entries_per_queue
-    ~weights:[| 1 |] ~single_queue:false ~service_dist ~track_lanes
-    ~hier:(Some (group_weights, class_weights))
-
 let label t = t.label
 let engines t = t.engines
 let queue_count t = Array.length t.queues
@@ -556,33 +437,129 @@ and fire t slot =
     Profile.leave p prev;
     k ()
 
-(* Completion closures are per-slot and built once here — after the
-   record exists, since they capture it. *)
-let make_fires t =
-  for slot = 0 to t.engines - 1 do
+let validate_common ~engines ~rate_per_engine ~capacity =
+  if engines < 1 then invalid_arg "Ip_node.create: engines must be >= 1";
+  if rate_per_engine <= 0. then
+    invalid_arg "Ip_node.create: rate_per_engine must be > 0";
+  if capacity < 1 then invalid_arg "Ip_node.create: queue_capacity must be >= 1"
+
+let make engine ~rng ~label ~engines ~rate_per_engine ~entries_per_queue
+    ~weights ~single_queue ~service_dist ~track_lanes ~hier =
+  let groups, queues_per_group =
+    match hier with
+    | None -> (0, 0)
+    | Some (gw, cw) -> (Array.length gw, Array.length cw.(0))
+  in
+  let nqueues =
+    match hier with
+    | None -> Array.length weights
+    | Some _ -> groups * queues_per_group
+  in
+  let t =
+    {
+      engine;
+      rng;
+      label;
+      engines;
+      rate_per_engine;
+      entries_per_queue;
+      single_queue;
+      service_dist;
+      queues =
+        (let slots = match hier with None -> 16 | Some _ -> 4 in
+         Array.init nqueues (fun _ -> ring_create slots));
+      queued_total = 0;
+      drops_per_queue = Array.make nqueues 0;
+      pattern = expand_pattern weights;
+      cursor = 0;
+      groups;
+      queues_per_group;
+      queue_group =
+        (match hier with
+        | None -> [||]
+        | Some _ -> Array.init nqueues (fun q -> q / queues_per_group));
+      fast_grant =
+        single_queue || nqueues = 1
+        || (groups > 0 && queues_per_group = 1);
+      grp_weight = (match hier with None -> [||] | Some (gw, _) -> Array.copy gw);
+      grp_credit = Array.make (max 1 groups) 0;
+      grp_queued = Array.make (max 1 groups) 0;
+      grp_next = Array.make (max 1 groups) (-1);
+      grp_prev = Array.make (max 1 groups) (-1);
+      grp_cur = -1;
+      grp_pat =
+        (match hier with
+        | None -> [||]
+        | Some (_, cw) -> Array.map expand_pattern cw);
+      grp_cursor = Array.make (max 1 groups) 0;
+      offline = 0;
+      capacity_override = None;
+      busy_engines = 0;
+      completions = 0;
+      fb = Array.make 2 0.;
+      ifl = Array.make engines 0.;
+      ifl_len = 0;
+      sv_finish = Array.make engines 0.;
+      sv_lane = Array.make engines 0;
+      sv_k = Array.make engines noop;
+      sv_fire = Array.make engines noop;
+      (* slot [0] on top of the stack so the first start takes slot 0 *)
+      sv_free = Array.init engines (fun i -> engines - 1 - i);
+      sv_free_top = engines;
+      (* lane [0] on top of the stack so the first claim is lane 0 *)
+      free_lanes =
+        (if track_lanes then Array.init engines (fun i -> engines - 1 - i)
+         else [||]);
+      free_top = (if track_lanes then engines else 0);
+      prof = None;
+    }
+  in
+  (* Completion closures are per-slot and built once here — after the
+     record exists, since they capture it. *)
+  for slot = 0 to engines - 1 do
     t.sv_fire.(slot) <- (fun () -> fire t slot)
   done;
   t
 
-let create ?track_lanes engine ~rng ~label ~engines ~rate_per_engine
+let create ?(track_lanes = false) engine ~rng ~label ~engines ~rate_per_engine
     ~queue_capacity ~service_dist =
-  make_fires
-    (create ?track_lanes engine ~rng ~label ~engines ~rate_per_engine
-       ~queue_capacity ~service_dist)
+  validate_common ~engines ~rate_per_engine ~capacity:queue_capacity;
+  make engine ~rng ~label ~engines ~rate_per_engine
+    ~entries_per_queue:queue_capacity ~weights:[| 1 |] ~single_queue:true
+    ~service_dist ~track_lanes ~hier:None
 
-let create_multiqueue ?track_lanes engine ~rng ~label ~engines ~rate_per_engine
-    ~entries_per_queue ~weights ~service_dist =
-  make_fires
-    (create_multiqueue ?track_lanes engine ~rng ~label ~engines
-       ~rate_per_engine ~entries_per_queue ~weights ~service_dist)
+let create_multiqueue ?(track_lanes = false) engine ~rng ~label ~engines
+    ~rate_per_engine ~entries_per_queue ~weights ~service_dist =
+  validate_common ~engines ~rate_per_engine ~capacity:entries_per_queue;
+  if Array.length weights = 0 then
+    invalid_arg "Ip_node.create_multiqueue: no queues";
+  if Array.exists (fun w -> w < 1) weights then
+    invalid_arg "Ip_node.create_multiqueue: weights must be >= 1";
+  make engine ~rng ~label ~engines ~rate_per_engine ~entries_per_queue ~weights
+    ~single_queue:false ~service_dist ~track_lanes ~hier:None
 
-let create_hierarchical ?track_lanes engine ~rng ~label ~engines
+let create_hierarchical ?(track_lanes = false) engine ~rng ~label ~engines
     ~rate_per_engine ~entries_per_queue ~group_weights ~class_weights
     ~service_dist =
-  make_fires
-    (create_hierarchical ?track_lanes engine ~rng ~label ~engines
-       ~rate_per_engine ~entries_per_queue ~group_weights ~class_weights
-       ~service_dist)
+  validate_common ~engines ~rate_per_engine ~capacity:entries_per_queue;
+  let groups = Array.length group_weights in
+  if groups = 0 then invalid_arg "Ip_node.create_hierarchical: no groups";
+  if Array.exists (fun w -> w < 1) group_weights then
+    invalid_arg "Ip_node.create_hierarchical: group weights must be >= 1";
+  if Array.length class_weights <> groups then
+    invalid_arg "Ip_node.create_hierarchical: one class-weight row per group";
+  let qpg = Array.length class_weights.(0) in
+  if qpg = 0 then invalid_arg "Ip_node.create_hierarchical: no class queues";
+  Array.iter
+    (fun row ->
+      if Array.length row <> qpg then
+        invalid_arg "Ip_node.create_hierarchical: ragged class-weight rows";
+      if Array.exists (fun w -> w < 1) row then
+        invalid_arg "Ip_node.create_hierarchical: class weights must be >= 1")
+    class_weights;
+  make engine ~rng ~label ~engines ~rate_per_engine ~entries_per_queue
+    ~weights:[| 1 |] ~single_queue:false ~service_dist ~track_lanes
+    ~hier:(Some (group_weights, class_weights))
 
 let offline t = t.offline
 let set_profile t p = t.prof <- p

@@ -492,6 +492,80 @@ let tick t ~now =
 let alerts t = List.rev t.alert_order
 
 (* ------------------------------------------------------------------ *)
+(* The simulator's instrument catalog.                                *)
+
+(* Every instrument is a read-only probe over state the simulator
+   already maintains and no rng stream is split, so attaching never
+   changes simulation results; the ticks are extra scheduled events,
+   which shift absolute event sequence numbers but never the relative
+   pop order of packet events. *)
+let attach cfg engine ~telemetry ~nodes ~media ?tenants ~until () =
+  let m = create cfg in
+  let run name kind probe = register m ~entity:"run" ~name kind probe in
+  run "offered" Counter (fun () -> float_of_int (Telemetry.offered telemetry));
+  run "delivered" Counter (fun () -> float_of_int (Telemetry.delivered telemetry));
+  run "dropped" Counter (fun () -> float_of_int (Telemetry.dropped telemetry));
+  run "delivered_bytes" Counter (fun () -> Telemetry.delivered_bytes telemetry);
+  (* The latency histogram is the one hot-path instrument; each tick
+     synthesizes latency_p50 / latency_p99 for SLO rules. *)
+  let hist = histogram m ~entity:"run" ~name:"latency" () in
+  (* Warmup-windowed drops per site, one entity per interned drop
+     counter. *)
+  List.iter
+    (fun c ->
+      register m
+        ~entity:(Telemetry.drop_site_name (Telemetry.counter_site c))
+        ~name:"drops" Counter
+        (fun () -> float_of_int (Telemetry.counter_hits c)))
+    (Telemetry.counters telemetry);
+  List.iter
+    (fun node ->
+      let entity = Ip_node.label node in
+      register m ~entity ~name:"completions" Counter (fun () ->
+          float_of_int (Ip_node.completions node));
+      register m ~entity ~name:"drops" Counter (fun () ->
+          float_of_int (Ip_node.drops node));
+      register m ~entity ~name:"queue_depth" Gauge (fun () ->
+          float_of_int (Ip_node.in_system node));
+      register m ~entity ~name:"busy_engines" Gauge (fun () ->
+          float_of_int (Ip_node.busy_engines node));
+      let nameplate = float_of_int (Ip_node.engines node) in
+      (* cumulative busy-engine seconds over the nameplate count: as a
+         [Rate], delta/interval is the interval utilization *)
+      register m ~entity ~name:"utilization" Rate (fun () ->
+          Ip_node.busy_within node ~until:(Engine.now engine) /. nameplate))
+    nodes;
+  List.iter
+    (fun md ->
+      let entity = Medium.label md in
+      register m ~entity ~name:"transfers" Counter (fun () ->
+          float_of_int (Medium.transfers md));
+      register m ~entity ~name:"rejections" Counter (fun () ->
+          float_of_int (Medium.rejections md));
+      register m ~entity ~name:"backlog_bytes" Gauge (fun () -> Medium.backlog md);
+      register m ~entity ~name:"utilization" Rate (fun () ->
+          Medium.busy_within md ~until:(Engine.now engine)))
+    media;
+  (* Fairness gauges go last so untenanted runs keep their historical
+     instrument order (and NDJSON fixtures). *)
+  Option.iter
+    (fun a ->
+      let fairness () = Tenant.live_fairness a ~horizon:(Engine.now engine) in
+      let gauge name f = register m ~entity:"tenants" ~name Gauge (fun () -> f (fairness ())) in
+      gauge "maxmin_share" (fun f -> f.Tenant.maxmin_ratio);
+      gauge "jain" (fun f -> f.Tenant.jain);
+      gauge "interference" (fun f -> f.Tenant.interference))
+    tenants;
+  (* The self-profiler reads only the host's wall clock. *)
+  Option.iter
+    (fun p ->
+      List.iter (fun node -> Ip_node.set_profile node (Some p)) nodes;
+      List.iter (fun md -> Medium.set_profile md (Some p)) media)
+    m.profiler;
+  Engine.every engine ~interval:cfg.interval ~until (fun now -> ignore (tick m ~now));
+  (m, hist)
+
+(* ------------------------------------------------------------------ *)
 (* Exports.                                                           *)
 
 let sample_to_json (name, s) =

@@ -163,6 +163,30 @@ val alerts : t -> alert list
 val profiler : t -> Profile.t option
 (** The self-profiler owned by this instance when [config.profile]. *)
 
+(** {2 The simulator's instrument catalog} *)
+
+val attach :
+  config ->
+  Engine.t ->
+  telemetry:Telemetry.t ->
+  nodes:Ip_node.t list ->
+  media:Medium.t list ->
+  ?tenants:Tenant.acc ->
+  until:float ->
+  unit ->
+  t * histogram
+(** What {!Netsim.execute} runs when [config.metrics] is set: a registry
+    over one run's state, returned with its [run.latency] histogram for
+    the delivery hook to {!observe_span}. Instruments register in this
+    order: [run] counters ([offered], [delivered], [dropped],
+    [delivered_bytes]) and the latency histogram; [drops] per interned
+    {!Telemetry} drop site; per node [completions], [drops],
+    [queue_depth], [busy_engines], [utilization]; per medium
+    [transfers], [rejections], [backlog_bytes], [utilization]; and, with
+    [tenants], the [tenants] fairness gauges. The profiler (if any) is
+    attached to every node and medium, and ticks are scheduled every
+    [config.interval] up to [until] ({!Engine.every}). *)
+
 (** {2 Exports} *)
 
 val snapshot_to_json : snapshot -> Telemetry.Json.t

@@ -79,6 +79,7 @@ module Run = struct
   let with_faults t faults = { t with faults }
 end
 
+
 type vertex_stats = {
   vid : G.vertex_id;
   vlabel : string;
@@ -95,23 +96,6 @@ type medium_stats = {
   m_rejections : int;
 }
 
-type interval_stats = {
-  i_start : float;
-  i_stop : float;
-  i_faults : string list;
-  i_offered : int;
-  i_delivered : int;
-  i_dropped : int;
-  i_throughput : float;
-  i_latency : float;
-}
-
-type resilience = {
-  recovery_time : float option;
-  worst_throughput : float;
-  worst_start : float;
-}
-
 type measurement = {
   summary : Telemetry.summary;
   vertex_stats : vertex_stats list;
@@ -121,8 +105,8 @@ type measurement = {
   interface_utilization : float;
   memory_utilization : float;
   generated : int;
-  fault_intervals : interval_stats list;
-  resilience : resilience option;
+  fault_intervals : Faults.interval_stats list;
+  resilience : Faults.resilience option;
   trace : Trace.t option;
   invariants : Invariants.report option;
   metrics : Metrics.t option;
@@ -179,6 +163,7 @@ type flight = {
   mutable fl_id : int;
   mutable fl_klass : int;
   mutable fl_tenant : int;  (* owning tenant id; 0 when untenanted *)
+  mutable fl_queue : int;  (* node queue index; 0 unless tenanted *)
   mutable fl_flow : int;  (* flow id; meaningful only with a flow cache *)
   mutable fl_fclass : int;  (* hot/warm/cold (0..2); -1 = unclassified *)
   mutable fl_vertex : G.vertex_id;  (* vertex being visited *)
@@ -234,29 +219,14 @@ let reach_probabilities g =
     order;
   (p_vertex, p_edge)
 
-let rec remove_first x = function
-  | [] -> []
-  | y :: rest -> if y = x then rest else y :: remove_first x rest
-
-(* Sub-interval grid for fault-time accounting: the fault-plan edges
-   refined with a uniform duration/64 grid, so recovery after the last
-   fault clears is observable at finer resolution than the plan's own
-   boundaries. Only built when a plan is present. *)
-let interval_boundaries ~duration fault_spans =
-  let grid = List.init 64 (fun i -> float_of_int i *. duration /. 64.) in
-  let edges = List.map (fun (a, _, _) -> a) fault_spans in
-  Array.of_list (List.sort_uniq Float.compare (grid @ edges))
-
 let execute_with ?engine:reused (spec : Run.t) =
   let g = spec.Run.graph in
   let hw = spec.Run.hw in
   let config = spec.Run.config in
-  let faults = spec.Run.faults in
   (match G.validate g with
   | Ok () -> ()
   | Error errors ->
     invalid_arg ("Netsim.run: invalid graph: " ^ String.concat "; " errors));
-  let have_faults = not (Faults.is_empty faults) in
   (* ---- tenants ------------------------------------------------------ *)
   let tenant_set = config.tenants in
   let ntenants =
@@ -271,7 +241,7 @@ let execute_with ?engine:reused (spec : Run.t) =
   let tenanted_sched = ntenants >= 2 in
   let nclasses = max 1 (List.length spec.Run.mix) in
   (* queue-index stride for tenanted submission; 0 selects the
-     untenanted queue-0 path (one int compare per arrival) *)
+     untenanted queue 0 for every packet *)
   let tenant_classes = if tenanted_sched then nclasses else 0 in
   (* The checker is allocated only on request; every hook below matches
      on it first, so the disabled path costs one pointer compare per
@@ -313,6 +283,14 @@ let execute_with ?engine:reused (spec : Run.t) =
              ~bandwidth:bw ())
       | None -> ())
     (G.edges g);
+  (* Media in deterministic report order: the two shared media first,
+     then dedicated links in edge order. *)
+  let media =
+    (interface :: memory :: [])
+    @ List.filter_map
+        (fun (e : G.edge) -> Hashtbl.find_opt links (e.src, e.dst))
+        (G.edges g)
+  in
   let tracing = config.trace <> None in
   let nodes = Hashtbl.create 16 in
   List.iter
@@ -344,12 +322,24 @@ let execute_with ?engine:reused (spec : Run.t) =
         Hashtbl.replace nodes v.id node
       end)
     (G.vertices g);
+  (* Nodes in graph order, the order every per-entity report uses. *)
+  let node_list =
+    List.filter_map (fun (v : G.vertex) -> Hashtbl.find_opt nodes v.id) (G.vertices g)
+  in
   (* The fault rng is split only when a plan is present, after the
      per-node rngs and before the trace rng: an empty plan leaves every
      stream exactly where the pre-fault code put it (byte-identical
      runs), and a non-empty plan perturbs at most which packets the
-     trace reservoir samples — never a measured quantity. *)
-  let faults_rng = if have_faults then Some (N.Rng.split rng) else None in
+     trace reservoir samples — never a measured quantity. Realizing
+     the plan schedules its apply/revert events, ahead of every other
+     setup event. *)
+  let faults =
+    if Faults.is_empty spec.Run.faults then None
+    else
+      Some
+        (Faults.realize spec.Run.faults engine ~rng:(N.Rng.split rng)
+           ~nodes:node_list ~media ~duration:config.duration)
+  in
   (* The tenant rng follows the same discipline as the fault rng: split
      only when arrivals actually need a tenant draw (>= 2 tenants), so
      untenanted and single-tenant runs leave every stream exactly where
@@ -381,45 +371,13 @@ let execute_with ?engine:reused (spec : Run.t) =
      (byte-identical measurements, held by the [flowcache_off_identity]
      property), and enabled runs draw flow ids from their
      own stream, bit-identical at any --jobs. *)
-  let flow_state =
+  let flow =
     Option.map
-      (fun spec -> Flow_cache.create ~spec ~warmup:config.warmup)
+      (fun fspec ->
+        let st = Flow_cache.create ~spec:fspec ~warmup:config.warmup in
+        let roles = Flow_cache.roles fspec g in
+        (st, roles, N.Rng.split rng))
       config.flow_cache
-  in
-  let flow_rng =
-    match flow_state with Some _ -> Some (N.Rng.split rng) | None -> None
-  in
-  (* Role of each vertex under state-dependent routing: 1 = EMC,
-     2 = megaflow, 0 = ordinary delta-proportional routing. Cache
-     vertices are resolved by label and must offer exactly the
-     hit/miss out-edge pair (first out-edge added = hit route). *)
-  let fc_role =
-    let roles = Array.make (G.vertex_count g) 0 in
-    (match config.flow_cache with
-    | None -> ()
-    | Some spec ->
-      let resolve role label =
-        match
-          List.find_opt
-            (fun (v : G.vertex) -> v.label = label)
-            (G.vertices g)
-        with
-        | None ->
-          invalid_arg
-            (Printf.sprintf "Netsim.run: flow cache needs a vertex %S" label)
-        | Some v ->
-          let outs = List.length (G.out_edges g v.id) in
-          if outs <> 2 then
-            invalid_arg
-              (Printf.sprintf
-                 "Netsim.run: flow-cache vertex %S needs exactly 2 out-edges \
-                  (hit, miss), has %d"
-                 label outs);
-          roles.(v.id) <- role
-      in
-      resolve 1 spec.Lognic.Flowcache.emc_label;
-      resolve 2 spec.Lognic.Flowcache.megaflow_label);
-    roles
   in
   (* The trace rng is split last — after every stream the untraced run
      splits — and only when tracing is on, so enabling tracing perturbs
@@ -429,127 +387,6 @@ let execute_with ?engine:reused (spec : Run.t) =
       (fun tc -> Trace.create ~config:tc ~rng:(N.Rng.split rng) ())
       config.trace
   in
-  (* Media in deterministic report order: the two shared media first,
-     then dedicated links in edge order. *)
-  let media =
-    (interface :: memory :: [])
-    @ List.filter_map
-        (fun (e : G.edge) -> Hashtbl.find_opt links (e.src, e.dst))
-        (G.edges g)
-  in
-  (* ---- fault realization ------------------------------------------- *)
-  let burst_p = ref 0. in
-  let fault_spans =
-    if have_faults then Faults.intervals ~duration:config.duration faults
-    else []
-  in
-  let boundaries =
-    if have_faults then interval_boundaries ~duration:config.duration fault_spans
-    else [||]
-  in
-  let nbins = Array.length boundaries in
-  let bin_offered = Array.make (max 1 nbins) 0 in
-  let bin_delivered = Array.make (max 1 nbins) 0 in
-  let bin_dropped = Array.make (max 1 nbins) 0 in
-  let bin_bytes = Array.make (max 1 nbins) 0. in
-  let bin_latency = Array.make (max 1 nbins) 0. in
-  let bin_of t =
-    let lo = ref 0 and hi = ref (nbins - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if boundaries.(mid) <= t then lo := mid else hi := mid - 1
-    done;
-    !lo
-  in
-  if have_faults then begin
-    let node_by_label = Hashtbl.create 8 in
-    Hashtbl.iter
-      (fun _ node -> Hashtbl.replace node_by_label (Ip_node.label node) node)
-      nodes;
-    let node_of vertex =
-      match Hashtbl.find_opt node_by_label vertex with
-      | Some node -> node
-      | None ->
-        invalid_arg
-          (Printf.sprintf
-             "Netsim: fault targets unknown or infinite-throughput vertex %S"
-             vertex)
-    in
-    let medium_of label =
-      match List.find_opt (fun m -> Medium.label m = label) media with
-      | Some m -> m
-      | None ->
-        invalid_arg (Printf.sprintf "Netsim: fault targets unknown medium %S" label)
-    in
-    (* Validate every target up front so a bad plan fails before the
-       simulation starts, not at the event's fire time. *)
-    List.iter
-      (fun (ev : Faults.event) ->
-        match ev.fault with
-        | Faults.Engine_down { vertex; _ } | Faults.Queue_shrunk { vertex; _ } ->
-          ignore (node_of vertex)
-        | Faults.Medium_degraded { medium; _ } -> ignore (medium_of medium)
-        | Faults.Drop_burst _ -> ())
-      faults;
-    (* Overlapping faults compose; each target keeps its active
-       contributions in activation order and the effective value is
-       recomputed from that list on every change, so apply/revert
-       sequences are deterministic and leave no floating-point residue
-       once all faults clear. *)
-    let down = Hashtbl.create 4 in
-    let factors = Hashtbl.create 4 in
-    let caps = Hashtbl.create 4 in
-    let bursts = ref [] in
-    let active key table = Option.value (Hashtbl.find_opt table key) ~default:[] in
-    let set_down vertex delta =
-      let node = node_of vertex in
-      let total = List.fold_left ( + ) 0 delta in
-      Hashtbl.replace down vertex delta;
-      Ip_node.set_offline node (min (Ip_node.engines node) total)
-    in
-    let set_factor medium fs =
-      Hashtbl.replace factors medium fs;
-      Medium.set_scale (medium_of medium) (List.fold_left ( *. ) 1. fs)
-    in
-    let set_cap vertex cs =
-      Hashtbl.replace caps vertex cs;
-      Ip_node.set_capacity_override (node_of vertex)
-        (match cs with [] -> None | cs -> Some (List.fold_left min max_int cs))
-    in
-    let set_bursts ps =
-      bursts := ps;
-      burst_p := 1. -. List.fold_left (fun acc p -> acc *. (1. -. p)) 1. ps
-    in
-    let apply (ev : Faults.event) () =
-      match ev.fault with
-      | Faults.Engine_down { vertex; engines } ->
-        set_down vertex (active vertex down @ [ engines ])
-      | Faults.Medium_degraded { medium; factor } ->
-        set_factor medium (active medium factors @ [ factor ])
-      | Faults.Queue_shrunk { vertex; capacity } ->
-        set_cap vertex (active vertex caps @ [ capacity ])
-      | Faults.Drop_burst { probability } -> set_bursts (!bursts @ [ probability ])
-    in
-    let revert (ev : Faults.event) () =
-      match ev.fault with
-      | Faults.Engine_down { vertex; engines } ->
-        set_down vertex (remove_first engines (active vertex down))
-      | Faults.Medium_degraded { medium; factor } ->
-        set_factor medium (remove_first factor (active medium factors))
-      | Faults.Queue_shrunk { vertex; capacity } ->
-        set_cap vertex (remove_first capacity (active vertex caps))
-      | Faults.Drop_burst { probability } ->
-        set_bursts (remove_first probability !bursts)
-    in
-    List.iter
-      (fun (ev : Faults.event) ->
-        if ev.start < config.duration then begin
-          Engine.schedule engine ~at:ev.start (apply ev);
-          if ev.stop < config.duration then
-            Engine.schedule engine ~at:ev.stop (revert ev)
-        end)
-      faults
-  end;
   (* ---- dense runtime tables ---------------------------------------- *)
   let dropper site =
     {
@@ -618,129 +455,26 @@ let execute_with ?engine:reused (spec : Run.t) =
             List.fold_left (fun acc (e : G.edge) -> acc +. e.delta) 0. outs;
         })
   in
-  (* Media admission invariant: right after a successful transfer the
-     backlog must still fit the buffer. Skipped on faulted runs: a
-     bandwidth restore mid-backlog legitimately re-values the queued
-     bytes at the healthy rate, which can exceed the byte limit the
-     degraded admission enforced. *)
+  (* Media admission invariant. Skipped on faulted runs: a bandwidth
+     restore mid-backlog legitimately re-values the queued bytes at the
+     healthy rate, which can exceed the byte limit the degraded
+     admission enforced. *)
   let check_medium =
     match checker with
-    | Some inv when not have_faults ->
-      fun m ->
-        Invariants.check_bound inv ~law:"medium-buffer"
-          ~entity:(Medium.label m) ~time:(Engine.now engine)
-          ~limit:(Medium.buffer m) ~actual:(Medium.backlog m)
-          "admitted backlog must fit the rate-matching buffer"
+    | Some inv when faults = None ->
+      fun m -> Invariants.check_medium inv ~time:(Engine.now engine) m
     | Some _ | None -> fun _ -> ()
   in
   (* ---- live metrics ------------------------------------------------ *)
-  (* The metrics registry is built entirely from read-only probes over
-     state the simulator already maintains, splits no rng stream, and
-     its ticks are extra scheduled events — which shift absolute event
-     sequence numbers but never the relative pop order of packet events
-     (the same argument as the series sampler). Enabling metrics
-     therefore never changes simulation results or measurement JSON
-     (held by the [metrics] test "netsim: metrics on/off bit-identical").
-     Instruments register in deterministic order: the run entity, drop
-     sites in interning order, nodes in graph order, then media in report
-     order. *)
-  let metrics, metrics_hist =
-    match config.metrics with
-    | None -> (None, None)
-    | Some mc ->
-      let m = Metrics.create mc in
-      Metrics.register m ~entity:"run" ~name:"offered" Metrics.Counter
-        (fun () -> float_of_int (Telemetry.offered telemetry));
-      Metrics.register m ~entity:"run" ~name:"delivered" Metrics.Counter
-        (fun () -> float_of_int (Telemetry.delivered telemetry));
-      Metrics.register m ~entity:"run" ~name:"dropped" Metrics.Counter
-        (fun () -> float_of_int (Telemetry.dropped telemetry));
-      Metrics.register m ~entity:"run" ~name:"delivered_bytes" Metrics.Counter
-        (fun () -> Telemetry.delivered_bytes telemetry);
-      (* The latency histogram is the one new hot-path instrument; its
-         observe is allocation-free and windowed like the summary. Each
-         tick synthesizes latency_p50 / latency_p99 for SLO rules. *)
-      let hist = Metrics.histogram m ~entity:"run" ~name:"latency" () in
-      (* Warmup-windowed drops per site, one entity per interned drop
-         counter (every site was interned during setup above). *)
-      List.iter
-        (fun c ->
-          Metrics.register m
-            ~entity:(Telemetry.drop_site_name (Telemetry.counter_site c))
-            ~name:"drops" Metrics.Counter
-            (fun () -> float_of_int (Telemetry.counter_hits c)))
-        (Telemetry.counters telemetry);
-      List.iter
-        (fun (v : G.vertex) ->
-          match Hashtbl.find_opt nodes v.id with
-          | None -> ()
-          | Some node ->
-            let entity = v.label in
-            Metrics.register m ~entity ~name:"completions" Metrics.Counter
-              (fun () -> float_of_int (Ip_node.completions node));
-            Metrics.register m ~entity ~name:"drops" Metrics.Counter
-              (fun () -> float_of_int (Ip_node.drops node));
-            Metrics.register m ~entity ~name:"queue_depth" Metrics.Gauge
-              (fun () -> float_of_int (Ip_node.in_system node));
-            Metrics.register m ~entity ~name:"busy_engines" Metrics.Gauge
-              (fun () -> float_of_int (Ip_node.busy_engines node));
-            let nameplate = float_of_int (Ip_node.engines node) in
-            (* cumulative busy-engine seconds over the nameplate count:
-               as a [Rate], delta/interval is the interval utilization *)
-            Metrics.register m ~entity ~name:"utilization" Metrics.Rate
-              (fun () ->
-                Ip_node.busy_within node ~until:(Engine.now engine)
-                /. nameplate))
-        (G.vertices g);
-      List.iter
-        (fun md ->
-          let entity = Medium.label md in
-          Metrics.register m ~entity ~name:"transfers" Metrics.Counter
-            (fun () -> float_of_int (Medium.transfers md));
-          Metrics.register m ~entity ~name:"rejections" Metrics.Counter
-            (fun () -> float_of_int (Medium.rejections md));
-          Metrics.register m ~entity ~name:"backlog_bytes" Metrics.Gauge
-            (fun () -> Medium.backlog md);
-          Metrics.register m ~entity ~name:"utilization" Metrics.Rate
-            (fun () -> Medium.busy_within md ~until:(Engine.now engine)))
-        media;
-      (* Live fairness gauges over the tenant population; registered
-         after every per-entity instrument so untenanted runs keep
-         their historical instrument order (and NDJSON fixtures). *)
-      (match tenant_acc with
-      | None -> ()
-      | Some a ->
-        let fairness () = Tenant.live_fairness a ~horizon:(Engine.now engine) in
-        Metrics.register m ~entity:"tenants" ~name:"maxmin_share" Metrics.Gauge
-          (fun () -> (fairness ()).Tenant.maxmin_ratio);
-        Metrics.register m ~entity:"tenants" ~name:"jain" Metrics.Gauge
-          (fun () -> (fairness ()).Tenant.jain);
-        Metrics.register m ~entity:"tenants" ~name:"interference" Metrics.Gauge
-          (fun () -> (fairness ()).Tenant.interference));
-      (* Attach the optional self-profiler to every phase source; it
-         reads only the host's wall clock, never the simulation. *)
-      (match Metrics.profiler m with
-      | Some _ as p ->
-        Hashtbl.iter (fun _ node -> Ip_node.set_profile node p) nodes;
-        List.iter (fun md -> Medium.set_profile md p) media
-      | None -> ());
-      (* Tick scheduler on the same multiplicative time grid as the
-         series sampler, so rounding never drops the final snapshot. *)
-      let dt = mc.Metrics.interval in
-      let time_of i = float_of_int i *. dt in
-      let rec tick i =
-        ignore (Metrics.tick m ~now:(time_of i));
-        if time_of (i + 1) <= config.duration then
-          Engine.schedule engine ~at:(time_of (i + 1)) (fun () -> tick (i + 1))
-      in
-      if dt <= config.duration then
-        Engine.schedule engine ~at:dt (fun () -> tick 1)
-      else
-        (* Mirror the series sampler: an interval beyond the horizon
-           still produces one end-of-run snapshot. *)
-        Engine.schedule engine ~at:config.duration (fun () ->
-            ignore (Metrics.tick m ~now:config.duration));
-      (Some m, Some hist)
+  (* Attached after the dense tables so every drop site is interned;
+     read-only, so enabling metrics never changes measurement JSON
+     (held by the [metrics] test "netsim: metrics on/off bit-identical"). *)
+  let metrics =
+    Option.map
+      (fun mc ->
+        Metrics.attach mc engine ~telemetry ~nodes:node_list ~media
+          ?tenants:tenant_acc ~until:config.duration ())
+      config.metrics
   in
   (* ---- the packet walk --------------------------------------------- *)
   (* Scratch cells for the routing scan: unboxed accumulator and index,
@@ -754,75 +488,43 @@ let execute_with ?engine:reused (spec : Run.t) =
     match vr.v_node with
     | None -> serve_f fl
     | Some node ->
-      let work = fl.fs.(Telemetry.slot_size) *. vr.v_work_factor in
       if
-        (if tenant_classes = 0 then
-           Ip_node.submit node ?span:fl.fl_span_node ?tally:fl.fl_tally ~work
-             fl.fl_on_served
-         else
-           Ip_node.submit_at node ?tally:fl.fl_tally ?span:fl.fl_span_node
-             ~queue:((fl.fl_tenant * tenant_classes) + fl.fl_klass)
-             ~work fl.fl_on_served)
+        Ip_node.submit_at node ?tally:fl.fl_tally ?span:fl.fl_span_node
+          ~queue:fl.fl_queue
+          ~work:(fl.fs.(Telemetry.slot_size) *. vr.v_work_factor)
+          fl.fl_on_served
       then begin
         match checker with
         | Some inv ->
-          (* Post-admission state bounds. [submit] may have run the
-             whole downstream walk synchronously (zero-work fast path),
-             but both bounds hold at every instant, so checking after
-             it returns is still sound. (The flight may already be
-             recycled here — only the node is consulted.) *)
-          let time = Engine.now engine in
-          Invariants.check_bound inv ~law:"queue-capacity" ~entity:vr.v_label
-            ~time ~limit:vr.v_cap_limit
-            ~actual:(float_of_int (Ip_node.in_system node))
-            "in-system requests must not exceed the queue capacity";
-          Invariants.check_bound inv ~law:"engine-count" ~entity:vr.v_label
-            ~time
-            ~limit:(float_of_int (Ip_node.engines node))
-            ~actual:(float_of_int (Ip_node.busy_engines node))
-            "busy engines must not exceed the configured engine count"
+          (* [submit] may have run the whole downstream walk
+             synchronously (zero-work fast path), but the bounds hold at
+             every instant, so checking after it returns is still sound.
+             (The flight may already be recycled here — only the node is
+             consulted.) *)
+          Invariants.check_admitted inv ~time:(Engine.now engine)
+            ~limit:vr.v_cap_limit node
         | None -> ()
       end
       else drop_flight fl vr.v_drop
   and serve_f fl =
     let vr = vrt.(fl.fl_vertex) in
     if vr.v_is_egress then begin
+      fl.fs.(Telemetry.slot_now) <- Engine.now engine;
       (match checker with
       | Some inv ->
-        let now = Engine.now engine in
-        Invariants.packet_delivered inv ~id:fl.fl_id ~time:now;
-        (* Eq. 2 tiling: the four tallied components must account for
-           this packet's entire end-to-end latency. Each hop adds its
-           pieces from the same event times that advance the clock, so
-           only float rounding separates the two sides. *)
-        Invariants.check_close inv ~law:"latency-tiling"
-          ~entity:(Printf.sprintf "packet-%d" fl.fl_id) ~time:now ~tol:1e-9
-          ~expected:(now -. fl.fs.(Telemetry.slot_born))
-          ~actual:
-            (fl.fs.(Telemetry.slot_queueing)
-            +. fl.fs.(Telemetry.slot_service)
-            +. fl.fs.(Telemetry.slot_wire)
-            +. fl.fs.(Telemetry.slot_overhead))
-          "queueing + service + wire + overhead must equal birth-to-egress time"
+        Invariants.check_delivery inv ~id:fl.fl_id ~time:(Engine.now engine) fl.fs
       | None -> ());
       (match fl.fl_tr with
       | Some r -> Trace.deliver r ~time:(Engine.now engine)
       | None -> ());
-      if have_faults then begin
-        let b = bin_of fl.fs.(Telemetry.slot_born) in
-        bin_delivered.(b) <- bin_delivered.(b) + 1;
-        bin_bytes.(b) <- bin_bytes.(b) +. fl.fs.(Telemetry.slot_size);
-        bin_latency.(b) <-
-          bin_latency.(b) +. (Engine.now engine -. fl.fs.(Telemetry.slot_born))
-      end;
-      fl.fs.(Telemetry.slot_now) <- Engine.now engine;
+      (match faults with
+      | Some f -> Faults.record_delivered f fl.fs
+      | None -> ());
       (* Live-metrics latency histogram, windowed by birth like the
-         summary; [observe] is allocation-free and reads nothing back,
-         so the disabled path is one pointer compare. *)
-      (match metrics_hist with
-      | Some h ->
-        (* slot_now was stamped with the engine clock just above;
-           observe_span keeps the hot path allocation-free *)
+         summary; [observe_span] is allocation-free and reads nothing
+         back, so the disabled path is one pointer compare. *)
+      (match metrics with
+      | Some (_, h) ->
         if fl.fs.(Telemetry.slot_born) >= config.warmup then
           Metrics.observe_span h fl.fs ~from_slot:Telemetry.slot_born
             ~to_slot:Telemetry.slot_now
@@ -831,8 +533,8 @@ let execute_with ?engine:reused (spec : Run.t) =
       (match tenant_acc with
       | Some a -> Tenant.record_completion a ~tenant:fl.fl_tenant ~fs:fl.fs
       | None -> ());
-      (match flow_state with
-      | Some st -> Flow_cache.record_completion st ~klass:fl.fl_fclass ~fs:fl.fs
+      (match flow with
+      | Some (st, _, _) -> Flow_cache.record_completion st ~klass:fl.fl_fclass ~fs:fl.fs
       | None -> ());
       release_flight fl
     end
@@ -841,8 +543,8 @@ let execute_with ?engine:reused (spec : Run.t) =
          only an ingress with zero-delta out-edges can reach here. *)
       release_flight fl
     else begin
-      (match flow_state with
-      | Some st when fc_role.(fl.fl_vertex) <> 0 ->
+      (match flow with
+      | Some (st, roles, _) when roles.(fl.fl_vertex) <> 0 ->
         (* State-dependent split: the route out of a cache vertex is
            decided by an actual lookup on this packet's flow, not by
            the static deltas (hit = first out-edge, miss = second).
@@ -850,7 +552,7 @@ let execute_with ?engine:reused (spec : Run.t) =
            aligned across runs that only differ in cache geometry. *)
         let now = Engine.now engine in
         let hit =
-          if fc_role.(fl.fl_vertex) = 1 then begin
+          if roles.(fl.fl_vertex) = 1 then begin
             let h = Flow_cache.emc_lookup st ~now ~flow:fl.fl_flow in
             if h then fl.fl_fclass <- 0;
             h
@@ -938,6 +640,8 @@ let execute_with ?engine:reused (spec : Run.t) =
   and arrive_dst_f fl =
     fl.fl_vertex <- ert.(fl.fl_edge).e_dst;
     arrive_f fl
+  (* The one drop recorder: queue and buffer rejections mid-walk and
+     burst sheds at ingress all resolve a flight here. *)
   and drop_flight fl d =
     (match checker with
     | Some inv ->
@@ -946,10 +650,9 @@ let execute_with ?engine:reused (spec : Run.t) =
     (match fl.fl_tr with
     | Some r -> Trace.drop r ~site:d.d_name ~time:(Engine.now engine)
     | None -> ());
-    if have_faults then begin
-      let b = bin_of fl.fs.(Telemetry.slot_born) in
-      bin_dropped.(b) <- bin_dropped.(b) + 1
-    end;
+    (match faults with
+    | Some f -> Faults.record_dropped f fl.fs
+    | None -> ());
     Telemetry.record_drop_counted telemetry ~born:fl.fs.(Telemetry.slot_born)
       d.dk;
     (match tenant_acc with
@@ -971,6 +674,7 @@ let execute_with ?engine:reused (spec : Run.t) =
         fl_id = 0;
         fl_klass = 0;
         fl_tenant = 0;
+        fl_queue = 0;
         fl_flow = -1;
         fl_fclass = -1;
         fl_vertex = 0;
@@ -1058,72 +762,42 @@ let execute_with ?engine:reused (spec : Run.t) =
     (match tenant_acc with
     | Some a -> Tenant.record_offered a ~tenant:tid ~now ~size
     | None -> ());
-    if have_faults then begin
-      let b = bin_of now in
-      bin_offered.(b) <- bin_offered.(b) + 1
-    end;
-    let tr =
-      match trace with
+    let fl = acquire_flight () in
+    let fs = fl.fs in
+    fs.(Telemetry.slot_queueing) <- 0.;
+    fs.(Telemetry.slot_service) <- 0.;
+    fs.(Telemetry.slot_wire) <- 0.;
+    fs.(Telemetry.slot_overhead) <- 0.;
+    fs.(Telemetry.slot_born) <- now;
+    fs.(Telemetry.slot_size) <- size;
+    fl.fl_id <- id;
+    fl.fl_klass <- klass;
+    fl.fl_tenant <- tid;
+    fl.fl_queue <- (if tenant_classes = 0 then 0 else (tid * tenant_classes) + klass);
+    (match faults with
+    | Some f -> Faults.record_offered f fs
+    | None -> ());
+    fl.fl_tr <-
+      (match trace with
       | None -> None
-      | Some t -> Trace.on_packet t ~packet:id ~born:now ~size ~klass
-    in
-    (* An active drop burst sheds the packet at ingress. The draw comes
-       from the dedicated fault rng, and only while a burst is active,
-       so burst-free plans consume nothing from it. *)
-    let shed =
-      !burst_p > 0.
-      &&
-      match faults_rng with
-      | Some frng -> N.Rng.float frng 1. < !burst_p
-      | None -> false
-    in
-    if shed then begin
-      (match checker with
-      | Some inv -> Invariants.packet_dropped inv ~id ~time:now
-      | None -> ());
-      (match tr with
-      | Some r -> Trace.drop r ~site:burst_drop.d_name ~time:now
-      | None -> ());
-      if have_faults then begin
-        let b = bin_of now in
-        bin_dropped.(b) <- bin_dropped.(b) + 1
-      end;
-      Telemetry.record_drop_counted telemetry ~born:now burst_drop.dk;
-      (match tenant_acc with
-      | Some a -> Tenant.record_drop a ~tenant:tid ~born:now
-      | None -> ())
-    end
+      | Some t -> Trace.on_packet t ~packet:id ~born:now ~size ~klass);
+    (* An active drop burst sheds the packet at ingress. *)
+    if match faults with Some f -> Faults.shed f | None -> false then
+      drop_flight fl burst_drop
     else begin
-      let entry =
-        if Array.length ingress_ids = 1 then ingress_ids.(0)
-        else ingress_ids.(N.Rng.int route_rng (Array.length ingress_ids))
-      in
-      let fl = acquire_flight () in
-      let fs = fl.fs in
-      fs.(Telemetry.slot_queueing) <- 0.;
-      fs.(Telemetry.slot_service) <- 0.;
-      fs.(Telemetry.slot_wire) <- 0.;
-      fs.(Telemetry.slot_overhead) <- 0.;
-      fs.(Telemetry.slot_born) <- now;
-      fs.(Telemetry.slot_size) <- size;
-      fl.fl_id <- id;
-      fl.fl_klass <- klass;
-      fl.fl_tenant <- tid;
+      fl.fl_vertex <-
+        (if Array.length ingress_ids = 1 then ingress_ids.(0)
+         else ingress_ids.(N.Rng.int route_rng (Array.length ingress_ids)));
       (* The flow id comes from the dedicated flow rng — one bits draw
          through the Zipf alias table — and only for packets that enter
          the datapath, so burst-shed arrivals consume nothing from the
          stream. A packet that never reaches a cache vertex keeps
          class -1 (unclassified) and is skipped by the accumulator. *)
-      (match flow_rng with
-      | Some frng ->
-        (match flow_state with
-        | Some st ->
-          fl.fl_flow <- Flow_cache.draw st ~bits:(N.Rng.bits frng);
-          fl.fl_fclass <- -1
-        | None -> ())
+      (match flow with
+      | Some (st, _, frng) ->
+        fl.fl_flow <- Flow_cache.draw st ~bits:(N.Rng.bits frng);
+        fl.fl_fclass <- -1
       | None -> ());
-      fl.fl_vertex <- entry;
-      fl.fl_tr <- tr;
       (* Install span sinks per packet: an unsampled flight carries
          [None], so the per-hop span calls in [Ip_node]/[Medium]
          short-circuit before boxing their float arguments — with a
@@ -1131,7 +805,7 @@ let execute_with ?engine:reused (spec : Run.t) =
          which is what keeps the traced-run overhead inside its 5%
          budget. *)
       if tracing then begin
-        match tr with
+        match fl.fl_tr with
         | None ->
           fl.fl_span_node <- None;
           fl.fl_span_medium <- None
@@ -1149,57 +823,25 @@ let execute_with ?engine:reused (spec : Run.t) =
     | None -> []
     | Some dt ->
       if dt <= 0. then invalid_arg "Netsim.run: sample_interval must be > 0";
-      let mk label probe =
-        ( Telemetry.Series.create ~capacity:config.series_capacity ~label
-            ~interval:dt (),
-          probe )
-      in
       let probes =
         List.concat_map
-          (fun (v : G.vertex) ->
-            match Hashtbl.find_opt nodes v.id with
-            | None -> []
-            | Some node ->
-              [
-                mk
-                  (Printf.sprintf "%s.depth" v.label)
-                  (fun () -> float_of_int (Ip_node.in_system node));
-                mk
-                  (Printf.sprintf "%s.busy" v.label)
-                  (fun () -> float_of_int (Ip_node.busy_engines node));
-              ])
-          (G.vertices g)
-        @ List.map
-            (fun m ->
-              mk
-                (Printf.sprintf "%s.backlog" (Medium.label m))
-                (fun () -> Medium.backlog m))
-            media
+          (fun node ->
+            let label = Ip_node.label node in
+            [
+              (label ^ ".depth", fun () -> float_of_int (Ip_node.in_system node));
+              (label ^ ".busy", fun () -> float_of_int (Ip_node.busy_engines node));
+            ])
+          node_list
+        @ List.map (fun m -> (Medium.label m ^ ".backlog", fun () -> Medium.backlog m)) media
+        |> List.map (fun (label, probe) ->
+               ( Telemetry.Series.create ~capacity:config.series_capacity ~label
+                   ~interval:dt (),
+                 probe ))
       in
-      (* sample times are multiples of dt, computed multiplicatively so
-         accumulated rounding never drops the final sample *)
-      let time_of i = float_of_int i *. dt in
-      let rec sample i =
-        let at = time_of i in
-        List.iter
-          (fun (s, probe) -> Telemetry.Series.add s ~time:at ~value:(probe ()))
-          probes;
-        if time_of (i + 1) <= config.duration then
-          Engine.schedule engine ~at:(time_of (i + 1)) (fun () -> sample (i + 1))
-      in
-      if dt <= config.duration then
-        Engine.schedule engine ~at:dt (fun () -> sample 1)
-      else
-        (* An interval beyond the horizon still owes the caller one
-           final sample — an empty series would make report --csv emit
-           a header-only file. Events scheduled at exactly the horizon
-           fire, so the end-of-run state is observable. *)
-        Engine.schedule engine ~at:config.duration (fun () ->
-            List.iter
-              (fun (s, probe) ->
-                Telemetry.Series.add s ~time:config.duration
-                  ~value:(probe ()))
-              probes);
+      Engine.every engine ~interval:dt ~until:config.duration (fun time ->
+          List.iter
+            (fun (s, probe) -> Telemetry.Series.add s ~time ~value:(probe ()))
+            probes);
       List.map fst probes
   in
   let gen =
@@ -1207,9 +849,7 @@ let execute_with ?engine:reused (spec : Run.t) =
       ~mix:spec.Run.mix ~on_arrival
   in
   Traffic_gen.start gen ~until:config.duration;
-  let profile =
-    match metrics with Some m -> Metrics.profiler m | None -> None
-  in
+  let profile = Option.bind metrics (fun (m, _) -> Metrics.profiler m) in
   (match checker with
   | Some inv ->
     Engine.run ~until:config.duration
@@ -1247,155 +887,18 @@ let execute_with ?engine:reused (spec : Run.t) =
         })
       media
   in
-  let fault_intervals =
-    if not have_faults then []
-    else
-      let labels_at t =
-        let rec find = function
-          | (a, b, events) :: rest ->
-            if t >= a && t < b then
-              List.map (fun (ev : Faults.event) -> Faults.fault_label ev.fault) events
-            else find rest
-          | [] -> []
-        in
-        find fault_spans
-      in
-      List.init nbins (fun i ->
-          let a = boundaries.(i) in
-          let b =
-            if i + 1 < nbins then boundaries.(i + 1) else config.duration
-          in
-          let len = b -. a in
-          {
-            i_start = a;
-            i_stop = b;
-            i_faults = labels_at a;
-            i_offered = bin_offered.(i);
-            i_delivered = bin_delivered.(i);
-            i_dropped = bin_dropped.(i);
-            i_throughput = (if len > 0. then bin_bytes.(i) /. len else 0.);
-            i_latency =
-              (if bin_delivered.(i) > 0 then
-                 bin_latency.(i) /. float_of_int bin_delivered.(i)
-               else 0.);
-          })
-  in
-  let resilience =
-    if not have_faults then None
-    else begin
-      let faulted = List.filter (fun r -> r.i_faults <> []) fault_intervals in
-      match faulted with
-      | [] -> None
-      | _ ->
-        let first_fault_start =
-          List.fold_left (fun acc r -> Float.min acc r.i_start) infinity faulted
-        in
-        let last_fault_end =
-          List.fold_left (fun acc r -> Float.max acc r.i_stop) 0. faulted
-        in
-        let healthy = List.filter (fun r -> r.i_faults = []) fault_intervals in
-        (* Baseline: time-weighted throughput over healthy intervals
-           before the first fault; when the plan faults from t = 0, any
-           healthy interval has to stand in. *)
-        let baseline_over rows =
-          let time, bytes =
-            List.fold_left
-              (fun (t, by) r ->
-                let len = r.i_stop -. r.i_start in
-                (t +. len, by +. (r.i_throughput *. len)))
-              (0., 0.) rows
-          in
-          if time > 0. then Some (bytes /. time) else None
-        in
-        let baseline =
-          match
-            baseline_over
-              (List.filter (fun r -> r.i_stop <= first_fault_start) healthy)
-          with
-          | Some b -> Some b
-          | None -> baseline_over healthy
-        in
-        let recovery_time =
-          match baseline with
-          | None -> None
-          | Some base ->
-            if last_fault_end >= config.duration then None
-            else
-              List.find_opt
-                (fun r ->
-                  r.i_start >= last_fault_end && r.i_throughput >= 0.9 *. base)
-                fault_intervals
-              |> Option.map (fun r -> r.i_start -. last_fault_end)
-        in
-        let worst =
-          List.fold_left
-            (fun (acc : interval_stats) r ->
-              if r.i_throughput < acc.i_throughput then r else acc)
-            (List.hd faulted) (List.tl faulted)
-        in
-        Some
-          {
-            recovery_time;
-            worst_throughput = worst.i_throughput;
-            worst_start = worst.i_start;
-          }
-    end
+  let fault_intervals, resilience =
+    match faults with None -> ([], None) | Some f -> Faults.summarize f
   in
   let invariants =
-    match checker with
-    | None -> None
-    | Some inv ->
-      let horizon = config.duration in
-      (* End-of-run entity laws: horizon-clipped utilization and busy
-         time for every node and medium. *)
-      List.iter
-        (fun (v : G.vertex) ->
-          match Hashtbl.find_opt nodes v.id with
-          | None -> ()
-          | Some node ->
-            let busy = Ip_node.busy_within node ~until:horizon in
-            Invariants.check_bound inv ~law:"utilization" ~entity:v.label
-              ~time:horizon ~limit:1.
-              ~actual:(Ip_node.utilization node ~until:horizon)
-              "node utilization must not exceed 1 at the horizon";
-            Invariants.check_bound inv ~law:"busy-time" ~entity:v.label
-              ~time:horizon
-              ~limit:(float_of_int (Ip_node.engines node) *. horizon)
-              ~actual:busy
-              "engine-busy seconds must fit engines times the horizon";
-            Invariants.check_nonneg inv ~law:"busy-time" ~entity:v.label
-              ~time:horizon ~actual:busy
-              "horizon-clipped busy time cannot be negative")
-        (G.vertices g);
-      List.iter
-        (fun m ->
-          let busy = Medium.busy_within m ~until:horizon in
-          Invariants.check_bound inv ~law:"utilization"
-            ~entity:(Medium.label m) ~time:horizon ~limit:1.
-            ~actual:(Medium.utilization m ~until:horizon)
-            "medium utilization must not exceed 1 at the horizon";
-          Invariants.check_bound inv ~law:"busy-time" ~entity:(Medium.label m)
-            ~time:horizon ~limit:horizon ~actual:busy
-            "medium-busy seconds must fit the horizon";
-          Invariants.check_nonneg inv ~law:"busy-time"
-            ~entity:(Medium.label m) ~time:horizon ~actual:busy
-            "horizon-clipped busy time cannot be negative")
-        media;
-      Invariants.check_conservation inv ~time:horizon
-        ~generated:(Traffic_gen.generated gen);
-      if have_faults then
-        (* Interval accounting attributes every packet to its birth bin,
-           so no bin can resolve more packets than were offered in it. *)
-        Array.iteri
-          (fun i offered ->
-            Invariants.check_bound inv ~law:"interval-accounting"
-              ~entity:(Printf.sprintf "interval-%d" i) ~time:horizon
-              ~limit:(float_of_int offered)
-              ~actual:(float_of_int (bin_delivered.(i) + bin_dropped.(i)))
-              "a birth bin cannot resolve more packets than it offered")
-          bin_offered;
-      Invariants.check_summary inv ~horizon summary;
-      Some (Invariants.report inv)
+    Option.map
+      (fun inv ->
+        Invariants.check_horizon inv ~horizon:config.duration ~nodes:node_list
+          ~media ~generated:(Traffic_gen.generated gen)
+          ?birth_bins:(Option.map Faults.birth_bins faults)
+          summary;
+        Invariants.report inv)
+      checker
   in
   {
     summary;
@@ -1410,15 +913,15 @@ let execute_with ?engine:reused (spec : Run.t) =
     resilience;
     trace;
     invariants;
-    metrics;
+    metrics = Option.map fst metrics;
     tenants =
       Option.map
         (fun a -> Tenant.summarize a ~horizon:config.duration)
         tenant_acc;
     flow_cache =
       Option.map
-        (fun st -> Flow_cache.summarize st ~horizon:config.duration)
-        flow_state;
+        (fun (st, _, _) -> Flow_cache.summarize st ~horizon:config.duration)
+        flow;
   }
 
 let execute spec = execute_with spec
@@ -1427,30 +930,6 @@ let run ?(config = Config.default) g ~hw ~mix =
   execute (Run.make ~config g ~hw ~mix)
 
 let run_single ?config g ~hw ~traffic = run ?config g ~hw ~mix:[ (traffic, 1.) ]
-
-let interval_to_json r =
-  let module J = Telemetry.Json in
-  J.Obj
-    [
-      ("start", J.Num r.i_start);
-      ("stop", J.Num r.i_stop);
-      ("faults", J.Arr (List.map (fun l -> J.Str l) r.i_faults));
-      ("offered", J.Num (float_of_int r.i_offered));
-      ("delivered", J.Num (float_of_int r.i_delivered));
-      ("dropped", J.Num (float_of_int r.i_dropped));
-      ("throughput", J.Num r.i_throughput);
-      ("latency", J.Num r.i_latency);
-    ]
-
-let resilience_to_json r =
-  let module J = Telemetry.Json in
-  J.Obj
-    [
-      ( "recovery_time",
-        match r.recovery_time with None -> J.Null | Some t -> J.Num t );
-      ("worst_throughput", J.Num r.worst_throughput);
-      ("worst_start", J.Num r.worst_start);
-    ]
 
 let measurement_to_json m =
   let module J = Telemetry.Json in
@@ -1490,25 +969,17 @@ let measurement_to_json m =
              m.medium_stats) );
       ("series", J.Arr (List.map Telemetry.Series.to_json m.series));
       ("generated", J.Num (float_of_int m.generated));
-      ("fault_intervals", J.Arr (List.map interval_to_json m.fault_intervals));
+      ("fault_intervals", J.Arr (List.map Faults.interval_to_json m.fault_intervals));
       ( "resilience",
         match m.resilience with
         | None -> J.Null
-        | Some r -> resilience_to_json r );
+        | Some r -> Faults.resilience_to_json r );
     ]
 
 type entity_replicated = {
   entity : string;
   utilization_mean : float;
   drops_mean : float;
-}
-
-type resilience_replicated = {
-  recovered_runs : int;
-  recovery_mean : float;
-  recovery_max : float;
-  worst_throughput_mean : float;
-  worst_throughput_min : float;
 }
 
 type replicated = {
@@ -1519,7 +990,7 @@ type replicated = {
   latency_stddev : float;
   loss_mean : float;
   entities : entity_replicated list;
-  resilience : resilience_replicated option;
+  resilience : Faults.resilience_replicated option;
 }
 
 let replication_specs (spec : Run.t) runs =
@@ -1527,28 +998,6 @@ let replication_specs (spec : Run.t) runs =
   let config = spec.Run.config in
   List.init runs (fun i ->
       Run.with_config spec (Config.with_seed (config.seed + i) config))
-
-let resilience_across measurements =
-  let per_run =
-    List.filter_map (fun (m : measurement) -> m.resilience) measurements
-  in
-  match per_run with
-  | [] -> None
-  | per_run ->
-    let recoveries = List.filter_map (fun r -> r.recovery_time) per_run in
-    let worsts = List.map (fun r -> r.worst_throughput) per_run in
-    let n = float_of_int (List.length recoveries) in
-    Some
-      {
-        recovered_runs = List.length recoveries;
-        recovery_mean =
-          (if recoveries = [] then 0.
-           else List.fold_left ( +. ) 0. recoveries /. n);
-        recovery_max = List.fold_left Float.max 0. recoveries;
-        worst_throughput_mean =
-          List.fold_left ( +. ) 0. worsts /. float_of_int (List.length worsts);
-        worst_throughput_min = List.fold_left Float.min infinity worsts;
-      }
 
 let replicated_of_measurements measurements =
   let runs = List.length measurements in
@@ -1594,7 +1043,9 @@ let replicated_of_measurements measurements =
     latency_stddev = St.stddev latencies;
     loss_mean = St.mean (stat (fun s -> s.Telemetry.loss_rate));
     entities;
-    resilience = resilience_across measurements;
+    resilience =
+      Faults.resilience_across
+        (List.map (fun (m : measurement) -> m.resilience) measurements);
   }
 
 let execute_replicated ?(runs = 5) spec =

@@ -23,10 +23,23 @@
 
     {b Entry points.} {!Run.t} is the single run spec — graph, hardware,
     traffic mix, config, and fault plan in one record — executed by
-    {!execute} / {!execute_replicated}. The historical entry points
-    ({!run}, {!run_single}) remain as thin wrappers over an empty-fault
-    spec and produce byte-identical measurements; prefer the spec API in
-    new code, it is where future knobs land.
+    {!execute} / {!execute_replicated}. {!run} and {!run_single} are
+    thin wrappers over an empty-fault spec and produce byte-identical
+    measurements.
+
+    {b Layers.} This module owns the packet walk (arrive → route →
+    traverse → deliver/drop); each optional layer lives in its own
+    module and is hooked in only when configured:
+    - faults: {!Faults.realize} (apply/revert events, burst sheds,
+      birth-bin accounting, {!Faults.summarize});
+    - invariants: {!Invariants} (per-packet and per-admission checks,
+      {!Invariants.check_horizon} at the end of the run);
+    - metrics: {!Metrics.attach} (the instrument catalog and its ticks);
+    - tracing: {!Trace} (reservoir-sampled packet spans);
+    - tenants: {!Tenant} (the per-VF accumulator; at two tenants or
+      more, hierarchical nodes and a tenant rng);
+    - flow cache: {!Flow_cache} (cache-vertex roles, flow draws, the
+      lookups that route out of the cache vertices).
 
     A {!config} is a [private] record: its fields are readable, but
     {!Config.default} and the {!Config} setters are the only way to
@@ -188,36 +201,6 @@ type medium_stats = {
   m_rejections : int;  (** whole-run buffer rejections *)
 }
 
-(** Per-sub-interval accounting of a faulted run: the run horizon cut at
-    every fault boundary and refined with a uniform duration/64 grid.
-    Packets are attributed to the sub-interval of their {e birth} time,
-    whole-run (not warmup-windowed) — the point is to see the timeline,
-    including the transient. *)
-type interval_stats = {
-  i_start : float;
-  i_stop : float;
-  i_faults : string list;
-      (** active {!Faults.fault_label}s; [[]] on healthy stretches *)
-  i_offered : int;
-  i_delivered : int;
-  i_dropped : int;
-  i_throughput : float;  (** delivered bytes / sub-interval length *)
-  i_latency : float;
-      (** mean delivered latency (0 when nothing was delivered) *)
-}
-
-(** Per-run recovery summary, derived from {!measurement.fault_intervals}. *)
-type resilience = {
-  recovery_time : float option;
-      (** seconds from the last fault clearing until the first
-          sub-interval whose throughput regains ≥ 90% of the healthy
-          baseline (the time-weighted throughput of pre-fault healthy
-          sub-intervals); [None] when faults extend to the horizon, the
-          run never recovers, or no healthy baseline exists *)
-  worst_throughput : float;  (** lowest faulted sub-interval throughput *)
-  worst_start : float;  (** where that sub-interval starts *)
-}
-
 type measurement = {
   summary : Telemetry.summary;
   vertex_stats : vertex_stats list;
@@ -233,10 +216,10 @@ type measurement = {
   interface_utilization : float;
   memory_utilization : float;
   generated : int;  (** packets offered over the whole run *)
-  fault_intervals : interval_stats list;
+  fault_intervals : Faults.interval_stats list;
       (** chronological, tiling [\[0, duration)]; empty for an empty
           fault plan *)
-  resilience : resilience option;
+  resilience : Faults.resilience option;
       (** present iff the plan had at least one fault active before the
           horizon *)
   trace : Trace.t option;
@@ -326,8 +309,6 @@ val run_single :
 (** Single-class convenience wrapper over {!run}; prefer {!Run.single} +
     {!execute} in new code. *)
 
-val resilience_to_json : resilience -> Telemetry.Json.t
-
 val measurement_to_json : measurement -> Telemetry.Json.t
 (** The full measurement — summary, per-entity stats, drop sites,
     series, fault intervals — as one versioned JSON object
@@ -340,15 +321,6 @@ type entity_replicated = {
   drops_mean : float;  (** node drops / medium rejections per run *)
 }
 
-(** Across-run resilience statistics (faulted replications only). *)
-type resilience_replicated = {
-  recovered_runs : int;  (** runs whose [recovery_time] was [Some] *)
-  recovery_mean : float;  (** mean over recovered runs (0 when none) *)
-  recovery_max : float;
-  worst_throughput_mean : float;
-  worst_throughput_min : float;
-}
-
 type replicated = {
   runs : int;
   throughput_mean : float;
@@ -358,7 +330,7 @@ type replicated = {
   loss_mean : float;
   entities : entity_replicated list;
       (** per-entity across-run means (vertices first, then media) *)
-  resilience : resilience_replicated option;
+  resilience : Faults.resilience_replicated option;
       (** across-run recovery-time / worst-interval statistics; [None]
           for fault-free replications *)
 }

@@ -27,8 +27,8 @@ type report = {
   measurement : Netsim.measurement;
   sim_degraded_throughput : float;
   sim_availability : float;
-  resilience : Netsim.resilience option;
-  across_runs : Netsim.resilience_replicated option;
+  resilience : Faults.resilience option;
+  across_runs : Faults.resilience_replicated option;
 }
 
 (* Aggregate the run's fine sub-intervals into one model interval:
@@ -37,7 +37,7 @@ type report = {
 let aggregate subs =
   let time, bytes, lat, offered, delivered, dropped =
     List.fold_left
-      (fun (t, by, lat, o, de, dr) (s : Netsim.interval_stats) ->
+      (fun (t, by, lat, o, de, dr) (s : Faults.interval_stats) ->
         let len = s.i_stop -. s.i_start in
         ( t +. len,
           by +. (s.i_throughput *. len),
@@ -63,7 +63,7 @@ let run ?config ?queue_model ?slo ?(runs = 1) ?jobs g ~hw ~traffic ~plan =
       (fun (ir : D.interval_report) (_, _, events) ->
         let subs =
           List.filter
-            (fun (s : Netsim.interval_stats) ->
+            (fun (s : Faults.interval_stats) ->
               s.i_start >= ir.d_start && s.i_stop <= ir.d_stop)
             m.Netsim.fault_intervals
         in
@@ -196,20 +196,11 @@ let to_json t =
       ( "resilience",
         match t.resilience with
         | None -> J.Null
-        | Some r -> Netsim.resilience_to_json r );
+        | Some r -> Faults.resilience_to_json r );
       ( "across_runs",
         match t.across_runs with
         | None -> J.Null
-        | Some r ->
-          J.Obj
-            [
-              ("recovered_runs", J.Num (float_of_int r.Netsim.recovered_runs));
-              ("recovery_mean", J.Num r.Netsim.recovery_mean);
-              ("recovery_max", J.Num r.Netsim.recovery_max);
-              ( "worst_throughput_mean",
-                J.Num r.Netsim.worst_throughput_mean );
-              ("worst_throughput_min", J.Num r.Netsim.worst_throughput_min);
-            ] );
+        | Some r -> Faults.resilience_replicated_to_json r );
     ]
 
 let to_string t = J.to_string (to_json t)
@@ -225,9 +216,9 @@ let pp ppf t =
     (pct t.model.D.availability)
     (pct t.sim_availability);
   (match t.resilience with
-  | Some { Netsim.recovery_time = Some rt; _ } ->
+  | Some { Faults.recovery_time = Some rt; _ } ->
     Format.fprintf ppf "  recovery             %.4g s after last fault@\n" rt
-  | Some { Netsim.recovery_time = None; _ } ->
+  | Some { Faults.recovery_time = None; _ } ->
     Format.fprintf ppf "  recovery             not observed within the run@\n"
   | None -> ());
   (match t.across_runs with
@@ -235,8 +226,8 @@ let pp ppf t =
     Format.fprintf ppf
       "  across runs          %d recovered (mean %.4g s, max %.4g s), worst \
        interval %.4g B/s@\n"
-      r.Netsim.recovered_runs r.Netsim.recovery_mean r.Netsim.recovery_max
-      r.Netsim.worst_throughput_min
+      r.Faults.recovered_runs r.Faults.recovery_mean r.Faults.recovery_max
+      r.Faults.worst_throughput_min
   | None -> ());
   Format.fprintf ppf "  %-22s %-10s %12s %12s %7s %7s %5s@\n" "interval(s)"
     "state" "model-tput" "sim-tput" "t-err" "l-err" "slo";

@@ -2,7 +2,7 @@
     prints. The analytic side is {!Lognic.Degraded.evaluate} over the
     plan's constant-fault intervals ({!Faults.modifiers}); the simulated
     side is one {!Netsim.execute} of the same plan, its fine
-    sub-interval accounting ({!Netsim.measurement.fault_intervals})
+    sub-interval accounting ({!Faults.interval_stats})
     aggregated back onto the model's intervals (the sub-interval grid
     refines the plan boundaries, so the aggregation is exact). Joining
     conventions — relative errors, ranked worst row — follow
@@ -35,8 +35,8 @@ type report = {
   sim_availability : float;
       (** fraction of the horizon whose simulated throughput holds ≥ the
           SLO fraction of the sim's best interval rate *)
-  resilience : Netsim.resilience option;  (** the joined run's recovery *)
-  across_runs : Netsim.resilience_replicated option;
+  resilience : Faults.resilience option;  (** the joined run's recovery *)
+  across_runs : Faults.resilience_replicated option;
       (** present when [runs ≥ 2] was requested *)
 }
 

@@ -73,33 +73,15 @@ let consolidate_disjoint_resources_compose () =
 
 (* Extension #2: mixed traffic *)
 
-let mixed_traffic_weighted_average () =
-  (* The legacy independent evaluation: private device copies,
-     weight-averaged aggregate. Kept as an explicit ablation. *)
-  let g, _ = chain (5. *. U.gbps) in
-  let mk rate size = T.make ~rate ~packet_size:size in
-  let mix =
-    T.mix [ (mk (1. *. U.gbps) 64., 1.); (mk (1. *. U.gbps) 1500., 3.) ]
-  in
-  let report = E.mixed_traffic_independent ~hw ~graph_for:(fun _ -> g) mix in
-  Alcotest.(check int) "two classes" 2 (List.length report.classes);
-  (* both classes are under capacity, so throughput is the weighted
-     average of the class rates *)
-  check_close ~tol:1e-9 "weighted attained" (1. *. U.gbps) report.throughput;
-  Alcotest.(check bool) "no contention data" true (report.contention = None);
-  (* latency must lie between the two per-class latencies *)
-  let latencies =
-    List.map (fun (_, _, _, (l : Lognic.Latency.result)) -> l.mean) report.classes
-  in
-  let lo = List.fold_left Float.min infinity latencies in
-  let hi = List.fold_left Float.max 0. latencies in
-  Alcotest.(check bool) "latency bracketed" true
-    (report.latency >= lo -. 1e-12 && report.latency <= hi +. 1e-12)
-
 let mixed_traffic_size_dependent_graphs () =
-  (* Extension #2 allows a different graph per size class. Under the
-     legacy independent evaluation the aggregate is the weight-averaged
-     per-class attained rate. *)
+  (* Extension #2 allows a different graph per size class; the joint
+     evaluation matches the classes' "ip" vertices by label and splits
+     each class's own capacity by offered-byte share. Both classes offer
+     2G through ip, so each gets half of its graph's ip rate: the 64 B
+     class 0.5 x 1G = 0.5G, the 1500 B class 0.5 x 8G = 4G. The shared
+     interface (10G, alpha 1) and the 40G endpoints split the same way
+     and still clear 2G, so ip binds: the small class carries 0.5G, the
+     large class its full 2G, and the aggregate is their sum, 2.5G. *)
   let graph_for (cls : T.t) =
     let rate = if cls.packet_size < 500. then 1. *. U.gbps else 8. *. U.gbps in
     fst (chain rate)
@@ -111,9 +93,15 @@ let mixed_traffic_size_dependent_graphs () =
         (T.make ~rate:(2. *. U.gbps) ~packet_size:1500., 1.);
       ]
   in
-  let report = E.mixed_traffic_independent ~hw ~graph_for mix in
-  (* small class clipped at 1G, large class carried at 2G: mean 1.5G *)
-  check_close ~tol:1e-9 "per-class graphs respected" (1.5 *. U.gbps)
+  let report = E.mixed_traffic ~hw ~graph_for mix in
+  (match report.classes with
+  | [ (_, _, small, _); (_, _, large, _) ] ->
+    check_close ~tol:1e-9 "small class capped by its own ip share"
+      (0.5 *. U.gbps) small.Lognic.Throughput.attained;
+    check_close ~tol:1e-9 "large class carried in full" (2. *. U.gbps)
+      large.Lognic.Throughput.attained
+  | _ -> Alcotest.fail "expected two classes");
+  check_close ~tol:1e-9 "per-class graphs respected" (2.5 *. U.gbps)
     report.throughput
 
 let mixed_traffic_single_class_limit () =
@@ -800,7 +788,6 @@ let suite =
     quick "consolidate: single tenant" consolidate_single_equals_direct;
     quick "consolidate: contention" consolidate_contention_degrades;
     quick "consolidate: disjoint tenants" consolidate_disjoint_resources_compose;
-    quick "mixed traffic: weighted average" mixed_traffic_weighted_average;
     quick "mixed traffic: per-size graphs" mixed_traffic_size_dependent_graphs;
     quick "mixed traffic: single-class limit" mixed_traffic_single_class_limit;
     quick "mixed traffic: joint capacity split" mixed_traffic_joint_shares_capacity;

@@ -330,13 +330,35 @@ let recovery_observed () =
       (S.Netsim.Run.single ~config:long_config ~faults:plan g ~hw ~traffic)
   in
   match m.S.Netsim.resilience with
-  | Some { S.Netsim.recovery_time = Some rt; worst_start; _ } ->
+  | Some { F.recovery_time = Some rt; worst_start; _ } ->
     Alcotest.(check bool) "recovers within 10 ms" true (rt >= 0. && rt < 0.01);
     Alcotest.(check bool) "worst interval lies inside the fault window" true
       (worst_start >= 0.01 && worst_start < 0.02)
-  | Some { S.Netsim.recovery_time = None; _ } ->
+  | Some { F.recovery_time = None; _ } ->
     Alcotest.fail "recovery not observed"
   | None -> Alcotest.fail "no resilience summary"
+
+(* The md5-faults golden run with every observation-only layer on (its
+   JSON byte-identity is the golden [md5-faults-all-layers] row). Burst
+   sheds at ingress and queue/buffer drops mid-walk resolve through one
+   drop recorder, so the run's invariants stay clean and the lone
+   tenant is charged every windowed drop. *)
+let all_layers_drop_path () =
+  let m = S.Netsim.execute (Lognic_check.Golden.md5_faults_all_layers ()) in
+  let summary = m.S.Netsim.summary in
+  Alcotest.(check bool) "burst sheds recorded" true
+    (match List.assoc_opt S.Telemetry.Fault_burst summary.S.Telemetry.drop_breakdown with
+    | Some n -> n > 0
+    | None -> false);
+  (match m.S.Netsim.invariants with
+  | Some r ->
+    Alcotest.(check int) "no invariant violations" 0 r.S.Invariants.total_violations
+  | None -> Alcotest.fail "invariant report missing");
+  match m.S.Netsim.tenants with
+  | Some { S.Tenant.rows = [| solo |]; _ } ->
+    Alcotest.(check int) "solo tenant dropped = summary dropped"
+      summary.S.Telemetry.dropped_packets solo.S.Tenant.r_dropped
+  | _ -> Alcotest.fail "expected one tenant row"
 
 let faults_json_versioned () =
   let g = pipeline () in
@@ -368,4 +390,5 @@ let suite =
     quick "resilience: empty plan degenerates" empty_plan_resilience_degenerates;
     slow "resilience: recovery time observed" recovery_observed;
     quick "resilience: versioned JSON and text" faults_json_versioned;
+    quick "faults: all layers on, one drop path" all_layers_drop_path;
   ]
