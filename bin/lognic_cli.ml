@@ -15,12 +15,18 @@ let load_document path =
   | Ok doc -> Ok doc
   | Error e -> Error (`Msg (Printf.sprintf "%s: %s" path e))
 
+(* Command-line values override the graph's traffic line field by
+   field; the result always goes through [Traffic.make], which rejects
+   non-finite and non-positive values. *)
 let resolve_traffic (doc : Lognic_dsl.Parser.document) rate packet =
-  match (rate, packet, doc.traffic) with
-  | Some rate, Some packet, _ -> Ok (Lognic.Traffic.make ~rate ~packet_size:packet)
-  | None, None, Some t -> Ok t
-  | Some rate, None, Some t -> Ok { t with Lognic.Traffic.rate }
-  | None, Some packet, Some t -> Ok { t with Lognic.Traffic.packet_size = packet }
+  let or_doc given field =
+    match given with Some _ -> given | None -> Option.map field doc.traffic
+  in
+  match
+    ( or_doc rate (fun t -> t.Lognic.Traffic.rate),
+      or_doc packet (fun t -> t.Lognic.Traffic.packet_size) )
+  with
+  | Some rate, Some packet_size -> Ok (Lognic.Traffic.make ~rate ~packet_size)
   | _ ->
     Error
       (`Msg
@@ -812,25 +818,19 @@ let tenants_cmd =
           (`Msg "no tenants: pass --tenant (repeatable) or --tenants N")
       | _ :: _, Some _ ->
         Error (`Msg "--tenant and --tenants are exclusive")
-      | [], Some n -> (
-        match T.uniform n with
-        | s -> Ok s
-        | exception Invalid_argument m -> Error (`Msg m))
-      | specs, None -> (
+      | [], Some n -> Ok (T.uniform n)
+      | specs, None ->
         let* parsed = parse_specs tenant_grammar specs in
-        match
-          T.set
-            (List.map
-               (fun v ->
-                 T.spec
-                   ~weight:(Spec.get_int v 1)
-                   ?share:(Spec.find_float v 2)
-                   ?slo_p99:(Spec.find_float v 3)
-                   (Spec.get_str v 0))
-               parsed)
-        with
-        | s -> Ok s
-        | exception Invalid_argument m -> Error (`Msg m))
+        Ok
+          (T.set
+             (List.map
+                (fun v ->
+                  T.spec
+                    ~weight:(Spec.get_int v 1)
+                    ?share:(Spec.find_float v 2)
+                    ?slo_p99:(Spec.find_float v 3)
+                    (Spec.get_str v 0))
+                parsed))
     in
     let config =
       Lognic_sim.Netsim.Config.(
@@ -911,33 +911,31 @@ let flowcache_cmd =
       json =
     let module App = Lognic_apps.Flow_cache in
     let module FC = Lognic.Flowcache in
-    match
-      let cfg =
-        match packet with
-        | None -> App.default
-        | Some packet_size -> { App.default with App.packet_size }
-      in
-      let spec =
-        FC.spec ?ttl ~zipf ~emc_entries:(int_of_float emc)
-          ~megaflow_entries:(int_of_float megaflow) ~flows:(int_of_float flows)
-          ()
-      in
-      let config =
-        Lognic_sim.Netsim.Config.(
-          default |> with_horizon duration |> with_seed seed)
-      in
+    let cfg =
+      match packet with
+      | None -> App.default
+      | Some packet_size -> { App.default with App.packet_size }
+    in
+    let spec =
+      FC.spec ?ttl ~zipf ~emc_entries:(int_of_float emc)
+        ~megaflow_entries:(int_of_float megaflow) ~flows:(int_of_float flows)
+        ()
+    in
+    let config =
+      Lognic_sim.Netsim.Config.(
+        default |> with_horizon duration |> with_seed seed)
+    in
+    let report =
       Lognic_sim.Explain.run_flowcache ~config ~queue_model spec
         (App.graph cfg) ~hw:App.hardware ~traffic:(App.traffic ~load cfg)
-    with
-    | report ->
-      Fmt.pr "%a@." Lognic_sim.Explain.pp_flowcache report;
-      Option.iter
-        (fun path ->
-          write_json path (Lognic_sim.Explain.flowcache_to_json report);
-          Fmt.pr "flowcache report written to %s@." path)
-        json;
-      Ok ()
-    | exception Invalid_argument m -> Error (`Msg m)
+    in
+    Fmt.pr "%a@." Lognic_sim.Explain.pp_flowcache report;
+    Option.iter
+      (fun path ->
+        write_json path (Lognic_sim.Explain.flowcache_to_json report);
+        Fmt.pr "flowcache report written to %s@." path)
+      json;
+    Ok ()
   in
   let term =
     Term.(
@@ -1082,13 +1080,9 @@ let contention_cmd =
       Lognic_sim.Netsim.Config.(
         default |> with_horizon duration |> with_seed seed)
     in
-    let* report =
-      match
-        Lognic_sim.Contention.run ~config ~queue_model ?contention doc.graph
-          ~hw ~mix
-      with
-      | report -> Ok report
-      | exception Invalid_argument m -> Error (`Msg m)
+    let report =
+      Lognic_sim.Contention.run ~config ~queue_model ?contention doc.graph ~hw
+        ~mix
     in
     Fmt.pr "%a@." Lognic_sim.Contention.pp report;
     Option.iter
@@ -1245,13 +1239,9 @@ let faults_cmd =
       Lognic_sim.Netsim.Config.(
         default |> with_horizon duration |> with_seed seed)
     in
-    let* report =
-      match
-        Lognic_sim.Resilience.run ~config ~queue_model ~runs ?jobs doc.graph
-          ~hw:(hardware_of doc) ~traffic ~plan
-      with
-      | report -> Ok report
-      | exception Invalid_argument m -> Error (`Msg m)
+    let report =
+      Lognic_sim.Resilience.run ~config ~queue_model ~runs ?jobs doc.graph
+        ~hw:(hardware_of doc) ~traffic ~plan
     in
     Fmt.pr "%a@." Lognic_sim.Resilience.pp report;
     Option.iter
@@ -1532,4 +1522,10 @@ let () =
         optimize_cmd; sensitivity_cmd; roofline_cmd; params_cmd; figures_cmd;
       ]
   in
-  exit (Cmd.eval group)
+  (* The one exception boundary: library calls reject bad input with
+     [Invalid_argument], reported like any other command-line error. *)
+  exit
+    (try Cmd.eval ~catch:false group
+     with Invalid_argument m ->
+       Fmt.epr "lognic: %s@." m;
+       Cmd.Exit.cli_error)

@@ -1,8 +1,10 @@
 type t = { rate : float; packet_size : float }
 
 let make ~rate ~packet_size =
-  if rate <= 0. then invalid_arg "Traffic.make: rate must be > 0";
-  if packet_size <= 0. then invalid_arg "Traffic.make: packet_size must be > 0";
+  if not (Float.is_finite rate && rate > 0.) then
+    invalid_arg "Traffic.make: rate must be finite and > 0";
+  if not (Float.is_finite packet_size && packet_size > 0.) then
+    invalid_arg "Traffic.make: packet_size must be finite and > 0";
   { rate; packet_size }
 
 let packet_rate t = t.rate /. t.packet_size

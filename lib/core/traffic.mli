@@ -11,7 +11,8 @@ type t = {
 }
 
 val make : rate:float -> packet_size:float -> t
-(** Raises [Invalid_argument] on non-positive values. *)
+(** Raises [Invalid_argument] unless both values are finite and
+    positive. *)
 
 val packet_rate : t -> float
 (** Packets per second: rate / packet_size. *)

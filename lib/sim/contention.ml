@@ -145,8 +145,6 @@ let to_json t =
       );
     ]
 
-let to_string t = J.to_string (to_json t)
-
 let pp ppf t =
   Explain.pp_mix ppf t.base;
   Format.fprintf ppf "  %-5s %9s %11s@\n" "class" "slowdown" "model-p99";
@@ -168,5 +166,3 @@ let pp ppf t =
           e.victim e.aggressor e.contribution)
       t.ranked
   end
-
-let to_text t = Format.asprintf "%a" pp t

@@ -59,6 +59,4 @@ val to_json : report -> Telemetry.Json.t
     model_p99), the ranked [interference] array, and the [entities]
     ranking. *)
 
-val to_string : report -> string
 val pp : Format.formatter -> report -> unit
-val to_text : report -> string

@@ -57,8 +57,7 @@ let with_default_sampling config =
   match config.Netsim.sample_interval with
   | Some _ -> config
   | None ->
-    Netsim.Config.with_sampling ~capacity:config.series_capacity
-      (config.duration /. 256.) config
+    Netsim.Config.with_sampling (config.duration /. 256.) config
 
 (* The per-entity join shared by [run] and [run_mix]: one row per
    simulated vertex among the caps' vertices, then the interface, the
@@ -225,8 +224,6 @@ let to_json t =
       ("entities", J.Arr (List.mapi (fun i r -> row_to_json (i + 1) r) t.rows));
     ]
 
-let to_string t = J.to_string (to_json t)
-
 (* The ranked entity table both [pp] and [pp_mix] end with. *)
 let pp_rows ppf rows =
   Format.fprintf ppf
@@ -253,8 +250,6 @@ let pp ppf t =
     t.model_bottleneck t.sim_bottleneck
     (if t.agree then "agree" else "disagree");
   pp_rows ppf t.rows
-
-let to_text t = Format.asprintf "%a" pp t
 
 (* ---- traffic mixes -------------------------------------------------- *)
 
@@ -445,8 +440,6 @@ let mix_to_json t =
         J.Arr (List.mapi (fun i r -> row_to_json (i + 1) r) t.mix_rows) );
     ]
 
-let mix_to_string t = J.to_string (mix_to_json t)
-
 let pp_mix ppf t =
   let pct x = 100. *. x in
   Format.fprintf ppf "explain: model vs simulation (%d-class mix)@\n"
@@ -477,8 +470,6 @@ let pp_mix ppf t =
         (opt_pct r.c_latency_error))
     t.class_rows;
   pp_rows ppf t.mix_rows
-
-let mix_to_text t = Format.asprintf "%a" pp_mix t
 
 (* ---- tenants -------------------------------------------------------- *)
 
@@ -677,8 +668,6 @@ let tenants_to_json t =
       ("sim_detail", Tenant.stats_to_json t.tr_stats);
     ]
 
-let tenants_to_string t = J.to_string (tenants_to_json t)
-
 let pp_tenants ppf t =
   let pct x = 100. *. x in
   Format.fprintf ppf "tenants: model vs simulation (%d tenants)@\n"
@@ -718,8 +707,6 @@ let pp_tenants ppf t =
         r.tn_sim_throughput (pct r.tn_throughput_error) r.tn_model_latency
         (opt r.tn_sim_latency) (opt_pct r.tn_latency_error) slo)
     t.tr_rows
-
-let tenants_to_text t = Format.asprintf "%a" pp_tenants t
 
 (* ---- flow cache ------------------------------------------------------ *)
 
@@ -885,8 +872,6 @@ let flowcache_to_json t =
       ("sim_detail", Flow_cache.stats_to_json t.fc_stats);
     ]
 
-let flowcache_to_string t = J.to_string (flowcache_to_json t)
-
 let pp_flowcache ppf t =
   let m = t.fc_model in
   let pct x = 100. *. x in
@@ -931,5 +916,3 @@ let pp_flowcache ppf t =
         r.fr_model_share r.fr_sim_share r.fr_model_mean (opt r.fr_sim_mean)
         (opt_pct r.fr_mean_error) r.fr_model_p99 (opt r.fr_sim_p99))
     t.fc_rows
-
-let flowcache_to_text t = Format.asprintf "%a" pp_flowcache t

@@ -66,13 +66,9 @@ val run :
     graph fails validation. *)
 
 val to_json : report -> Telemetry.Json.t
-val to_string : report -> string
-(** Compact JSON, [to_json] printed. *)
 
 val pp : Format.formatter -> report -> unit
 (** The human-readable ranked table. *)
-
-val to_text : report -> string
 
 (** {2 Traffic mixes} *)
 
@@ -134,9 +130,7 @@ val mix_to_json : mix_report -> Telemetry.Json.t
     [entities] ranking — field-compatible with {!to_json} plus the
     per-class rows. *)
 
-val mix_to_string : mix_report -> string
 val pp_mix : Format.formatter -> mix_report -> unit
-val mix_to_text : mix_report -> string
 
 (** {2 Multi-tenant runs}
 
@@ -204,9 +198,7 @@ val tenants_to_json : tenant_report -> Telemetry.Json.t
     row per tenant, and the full simulator detail
     ({!Tenant.stats_to_json}) under [sim_detail]. *)
 
-val tenants_to_string : tenant_report -> string
 val pp_tenants : Format.formatter -> tenant_report -> unit
-val tenants_to_text : tenant_report -> string
 
 (** {2 Flow cache}
 
@@ -270,6 +262,4 @@ val flowcache_to_json : flowcache_report -> Telemetry.Json.t
     the full simulator detail ({!Flow_cache.stats_to_json}) under
     [sim_detail]. *)
 
-val flowcache_to_string : flowcache_report -> string
 val pp_flowcache : Format.formatter -> flowcache_report -> unit
-val flowcache_to_text : flowcache_report -> string

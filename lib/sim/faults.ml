@@ -150,11 +150,7 @@ type runtime = {
   duration : float;
   spans : (float * float * event list) list;
   boundaries : float array;
-  bin_offered : int array;
-  bin_delivered : int array;
-  bin_dropped : int array;
-  bin_bytes : float array;
-  bin_latency : float array;
+  bins : Telemetry.Table.t;  (* one row per sub-interval, cutoff 0 *)
   mutable burst_p : float;
 }
 
@@ -174,18 +170,13 @@ let interval_boundaries ~duration spans =
 let realize plan engine ~rng ~nodes ~media ~duration =
   let spans = intervals ~duration plan in
   let boundaries = interval_boundaries ~duration spans in
-  let nbins = Array.length boundaries in
   let rt =
     {
       rng;
       duration;
       spans;
       boundaries;
-      bin_offered = Array.make nbins 0;
-      bin_delivered = Array.make nbins 0;
-      bin_dropped = Array.make nbins 0;
-      bin_bytes = Array.make nbins 0.;
-      bin_latency = Array.make nbins 0.;
+      bins = Telemetry.Table.create ~rows:(Array.length boundaries) ~cutoff:0.;
       burst_p = 0.;
     }
   in
@@ -266,27 +257,25 @@ let[@inline] bin_of rt t =
   done;
   !lo
 
+(* A packet's row is the sub-interval of its birth. *)
+let[@inline] row rt fs = bin_of rt fs.(Telemetry.slot_born)
+
 let record_offered rt fs =
-  let b = bin_of rt fs.(Telemetry.slot_born) in
-  rt.bin_offered.(b) <- rt.bin_offered.(b) + 1
+  Telemetry.Table.record_offered rt.bins ~row:(row rt fs) fs
 
 let record_delivered rt fs =
-  let born = fs.(Telemetry.slot_born) in
-  let b = bin_of rt born in
-  rt.bin_delivered.(b) <- rt.bin_delivered.(b) + 1;
-  rt.bin_bytes.(b) <- rt.bin_bytes.(b) +. fs.(Telemetry.slot_size);
-  rt.bin_latency.(b) <- rt.bin_latency.(b) +. (fs.(Telemetry.slot_now) -. born)
+  Telemetry.Table.record_delivered rt.bins ~row:(row rt fs) fs
 
 let record_dropped rt fs =
-  let b = bin_of rt fs.(Telemetry.slot_born) in
-  rt.bin_dropped.(b) <- rt.bin_dropped.(b) + 1
+  Telemetry.Table.record_dropped rt.bins ~row:(row rt fs) fs
 
 let birth_bins rt =
-  Array.mapi
-    (fun i offered -> (offered, rt.bin_delivered.(i) + rt.bin_dropped.(i)))
-    rt.bin_offered
+  let module T = Telemetry.Table in
+  Array.init (Array.length rt.boundaries) (fun i ->
+      (T.offered rt.bins i, T.delivered rt.bins i + T.dropped rt.bins i))
 
 let interval_stats rt =
+  let module T = Telemetry.Table in
   let nbins = Array.length rt.boundaries in
   let labels_at t =
     match List.find_opt (fun (a, b, _) -> t >= a && t < b) rt.spans with
@@ -301,14 +290,12 @@ let interval_stats rt =
         i_start = a;
         i_stop = b;
         i_faults = labels_at a;
-        i_offered = rt.bin_offered.(i);
-        i_delivered = rt.bin_delivered.(i);
-        i_dropped = rt.bin_dropped.(i);
-        i_throughput = (if len > 0. then rt.bin_bytes.(i) /. len else 0.);
-        i_latency =
-          (if rt.bin_delivered.(i) > 0 then
-             rt.bin_latency.(i) /. float_of_int rt.bin_delivered.(i)
-           else 0.);
+        i_offered = T.offered rt.bins i;
+        i_delivered = T.delivered rt.bins i;
+        i_dropped = T.dropped rt.bins i;
+        i_throughput =
+          (if len > 0. then T.delivered_bytes rt.bins i /. len else 0.);
+        i_latency = T.mean_latency rt.bins i;
       })
 
 let resilience ~duration rows =

@@ -88,14 +88,16 @@ val pp : Format.formatter -> plan -> unit
 
     {!Netsim.execute} realizes a non-empty plan as one {!runtime}: the
     plan's apply/revert events on the run's engine, the drop-burst
-    probability with its dedicated rng, and per-sub-interval accounting
-    of every packet by {e birth} time. An empty plan realizes nothing. *)
+    probability with its dedicated rng, and a {!Telemetry.Table} with
+    one row per sub-interval that attributes every packet to the
+    sub-interval of its {e birth} time. An empty plan realizes
+    nothing. *)
 
 (** Per-sub-interval accounting of a faulted run: the run horizon cut at
     every fault boundary and refined with a uniform duration/64 grid.
-    Packets are attributed to the sub-interval of their {e birth} time,
-    whole-run (not warmup-windowed) — the point is to see the timeline,
-    including the transient. *)
+    The bin table's cutoff is 0, so every packet counts (not
+    warmup-windowed) — the point is to see the timeline, including the
+    transient. *)
 type interval_stats = {
   i_start : float;
   i_stop : float;
@@ -153,9 +155,9 @@ val shed : runtime -> bool
 val record_offered : runtime -> float array -> unit
 val record_delivered : runtime -> float array -> unit
 val record_dropped : runtime -> float array -> unit
-(** Per-packet interval accounting; the argument is the flight's
-    {!Telemetry.flight_slots} array (birth time and size; at delivery
-    also the completion time in [slot_now]). *)
+(** The matching {!Telemetry.Table} record on the row of the packet's
+    birth sub-interval; the argument is the flight's
+    {!Telemetry.flight_slots} array. *)
 
 val birth_bins : runtime -> (int * int) array
 (** Per sub-interval: packets offered, and packets resolved (delivered +

@@ -208,11 +208,7 @@ type t = {
   mutable emc_hit_count : int;
   mutable mega_lookups : int;
   mutable mega_hit_count : int;
-  c_delivered : int array;
-  c_bytes : float array;
-  c_lat_sum : float array;
-  c_lat_max : float array;
-  c_hist : int array;  (* classes x Tenant.hist_buckets, log2 buckets *)
+  fc_table : Telemetry.Table.t;  (* one row per class *)
 }
 
 let create ~(spec : FC.spec) ~warmup =
@@ -226,12 +222,10 @@ let create ~(spec : FC.spec) ~warmup =
     emc_hit_count = 0;
     mega_lookups = 0;
     mega_hit_count = 0;
-    c_delivered = Array.make classes 0;
-    c_bytes = Array.make classes 0.;
-    c_lat_sum = Array.make classes 0.;
-    c_lat_max = Array.make classes 0.;
-    c_hist = Array.make (classes * Tenant.hist_buckets) 0;
+    fc_table = Telemetry.Table.create ~rows:classes ~cutoff:warmup;
   }
+
+let table t = t.fc_table
 
 let roles (spec : FC.spec) g =
   let module G = Lognic.Graph in
@@ -284,20 +278,6 @@ let mega_lookup t ~now ~flow =
   end;
   hit
 
-let record_completion t ~klass ~fs =
-  if klass >= 0 then begin
-    let born = fs.(Telemetry.slot_born) in
-    if born >= t.fc_warmup then begin
-      let lat = fs.(Telemetry.slot_now) -. born in
-      t.c_delivered.(klass) <- t.c_delivered.(klass) + 1;
-      t.c_bytes.(klass) <- t.c_bytes.(klass) +. fs.(Telemetry.slot_size);
-      t.c_lat_sum.(klass) <- t.c_lat_sum.(klass) +. lat;
-      if lat > t.c_lat_max.(klass) then t.c_lat_max.(klass) <- lat;
-      let b = (klass * Tenant.hist_buckets) + Tenant.bucket_of lat in
-      t.c_hist.(b) <- t.c_hist.(b) + 1
-    end
-  end
-
 (* ---- summaries ------------------------------------------------------- *)
 
 type class_row = {
@@ -327,21 +307,24 @@ type stats = {
 }
 
 let summarize t ~horizon =
+  let module T = Telemetry.Table in
   let window = Float.max 0. (horizon -. t.fc_warmup) in
-  let total = Array.fold_left ( + ) 0 t.c_delivered in
+  let tbl = t.fc_table in
+  let counts = Array.init classes (T.delivered tbl) in
+  let total = Array.fold_left ( + ) 0 counts in
   let rows =
     Array.init classes (fun k ->
-        let d = t.c_delivered.(k) in
+        let d = counts.(k) in
         {
           c_name = class_names.(k);
           c_share =
             (if total = 0 then 0. else float_of_int d /. float_of_int total);
           c_count = d;
-          c_throughput = (if window > 0. then t.c_bytes.(k) /. window else 0.);
-          c_mean_latency =
-            (if d = 0 then 0. else t.c_lat_sum.(k) /. float_of_int d);
-          c_p99_latency = Tenant.p99_of_hist t.c_hist k d t.c_lat_max.(k);
-          c_max_latency = t.c_lat_max.(k);
+          c_throughput =
+            (if window > 0. then T.delivered_bytes tbl k /. window else 0.);
+          c_mean_latency = T.mean_latency tbl k;
+          c_p99_latency = T.p99 tbl k;
+          c_max_latency = T.max_latency tbl k;
         })
   in
   let ratio hits lookups =

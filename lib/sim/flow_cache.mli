@@ -27,12 +27,18 @@ val classes : int
 (** 3 — hot (EMC hit), warm (megaflow hit), cold (slow path). *)
 
 type t
-(** Runtime state: the Zipf sampler, both LRU tables, and the
-    per-class accumulator. *)
+(** Runtime state: the Zipf sampler, both LRU tables, the lookup
+    counters and the per-class attribution table. *)
 
 val create : spec:Lognic.Flowcache.spec -> warmup:float -> t
 (** Build the sampler and tables. Setup cost is O(flows + entries)
     memory and time; nothing further is allocated while running. *)
+
+val table : t -> Telemetry.Table.t
+(** The per-class {!Telemetry.Table}: rows 0 hot, 1 warm, 2 cold,
+    cutoff [warmup]. {!Netsim} records each delivered packet that
+    reached a cache vertex into its class's row; {!summarize} reads
+    it. *)
 
 val roles : Lognic.Flowcache.spec -> Lognic.Graph.t -> int array
 (** Each vertex's routing role, indexed by vertex id: [1] for the
@@ -55,12 +61,6 @@ val mega_lookup : t -> now:float -> flow:int -> bool
 (** Probe the megaflow table (call only on an EMC miss). A hit promotes
     the flow into the EMC; a miss installs it in both tables — the
     slow-path classification's rule insertion. *)
-
-val record_completion : t -> klass:int -> fs:float array -> unit
-(** Attribute a delivered packet to its class ([0..2]; negative =
-    unclassified, ignored). [fs] is the flight's
-    {!Telemetry.flight_slots} scratch array at egress; windowed by the
-    packet's birth time, mirroring {!Telemetry}. *)
 
 (** {2 Summaries} *)
 

@@ -7,11 +7,11 @@
    read-only probe over state the simulator already maintains (windowed
    telemetry accounts, node/medium accessors), so sampling can never
    change results; the only new hot-path instrument is the histogram,
-   whose [observe] is a binary search plus an int bump and a float-array
-   add — no allocation.  Snapshots carry only sim-time quantities;
-   wall-clock and GC numbers from the optional {!Profile} ride in a
-   separate [schema:"profile"] document because they are inherently
-   nondeterministic. *)
+   whose [observe_span] is a binary search plus an int bump and a
+   float-array add — no allocation.  Snapshots carry only sim-time
+   quantities; wall-clock and GC numbers from the optional {!Profile}
+   ride in a separate [schema:"profile"] document because they are
+   inherently nondeterministic. *)
 
 module J = Telemetry.Json
 
@@ -120,7 +120,7 @@ type histogram = {
   h_bounds : float array;  (* strictly increasing; last is [infinity] *)
   h_search : float array;
       (* [h_bounds] padded with [infinity] to exactly 32 entries when it
-         fits, [[||]] otherwise: the hot-path [observe] runs a fixed
+         fits, [[||]] otherwise: the hot-path [observe_span] runs a fixed
          five-step unrolled lower-bound search over it (no calls, no
          boxing), falling back to the recursive search for oversized
          custom bound sets *)
@@ -140,35 +140,16 @@ let rec bucket_of bounds v lo hi =
     if v <= Array.unsafe_get bounds mid then bucket_of bounds v lo mid
     else bucket_of bounds v (mid + 1) hi
 
-(* The whole search lives in one function body: without flambda, every
-   non-inlined call with a float argument boxes it (and a recursive
-   search re-boxes at each level), so the hot path must not let [v]
-   cross a call boundary. Over the 32-entry padded array the lower
-   bound is five unrolled compares; the +inf padding keeps the answer
-   inside the real bounds for every non-NaN [v] (NaN compares false
-   throughout and lands in bucket 0). *)
-let[@inline] observe h v =
-  let i =
-    if Array.length h.h_search = 32 then begin
-      let b = h.h_search in
-      let i = if v > Array.unsafe_get b 15 then 16 else 0 in
-      let i = if v > Array.unsafe_get b (i + 7) then i + 8 else i in
-      let i = if v > Array.unsafe_get b (i + 3) then i + 4 else i in
-      let i = if v > Array.unsafe_get b (i + 1) then i + 2 else i in
-      if v > Array.unsafe_get b i then i + 1 else i
-    end
-    else bucket_of h.h_bounds v 0 (Array.length h.h_counts - 1)
-  in
-  Array.unsafe_set h.h_counts i (Array.unsafe_get h.h_counts i + 1);
-  h.h_total <- h.h_total + 1;
-  h.h_f.(0) <- h.h_f.(0) +. v
-
-(* Same update, but the observed value is [fs.(to_slot) -. fs.(from_slot)]
-   computed inside the call: only pointers and ints cross the boundary,
-   so the simulator's per-delivery hook allocates nothing even though
-   this function is too large for the non-flambda inliner. The body
-   mirrors [observe] rather than calling it — a same-module call would
-   re-box the float. *)
+(* The observed value is [fs.(to_slot) -. fs.(from_slot)], computed
+   inside the call: without flambda, every non-inlined call with a float
+   argument boxes it (and a recursive search re-boxes at each level), so
+   only pointers and ints cross the boundary and the whole search lives
+   in this one body — the simulator's per-delivery hook allocates
+   nothing even though this function is too large for the non-flambda
+   inliner. Over the 32-entry padded array the lower bound is five
+   unrolled compares; the +inf padding keeps the answer inside the real
+   bounds for every non-NaN value (NaN compares false throughout and
+   lands in bucket 0). *)
 let observe_span h fs ~from_slot ~to_slot =
   let v = Array.unsafe_get fs to_slot -. Array.unsafe_get fs from_slot in
   let i =
@@ -549,8 +530,10 @@ let attach cfg engine ~telemetry ~nodes ~media ?tenants ~until () =
   (* Fairness gauges go last so untenanted runs keep their historical
      instrument order (and NDJSON fixtures). *)
   Option.iter
-    (fun a ->
-      let fairness () = Tenant.live_fairness a ~horizon:(Engine.now engine) in
+    (fun (set, tbl) ->
+      let fairness () =
+        Tenant.live_fairness set tbl ~horizon:(Engine.now engine)
+      in
       let gauge name f = register m ~entity:"tenants" ~name Gauge (fun () -> f (fairness ())) in
       gauge "maxmin_share" (fun f -> f.Tenant.maxmin_ratio);
       gauge "jain" (fun f -> f.Tenant.jain);

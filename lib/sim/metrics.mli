@@ -9,7 +9,7 @@
 
     Determinism: scalar instruments are read-only probes over state the
     simulator already maintains, so enabling metrics never changes
-    simulation results; the histogram's {!observe} allocates nothing.
+    simulation results; the histogram's {!observe_span} allocates nothing.
     Wall-clock/GC numbers from the optional self-{!profiler} are
     exported separately ([schema:"profile"]) and never enter the
     deterministic snapshot stream. *)
@@ -119,17 +119,12 @@ val histogram :
 val default_bounds : float array
 (** Log-spaced, 4 buckets per decade from 100 ns to 1 s. *)
 
-val observe : histogram -> float -> unit
-(** Record one observation: unrolled bucket search + integer bump.
-    The callee allocates nothing, but without flambda the call itself
-    boxes the float argument; on a per-event hot path prefer
-    {!observe_span}. *)
-
 val observe_span : histogram -> float array -> from_slot:int -> to_slot:int -> unit
-(** [observe_span h fs ~from_slot ~to_slot] records
-    [fs.(to_slot) -. fs.(from_slot)]. Only pointers and ints cross the
-    call boundary, so the simulator's per-delivery latency hook is
-    allocation-free even under the non-flambda compiler. *)
+(** [observe_span h fs ~from_slot ~to_slot] records one observation,
+    [fs.(to_slot) -. fs.(from_slot)]: unrolled bucket search + integer
+    bump. Only pointers and ints cross the call boundary, so the
+    simulator's per-delivery latency hook is allocation-free even under
+    the non-flambda compiler. *)
 
 (** {2 Ticks and alerts} *)
 
@@ -171,7 +166,7 @@ val attach :
   telemetry:Telemetry.t ->
   nodes:Ip_node.t list ->
   media:Medium.t list ->
-  ?tenants:Tenant.acc ->
+  ?tenants:Tenant.set * Telemetry.Table.t ->
   until:float ->
   unit ->
   t * histogram
@@ -183,7 +178,8 @@ val attach :
     {!Telemetry} drop site; per node [completions], [drops],
     [queue_depth], [busy_engines], [utilization]; per medium
     [transfers], [rejections], [backlog_bytes], [utilization]; and, with
-    [tenants], the [tenants] fairness gauges. The profiler (if any) is
+    [tenants] (the set and its attribution table), the [tenants]
+    fairness gauges. The profiler (if any) is
     attached to every node and medium, and ticks are scheduled every
     [config.interval] up to [until] ({!Engine.every}). *)
 

@@ -8,7 +8,6 @@ type config = {
   service_dist : Ip_node.service_dist;
   arrival : Traffic_gen.arrival;
   sample_interval : float option;
-  series_capacity : int;
   trace : Trace.config option;
   check_invariants : bool;
   metrics : Metrics.config option;
@@ -31,7 +30,6 @@ module Config = struct
       service_dist = Ip_node.Exponential;
       arrival = Traffic_gen.Poisson;
       sample_interval = None;
-      series_capacity = 4096;
       trace = None;
       check_invariants = false;
       metrics = None;
@@ -41,7 +39,6 @@ module Config = struct
 
   let with_seed seed c = { c with seed }
   let with_duration duration c = { c with duration }
-  let with_warmup warmup c = { c with warmup }
 
   let with_horizon ?warmup duration c =
     let warmup = match warmup with Some w -> w | None -> duration /. 10. in
@@ -49,13 +46,11 @@ module Config = struct
 
   let with_service_dist service_dist c = { c with service_dist }
   let with_arrival arrival c = { c with arrival }
-  let with_sampling ?(capacity = default.series_capacity) interval c =
-    { c with sample_interval = Some interval; series_capacity = capacity }
+  let with_sampling interval c = { c with sample_interval = Some interval }
   let with_trace trace c = { c with trace = Some trace }
   let with_invariants check_invariants c = { c with check_invariants }
   let with_metrics metrics c = { c with metrics = Some metrics }
   let with_tenants tenants c = { c with tenants = Some tenants }
-  let without_tenants c = { c with tenants = None }
   let with_flow_cache spec c = { c with flow_cache = Some spec }
   let without_flow_cache c = { c with flow_cache = None }
 end
@@ -223,6 +218,8 @@ let execute_with ?engine:reused (spec : Run.t) =
   let g = spec.Run.graph in
   let hw = spec.Run.hw in
   let config = spec.Run.config in
+  if not (Float.is_finite config.duration && config.duration > 0.) then
+    invalid_arg "Netsim.run: duration must be positive and finite";
   (match G.validate g with
   | Ok () -> ()
   | Error errors ->
@@ -346,14 +343,15 @@ let execute_with ?engine:reused (spec : Run.t) =
      the pre-tenant code put it. Split before the trace rng, which must
      stay last. *)
   let tenant_rng = if tenanted_sched then Some (N.Rng.split rng) else None in
-  (* The accumulator exists whenever tenants are configured — a
-     single-tenant run still reports per-tenant stats — and its pooled
-     arrays make every record a plain store (nothing per-tenant on the
-     hot path). *)
-  let tenant_acc =
-    match tenant_set with
-    | None -> None
-    | Some tset -> Some (Tenant.acc tset ~warmup:config.warmup)
+  (* The attribution table exists whenever tenants are configured — a
+     single-tenant run still reports per-tenant stats — one row per
+     tenant, windowed at the warmup. *)
+  let tenants =
+    Option.map
+      (fun tset ->
+        let rows = Tenant.count tset in
+        (tset, Telemetry.Table.create ~rows ~cutoff:config.warmup))
+      tenant_set
   in
   let draw_tenant =
     match (tenant_rng, tenant_set) with
@@ -472,8 +470,8 @@ let execute_with ?engine:reused (spec : Run.t) =
   let metrics =
     Option.map
       (fun mc ->
-        Metrics.attach mc engine ~telemetry ~nodes:node_list ~media
-          ?tenants:tenant_acc ~until:config.duration ())
+        Metrics.attach mc engine ~telemetry ~nodes:node_list ~media ?tenants
+          ~until:config.duration ())
       config.metrics
   in
   (* ---- the packet walk --------------------------------------------- *)
@@ -530,12 +528,14 @@ let execute_with ?engine:reused (spec : Run.t) =
             ~to_slot:Telemetry.slot_now
       | None -> ());
       Telemetry.record_completion_fs telemetry ~fs:fl.fs ~klass:fl.fl_klass;
-      (match tenant_acc with
-      | Some a -> Tenant.record_completion a ~tenant:fl.fl_tenant ~fs:fl.fs
+      (match tenants with
+      | Some (_, tbl) -> Telemetry.Table.record_delivered tbl ~row:fl.fl_tenant fl.fs
       | None -> ());
       (match flow with
-      | Some (st, _, _) -> Flow_cache.record_completion st ~klass:fl.fl_fclass ~fs:fl.fs
-      | None -> ());
+      | Some (st, _, _) when fl.fl_fclass >= 0 ->
+        Telemetry.Table.record_delivered (Flow_cache.table st) ~row:fl.fl_fclass
+          fl.fs
+      | _ -> ());
       release_flight fl
     end
     else if vr.v_out_total <= 0. then
@@ -655,10 +655,8 @@ let execute_with ?engine:reused (spec : Run.t) =
     | None -> ());
     Telemetry.record_drop_counted telemetry ~born:fl.fs.(Telemetry.slot_born)
       d.dk;
-    (match tenant_acc with
-    | Some a ->
-      Tenant.record_drop a ~tenant:fl.fl_tenant
-        ~born:fl.fs.(Telemetry.slot_born)
+    (match tenants with
+    | Some (_, tbl) -> Telemetry.Table.record_dropped tbl ~row:fl.fl_tenant fl.fs
     | None -> ());
     release_flight fl
   and release_flight fl =
@@ -759,9 +757,6 @@ let execute_with ?engine:reused (spec : Run.t) =
        shed at ingress attribute their drop to an owner — per-tenant
        counts sum exactly to the aggregate telemetry accounts. *)
     let tid = draw_tenant () in
-    (match tenant_acc with
-    | Some a -> Tenant.record_offered a ~tenant:tid ~now ~size
-    | None -> ());
     let fl = acquire_flight () in
     let fs = fl.fs in
     fs.(Telemetry.slot_queueing) <- 0.;
@@ -774,6 +769,9 @@ let execute_with ?engine:reused (spec : Run.t) =
     fl.fl_klass <- klass;
     fl.fl_tenant <- tid;
     fl.fl_queue <- (if tenant_classes = 0 then 0 else (tid * tenant_classes) + klass);
+    (match tenants with
+    | Some (_, tbl) -> Telemetry.Table.record_offered tbl ~row:tid fs
+    | None -> ());
     (match faults with
     | Some f -> Faults.record_offered f fs
     | None -> ());
@@ -792,7 +790,7 @@ let execute_with ?engine:reused (spec : Run.t) =
          through the Zipf alias table — and only for packets that enter
          the datapath, so burst-shed arrivals consume nothing from the
          stream. A packet that never reaches a cache vertex keeps
-         class -1 (unclassified) and is skipped by the accumulator. *)
+         class -1 (unclassified) and is left out of the class table. *)
       (match flow with
       | Some (st, _, frng) ->
         fl.fl_flow <- Flow_cache.draw st ~bits:(N.Rng.bits frng);
@@ -834,8 +832,7 @@ let execute_with ?engine:reused (spec : Run.t) =
           node_list
         @ List.map (fun m -> (Medium.label m ^ ".backlog", fun () -> Medium.backlog m)) media
         |> List.map (fun (label, probe) ->
-               ( Telemetry.Series.create ~capacity:config.series_capacity ~label
-                   ~interval:dt (),
+               ( Telemetry.Series.create ~label ~interval:dt (),
                  probe ))
       in
       Engine.every engine ~interval:dt ~until:config.duration (fun time ->
@@ -916,8 +913,8 @@ let execute_with ?engine:reused (spec : Run.t) =
     metrics = Option.map fst metrics;
     tenants =
       Option.map
-        (fun a -> Tenant.summarize a ~horizon:config.duration)
-        tenant_acc;
+        (fun (tset, tbl) -> Tenant.summarize tset tbl ~horizon:config.duration)
+        tenants;
     flow_cache =
       Option.map
         (fun (st, _, _) -> Flow_cache.summarize st ~horizon:config.duration)

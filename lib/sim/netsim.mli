@@ -36,8 +36,8 @@
       {!Invariants.check_horizon} at the end of the run);
     - metrics: {!Metrics.attach} (the instrument catalog and its ticks);
     - tracing: {!Trace} (reservoir-sampled packet spans);
-    - tenants: {!Tenant} (the per-VF accumulator; at two tenants or
-      more, hierarchical nodes and a tenant rng);
+    - tenants: {!Tenant} (per-VF rows of a {!Telemetry.Table}; at two
+      tenants or more, hierarchical nodes and a tenant rng);
     - flow cache: {!Flow_cache} (cache-vertex roles, flow draws, the
       lookups that route out of the cache vertices).
 
@@ -54,10 +54,8 @@ type config = private {
   sample_interval : float option;
       (** when [Some dt], sample every entity's state each [dt] seconds
           into {!measurement.series} (default [None]; sampling is
-          read-only and never changes simulation results) *)
-  series_capacity : int;
-      (** ring capacity per series (default 4096; oldest samples are
-          overwritten) *)
+          read-only and never changes simulation results). Each series
+          keeps the newest 4096 samples. *)
   trace : Trace.config option;
       (** when [Some], record per-packet lifecycle spans for a
           reservoir-sampled subset of packets into
@@ -126,7 +124,6 @@ module Config : sig
 
   val with_seed : int -> t -> t
   val with_duration : float -> t -> t
-  val with_warmup : float -> t -> t
 
   val with_horizon : ?warmup:float -> float -> t -> t
   (** [with_horizon d] sets [duration = d] and [warmup] to the
@@ -136,15 +133,13 @@ module Config : sig
   val with_service_dist : Ip_node.service_dist -> t -> t
   val with_arrival : Traffic_gen.arrival -> t -> t
 
-  val with_sampling : ?capacity:int -> float -> t -> t
-  (** Enable periodic series sampling at the given interval;
-      [capacity] overrides [series_capacity] (default keeps it). *)
+  val with_sampling : float -> t -> t
+  (** Enable periodic series sampling at the given interval. *)
 
   val with_trace : Trace.config -> t -> t
   val with_invariants : bool -> t -> t
   val with_metrics : Metrics.config -> t -> t
   val with_tenants : Tenant.set -> t -> t
-  val without_tenants : t -> t
   val with_flow_cache : Lognic.Flowcache.spec -> t -> t
   val without_flow_cache : t -> t
 end
@@ -270,8 +265,9 @@ val execute_with : ?engine:Engine.t -> Run.t -> measurement
 
 val execute : Run.t -> measurement
 (** Run one simulation from a spec. Raises [Invalid_argument] if the
-    graph fails validation or a fault event targets an entity the
-    realized simulation does not have (unknown vertex label,
+    duration is not positive and finite, the graph fails validation,
+    the sample interval is not positive, or a fault event targets an
+    entity the realized simulation does not have (unknown vertex label,
     infinite-throughput vertex, unknown medium label).
 
     {b Determinism.} With [faults = Faults.empty] the measurement is

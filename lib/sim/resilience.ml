@@ -203,8 +203,6 @@ let to_json t =
         | Some r -> Faults.resilience_replicated_to_json r );
     ]
 
-let to_string t = J.to_string (to_json t)
-
 let pp ppf t =
   let pct x = 100. *. x in
   Format.fprintf ppf "faults: model vs simulation under %a@\n" Faults.pp t.plan;
@@ -254,5 +252,3 @@ let pp ppf t =
         | Some w when w == r && List.length t.rows > 1 -> "  <- worst join"
         | _ -> ""))
     t.rows
-
-let to_text t = Format.asprintf "%a" pp t

@@ -62,10 +62,6 @@ val to_json : report -> Telemetry.Json.t
 (** Versioned ([schema = "faults"]); embeds the plan, per-interval rows,
     both sides' composites, and recovery statistics. *)
 
-val to_string : report -> string
-
 val pp : Format.formatter -> report -> unit
 (** Chronological per-interval table with the worst-joining row
     flagged. *)
-
-val to_text : report -> string

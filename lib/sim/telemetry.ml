@@ -409,8 +409,6 @@ type t = {
   latencies : Buf.t;
   mutable class_counts : int array;  (* dense by class index *)
   mutable class_sums : float array;
-  classes : (int, int * float) Hashtbl.t;  (* negative-class fallback *)
-  site_drops : (drop_site, int) Hashtbl.t;
   mutable counters : counter list;
 }
 
@@ -424,8 +422,6 @@ let create ~warmup =
     latencies = Buf.create ();
     class_counts = Array.make 8 0;
     class_sums = Array.make 8 0.;
-    classes = Hashtbl.create 8;
-    site_drops = Hashtbl.create 8;
     counters = [];
   }
 
@@ -452,20 +448,9 @@ let drop_counter t site =
     c
 
 let[@inline] record_drop_counted t ~born c =
-  (* Gate on birth time: arrivals are recorded at generation (now =
-     born), so a drop must be attributed to the same window as its
-     offered-packet record or loss_rate can exceed 1. *)
   if born >= t.warmup then begin
     t.dropped <- t.dropped + 1;
     c.c_hits <- c.c_hits + 1
-  end
-
-let record_drop t ~now ~born ~site =
-  ignore now;
-  if born >= t.warmup then begin
-    t.dropped <- t.dropped + 1;
-    let count = Option.value (Hashtbl.find_opt t.site_drops site) ~default:0 in
-    Hashtbl.replace t.site_drops site (count + 1)
   end
 
 let grow_classes t klass =
@@ -496,33 +481,129 @@ let record_completion_fs t ~fs ~klass =
     t.fsums.(2) <- t.fsums.(2) +. fs.(slot_service);
     t.fsums.(3) <- t.fsums.(3) +. fs.(slot_wire);
     t.fsums.(4) <- t.fsums.(4) +. fs.(slot_overhead);
-    if klass >= 0 then bump_class t klass latency
-    else
-      let count, sum =
-        Option.value (Hashtbl.find_opt t.classes klass) ~default:(0, 0.)
-      in
-      Hashtbl.replace t.classes klass (count + 1, sum +. latency)
+    bump_class t klass latency
   end
 
-let record_completion t ~now ~born ?(terms = zero_terms) ~size ~klass () =
-  (* Attribute the packet to the measurement window by its birth time so
-     arrival accounting and completion accounting agree. *)
-  if born >= t.warmup then begin
-    t.delivered <- t.delivered + 1;
-    t.fsums.(0) <- t.fsums.(0) +. size;
-    let latency = now -. born in
-    Buf.add t.latencies latency;
-    t.fsums.(1) <- t.fsums.(1) +. terms.queueing;
-    t.fsums.(2) <- t.fsums.(2) +. terms.service;
-    t.fsums.(3) <- t.fsums.(3) +. terms.wire;
-    t.fsums.(4) <- t.fsums.(4) +. terms.overhead;
-    if klass >= 0 then bump_class t klass latency
-    else
-      let count, sum =
-        Option.value (Hashtbl.find_opt t.classes klass) ~default:(0, 0.)
-      in
-      Hashtbl.replace t.classes klass (count + 1, sum +. latency)
-  end
+(* Per-row attribution (tenants, flow-cache classes, fault bins):
+   struct-of-arrays over dense row ids, sized once at creation, so
+   every record is a handful of unboxed stores. *)
+module Table = struct
+  (* 64 log₂ latency buckets per row in one flat int array: bucket [k]
+     holds latencies in [2^(k−40), 2^(k−39)) seconds, covering
+     sub-picosecond to ~2-week latencies. Good to a factor of 2 at the
+     tail, which is what an SLO verdict and a noisy-neighbor ranking
+     need, at a cost of one store per delivery. *)
+  let buckets = 64
+
+  let[@inline] bucket_of lat =
+    if lat <= 0. then 0
+    else begin
+      let b = int_of_float (Float.floor (Float.log2 lat)) + 40 in
+      if b < 0 then 0 else if b > buckets - 1 then buckets - 1 else b
+    end
+
+  let bucket_upper b = Float.pow 2. (float_of_int (b - 39))
+
+  type t = {
+    cutoff : float;
+    offered : int array;
+    dropped : int array;
+    delivered : int array;
+    offered_bytes : float array;
+    delivered_bytes : float array;
+    lat_sum : float array;
+    lat_max : float array;
+    q_sum : float array;
+    s_sum : float array;
+    w_sum : float array;
+    o_sum : float array;
+    hist : int array;  (* rows × buckets *)
+  }
+
+  let create ~rows ~cutoff =
+    let ints () = Array.make rows 0 and floats () = Array.make rows 0. in
+    {
+      cutoff;
+      offered = ints ();
+      dropped = ints ();
+      delivered = ints ();
+      offered_bytes = floats ();
+      delivered_bytes = floats ();
+      lat_sum = floats ();
+      lat_max = floats ();
+      q_sum = floats ();
+      s_sum = floats ();
+      w_sum = floats ();
+      o_sum = floats ();
+      hist = Array.make (rows * buckets) 0;
+    }
+
+  let cutoff t = t.cutoff
+
+  let[@inline] record_offered t ~row fs =
+    if fs.(slot_born) >= t.cutoff then begin
+      t.offered.(row) <- t.offered.(row) + 1;
+      t.offered_bytes.(row) <- t.offered_bytes.(row) +. fs.(slot_size)
+    end
+
+  let[@inline] record_dropped t ~row fs =
+    if fs.(slot_born) >= t.cutoff then t.dropped.(row) <- t.dropped.(row) + 1
+
+  let[@inline] record_delivered t ~row fs =
+    let born = fs.(slot_born) in
+    if born >= t.cutoff then begin
+      let lat = fs.(slot_now) -. born in
+      t.delivered.(row) <- t.delivered.(row) + 1;
+      t.delivered_bytes.(row) <- t.delivered_bytes.(row) +. fs.(slot_size);
+      t.lat_sum.(row) <- t.lat_sum.(row) +. lat;
+      if lat > t.lat_max.(row) then t.lat_max.(row) <- lat;
+      t.q_sum.(row) <- t.q_sum.(row) +. fs.(slot_queueing);
+      t.s_sum.(row) <- t.s_sum.(row) +. fs.(slot_service);
+      t.w_sum.(row) <- t.w_sum.(row) +. fs.(slot_wire);
+      t.o_sum.(row) <- t.o_sum.(row) +. fs.(slot_overhead);
+      let b = (row * buckets) + bucket_of lat in
+      t.hist.(b) <- t.hist.(b) + 1
+    end
+
+  let offered t row = t.offered.(row)
+  let dropped t row = t.dropped.(row)
+  let delivered t row = t.delivered.(row)
+  let offered_bytes t row = t.offered_bytes.(row)
+  let delivered_bytes t row = t.delivered_bytes.(row)
+  let max_latency t row = t.lat_max.(row)
+
+  (* Inlined, and [p99] below scans without a closure: summaries over
+     thousands of rows allocate only the floats they return. *)
+  let[@inline] mean t row sums =
+    let d = t.delivered.(row) in
+    if d = 0 then 0. else sums.(row) /. float_of_int d
+
+  let mean_latency t row = mean t row t.lat_sum
+
+  let mean_terms t row =
+    {
+      queueing = mean t row t.q_sum;
+      service = mean t row t.s_sum;
+      wire = mean t row t.w_sum;
+      overhead = mean t row t.o_sum;
+    }
+
+  (* The smallest bucket whose cumulative count reaches ⌈0.99·n⌉. *)
+  let p99 t row =
+    let delivered = t.delivered.(row) in
+    if delivered = 0 then 0.
+    else begin
+      let target = int_of_float (Float.ceil (0.99 *. float_of_int delivered)) in
+      let base = row * buckets in
+      let b = ref 0 and seen = ref t.hist.(base) in
+      while !seen < target && !b < buckets - 1 do
+        incr b;
+        seen := !seen + t.hist.(base + !b)
+      done;
+      if !seen >= target then Float.min (bucket_upper !b) t.lat_max.(row)
+      else t.lat_max.(row)
+    end
+end
 
 type summary = {
   window : float;
@@ -560,24 +641,12 @@ let summarize t ~horizon =
             (klass, count, t.class_sums.(klass) /. float_of_int count)
             :: !dense)
       t.class_counts;
-    Hashtbl.fold
-      (fun klass (count, sum) acc ->
-        (klass, count, if count = 0 then 0. else sum /. float_of_int count) :: acc)
-      t.classes !dense
-    |> List.sort compare
+    List.rev !dense
   in
   let drop_breakdown =
-    (* merge interned counters with any hash-recorded drops *)
-    let merged = Hashtbl.copy t.site_drops in
-    List.iter
-      (fun c ->
-        if c.c_hits > 0 then
-          let count =
-            Option.value (Hashtbl.find_opt merged c.c_site) ~default:0
-          in
-          Hashtbl.replace merged c.c_site (count + c.c_hits))
-      t.counters;
-    Hashtbl.fold (fun site count acc -> (site, count) :: acc) merged []
+    List.filter_map
+      (fun c -> if c.c_hits > 0 then Some (c.c_site, c.c_hits) else None)
+      t.counters
     |> List.sort (fun (sa, ca) (sb, cb) ->
            match compare cb ca with 0 -> compare sa sb | c -> c)
   in

@@ -1,16 +1,24 @@
-(** Measurement collection for simulation runs. Samples recorded before
-    the warmup cutoff are discarded so steady-state statistics are not
-    polluted by the empty-system transient; every event is attributed to
-    the measurement window by the {e birth} time of its packet, so the
-    offered / delivered / dropped accounts always agree.
+(** Measurement collection for simulation runs.
+
+    {b The window rule.} Every account in this module — the aggregate
+    {!t} and each {!Table} — attributes a packet by its {e birth} time:
+    the packet counts, in every field it touches (offered, dropped,
+    delivered, bytes, latency), when it was born at or past the
+    cutoff, and in none of them otherwise, whenever the drop or the
+    delivery happens. For {!t} and the tenant and flow-cache tables
+    the cutoff is the run's warmup, so the empty-system transient
+    never pollutes steady-state statistics and the offered / delivered
+    / dropped accounts always agree ([loss_rate <= 1]); the fault-bin
+    table uses cutoff 0, so every packet counts.
 
     Beyond the aggregate summary, this module is the simulator's
     observability layer (§3.2's promise that the model points at the
     {e specific} entity that binds): drops carry their site, delivered
     packets carry a per-component latency decomposition that mirrors the
-    Eq. 2 terms, periodic state samples land in bounded ring-buffer
-    {!Series}, and everything exports as JSON ({!to_json}, {!Json}) or
-    CSV ({!Series.to_csv}). *)
+    Eq. 2 terms, per-entity {!Table} rows attribute packets to tenants,
+    flow-cache classes and fault sub-intervals, periodic state samples
+    land in bounded ring-buffer {!Series}, and everything exports as
+    JSON ({!to_json}, {!Json}) or CSV ({!Series.to_csv}). *)
 
 (** A dependency-free JSON tree with a printer and a parser, so exported
     traces can be round-trip tested without adding a JSON library. *)
@@ -126,31 +134,24 @@ type t
 val create : warmup:float -> t
 
 val record_arrival : t -> now:float -> size:float -> unit
-(** Every offered packet (admitted or not). *)
+(** Every offered packet (admitted or not), at its birth time [now]. *)
 
-val record_drop : t -> now:float -> born:float -> site:drop_site -> unit
-(** A packet lost at [site]. Windowed by [born] (not the drop time), so
-    a packet generated before the warmup cutoff but dropped inside the
-    window is excluded — exactly like its arrival record — keeping
-    [loss_rate <= 1]. *)
+(** {2 Recording}
 
-(** {2 Allocation-free accounting}
-
-    The simulator's hot path records through these instead of the
-    generic entry points above: drop sites are interned to counters at
-    setup, and completions read every float out of a caller-owned
-    scratch array (layout below), so steady state never boxes a float
-    or hashes a variant. Results are identical to the generic path. *)
+    The simulator's hot path records without boxing a float or hashing
+    a variant: drop sites are interned to counters at setup, and
+    completions read every float out of the flight's scratch array
+    (layout below). *)
 
 type counter
-(** An interned per-site drop counter; its hits merge into
-    {!summary.drop_breakdown} exactly like {!record_drop} calls. *)
+(** An interned per-site drop counter; its hits make up
+    {!summary.drop_breakdown}. *)
 
 val drop_counter : t -> drop_site -> counter
 (** Intern a site (idempotent: same site, same counter). *)
 
 val record_drop_counted : t -> born:float -> counter -> unit
-(** Same accounting and warmup window as {!record_drop}. *)
+(** A packet born at [born] lost at the counter's site. *)
 
 (** {2 Read-only probes}
 
@@ -169,9 +170,9 @@ val counter_site : counter -> drop_site
 val counter_hits : counter -> int
 
 (** Slot indices into the per-flight scratch array consumed by
-    {!record_completion_fs} (and filled along the packet walk): the
-    four Eq. 2 latency terms, then birth time, packet size, and
-    completion time. [flight_slots] is the required array length. *)
+    {!record_completion_fs} and {!Table} (and filled along the packet
+    walk): the four Eq. 2 latency terms, then birth time, packet size,
+    and completion time. [flight_slots] is the required array length. *)
 
 val slot_queueing : int
 
@@ -184,20 +185,56 @@ val slot_now : int
 val flight_slots : int
 
 val record_completion_fs : t -> fs:float array -> klass:int -> unit
-(** [record_completion ~now:fs.(slot_now) ~born:fs.(slot_born) ...]
-    without boxing any float. [fs] must be {!flight_slots} long. *)
+(** A delivered packet of traffic class [klass] ([0..n-1], the index in
+    the run's mix): birth, completion time, size and the four Eq. 2
+    terms come from [fs], which must be {!flight_slots} long. *)
 
-val record_completion :
-  t ->
-  now:float ->
-  born:float ->
-  ?terms:latency_terms ->
-  size:float ->
-  klass:int ->
-  unit ->
-  unit
-(** [terms] (default {!zero_terms}) is the packet's accumulated
-    latency decomposition. *)
+(** {2 Attribution table}
+
+    One row per attributed entity — a tenant, a flow-cache class, a
+    fault sub-interval — each holding offered / dropped / delivered
+    counts, offered and delivered bytes, latency sum and max, the four
+    Eq. 2 term sums, and a 64-bucket log₂ latency histogram. Records
+    take the flight's {!flight_slots} array and follow the window rule
+    above against the table's own cutoff. Rows are sized once at
+    creation and recording allocates nothing, so thousands of rows add
+    no per-packet words. *)
+module Table : sig
+  type t
+
+  val create : rows:int -> cutoff:float -> t
+  (** All-zero rows [0..rows-1]. *)
+
+  val cutoff : t -> float
+
+  val record_offered : t -> row:int -> float array -> unit
+  (** Count the packet and its size ([slot_size]) as offered. *)
+
+  val record_dropped : t -> row:int -> float array -> unit
+
+  val record_delivered : t -> row:int -> float array -> unit
+  (** Count the packet, its size, its latency ([slot_now] −
+      [slot_born]) and its four Eq. 2 terms as delivered. *)
+
+  val offered : t -> int -> int
+  val dropped : t -> int -> int
+  val delivered : t -> int -> int
+  val offered_bytes : t -> int -> float
+  val delivered_bytes : t -> int -> float
+
+  val mean_latency : t -> int -> float
+  (** 0 when the row delivered nothing (likewise {!mean_terms}). *)
+
+  val max_latency : t -> int -> float
+  val mean_terms : t -> int -> latency_terms
+
+  val p99 : t -> int -> float
+  (** Upper bound of the smallest histogram bucket whose cumulative
+      count reaches ⌈0.99·delivered⌉, clamped to the row's maximum —
+      good to a factor of 2; 0 when the row delivered nothing. Bucket
+      [k] holds latencies in \[2{^k−40}, 2{^k−39}) seconds; latencies
+      ≤ 0 land in bucket 0 and the index is clamped to \[0, 64). *)
+end
 
 type summary = {
   window : float;  (** measured seconds (horizon − warmup) *)

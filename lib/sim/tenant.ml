@@ -141,90 +141,6 @@ let[@inline] index_of_bits t u =
   let j = m lsr 30 in
   if m land (bits_range - 1) < t.t_prob.(j) then j else t.t_alias.(j)
 
-(* ---- per-tenant attribution ----------------------------------------- *)
-
-(* 64 log₂ latency buckets per tenant in one flat int array: bucket
-   [k] holds latencies in [2^(k−40), 2^(k−39)) seconds, covering
-   sub-picosecond to ~2-week latencies. Good to a factor of 2 at the
-   tail, which is what an SLO verdict and a noisy-neighbor ranking
-   need, at a cost of one store per completion. *)
-let hist_buckets = 64
-
-let[@inline] bucket_of lat =
-  if lat <= 0. then 0
-  else begin
-    let b = int_of_float (Float.floor (Float.log2 lat)) + 40 in
-    if b < 0 then 0 else if b > hist_buckets - 1 then hist_buckets - 1 else b
-  end
-
-let bucket_upper b = Float.pow 2. (float_of_int (b - 39))
-
-type acc = {
-  a_set : set;
-  warmup : float;
-  offered : int array;
-  delivered : int array;
-  dropped : int array;
-  offered_bytes : float array;
-  delivered_bytes : float array;
-  lat_sum : float array;
-  lat_max : float array;
-  q_sum : float array;
-  s_sum : float array;
-  w_sum : float array;
-  o_sum : float array;
-  hist : int array;  (* count tenants × hist_buckets *)
-}
-
-let acc set ~warmup =
-  let n = count set in
-  {
-    a_set = set;
-    warmup;
-    offered = Array.make n 0;
-    delivered = Array.make n 0;
-    dropped = Array.make n 0;
-    offered_bytes = Array.make n 0.;
-    delivered_bytes = Array.make n 0.;
-    lat_sum = Array.make n 0.;
-    lat_max = Array.make n 0.;
-    q_sum = Array.make n 0.;
-    s_sum = Array.make n 0.;
-    w_sum = Array.make n 0.;
-    o_sum = Array.make n 0.;
-    hist = Array.make (n * hist_buckets) 0;
-  }
-
-(* The three records mirror Telemetry's warmup windowing exactly —
-   arrivals by their own time, drops and completions by birth time —
-   so per-tenant counts sum to the aggregate telemetry accounts. *)
-
-let[@inline] record_offered a ~tenant ~now ~size =
-  if now >= a.warmup then begin
-    a.offered.(tenant) <- a.offered.(tenant) + 1;
-    a.offered_bytes.(tenant) <- a.offered_bytes.(tenant) +. size
-  end
-
-let[@inline] record_drop a ~tenant ~born =
-  if born >= a.warmup then a.dropped.(tenant) <- a.dropped.(tenant) + 1
-
-let[@inline] record_completion a ~tenant ~fs =
-  let born = fs.(Telemetry.slot_born) in
-  if born >= a.warmup then begin
-    let lat = fs.(Telemetry.slot_now) -. born in
-    a.delivered.(tenant) <- a.delivered.(tenant) + 1;
-    a.delivered_bytes.(tenant) <-
-      a.delivered_bytes.(tenant) +. fs.(Telemetry.slot_size);
-    a.lat_sum.(tenant) <- a.lat_sum.(tenant) +. lat;
-    if lat > a.lat_max.(tenant) then a.lat_max.(tenant) <- lat;
-    a.q_sum.(tenant) <- a.q_sum.(tenant) +. fs.(Telemetry.slot_queueing);
-    a.s_sum.(tenant) <- a.s_sum.(tenant) +. fs.(Telemetry.slot_service);
-    a.w_sum.(tenant) <- a.w_sum.(tenant) +. fs.(Telemetry.slot_wire);
-    a.o_sum.(tenant) <- a.o_sum.(tenant) +. fs.(Telemetry.slot_overhead);
-    let b = (tenant * hist_buckets) + bucket_of lat in
-    a.hist.(b) <- a.hist.(b) + 1
-  end
-
 (* ---- summaries ------------------------------------------------------- *)
 
 type row = {
@@ -257,31 +173,13 @@ type stats = {
   t_fairness : fairness;
 }
 
-let p99_of_hist hist tenant delivered lat_max =
-  if delivered = 0 then 0.
-  else begin
-    let target =
-      (* the smallest k with cumulative count >= ceil(0.99 n) *)
-      let n = float_of_int delivered in
-      int_of_float (Float.ceil (0.99 *. n))
-    in
-    let base = tenant * hist_buckets in
-    let rec scan b acc =
-      if b >= hist_buckets then lat_max
-      else
-        let acc = acc + hist.(base + b) in
-        if acc >= target then Float.min (bucket_upper b) lat_max
-        else scan (b + 1) acc
-    in
-    scan 0 0
-  end
-
-let fairness_of set ~window offered_bytes delivered_bytes lat_sum delivered =
-  let n = Array.length delivered in
+let fairness_of set tbl ~window =
+  let module T = Telemetry.Table in
+  let n = count set in
   if window <= 0. then { maxmin_ratio = 1.; jain = 1.; interference = 1. }
   else begin
-    let attained = Array.map (fun b -> b /. window) delivered_bytes in
-    let demanded = Array.map (fun b -> b /. window) offered_bytes in
+    let attained = Array.init n (fun i -> T.delivered_bytes tbl i /. window) in
+    let demanded = Array.init n (fun i -> T.offered_bytes tbl i /. window) in
     let total_attained = Array.fold_left ( +. ) 0. attained in
     let w = Array.map (fun s -> float_of_int s.weight) set.t_specs in
     (* Weighted max-min reference allocation of the carried capacity
@@ -321,8 +219,8 @@ let fairness_of set ~window offered_bytes delivered_bytes lat_sum delivered =
     let interference =
       let best = ref infinity and worst = ref 0. in
       for i = 0 to n - 1 do
-        if delivered.(i) > 0 then begin
-          let mean = lat_sum.(i) /. float_of_int delivered.(i) in
+        if T.delivered tbl i > 0 then begin
+          let mean = T.mean_latency tbl i in
           if mean < !best then best := mean;
           if mean > !worst then worst := mean
         end
@@ -332,46 +230,36 @@ let fairness_of set ~window offered_bytes delivered_bytes lat_sum delivered =
     { maxmin_ratio; jain; interference }
   end
 
-(* Rows-free fairness snapshot for live metrics gauges: reads the
-   pooled accumulator arrays directly, no per-tenant row records. *)
-let live_fairness a ~horizon =
-  let window = Float.max 0. (horizon -. a.warmup) in
-  fairness_of a.a_set ~window a.offered_bytes a.delivered_bytes a.lat_sum
-    a.delivered
+let window_of tbl ~horizon =
+  Float.max 0. (horizon -. Telemetry.Table.cutoff tbl)
 
-let summarize a ~horizon =
-  let window = Float.max 0. (horizon -. a.warmup) in
-  let set = a.a_set in
+let live_fairness set tbl ~horizon =
+  fairness_of set tbl ~window:(window_of tbl ~horizon)
+
+let summarize set tbl ~horizon =
+  let module T = Telemetry.Table in
+  let window = window_of tbl ~horizon in
   let shares = shares set in
+  let rate bytes = if window > 0. then bytes /. window else 0. in
   let rows =
     Array.mapi
       (fun i s ->
-        let delivered = a.delivered.(i) in
-        let dn = float_of_int (max 1 delivered) in
-        let mean sum = if delivered = 0 then 0. else sum /. dn in
-        let p99 = p99_of_hist a.hist i delivered a.lat_max.(i) in
+        let delivered = T.delivered tbl i in
+        let p99 = T.p99 tbl i in
         {
           r_name = s.name;
           r_weight = s.weight;
           r_share = shares.(i);
-          r_offered = a.offered.(i);
+          r_offered = T.offered tbl i;
           r_delivered = delivered;
-          r_dropped = a.dropped.(i);
-          r_delivered_bytes = a.delivered_bytes.(i);
-          r_offered_rate =
-            (if window > 0. then a.offered_bytes.(i) /. window else 0.);
-          r_throughput =
-            (if window > 0. then a.delivered_bytes.(i) /. window else 0.);
-          r_mean_latency = mean a.lat_sum.(i);
+          r_dropped = T.dropped tbl i;
+          r_delivered_bytes = T.delivered_bytes tbl i;
+          r_offered_rate = rate (T.offered_bytes tbl i);
+          r_throughput = rate (T.delivered_bytes tbl i);
+          r_mean_latency = T.mean_latency tbl i;
           r_p99_latency = p99;
-          r_max_latency = a.lat_max.(i);
-          r_terms =
-            {
-              Telemetry.queueing = mean a.q_sum.(i);
-              service = mean a.s_sum.(i);
-              wire = mean a.w_sum.(i);
-              overhead = mean a.o_sum.(i);
-            };
+          r_max_latency = T.max_latency tbl i;
+          r_terms = T.mean_terms tbl i;
           r_slo_p99 = s.slo_p99;
           r_slo_ok =
             (match s.slo_p99 with
@@ -380,13 +268,7 @@ let summarize a ~horizon =
         })
       set.t_specs
   in
-  {
-    t_window = window;
-    rows;
-    t_fairness =
-      fairness_of set ~window a.offered_bytes a.delivered_bytes a.lat_sum
-        a.delivered;
-  }
+  { t_window = window; rows; t_fairness = fairness_of set tbl ~window }
 
 let row_to_json r =
   let module J = Telemetry.Json in

@@ -7,17 +7,18 @@
     module supplies the tenant model for {!Netsim}: a {!spec} per
     tenant (scheduler weight, offered-traffic share, optional p99
     SLO), the canonicalized {!set} a run is configured with, and the
-    pooled per-tenant accumulator ({!acc}) that attributes every
-    completion, drop and latency term to the owning tenant.
+    per-tenant summaries and fairness indices read off the run's
+    {!Telemetry.Table} — one row per tenant, windowed at the warmup —
+    which attributes every offered, dropped and delivered packet and
+    its latency terms to the owning tenant.
 
     {b Determinism & scale.} A [set] is canonical — specs sorted by
     tenant name, duplicate names rejected, shares normalized — so two
     permutations of the same tenant list configure byte-identical
-    runs. The accumulator is struct-of-arrays over dense tenant ids
-    (plus one flat log₂-bucket latency histogram), sized once at setup:
-    recording through it allocates nothing, so runs with thousands of
-    tenants add zero per-tenant words to the steady-state hot loop
-    (the ledger's [tenant.words_per_event_delta] metric tracks it). *)
+    runs. The table is sized once at setup and recording through it
+    allocates nothing, so runs with thousands of tenants add zero
+    per-tenant words to the steady-state hot loop (the ledger's
+    [tenant.words_per_event_delta] metric tracks it). *)
 
 type spec = {
   name : string;  (** VF / tenant label; unique within a set *)
@@ -85,43 +86,6 @@ val index_of_bits : set -> int -> int
     mispredicted branches per draw. The simulator's per-arrival path;
     allocation-free, per-tenant probabilities exact to n·2^-30. *)
 
-(** {2 Per-tenant attribution}
-
-    The accumulator mirrors {!Telemetry}'s warmup windowing exactly —
-    arrivals by their own time, drops and completions by the packet's
-    {e birth} time — so per-tenant accounts sum to the aggregate
-    telemetry counts with no seam. *)
-
-type acc
-
-val acc : set -> warmup:float -> acc
-
-val record_offered : acc -> tenant:int -> now:float -> size:float -> unit
-val record_drop : acc -> tenant:int -> born:float -> unit
-
-val record_completion : acc -> tenant:int -> fs:float array -> unit
-(** [fs] is the flight's {!Telemetry.flight_slots} scratch array at
-    egress (birth, size, completion time and the four Eq. 2 terms). *)
-
-(** {2 Log₂ latency histogram}
-
-    The flat 64-bucket log₂ histogram behind [r_p99_latency], shared
-    with the per-class accumulator in [Flow_cache]: bucket [k] holds
-    latencies in [2^(k−40), 2^(k−39)) seconds — good to a factor of 2
-    at the tail for one store per completion. *)
-
-val hist_buckets : int
-(** 64. *)
-
-val bucket_of : float -> int
-(** Bucket index for a latency, clamped to [0, hist_buckets). *)
-
-val p99_of_hist : int array -> int -> int -> float -> float
-(** [p99_of_hist hist row delivered lat_max] scans row [row] of a flat
-    [rows × hist_buckets] histogram to the smallest bucket whose
-    cumulative count reaches ⌈0.99·delivered⌉ and returns that bucket's
-    upper bound clamped to [lat_max] (0 when nothing was delivered). *)
-
 (** {2 Summaries} *)
 
 type row = {
@@ -172,12 +136,14 @@ type stats = {
   t_fairness : fairness;
 }
 
-val summarize : acc -> horizon:float -> stats
+val summarize : set -> Telemetry.Table.t -> horizon:float -> stats
+(** Per-tenant rows and fairness from the run's tenant table (row [i]
+    is the [i]-th canonical tenant); the window is [horizon] minus the
+    table's cutoff. *)
 
-val live_fairness : acc -> horizon:float -> fairness
-(** The fairness indices alone, computed straight off the accumulator
-    arrays — the cheap mid-run snapshot behind the {!Metrics} gauges
-    (no per-tenant rows are built). *)
+val live_fairness : set -> Telemetry.Table.t -> horizon:float -> fairness
+(** The fairness indices alone — the cheap mid-run snapshot behind the
+    {!Metrics} gauges (no per-tenant rows are built). *)
 
 val stats_to_json : stats -> Telemetry.Json.t
 (** Plain object ([window], [tenants], [fairness]) — embedded by

@@ -364,12 +364,12 @@ let faults_json_versioned () =
   let g = pipeline () in
   let plan = [ F.engine_down ~vertex:"ip" ~engines:3 ~start:0.004 ~stop:0.01 ] in
   let r = Lognic_sim.Resilience.run ~config g ~hw ~traffic ~plan in
-  let s = Lognic_sim.Resilience.to_string r in
+  let s = S.Telemetry.Json.to_string (Lognic_sim.Resilience.to_json r) in
   Alcotest.(check bool) "schema stamped" true
     (contains_substring s "\"schema\":\"faults\"");
   Alcotest.(check bool) "schema_version stamped" true
     (contains_substring s "\"schema_version\":1");
-  let text = Lognic_sim.Resilience.to_text r in
+  let text = Format.asprintf "%a" Lognic_sim.Resilience.pp r in
   Alcotest.(check bool) "text mentions the fault" true
     (contains_substring text "engine_down:ip")
 

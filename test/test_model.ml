@@ -45,8 +45,18 @@ let units_conversions () =
 let traffic_basics () =
   let t = T.make ~rate:(1.2e9 /. 8. *. 10.) ~packet_size:1500. in
   check_close "packet rate" (t.T.rate /. 1500.) (T.packet_rate t);
-  check_raises_invalid "zero rate" (fun () -> T.make ~rate:0. ~packet_size:64.);
-  check_raises_invalid "zero size" (fun () -> T.make ~rate:1. ~packet_size:0.)
+  List.iter
+    (fun (what, rate, packet_size) ->
+      check_raises_invalid what (fun () -> T.make ~rate ~packet_size))
+    [
+      ("zero rate", 0., 64.);
+      ("negative rate", -1., 64.);
+      ("nan rate", Float.nan, 64.);
+      ("infinite rate", Float.infinity, 64.);
+      ("zero size", 1., 0.);
+      ("nan size", 1., Float.nan);
+      ("infinite size", 1., Float.infinity);
+    ]
 
 let traffic_mix () =
   let mix =

@@ -166,7 +166,9 @@ let explain_rows_ranked_and_joined () =
   (* saturated vertex: both sides see utilization ~1 *)
   check_within ~pct:5. "model util" 1. ip.model_utilization;
   check_within ~pct:5. "sim util" 1. ip.sim_utilization;
-  match S.Telemetry.Json.of_string (S.Explain.to_string r) with
+  match
+    S.Telemetry.Json.of_string (S.Telemetry.Json.to_string (S.Explain.to_json r))
+  with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "explain JSON does not parse: %s" e
 

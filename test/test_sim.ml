@@ -254,16 +254,35 @@ let ip_node_matches_mm1n () =
 
 let site_ip0 = S.Telemetry.Node_queue { node = "ip"; queue = 0 }
 
+(* A flight's scratch array as the simulator fills it by egress. *)
+let flight ?(terms = S.Telemetry.zero_terms) ?now ~born ~size () =
+  let module T = S.Telemetry in
+  let fs = Array.make T.flight_slots 0. in
+  fs.(T.slot_queueing) <- terms.T.queueing;
+  fs.(T.slot_service) <- terms.T.service;
+  fs.(T.slot_wire) <- terms.T.wire;
+  fs.(T.slot_overhead) <- terms.T.overhead;
+  fs.(T.slot_born) <- born;
+  fs.(T.slot_size) <- size;
+  fs.(T.slot_now) <- Option.value now ~default:born;
+  fs
+
+let complete t ?terms ~now ~born ~size ~klass () =
+  S.Telemetry.record_completion_fs t ~fs:(flight ?terms ~now ~born ~size ()) ~klass
+
+let drop t ~born site =
+  S.Telemetry.record_drop_counted t ~born (S.Telemetry.drop_counter t site)
+
 let telemetry_windows () =
   let t = S.Telemetry.create ~warmup:10. in
   (* before warmup: ignored *)
   S.Telemetry.record_arrival t ~now:5. ~size:100.;
-  S.Telemetry.record_completion t ~now:8. ~born:5. ~size:100. ~klass:0 ();
+  complete t ~now:8. ~born:5. ~size:100. ~klass:0 ();
   (* after warmup *)
   S.Telemetry.record_arrival t ~now:11. ~size:100.;
-  S.Telemetry.record_completion t ~now:12. ~born:11. ~size:100. ~klass:0 ();
+  complete t ~now:12. ~born:11. ~size:100. ~klass:0 ();
   S.Telemetry.record_arrival t ~now:13. ~size:100.;
-  S.Telemetry.record_drop t ~now:13. ~born:13. ~site:site_ip0;
+  drop t ~born:13. site_ip0;
   let s = S.Telemetry.summarize t ~horizon:20. in
   Alcotest.(check int) "offered in window" 2 s.offered_packets;
   Alcotest.(check int) "delivered in window" 1 s.delivered_packets;
@@ -279,9 +298,9 @@ let telemetry_drop_attribution () =
      loss_rate exceed 1. Drops are now windowed by birth time. *)
   let t = S.Telemetry.create ~warmup:10. in
   S.Telemetry.record_arrival t ~now:9. ~size:100.;  (* not offered *)
-  S.Telemetry.record_drop t ~now:12. ~born:9. ~site:site_ip0;  (* not counted *)
+  drop t ~born:9. site_ip0;  (* not counted *)
   S.Telemetry.record_arrival t ~now:11. ~size:100.;
-  S.Telemetry.record_drop t ~now:13. ~born:11. ~site:site_ip0;
+  drop t ~born:11. site_ip0;
   let s = S.Telemetry.summarize t ~horizon:20. in
   Alcotest.(check int) "pre-warmup birth excluded" 1 s.dropped_packets;
   Alcotest.(check bool) "loss rate consistent" true (s.loss_rate <= 1.);
@@ -289,9 +308,9 @@ let telemetry_drop_attribution () =
   (* site attribution: the breakdown totals the aggregate counter *)
   let medium = S.Telemetry.Medium_buffer "interface" in
   S.Telemetry.record_arrival t ~now:14. ~size:100.;
-  S.Telemetry.record_drop t ~now:14. ~born:14. ~site:medium;
+  drop t ~born:14. medium;
   S.Telemetry.record_arrival t ~now:15. ~size:100.;
-  S.Telemetry.record_drop t ~now:15. ~born:15. ~site:medium;
+  drop t ~born:15. medium;
   let s = S.Telemetry.summarize t ~horizon:20. in
   Alcotest.(check int) "aggregate drops" 3 s.dropped_packets;
   Alcotest.(check int) "breakdown sums to aggregate" 3
@@ -309,10 +328,8 @@ let telemetry_latency_terms () =
   let terms q s w o =
     { S.Telemetry.queueing = q; service = s; wire = w; overhead = o }
   in
-  S.Telemetry.record_completion t ~now:10. ~born:0. ~terms:(terms 4. 3. 2. 1.)
-    ~size:100. ~klass:0 ();
-  S.Telemetry.record_completion t ~now:12. ~born:10. ~terms:(terms 0. 1. 1. 0.)
-    ~size:100. ~klass:0 ();
+  complete t ~now:10. ~born:0. ~terms:(terms 4. 3. 2. 1.) ~size:100. ~klass:0 ();
+  complete t ~now:12. ~born:10. ~terms:(terms 0. 1. 1. 0.) ~size:100. ~klass:0 ();
   let s = S.Telemetry.summarize t ~horizon:20. in
   check_close "mean queueing" 2. s.latency_terms.queueing;
   check_close "mean service" 2. s.latency_terms.service;
@@ -323,15 +340,78 @@ let telemetry_latency_terms () =
 
 let telemetry_per_class () =
   let t = S.Telemetry.create ~warmup:0. in
-  S.Telemetry.record_completion t ~now:1. ~born:0. ~size:64. ~klass:0 ();
-  S.Telemetry.record_completion t ~now:3. ~born:0. ~size:1500. ~klass:1 ();
-  S.Telemetry.record_completion t ~now:5. ~born:0. ~size:1500. ~klass:1 ();
+  complete t ~now:1. ~born:0. ~size:64. ~klass:0 ();
+  complete t ~now:3. ~born:0. ~size:1500. ~klass:1 ();
+  complete t ~now:5. ~born:0. ~size:1500. ~klass:1 ();
   let s = S.Telemetry.summarize t ~horizon:10. in
   (match s.per_class with
   | [ (0, 1, l0); (1, 2, l1) ] ->
     check_close "class 0 latency" 1. l0;
     check_close "class 1 latency" 4. l1
   | _ -> Alcotest.fail "per-class breakdown")
+
+(* The attribution table: every field follows the one birth-time
+   window, and the log₂ histogram reports p99 as a bucket bound clamped
+   to the row's maximum. *)
+let telemetry_table () =
+  let module Tb = S.Telemetry.Table in
+  let check_fields msg want t row =
+    Alcotest.(
+      check
+        (pair
+           (pair (triple int int int) (pair (float 0.) (float 0.)))
+           (pair (triple (float 0.) (float 0.) (float 0.)) (float 0.))))
+      msg want
+      ( ( (Tb.offered t row, Tb.dropped t row, Tb.delivered t row),
+          (Tb.offered_bytes t row, Tb.delivered_bytes t row) ),
+        ( (Tb.mean_latency t row, Tb.max_latency t row, Tb.p99 t row),
+          S.Telemetry.terms_total (Tb.mean_terms t row) ) )
+  in
+  let record_all t ~row fs =
+    Tb.record_offered t ~row fs;
+    Tb.record_delivered t ~row fs;
+    Tb.record_dropped t ~row fs
+  in
+  let t = Tb.create ~rows:2 ~cutoff:10. in
+  let terms =
+    { S.Telemetry.queueing = 1.; service = 0.5; wire = 0.25; overhead = 0.25 }
+  in
+  record_all t ~row:0 (flight ~terms ~born:(Float.pred 10.) ~now:12. ~size:100. ());
+  check_fields "born just before the cutoff: counted nowhere"
+    (((0, 0, 0), (0., 0.)), ((0., 0., 0.), 0.))
+    t 0;
+  record_all t ~row:1 (flight ~terms ~born:10. ~now:12. ~size:100. ());
+  check_fields "born at the cutoff: counted everywhere"
+    (((1, 1, 1), (100., 100.)), ((2., 2., 2.), 2.))
+    t 1;
+  let all = Tb.create ~rows:1 ~cutoff:0. in
+  List.iter
+    (fun born -> record_all all ~row:0 (flight ~born ~now:(born +. 1.) ~size:1. ()))
+    [ 0.; 1e-9; 5. ];
+  Alcotest.(check (triple int int int))
+    "cutoff 0: every packet counts" (3, 3, 3)
+    (Tb.offered all 0, Tb.dropped all 0, Tb.delivered all 0);
+  let lat = Float.ldexp 1. (-20) in
+  let h = Tb.create ~rows:4 ~cutoff:0. in
+  for _ = 1 to 100 do
+    Tb.record_delivered h ~row:0 (flight ~born:0. ~now:lat ~size:1. ())
+  done;
+  let exact = Alcotest.(check (float 0.)) in
+  exact "identical 2^-20 s latencies: p99 = 2^-20" lat (Tb.p99 h 0);
+  (* one slow packet in a hundred stays above the 99th, so p99 is the
+     upper bound of the other 99's bucket: 2^-19 for 2^-20 s latencies
+     (bucket 20), 2^-39 for zero latencies (bucket 0) *)
+  let one_slow row fast =
+    for i = 1 to 100 do
+      let now = if i = 100 then 1. else fast in
+      Tb.record_delivered h ~row (flight ~born:0. ~now ~size:1. ())
+    done
+  in
+  one_slow 1 lat;
+  exact "p99 is the bucket's upper bound" (2. *. lat) (Tb.p99 h 1);
+  one_slow 2 0.;
+  exact "zero latency lands in bucket 0" (Float.ldexp 1. (-39)) (Tb.p99 h 2);
+  check_fields "empty row reports 0" (((0, 0, 0), (0., 0.)), ((0., 0., 0.), 0.)) h 3
 
 (* Series ring buffers *)
 
@@ -404,11 +484,11 @@ let json_roundtrip_prop =
 let summary_json_roundtrip () =
   let t = S.Telemetry.create ~warmup:0. in
   S.Telemetry.record_arrival t ~now:1. ~size:100.;
-  S.Telemetry.record_completion t ~now:2. ~born:1.
+  complete t ~now:2. ~born:1.
     ~terms:{ S.Telemetry.queueing = 0.5; service = 0.3; wire = 0.2; overhead = 0. }
     ~size:100. ~klass:0 ();
   S.Telemetry.record_arrival t ~now:3. ~size:100.;
-  S.Telemetry.record_drop t ~now:3. ~born:3. ~site:site_ip0;
+  drop t ~born:3. site_ip0;
   let s = S.Telemetry.summarize t ~horizon:10. in
   let json = S.Telemetry.to_json s in
   match S.Telemetry.Json.of_string (S.Telemetry.Json.to_string json) with
@@ -838,6 +918,7 @@ let suite =
     quick "telemetry: drop attribution" telemetry_drop_attribution;
     quick "telemetry: latency decomposition" telemetry_latency_terms;
     quick "telemetry: per-class" telemetry_per_class;
+    quick "telemetry: attribution table" telemetry_table;
     quick "telemetry: series ring buffer" series_ring_overwrites;
     quick "telemetry: series CSV" series_csv;
     quick "telemetry: summary JSON round-trip" summary_json_roundtrip;
