@@ -4,6 +4,8 @@
 
 open Cmdliner
 
+let ( let* ) = Result.bind
+
 let default_hardware =
   (* A generous SoC so graphs without a hardware statement still run. *)
   Lognic.Params.hardware
@@ -32,6 +34,15 @@ let resolve_traffic (doc : Lognic_dsl.Parser.document) rate packet =
       (`Msg
          "no traffic profile: add a 'traffic' line to the graph or pass --rate \
           and --packet")
+
+(* A graph carrying `class` lines runs its whole mix unless --rate or
+   --packet pins a single class. *)
+let resolve_mix (doc : Lognic_dsl.Parser.document) rate packet =
+  match (doc.mix, rate, packet) with
+  | Some mix, None, None -> Ok mix
+  | _ ->
+    let* traffic = resolve_traffic doc rate packet in
+    Ok [ (traffic, 1.) ]
 
 let hardware_of doc = Option.value doc.Lognic_dsl.Parser.hardware ~default:default_hardware
 
@@ -79,6 +90,42 @@ let jobs_arg =
 
 let apply_jobs jobs = Option.iter Lognic_numerics.Parallel.set_default_jobs jobs
 
+(* --duration and --seed, shared by every simulating subcommand, as the
+   base simulator config. *)
+let config_term ?(duration = 0.1) ?(seed = 1)
+    ?(duration_doc = "Simulated seconds.") ?(seed_doc = "Random seed.") () =
+  let duration_arg =
+    Arg.(value & opt float duration & info [ "duration" ] ~doc:duration_doc)
+  in
+  let seed_arg = Arg.(value & opt int seed & info [ "seed" ] ~doc:seed_doc) in
+  Term.(
+    const (fun duration seed ->
+        Lognic_sim.Netsim.Config.(
+          default |> with_horizon duration |> with_seed seed))
+    $ duration_arg $ seed_arg)
+
+let config_arg = config_term ()
+
+let json_arg =
+  let doc = "Also write the full report as versioned JSON to $(docv)." in
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
+
+(* The one JSON writer; with [what], it also says where it wrote. *)
+let write_json ?what path json =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Lognic_sim.Telemetry.Json.to_string json);
+      output_char oc '\n');
+  Option.iter (fun what -> Fmt.pr "%s written to %s@." what path) what
+
+(* The shared tail of the model-vs-sim subcommands: print the report,
+   then write its JSON to the --json path. *)
+let print_report ~what pp to_json json report =
+  Fmt.pr "%a@." pp report;
+  Option.iter
+    (fun path -> write_json ~what:(what ^ " report") path (to_json report))
+    json;
+  Ok ()
+
 (* Colon-spec flags all parse through the shared grammar engine, with
    the DSL's quantity parser plugged in for unit-suffixed fields. *)
 
@@ -98,7 +145,6 @@ let tail_arg =
 
 let estimate_cmd =
   let run graph_path rate packet queue_model tail =
-    let ( let* ) = Result.bind in
     let* doc = load_document graph_path in
     let* traffic = resolve_traffic doc rate packet in
     let report =
@@ -141,7 +187,6 @@ let sweep_cmd =
       value & opt (some quantity_conv) None & info [ "max-rate" ] ~docv:"RATE" ~doc)
   in
   let run graph_path packet queue_model points max_rate =
-    let ( let* ) = Result.bind in
     let* doc = load_document graph_path in
     let* traffic = resolve_traffic doc None packet in
     let hw = hardware_of doc in
@@ -180,31 +225,10 @@ let sweep_cmd =
 
 (* simulate *)
 
-let duration_arg =
-  let doc = "Simulated seconds." in
-  Arg.(value & opt float 0.1 & info [ "duration" ] ~doc)
-
-let seed_arg =
-  let doc = "Random seed." in
-  Arg.(value & opt int 1 & info [ "seed" ] ~doc)
-
 let simulate_cmd =
-  let run graph_path rate packet duration seed =
-    let ( let* ) = Result.bind in
+  let run graph_path rate packet config =
     let* doc = load_document graph_path in
-    let config =
-      Lognic_sim.Netsim.Config.(
-        default |> with_horizon duration |> with_seed seed)
-    in
-    (* a graph carrying `class` lines simulates the whole mix unless the
-       command line pins a single class *)
-    let* mix =
-      match (doc.mix, rate, packet) with
-      | Some mix, None, None -> Ok mix
-      | _ ->
-        let* traffic = resolve_traffic doc rate packet in
-        Ok [ (traffic, 1.) ]
-    in
+    let* mix = resolve_mix doc rate packet in
     let m = Lognic_sim.Netsim.run ~config doc.graph ~hw:(hardware_of doc) ~mix in
     let s = m.summary in
     Fmt.pr "throughput: %.3f Gbps (%d packets delivered, %d dropped)@."
@@ -224,7 +248,7 @@ let simulate_cmd =
   let term =
     Term.(
       term_result
-        (const run $ graph_arg $ rate_arg $ packet_arg $ duration_arg $ seed_arg))
+        (const run $ graph_arg $ rate_arg $ packet_arg $ config_arg))
   in
   Cmd.v
     (Cmd.info "simulate"
@@ -245,47 +269,29 @@ let check_cmd =
     let doc = "Multiply every fuzz property's iteration count by $(docv)." in
     Arg.(value & opt float 1.0 & info [ "scale" ] ~docv:"FACTOR" ~doc)
   in
-  let check_seed_arg =
-    let doc = "Random seed for the fuzz suite and graph replays." in
-    Arg.(value & opt int 42 & info [ "seed" ] ~doc)
+  let config_arg =
+    config_term ~duration:0.01 ~seed:42
+      ~duration_doc:"Simulated seconds per graph replay."
+      ~seed_doc:"Random seed for the fuzz suite and graph replays." ()
   in
-  let check_duration_arg =
-    let doc = "Simulated seconds per graph replay." in
-    Arg.(value & opt float 0.01 & info [ "duration" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Write the full check report as versioned JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
-  in
-  let check_graph ~seed ~duration path =
-    let ( let* ) = Result.bind in
+  let check_graph ~config path =
     let* doc = load_document path in
-    let* mix =
-      match doc.mix with
-      | Some mix -> Ok mix
-      | None ->
-        let* traffic = resolve_traffic doc None None in
-        Ok [ (traffic, 1.) ]
-    in
-    let config =
-      Lognic_sim.Netsim.Config.(
-        default |> with_horizon duration |> with_seed seed
-        |> with_invariants true)
-    in
+    let* mix = resolve_mix doc None None in
+    let config = Lognic_sim.Netsim.Config.with_invariants true config in
     let m = Lognic_sim.Netsim.run ~config doc.graph ~hw:(hardware_of doc) ~mix in
     match m.invariants with
     | None ->
       Error (`Msg "internal error: check_invariants was set but no report came back")
     | Some report -> Ok (path, report)
   in
-  let run graphs scale seed duration json_path =
-    let ( let* ) = Result.bind in
+  let run graphs scale (config : Lognic_sim.Netsim.config) json_path =
     let module Inv = Lognic_sim.Invariants in
+    let seed = config.seed in
     let* graph_reports =
       List.fold_left
         (fun acc path ->
           let* acc = acc in
-          let* r = check_graph ~seed ~duration path in
+          let* r = check_graph ~config path in
           Ok (r :: acc))
         (Ok []) graphs
     in
@@ -307,33 +313,29 @@ let check_cmd =
     in
     let props_ok = Lognic_check.Runner.all_passed outcomes in
     let passed = graphs_ok && props_ok in
-    (match json_path with
-    | None -> ()
-    | Some path ->
-      let module J = Lognic_sim.Telemetry.Json in
-      let json =
-        J.versioned ~kind:"check"
-          [
-            ("seed", J.Num (float_of_int seed));
-            ("scale", J.Num scale);
-            ( "graphs",
-              J.Arr
-                (List.map
-                   (fun (p, r) ->
-                     J.Obj
-                       [
-                         ("path", J.Str p);
-                         ("invariants", Inv.report_to_json r);
-                       ])
-                   graph_reports) );
-            ( "properties",
-              J.Arr (List.map Lognic_check.Runner.outcome_to_json outcomes) );
-            ("passed", J.Bool passed);
-          ]
-      in
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc (Lognic_sim.Telemetry.Json.to_string json);
-          output_char oc '\n'));
+    Option.iter
+      (fun path ->
+        let module J = Lognic_sim.Telemetry.Json in
+        write_json path
+          (J.versioned ~kind:"check"
+             [
+               ("seed", J.Num (float_of_int seed));
+               ("scale", J.Num scale);
+               ( "graphs",
+                 J.Arr
+                   (List.map
+                      (fun (p, r) ->
+                        J.Obj
+                          [
+                            ("path", J.Str p);
+                            ("invariants", Inv.report_to_json r);
+                          ])
+                      graph_reports) );
+               ( "properties",
+                 J.Arr (List.map Lognic_check.Runner.outcome_to_json outcomes) );
+               ("passed", J.Bool passed);
+             ]))
+      json_path;
     if passed then begin
       Fmt.pr "check: all %d properties and %d graph replays passed@."
         (List.length outcomes)
@@ -345,8 +347,7 @@ let check_cmd =
   let term =
     Term.(
       term_result
-        (const run $ graphs_arg $ scale_arg $ check_seed_arg
-       $ check_duration_arg $ json_arg))
+        (const run $ graphs_arg $ scale_arg $ config_arg $ json_arg))
   in
   Cmd.v
     (Cmd.info "check"
@@ -356,11 +357,6 @@ let check_cmd =
     term
 
 (* report *)
-
-let write_json path json =
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Lognic_sim.Telemetry.Json.to_string json);
-      output_char oc '\n')
 
 let report_cmd =
   let trace_arg =
@@ -387,32 +383,24 @@ let report_cmd =
     let doc = "Sampling interval in simulated seconds (default: duration/200)." in
     Arg.(value & opt (some float) None & info [ "sample-interval" ] ~docv:"SECONDS" ~doc)
   in
-  let run graph_path rate packet duration seed interval trace trace_events
-      reservoir csv =
-    let ( let* ) = Result.bind in
+  let run graph_path rate packet (config : Lognic_sim.Netsim.config) interval
+      trace trace_events reservoir csv =
     let* doc = load_document graph_path in
-    let dt =
-      match interval with Some dt -> dt | None -> duration /. 200.
-    in
     let* () =
       if reservoir < 1 then Error (`Msg "--reservoir must be >= 1") else Ok ()
     in
     let config =
       let open Lognic_sim.Netsim.Config in
-      let base =
-        default |> with_horizon duration |> with_seed seed |> with_sampling dt
+      let config =
+        with_sampling
+          (Option.value interval ~default:(config.duration /. 200.))
+          config
       in
       match trace_events with
-      | Some _ -> with_trace { Lognic_sim.Trace.reservoir } base
-      | None -> base
+      | Some _ -> with_trace { Lognic_sim.Trace.reservoir } config
+      | None -> config
     in
-    let* mix =
-      match (doc.mix, rate, packet) with
-      | Some mix, None, None -> Ok mix
-      | _ ->
-        let* traffic = resolve_traffic doc rate packet in
-        Ok [ (traffic, 1.) ]
-    in
+    let* mix = resolve_mix doc rate packet in
     let m = Lognic_sim.Netsim.run ~config doc.graph ~hw:(hardware_of doc) ~mix in
     let s = m.summary in
     let module Tel = Lognic_sim.Telemetry in
@@ -446,8 +434,7 @@ let report_cmd =
     end;
     Option.iter
       (fun path ->
-        write_json path (Lognic_sim.Netsim.measurement_to_json m);
-        Fmt.pr "trace written to %s@." path)
+        write_json ~what:"trace" path (Lognic_sim.Netsim.measurement_to_json m))
       trace;
     Option.iter
       (fun path ->
@@ -476,9 +463,8 @@ let report_cmd =
   let term =
     Term.(
       term_result
-        (const run $ graph_arg $ rate_arg $ packet_arg $ duration_arg
-       $ seed_arg $ interval_arg $ trace_arg $ trace_events_arg
-       $ reservoir_arg $ csv_arg))
+        (const run $ graph_arg $ rate_arg $ packet_arg $ config_arg
+       $ interval_arg $ trace_arg $ trace_events_arg $ reservoir_arg $ csv_arg))
   in
   Cmd.v
     (Cmd.info "report"
@@ -545,14 +531,10 @@ let watch_cmd =
     Arg.(
       value & opt (some string) None & info [ "profile-json" ] ~docv:"FILE" ~doc)
   in
-  let run graph_path rate packet duration seed interval stream openmetrics
-      slo_rules alerts_json profile profile_json =
-    let ( let* ) = Result.bind in
+  let run graph_path rate packet (config : Lognic_sim.Netsim.config) interval
+      stream openmetrics slo_rules alerts_json profile profile_json =
     let* doc = load_document graph_path in
-    let dt = match interval with Some dt -> dt | None -> duration /. 100. in
-    let* () =
-      if dt <= 0. then Error (`Msg "--interval must be > 0") else Ok ()
-    in
+    let dt = Option.value interval ~default:(config.duration /. 100.) in
     let* slo =
       List.fold_left
         (fun acc rule ->
@@ -563,13 +545,7 @@ let watch_cmd =
         (Ok []) slo_rules
       |> Result.map List.rev
     in
-    let* mix =
-      match (doc.mix, rate, packet) with
-      | Some mix, None, None -> Ok mix
-      | _ ->
-        let* traffic = resolve_traffic doc rate packet in
-        Ok [ (traffic, 1.) ]
-    in
+    let* mix = resolve_mix doc rate packet in
     let stream_oc = Option.map Out_channel.open_text stream in
     let tty = Unix.isatty Unix.stdout in
     let active = Hashtbl.create 8 in
@@ -633,10 +609,9 @@ let watch_cmd =
     in
     let profile = profile || profile_json <> None in
     let config =
-      Lognic_sim.Netsim.Config.(
-        default |> with_horizon duration |> with_seed seed
-        |> with_metrics
-             { M.interval = dt; slo; profile; on_snapshot = Some on_snapshot })
+      Lognic_sim.Netsim.Config.with_metrics
+        { M.interval = dt; slo; profile; on_snapshot = Some on_snapshot }
+        config
     in
     let m = Lognic_sim.Netsim.run ~config doc.graph ~hw:(hardware_of doc) ~mix in
     Option.iter Out_channel.close stream_oc;
@@ -674,9 +649,7 @@ let watch_cmd =
         Fmt.pr "openmetrics written to %s@." path)
       openmetrics;
     Option.iter
-      (fun path ->
-        write_json path (M.alerts_to_json mm);
-        Fmt.pr "alerts written to %s@." path)
+      (fun path -> write_json ~what:"alerts" path (M.alerts_to_json mm))
       alerts_json;
     (match stream with
     | Some path -> Fmt.pr "metrics stream written to %s@." path
@@ -686,11 +659,7 @@ let watch_cmd =
       Fmt.pr "%a@." Lognic_sim.Profile.pp p;
       Option.iter
         (fun path ->
-          match M.profile_to_json mm with
-          | Some j ->
-            write_json path j;
-            Fmt.pr "profile written to %s@." path
-          | None -> ())
+          Option.iter (write_json ~what:"profile" path) (M.profile_to_json mm))
         profile_json
     | None -> ());
     Ok ()
@@ -698,8 +667,8 @@ let watch_cmd =
   let term =
     Term.(
       term_result
-        (const run $ graph_arg $ rate_arg $ packet_arg $ duration_arg
-       $ seed_arg $ interval_arg $ stream_arg $ openmetrics_arg $ slo_arg
+        (const run $ graph_arg $ rate_arg $ packet_arg $ config_arg
+       $ interval_arg $ stream_arg $ openmetrics_arg $ slo_arg
        $ alerts_json_arg $ profile_arg $ profile_json_arg))
   in
   Cmd.v
@@ -715,51 +684,19 @@ let watch_cmd =
 (* explain *)
 
 let explain_cmd =
-  let json_arg =
-    let doc = "Also write the full explain report as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
-  in
-  let run graph_path rate packet queue_model duration seed json =
-    let ( let* ) = Result.bind in
+  let run graph_path rate packet queue_model config json =
     let* doc = load_document graph_path in
-    let config =
-      Lognic_sim.Netsim.Config.(
-        default |> with_horizon duration |> with_seed seed)
-    in
-    (* a graph carrying `class` lines explains the whole mix (per-class
-       residual rows) unless the command line pins a single class *)
-    (match (doc.mix, rate, packet) with
-    | Some mix, None, None ->
-      let report =
-        Lognic_sim.Explain.run_mix ~config ~queue_model doc.graph
-          ~hw:(hardware_of doc) ~mix
-      in
-      Fmt.pr "%a@." Lognic_sim.Explain.pp_mix report;
-      Option.iter
-        (fun path ->
-          write_json path (Lognic_sim.Explain.mix_to_json report);
-          Fmt.pr "explain report written to %s@." path)
-        json;
-      Ok ()
-    | _ ->
-      let* traffic = resolve_traffic doc rate packet in
-      let report =
-        Lognic_sim.Explain.run ~config ~queue_model doc.graph
-          ~hw:(hardware_of doc) ~traffic
-      in
-      Fmt.pr "%a@." Lognic_sim.Explain.pp report;
-      Option.iter
-        (fun path ->
-          write_json path (Lognic_sim.Explain.to_json report);
-          Fmt.pr "explain report written to %s@." path)
-        json;
-      Ok ())
+    let* mix = resolve_mix doc rate packet in
+    Lognic_sim.Explain.run ~config ~queue_model doc.graph ~hw:(hardware_of doc)
+      ~mix
+    |> print_report ~what:"explain" Lognic_sim.Explain.pp
+         Lognic_sim.Explain.to_json json
   in
   let term =
     Term.(
       term_result
         (const run $ graph_arg $ rate_arg $ packet_arg $ queue_model_arg
-       $ duration_arg $ seed_arg $ json_arg))
+       $ config_arg $ json_arg))
   in
   Cmd.v
     (Cmd.info "explain"
@@ -800,14 +737,8 @@ let tenants_cmd =
     in
     Arg.(value & opt (some int) None & info [ "tenants" ] ~docv:"N" ~doc)
   in
-  let json_arg =
-    let doc = "Also write the full tenant report as JSON (schema \
-               \"tenants\") to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
-  in
-  let run graph_path rate packet queue_model duration seed tenant_specs
-      population json =
-    let ( let* ) = Result.bind in
+  let run graph_path rate packet queue_model config tenant_specs population
+      json =
     let module T = Lognic_sim.Tenant in
     let* doc = load_document graph_path in
     let* traffic = resolve_traffic doc rate packet in
@@ -832,27 +763,16 @@ let tenants_cmd =
                     (Spec.get_str v 0))
                 parsed))
     in
-    let config =
-      Lognic_sim.Netsim.Config.(
-        default |> with_horizon duration |> with_seed seed)
-    in
-    let report =
-      Lognic_sim.Explain.run_tenants ~config ~queue_model doc.graph
-        ~hw:(hardware_of doc) ~traffic ~tenants
-    in
-    Fmt.pr "%a@." Lognic_sim.Explain.pp_tenants report;
-    Option.iter
-      (fun path ->
-        write_json path (Lognic_sim.Explain.tenants_to_json report);
-        Fmt.pr "tenants report written to %s@." path)
-      json;
-    Ok ()
+    Lognic_sim.Explain.run_tenants ~config ~queue_model doc.graph
+      ~hw:(hardware_of doc) ~traffic ~tenants
+    |> print_report ~what:"tenants" Lognic_sim.Explain.pp_tenants
+         Lognic_sim.Explain.tenants_to_json json
   in
   let term =
     Term.(
       term_result
         (const run $ graph_arg $ rate_arg $ packet_arg $ queue_model_arg
-       $ duration_arg $ seed_arg $ tenant_arg $ population_arg $ json_arg))
+       $ config_arg $ tenant_arg $ population_arg $ json_arg))
   in
   Cmd.v
     (Cmd.info "tenants"
@@ -900,15 +820,7 @@ let flowcache_cmd =
     let doc = "Offered load as a fraction of the 25 GbE line rate." in
     Arg.(value & opt float 0.5 & info [ "load" ] ~docv:"FRACTION" ~doc)
   in
-  let json_arg =
-    let doc =
-      "Also write the full flow-cache report as JSON (schema \"flowcache\") \
-       to $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
-  in
-  let run flows zipf emc megaflow ttl load packet queue_model duration seed
-      json =
+  let run flows zipf emc megaflow ttl load packet queue_model config json =
     let module App = Lognic_apps.Flow_cache in
     let module FC = Lognic.Flowcache in
     let cfg =
@@ -921,28 +833,16 @@ let flowcache_cmd =
         ~megaflow_entries:(int_of_float megaflow) ~flows:(int_of_float flows)
         ()
     in
-    let config =
-      Lognic_sim.Netsim.Config.(
-        default |> with_horizon duration |> with_seed seed)
-    in
-    let report =
-      Lognic_sim.Explain.run_flowcache ~config ~queue_model spec
-        (App.graph cfg) ~hw:App.hardware ~traffic:(App.traffic ~load cfg)
-    in
-    Fmt.pr "%a@." Lognic_sim.Explain.pp_flowcache report;
-    Option.iter
-      (fun path ->
-        write_json path (Lognic_sim.Explain.flowcache_to_json report);
-        Fmt.pr "flowcache report written to %s@." path)
-      json;
-    Ok ()
+    Lognic_sim.Explain.run_flowcache ~config ~queue_model spec (App.graph cfg)
+      ~hw:App.hardware ~traffic:(App.traffic ~load cfg)
+    |> print_report ~what:"flowcache" Lognic_sim.Explain.pp_flowcache
+         Lognic_sim.Explain.flowcache_to_json json
   in
   let term =
     Term.(
       term_result
         (const run $ flows_arg $ zipf_arg $ emc_arg $ megaflow_arg $ ttl_arg
-       $ load_arg $ packet_arg $ queue_model_arg $ duration_arg $ seed_arg
-       $ json_arg))
+       $ load_arg $ packet_arg $ queue_model_arg $ config_arg $ json_arg))
   in
   Cmd.v
     (Cmd.info "flowcache"
@@ -988,10 +888,6 @@ let contention_cmd =
       & opt_all string []
       & info [ "interference" ] ~docv:"VICTIM:AGGRESSOR:M" ~doc)
   in
-  let json_arg =
-    let doc = "Also write the full contention report as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
-  in
   let resource_grammar =
     Spec.(grammar ~flag:"resource"
             [ field "NAME" Str; field "CAPACITY" Quantity ])
@@ -1004,17 +900,10 @@ let contention_cmd =
     Spec.(grammar ~flag:"interference"
             [ field "VICTIM" Int; field "AGGRESSOR" Int; field "M" Quantity ])
   in
-  let run graph_path rate packet queue_model duration seed resources demands
+  let run graph_path rate packet queue_model config resources demands
       interferences json =
-    let ( let* ) = Result.bind in
     let* doc = load_document graph_path in
-    let* mix =
-      match (doc.mix, rate, packet) with
-      | Some mix, None, None -> Ok mix
-      | _ ->
-        let* traffic = resolve_traffic doc rate packet in
-        Ok [ (traffic, 1.) ]
-    in
+    let* mix = resolve_mix doc rate packet in
     let n = List.length mix in
     let* resources =
       parse_specs resource_grammar resources
@@ -1076,28 +965,16 @@ let contention_cmd =
         Some
           (Lognic.Extensions.contention ~demands:demand_vectors ~interference)
     in
-    let config =
-      Lognic_sim.Netsim.Config.(
-        default |> with_horizon duration |> with_seed seed)
-    in
-    let report =
-      Lognic_sim.Contention.run ~config ~queue_model ?contention doc.graph ~hw
-        ~mix
-    in
-    Fmt.pr "%a@." Lognic_sim.Contention.pp report;
-    Option.iter
-      (fun path ->
-        write_json path (Lognic_sim.Contention.to_json report);
-        Fmt.pr "contention report written to %s@." path)
-      json;
-    Ok ()
+    Lognic_sim.Contention.run ~config ~queue_model ?contention doc.graph ~hw
+      ~mix
+    |> print_report ~what:"contention" Lognic_sim.Contention.pp
+         Lognic_sim.Contention.to_json json
   in
   let term =
     Term.(
       term_result
         (const run $ graph_arg $ rate_arg $ packet_arg $ queue_model_arg
-       $ duration_arg $ seed_arg $ resource_arg $ demand_arg
-       $ interference_arg $ json_arg))
+       $ config_arg $ resource_arg $ demand_arg $ interference_arg $ json_arg))
   in
   Cmd.v
     (Cmd.info "contention"
@@ -1157,15 +1034,10 @@ let faults_cmd =
     in
     Arg.(value & opt int 1 & info [ "runs" ] ~docv:"N" ~doc)
   in
-  let json_arg =
-    let doc = "Also write the full faults report as JSON to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
-  in
   (* The fault constructors validate their arguments (ordering, ranges)
      with Invalid_argument; surface those through the same quoted-source
      error shape as the field-level parse. *)
   let parse_faults grammar specs mk =
-    let ( let* ) = Result.bind in
     let* parsed = parse_specs grammar specs in
     List.fold_left
       (fun acc (src, v) ->
@@ -1203,9 +1075,8 @@ let faults_cmd =
     Spec.(grammar ~flag:"drop-burst"
             [ field "P" Float; field "START" Float; field "STOP" Float ])
   in
-  let run graph_path rate packet queue_model duration seed engine_downs
-      degrades queue_shrinks drop_bursts runs jobs json =
-    let ( let* ) = Result.bind in
+  let run graph_path rate packet queue_model config engine_downs degrades
+      queue_shrinks drop_bursts runs jobs json =
     apply_jobs jobs;
     let* doc = load_document graph_path in
     let* traffic = resolve_traffic doc rate packet in
@@ -1235,28 +1106,17 @@ let faults_cmd =
     let* () =
       if runs < 1 then Error (`Msg "--runs must be >= 1") else Ok ()
     in
-    let config =
-      Lognic_sim.Netsim.Config.(
-        default |> with_horizon duration |> with_seed seed)
-    in
-    let report =
-      Lognic_sim.Resilience.run ~config ~queue_model ~runs ?jobs doc.graph
-        ~hw:(hardware_of doc) ~traffic ~plan
-    in
-    Fmt.pr "%a@." Lognic_sim.Resilience.pp report;
-    Option.iter
-      (fun path ->
-        write_json path (Lognic_sim.Resilience.to_json report);
-        Fmt.pr "faults report written to %s@." path)
-      json;
-    Ok ()
+    Lognic_sim.Resilience.run ~config ~queue_model ~runs ?jobs doc.graph
+      ~hw:(hardware_of doc) ~traffic ~plan
+    |> print_report ~what:"faults" Lognic_sim.Resilience.pp
+         Lognic_sim.Resilience.to_json json
   in
   let term =
     Term.(
       term_result
         (const run $ graph_arg $ rate_arg $ packet_arg $ queue_model_arg
-       $ duration_arg $ seed_arg $ engine_down_arg $ degrade_arg
-       $ queue_shrink_arg $ drop_burst_arg $ runs_arg $ jobs_arg $ json_arg))
+       $ config_arg $ engine_down_arg $ degrade_arg $ queue_shrink_arg
+       $ drop_burst_arg $ runs_arg $ jobs_arg $ json_arg))
   in
   Cmd.v
     (Cmd.info "faults"
@@ -1276,7 +1136,6 @@ let validate_cmd =
     Arg.(value & flag & info [ "dot" ] ~doc)
   in
   let run graph_path dot =
-    let ( let* ) = Result.bind in
     let* doc = load_document graph_path in
     (match Lognic.Graph.validate doc.graph with
     | Ok () -> Fmt.epr "valid@."
@@ -1319,7 +1178,6 @@ let search_log_arg =
 let optimize_cmd =
   let run graph_path rate packet splits queues objective jobs search_log =
     apply_jobs jobs;
-    let ( let* ) = Result.bind in
     let* doc = load_document graph_path in
     let* traffic = resolve_traffic doc rate packet in
     let resolve name =
@@ -1378,8 +1236,7 @@ let optimize_cmd =
       solution.stats.Lognic.Optimizer.memo_hits;
     (match (search_log, log) with
     | Some path, Some l ->
-      write_json path (Lognic_sim.Search_log.to_json l);
-      Fmt.pr "search log written to %s@." path
+      write_json ~what:"search log" path (Lognic_sim.Search_log.to_json l)
     | _ -> ());
     Ok ()
   in
@@ -1398,7 +1255,6 @@ let optimize_cmd =
 
 let roofline_cmd =
   let run graph_path rate packet =
-    let ( let* ) = Result.bind in
     let* doc = load_document graph_path in
     let* traffic = resolve_traffic doc rate packet in
     let g = doc.graph in
@@ -1431,7 +1287,6 @@ let roofline_cmd =
 let sensitivity_cmd =
   let run graph_path rate packet queue_model jobs =
     apply_jobs jobs;
-    let ( let* ) = Result.bind in
     let* doc = load_document graph_path in
     let* traffic = resolve_traffic doc rate packet in
     let g = doc.graph in

@@ -113,7 +113,7 @@ let run_vfs title ~noisy =
         | Some false -> "  [SLO MISS]"
         | None -> ""))
     report.Sim.Explain.tr_rows;
-  let f = report.Sim.Explain.tr_fairness in
+  let f = report.Sim.Explain.tr_stats.T.t_fairness in
   Fmt.pr
     "  fairness: max-min %.3f, Jain %.3f, interference (worst/best \
      latency) %.2f@."

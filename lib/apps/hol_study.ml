@@ -47,11 +47,11 @@ let run organization ?(seed = 17) ?(duration = 2.) config =
         ~queue_capacity:(2 * config.entries)
         ~service_dist:S.Ip_node.Exponential
     | Wrr ->
-      S.Ip_node.create_multiqueue engine ~rng:(N.Rng.split rng) ~label:"ip"
+      S.Ip_node.create_hierarchical engine ~rng:(N.Rng.split rng) ~label:"ip"
         ~engines:config.engines
         ~rate_per_engine:(config.rate /. float_of_int config.engines)
-        ~entries_per_queue:config.entries
-        ~weights:[| config.mice_weight; 1 |]
+        ~entries_per_queue:config.entries ~group_weights:[| 1 |]
+        ~class_weights:[| [| config.mice_weight; 1 |] |]
         ~service_dist:S.Ip_node.Exponential
   in
   let mice = N.Stats.Online.create () and elephants = N.Stats.Online.create () in

@@ -44,6 +44,14 @@ let md5_graph () =
 
 let md5_traffic = T.make ~rate:D.Liquidio.line_rate ~packet_size:U.mtu
 
+let nvme_graph () = D.Stingray.nvme_of_graph ~io:D.Ssd.rrd_4k ()
+
+let nvme_mix =
+  [
+    (T.make ~rate:1.2e9 ~packet_size:(4. *. U.kib), 0.7);
+    (T.make ~rate:3e8 ~packet_size:512., 0.3);
+  ]
+
 let md5_faults_plan =
   [
     Sim.Faults.engine_down ~vertex:"ip2.MD5" ~engines:1 ~start:5e-4 ~stop:1e-3;
@@ -75,13 +83,7 @@ let measurement_runs () =
     ( "nvme-mix",
       Sim.Netsim.Run.make
         ~config:(config ~seed:11 ())
-        (D.Stingray.nvme_of_graph ~io:D.Ssd.rrd_4k ())
-        ~hw:D.Stingray.hardware
-        ~mix:
-          [
-            (T.make ~rate:1.2e9 ~packet_size:(4. *. U.kib), 0.7);
-            (T.make ~rate:3e8 ~packet_size:512., 0.3);
-          ] );
+        (nvme_graph ()) ~hw:D.Stingray.hardware ~mix:nvme_mix );
     ( "md5-faults",
       Sim.Netsim.Run.single ~config:(config ~seed:9 ()) ~faults:md5_faults_plan
         (md5_graph ()) ~hw:D.Liquidio.hardware ~traffic:md5_traffic );
@@ -217,6 +219,17 @@ let contended_two_class () =
   in
   Sim.Telemetry.Json.to_string (Sim.Contention.to_json report)
 
+(* Pinned explain joins, captured as the versioned [kind:"explain"]
+   report JSON: the md5-poisson-exp run as a one-class mix (no
+   [classes] array) and the nvme-mix run's two classes (per-class
+   rows). The fixtures were written by the separate single-traffic and
+   mix entry points that [Explain.run] replaced, so the one-class
+   fixture holds that the one-class mix reproduces the single-traffic
+   report byte for byte. *)
+let explain ~config g ~hw ~mix () =
+  Sim.Telemetry.Json.to_string
+    (Sim.Explain.to_json (Sim.Explain.run ~config g ~hw ~mix))
+
 let table () =
   List.map
     (fun (name, run) -> (name, name, ".json", fun () -> measurement_string run))
@@ -225,6 +238,16 @@ let table () =
       ("contended-two-class", "contended-two-class", ".json", contended_two_class);
       ("tenants-md5-16vf", "tenants-md5-16vf", ".json", tenants_md5_16vf);
       ("flowcache-zipf", "flowcache-zipf", ".json", flowcache_zipf);
+      ( "explain-md5",
+        "explain-md5",
+        ".json",
+        explain ~config:(config ()) (md5_graph ()) ~hw:D.Liquidio.hardware
+          ~mix:[ (md5_traffic, 1.) ] );
+      ( "explain-nvme-mix",
+        "explain-nvme-mix",
+        ".json",
+        explain ~config:(config ~seed:11 ()) (nvme_graph ())
+          ~hw:D.Stingray.hardware ~mix:nvme_mix );
       ("metrics-stream", "metrics-stream", ".ndjson", metrics_stream);
       ( "md5-faults-all-layers",
         "md5-faults",

@@ -5,17 +5,19 @@ type hardware = {
 }
 
 let hardware ~bw_interface ~bw_memory =
-  if bw_interface <= 0. || bw_memory <= 0. then
-    invalid_arg "Params.hardware: bandwidths must be > 0";
+  let valid bw = bw > 0. && Float.is_finite bw in
+  if not (valid bw_interface && valid bw_memory) then
+    invalid_arg "Params.hardware: bandwidths must be finite and > 0";
   { bw_interface; bw_memory; resources = [] }
 
 let with_resources hw resources =
   List.iter
     (fun (name, capacity) ->
       if name = "" then invalid_arg "Params.with_resources: empty resource name";
-      if capacity <= 0. then
+      if not (capacity > 0. && Float.is_finite capacity) then
         invalid_arg
-          ("Params.with_resources: resource " ^ name ^ " capacity must be > 0"))
+          ("Params.with_resources: resource " ^ name
+         ^ " capacity must be finite and > 0"))
     resources;
   let rec dup = function
     | [] -> ()

@@ -21,13 +21,14 @@ type hardware = {
 }
 
 val hardware : bw_interface:float -> bw_memory:float -> hardware
-(** Raises [Invalid_argument] on non-positive bandwidths. [resources]
-    starts empty; attach capacities with {!with_resources}. *)
+(** Raises [Invalid_argument] on a bandwidth that is not finite and
+    positive. [resources] starts empty; attach capacities with
+    {!with_resources}. *)
 
 val with_resources : hardware -> (string * float) list -> hardware
 (** Replaces the named shared-resource capacities. Raises
-    [Invalid_argument] on an empty name, a non-positive capacity, or a
-    duplicate name. *)
+    [Invalid_argument] on an empty name, a capacity that is not finite
+    and positive, or a duplicate name. *)
 
 val resource_capacity : hardware -> string -> float option
 

@@ -58,7 +58,8 @@ let parse text =
       | None -> (text, 1.)
     in
     match float_of_string_opt (String.trim number_part) with
-    | Some v -> Ok (v *. multiplier)
+    | Some v when Float.is_finite (v *. multiplier) -> Ok (v *. multiplier)
+    | Some _ -> Error (Printf.sprintf "quantity %S is not finite" text)
     | None -> Error (Printf.sprintf "cannot parse quantity %S" text)
   end
 

@@ -6,7 +6,10 @@
     - sizes: [B], [KB] (1000), [KiB] (1024), [MB], [MiB] — bytes;
     - times: [ns], [us], [ms], [s] — seconds;
     - rates: [ops], [Kops], [Mops] — operations/s;
-    - bare numbers pass through unchanged (SI base units). *)
+    - bare numbers pass through unchanged (SI base units).
+
+    A value that is not finite — [nan], [inf], or one that overflows
+    like [1e400] — is an error. *)
 
 val parse : string -> (float, string) result
 (** [parse "25Gbps"] = [Ok 3.125e9]. *)

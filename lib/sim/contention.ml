@@ -14,16 +14,16 @@ type interference_edge = {
 }
 
 type report = {
-  base : Explain.mix_report;
+  base : Explain.report;
   per_class : class_info list;
   ranked : interference_edge list;
 }
 
 let run ?config ?queue_model ?contention g ~hw ~mix =
-  let base = Explain.run_mix ?config ?queue_model ?contention g ~hw ~mix in
+  let base = Explain.run ?config ?queue_model ?contention g ~hw ~mix in
   let n = List.length base.Explain.class_rows in
   let contended =
-    match base.Explain.mix_model.Lognic.Extensions.contention with
+    match base.Explain.model.Lognic.Extensions.contention with
     | Some cs -> cs
     | None ->
       List.init n (fun _ ->
@@ -104,25 +104,8 @@ let to_json t =
           ])
     | other -> other
   in
-  J.versioned ~kind:"contention"
+  Explain.head_json ~kind:"contention" b
     [
-      ( "model",
-        J.Obj
-          [
-            ("throughput", J.Num b.Explain.mix_model_throughput);
-            ("latency", J.Num b.Explain.mix_model_latency);
-            ("bottleneck", J.Str b.Explain.mix_model_bottleneck);
-          ] );
-      ( "sim",
-        J.Obj
-          [
-            ("throughput", J.Num b.Explain.mix_sim_throughput);
-            ("latency", J.Num b.Explain.mix_sim_latency);
-            ("bottleneck", J.Str b.Explain.mix_sim_bottleneck);
-          ] );
-      ("agree", J.Bool b.Explain.mix_agree);
-      ("throughput_error", J.Num b.Explain.mix_throughput_error);
-      ("latency_error", J.Num b.Explain.mix_latency_error);
       ( "classes",
         J.Arr
           (List.mapi
@@ -141,12 +124,12 @@ let to_json t =
              t.ranked) );
       ( "entities",
         J.Arr
-          (List.mapi (fun i r -> Explain.row_to_json (i + 1) r) b.Explain.mix_rows)
+          (List.mapi (fun i r -> Explain.row_to_json (i + 1) r) b.Explain.rows)
       );
     ]
 
 let pp ppf t =
-  Explain.pp_mix ppf t.base;
+  Explain.pp ppf t.base;
   Format.fprintf ppf "  %-5s %9s %11s@\n" "class" "slowdown" "model-p99";
   List.iteri
     (fun i info ->

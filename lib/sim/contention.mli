@@ -1,19 +1,20 @@
 (** The multi-resource contention report behind [lognic contention].
 
     Runs the joint multi-class model with the interference layer
-    ({!Lognic.Extensions.mixed_traffic} via {!Explain.run_mix}) against
-    one multi-class simulation, and reports:
+    ({!Lognic.Extensions.mixed_traffic} via {!Explain.run}) against one
+    multi-class simulation. The report is explain's ({!Explain.report}:
+    the aggregate join, both bottlenecks, per-entity residual rows
+    ranked by simulated utilization) plus:
 
-    - per-class model-vs-sim residuals (throughput and latency), each
-      class's contention slowdown, its per-resource pressure and byte
-      ceilings, and its model p99 on the union queues;
-    - per-entity residual rows ranked by simulated utilization (the
-      same join as [lognic explain]);
+    - per class: the model-vs-sim residuals (throughput and latency),
+      the contention slowdown, the per-resource pressure and byte
+      ceilings, and the model p99 on the union queues;
     - a ranked interference report: victim←aggressor pairs ordered by
       their slowdown contribution M_ij · pressure_j.
 
-    The JSON is versioned ([schema = "contention"]) like the [explain]
-    and [faults] reports. *)
+    The JSON ([schema = "contention"]) opens with explain's head
+    ({!Explain.head_json}) and always carries the per-class rows, even
+    for a one-class mix. *)
 
 type class_info = {
   slowdown : float;  (** ≥ 1; 1 without a contention spec *)
@@ -32,7 +33,7 @@ type interference_edge = {
 }
 
 type report = {
-  base : Explain.mix_report;  (** the model-vs-sim join *)
+  base : Explain.report;  (** the model-vs-sim join *)
   per_class : class_info list;  (** mix order, same length as classes *)
   ranked : interference_edge list;  (** highest contribution first *)
 }
@@ -50,11 +51,11 @@ val run :
     — and runs the {e identical} simulation a plain {!Netsim.run} with
     the same config would (held by the [extensions-optimizer] test
     "contention: off is byte-identical to a plain run"). Raises
-    [Invalid_argument] like {!Explain.run_mix}, plus the contention
+    [Invalid_argument] like {!Explain.run}, plus the contention
     validation of {!Lognic.Extensions.mixed_traffic}. *)
 
 val to_json : report -> Telemetry.Json.t
-(** Versioned [kind:"contention"]: aggregate model/sim blocks, the
+(** Versioned [kind:"contention"]: explain's head, the
     per-class rows (explain fields + slowdown/pressure/resource_caps/
     model_p99), the ranked [interference] array, and the [entities]
     ranking. *)

@@ -13,19 +13,36 @@ type entity_row = {
   drops : int;
 }
 
-type report = {
-  model : Lognic.Estimate.report;
-  measurement : Netsim.measurement;
-  rows : entity_row list;
-  model_bottleneck : string;
-  sim_bottleneck : string;
-  agree : bool;
+type join = {
   model_throughput : float;
   sim_throughput : float;
   throughput_error : float;
   model_latency : float;
   sim_latency : float;
   latency_error : float;
+}
+
+type class_row = {
+  c_traffic : Lognic.Traffic.t;
+  c_weight : float;
+  c_model_throughput : float;
+  c_sim_throughput : float;
+  c_throughput_error : float;
+  c_model_latency : float;
+  c_sim_latency : float option;
+  c_latency_error : float option;
+  c_model_bottleneck : string;
+}
+
+type report = {
+  model : Lognic.Extensions.mixed_report;
+  measurement : Netsim.measurement;
+  join : join;
+  class_rows : class_row list;
+  rows : entity_row list;
+  model_bottleneck : string;
+  sim_bottleneck : string;
+  agree : bool;
 }
 
 let bound_name g = function
@@ -39,6 +56,35 @@ let bound_name g = function
 let relative_error ~model ~sim =
   let scale = Float.max (Float.abs sim) (Float.abs model) in
   if scale <= 0. then 0. else Float.abs (model -. sim) /. scale
+
+let join ~throughput ~latency (m : Netsim.measurement) =
+  let sim_throughput = m.Netsim.summary.Telemetry.throughput in
+  let sim_latency = m.Netsim.summary.Telemetry.mean_latency in
+  {
+    model_throughput = throughput;
+    sim_throughput;
+    throughput_error = relative_error ~model:throughput ~sim:sim_throughput;
+    model_latency = latency;
+    sim_latency;
+    latency_error = relative_error ~model:latency ~sim:sim_latency;
+  }
+
+let pp_join ppf j =
+  let pct x = 100. *. x in
+  Format.fprintf ppf
+    "  throughput  model %.4g B/s   sim %.4g B/s   error %.1f%%@\n"
+    j.model_throughput j.sim_throughput (pct j.throughput_error);
+  Format.fprintf ppf
+    "  latency     model %.4g s     sim %.4g s     error %.1f%%@\n"
+    j.model_latency j.sim_latency (pct j.latency_error)
+
+let join_json j =
+  ( [ ("throughput", J.Num j.model_throughput); ("latency", J.Num j.model_latency) ],
+    [ ("throughput", J.Num j.sim_throughput); ("latency", J.Num j.sim_latency) ],
+    [
+      ("throughput_error", J.Num j.throughput_error);
+      ("latency_error", J.Num j.latency_error);
+    ] )
 
 (* Mean of a sampled series' values; [None] when nothing was sampled. *)
 let series_mean series label =
@@ -59,12 +105,12 @@ let with_default_sampling config =
   | None ->
     Netsim.Config.with_sampling (config.duration /. 256.) config
 
-(* The per-entity join shared by [run] and [run_mix]: one row per
-   simulated vertex among the caps' vertices, then the interface, the
-   memory and each simulated dedicated link, ranked by simulated
-   utilization (the top row is the sim bottleneck). Model utilization
-   is [attained] over each cap; [vertex_model] supplies a vertex's
-   model queueing delay, queue depth and drop probability. *)
+(* The per-entity join: one row per simulated vertex among the caps'
+   vertices, then the interface, the memory and each simulated
+   dedicated link, ranked by simulated utilization (the top row is the
+   sim bottleneck). Model utilization is [attained] over each cap;
+   [vertex_model] supplies a vertex's model queueing delay, queue depth
+   and drop probability. *)
 let entity_join g (m : Netsim.measurement) (caps : Lognic.Throughput.result)
     ~attained ~vertex_model =
   let medium_row label =
@@ -136,155 +182,10 @@ let entity_join g (m : Netsim.measurement) (caps : Lognic.Throughput.result)
   in
   (rows, match rows with [] -> "none" | top :: _ -> top.name)
 
-let run ?config ?queue_model g ~hw ~traffic =
-  let model = Lognic.Estimate.run ?queue_model g ~hw ~traffic in
-  let config = with_default_sampling config in
-  let measurement = Netsim.run_single ~config g ~hw ~traffic in
-  let tp = model.Lognic.Estimate.throughput in
-  let lat = model.Lognic.Estimate.latency in
-  let attained = tp.Lognic.Throughput.attained in
-  let vertex_model vid =
-    let terms =
-      List.find_opt
-        (fun (t : Lognic.Latency.vertex_terms) -> t.vid = vid)
-        lat.Lognic.Latency.per_vertex
-    in
-    let term f = Option.map f terms in
-    ( term (fun t -> t.queueing),
-      (* Little's law on the vertex's virtual shared queue: expected
-         packets in system = packet arrival rate × (Q + C/A). *)
-      term (fun t ->
-          let pkt_rate =
-            traffic.Lognic.Traffic.rate
-            *. Lognic.Throughput.vertex_inflow g vid
-            /. traffic.Lognic.Traffic.packet_size
-          in
-          pkt_rate *. (t.queueing +. t.service)),
-      term (fun t -> t.drop_probability) )
-  in
-  let rows, sim_bottleneck =
-    entity_join g measurement tp ~attained ~vertex_model
-  in
-  let model_bottleneck = bound_name g tp.Lognic.Throughput.bottleneck in
-  let sim_throughput = measurement.Netsim.summary.Telemetry.throughput in
-  let sim_latency = measurement.Netsim.summary.Telemetry.mean_latency in
-  let model_latency = lat.Lognic.Latency.mean in
-  {
-    model;
-    measurement;
-    rows;
-    model_bottleneck;
-    sim_bottleneck;
-    agree = String.equal model_bottleneck sim_bottleneck;
-    model_throughput = attained;
-    sim_throughput;
-    throughput_error = relative_error ~model:attained ~sim:sim_throughput;
-    model_latency;
-    sim_latency;
-    latency_error = relative_error ~model:model_latency ~sim:sim_latency;
-  }
-
-let opt_float = function None -> J.Null | Some x -> J.Num x
-
-let row_to_json rank r =
-  J.Obj
-    [
-      ("rank", J.Num (float_of_int rank));
-      ("entity", J.Str r.name);
-      ("model_utilization", J.Num r.model_utilization);
-      ("sim_utilization", J.Num r.sim_utilization);
-      ("residual", J.Num r.residual);
-      ("model_queueing_s", opt_float r.model_queueing);
-      ("model_queue_depth", opt_float r.model_queue_depth);
-      ("sim_queue_depth", opt_float r.sim_queue_depth);
-      ("model_drop_probability", opt_float r.model_drop_probability);
-      ("drops", J.Num (float_of_int r.drops));
-    ]
-
-let to_json t =
-  J.versioned ~kind:"explain"
-    [
-      ( "model",
-        J.Obj
-          [
-            ("throughput", J.Num t.model_throughput);
-            ("latency", J.Num t.model_latency);
-            ("bottleneck", J.Str t.model_bottleneck);
-          ] );
-      ( "sim",
-        J.Obj
-          [
-            ("throughput", J.Num t.sim_throughput);
-            ("latency", J.Num t.sim_latency);
-            ("bottleneck", J.Str t.sim_bottleneck);
-          ] );
-      ("agree", J.Bool t.agree);
-      ("throughput_error", J.Num t.throughput_error);
-      ("latency_error", J.Num t.latency_error);
-      ("entities", J.Arr (List.mapi (fun i r -> row_to_json (i + 1) r) t.rows));
-    ]
-
-(* The ranked entity table both [pp] and [pp_mix] end with. *)
-let pp_rows ppf rows =
-  Format.fprintf ppf
-    "  %-4s %-16s %9s %9s %9s %11s %9s %6s@\n" "rank" "entity" "model-u"
-    "sim-u" "residual" "modelQ(pkt)" "simQ" "drops";
-  List.iteri
-    (fun i r ->
-      let opt = function None -> "-" | Some x -> Printf.sprintf "%.3g" x in
-      Format.fprintf ppf "  %-4d %-16s %9.3f %9.3f %+9.3f %11s %9s %6d@\n"
-        (i + 1) r.name r.model_utilization r.sim_utilization r.residual
-        (opt r.model_queue_depth) (opt r.sim_queue_depth) r.drops)
-    rows
-
-let pp ppf t =
-  let pct x = 100. *. x in
-  Format.fprintf ppf "explain: model vs simulation@\n";
-  Format.fprintf ppf
-    "  throughput  model %.4g B/s   sim %.4g B/s   error %.1f%%@\n"
-    t.model_throughput t.sim_throughput (pct t.throughput_error);
-  Format.fprintf ppf
-    "  latency     model %.4g s     sim %.4g s     error %.1f%%@\n"
-    t.model_latency t.sim_latency (pct t.latency_error);
-  Format.fprintf ppf "  bottleneck  model=%s  sim=%s  (%s)@\n"
-    t.model_bottleneck t.sim_bottleneck
-    (if t.agree then "agree" else "disagree");
-  pp_rows ppf t.rows
-
-(* ---- traffic mixes -------------------------------------------------- *)
-
-type class_row = {
-  c_traffic : Lognic.Traffic.t;
-  c_weight : float;
-  c_model_throughput : float;
-  c_sim_throughput : float;
-  c_throughput_error : float;
-  c_model_latency : float;
-  c_sim_latency : float option;
-  c_latency_error : float option;
-  c_model_bottleneck : string;
-}
-
-type mix_report = {
-  mix_model : Lognic.Extensions.mixed_report;
-  mix_measurement : Netsim.measurement;
-  class_rows : class_row list;
-  mix_rows : entity_row list;
-  mix_model_bottleneck : string;
-  mix_sim_bottleneck : string;
-  mix_agree : bool;
-  mix_model_throughput : float;
-  mix_sim_throughput : float;
-  mix_throughput_error : float;
-  mix_model_latency : float;
-  mix_sim_latency : float;
-  mix_latency_error : float;
-}
-
-let run_mix ?config ?queue_model ?contention g ~hw ~mix =
+let run ?config ?queue_model ?contention g ~hw ~mix =
   let model = Lognic.Estimate.run_mix ?queue_model ?contention g ~hw ~mix in
   let config = with_default_sampling config in
-  let measurement = Netsim.run ~config g ~hw ~mix in
+  let measurement = Netsim.(execute (Run.make ~config g ~hw ~mix)) in
   let summary = measurement.Netsim.summary in
   let window = summary.Telemetry.window in
   let classes = model.Lognic.Extensions.classes in
@@ -325,13 +226,14 @@ let run_mix ?config ?queue_model ?contention g ~hw ~mix =
   in
   (* Shared-entity view: roofline caps are traffic-independent (Eq 4),
      so one plain evaluation supplies them; the joint utilization is
-     the classes' summed carried rate over each cap. Queue depths sum
-     per-class Little's-law terms over the union streams. *)
+     the classes' summed carried rate over each cap. A vertex's model
+     queueing and drop probability are the weight-averaged class terms;
+     its queue depth sums per-class Little's-law terms over the union
+     streams (packet arrival rate × (Q + C/A)). *)
   let first_cls = match classes with (c, _, _, _) :: _ -> c | [] -> assert false in
   let caps = Lognic.Throughput.evaluate g ~hw ~traffic:first_cls in
-  let total_attained = model.Lognic.Extensions.throughput in
   let vertex_model vid =
-    let per_class_terms =
+    let terms =
       List.filter_map
         (fun ((cls : Lognic.Traffic.t), w, _, (lat : Lognic.Latency.result)) ->
           Option.map
@@ -341,32 +243,25 @@ let run_mix ?config ?queue_model ?contention g ~hw ~mix =
                lat.Lognic.Latency.per_vertex))
         classes
     in
-    let weighted f =
-      match per_class_terms with
+    let sum f =
+      match terms with
       | [] -> None
       | terms ->
-        Some (List.fold_left (fun acc (_, w, t) -> acc +. (w *. f t)) 0. terms)
+        Some (List.fold_left (fun acc (cls, w, t) -> acc +. f cls w t) 0. terms)
     in
-    ( weighted (fun (t : Lognic.Latency.vertex_terms) -> t.queueing),
-      (match per_class_terms with
-      | [] -> None
-      | terms ->
-        Some
-          (List.fold_left
-             (fun acc ((cls : Lognic.Traffic.t), _, (t : Lognic.Latency.vertex_terms)) ->
-               let pkt_rate =
-                 cls.rate *. Lognic.Throughput.vertex_inflow g vid /. cls.packet_size
-               in
-               acc +. (pkt_rate *. (t.queueing +. t.service)))
-             0. terms)),
-      weighted (fun (t : Lognic.Latency.vertex_terms) -> t.drop_probability) )
+    ( sum (fun _ w (t : Lognic.Latency.vertex_terms) -> w *. t.queueing),
+      sum (fun (cls : Lognic.Traffic.t) _ (t : Lognic.Latency.vertex_terms) ->
+          cls.rate *. Lognic.Throughput.vertex_inflow g vid /. cls.packet_size
+          *. (t.queueing +. t.service)),
+      sum (fun _ w (t : Lognic.Latency.vertex_terms) -> w *. t.drop_probability) )
   in
-  let mix_rows, mix_sim_bottleneck =
-    entity_join g measurement caps ~attained:total_attained ~vertex_model
+  let rows, sim_bottleneck =
+    entity_join g measurement caps
+      ~attained:model.Lognic.Extensions.throughput ~vertex_model
   in
   (* the joint model bottleneck: the bound of the class with the
-     tightest capacity, the mix-level analogue of [report.model_bottleneck] *)
-  let mix_model_bottleneck =
+     tightest capacity *)
+  let model_bottleneck =
     match
       List.stable_sort
         (fun (_, _, (a : Lognic.Throughput.result), _)
@@ -377,26 +272,35 @@ let run_mix ?config ?queue_model ?contention g ~hw ~mix =
     | (_, _, tp, _) :: _ -> bound_name g tp.Lognic.Throughput.bottleneck
     | [] -> "none"
   in
-  let mix_sim_throughput = summary.Telemetry.throughput in
-  let mix_sim_latency = summary.Telemetry.mean_latency in
-  let mix_model_latency = model.Lognic.Extensions.latency in
   {
-    mix_model = model;
-    mix_measurement = measurement;
+    model;
+    measurement;
+    join =
+      join ~throughput:model.Lognic.Extensions.throughput
+        ~latency:model.Lognic.Extensions.latency measurement;
     class_rows;
-    mix_rows;
-    mix_model_bottleneck;
-    mix_sim_bottleneck;
-    mix_agree = String.equal mix_model_bottleneck mix_sim_bottleneck;
-    mix_model_throughput = total_attained;
-    mix_sim_throughput;
-    mix_throughput_error =
-      relative_error ~model:total_attained ~sim:mix_sim_throughput;
-    mix_model_latency;
-    mix_sim_latency;
-    mix_latency_error =
-      relative_error ~model:mix_model_latency ~sim:mix_sim_latency;
+    rows;
+    model_bottleneck;
+    sim_bottleneck;
+    agree = String.equal model_bottleneck sim_bottleneck;
   }
+
+let opt_float = function None -> J.Null | Some x -> J.Num x
+
+let row_to_json rank r =
+  J.Obj
+    [
+      ("rank", J.Num (float_of_int rank));
+      ("entity", J.Str r.name);
+      ("model_utilization", J.Num r.model_utilization);
+      ("sim_utilization", J.Num r.sim_utilization);
+      ("residual", J.Num r.residual);
+      ("model_queueing_s", opt_float r.model_queueing);
+      ("model_queue_depth", opt_float r.model_queue_depth);
+      ("sim_queue_depth", opt_float r.sim_queue_depth);
+      ("model_drop_probability", opt_float r.model_drop_probability);
+      ("drops", J.Num (float_of_int r.drops));
+    ]
 
 let class_row_to_json i r =
   J.Obj
@@ -414,62 +318,65 @@ let class_row_to_json i r =
       ("model_bottleneck", J.Str r.c_model_bottleneck);
     ]
 
-let mix_to_json t =
-  J.versioned ~kind:"explain"
-    [
-      ( "model",
-        J.Obj
-          [
-            ("throughput", J.Num t.mix_model_throughput);
-            ("latency", J.Num t.mix_model_latency);
-            ("bottleneck", J.Str t.mix_model_bottleneck);
-          ] );
-      ( "sim",
-        J.Obj
-          [
-            ("throughput", J.Num t.mix_sim_throughput);
-            ("latency", J.Num t.mix_sim_latency);
-            ("bottleneck", J.Str t.mix_sim_bottleneck);
-          ] );
-      ("agree", J.Bool t.mix_agree);
-      ("throughput_error", J.Num t.mix_throughput_error);
-      ("latency_error", J.Num t.mix_latency_error);
-      ( "classes",
-        J.Arr (List.mapi (fun i r -> class_row_to_json i r) t.class_rows) );
-      ( "entities",
-        J.Arr (List.mapi (fun i r -> row_to_json (i + 1) r) t.mix_rows) );
-    ]
+let head_json ~kind t fields =
+  let model, sim, errors = join_json t.join in
+  J.versioned ~kind
+    ([
+       ("model", J.Obj (model @ [ ("bottleneck", J.Str t.model_bottleneck) ]));
+       ("sim", J.Obj (sim @ [ ("bottleneck", J.Str t.sim_bottleneck) ]));
+       ("agree", J.Bool t.agree);
+     ]
+    @ errors @ fields)
 
-let pp_mix ppf t =
+(* A one-class mix has no per-class table: its one row would repeat the
+   aggregate join. *)
+let multi_class t = List.compare_length_with t.class_rows 2 >= 0
+
+let to_json t =
+  head_json ~kind:"explain" t
+    ((if multi_class t then
+        [ ("classes", J.Arr (List.mapi class_row_to_json t.class_rows)) ]
+      else [])
+    @ [ ("entities", J.Arr (List.mapi (fun i r -> row_to_json (i + 1) r) t.rows)) ])
+
+let pp ppf t =
   let pct x = 100. *. x in
-  Format.fprintf ppf "explain: model vs simulation (%d-class mix)@\n"
-    (List.length t.class_rows);
-  Format.fprintf ppf
-    "  throughput  model %.4g B/s   sim %.4g B/s   error %.1f%%@\n"
-    t.mix_model_throughput t.mix_sim_throughput (pct t.mix_throughput_error);
-  Format.fprintf ppf
-    "  latency     model %.4g s     sim %.4g s     error %.1f%%@\n"
-    t.mix_model_latency t.mix_sim_latency (pct t.mix_latency_error);
+  Format.fprintf ppf "explain: model vs simulation%s@\n"
+    (if multi_class t then
+       Printf.sprintf " (%d-class mix)" (List.length t.class_rows)
+     else "");
+  pp_join ppf t.join;
   Format.fprintf ppf "  bottleneck  model=%s  sim=%s  (%s)@\n"
-    t.mix_model_bottleneck t.mix_sim_bottleneck
-    (if t.mix_agree then "agree" else "disagree");
-  Format.fprintf ppf "  %-5s %9s %7s %12s %12s %8s %12s %12s %8s@\n" "class"
-    "size" "weight" "model-tput" "sim-tput" "t-err" "model-lat" "sim-lat"
-    "l-err";
+    t.model_bottleneck t.sim_bottleneck
+    (if t.agree then "agree" else "disagree");
+  if multi_class t then begin
+    Format.fprintf ppf "  %-5s %9s %7s %12s %12s %8s %12s %12s %8s@\n" "class"
+      "size" "weight" "model-tput" "sim-tput" "t-err" "model-lat" "sim-lat"
+      "l-err";
+    List.iteri
+      (fun i r ->
+        let opt = function None -> "-" | Some x -> Printf.sprintf "%.4g" x in
+        let opt_pct = function
+          | None -> "-"
+          | Some x -> Printf.sprintf "%.1f%%" (pct x)
+        in
+        Format.fprintf ppf
+          "  %-5d %9.0f %7.3f %12.4g %12.4g %7.1f%% %12.4g %12s %8s@\n" i
+          r.c_traffic.Lognic.Traffic.packet_size r.c_weight
+          r.c_model_throughput r.c_sim_throughput (pct r.c_throughput_error)
+          r.c_model_latency (opt r.c_sim_latency) (opt_pct r.c_latency_error))
+      t.class_rows
+  end;
+  Format.fprintf ppf
+    "  %-4s %-16s %9s %9s %9s %11s %9s %6s@\n" "rank" "entity" "model-u"
+    "sim-u" "residual" "modelQ(pkt)" "simQ" "drops";
   List.iteri
     (fun i r ->
-      let opt = function None -> "-" | Some x -> Printf.sprintf "%.4g" x in
-      let opt_pct = function
-        | None -> "-"
-        | Some x -> Printf.sprintf "%.1f%%" (pct x)
-      in
-      Format.fprintf ppf "  %-5d %9.0f %7.3f %12.4g %12.4g %7.1f%% %12.4g %12s %8s@\n"
-        i r.c_traffic.Lognic.Traffic.packet_size r.c_weight
-        r.c_model_throughput r.c_sim_throughput
-        (pct r.c_throughput_error) r.c_model_latency (opt r.c_sim_latency)
-        (opt_pct r.c_latency_error))
-    t.class_rows;
-  pp_rows ppf t.mix_rows
+      let opt = function None -> "-" | Some x -> Printf.sprintf "%.3g" x in
+      Format.fprintf ppf "  %-4d %-16s %9.3f %9.3f %+9.3f %11s %9s %6d@\n"
+        (i + 1) r.name r.model_utilization r.sim_utilization r.residual
+        (opt r.model_queue_depth) (opt r.sim_queue_depth) r.drops)
+    t.rows
 
 (* ---- tenants -------------------------------------------------------- *)
 
@@ -491,23 +398,17 @@ type tenant_row = {
 type tenant_report = {
   tr_stats : Tenant.stats;
   tr_measurement : Netsim.measurement;
+  tr_join : join;
   tr_rows : tenant_row list;
   tr_model_bottleneck : string;
   tr_differentiated : bool;
-  tr_model_throughput : float;
-  tr_sim_throughput : float;
-  tr_throughput_error : float;
-  tr_model_latency : float;
-  tr_sim_latency : float;
-  tr_latency_error : float;
-  tr_fairness : Tenant.fairness;
 }
 
 let run_tenants ?config ?queue_model g ~hw ~traffic ~tenants =
   let model = Lognic.Estimate.run ?queue_model g ~hw ~traffic in
   let config = Option.value config ~default:Netsim.Config.default in
   let config = Netsim.Config.with_tenants tenants config in
-  let measurement = Netsim.run_single ~config g ~hw ~traffic in
+  let measurement = Netsim.(execute (Run.single ~config g ~hw ~traffic)) in
   let stats =
     match measurement.Netsim.tenants with
     | Some s -> s
@@ -609,21 +510,13 @@ let run_tenants ?config ?queue_model g ~hw ~traffic ~tenants =
            })
          stats.Tenant.rows)
   in
-  let sim_throughput = measurement.Netsim.summary.Telemetry.throughput in
-  let sim_latency = measurement.Netsim.summary.Telemetry.mean_latency in
   {
     tr_stats = stats;
     tr_measurement = measurement;
+    tr_join = join ~throughput:attained ~latency:agg_latency measurement;
     tr_rows = rows;
     tr_model_bottleneck = bound_name g tp.Lognic.Throughput.bottleneck;
     tr_differentiated = per_tenant <> None;
-    tr_model_throughput = attained;
-    tr_sim_throughput = sim_throughput;
-    tr_throughput_error = relative_error ~model:attained ~sim:sim_throughput;
-    tr_model_latency = agg_latency;
-    tr_sim_latency = sim_latency;
-    tr_latency_error = relative_error ~model:agg_latency ~sim:sim_latency;
-    tr_fairness = stats.Tenant.t_fairness;
   }
 
 let opt_bool = function None -> J.Null | Some b -> J.Bool b
@@ -646,45 +539,37 @@ let tenant_row_to_json r =
     ]
 
 let tenants_to_json t =
+  let model, sim, errors = join_json t.tr_join in
   J.versioned ~kind:"tenants"
-    [
-      ( "model",
-        J.Obj
-          [
-            ("throughput", J.Num t.tr_model_throughput);
-            ("latency", J.Num t.tr_model_latency);
-            ("bottleneck", J.Str t.tr_model_bottleneck);
-            ("differentiated", J.Bool t.tr_differentiated);
-          ] );
-      ( "sim",
-        J.Obj
-          [
-            ("throughput", J.Num t.tr_sim_throughput);
-            ("latency", J.Num t.tr_sim_latency);
-          ] );
-      ("throughput_error", J.Num t.tr_throughput_error);
-      ("latency_error", J.Num t.tr_latency_error);
-      ("tenants", J.Arr (List.map tenant_row_to_json t.tr_rows));
-      ("sim_detail", Tenant.stats_to_json t.tr_stats);
-    ]
+    ([
+       ( "model",
+         J.Obj
+           (model
+           @ [
+               ("bottleneck", J.Str t.tr_model_bottleneck);
+               ("differentiated", J.Bool t.tr_differentiated);
+             ]) );
+       ("sim", J.Obj sim);
+     ]
+    @ errors
+    @ [
+        ("tenants", J.Arr (List.map tenant_row_to_json t.tr_rows));
+        ("sim_detail", Tenant.stats_to_json t.tr_stats);
+      ])
 
 let pp_tenants ppf t =
   let pct x = 100. *. x in
+  let fairness = t.tr_stats.Tenant.t_fairness in
   Format.fprintf ppf "tenants: model vs simulation (%d tenants)@\n"
     (List.length t.tr_rows);
-  Format.fprintf ppf
-    "  throughput  model %.4g B/s   sim %.4g B/s   error %.1f%%@\n"
-    t.tr_model_throughput t.tr_sim_throughput (pct t.tr_throughput_error);
-  Format.fprintf ppf
-    "  latency     model %.4g s     sim %.4g s     error %.1f%%@\n"
-    t.tr_model_latency t.tr_sim_latency (pct t.tr_latency_error);
+  pp_join ppf t.tr_join;
   Format.fprintf ppf "  bottleneck  %s (per-tenant model: %s)@\n"
     t.tr_model_bottleneck
     (if t.tr_differentiated then "weighted M/M/c/N" else "undifferentiated");
   Format.fprintf ppf
     "  fairness    maxmin %.3f   jain %.3f   interference %.2f@\n"
-    t.tr_fairness.Tenant.maxmin_ratio t.tr_fairness.Tenant.jain
-    t.tr_fairness.Tenant.interference;
+    fairness.Tenant.maxmin_ratio fairness.Tenant.jain
+    fairness.Tenant.interference;
   Format.fprintf ppf "  %-12s %3s %6s %12s %12s %6s %10s %10s %6s %5s@\n"
     "tenant" "w" "share" "model-tput" "sim-tput" "t-err" "model-lat"
     "sim-lat" "l-err" "slo";
@@ -726,12 +611,7 @@ type flowcache_report = {
   fc_stats : Flow_cache.stats;
   fc_measurement : Netsim.measurement;
   fc_bottleneck : string;
-  fc_model_throughput : float;
-  fc_sim_throughput : float;
-  fc_throughput_error : float;
-  fc_model_latency : float;
-  fc_sim_latency : float;
-  fc_latency_error : float;
+  fc_join : join;
   fc_emc_hit_error : float;
   fc_mega_hit_error : float;
   fc_overall_hit_error : float;
@@ -750,7 +630,7 @@ let run_flowcache ?config ?queue_model spec g ~hw ~traffic =
      loads line up with the model's fixed point rather than whatever
      splits the input graph carried. *)
   let measurement =
-    Netsim.run_single ~config model.Lognic.Flowcache.graph ~hw ~traffic
+    Netsim.(execute (Run.single ~config model.Lognic.Flowcache.graph ~hw ~traffic))
   in
   let stats =
     match measurement.Netsim.flow_cache with
@@ -758,10 +638,6 @@ let run_flowcache ?config ?queue_model spec g ~hw ~traffic =
     | None -> assert false (* config carried the flow-cache spec *)
   in
   let tp = model.Lognic.Flowcache.throughput in
-  let attained = tp.Lognic.Throughput.attained in
-  let model_latency = model.Lognic.Flowcache.latency.Lognic.Latency.mean in
-  let sim_throughput = measurement.Netsim.summary.Telemetry.throughput in
-  let sim_latency = measurement.Netsim.summary.Telemetry.mean_latency in
   let sim_row name =
     Array.to_list stats.Flow_cache.fc_classes
     |> List.find_opt (fun (r : Flow_cache.class_row) ->
@@ -807,12 +683,9 @@ let run_flowcache ?config ?queue_model spec g ~hw ~traffic =
     fc_stats = stats;
     fc_measurement = measurement;
     fc_bottleneck = bound_name g tp.Lognic.Throughput.bottleneck;
-    fc_model_throughput = attained;
-    fc_sim_throughput = sim_throughput;
-    fc_throughput_error = relative_error ~model:attained ~sim:sim_throughput;
-    fc_model_latency = model_latency;
-    fc_sim_latency = sim_latency;
-    fc_latency_error = relative_error ~model:model_latency ~sim:sim_latency;
+    fc_join =
+      join ~throughput:tp.Lognic.Throughput.attained
+        ~latency:model.Lognic.Flowcache.latency.Lognic.Latency.mean measurement;
     fc_emc_hit_error =
       abs_err model.Lognic.Flowcache.emc_hit_ratio
         stats.Flow_cache.fc_emc_hit_ratio;
@@ -840,37 +713,37 @@ let flowcache_class_to_json r =
 
 let flowcache_to_json t =
   let m = t.fc_model in
+  let model, sim, errors = join_json t.fc_join in
   J.versioned ~kind:"flowcache"
-    [
-      ( "model",
-        J.Obj
-          [
-            ("emc_hit_ratio", J.Num m.Lognic.Flowcache.emc_hit_ratio);
-            ("megaflow_hit_ratio", J.Num m.Lognic.Flowcache.megaflow_hit_ratio);
-            ("overall_hit_ratio", J.Num m.Lognic.Flowcache.overall_hit_ratio);
-            ("iterations", J.Num (float_of_int m.Lognic.Flowcache.iterations));
-            ("converged", J.Bool m.Lognic.Flowcache.converged);
-            ("throughput", J.Num t.fc_model_throughput);
-            ("latency", J.Num t.fc_model_latency);
-            ("bottleneck", J.Str t.fc_bottleneck);
-          ] );
-      ( "sim",
-        J.Obj
-          [
-            ("emc_hit_ratio", J.Num t.fc_stats.Flow_cache.fc_emc_hit_ratio);
-            ("megaflow_hit_ratio", J.Num t.fc_stats.Flow_cache.fc_mega_hit_ratio);
-            ("overall_hit_ratio", J.Num t.fc_stats.Flow_cache.fc_overall_hit_ratio);
-            ("throughput", J.Num t.fc_sim_throughput);
-            ("latency", J.Num t.fc_sim_latency);
-          ] );
-      ("throughput_error", J.Num t.fc_throughput_error);
-      ("latency_error", J.Num t.fc_latency_error);
-      ("emc_hit_error", J.Num t.fc_emc_hit_error);
-      ("megaflow_hit_error", J.Num t.fc_mega_hit_error);
-      ("overall_hit_error", J.Num t.fc_overall_hit_error);
-      ("classes", J.Arr (List.map flowcache_class_to_json t.fc_rows));
-      ("sim_detail", Flow_cache.stats_to_json t.fc_stats);
-    ]
+    ([
+       ( "model",
+         J.Obj
+           ([
+              ("emc_hit_ratio", J.Num m.Lognic.Flowcache.emc_hit_ratio);
+              ("megaflow_hit_ratio", J.Num m.Lognic.Flowcache.megaflow_hit_ratio);
+              ("overall_hit_ratio", J.Num m.Lognic.Flowcache.overall_hit_ratio);
+              ("iterations", J.Num (float_of_int m.Lognic.Flowcache.iterations));
+              ("converged", J.Bool m.Lognic.Flowcache.converged);
+            ]
+           @ model
+           @ [ ("bottleneck", J.Str t.fc_bottleneck) ]) );
+       ( "sim",
+         J.Obj
+           ([
+              ("emc_hit_ratio", J.Num t.fc_stats.Flow_cache.fc_emc_hit_ratio);
+              ("megaflow_hit_ratio", J.Num t.fc_stats.Flow_cache.fc_mega_hit_ratio);
+              ("overall_hit_ratio", J.Num t.fc_stats.Flow_cache.fc_overall_hit_ratio);
+            ]
+           @ sim) );
+     ]
+    @ errors
+    @ [
+        ("emc_hit_error", J.Num t.fc_emc_hit_error);
+        ("megaflow_hit_error", J.Num t.fc_mega_hit_error);
+        ("overall_hit_error", J.Num t.fc_overall_hit_error);
+        ("classes", J.Arr (List.map flowcache_class_to_json t.fc_rows));
+        ("sim_detail", Flow_cache.stats_to_json t.fc_stats);
+      ])
 
 let pp_flowcache ppf t =
   let m = t.fc_model in
@@ -894,12 +767,7 @@ let pp_flowcache ppf t =
     "  overall     model %.4f sim %.4f (Δ %.4f; 1 - slow-path share)@\n"
     m.Lognic.Flowcache.overall_hit_ratio
     t.fc_stats.Flow_cache.fc_overall_hit_ratio t.fc_overall_hit_error;
-  Format.fprintf ppf
-    "  throughput  model %.4g B/s   sim %.4g B/s   error %.1f%%@\n"
-    t.fc_model_throughput t.fc_sim_throughput (pct t.fc_throughput_error);
-  Format.fprintf ppf
-    "  latency     model %.4g s     sim %.4g s     error %.1f%%@\n"
-    t.fc_model_latency t.fc_sim_latency (pct t.fc_latency_error);
+  pp_join ppf t.fc_join;
   Format.fprintf ppf "  bottleneck  %s@\n" t.fc_bottleneck;
   Format.fprintf ppf "  %-6s %11s %9s %11s %9s %6s %11s %9s@\n" "class"
     "model-share" "sim-share" "model-mean" "sim-mean" "m-err" "model-p99"

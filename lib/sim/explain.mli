@@ -1,20 +1,31 @@
-(** The model-vs-simulation "explain" engine behind [lognic explain].
+(** The model-vs-simulation "explain" engine behind [lognic explain],
+    and the aggregate join every model-vs-sim report shares.
 
-    One call runs the analytic model ({!Lognic.Estimate}) and the
+    {!run} runs the analytic model ({!Lognic.Estimate.run_mix}) and the
     packet-level simulator ({!Netsim}) on the {e same} graph, hardware
-    and traffic, joins the two per entity (every finite-throughput
-    vertex, the shared interface and memory media, each dedicated
-    link), and attributes the prediction residual: analytic utilization
-    vs simulated busy fraction, the model's queueing term (converted to
-    an expected queue depth via Little's law) vs the simulator's
-    sampled queue depths, plus drops/rejections per entity.
+    and traffic mix. A single traffic is the one-class mix
+    [[ (traffic, 1.) ]]; the one-class joint model is bit-for-bit
+    {!Lognic.Estimate.run}. The two sides are joined three ways:
 
-    The report ranks entities by simulated utilization; the top entity
+    - in aggregate ({!join}): throughput, mean latency and their
+      relative errors;
+    - per class, when the mix has two or more classes (a one-class row
+      would repeat the aggregate);
+    - per entity (every finite-throughput vertex, the shared interface
+      and memory media, each dedicated link): analytic utilization vs
+      simulated busy fraction, the model's queueing term (converted to
+      an expected queue depth via Little's law) vs the simulator's
+      sampled queue depths, plus drops/rejections per entity.
+
+    The entity table is ranked by simulated utilization; the top entity
     is the simulator's answer to "what binds?", compared against the
     analytic roofline's binding term ({!Lognic.Throughput.bound}). On a
     well-calibrated graph the two agree — [agree = false] is itself a
     diagnostic (the queueing abstraction or routing scaling is off for
-    some entity, visible in that entity's residual). *)
+    some entity, visible in that entity's residual).
+
+    {!Contention}, {!run_tenants} and {!run_flowcache} report the same
+    aggregate {!join} next to their own rows. *)
 
 type entity_row = {
   name : string;  (** vertex label, "interface", "memory", "link-S-D" *)
@@ -30,47 +41,40 @@ type entity_row = {
   drops : int;  (** node drops / medium rejections over the whole run *)
 }
 
-type report = {
-  model : Lognic.Estimate.report;
-  measurement : Netsim.measurement;
-  rows : entity_row list;  (** ranked, highest simulated utilization first *)
-  model_bottleneck : string;
-  sim_bottleneck : string;  (** [rows]' top entity, or "none" *)
-  agree : bool;
+(** {2 The aggregate join} *)
+
+type join = {
   model_throughput : float;  (** attained bytes/s *)
-  sim_throughput : float;
+  sim_throughput : float;  (** delivered bytes/s over the window *)
   throughput_error : float;  (** relative, in [0, 1] *)
   model_latency : float;  (** mean seconds *)
   sim_latency : float;
   latency_error : float;
 }
 
-val bound_name : Lognic.Graph.t -> Lognic.Throughput.bound -> string
-(** The entity name a throughput bound pins ("offered-load" for
-    {!Lognic.Throughput.Offered_load}), matching {!entity_row.name}. *)
-
 val relative_error : model:float -> sim:float -> float
 (** |model − sim| / max(|model|, |sim|), 0 when both are 0 — the join
     convention shared with {!Resilience}. *)
 
-val run :
-  ?config:Netsim.config ->
-  ?queue_model:Lognic.Latency.queue_model ->
-  Lognic.Graph.t ->
-  hw:Lognic.Params.hardware ->
-  traffic:Lognic.Traffic.t ->
-  report
-(** Runs both sides and joins them. When [config] leaves
-    [sample_interval] unset, it defaults to [duration/256] so the
-    queue-depth comparison has data. Raises [Invalid_argument] if the
-    graph fails validation. *)
+val join : throughput:float -> latency:float -> Netsim.measurement -> join
+(** The model's attained throughput and mean latency against the
+    measurement's summary throughput and mean latency. *)
 
-val to_json : report -> Telemetry.Json.t
+val pp_join : Format.formatter -> join -> unit
+(** The two aggregate lines, ["  throughput  model … sim … error …"]
+    and ["  latency     model … sim … error …"]. *)
 
-val pp : Format.formatter -> report -> unit
-(** The human-readable ranked table. *)
+val join_json :
+  join ->
+  (string * Telemetry.Json.t) list
+  * (string * Telemetry.Json.t) list
+  * (string * Telemetry.Json.t) list
+(** The join's JSON fields: the model side's [throughput] and
+    [latency], the sim side's, and [throughput_error] /
+    [latency_error]. Each report places the first two in its own
+    [model] and [sim] objects, next to its own fields. *)
 
-(** {2 Traffic mixes} *)
+(** {2 Explain} *)
 
 type class_row = {
   c_traffic : Lognic.Traffic.t;
@@ -87,37 +91,37 @@ type class_row = {
           ["resource:NAME"] under contention) *)
 }
 
-type mix_report = {
-  mix_model : Lognic.Extensions.mixed_report;
-  mix_measurement : Netsim.measurement;
+type report = {
+  model : Lognic.Extensions.mixed_report;
+  measurement : Netsim.measurement;
+  join : join;  (** model throughput is Σ per-class carried bytes/s *)
   class_rows : class_row list;  (** mix order *)
-  mix_rows : entity_row list;
-      (** joint per-entity residuals — model utilization is the summed
-          carried rate over the entity's (traffic-independent) cap *)
-  mix_model_bottleneck : string;
+  rows : entity_row list;
+      (** ranked, highest simulated utilization first; model utilization
+          is the summed carried rate over the entity's
+          (traffic-independent) cap *)
+  model_bottleneck : string;
       (** bound of the class with the tightest joint capacity *)
-  mix_sim_bottleneck : string;
-  mix_agree : bool;
-  mix_model_throughput : float;  (** Σ per-class carried bytes/s *)
-  mix_sim_throughput : float;
-  mix_throughput_error : float;
-  mix_model_latency : float;
-  mix_sim_latency : float;
-  mix_latency_error : float;
+  sim_bottleneck : string;  (** [rows]' top entity, or "none" *)
+  agree : bool;
 }
 
-val run_mix :
+val bound_name : Lognic.Graph.t -> Lognic.Throughput.bound -> string
+(** The entity name a throughput bound pins ("offered-load" for
+    {!Lognic.Throughput.Offered_load}), matching {!entity_row.name}. *)
+
+val run :
   ?config:Netsim.config ->
   ?queue_model:Lognic.Latency.queue_model ->
   ?contention:Lognic.Extensions.contention ->
   Lognic.Graph.t ->
   hw:Lognic.Params.hardware ->
   mix:Lognic.Traffic.mix ->
-  mix_report
-(** {!run} generalized to a traffic mix: the joint multi-class model
-    ({!Lognic.Estimate.run_mix}) against one multi-class simulation,
-    joined per class (residual rows) and per entity. Defaults
-    [sample_interval] like {!run}. *)
+  report
+(** Runs both sides and joins them. When [config] leaves
+    [sample_interval] unset, it defaults to [duration/256] so the
+    queue-depth comparison has data. Raises [Invalid_argument] if the
+    graph fails validation, and like {!Lognic.Estimate.run_mix}. *)
 
 val row_to_json : int -> entity_row -> Telemetry.Json.t
 (** One entity row at the given rank — shared with {!Contention}. *)
@@ -125,12 +129,22 @@ val row_to_json : int -> entity_row -> Telemetry.Json.t
 val class_row_to_json : int -> class_row -> Telemetry.Json.t
 (** One class row at the given index — shared with {!Contention}. *)
 
-val mix_to_json : mix_report -> Telemetry.Json.t
-(** Versioned [kind:"explain"] JSON with a [classes] array next to the
-    [entities] ranking — field-compatible with {!to_json} plus the
-    per-class rows. *)
+val head_json :
+  kind:string -> report -> (string * Telemetry.Json.t) list -> Telemetry.Json.t
+(** Versioned [kind] JSON opening with explain's head — [model] and
+    [sim] (the join's throughput and latency plus each side's
+    [bottleneck]), [agree], and the two errors — followed by the given
+    fields. {!Contention.to_json} writes its own report with it. *)
 
-val pp_mix : Format.formatter -> mix_report -> unit
+val to_json : report -> Telemetry.Json.t
+(** Versioned [kind:"explain"] JSON: {!head_json}, a [classes] array
+    when the mix has two or more classes, then the [entities]
+    ranking. *)
+
+val pp : Format.formatter -> report -> unit
+(** The human-readable report: the join, both bottlenecks, the
+    per-class table from two classes up, and the ranked entity
+    table. *)
 
 (** {2 Multi-tenant runs}
 
@@ -165,19 +179,13 @@ type tenant_row = {
 type tenant_report = {
   tr_stats : Tenant.stats;  (** the simulator's per-tenant attribution *)
   tr_measurement : Netsim.measurement;
+  tr_join : join;
   tr_rows : tenant_row list;  (** canonical (name-sorted) tenant order *)
   tr_model_bottleneck : string;
   tr_differentiated : bool;
       (** [true] iff the bottleneck is an IP vertex, where the shared
           engine pool admits the per-tenant weighted-M/M/c/N
           decomposition; other bounds serve tenants indistinguishably *)
-  tr_model_throughput : float;
-  tr_sim_throughput : float;
-  tr_throughput_error : float;
-  tr_model_latency : float;
-  tr_sim_latency : float;
-  tr_latency_error : float;
-  tr_fairness : Tenant.fairness;
 }
 
 val run_tenants :
@@ -226,12 +234,7 @@ type flowcache_report = {
   fc_stats : Flow_cache.stats;  (** the simulator's per-class attribution *)
   fc_measurement : Netsim.measurement;
   fc_bottleneck : string;
-  fc_model_throughput : float;
-  fc_sim_throughput : float;
-  fc_throughput_error : float;
-  fc_model_latency : float;
-  fc_sim_latency : float;
-  fc_latency_error : float;
+  fc_join : join;
   fc_emc_hit_error : float;
       (** |model − sim| hit-ratio difference (absolute: the ratios live
           in [0, 1], where a relative error at a near-zero miss share

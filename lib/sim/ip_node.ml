@@ -66,18 +66,12 @@ type t = {
   engines : int;
   rate_per_engine : float;
   entries_per_queue : int;
-  single_queue : bool;
-      (* single-queue nodes use the M/M/n/N convention: capacity counts
-         queued + in-service requests *)
   service_dist : service_dist;
   queues : ring array;
   mutable queued_total : int;
       (* requests across all rings: the O(1) idle check that lets
-         dispatch skip the WRR pattern scan entirely when nothing is
-         queued *)
+         dispatch skip the WRR scan entirely when nothing is queued *)
   drops_per_queue : int array;
-  pattern : int array;  (* expanded WRR schedule over queue indices *)
-  mutable cursor : int;  (* next position in [pattern] *)
   (* Hierarchical (group → queue) scheduling state, the SR-IOV two-stage
      arbiter: queue [g·queues_per_group + c] is group [g]'s class-[c]
      queue. Stage 1 is packet-granular weighted round robin over the
@@ -88,8 +82,9 @@ type t = {
      over that group's class queues. Both stages are int-array state
      sized at construction, so dispatching with thousands of groups
      costs O(1) per grant and allocates nothing. [groups = 0] means
-     flat mode: none of these fields are consulted, and the flat hot
-     path pays one integer compare per dispatch/submit. *)
+     flat mode: one queue under the M/M/n/N convention (capacity counts
+     queued + in-service requests), none of these fields consulted, and
+     one integer compare per dispatch/submit on the flat hot path. *)
   groups : int;
   queues_per_group : int;
   queue_group : int array;
@@ -99,15 +94,14 @@ type t = {
       (* Whether a submit that finds the node idle (nothing queued, an
          engine free) may start service directly, skipping the queue
          push/pop and scheduler bookkeeping. Only set when the bypass
-         is {e exactly} equivalent to enqueue-then-grant: single-queue
-         and one-queue nodes (the cursor walk can't be observed), and
+         is {e exactly} equivalent to enqueue-then-grant: flat nodes, and
          hierarchical nodes with one class queue per group, where
          activating a group and immediately granting its only request
          returns the active ring to empty, leaves the stage-2 cursor
          untouched, and strands a credit value that the next
-         activation overwrites — no reachable state differs. Flat
-         multi-queue WRR stays ineligible: its cursor advances per
-         grant, observably. *)
+         activation overwrites — no reachable state differs. Several
+         class queues per group stay ineligible: the stage-2 cursor
+         advances per grant, observably. *)
   grp_weight : int array;
   grp_credit : int array;
   grp_queued : int array;
@@ -247,17 +241,6 @@ let release_lane t lane =
     t.free_top <- t.free_top + 1
   end
 
-(* WRR pull: scan the expanded pattern from the cursor, skipping empty
-   queues (work conserving); the [queued_total > 0] guard at the call
-   site guarantees a hit within one cycle, with the same cursor walk as
-   before. Top-level recursion over ints — the index [ref] this
-   replaces allocated once per service start. *)
-let rec wrr_pick t n =
-  let q = t.pattern.(t.cursor) in
-  let nxt = t.cursor + 1 in
-  t.cursor <- (if nxt = n then 0 else nxt);
-  if t.queues.(q).r_len = 0 then wrr_pick t n else q
-
 (* Stage 1 of the hierarchical arbiter: the current group keeps the
    grant while it has credit; at zero the ring advances and the next
    group's credit is refilled to its weight. The caller guarantees the
@@ -273,8 +256,10 @@ let[@inline] hier_group t =
     nxt
   end
 
-(* Stage 2: per-group class WRR with the same empty-skip walk as
-   [wrr_pick]; [grp_queued.(g) > 0] guarantees a hit within one cycle. *)
+(* Stage 2: per-group class WRR, scanning the group's expanded pattern
+   from its cursor and skipping empty queues (work conserving);
+   [grp_queued.(g) > 0] guarantees a hit within one cycle. Top-level
+   recursion over ints, so the walk allocates nothing. *)
 let rec grp_queue t g pat n =
   let cur = t.grp_cursor.(g) in
   let c = pat.(cur) in
@@ -367,18 +352,15 @@ let[@inline] start_service t ~work ~submitted ~tally ~span k =
   Engine.schedule_after t.engine ~delay:duration t.sv_fire.(slot)
 
 (* One-pass arbitration: while an engine is free and work is queued,
-   pull via the WRR pattern and start service — submit, completion and
-   recovery all funnel through this single drain loop, so a burst of
-   freed engines resolves in one pass instead of one event round-trip
-   each. Grant order is identical to the old one-grant-per-call
+   pull from the flat node's one queue or via the arbiter and start
+   service — submit, completion and recovery all funnel through this
+   single drain loop, so a burst of freed engines resolves in one pass
+   instead of one event round-trip each. Grant order is identical to the old one-grant-per-call
    dispatch (each call could only ever free one engine's worth of
    capacity at a time). *)
 let rec dispatch_loop t =
   if t.busy_engines < t.engines - t.offline && t.queued_total > 0 then begin
-    let q =
-      if t.groups = 0 then wrr_pick t (Array.length t.pattern)
-      else hier_pick t
-    in
+    let q = if t.groups = 0 then 0 else hier_pick t in
     let r = t.queues.(q) in
     let cap = Array.length r.r_k in
     let head = r.r_head in
@@ -443,18 +425,16 @@ let validate_common ~engines ~rate_per_engine ~capacity =
     invalid_arg "Ip_node.create: rate_per_engine must be > 0";
   if capacity < 1 then invalid_arg "Ip_node.create: queue_capacity must be >= 1"
 
+(* [hier = None] builds a flat one-queue node; [Some (group_weights,
+   class_weights)] the two-stage arbiter. *)
 let make engine ~rng ~label ~engines ~rate_per_engine ~entries_per_queue
-    ~weights ~single_queue ~service_dist ~track_lanes ~hier =
+    ~service_dist ~track_lanes ~hier =
   let groups, queues_per_group =
     match hier with
-    | None -> (0, 0)
+    | None -> (0, 1)
     | Some (gw, cw) -> (Array.length gw, Array.length cw.(0))
   in
-  let nqueues =
-    match hier with
-    | None -> Array.length weights
-    | Some _ -> groups * queues_per_group
-  in
+  let nqueues = max 1 groups * queues_per_group in
   let t =
     {
       engine;
@@ -463,24 +443,19 @@ let make engine ~rng ~label ~engines ~rate_per_engine ~entries_per_queue
       engines;
       rate_per_engine;
       entries_per_queue;
-      single_queue;
       service_dist;
       queues =
         (let slots = match hier with None -> 16 | Some _ -> 4 in
          Array.init nqueues (fun _ -> ring_create slots));
       queued_total = 0;
       drops_per_queue = Array.make nqueues 0;
-      pattern = expand_pattern weights;
-      cursor = 0;
       groups;
       queues_per_group;
       queue_group =
         (match hier with
         | None -> [||]
         | Some _ -> Array.init nqueues (fun q -> q / queues_per_group));
-      fast_grant =
-        single_queue || nqueues = 1
-        || (groups > 0 && queues_per_group = 1);
+      fast_grant = queues_per_group = 1;
       grp_weight = (match hier with None -> [||] | Some (gw, _) -> Array.copy gw);
       grp_credit = Array.make (max 1 groups) 0;
       grp_queued = Array.make (max 1 groups) 0;
@@ -525,18 +500,7 @@ let create ?(track_lanes = false) engine ~rng ~label ~engines ~rate_per_engine
     ~queue_capacity ~service_dist =
   validate_common ~engines ~rate_per_engine ~capacity:queue_capacity;
   make engine ~rng ~label ~engines ~rate_per_engine
-    ~entries_per_queue:queue_capacity ~weights:[| 1 |] ~single_queue:true
-    ~service_dist ~track_lanes ~hier:None
-
-let create_multiqueue ?(track_lanes = false) engine ~rng ~label ~engines
-    ~rate_per_engine ~entries_per_queue ~weights ~service_dist =
-  validate_common ~engines ~rate_per_engine ~capacity:entries_per_queue;
-  if Array.length weights = 0 then
-    invalid_arg "Ip_node.create_multiqueue: no queues";
-  if Array.exists (fun w -> w < 1) weights then
-    invalid_arg "Ip_node.create_multiqueue: weights must be >= 1";
-  make engine ~rng ~label ~engines ~rate_per_engine ~entries_per_queue ~weights
-    ~single_queue:false ~service_dist ~track_lanes ~hier:None
+    ~entries_per_queue:queue_capacity ~service_dist ~track_lanes ~hier:None
 
 let create_hierarchical ?(track_lanes = false) engine ~rng ~label ~engines
     ~rate_per_engine ~entries_per_queue ~group_weights ~class_weights
@@ -558,8 +522,7 @@ let create_hierarchical ?(track_lanes = false) engine ~rng ~label ~engines
         invalid_arg "Ip_node.create_hierarchical: class weights must be >= 1")
     class_weights;
   make engine ~rng ~label ~engines ~rate_per_engine ~entries_per_queue
-    ~weights:[| 1 |] ~single_queue:false ~service_dist ~track_lanes
-    ~hier:(Some (group_weights, class_weights))
+    ~service_dist ~track_lanes ~hier:(Some (group_weights, class_weights))
 
 let offline t = t.offline
 let set_profile t p = t.prof <- p
@@ -611,11 +574,11 @@ let[@inline] submit_at ?tally ?span t ~queue ~work k =
        the arbiter would hand this request the very next grant, so
        eligible nodes ([fast_grant]) start service directly — no ring
        push/pop, no scheduler bookkeeping. The M/M/n/N capacity check
-       still applies to single-queue nodes (capacity counts in-service
+       still applies to flat nodes (capacity counts in-service
        requests, so an idle queue can still be full). *)
     t.fast_grant && t.queued_total = 0
     && t.busy_engines < t.engines - t.offline
-    && ((not t.single_queue) || in_system t < effective_capacity t)
+    && (t.groups > 0 || in_system t < effective_capacity t)
   then begin
     (match t.prof with
     | None ->
@@ -629,7 +592,7 @@ let[@inline] submit_at ?tally ?span t ~queue ~work k =
   else begin
     let capacity = effective_capacity t in
     let full =
-      if t.single_queue then in_system t >= capacity
+      if t.groups = 0 then in_system t >= capacity
       else t.queues.(queue).r_len >= capacity
     in
     if full then begin

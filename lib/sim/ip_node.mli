@@ -6,9 +6,11 @@
     in service), so the node behaves as M/M/n/N under Poisson arrivals
     and [Exponential] service — the queueing model LogNIC assumes after
     merging an IP's queues into one {e virtual shared queue} (§3.6).
-    Multiple queues let experiments probe what that merge abstracts
-    away: per-class isolation and head-of-line blocking under a
-    weighted-round-robin scheduler (see {!Lognic_apps.Hol_study}). *)
+    Multiple queues ({!create_hierarchical}) let experiments probe what
+    that merge abstracts away: per-class isolation and head-of-line
+    blocking under a weighted-round-robin scheduler (see
+    {!Lognic_apps.Hol_study}, which uses one group of per-class
+    queues), and per-tenant arbitration. *)
 
 type service_dist =
   | Deterministic  (** service takes exactly [work / engine_rate] *)
@@ -33,25 +35,6 @@ val create :
     callback reports a stable engine index; off, the node allocates no
     lane state and [span] always reports lane 0. Lane bookkeeping never
     affects scheduling. *)
-
-val create_multiqueue :
-  ?track_lanes:bool ->
-  Engine.t ->
-  rng:Lognic_numerics.Rng.t ->
-  label:string ->
-  engines:int ->
-  rate_per_engine:float ->
-  entries_per_queue:int ->
-  weights:int array ->
-  service_dist:service_dist ->
-  t
-(** [weights] gives both the queue count (its length, ≥ 1) and each
-    queue's WRR share: a freed engine serves queues in a round-robin
-    pattern where queue [i] appears [weights.(i)] times per cycle,
-    skipping empty queues (work conserving). Each queue holds at most
-    [entries_per_queue] waiting requests (in-service requests are not
-    charged to any queue). Raises [Invalid_argument] on an empty or
-    non-positive weight array. *)
 
 val create_hierarchical :
   ?track_lanes:bool ->
@@ -79,9 +62,12 @@ val create_hierarchical :
     at construction, so thousands of groups dispatch without scaling
     cost or allocation.
 
-    Capacity follows the multiqueue convention: each of the
-    [groups·classes] queues holds at most [entries_per_queue] waiting
-    requests. Raises [Invalid_argument] on empty/ragged weight arrays
+    With one group this is a flat multi-queue WRR node: queue [c]
+    appears [class_weights.(0).(c)] times per pattern cycle.
+
+    Each of the [groups·classes] queues holds at most
+    [entries_per_queue] waiting requests (in-service requests are not
+    charged to any queue). Raises [Invalid_argument] on empty/ragged weight arrays
     or any weight < 1. *)
 
 val label : t -> string

@@ -253,7 +253,8 @@ type t = {
 }
 
 let create cfg =
-  if cfg.interval <= 0. then invalid_arg "Metrics.create: interval must be > 0";
+  if not (cfg.interval > 0. && Float.is_finite cfg.interval) then
+    invalid_arg "Metrics.create: interval must be positive and finite";
   {
     cfg;
     items = [];

@@ -56,7 +56,7 @@ end
 type t
 
 type config = {
-  interval : float;  (** sim seconds between snapshots (> 0) *)
+  interval : float;  (** sim seconds between snapshots (finite, > 0) *)
   slo : Slo.rule list;
   profile : bool;  (** also run the wall-clock self-{!Profile}r *)
   on_snapshot : (snapshot -> unit) option;
@@ -95,7 +95,8 @@ val default_config : config
 (** 1 ms interval, no rules, no profiler, no callback. *)
 
 val create : config -> t
-(** Raises [Invalid_argument] on a non-positive interval. *)
+(** Raises [Invalid_argument] on an interval that is not positive and
+    finite. *)
 
 val config : t -> config
 

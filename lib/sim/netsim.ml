@@ -820,7 +820,8 @@ let execute_with ?engine:reused (spec : Run.t) =
     match config.sample_interval with
     | None -> []
     | Some dt ->
-      if dt <= 0. then invalid_arg "Netsim.run: sample_interval must be > 0";
+      if not (dt > 0. && Float.is_finite dt) then
+        invalid_arg "Netsim.run: sample_interval must be positive and finite";
       let probes =
         List.concat_map
           (fun node ->

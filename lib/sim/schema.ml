@@ -9,7 +9,7 @@
 let table =
   [
     ("measurement", 1);  (* Netsim.measurement_to_json *)
-    ("explain", 1);  (* Explain.to_json / mix_to_json *)
+    ("explain", 1);  (* Explain.to_json *)
     ("search_log", 1);  (* Search_log.to_json *)
     ("trace_events", 1);  (* Trace.to_chrome_json (rides in otherData) *)
     ("contention", 1);  (* Contention.to_json *)

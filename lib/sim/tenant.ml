@@ -12,7 +12,8 @@ let spec ?(weight = 1) ?(share = 1.) ?slo_p99 ?(class_weights = [||]) name =
   if share <= 0. || not (Float.is_finite share) then
     invalid_arg "Tenant.spec: share must be finite and > 0";
   (match slo_p99 with
-  | Some s when s <= 0. -> invalid_arg "Tenant.spec: slo must be > 0"
+  | Some s when not (s > 0. && Float.is_finite s) ->
+    invalid_arg "Tenant.spec: slo must be finite and > 0"
   | _ -> ());
   if Array.exists (fun w -> w < 1) class_weights then
     invalid_arg "Tenant.spec: class weights must be >= 1";
@@ -20,11 +21,6 @@ let spec ?(weight = 1) ?(share = 1.) ?slo_p99 ?(class_weights = [||]) name =
 
 type set = {
   t_specs : spec array;  (* canonical: sorted by name, names unique *)
-  t_cumulative : float array;  (* normalized cumulative shares, last = 1 *)
-  t_cum_bits : int array;
-      (* the same edges scaled to the 30-bit integer lattice, last =
-         2^30 — lets the per-arrival draw stay on [Rng.bits], which
-         (unlike [Rng.float]) allocates nothing *)
   t_prob : int array;
       (* Walker alias table: bucket [j] accepts itself when the low
          draw bits fall under [t_prob.(j)] (threshold on [0, 2^30]) *)
@@ -54,6 +50,9 @@ let set specs =
   (* Pin the last edge so a draw of 1 − ε can never fall off the end of
      the distribution whatever the rounding of the partial sums. *)
   cumulative.(Array.length arr - 1) <- 1.;
+  (* The edges scaled to the 30-bit integer lattice (last = 2^30), so
+     the per-arrival draw stays on [Rng.bits], which (unlike
+     [Rng.float]) allocates nothing. *)
   let cum_bits =
     Array.map (fun c -> int_of_float (c *. float_of_int bits_range)) cumulative
   in
@@ -89,13 +88,7 @@ let set specs =
     | rest, [] | [], rest -> List.iter (fun i -> prob.(i) <- bits_range) rest
   in
   pair !small !large;
-  {
-    t_specs = arr;
-    t_cumulative = cumulative;
-    t_cum_bits = cum_bits;
-    t_prob = prob;
-    t_alias = alias;
-  }
+  { t_specs = arr; t_prob = prob; t_alias = alias }
 
 let uniform ?(prefix = "vf") n =
   if n < 1 then invalid_arg "Tenant.uniform: need at least one tenant";
@@ -119,18 +112,6 @@ let class_weight_rows t ~classes =
       Array.init classes (fun c ->
           if c < Array.length s.class_weights then s.class_weights.(c) else 1))
     t.t_specs
-
-(* Binary search for the first cumulative edge strictly above [u]; the
-   loop touches only ints and float-array loads, so the per-arrival
-   tenant draw allocates nothing. *)
-let index_of t u =
-  let c = t.t_cumulative in
-  let lo = ref 0 and hi = ref (Array.length c - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if c.(mid) <= u then lo := mid + 1 else hi := mid
-  done;
-  !lo
 
 (* The simulator's per-arrival path: O(1) alias-table lookup on a
    [Rng.bits] draw. [u * n] splits the 30-bit draw into a bucket index

@@ -42,7 +42,8 @@ val spec :
   spec
 (** [weight] defaults to 1, [share] to 1, [class_weights] to [[||]].
     Raises [Invalid_argument] on an empty name, [weight < 1], a
-    non-positive [share], a non-positive SLO, or a class weight < 1. *)
+    [share] or SLO that is not finite and positive, or a class
+    weight < 1. *)
 
 type set
 (** A canonicalized tenant population (sorted by name, names unique). *)
@@ -72,11 +73,6 @@ val class_weight_rows : set -> classes:int -> int array array
     weight 1 out to [classes] entries — the [class_weights] argument of
     {!Ip_node.create_hierarchical}. Raises [Invalid_argument] when
     [classes < 1]. *)
-
-val index_of : set -> float -> int
-(** [index_of set u] maps [u ∈ \[0, 1)] to a tenant id by binary search
-    over the cumulative share distribution — the per-arrival tenant
-    draw. Allocation-free. *)
 
 val index_of_bits : set -> int -> int
 (** [index_of_bits set u] maps a 30-bit draw ([u ∈ \[0, 2^30)], from

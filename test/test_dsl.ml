@@ -31,7 +31,12 @@ let quantity_bare_and_bad () =
   check_close "scientific" 2.5e9 (parse_q "2.5e9");
   Alcotest.(check bool) "garbage" true (Result.is_error (Q.parse "fast"));
   Alcotest.(check bool) "empty" true (Result.is_error (Q.parse ""));
-  Alcotest.(check bool) "suffix only" true (Result.is_error (Q.parse "Gbps"))
+  Alcotest.(check bool) "suffix only" true (Result.is_error (Q.parse "Gbps"));
+  List.iter
+    (fun text ->
+      Alcotest.(check bool) ("non-finite " ^ text) true
+        (Result.is_error (Q.parse text)))
+    [ "nan"; "inf"; "1e400"; "-inf"; "nanGbps" ]
 
 let quantity_printers () =
   Alcotest.(check string) "rate" "25Gbps" (Q.print_rate 3.125e9);

@@ -276,7 +276,7 @@ let contention_off_identity () =
   let config =
     S.Netsim.Config.(
       default |> with_horizon ~warmup:2e-4 1e-2
-      (* pinned explicitly: Explain.run_mix would otherwise default it *)
+      (* pinned explicitly: Explain.run would otherwise default it *)
       |> with_sampling (1e-2 /. 256.))
   in
   let mix =
@@ -289,7 +289,7 @@ let contention_off_identity () =
   let report = S.Contention.run ~config g ~hw ~mix in
   Alcotest.(check string) "contention-off report = plain run, byte-identical"
     (json (S.Netsim.run ~config g ~hw ~mix))
-    (json report.S.Contention.base.S.Explain.mix_measurement)
+    (json report.S.Contention.base.S.Explain.measurement)
 
 let rate_limiter_insertion () =
   let g, w = chain ~alpha:0.5 (5. *. U.gbps) in

@@ -461,8 +461,11 @@ let documents_match_registry () =
   check_doc "alerts" (M.alerts_to_json t)
 
 let bad_configs_rejected () =
-  check_raises_invalid "non-positive interval" (fun () ->
-      M.create { M.default_config with interval = 0. });
+  List.iter
+    (fun interval ->
+      check_raises_invalid "non-positive or non-finite interval" (fun () ->
+          M.create { M.default_config with interval }))
+    [ 0.; Float.nan; Float.infinity ];
   let t = M.create M.default_config in
   check_raises_invalid "empty histogram bounds" (fun () ->
       M.histogram t ~entity:"e" ~name:"h" ~bounds:[||] ());

@@ -359,8 +359,13 @@ let printers_render () =
 
 let params_table () =
   Alcotest.(check int) "13 rows like Table 2" 13 (List.length Lognic.Params.table2);
-  check_raises_invalid "bad hardware" (fun () ->
-      Lognic.Params.hardware ~bw_interface:0. ~bw_memory:1.)
+  List.iter
+    (fun bw ->
+      check_raises_invalid "bad hardware" (fun () ->
+          Lognic.Params.hardware ~bw_interface:bw ~bw_memory:1.);
+      check_raises_invalid "bad resource capacity" (fun () ->
+          Lognic.Params.with_resources hw [ ("r", bw) ]))
+    [ 0.; Float.nan; Float.infinity ]
 
 (* Properties *)
 

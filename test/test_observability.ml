@@ -136,7 +136,7 @@ let explain_config = untraced_config
 
 let explain_agrees_when_vertex_bound () =
   let g = pipeline ~ip_rate:(2. *. U.gbps) () in
-  let r = S.Explain.run ~config:explain_config g ~hw ~traffic in
+  let r = S.Explain.run ~config:explain_config g ~hw ~mix:[ (traffic, 1.) ] in
   Alcotest.(check string) "model names ip" "ip" r.S.Explain.model_bottleneck;
   Alcotest.(check string) "sim names ip" "ip" r.S.Explain.sim_bottleneck;
   Alcotest.(check bool) "agree" true r.S.Explain.agree
@@ -146,7 +146,7 @@ let explain_agrees_when_interface_bound () =
      ~8.3 Gbps, far below the 20 Gbps IP. *)
   let g = pipeline ~ip_rate:(20. *. U.gbps) ~alpha:3. () in
   let traffic = T.make ~rate:(12. *. U.gbps) ~packet_size:1500. in
-  let r = S.Explain.run ~config:explain_config g ~hw ~traffic in
+  let r = S.Explain.run ~config:explain_config g ~hw ~mix:[ (traffic, 1.) ] in
   Alcotest.(check string)
     "model names interface" "interface" r.S.Explain.model_bottleneck;
   Alcotest.(check string)
@@ -155,7 +155,7 @@ let explain_agrees_when_interface_bound () =
 
 let explain_rows_ranked_and_joined () =
   let g = pipeline ~ip_rate:(2. *. U.gbps) () in
-  let r = S.Explain.run ~config:explain_config g ~hw ~traffic in
+  let r = S.Explain.run ~config:explain_config g ~hw ~mix:[ (traffic, 1.) ] in
   let utils = List.map (fun (e : S.Explain.entity_row) -> e.sim_utilization) r.rows in
   Alcotest.(check bool)
     "ranked by sim utilization" true

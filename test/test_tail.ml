@@ -225,16 +225,18 @@ let bursty_validation () =
             |> with_arrival (S.Traffic_gen.Bursty { burstiness = 1.; mean_on = 1e-3 }))
         g ~hw ~traffic)
 
-(* Multi-queue WRR Ip_node *)
+(* Multi-queue WRR Ip_node: one arbiter group of per-class queues *)
+
+let wrr_node ?(rate = 1.) e ~entries weights =
+  S.Ip_node.create_hierarchical e
+    ~rng:(N.Rng.create ~seed:3)
+    ~label:"n" ~engines:1 ~rate_per_engine:rate ~entries_per_queue:entries
+    ~group_weights:[| 1 |] ~class_weights:[| weights |]
+    ~service_dist:S.Ip_node.Deterministic
 
 let wrr_weights_respected () =
   let e = S.Engine.create () in
-  let node =
-    S.Ip_node.create_multiqueue e
-      ~rng:(N.Rng.create ~seed:3)
-      ~label:"n" ~engines:1 ~rate_per_engine:1. ~entries_per_queue:100
-      ~weights:[| 3; 1 |] ~service_dist:S.Ip_node.Deterministic
-  in
+  let node = wrr_node e ~entries:100 [| 3; 1 |] in
   (* preload both queues, then count service order over one WRR cycle *)
   let order = ref [] in
   for _ = 1 to 8 do
@@ -253,12 +255,7 @@ let wrr_weights_respected () =
 
 let wrr_skips_empty_queues () =
   let e = S.Engine.create () in
-  let node =
-    S.Ip_node.create_multiqueue e
-      ~rng:(N.Rng.create ~seed:3)
-      ~label:"n" ~engines:1 ~rate_per_engine:1. ~entries_per_queue:10
-      ~weights:[| 9; 1 |] ~service_dist:S.Ip_node.Deterministic
-  in
+  let node = wrr_node e ~entries:10 [| 9; 1 |] in
   (* only the light queue has work: it must still be served immediately *)
   let served = ref 0 in
   for _ = 1 to 5 do
@@ -269,12 +266,7 @@ let wrr_skips_empty_queues () =
 
 let wrr_per_queue_capacity () =
   let e = S.Engine.create () in
-  let node =
-    S.Ip_node.create_multiqueue e
-      ~rng:(N.Rng.create ~seed:3)
-      ~label:"n" ~engines:1 ~rate_per_engine:1e-9 ~entries_per_queue:2
-      ~weights:[| 1; 1 |] ~service_dist:S.Ip_node.Deterministic
-  in
+  let node = wrr_node ~rate:1e-9 e ~entries:2 [| 1; 1 |] in
   (* engine grabs the first; then 2 fit per queue *)
   for _ = 1 to 4 do
     ignore (S.Ip_node.submit ~queue:0 node ~work:1. ignore)
@@ -290,16 +282,8 @@ let wrr_per_queue_capacity () =
 
 let wrr_validation () =
   let e = S.Engine.create () in
-  check_raises_invalid "no queues" (fun () ->
-      S.Ip_node.create_multiqueue e
-        ~rng:(N.Rng.create ~seed:1)
-        ~label:"n" ~engines:1 ~rate_per_engine:1. ~entries_per_queue:4
-        ~weights:[||] ~service_dist:S.Ip_node.Deterministic);
-  check_raises_invalid "zero weight" (fun () ->
-      S.Ip_node.create_multiqueue e
-        ~rng:(N.Rng.create ~seed:1)
-        ~label:"n" ~engines:1 ~rate_per_engine:1. ~entries_per_queue:4
-        ~weights:[| 1; 0 |] ~service_dist:S.Ip_node.Deterministic)
+  check_raises_invalid "no queues" (fun () -> wrr_node e ~entries:4 [||]);
+  check_raises_invalid "zero weight" (fun () -> wrr_node e ~entries:4 [| 1; 0 |])
 
 (* Head-of-line blocking study *)
 

@@ -16,6 +16,7 @@ let spec_validation () =
   check_raises_invalid "share 0" (fun () -> T.spec ~share:0. "a");
   check_raises_invalid "share nan" (fun () -> T.spec ~share:Float.nan "a");
   check_raises_invalid "slo 0" (fun () -> T.spec ~slo_p99:0. "a");
+  check_raises_invalid "slo nan" (fun () -> T.spec ~slo_p99:Float.nan "a");
   check_raises_invalid "class weight 0" (fun () ->
       T.spec ~class_weights:[| 1; 0 |] "a");
   check_raises_invalid "empty set" (fun () -> T.set []);
@@ -46,16 +47,9 @@ let class_weight_rows () =
 
 (* ---- tenant draw ----------------------------------------------------- *)
 
-let index_of_edges () =
-  let s = T.set [ T.spec ~share:1. "a"; T.spec ~share:3. "b" ] in
-  Alcotest.(check int) "u=0 first tenant" 0 (T.index_of s 0.);
-  Alcotest.(check int) "u just under edge" 0 (T.index_of s 0.2499);
-  Alcotest.(check int) "u over edge" 1 (T.index_of s 0.2501);
-  Alcotest.(check int) "u near 1" 1 (T.index_of s 0.999999)
-
-(* The alias table must realize the same marginal distribution as the
-   cumulative-edge search: sample both from fixed seeds and compare
-   each tenant's frequency to its configured share. *)
+(* The alias table must realize the share distribution: sample it from
+   a fixed seed and compare each tenant's frequency to its configured
+   share. *)
 let alias_draw_matches_shares () =
   let s =
     T.set
@@ -288,7 +282,6 @@ let suite =
     quick "tenant: spec validation" spec_validation;
     quick "tenant: set canonicalizes" set_canonicalizes;
     quick "tenant: class weight rows" class_weight_rows;
-    quick "tenant: index_of edges" index_of_edges;
     quick "tenant: alias draw matches shares" alias_draw_matches_shares;
     quick "hier: group WRR order" hier_group_wrr_order;
     quick "hier: work conserving" hier_work_conserving;
