@@ -426,11 +426,11 @@ let report_cmd =
         Fmt.pr "medium %-14s utilization %5.2f, rejections %d@." md.mlabel
           md.m_utilization md.m_rejections)
       m.medium_stats;
-    if m.drop_breakdown <> [] then begin
+    if s.drop_breakdown <> [] then begin
       Fmt.pr "drops by site:@.";
       List.iter
         (fun (site, n) -> Fmt.pr "  %-24s %d@." (Tel.drop_site_name site) n)
-        m.drop_breakdown
+        s.drop_breakdown
     end;
     Option.iter
       (fun path ->
@@ -1378,9 +1378,10 @@ let () =
       ]
   in
   (* The one exception boundary: library calls reject bad input with
-     [Invalid_argument], reported like any other command-line error. *)
+     [Invalid_argument], and an unwritable output path raises
+     [Sys_error]; both are reported like any other command-line error. *)
   exit
     (try Cmd.eval ~catch:false group
-     with Invalid_argument m ->
+     with Invalid_argument m | Sys_error m ->
        Fmt.epr "lognic: %s@." m;
        Cmd.Exit.cli_error)

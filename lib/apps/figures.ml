@@ -367,7 +367,7 @@ let ext_observability ?(speed = Full) ppf =
       let s = m.summary in
       let t = s.Tel.latency_terms in
       let top =
-        match m.drop_breakdown with
+        match s.Tel.drop_breakdown with
         | [] -> "-"
         | (site, n) :: _ -> Fmt.str "%s (%d)" (Tel.drop_site_name site) n
       in

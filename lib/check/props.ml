@@ -957,6 +957,8 @@ let calendar_matches_heap ~count =
       drain ())
 
 let suite ?(scale = 1.) () =
+  if not (scale > 0. && Float.is_finite scale) then
+    invalid_arg "Props.suite: scale must be positive and finite";
   let n base = max 1 (int_of_float (Float.round (float_of_int base *. scale))) in
   [
     dsl_round_trip ~count:(n 500);

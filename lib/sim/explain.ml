@@ -143,37 +143,33 @@ let entity_join g (m : Netsim.measurement) (caps : Lognic.Throughput.result)
             })
       caps.Lognic.Throughput.vertex_caps
   in
-  let shared_medium name cap sim_utilization =
-    let model_utilization =
-      if cap > 0. && cap < infinity then attained /. cap else 0.
-    in
-    {
-      name;
-      model_utilization;
-      sim_utilization;
-      residual = sim_utilization -. Float.min 1. model_utilization;
-      model_queueing = None;
-      model_queue_depth = None;
-      sim_queue_depth = series_mean m.Netsim.series (name ^ ".backlog");
-      model_drop_probability = None;
-      drops =
-        (match medium_row name with Some s -> s.Netsim.m_rejections | None -> 0);
-    }
+  let shared_medium (name, cap) =
+    Option.map
+      (fun (md : Netsim.medium_stats) ->
+        let sim_utilization = md.m_utilization in
+        let model_utilization =
+          if cap > 0. && cap < infinity then attained /. cap else 0.
+        in
+        {
+          name;
+          model_utilization;
+          sim_utilization;
+          residual = sim_utilization -. Float.min 1. model_utilization;
+          model_queueing = None;
+          model_queue_depth = None;
+          sim_queue_depth = series_mean m.Netsim.series (name ^ ".backlog");
+          model_drop_probability = None;
+          drops = md.m_rejections;
+        })
+      (medium_row name)
   in
   let medium_rows =
-    [
-      shared_medium "interface" caps.Lognic.Throughput.interface_cap
-        m.Netsim.interface_utilization;
-      shared_medium "memory" caps.Lognic.Throughput.memory_cap
-        m.Netsim.memory_utilization;
-    ]
-    @ List.filter_map
-        (fun ((s, d), cap) ->
-          let name = Printf.sprintf "link-%d-%d" s d in
-          Option.map
-            (fun (md : Netsim.medium_stats) -> shared_medium name cap md.m_utilization)
-            (medium_row name))
-        caps.Lognic.Throughput.edge_caps
+    List.filter_map shared_medium
+      (("interface", caps.Lognic.Throughput.interface_cap)
+      :: ("memory", caps.Lognic.Throughput.memory_cap)
+      :: List.map
+           (fun ((s, d), cap) -> (Printf.sprintf "link-%d-%d" s d, cap))
+           caps.Lognic.Throughput.edge_caps)
   in
   let rows =
     List.stable_sort

@@ -3,17 +3,17 @@
    snapshots, an OpenMetrics exposition, and SLO watchdog rules with
    hysteresis.
 
-   Determinism is the design constraint.  Every scalar instrument is a
-   read-only probe over state the simulator already maintains (windowed
-   telemetry accounts, node/medium accessors), so sampling can never
-   change results; the only new hot-path instrument is the histogram,
-   whose [observe_span] is a binary search plus an int bump and a
-   float-array add — no allocation.  Snapshots carry only sim-time
-   quantities; wall-clock and GC numbers from the optional {!Profile}
-   ride in a separate [schema:"profile"] document because they are
-   inherently nondeterministic. *)
+   Determinism is the design constraint.  Every instrument is a
+   read-only view of state the simulator already maintains (the run's
+   telemetry table, node/medium accessors) — the latency histogram
+   included, which reads a table row's log₂ buckets — so sampling can
+   never change results and metrics add no per-packet work.
+   Snapshots carry only sim-time quantities; wall-clock and GC numbers
+   from the optional {!Profile} ride in a separate [schema:"profile"]
+   document because they are inherently nondeterministic. *)
 
 module J = Telemetry.Json
+module Tb = Telemetry.Table
 
 type kind = Counter | Gauge | Rate
 
@@ -109,80 +109,17 @@ module Slo = struct
     r.r_metric = metric && (r.r_entity = "*" || r.r_entity = entity)
 end
 
-(* Log-spaced latency bounds, 4 per decade from 100ns to 1s; a closing
-   +inf bucket is appended by [histogram]. *)
-let default_bounds =
-  Array.init 29 (fun i -> 1e-7 *. (10. ** (float_of_int i /. 4.)))
-
+(* A view of one {!Telemetry.Table} row's log₂ latency histogram: the
+   table already counts every delivery, so the instrument only keeps
+   the bucket counts and latency sum it saw at the previous tick. *)
 type histogram = {
   h_entity : string;
   h_name : string;
-  h_bounds : float array;  (* strictly increasing; last is [infinity] *)
-  h_search : float array;
-      (* [h_bounds] padded with [infinity] to exactly 32 entries when it
-         fits, [[||]] otherwise: the hot-path [observe_span] runs a fixed
-         five-step unrolled lower-bound search over it (no calls, no
-         boxing), falling back to the recursive search for oversized
-         custom bound sets *)
-  h_counts : int array;  (* cumulative per bucket *)
-  h_prev_counts : int array;  (* at the previous tick *)
-  h_f : float array;  (* 0 = cumulative sum, 1 = sum at previous tick *)
-  mutable h_total : int;
-  mutable h_prev_total : int;
+  h_table : Tb.t;
+  h_row : int;
+  h_prev : int array;  (* bucket counts at the previous tick *)
+  mutable h_prev_sum : float;
 }
-
-(* First bucket whose upper bound admits [v]; tail-recursive ints so the
-   hot path allocates nothing. *)
-let rec bucket_of bounds v lo hi =
-  if lo >= hi then lo
-  else
-    let mid = (lo + hi) / 2 in
-    if v <= Array.unsafe_get bounds mid then bucket_of bounds v lo mid
-    else bucket_of bounds v (mid + 1) hi
-
-(* The observed value is [fs.(to_slot) -. fs.(from_slot)], computed
-   inside the call: without flambda, every non-inlined call with a float
-   argument boxes it (and a recursive search re-boxes at each level), so
-   only pointers and ints cross the boundary and the whole search lives
-   in this one body — the simulator's per-delivery hook allocates
-   nothing even though this function is too large for the non-flambda
-   inliner. Over the 32-entry padded array the lower bound is five
-   unrolled compares; the +inf padding keeps the answer inside the real
-   bounds for every non-NaN value (NaN compares false throughout and
-   lands in bucket 0). *)
-let observe_span h fs ~from_slot ~to_slot =
-  let v = Array.unsafe_get fs to_slot -. Array.unsafe_get fs from_slot in
-  let i =
-    if Array.length h.h_search = 32 then begin
-      let b = h.h_search in
-      let i = if v > Array.unsafe_get b 15 then 16 else 0 in
-      let i = if v > Array.unsafe_get b (i + 7) then i + 8 else i in
-      let i = if v > Array.unsafe_get b (i + 3) then i + 4 else i in
-      let i = if v > Array.unsafe_get b (i + 1) then i + 2 else i in
-      if v > Array.unsafe_get b i then i + 1 else i
-    end
-    else bucket_of h.h_bounds v 0 (Array.length h.h_counts - 1)
-  in
-  Array.unsafe_set h.h_counts i (Array.unsafe_get h.h_counts i + 1);
-  h.h_total <- h.h_total + 1;
-  h.h_f.(0) <- h.h_f.(0) +. v
-
-(* Upper bound of the bucket holding the [q]-quantile of a (delta)
-   histogram; the +inf bucket reports the largest finite bound. *)
-let quantile bounds counts total q =
-  if total = 0 then 0.
-  else begin
-    let target = int_of_float (Float.ceil (q *. float_of_int total)) in
-    let target = if target < 1 then 1 else target in
-    let last = Array.length bounds - 1 in
-    let rec go i acc =
-      let acc = acc + counts.(i) in
-      if acc >= target || i = last then
-        if i = last then bounds.(last - 1) else bounds.(i)
-      else go (i + 1) acc
-    in
-    go 0 0
-  end
 
 type metric = {
   m_entity : string;
@@ -282,37 +219,20 @@ let register t ~entity ~name kind probe =
   in
   t.items <- t.items @ [ Metric m ]
 
-let histogram t ~entity ~name ?(bounds = default_bounds) () =
-  let n = Array.length bounds in
-  if n = 0 then invalid_arg "Metrics.histogram: empty bounds";
-  for i = 1 to n - 1 do
-    if bounds.(i) <= bounds.(i - 1) then
-      invalid_arg "Metrics.histogram: bounds must be strictly increasing"
-  done;
-  let h_bounds = Array.append bounds [| infinity |] in
-  let h_search =
-    if n + 1 <= 32 then begin
-      let s = Array.make 32 infinity in
-      Array.blit h_bounds 0 s 0 (n + 1);
-      s
-    end
-    else [||]
-  in
+let histogram t ~entity ~name table ~row =
+  if row < 0 || row >= Tb.rows table then
+    invalid_arg "Metrics.histogram: row outside the table";
   let h =
     {
       h_entity = entity;
       h_name = name;
-      h_bounds;
-      h_search;
-      h_counts = Array.make (n + 1) 0;
-      h_prev_counts = Array.make (n + 1) 0;
-      h_f = Array.make 2 0.;
-      h_total = 0;
-      h_prev_total = 0;
+      h_table = table;
+      h_row = row;
+      h_prev = Array.init Tb.buckets (Tb.bucket_count table row);
+      h_prev_sum = Tb.latency_sum table row;
     }
   in
-  t.items <- t.items @ [ Hist h ];
-  h
+  t.items <- t.items @ [ Hist h ]
 
 (* ------------------------------------------------------------------ *)
 (* Ticks: sample every instrument, evaluate the watchdogs, snapshot.  *)
@@ -439,19 +359,25 @@ let tick t ~now =
           push m.m_entity m.m_name (Rate_s { value = rate; total = cur });
           evaluate_rules t ~now ~events (m.m_entity, m.m_name, rate))
       | Hist h ->
-        let n = Array.length h.h_counts in
-        let dcounts = Array.make n 0 in
-        for i = 0 to n - 1 do
-          dcounts.(i) <- h.h_counts.(i) - h.h_prev_counts.(i)
-        done;
-        let dtotal = h.h_total - h.h_prev_total in
-        let dsum = h.h_f.(0) -. h.h_f.(1) in
-        Array.blit h.h_counts 0 h.h_prev_counts 0 n;
-        h.h_prev_total <- h.h_total;
-        h.h_f.(1) <- h.h_f.(0);
-        let p50 = quantile h.h_bounds dcounts dtotal 0.5 in
-        let p99 = quantile h.h_bounds dcounts dtotal 0.99 in
-        push h.h_entity h.h_name (Hist_s { count = dtotal; sum = dsum; p50; p99 });
+        let counts =
+          Array.init Tb.buckets (fun b ->
+              let c = Tb.bucket_count h.h_table h.h_row b in
+              let d = c - h.h_prev.(b) in
+              h.h_prev.(b) <- c;
+              d)
+        in
+        let count = Array.fold_left ( + ) 0 counts in
+        let total_sum = Tb.latency_sum h.h_table h.h_row in
+        let sum = total_sum -. h.h_prev_sum in
+        h.h_prev_sum <- total_sum;
+        (* the interval's quantiles, as log₂ bucket upper bounds *)
+        let quantile q =
+          if count = 0 then 0.
+          else
+            Tb.bucket_upper (Tb.quantile_bucket counts ~base:0 ~total:count q)
+        in
+        let p50 = quantile 0.5 and p99 = quantile 0.99 in
+        push h.h_entity h.h_name (Hist_s { count; sum; p50; p99 });
         evaluate_rules t ~now ~events (h.h_entity, h.h_name ^ "_p50", p50);
         evaluate_rules t ~now ~events (h.h_entity, h.h_name ^ "_p99", p99))
     t.items;
@@ -483,14 +409,16 @@ let alerts t = List.rev t.alert_order
    pop order of packet events. *)
 let attach cfg engine ~telemetry ~nodes ~media ?tenants ~until () =
   let m = create cfg in
-  let run name kind probe = register m ~entity:"run" ~name kind probe in
-  run "offered" Counter (fun () -> float_of_int (Telemetry.offered telemetry));
-  run "delivered" Counter (fun () -> float_of_int (Telemetry.delivered telemetry));
-  run "dropped" Counter (fun () -> float_of_int (Telemetry.dropped telemetry));
-  run "delivered_bytes" Counter (fun () -> Telemetry.delivered_bytes telemetry);
-  (* The latency histogram is the one hot-path instrument; each tick
-     synthesizes latency_p50 / latency_p99 for SLO rules. *)
-  let hist = histogram m ~entity:"run" ~name:"latency" () in
+  (* The run's counters and latency histogram read row 0 of the run's
+     account; each tick synthesizes latency_p50 / latency_p99 for SLO
+     rules. *)
+  let account = Telemetry.table telemetry in
+  let run name probe = register m ~entity:"run" ~name Counter probe in
+  run "offered" (fun () -> float_of_int (Tb.offered account 0));
+  run "delivered" (fun () -> float_of_int (Tb.delivered account 0));
+  run "dropped" (fun () -> float_of_int (Tb.dropped account 0));
+  run "delivered_bytes" (fun () -> Tb.delivered_bytes account 0);
+  histogram m ~entity:"run" ~name:"latency" account ~row:0;
   (* Warmup-windowed drops per site, one entity per interned drop
      counter. *)
   List.iter
@@ -547,7 +475,7 @@ let attach cfg engine ~telemetry ~nodes ~media ?tenants ~until () =
       List.iter (fun md -> Medium.set_profile md (Some p)) media)
     m.profiler;
   Engine.every engine ~interval:cfg.interval ~until (fun now -> ignore (tick m ~now));
-  (m, hist)
+  m
 
 (* ------------------------------------------------------------------ *)
 (* Exports.                                                           *)
@@ -758,24 +686,22 @@ let to_openmetrics t =
           | Hist h ->
             let entity = om_escape h.h_entity in
             let acc = ref 0 in
-            Array.iteri
-              (fun i bound ->
-                acc := !acc + h.h_counts.(i);
-                let le =
-                  if Float.is_integer bound || bound = infinity then
-                    if bound = infinity then "+Inf" else om_num bound
-                  else J.float_repr bound
-                in
-                Buffer.add_string buf
-                  (Printf.sprintf "%s_bucket{entity=\"%s\",le=\"%s\"} %d\n"
-                     om_name entity le !acc))
-              h.h_bounds;
+            for b = 0 to Tb.buckets - 1 do
+              acc := !acc + Tb.bucket_count h.h_table h.h_row b;
+              let le =
+                if b = Tb.buckets - 1 then "+Inf"
+                else om_num (Tb.bucket_upper b)
+              in
+              Buffer.add_string buf
+                (Printf.sprintf "%s_bucket{entity=\"%s\",le=\"%s\"} %d\n"
+                   om_name entity le !acc)
+            done;
             Buffer.add_string buf
               (Printf.sprintf "%s_sum{entity=\"%s\"} %s\n" om_name entity
-                 (om_num h.h_f.(0)));
+                 (om_num (Tb.latency_sum h.h_table h.h_row)));
             Buffer.add_string buf
               (Printf.sprintf "%s_count{entity=\"%s\"} %d\n" om_name entity
-                 h.h_total))
+                 (Tb.delivered h.h_table h.h_row)))
         members)
     !families;
   Buffer.add_string buf "# EOF\n";

@@ -7,9 +7,10 @@
     each interval, with hysteresis, yielding structured {!alert}
     records naming the offending entity.
 
-    Determinism: scalar instruments are read-only probes over state the
-    simulator already maintains, so enabling metrics never changes
-    simulation results; the histogram's {!observe_span} allocates nothing.
+    Determinism: every instrument is a read-only view of state the
+    simulator already maintains — the latency {!histogram} reads a
+    {!Telemetry.Table} row's log₂ buckets — so enabling metrics never
+    changes simulation results and adds no per-packet work.
     Wall-clock/GC numbers from the optional self-{!profiler} are
     exported separately ([schema:"profile"]) and never enter the
     deterministic snapshot stream. *)
@@ -81,8 +82,9 @@ and sample =
   | Gauge_s of { value : float }
   | Rate_s of { value : float; total : float }
   | Hist_s of { count : int; sum : float; p50 : float; p99 : float }
-      (** per-interval deltas; [p50]/[p99] are bucket upper bounds of
-          the interval's observations *)
+      (** per-interval deltas; [p50]/[p99] are the log₂ bucket upper
+          bounds ({!Telemetry.Table.bucket_upper}) holding the interval's
+          quantiles, good to a factor of 2 *)
 
 and alert_event = {
   ev_rule : string;
@@ -108,24 +110,13 @@ val register :
     order is the deterministic sampling/export order. The probe is
     called once immediately to seed the delta baseline. *)
 
-type histogram
-
 val histogram :
-  t -> entity:string -> name:string -> ?bounds:float array -> unit -> histogram
-(** A bucketed histogram; [bounds] (default {!default_bounds}) are the
-    strictly-increasing finite bucket upper bounds, with a [+inf]
-    bucket appended.  Each tick synthesizes [NAME_p50] / [NAME_p99]
-    values from the interval's observations for SLO rules to target. *)
-
-val default_bounds : float array
-(** Log-spaced, 4 buckets per decade from 100 ns to 1 s. *)
-
-val observe_span : histogram -> float array -> from_slot:int -> to_slot:int -> unit
-(** [observe_span h fs ~from_slot ~to_slot] records one observation,
-    [fs.(to_slot) -. fs.(from_slot)]: unrolled bucket search + integer
-    bump. Only pointers and ints cross the call boundary, so the
-    simulator's per-delivery latency hook is allocation-free even under
-    the non-flambda compiler. *)
+  t -> entity:string -> name:string -> Telemetry.Table.t -> row:int -> unit
+(** A view of one table row's log₂ latency histogram: each tick reports
+    the interval's count, latency sum and p50/p99 from the row's
+    bucket and sum deltas, and synthesizes [NAME_p50] / [NAME_p99]
+    values for SLO rules to target. Raises [Invalid_argument] on a row
+    outside the table. *)
 
 (** {2 Ticks and alerts} *)
 
@@ -170,19 +161,19 @@ val attach :
   ?tenants:Tenant.set * Telemetry.Table.t ->
   until:float ->
   unit ->
-  t * histogram
+  t
 (** What {!Netsim.execute} runs when [config.metrics] is set: a registry
-    over one run's state, returned with its [run.latency] histogram for
-    the delivery hook to {!observe_span}. Instruments register in this
-    order: [run] counters ([offered], [delivered], [dropped],
-    [delivered_bytes]) and the latency histogram; [drops] per interned
-    {!Telemetry} drop site; per node [completions], [drops],
-    [queue_depth], [busy_engines], [utilization]; per medium
-    [transfers], [rejections], [backlog_bytes], [utilization]; and, with
-    [tenants] (the set and its attribution table), the [tenants]
-    fairness gauges. The profiler (if any) is
-    attached to every node and medium, and ticks are scheduled every
-    [config.interval] up to [until] ({!Engine.every}). *)
+    over one run's state. Instruments register in this order: [run]
+    counters ([offered], [delivered], [dropped], [delivered_bytes]) and
+    the [latency] {!histogram}, all reading row 0 of the run's
+    {!Telemetry.table}; [drops] per interned {!Telemetry} drop site;
+    per node [completions], [drops], [queue_depth], [busy_engines],
+    [utilization]; per medium [transfers], [rejections],
+    [backlog_bytes], [utilization]; and, with [tenants] (the set and
+    its attribution table), the [tenants] fairness gauges. The
+    profiler (if any) is attached to every node and medium, and ticks
+    are scheduled every [config.interval] up to [until]
+    ({!Engine.every}). *)
 
 (** {2 Exports} *)
 
@@ -207,4 +198,6 @@ val profile_to_json : t -> Telemetry.Json.t option
 val to_openmetrics : t -> string
 (** OpenMetrics text exposition of cumulative values at call time
     ([lognic_]-prefixed families, entities as labels, [# EOF]
-    terminated). *)
+    terminated). A histogram writes one cumulative [_bucket] line per
+    log₂ bucket: [le] is the bucket's inclusive upper edge, 63 finite
+    edges from 2{^−39} to 2{^23} s and then [+Inf]. *)

@@ -95,10 +95,7 @@ type measurement = {
   summary : Telemetry.summary;
   vertex_stats : vertex_stats list;
   medium_stats : medium_stats list;
-  drop_breakdown : (Telemetry.drop_site * int) list;
   series : Telemetry.Series.t list;
-  interface_utilization : float;
-  memory_utilization : float;
   generated : int;
   fault_intervals : Faults.interval_stats list;
   resilience : Faults.resilience option;
@@ -258,7 +255,7 @@ let execute_with ?engine:reused (spec : Run.t) =
   let rng = N.Rng.create ~seed:config.seed in
   let gen_rng = N.Rng.split rng in
   let route_rng = N.Rng.split rng in
-  let telemetry = Telemetry.create ~warmup:config.warmup in
+  let telemetry = Telemetry.create ~warmup:config.warmup ~classes:nclasses in
   let p_vertex, p_edge = reach_probabilities g in
   let prob_vertex id = Option.value (Hashtbl.find_opt p_vertex id) ~default:0. in
   let prob_edge e = Option.value (Hashtbl.find_opt p_edge e) ~default:0. in
@@ -518,15 +515,6 @@ let execute_with ?engine:reused (spec : Run.t) =
       (match faults with
       | Some f -> Faults.record_delivered f fl.fs
       | None -> ());
-      (* Live-metrics latency histogram, windowed by birth like the
-         summary; [observe_span] is allocation-free and reads nothing
-         back, so the disabled path is one pointer compare. *)
-      (match metrics with
-      | Some (_, h) ->
-        if fl.fs.(Telemetry.slot_born) >= config.warmup then
-          Metrics.observe_span h fl.fs ~from_slot:Telemetry.slot_born
-            ~to_slot:Telemetry.slot_now
-      | None -> ());
       Telemetry.record_completion_fs telemetry ~fs:fl.fs ~klass:fl.fl_klass;
       (match tenants with
       | Some (_, tbl) -> Telemetry.Table.record_delivered tbl ~row:fl.fl_tenant fl.fs
@@ -653,8 +641,7 @@ let execute_with ?engine:reused (spec : Run.t) =
     (match faults with
     | Some f -> Faults.record_dropped f fl.fs
     | None -> ());
-    Telemetry.record_drop_counted telemetry ~born:fl.fs.(Telemetry.slot_born)
-      d.dk;
+    Telemetry.record_drop_counted telemetry fl.fs d.dk;
     (match tenants with
     | Some (_, tbl) -> Telemetry.Table.record_dropped tbl ~row:fl.fl_tenant fl.fs
     | None -> ());
@@ -752,7 +739,6 @@ let execute_with ?engine:reused (spec : Run.t) =
     (match checker with
     | Some inv -> Invariants.packet_injected inv ~id ~time:now
     | None -> ());
-    Telemetry.record_arrival telemetry ~now ~size;
     (* The tenant is drawn before the burst-shed check so even packets
        shed at ingress attribute their drop to an owner — per-tenant
        counts sum exactly to the aggregate telemetry accounts. *)
@@ -769,6 +755,7 @@ let execute_with ?engine:reused (spec : Run.t) =
     fl.fl_klass <- klass;
     fl.fl_tenant <- tid;
     fl.fl_queue <- (if tenant_classes = 0 then 0 else (tid * tenant_classes) + klass);
+    Telemetry.record_arrival telemetry fs;
     (match tenants with
     | Some (_, tbl) -> Telemetry.Table.record_offered tbl ~row:tid fs
     | None -> ());
@@ -847,7 +834,7 @@ let execute_with ?engine:reused (spec : Run.t) =
       ~mix:spec.Run.mix ~on_arrival
   in
   Traffic_gen.start gen ~until:config.duration;
-  let profile = Option.bind metrics (fun (m, _) -> Metrics.profiler m) in
+  let profile = Option.bind metrics Metrics.profiler in
   (match checker with
   | Some inv ->
     Engine.run ~until:config.duration
@@ -902,16 +889,13 @@ let execute_with ?engine:reused (spec : Run.t) =
     summary;
     vertex_stats;
     medium_stats;
-    drop_breakdown = summary.Telemetry.drop_breakdown;
     series;
-    interface_utilization = Medium.utilization interface ~until:config.duration;
-    memory_utilization = Medium.utilization memory ~until:config.duration;
     generated = Traffic_gen.generated gen;
     fault_intervals;
     resilience;
     trace;
     invariants;
-    metrics = Option.map fst metrics;
+    metrics;
     tenants =
       Option.map
         (fun (tset, tbl) -> Tenant.summarize tset tbl ~horizon:config.duration)

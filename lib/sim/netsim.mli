@@ -34,7 +34,8 @@
       birth-bin accounting, {!Faults.summarize});
     - invariants: {!Invariants} (per-packet and per-admission checks,
       {!Invariants.check_horizon} at the end of the run);
-    - metrics: {!Metrics.attach} (the instrument catalog and its ticks);
+    - metrics: {!Metrics.attach} (the instrument catalog and its ticks,
+      read-only views of the run's accounts);
     - tracing: {!Trace} (reservoir-sampled packet spans);
     - tenants: {!Tenant} (per-VF rows of a {!Telemetry.Table}; at two
       tenants or more, hierarchical nodes and a tenant rng);
@@ -76,9 +77,10 @@ type config = private {
       (** when [Some], sample a live metrics registry every
           [interval] sim-seconds, evaluate its SLO rules, and attach
           the instance as {!measurement.metrics} (default [None]).
-          Every instrument is a read-only probe (plus an
-          allocation-free latency histogram) and no rng stream is
-          split, so enabling metrics never changes simulation results
+          Every instrument, the latency histogram included, is a
+          read-only view of the run's accounts (no per-delivery hook)
+          and no rng stream is split, so enabling metrics never changes
+          simulation results
           or measurement JSON (held by the [metrics] test
           "measurement JSON identical with metrics on/off"). *)
   tenants : Tenant.set option;
@@ -200,16 +202,13 @@ type measurement = {
   summary : Telemetry.summary;
   vertex_stats : vertex_stats list;
   medium_stats : medium_stats list;
-      (** interface, memory, then dedicated links in edge order *)
-  drop_breakdown : (Telemetry.drop_site * int) list;
-      (** = [summary.drop_breakdown]: warmup-windowed drops per site,
-          summing to [summary.dropped_packets] *)
+      (** interface, memory, then dedicated links in edge order; the
+          first two rows are the shared media's utilization. Drops per
+          site are [summary.drop_breakdown]. *)
   series : Telemetry.Series.t list;
       (** sampled time series (empty unless [sample_interval] is set):
           ["LABEL.depth"] / ["LABEL.busy"] per node, ["LABEL.backlog"]
           per medium *)
-  interface_utilization : float;
-  memory_utilization : float;
   generated : int;  (** packets offered over the whole run *)
   fault_intervals : Faults.interval_stats list;
       (** chronological, tiling [\[0, duration)]; empty for an empty

@@ -374,16 +374,14 @@ type latency_terms = {
   overhead : float;
 }
 
-let zero_terms = { queueing = 0.; service = 0.; wire = 0.; overhead = 0. }
-
 let terms_total { queueing; service; wire; overhead } =
   queueing +. service +. wire +. overhead
 
-(* Layout of the per-flight float scratch array shared by the zero-
-   allocation accounting path ([record_completion_fs]): the four Eq. 2
-   latency terms accumulated along the walk, then birth time, size, and
-   the completion time — all unboxed float-array slots, so the sim hot
-   path updates them without boxing a single float. *)
+(* Layout of the per-flight float scratch array every record reads
+   (the aggregate account, {!Table} rows): the four Eq. 2 latency terms
+   accumulated along the walk, then birth time, size, and the
+   completion time — all unboxed float-array slots, so the sim hot path
+   updates them without boxing a single float. *)
 let slot_queueing = 0
 let slot_service = 1
 let slot_wire = 2
@@ -393,116 +391,32 @@ let slot_size = 5
 let slot_now = 6
 let flight_slots = 7
 
-(* An interned per-site drop counter: the sim resolves the site to a
-   counter once at setup and bumps an int per drop, instead of hashing
-   a polymorphic [drop_site] key on every shed packet. *)
-type counter = { c_site : drop_site; mutable c_hits : int }
-
-type t = {
-  warmup : float;
-  mutable offered : int;
-  mutable dropped : int;
-  mutable delivered : int;
-  fsums : float array;
-      (* unboxed accumulators: 0 delivered_bytes, then the four
-         latency-term sums (queueing/service/wire/overhead) *)
-  latencies : Buf.t;
-  mutable class_counts : int array;  (* dense by class index *)
-  mutable class_sums : float array;
-  mutable counters : counter list;
-}
-
-let create ~warmup =
-  {
-    warmup;
-    offered = 0;
-    dropped = 0;
-    delivered = 0;
-    fsums = Array.make 5 0.;
-    latencies = Buf.create ();
-    class_counts = Array.make 8 0;
-    class_sums = Array.make 8 0.;
-    counters = [];
-  }
-
-let[@inline] record_arrival t ~now ~size =
-  ignore size;
-  if now >= t.warmup then t.offered <- t.offered + 1
-
-(* Read-only probes over the windowed accumulators, for the live
-   metrics layer ({!Metrics}): cumulative values at call time. *)
-let offered t = t.offered
-let delivered t = t.delivered
-let dropped t = t.dropped
-let delivered_bytes t = t.fsums.(0)
-let counters t = List.rev t.counters  (* interning order *)
-let counter_site c = c.c_site
-let counter_hits c = c.c_hits
-
-let drop_counter t site =
-  match List.find_opt (fun c -> c.c_site = site) t.counters with
-  | Some c -> c
-  | None ->
-    let c = { c_site = site; c_hits = 0 } in
-    t.counters <- c :: t.counters;
-    c
-
-let[@inline] record_drop_counted t ~born c =
-  if born >= t.warmup then begin
-    t.dropped <- t.dropped + 1;
-    c.c_hits <- c.c_hits + 1
-  end
-
-let grow_classes t klass =
-  let n = Array.length t.class_counts in
-  let bigger = max (klass + 1) (2 * n) in
-  let counts = Array.make bigger 0 in
-  let sums = Array.make bigger 0. in
-  Array.blit t.class_counts 0 counts 0 n;
-  Array.blit t.class_sums 0 sums 0 n;
-  t.class_counts <- counts;
-  t.class_sums <- sums
-
-let[@inline] bump_class t klass latency =
-  if klass >= Array.length t.class_counts then grow_classes t klass;
-  t.class_counts.(klass) <- t.class_counts.(klass) + 1;
-  t.class_sums.(klass) <- t.class_sums.(klass) +. latency
-
-(* The allocation-free completion record: every float comes in through
-   the caller's scratch array and lands in unboxed accumulators. *)
-let record_completion_fs t ~fs ~klass =
-  let born = fs.(slot_born) in
-  if born >= t.warmup then begin
-    t.delivered <- t.delivered + 1;
-    t.fsums.(0) <- t.fsums.(0) +. fs.(slot_size);
-    let latency = fs.(slot_now) -. born in
-    Buf.add t.latencies latency;
-    t.fsums.(1) <- t.fsums.(1) +. fs.(slot_queueing);
-    t.fsums.(2) <- t.fsums.(2) +. fs.(slot_service);
-    t.fsums.(3) <- t.fsums.(3) +. fs.(slot_wire);
-    t.fsums.(4) <- t.fsums.(4) +. fs.(slot_overhead);
-    bump_class t klass latency
-  end
-
-(* Per-row attribution (tenants, flow-cache classes, fault bins):
-   struct-of-arrays over dense row ids, sized once at creation, so
-   every record is a handful of unboxed stores. *)
+(* Per-row attribution (the run and its traffic classes, tenants,
+   flow-cache classes, fault bins): struct-of-arrays over dense row
+   ids, sized once at creation, so every record is a handful of
+   unboxed stores. *)
 module Table = struct
   (* 64 log₂ latency buckets per row in one flat int array: bucket [k]
-     holds latencies in [2^(k−40), 2^(k−39)) seconds, covering
+     holds latencies in (2^(k−40), 2^(k−39)] seconds, covering
      sub-picosecond to ~2-week latencies. Good to a factor of 2 at the
      tail, which is what an SLO verdict and a noisy-neighbor ranking
      need, at a cost of one store per delivery. *)
   let buckets = 64
 
+  (* ⌈log₂ lat⌉ + 39, read off the float's bits: the exponent, minus
+     one when the fraction is zero (an exact power of two closes the
+     bucket below it). [Float.log2] would round the largest float
+     below 2^j up to j. *)
   let[@inline] bucket_of lat =
-    if lat <= 0. then 0
+    if not (lat > 0.) then 0
     else begin
-      let b = int_of_float (Float.floor (Float.log2 lat)) + 40 in
+      let bits = Int64.to_int (Int64.bits_of_float lat) in
+      let exp = ((bits lsr 52) land 0x7ff) - 1023 in
+      let b = if bits land 0xf_ffff_ffff_ffff = 0 then exp + 39 else exp + 40 in
       if b < 0 then 0 else if b > buckets - 1 then buckets - 1 else b
     end
 
-  let bucket_upper b = Float.pow 2. (float_of_int (b - 39))
+  let bucket_upper b = Float.ldexp 1. (b - 39)
 
   type t = {
     cutoff : float;
@@ -538,6 +452,7 @@ module Table = struct
       hist = Array.make (rows * buckets) 0;
     }
 
+  let rows t = Array.length t.offered
   let cutoff t = t.cutoff
 
   let[@inline] record_offered t ~row fs =
@@ -570,10 +485,12 @@ module Table = struct
   let delivered t row = t.delivered.(row)
   let offered_bytes t row = t.offered_bytes.(row)
   let delivered_bytes t row = t.delivered_bytes.(row)
+  let latency_sum t row = t.lat_sum.(row)
   let max_latency t row = t.lat_max.(row)
+  let bucket_count t row b = t.hist.((row * buckets) + b)
 
-  (* Inlined, and [p99] below scans without a closure: summaries over
-     thousands of rows allocate only the floats they return. *)
+  (* Inlined, and [quantile_bucket] scans without a closure: summaries
+     over thousands of rows allocate only the floats they return. *)
   let[@inline] mean t row sums =
     let d = t.delivered.(row) in
     if d = 0 then 0. else sums.(row) /. float_of_int d
@@ -588,22 +505,70 @@ module Table = struct
       overhead = mean t row t.o_sum;
     }
 
-  (* The smallest bucket whose cumulative count reaches ⌈0.99·n⌉. *)
+  let quantile_bucket counts ~base ~total q =
+    let target = int_of_float (Float.ceil (q *. float_of_int total)) in
+    let b = ref 0 and seen = ref counts.(base) in
+    while !seen < target && !b < buckets - 1 do
+      incr b;
+      seen := !seen + counts.(base + !b)
+    done;
+    !b
+
   let p99 t row =
     let delivered = t.delivered.(row) in
     if delivered = 0 then 0.
-    else begin
-      let target = int_of_float (Float.ceil (0.99 *. float_of_int delivered)) in
-      let base = row * buckets in
-      let b = ref 0 and seen = ref t.hist.(base) in
-      while !seen < target && !b < buckets - 1 do
-        incr b;
-        seen := !seen + t.hist.(base + !b)
-      done;
-      if !seen >= target then Float.min (bucket_upper !b) t.lat_max.(row)
-      else t.lat_max.(row)
-    end
+    else
+      Float.min
+        (bucket_upper
+           (quantile_bucket t.hist ~base:(row * buckets) ~total:delivered 0.99))
+        t.lat_max.(row)
 end
+
+(* An interned per-site drop counter: the sim resolves the site to a
+   counter once at setup and bumps an int per drop, instead of hashing
+   a polymorphic [drop_site] key on every shed packet. *)
+type counter = { c_site : drop_site; mutable c_hits : int }
+
+type t = {
+  table : Table.t;  (* row 0: the run; row 1 + k: traffic class k *)
+  latencies : Buf.t;
+  mutable counters : counter list;
+}
+
+let create ~warmup ~classes =
+  {
+    table = Table.create ~rows:(1 + classes) ~cutoff:warmup;
+    latencies = Buf.create ();
+    counters = [];
+  }
+
+let table t = t.table
+let[@inline] record_arrival t fs = Table.record_offered t.table ~row:0 fs
+let counters t = List.rev t.counters  (* interning order *)
+let counter_site c = c.c_site
+let counter_hits c = c.c_hits
+
+let drop_counter t site =
+  match List.find_opt (fun c -> c.c_site = site) t.counters with
+  | Some c -> c
+  | None ->
+    let c = { c_site = site; c_hits = 0 } in
+    t.counters <- c :: t.counters;
+    c
+
+let[@inline] record_drop_counted t fs c =
+  if fs.(slot_born) >= t.table.cutoff then begin
+    Table.record_dropped t.table ~row:0 fs;
+    c.c_hits <- c.c_hits + 1
+  end
+
+(* The run's row and the class's row, plus the exact latency sample the
+   summary's percentiles need. *)
+let record_completion_fs t ~fs ~klass =
+  Table.record_delivered t.table ~row:0 fs;
+  Table.record_delivered t.table ~row:(1 + klass) fs;
+  let born = fs.(slot_born) in
+  if born >= t.table.cutoff then Buf.add t.latencies (fs.(slot_now) -. born)
 
 type summary = {
   window : float;
@@ -624,24 +589,23 @@ type summary = {
 }
 
 let summarize t ~horizon =
-  let window = Float.max 0. (horizon -. t.warmup) in
-  let latencies = Buf.to_array t.latencies in
-  (* one sort feeds every order statistic (p50/p99/max) *)
+  let tb = t.table in
+  let window = Float.max 0. (horizon -. tb.cutoff) in
+  (* one sort feeds the exact order statistics (p50/p99) *)
   let sorted =
-    if Array.length latencies = 0 then None
-    else Some (Lognic_numerics.Stats.Sorted.of_array latencies)
+    if t.latencies.len = 0 then None
+    else
+      Some (Lognic_numerics.Stats.Sorted.of_array (Buf.to_array t.latencies))
   in
   let stat f = match sorted with None -> 0. | Some s -> f s in
   let per_class =
-    let dense = ref [] in
-    Array.iteri
-      (fun klass count ->
-        if count > 0 then
-          dense :=
-            (klass, count, t.class_sums.(klass) /. float_of_int count)
-            :: !dense)
-      t.class_counts;
-    List.rev !dense
+    List.filter_map
+      (fun klass ->
+        let row = 1 + klass in
+        let count = Table.delivered tb row in
+        if count > 0 then Some (klass, count, Table.mean_latency tb row)
+        else None)
+      (List.init (Table.rows tb - 1) Fun.id)
   in
   let drop_breakdown =
     List.filter_map
@@ -650,38 +614,29 @@ let summarize t ~horizon =
     |> List.sort (fun (sa, ca) (sb, cb) ->
            match compare cb ca with 0 -> compare sa sb | c -> c)
   in
-  let latency_terms =
-    if t.delivered = 0 then zero_terms
-    else
-      let d = float_of_int t.delivered in
-      {
-        queueing = t.fsums.(1) /. d;
-        service = t.fsums.(2) /. d;
-        wire = t.fsums.(3) /. d;
-        overhead = t.fsums.(4) /. d;
-      }
-  in
+  let offered = Table.offered tb 0 in
+  let delivered = Table.delivered tb 0 in
+  let dropped = Table.dropped tb 0 in
+  let bytes = Table.delivered_bytes tb 0 in
   {
     window;
-    offered_packets = t.offered;
-    delivered_packets = t.delivered;
-    dropped_packets = t.dropped;
-    delivered_bytes = t.fsums.(0);
-    throughput = (if window > 0. then t.fsums.(0) /. window else 0.);
+    offered_packets = offered;
+    delivered_packets = delivered;
+    dropped_packets = dropped;
+    delivered_bytes = bytes;
+    throughput = (if window > 0. then bytes /. window else 0.);
     packet_rate =
-      (if window > 0. then float_of_int t.delivered /. window else 0.);
-    mean_latency =
-      (if Array.length latencies = 0 then 0.
-       else Lognic_numerics.Stats.mean latencies);
+      (if window > 0. then float_of_int delivered /. window else 0.);
+    mean_latency = Table.mean_latency tb 0;
     p50_latency = stat (fun s -> Lognic_numerics.Stats.Sorted.percentile s 50.);
     p99_latency = stat (fun s -> Lognic_numerics.Stats.Sorted.percentile s 99.);
-    max_latency = stat Lognic_numerics.Stats.Sorted.maximum;
+    max_latency = Table.max_latency tb 0;
     loss_rate =
-      (if t.offered = 0 then 0.
-       else float_of_int t.dropped /. float_of_int t.offered);
+      (if offered = 0 then 0.
+       else float_of_int dropped /. float_of_int offered);
     per_class;
     drop_breakdown;
-    latency_terms;
+    latency_terms = Table.mean_terms tb 0;
   }
 
 let terms_to_json terms =

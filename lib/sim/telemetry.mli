@@ -1,12 +1,19 @@
 (** Measurement collection for simulation runs.
 
-    {b The window rule.} Every account in this module — the aggregate
-    {!t} and each {!Table} — attributes a packet by its {e birth} time:
+    {b One account.} Every packet count, byte total and latency sum
+    lives in a {!Table} row. The run's account {!t} is one such table:
+    row 0 is the run and row [1 + k] traffic class [k]; beside it, [t]
+    keeps only the delivered latencies (for the summary's exact
+    percentiles) and the interned drop-site counters.
+
+    {b The window rule.} Every {!Table} attributes a packet by its
+    {e birth} time:
     the packet counts, in every field it touches (offered, dropped,
     delivered, bytes, latency), when it was born at or past the
     cutoff, and in none of them otherwise, whenever the drop or the
-    delivery happens. For {!t} and the tenant and flow-cache tables
-    the cutoff is the run's warmup, so the empty-system transient
+    delivery happens. For the run's account, its latency samples and
+    drop-site counters, and the tenant and flow-cache tables, the
+    cutoff is the run's warmup, so the empty-system transient
     never pollutes steady-state statistics and the offered / delivered
     / dropped accounts always agree ([loss_rate <= 1]); the fault-bin
     table uses cutoff 0, so every packet counts.
@@ -124,55 +131,16 @@ type latency_terms = {
   overhead : float;  (** fixed per-vertex computation-transfer overheads *)
 }
 
-val zero_terms : latency_terms
-
 val terms_total : latency_terms -> float
 (** Sum of the four components. *)
 
-type t
-
-val create : warmup:float -> t
-
-val record_arrival : t -> now:float -> size:float -> unit
-(** Every offered packet (admitted or not), at its birth time [now]. *)
-
 (** {2 Recording}
 
-    The simulator's hot path records without boxing a float or hashing
-    a variant: drop sites are interned to counters at setup, and
-    completions read every float out of the flight's scratch array
-    (layout below). *)
-
-type counter
-(** An interned per-site drop counter; its hits make up
-    {!summary.drop_breakdown}. *)
-
-val drop_counter : t -> drop_site -> counter
-(** Intern a site (idempotent: same site, same counter). *)
-
-val record_drop_counted : t -> born:float -> counter -> unit
-(** A packet born at [born] lost at the counter's site. *)
-
-(** {2 Read-only probes}
-
-    Cumulative windowed accounts at call time, consumed by the live
-    metrics layer ({!Metrics}). Reading them never changes results. *)
-
-val offered : t -> int
-val delivered : t -> int
-val dropped : t -> int
-val delivered_bytes : t -> float
-
-val counters : t -> counter list
-(** Every interned drop counter, in interning order. *)
-
-val counter_site : counter -> drop_site
-val counter_hits : counter -> int
-
-(** Slot indices into the per-flight scratch array consumed by
-    {!record_completion_fs} and {!Table} (and filled along the packet
-    walk): the four Eq. 2 latency terms, then birth time, packet size,
-    and completion time. [flight_slots] is the required array length. *)
+    Every record reads the flight's scratch array: the simulator's hot
+    path fills it along the walk, so recording boxes no float. Slot
+    indices: the four Eq. 2 latency terms, then birth time, packet
+    size, and completion time. [flight_slots] is the required array
+    length. *)
 
 val slot_queueing : int
 
@@ -184,27 +152,28 @@ val slot_size : int
 val slot_now : int
 val flight_slots : int
 
-val record_completion_fs : t -> fs:float array -> klass:int -> unit
-(** A delivered packet of traffic class [klass] ([0..n-1], the index in
-    the run's mix): birth, completion time, size and the four Eq. 2
-    terms come from [fs], which must be {!flight_slots} long. *)
-
 (** {2 Attribution table}
 
-    One row per attributed entity — a tenant, a flow-cache class, a
-    fault sub-interval — each holding offered / dropped / delivered
-    counts, offered and delivered bytes, latency sum and max, the four
-    Eq. 2 term sums, and a 64-bucket log₂ latency histogram. Records
-    take the flight's {!flight_slots} array and follow the window rule
-    above against the table's own cutoff. Rows are sized once at
-    creation and recording allocates nothing, so thousands of rows add
-    no per-packet words. *)
+    One row per attributed entity — the run and its traffic classes, a
+    tenant, a flow-cache class, a fault sub-interval — each holding
+    offered / dropped / delivered counts, offered and delivered bytes,
+    latency sum and max, the four Eq. 2 term sums, and a 64-bucket log₂
+    latency histogram. Records take the flight's {!flight_slots} array
+    and follow the window rule above against the table's own cutoff.
+    Rows are sized once at creation and recording allocates nothing, so
+    thousands of rows add no per-packet words.
+
+    Histogram bucket [k] holds latencies in (2{^k−40}, 2{^k−39}]
+    seconds, upper-inclusive like an OpenMetrics [le]; the index is
+    clamped to \[0, 64), so bucket 0 also holds every latency ≤ 2{^−40}
+    and bucket 63 every latency above 2{^23}. *)
 module Table : sig
   type t
 
   val create : rows:int -> cutoff:float -> t
   (** All-zero rows [0..rows-1]. *)
 
+  val rows : t -> int
   val cutoff : t -> float
 
   val record_offered : t -> row:int -> float array -> unit
@@ -222,19 +191,75 @@ module Table : sig
   val offered_bytes : t -> int -> float
   val delivered_bytes : t -> int -> float
 
+  val latency_sum : t -> int -> float
+  (** Sum of the row's delivered latencies, in delivery order. *)
+
   val mean_latency : t -> int -> float
   (** 0 when the row delivered nothing (likewise {!mean_terms}). *)
 
   val max_latency : t -> int -> float
   val mean_terms : t -> int -> latency_terms
 
+  val buckets : int
+  (** 64. *)
+
+  val bucket_count : t -> int -> int -> int
+  (** [bucket_count t row k]: the row's deliveries in bucket [k]. *)
+
+  val bucket_upper : int -> float
+  (** 2{^k−39}, bucket [k]'s inclusive upper edge. *)
+
+  val quantile_bucket : int array -> base:int -> total:int -> float -> int
+  (** [quantile_bucket counts ~base ~total q]: the smallest bucket [k]
+      whose cumulative count [counts.(base) + … + counts.(base + k)]
+      reaches ⌈q·total⌉, or the last bucket if none does. [counts]
+      holds {!buckets} per-bucket counts from [base] on. *)
+
   val p99 : t -> int -> float
-  (** Upper bound of the smallest histogram bucket whose cumulative
-      count reaches ⌈0.99·delivered⌉, clamped to the row's maximum —
-      good to a factor of 2; 0 when the row delivered nothing. Bucket
-      [k] holds latencies in \[2{^k−40}, 2{^k−39}) seconds; latencies
-      ≤ 0 land in bucket 0 and the index is clamped to \[0, 64). *)
+  (** {!bucket_upper} of the row's 0.99 {!quantile_bucket}, clamped to
+      the row's maximum — good to a factor of 2; 0 when the row
+      delivered nothing. *)
 end
+
+(** {2 The run's account} *)
+
+type t
+
+val create : warmup:float -> classes:int -> t
+(** An account whose {!table} has row 0 for the run and row [1 + k] for
+    traffic class [k] ([0..classes-1], the index in the run's mix),
+    windowed at [warmup]. *)
+
+val table : t -> Table.t
+(** The account's table. Reading it never changes results; the live
+    metrics layer ({!Metrics}) samples it. Class rows count deliveries
+    only: offered and dropped packets are on row 0. *)
+
+val record_arrival : t -> float array -> unit
+(** Every offered packet (admitted or not), once its birth time and
+    size are in the array. *)
+
+type counter
+(** An interned per-site drop counter: the simulator resolves each site
+    once at setup and bumps an int per drop. Its hits make up
+    {!summary.drop_breakdown}. *)
+
+val drop_counter : t -> drop_site -> counter
+(** Intern a site (idempotent: same site, same counter). *)
+
+val record_drop_counted : t -> float array -> counter -> unit
+(** A packet lost at the counter's site. *)
+
+val counters : t -> counter list
+(** Every interned drop counter, in interning order. *)
+
+val counter_site : counter -> drop_site
+val counter_hits : counter -> int
+
+val record_completion_fs : t -> fs:float array -> klass:int -> unit
+(** A delivered packet of traffic class [klass]: its row and row 0 of
+    the {!table}, and the latency sample behind the summary's exact
+    percentiles. *)
 
 type summary = {
   window : float;  (** measured seconds (horizon − warmup) *)

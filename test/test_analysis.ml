@@ -1,4 +1,5 @@
-(* Tests for the analysis extensions: M/D/1, sensitivity elasticities,
+(* Tests for the analysis extensions: the simulator's deterministic
+   service against M/D/1 (M/G/1 at scv 0), sensitivity elasticities,
    and the on-path/off-path deployment study. *)
 
 open Helpers
@@ -9,28 +10,7 @@ module Q = Lognic_queueing
 module N = Lognic_numerics
 module S = Lognic_sim
 
-(* M/D/1 *)
-
-let md1_half_of_mm1 () =
-  List.iter
-    (fun rho ->
-      let md1 = Q.Md1.create ~lambda:rho ~mu:1. in
-      let mm1 = Q.Mm1.create ~lambda:rho ~mu:1. in
-      check_close ~tol:1e-12
-        (Printf.sprintf "Wq(M/D/1) = Wq(M/M/1)/2 at rho %g" rho)
-        (Q.Mm1.mean_waiting_time mm1 /. 2.)
-        (Q.Md1.mean_waiting_time md1))
-    [ 0.1; 0.5; 0.9 ]
-
-let md1_littles_and_instability () =
-  let q = Q.Md1.create ~lambda:0.8 ~mu:1. in
-  check_close ~tol:1e-12 "L = lambda W"
-    (0.8 *. Q.Md1.mean_time_in_system q)
-    (Q.Md1.mean_number_in_system q);
-  Alcotest.(check bool)
-    "unstable diverges" true
-    (Q.Md1.mean_waiting_time (Q.Md1.create ~lambda:2. ~mu:1.) = infinity);
-  check_raises_invalid "validation" (fun () -> Q.Md1.create ~lambda:0. ~mu:1.)
+(* M/D/1 (M/G/1 with deterministic service) *)
 
 let md1_matches_deterministic_sim () =
   (* Poisson arrivals + deterministic service at an Ip_node = M/D/1 *)
@@ -55,7 +35,9 @@ let md1_matches_deterministic_sim () =
   in
   S.Engine.schedule engine ~at:0.1 arrive;
   S.Engine.run ~until:horizon engine;
-  let predicted = Q.Md1.mean_time_in_system (Q.Md1.create ~lambda ~mu:1.) in
+  let predicted =
+    Q.Mg1.mean_time_in_system (Q.Mg1.create ~lambda ~mu:1. ~scv:0.)
+  in
   check_within ~pct:4. "M/D/1 sojourn matches sim" predicted
     (N.Stats.Online.mean stats)
 
@@ -169,8 +151,6 @@ let offpath_crossover () =
 
 let suite =
   [
-    quick "md1: half of mm1" md1_half_of_mm1;
-    quick "md1: little's law and instability" md1_littles_and_instability;
     slow "md1: matches deterministic sim" md1_matches_deterministic_sim;
     quick "sensitivity: identifies the bottleneck" sensitivity_identifies_bottleneck;
     quick "sensitivity: offered-load regime" sensitivity_offered_load_regime;

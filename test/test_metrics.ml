@@ -1,9 +1,9 @@
-(* Tests for the live metrics layer: SLO rule grammar, histogram
-   bucketing (unrolled fast path and oversized-bounds fallback),
-   delta/rate arithmetic, alert hysteresis, the zero-perturbation
-   guarantee under Netsim, the streaming serializer's byte-equality
-   with the JSON-tree exporter, OpenMetrics output, the self-profiler,
-   and the central Schema registry. *)
+(* Tests for the live metrics layer: SLO rule grammar, the histogram
+   view of a telemetry table row, delta/rate arithmetic, alert
+   hysteresis, the zero-perturbation guarantee under Netsim, the
+   streaming serializer's byte-equality with the JSON-tree exporter,
+   OpenMetrics output, the self-profiler, and the central Schema
+   registry. *)
 
 open Helpers
 module S = Lognic_sim
@@ -52,13 +52,18 @@ let slo_parse_roundtrip () =
 (* ------------------------------------------------------------------ *)
 (* Histograms.                                                        *)
 
-(* One observation of [v], recorded the way the simulator records a
-   latency: as the span between two slots of a float array. *)
-let observe h v = M.observe_span h [| 0.; v |] ~from_slot:0 ~to_slot:1
+(* One delivery of latency [v] on row 0 of [tbl], recorded the way the
+   simulator records one: from a flight's slot array. *)
+let observe tbl v =
+  let fs = Array.make S.Telemetry.flight_slots 0. in
+  fs.(S.Telemetry.slot_now) <- v;
+  S.Telemetry.Table.record_delivered tbl ~row:0 fs
+
+let one_row () = S.Telemetry.Table.create ~rows:1 ~cutoff:0.
 
 (* (count, sum, p50, p99) of one histogram after a tick *)
-let hist_sample t entity name =
-  let snap = M.tick t ~now:1e-3 in
+let hist_sample ?(now = 1e-3) t entity name =
+  let snap = M.tick t ~now in
   let e = List.find (fun e -> e.M.e_name = entity) snap.M.s_entities in
   match List.assoc name e.M.e_samples with
   | M.Hist_s { count; sum; p50; p99 } -> (count, sum, p50, p99)
@@ -66,48 +71,29 @@ let hist_sample t entity name =
 
 let histogram_buckets_and_quantiles () =
   let t = M.create M.default_config in
-  let h = M.histogram t ~entity:"e" ~name:"lat" ~bounds:[| 1.; 2.; 4. |] () in
-  List.iter (observe h) [ 0.5; 1.5; 3.; 10. ];
+  let tbl = one_row () in
+  (* deliveries before registration are not the first interval's *)
+  observe tbl 100.;
+  M.histogram t ~entity:"e" ~name:"lat" tbl ~row:0;
+  List.iter (observe tbl) [ 0.5; 1.5; 3.; 10. ];
   let count, sum, p50, p99 = hist_sample t "e" "lat" in
   Alcotest.(check int) "count" 4 count;
   check_close "sum" 15. sum;
-  (* target ceil(0.5*4)=2 -> second bucket's upper bound *)
+  (* target ceil(0.5*4)=2 -> 1.5's bucket (1, 2] *)
   check_close "p50 bucket bound" 2. p50;
-  (* the +inf bucket reports the largest finite bound *)
-  check_close "p99 bucket bound" 4. p99
-
-(* Exact-boundary values land in the bucket they bound (search is a
-   lower bound over upper bounds), on both the 32-entry unrolled path
-   and the recursive fallback for oversized custom bound sets. *)
-let histogram_paths_agree () =
-  let expected_bucket bounds v =
-    let n = Array.length bounds in
-    let rec go i = if i >= n || v <= bounds.(i) then i else go (i + 1) in
-    go 0
-  in
-  let check_bounds bounds values =
-    let n = Array.length bounds in
-    List.iter
-      (fun v ->
-        let t = M.create M.default_config in
-        let h = M.histogram t ~entity:"e" ~name:"m" ~bounds () in
-        observe h v;
-        let _, _, p50, _ = hist_sample t "e" "m" in
-        let i = expected_bucket bounds v in
-        let want = if i >= n then bounds.(n - 1) else bounds.(i) in
-        check_close
-          (Printf.sprintf "n=%d v=%g lands at bound %g" n v want)
-          want p50)
-      values
-  in
-  (* n+1 <= 32: the unrolled five-compare search *)
-  check_bounds
-    (Array.init 31 (fun i -> float_of_int (i + 1)))
-    [ 0.5; 1.; 1.0000001; 17.3; 30.9; 31.; 1000. ];
-  (* n+1 > 32: the recursive lower-bound fallback *)
-  check_bounds
-    (Array.init 40 (fun i -> float_of_int (i + 1)))
-    [ 0.5; 1.; 17.3; 39.5; 40.; 1000. ]
+  (* target ceil(0.99*4)=4 -> 10's bucket (8, 16] *)
+  check_close "p99 bucket bound" 16. p99;
+  (* the next interval sees only its own deliveries; 1 = 2^0 closes
+     the bucket (1/2, 1] *)
+  List.iter (observe tbl) [ 1.; 1. ];
+  let count, sum, p50, p99 = hist_sample ~now:2e-3 t "e" "lat" in
+  Alcotest.(check int) "interval count" 2 count;
+  check_close "interval sum" 2. sum;
+  check_close "interval p50" 1. p50;
+  check_close "interval p99" 1. p99;
+  let count, _, p50, _ = hist_sample ~now:3e-3 t "e" "lat" in
+  Alcotest.(check int) "empty interval" 0 count;
+  check_close "empty interval p50" 0. p50
 
 (* ------------------------------------------------------------------ *)
 (* Delta / rate arithmetic across ticks.                              *)
@@ -221,12 +207,13 @@ let histogram_slo_target () =
   let t =
     M.create { M.default_config with slo = [ M.Slo.parse_exn "e.lat_p99>3" ] }
   in
-  let h = M.histogram t ~entity:"e" ~name:"lat" ~bounds:[| 1.; 2.; 4. |] () in
-  List.iter (observe h) [ 0.5; 0.5; 0.5; 10. ];
+  let tbl = one_row () in
+  M.histogram t ~entity:"e" ~name:"lat" tbl ~row:0;
+  List.iter (observe tbl) [ 0.5; 0.5; 0.5; 10. ];
   match alert_events (M.tick t ~now:1.) with
   | [ ev ] ->
     Alcotest.(check string) "p99 rule fired" "e.lat_p99>3" ev.M.ev_rule;
-    check_close "at the bucket bound" 4. ev.M.ev_value
+    check_close "at the bucket bound" 16. ev.M.ev_value
   | evs -> Alcotest.failf "expected 1 event, got %d" (List.length evs)
 
 (* ------------------------------------------------------------------ *)
@@ -282,7 +269,49 @@ let metrics_bit_identical () =
   Alcotest.(check bool)
     (Printf.sprintf "snapshot cadence (%d snapshots)" !snaps)
     true
-    (!snaps >= 25 && !snaps <= 27)
+    (!snaps >= 25 && !snaps <= 27);
+  (* One account: on a two-class run, run.latency's interval counts and
+     sums add up to the summary's deliveries and latency total, and the
+     class rows' deliveries add up to the run's. *)
+  let count = ref 0 and sum = ref 0. in
+  let on_snapshot snap =
+    List.iter
+      (fun e ->
+        if e.M.e_name = "run" then
+          match List.assoc "latency" e.M.e_samples with
+          | M.Hist_s h ->
+            count := !count + h.count;
+            sum := !sum +. h.sum
+          | _ -> Alcotest.fail "run.latency is not a histogram")
+      snap.M.s_entities
+  in
+  let mix =
+    [ (traffic, 0.7); (T.make ~rate:(1. *. U.gbps) ~packet_size:64., 0.3) ]
+  in
+  let m =
+    S.Netsim.run
+      ~config:
+        (S.Netsim.Config.with_metrics
+           { metrics with on_snapshot = Some on_snapshot }
+           base_config)
+      (pipeline ()) ~hw ~mix
+  in
+  let s = m.S.Netsim.summary in
+  Alcotest.(check int) "latency counts sum to delivered"
+    s.S.Telemetry.delivered_packets !count;
+  let total =
+    s.S.Telemetry.mean_latency *. float_of_int s.S.Telemetry.delivered_packets
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "latency sums %.17g = total %.17g (1e-9 relative)" !sum
+       total)
+    true
+    (total > 0. && Float.abs (!sum -. total) <= 1e-9 *. total);
+  Alcotest.(check int) "both classes delivered" 2
+    (List.length s.S.Telemetry.per_class);
+  Alcotest.(check int) "class rows sum to the run's row"
+    s.S.Telemetry.delivered_packets
+    (List.fold_left (fun acc (_, n, _) -> acc + n) 0 s.S.Telemetry.per_class)
 
 (* Metrics compose with the parallel driver: replication stats stay
    bit-identical at any jobs count with a registry attached. *)
@@ -368,8 +397,10 @@ let openmetrics_export () =
   let c = ref 2. in
   M.register t ~entity:"e" ~name:"c" M.Counter (fun () -> !c);
   M.register t ~entity:"e" ~name:"depth" M.Gauge (fun () -> 7.);
-  let h = M.histogram t ~entity:"e" ~name:"lat" ~bounds:[| 1.; 2. |] () in
-  observe h 1.5;
+  let tbl = one_row () in
+  M.histogram t ~entity:"e" ~name:"lat" tbl ~row:0;
+  let edge = Float.ldexp 1. (-10) in
+  List.iter (observe tbl) [ edge; 1.5; 1e9 ];
   ignore (M.tick t ~now:1e-3);
   let om = M.to_openmetrics t in
   List.iter
@@ -381,7 +412,41 @@ let openmetrics_export () =
     [ "lognic_c"; "lognic_depth"; "lognic_lat"; "entity=\"e\""; "# TYPE" ];
   let n = String.length om in
   Alcotest.(check bool) "terminated by # EOF" true
-    (n >= 6 && String.sub om (n - 6) 6 = "# EOF\n")
+    (n >= 6 && String.sub om (n - 6) 6 = "# EOF\n");
+  (* (le, cumulative count) per bucket line, and the count line *)
+  let lines = String.split_on_char '\n' om in
+  let buckets =
+    List.filter_map
+      (fun l ->
+        Scanf.sscanf_opt l "lognic_lat_bucket{entity=\"e\",le=%S} %d"
+          (fun le n ->
+            ((if le = "+Inf" then infinity else float_of_string le), n)))
+      lines
+  in
+  let count =
+    List.find_map
+      (fun l -> Scanf.sscanf_opt l "lognic_lat_count{entity=\"e\"} %d" Fun.id)
+      lines
+  in
+  Alcotest.(check int) "one line per log2 bucket" S.Telemetry.Table.buckets
+    (List.length buckets);
+  ignore
+    (List.fold_left
+       (fun (prev_le, prev_n) (le, n) ->
+         Alcotest.(check bool)
+           (Printf.sprintf "le %g > %g and cumulative %d >= %d" le prev_le n
+              prev_n)
+           true
+           (le > prev_le && n >= prev_n);
+         (le, n))
+       (neg_infinity, 0) buckets);
+  Alcotest.(check (option int)) "+Inf bucket = _count"
+    (Some (List.assoc infinity buckets))
+    count;
+  Alcotest.(check (option int)) "2^-10 counted at le = 2^-10" (Some 1)
+    (List.assoc_opt edge buckets);
+  Alcotest.(check (option int)) "and not below it" (Some 0)
+    (List.assoc_opt (edge /. 2.) buckets)
 
 let alerts_and_profile_json () =
   let t =
@@ -467,16 +532,16 @@ let bad_configs_rejected () =
           M.create { M.default_config with interval }))
     [ 0.; Float.nan; Float.infinity ];
   let t = M.create M.default_config in
-  check_raises_invalid "empty histogram bounds" (fun () ->
-      M.histogram t ~entity:"e" ~name:"h" ~bounds:[||] ());
-  check_raises_invalid "non-increasing bounds" (fun () ->
-      M.histogram t ~entity:"e" ~name:"h" ~bounds:[| 1.; 1. |] ())
+  List.iter
+    (fun row ->
+      check_raises_invalid "histogram row outside the table" (fun () ->
+          M.histogram t ~entity:"e" ~name:"h" (one_row ()) ~row))
+    [ -1; 1 ]
 
 let suite =
   [
     quick "slo: grammar parses and round-trips" slo_parse_roundtrip;
     quick "histogram: buckets and quantiles" histogram_buckets_and_quantiles;
-    quick "histogram: unrolled and fallback paths agree" histogram_paths_agree;
     quick "scalars: counter/gauge/rate deltas" scalar_samples;
     quick "alerts: hysteresis fires and resolves" hysteresis_fire_and_resolve;
     quick "alerts: rising rule" rising_rule_fires;

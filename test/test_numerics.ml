@@ -338,23 +338,6 @@ let mm1_model_domain () =
     "beyond capacity is infinite" true
     (N.Curve_fit.mm1_latency_model [| 1e-5; 1e9 |] 1.5e9 = infinity)
 
-(* Interp *)
-
-let interp_basics () =
-  let t = N.Interp.of_points [ (0., 0.); (10., 100.); (20., 100.) ] in
-  check_close "interpolates" 50. (N.Interp.eval t 5.);
-  check_close "knot value" 100. (N.Interp.eval t 10.);
-  check_close "clamps below" 0. (N.Interp.eval t (-5.));
-  check_close "clamps above" 100. (N.Interp.eval t 999.);
-  Alcotest.(check (pair (float 0.) (float 0.))) "domain" (0., 20.) (N.Interp.domain t);
-  check_raises_invalid "duplicate x" (fun () ->
-      N.Interp.of_points [ (1., 1.); (1., 2.) ]);
-  check_raises_invalid "empty" (fun () -> N.Interp.of_points [])
-
-let interp_sorts_input () =
-  let t = N.Interp.of_points [ (10., 1.); (0., 0.) ] in
-  check_close "unsorted input handled" 0.5 (N.Interp.eval t 5.)
-
 (* Properties *)
 
 let properties =
@@ -377,31 +360,6 @@ let properties =
       (fun (rate, seed) ->
         let rng = N.Rng.create ~seed in
         N.Dist.sample (N.Dist.exponential ~rate) rng > 0.);
-    prop "interp stays within y-range"
-      QCheck.(
-        pair
-          (list_of_size (Gen.int_range 2 20)
-             (pair (float_range 0. 100.) (float_range (-50.) 50.)))
-          (float_range (-10.) 110.))
-      (fun (points, x) ->
-        (* dedupe x values to satisfy the precondition *)
-        let seen = Hashtbl.create 16 in
-        let points =
-          List.filter
-            (fun (x, _) ->
-              if Hashtbl.mem seen x then false
-              else begin
-                Hashtbl.add seen x ();
-                true
-              end)
-            points
-        in
-        QCheck.assume (List.length points >= 1);
-        let t = N.Interp.of_points points in
-        let ys = List.map snd points in
-        let y = N.Interp.eval t x in
-        y >= List.fold_left Float.min infinity ys -. 1e-9
-        && y <= List.fold_left Float.max neg_infinity ys +. 1e-9);
     prop "golden finds the vertex of shifted parabolas"
       QCheck.(float_range (-50.) 50.)
       (fun c ->
@@ -482,7 +440,5 @@ let suite =
     quick "curve-fit: linear" linear_fit;
     quick "curve-fit: nonlinear recovery" nonlinear_fit_recovers_parameters;
     quick "curve-fit: mm1 domain" mm1_model_domain;
-    quick "interp: basics" interp_basics;
-    quick "interp: sorts input" interp_sorts_input;
   ]
   @ properties

@@ -140,31 +140,6 @@ let mm1n_blocking_decreases_with_capacity () =
   in
   check 1
 
-(* M/M/c *)
-
-let mmc_reduces_to_mm1 () =
-  let mmc = Q.Mmc.create ~lambda:0.7 ~mu:1. ~servers:1 in
-  let mm1 = Q.Mm1.create ~lambda:0.7 ~mu:1. in
-  check_close ~tol:1e-9 "Wq agreement"
-    (Q.Mm1.mean_waiting_time mm1)
-    (Q.Mmc.mean_waiting_time mmc)
-
-let mmc_textbook () =
-  (* Classic M/M/2 example: lambda = 2, mu = 1.5 -> rho = 2/3,
-     C(2, 4/3) = 0.5333..., Wq = C/(c mu - lambda) = 0.5333/1. *)
-  let q = Q.Mmc.create ~lambda:2. ~mu:1.5 ~servers:2 in
-  check_close ~tol:1e-6 "erlang C" (8. /. 15.) (Q.Mmc.erlang_c q);
-  check_close ~tol:1e-6 "Wq" (8. /. 15.) (Q.Mmc.mean_waiting_time q)
-
-let mmc_pooling_helps () =
-  (* 4 servers with one stream beat 1 fast-server-per-quarter-stream
-     arrangement in queueing delay at the same total capacity. *)
-  let pooled = Q.Mmc.create ~lambda:3.2 ~mu:1. ~servers:4 in
-  let single = Q.Mm1.create ~lambda:0.8 ~mu:1. in
-  Alcotest.(check bool)
-    "pooling reduces waiting" true
-    (Q.Mmc.mean_waiting_time pooled < Q.Mm1.mean_waiting_time single)
-
 (* M/M/c/N *)
 
 let mmcn_reduces_to_mm1n () =
@@ -210,8 +185,10 @@ let mg1_recovers_mm1_and_md1 () =
   check_close ~tol:1e-12 "scv=1 is M/M/1"
     (Q.Mm1.mean_waiting_time (Q.Mm1.create ~lambda ~mu))
     (Q.Mg1.mean_waiting_time (Q.Mg1.create ~lambda ~mu ~scv:1.));
+  (* M/D/1's closed form: Wq = rho / (2 mu (1 - rho)), half of M/M/1's *)
+  let rho = lambda /. mu in
   check_close ~tol:1e-12 "scv=0 is M/D/1"
-    (Q.Md1.mean_waiting_time (Q.Md1.create ~lambda ~mu))
+    (rho /. (2. *. mu *. (1. -. rho)))
     (Q.Mg1.mean_waiting_time (Q.Mg1.create ~lambda ~mu ~scv:0.))
 
 let mg1_service_mix () =
@@ -286,13 +263,6 @@ let properties =
         let carried = Q.Mmcn.effective_arrival_rate q in
         carried <= lambda +. 1e-9
         && carried <= (float_of_int servers *. 1.) +. 1e-9);
-    prop "mmc waiting time decreases with extra servers"
-      QCheck.(pair (float_range 0.1 0.95) (int_range 1 6))
-      (fun (rho, servers) ->
-        let lambda = rho *. float_of_int servers in
-        let a = Q.Mmc.create ~lambda ~mu:1. ~servers in
-        let b = Q.Mmc.create ~lambda ~mu:1. ~servers:(servers + 1) in
-        Q.Mmc.mean_waiting_time b <= Q.Mmc.mean_waiting_time a +. 1e-12);
   ]
 
 let suite =
@@ -310,9 +280,6 @@ let suite =
     quick "mm1n: converges to mm1" mm1n_converges_to_mm1;
     quick "mm1n: overload carries capacity" mm1n_overload_carries_capacity;
     quick "mm1n: blocking monotone in capacity" mm1n_blocking_decreases_with_capacity;
-    quick "mmc: reduces to mm1" mmc_reduces_to_mm1;
-    quick "mmc: textbook numbers" mmc_textbook;
-    quick "mmc: pooling helps" mmc_pooling_helps;
     quick "mmcn: reduces to mm1n" mmcn_reduces_to_mm1n;
     quick "mmcn: multi-server waits less" mmcn_multi_server_waits_less;
     quick "mmcn: probabilities normalize" mmcn_probabilities_normalize;

@@ -255,7 +255,10 @@ let ip_node_matches_mm1n () =
 let site_ip0 = S.Telemetry.Node_queue { node = "ip"; queue = 0 }
 
 (* A flight's scratch array as the simulator fills it by egress. *)
-let flight ?(terms = S.Telemetry.zero_terms) ?now ~born ~size () =
+let no_terms =
+  { S.Telemetry.queueing = 0.; service = 0.; wire = 0.; overhead = 0. }
+
+let flight ?(terms = no_terms) ?now ~born ~size () =
   let module T = S.Telemetry in
   let fs = Array.make T.flight_slots 0. in
   fs.(T.slot_queueing) <- terms.T.queueing;
@@ -271,17 +274,22 @@ let complete t ?terms ~now ~born ~size ~klass () =
   S.Telemetry.record_completion_fs t ~fs:(flight ?terms ~now ~born ~size ()) ~klass
 
 let drop t ~born site =
-  S.Telemetry.record_drop_counted t ~born (S.Telemetry.drop_counter t site)
+  S.Telemetry.record_drop_counted t
+    (flight ~born ~size:100. ())
+    (S.Telemetry.drop_counter t site)
+
+let arrive t ~now ~size =
+  S.Telemetry.record_arrival t (flight ~born:now ~size ())
 
 let telemetry_windows () =
-  let t = S.Telemetry.create ~warmup:10. in
+  let t = S.Telemetry.create ~warmup:10. ~classes:1 in
   (* before warmup: ignored *)
-  S.Telemetry.record_arrival t ~now:5. ~size:100.;
+  arrive t ~now:5. ~size:100.;
   complete t ~now:8. ~born:5. ~size:100. ~klass:0 ();
   (* after warmup *)
-  S.Telemetry.record_arrival t ~now:11. ~size:100.;
+  arrive t ~now:11. ~size:100.;
   complete t ~now:12. ~born:11. ~size:100. ~klass:0 ();
-  S.Telemetry.record_arrival t ~now:13. ~size:100.;
+  arrive t ~now:13. ~size:100.;
   drop t ~born:13. site_ip0;
   let s = S.Telemetry.summarize t ~horizon:20. in
   Alcotest.(check int) "offered in window" 2 s.offered_packets;
@@ -296,10 +304,10 @@ let telemetry_drop_attribution () =
   (* The warmup bugfix: a packet born before the cutoff but dropped
      inside the window was counted as dropped-but-never-offered, letting
      loss_rate exceed 1. Drops are now windowed by birth time. *)
-  let t = S.Telemetry.create ~warmup:10. in
-  S.Telemetry.record_arrival t ~now:9. ~size:100.;  (* not offered *)
+  let t = S.Telemetry.create ~warmup:10. ~classes:1 in
+  arrive t ~now:9. ~size:100.;  (* not offered *)
   drop t ~born:9. site_ip0;  (* not counted *)
-  S.Telemetry.record_arrival t ~now:11. ~size:100.;
+  arrive t ~now:11. ~size:100.;
   drop t ~born:11. site_ip0;
   let s = S.Telemetry.summarize t ~horizon:20. in
   Alcotest.(check int) "pre-warmup birth excluded" 1 s.dropped_packets;
@@ -307,9 +315,9 @@ let telemetry_drop_attribution () =
   check_close "loss rate" 1. s.loss_rate;
   (* site attribution: the breakdown totals the aggregate counter *)
   let medium = S.Telemetry.Medium_buffer "interface" in
-  S.Telemetry.record_arrival t ~now:14. ~size:100.;
+  arrive t ~now:14. ~size:100.;
   drop t ~born:14. medium;
-  S.Telemetry.record_arrival t ~now:15. ~size:100.;
+  arrive t ~now:15. ~size:100.;
   drop t ~born:15. medium;
   let s = S.Telemetry.summarize t ~horizon:20. in
   Alcotest.(check int) "aggregate drops" 3 s.dropped_packets;
@@ -324,7 +332,7 @@ let telemetry_drop_attribution () =
   | _ -> Alcotest.fail "drop breakdown shape")
 
 let telemetry_latency_terms () =
-  let t = S.Telemetry.create ~warmup:0. in
+  let t = S.Telemetry.create ~warmup:0. ~classes:1 in
   let terms q s w o =
     { S.Telemetry.queueing = q; service = s; wire = w; overhead = o }
   in
@@ -339,7 +347,7 @@ let telemetry_latency_terms () =
     (S.Telemetry.terms_total s.latency_terms)
 
 let telemetry_per_class () =
-  let t = S.Telemetry.create ~warmup:0. in
+  let t = S.Telemetry.create ~warmup:0. ~classes:2 in
   complete t ~now:1. ~born:0. ~size:64. ~klass:0 ();
   complete t ~now:3. ~born:0. ~size:1500. ~klass:1 ();
   complete t ~now:5. ~born:0. ~size:1500. ~klass:1 ();
@@ -399,8 +407,8 @@ let telemetry_table () =
   let exact = Alcotest.(check (float 0.)) in
   exact "identical 2^-20 s latencies: p99 = 2^-20" lat (Tb.p99 h 0);
   (* one slow packet in a hundred stays above the 99th, so p99 is the
-     upper bound of the other 99's bucket: 2^-19 for 2^-20 s latencies
-     (bucket 20), 2^-39 for zero latencies (bucket 0) *)
+     upper bound of the other 99's bucket: 2^-20 for 2^-20 s latencies
+     (bucket 19, upper-inclusive), 2^-39 for zero latencies (bucket 0) *)
   let one_slow row fast =
     for i = 1 to 100 do
       let now = if i = 100 then 1. else fast in
@@ -408,10 +416,38 @@ let telemetry_table () =
     done
   in
   one_slow 1 lat;
-  exact "p99 is the bucket's upper bound" (2. *. lat) (Tb.p99 h 1);
+  exact "p99 is the bucket's upper bound" lat (Tb.p99 h 1);
   one_slow 2 0.;
   exact "zero latency lands in bucket 0" (Float.ldexp 1. (-39)) (Tb.p99 h 2);
-  check_fields "empty row reports 0" (((0, 0, 0), (0., 0.)), ((0., 0., 0.), 0.)) h 3
+  check_fields "empty row reports 0" (((0, 0, 0), (0., 0.)), ((0., 0., 0.), 0.)) h 3;
+  (* Bucket k holds (2^(k-40), 2^(k-39)], clamped to [0, 64): check
+     every power of two 2^j for j in [-45, 30] and its two float
+     neighbours, each recorded into a row of its own. *)
+  let edges =
+    List.concat_map
+      (fun j ->
+        let p = Float.ldexp 1. j in
+        [ Float.pred p; p; Float.succ p ])
+      (List.init 76 (fun i -> i - 45))
+  in
+  let e = Tb.create ~rows:(List.length edges) ~cutoff:0. in
+  List.iteri
+    (fun row x ->
+      Tb.record_delivered e ~row (flight ~born:0. ~now:x ~size:1. ());
+      let b =
+        List.find
+          (fun b -> Tb.bucket_count e row b = 1)
+          (List.init Tb.buckets Fun.id)
+      in
+      let lower = if b = 0 then neg_infinity else Float.ldexp 1. (b - 40) in
+      let upper =
+        if b = Tb.buckets - 1 then infinity else Float.ldexp 1. (b - 39)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%h lands in bucket %d = (%h, %h]" x b lower upper)
+        true
+        (lower < x && x <= upper))
+    edges
 
 (* Series ring buffers *)
 
@@ -482,12 +518,12 @@ let json_roundtrip_prop =
       | Error _ -> false)
 
 let summary_json_roundtrip () =
-  let t = S.Telemetry.create ~warmup:0. in
-  S.Telemetry.record_arrival t ~now:1. ~size:100.;
+  let t = S.Telemetry.create ~warmup:0. ~classes:1 in
+  arrive t ~now:1. ~size:100.;
   complete t ~now:2. ~born:1.
     ~terms:{ S.Telemetry.queueing = 0.5; service = 0.3; wire = 0.2; overhead = 0. }
     ~size:100. ~klass:0 ();
-  S.Telemetry.record_arrival t ~now:3. ~size:100.;
+  arrive t ~now:3. ~size:100.;
   drop t ~born:3. site_ip0;
   let s = S.Telemetry.summarize t ~horizon:10. in
   let json = S.Telemetry.to_json s in
@@ -766,13 +802,13 @@ let netsim_overload_observability () =
         (md.m_utilization >= 0. && md.m_utilization <= 1. +. 1e-9))
     m.medium_stats;
   Alcotest.(check int) "breakdown sums to total drops" s.S.Telemetry.dropped_packets
-    (List.fold_left (fun acc (_, n) -> acc + n) 0 m.drop_breakdown);
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 s.S.Telemetry.drop_breakdown);
   (* the bottleneck IP queue must appear as a drop site *)
   Alcotest.(check bool) "ip queue attributed" true
     (List.exists
        (fun (site, n) ->
          n > 0 && S.Telemetry.drop_site_name site = "node:ip/q0")
-       m.drop_breakdown)
+       s.S.Telemetry.drop_breakdown)
 
 let netsim_latency_decomposition () =
   (* Per-hop latency contributions must sum to end-to-end latency. *)
