@@ -361,7 +361,8 @@ let check_cmd =
 let report_cmd =
   let trace_arg =
     let doc = "Write the full measurement (summary, per-entity stats, drop \
-               sites, sampled series) as JSON to $(docv)." in
+               sites, fault intervals) as JSON to $(docv); the sampled \
+               series go to --csv." in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"PATH" ~doc)
   in
   let trace_events_arg =
@@ -376,7 +377,9 @@ let report_cmd =
     Arg.(value & opt int 64 & info [ "reservoir" ] ~docv:"N" ~doc)
   in
   let csv_arg =
-    let doc = "Write the sampled time series as CSV files $(docv).SERIES.csv." in
+    let doc = "Write each gauge's sampled history as a CSV file \
+               $(docv).ENTITY.GAUGE.csv (queue_depth and busy_engines per \
+               node, backlog_bytes per medium)." in
     Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"PREFIX" ~doc)
   in
   let interval_arg =
@@ -392,8 +395,11 @@ let report_cmd =
     let config =
       let open Lognic_sim.Netsim.Config in
       let config =
-        with_sampling
-          (Option.value interval ~default:(config.duration /. 200.))
+        with_metrics
+          {
+            Lognic_sim.Metrics.default_config with
+            interval = Option.value interval ~default:(config.duration /. 200.);
+          }
           config
       in
       match trace_events with
@@ -448,6 +454,9 @@ let report_cmd =
       trace_events;
     Option.iter
       (fun prefix ->
+        let series =
+          Option.fold ~none:[] ~some:Lognic_sim.Metrics.series m.metrics
+        in
         List.iter
           (fun series ->
             let path =
@@ -455,8 +464,8 @@ let report_cmd =
             in
             Out_channel.with_open_text path (fun oc ->
                 output_string oc (Tel.Series.to_csv series)))
-          m.series;
-        Fmt.pr "%d series written to %s.*.csv@." (List.length m.series) prefix)
+          series;
+        Fmt.pr "%d series written to %s.*.csv@." (List.length series) prefix)
       csv;
     Ok ()
   in
@@ -587,7 +596,8 @@ let watch_cmd =
         snap.M.s_alerts;
       (match stream_oc with
       | Some oc ->
-        output_string oc (M.snapshot_to_string snap);
+        output_string oc
+          (Lognic_sim.Telemetry.Json.to_string (M.snapshot_to_json snap));
         output_char oc '\n';
         flush oc
       | None -> ());

@@ -388,18 +388,20 @@ let ext_observability ?(speed = Full) ppf =
          in
          (load, m))
        [ 0.5; 0.9; 1.5 ]);
-  (* peak sampled queue depth at the bottleneck, from the ring traces *)
+  (* peak sampled queue depth at the bottleneck, from its gauge history *)
   let m =
     Lognic_sim.Netsim.run_single
       ~config:
         Lognic_sim.Netsim.Config.(
-          default |> with_horizon duration |> with_sampling (duration /. 100.))
+          default |> with_horizon duration
+          |> with_metrics
+               { Lognic_sim.Metrics.default_config with interval = duration /. 100. })
       g ~hw:validation_hw
       ~traffic:(Lognic.Traffic.make ~rate:(1.5 *. 4. *. U.gbps) ~packet_size:U.mtu)
   in
   List.iter
     (fun series ->
-      if Tel.Series.label series = "ip.depth" then
+      if Tel.Series.label series = "ip.queue_depth" then
         let peak =
           Array.fold_left
             (fun acc (_, v) -> Float.max acc v)
@@ -407,7 +409,7 @@ let ext_observability ?(speed = Full) ppf =
             (Tel.Series.to_array series)
         in
         Fmt.pf ppf "bottleneck peak sampled depth at 1.5x load: %.0f@." peak)
-    m.series
+    (Option.fold ~none:[] ~some:Lognic_sim.Metrics.series m.metrics)
 
 let ext_offpath ppf =
   header ppf

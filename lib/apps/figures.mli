@@ -83,8 +83,8 @@ val ext_observability : ?speed:speed -> Format.formatter -> unit
 (** Extension: the simulator's observability layer on the validation
     chain — Eq 2 latency decomposition (queueing / service / wire /
     overhead), loss and top drop site per load, and the bottleneck's
-    peak sampled queue depth from the {!Lognic_sim.Telemetry.Series}
-    traces. *)
+    peak sampled queue depth from its [queue_depth] gauge history
+    ({!Lognic_sim.Metrics.series}). *)
 
 val names : string list
 (** All renderable ids: "fig5".."fig19", "table2", and the extension

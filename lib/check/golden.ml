@@ -12,9 +12,9 @@
 
    The set deliberately crosses the feature matrix: arrival processes
    (Poisson / Paced / Bursty), service distributions, multi-class
-   mixes, overload (queue and buffer drops), sampling probes, a fault
-   plan (extra rng stream + per-packet bin accounting), and the same
-   faulted run with every observation-only layer switched on.
+   mixes, overload (queue and buffer drops), a fault plan (extra rng
+   stream + per-packet bin accounting), and the same faulted run with
+   every observation-only layer switched on.
 
    [table] is the whole set, one [(name, fixture, ext, render)] row per
    test: [render ()] produces the bytes compared against
@@ -26,18 +26,13 @@ module D = Lognic_devices
 module T = Lognic.Traffic
 module U = Lognic.Units
 
-let config ?(seed = 7) ?(duration = 2e-3) ?sample_interval
+let config ?(seed = 7) ?(duration = 2e-3)
     ?(service_dist = Sim.Ip_node.Exponential)
     ?(arrival = Sim.Traffic_gen.Poisson) () =
-  let c =
-    Sim.Netsim.Config.(
-      default |> with_seed seed |> with_horizon duration
-      |> with_service_dist service_dist
-      |> with_arrival arrival)
-  in
-  match sample_interval with
-  | None -> c
-  | Some dt -> Sim.Netsim.Config.with_sampling dt c
+  Sim.Netsim.Config.(
+    default |> with_seed seed |> with_horizon duration
+    |> with_service_dist service_dist
+    |> with_arrival arrival)
 
 let md5_graph () =
   D.Liquidio.inline_accel_graph ~spec:D.Accel_spec.md5 ~packet_size:U.mtu ()
@@ -68,8 +63,7 @@ let measurement_runs () =
     ( "md5-paced-det-sampled",
       Sim.Netsim.Run.single
         ~config:
-          (config ~seed:3 ~sample_interval:1e-4
-             ~service_dist:Sim.Ip_node.Deterministic
+          (config ~seed:3 ~service_dist:Sim.Ip_node.Deterministic
              ~arrival:Sim.Traffic_gen.Paced ())
         (md5_graph ()) ~hw:D.Liquidio.hardware ~traffic:md5_traffic );
     ( "md5-bursty-overload",
@@ -104,7 +98,9 @@ let md5_faults_all_layers () =
       Sim.Metrics.default_config with
       interval = 1e-4;
       on_snapshot =
-        Some (fun snap -> ignore (Sim.Metrics.snapshot_to_string snap));
+        Some
+          (fun snap ->
+            ignore (Sim.Telemetry.Json.to_string (Sim.Metrics.snapshot_to_json snap)));
     }
   in
   Sim.Netsim.Run.single
@@ -120,8 +116,8 @@ let md5_faults_all_layers () =
    ticking every 100 µs and an SLO rule that fires and resolves inside
    the window, captured as the concatenated NDJSON the [on_snapshot]
    sink emits.  The fixture pins the instrument catalog, sampling
-   order, delta/rate arithmetic, alert transitions and the streaming
-   serializer's byte output in one comparison. *)
+   order, delta/rate arithmetic, alert transitions and the snapshot
+   writer's byte output in one comparison. *)
 let metrics_stream () =
   let buf = Buffer.create 65536 in
   let metrics =

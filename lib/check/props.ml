@@ -138,7 +138,7 @@ let mm1n_closed_form_near_saturation ~count =
 
 (* Little's law, sim vs analytics: a single queueing node with no wire
    or overhead terms, so end-to-end latency is exactly the node
-   sojourn. N-bar comes from the periodic in-system samples. *)
+   sojourn. N-bar comes from the node's queue_depth gauge history. *)
 let littles_law_vs_sim ~count =
   QCheck.Test.make ~count ~name:"queueing: Little's law holds in sim telemetry"
     (arb
@@ -156,14 +156,15 @@ let littles_law_vs_sim ~count =
       in
       let config =
         Sim.Netsim.Config.(
-          default |> with_horizon 0.02 |> with_sampling 1e-5)
+          default |> with_horizon 0.02
+          |> with_metrics { Sim.Metrics.default_config with interval = 1e-5 })
       in
       let m = Sim.Netsim.execute (Sim.Netsim.Run.single ~config graph ~hw ~traffic) in
       let summary = m.Sim.Netsim.summary in
       let depth_series =
         List.find
-          (fun s -> Sim.Telemetry.Series.label s = "ip.depth")
-          m.Sim.Netsim.series
+          (fun s -> Sim.Telemetry.Series.label s = "ip.queue_depth")
+          (Sim.Metrics.series (Option.get m.Sim.Netsim.metrics))
       in
       let samples = Sim.Telemetry.Series.to_array depth_series in
       let n_bar =

@@ -17,11 +17,13 @@ val schedule_after : t -> delay:float -> (unit -> unit) -> unit
 
 val every : t -> interval:float -> until:float -> (float -> unit) -> unit
 (** [every t ~interval ~until f] calls [f time] at [time = i·interval]
-    for [i = 1, 2, ...] while [time <= until] — the shared periodic
-    scheduler behind series sampling and metrics ticks. An [interval]
-    beyond [until] still yields one call, at [until], so the end-of-run
-    state is always observed. Each tick schedules the next, so periodic
-    events interleave with packet events without reordering them. *)
+    for [i = 1, 2, ...] while [time <= until] — the periodic scheduler
+    behind the metrics ticks ([Metrics.attach] is its only caller, and
+    every sampled time series of a run comes from those ticks). An
+    [interval] beyond [until] still yields one call, at [until], so the
+    end-of-run state is always observed. Each tick schedules the next,
+    so periodic events interleave with packet events without reordering
+    them. *)
 
 val run :
   ?until:float -> ?observer:(float -> unit) -> ?profile:Profile.t -> t -> unit

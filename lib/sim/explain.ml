@@ -86,9 +86,11 @@ let join_json j =
       ("latency_error", J.Num j.latency_error);
     ] )
 
-(* Mean of a sampled series' values; [None] when nothing was sampled. *)
-let series_mean series label =
-  List.find_opt (fun s -> Telemetry.Series.label s = label) series
+(* Mean of a gauge's sampled history ("ENTITY.NAME"); [None] when the
+   run kept no such history. *)
+let gauge_mean (m : Netsim.measurement) label =
+  Option.fold ~none:[] ~some:Metrics.series m.Netsim.metrics
+  |> List.find_opt (fun s -> Telemetry.Series.label s = label)
   |> Option.map Telemetry.Series.to_array
   |> fun a ->
   match a with
@@ -96,14 +98,16 @@ let series_mean series label =
     Some (Lognic_numerics.Stats.mean (Array.map snd samples))
   | _ -> None
 
-(* The join needs sampled queue depths; default the probe interval to
-   a fine grid when the caller didn't pick one. *)
-let with_default_sampling config =
+(* The join needs sampled queue depths; attach the gauges on a fine
+   grid when the caller didn't pick one. *)
+let with_default_metrics config =
   let config = Option.value config ~default:Netsim.Config.default in
-  match config.Netsim.sample_interval with
+  match config.Netsim.metrics with
   | Some _ -> config
   | None ->
-    Netsim.Config.with_sampling (config.duration /. 256.) config
+    Netsim.Config.with_metrics
+      { Metrics.default_config with interval = config.duration /. 256. }
+      config
 
 (* The per-entity join: one row per simulated vertex among the caps'
    vertices, then the interface, the memory and each simulated
@@ -137,7 +141,7 @@ let entity_join g (m : Netsim.measurement) (caps : Lognic.Throughput.result)
               residual = s.utilization -. Float.min 1. model_utilization;
               model_queueing;
               model_queue_depth;
-              sim_queue_depth = series_mean m.Netsim.series (name ^ ".depth");
+              sim_queue_depth = gauge_mean m (name ^ ".queue_depth");
               model_drop_probability;
               drops = s.drops;
             })
@@ -157,7 +161,7 @@ let entity_join g (m : Netsim.measurement) (caps : Lognic.Throughput.result)
           residual = sim_utilization -. Float.min 1. model_utilization;
           model_queueing = None;
           model_queue_depth = None;
-          sim_queue_depth = series_mean m.Netsim.series (name ^ ".backlog");
+          sim_queue_depth = gauge_mean m (name ^ ".backlog_bytes");
           model_drop_probability = None;
           drops = md.m_rejections;
         })
@@ -180,7 +184,7 @@ let entity_join g (m : Netsim.measurement) (caps : Lognic.Throughput.result)
 
 let run ?config ?queue_model ?contention g ~hw ~mix =
   let model = Lognic.Estimate.run_mix ?queue_model ?contention g ~hw ~mix in
-  let config = with_default_sampling config in
+  let config = with_default_metrics config in
   let measurement = Netsim.(execute (Run.make ~config g ~hw ~mix)) in
   let summary = measurement.Netsim.summary in
   let window = summary.Telemetry.window in

@@ -36,7 +36,9 @@ type entity_row = {
   model_queue_depth : float option;
       (** Little's-law expected packets in system (vertices only) *)
   sim_queue_depth : float option;
-      (** mean of the sampled depth/backlog series, when sampled *)
+      (** mean of the run's [NAME.queue_depth] (vertex) or
+          [NAME.backlog_bytes] (medium) gauge history
+          ({!Metrics.series}); [None] without one *)
   model_drop_probability : float option;  (** M/M/1/N blocking (vertices) *)
   drops : int;  (** node drops / medium rejections over the whole run *)
 }
@@ -118,10 +120,11 @@ val run :
   hw:Lognic.Params.hardware ->
   mix:Lognic.Traffic.mix ->
   report
-(** Runs both sides and joins them. When [config] leaves
-    [sample_interval] unset, it defaults to [duration/256] so the
-    queue-depth comparison has data. Raises [Invalid_argument] if the
-    graph fails validation, and like {!Lognic.Estimate.run_mix}. *)
+(** Runs both sides and joins them. When [config] leaves [metrics]
+    unset, the run attaches {!Metrics.default_config} at a
+    [duration/256] interval so the queue-depth comparison has data.
+    Raises [Invalid_argument] if the graph fails validation, and like
+    {!Lognic.Estimate.run_mix}. *)
 
 val row_to_json : int -> entity_row -> Telemetry.Json.t
 (** One entity row at the given rank — shared with {!Contention}. *)

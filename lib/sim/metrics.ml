@@ -1,7 +1,8 @@
 (* Live streaming metrics: a typed registry of per-entity instruments
    sampled on a fixed sim-time interval, with delta-encoded NDJSON
-   snapshots, an OpenMetrics exposition, and SLO watchdog rules with
-   hysteresis.
+   snapshots, gauge histories, an OpenMetrics exposition, and SLO
+   watchdog rules with hysteresis.  This is the run's only periodic
+   sampler: every time series of a run is a gauge's history.
 
    Determinism is the design constraint.  Every instrument is a
    read-only view of state the simulator already maintains (the run's
@@ -126,6 +127,7 @@ type metric = {
   m_name : string;
   m_kind : kind;
   m_probe : unit -> float;
+  m_series : Telemetry.Series.t option;  (* a gauge's sampled history *)
   mutable m_prev : float;  (* probe value at the previous tick *)
   mutable m_rate : float;  (* last computed per-interval rate *)
 }
@@ -213,6 +215,13 @@ let register t ~entity ~name kind probe =
       m_name = name;
       m_kind = kind;
       m_probe = probe;
+      m_series =
+        (match kind with
+        | Gauge ->
+          Some
+            (Telemetry.Series.create ~label:(entity ^ "." ^ name)
+               ~interval:t.cfg.interval ())
+        | Counter | Rate -> None);
       m_prev = probe ();
       m_rate = 0.;
     }
@@ -351,6 +360,9 @@ let tick t ~now =
           push m.m_entity m.m_name (Counter_s { total = cur; delta });
           evaluate_rules t ~now ~events (m.m_entity, m.m_name, delta)
         | Gauge ->
+          Option.iter
+            (fun s -> Telemetry.Series.add s ~time:now ~value:cur)
+            m.m_series;
           push m.m_entity m.m_name (Gauge_s { value = cur });
           evaluate_rules t ~now ~events (m.m_entity, m.m_name, cur)
         | Rate ->
@@ -398,6 +410,11 @@ let tick t ~now =
   snap
 
 let alerts t = List.rev t.alert_order
+
+let series t =
+  List.filter_map
+    (function Metric m -> m.m_series | Hist _ -> None)
+    t.items
 
 (* ------------------------------------------------------------------ *)
 (* The simulator's instrument catalog.                                *)
@@ -529,82 +546,8 @@ let snapshot_to_json s =
       ("alerts", J.Arr (List.map alert_event_to_json s.s_alerts));
     ]
 
-(* Streaming twin of [snapshot_to_json]: writes the same document
-   straight into a buffer without building the tree, so a per-tick
-   NDJSON sink costs string appends instead of list/Obj allocation plus
-   a render pass.  Byte-for-byte equality with
-   [J.to_string (snapshot_to_json s)] is enforced by a test. *)
 let snapshot_to_buffer buf s =
-  let str = J.write_string buf in
-  let num = J.write_num buf in
-  let raw = Buffer.add_string buf in
-  raw {|{"schema":"metrics","schema_version":|};
-  num (float_of_int (Schema.version_of_exn "metrics"));
-  raw {|,"seq":|};
-  num (float_of_int s.s_seq);
-  raw {|,"time":|};
-  num s.s_time;
-  raw {|,"interval":|};
-  num s.s_interval;
-  raw {|,"entities":[|};
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_char buf ',';
-      raw {|{"entity":|};
-      str e.e_name;
-      raw {|,"metrics":[|};
-      List.iteri
-        (fun j (name, sample) ->
-          if j > 0 then Buffer.add_char buf ',';
-          raw {|{"name":|};
-          str name;
-          (match sample with
-          | Counter_s { total; delta } ->
-            raw {|,"kind":"counter","delta":|};
-            num delta;
-            raw {|,"total":|};
-            num total
-          | Gauge_s { value } ->
-            raw {|,"kind":"gauge","value":|};
-            num value
-          | Rate_s { value; total } ->
-            raw {|,"kind":"rate","value":|};
-            num value;
-            raw {|,"total":|};
-            num total
-          | Hist_s { count; sum; p50; p99 } ->
-            raw {|,"kind":"histogram","count":|};
-            num (float_of_int count);
-            raw {|,"sum":|};
-            num sum;
-            raw {|,"p50":|};
-            num p50;
-            raw {|,"p99":|};
-            num p99);
-          Buffer.add_char buf '}')
-        e.e_samples;
-      raw "]}")
-    s.s_entities;
-  raw {|],"alerts":[|};
-  List.iteri
-    (fun i ev ->
-      if i > 0 then Buffer.add_char buf ',';
-      raw {|{"rule":|};
-      str ev.ev_rule;
-      raw {|,"entity":|};
-      str ev.ev_entity;
-      raw {|,"state":|};
-      str (if ev.ev_firing then "firing" else "resolved");
-      raw {|,"value":|};
-      num ev.ev_value;
-      Buffer.add_char buf '}')
-    s.s_alerts;
-  raw "]}"
-
-let snapshot_to_string s =
-  let buf = Buffer.create 4096 in
-  snapshot_to_buffer buf s;
-  Buffer.contents buf
+  Buffer.add_string buf (J.to_string (snapshot_to_json s))
 
 let alert_to_json a =
   J.Obj

@@ -3,9 +3,10 @@
     A registry of per-entity instruments is sampled on a fixed sim-time
     interval, producing delta-encoded {!snapshot}s that stream as
     NDJSON ([schema:"metrics"]) and export cumulatively as OpenMetrics
-    text.  SLO {!Slo.rule}s are evaluated against every sampled value
-    each interval, with hysteresis, yielding structured {!alert}
-    records naming the offending entity.
+    text; every {!Gauge} also keeps its sampled history ({!series}), the
+    run's only time series.  SLO {!Slo.rule}s are evaluated against
+    every sampled value each interval, with hysteresis, yielding
+    structured {!alert} records naming the offending entity.
 
     Determinism: every instrument is a read-only view of state the
     simulator already maintains — the latency {!histogram} reads a
@@ -19,7 +20,9 @@
 type kind =
   | Counter  (** cumulative probe; snapshots carry delta and total, SLO
                  rules see the per-interval delta *)
-  | Gauge  (** instantaneous level; SLO rules see the level *)
+  | Gauge
+      (** instantaneous level; SLO rules see the level, and each tick's
+          level joins the gauge's history ({!series}) *)
   | Rate
       (** cumulative probe presented as delta/interval — e.g. a busy-
           seconds probe becomes utilization; SLO rules see the rate *)
@@ -108,7 +111,8 @@ val register :
   t -> entity:string -> name:string -> kind -> (unit -> float) -> unit
 (** Add a scalar instrument backed by a read-only probe. Registration
     order is the deterministic sampling/export order. The probe is
-    called once immediately to seed the delta baseline. *)
+    called once immediately to seed the delta baseline. A [Gauge] gets
+    a history labelled ["ENTITY.NAME"] at the config's interval. *)
 
 val histogram :
   t -> entity:string -> name:string -> Telemetry.Table.t -> row:int -> unit
@@ -147,6 +151,12 @@ val alerts : t -> alert list
 (** Every (rule, entity) pair evaluated so far, in first-evaluation
     order — including pairs that never fired. *)
 
+val series : t -> Telemetry.Series.t list
+(** Each gauge's history, in registration order: one
+    {!Telemetry.Series} labelled ["ENTITY.NAME"] whose samples are the
+    [(s_time, value)] pairs its {!Gauge_s} samples reported, tick by
+    tick (the newest 4096 once the ring is full). *)
+
 val profiler : t -> Profile.t option
 (** The self-profiler owned by this instance when [config.profile]. *)
 
@@ -170,24 +180,21 @@ val attach :
     per node [completions], [drops], [queue_depth], [busy_engines],
     [utilization]; per medium [transfers], [rejections],
     [backlog_bytes], [utilization]; and, with [tenants] (the set and
-    its attribution table), the [tenants] fairness gauges. The
-    profiler (if any) is attached to every node and medium, and ticks
-    are scheduled every [config.interval] up to [until]
-    ({!Engine.every}). *)
+    its attribution table), the [tenants] fairness gauges. So
+    {!series} holds [LABEL.queue_depth] and [LABEL.busy_engines] per
+    node, [LABEL.backlog_bytes] per medium, then the fairness gauges.
+    The profiler (if any) is attached to every node and medium, and
+    ticks are scheduled every [config.interval] up to [until] — this is
+    {!Engine.every}'s only caller. *)
 
 (** {2 Exports} *)
 
 val snapshot_to_json : snapshot -> Telemetry.Json.t
-(** One [schema:"metrics"] document; [Json.to_string] of successive
-    snapshots is the NDJSON stream. *)
+(** One [schema:"metrics"] document, the only snapshot writer;
+    [Json.to_string] of successive snapshots is the NDJSON stream. *)
 
 val snapshot_to_buffer : Buffer.t -> snapshot -> unit
-(** Append the snapshot's JSON document to [buf] — byte-identical to
-    [Json.to_string (snapshot_to_json s)] but without building the
-    tree, which keeps per-tick streaming cost low. *)
-
-val snapshot_to_string : snapshot -> string
-(** [snapshot_to_buffer] into a fresh buffer. *)
+(** Append [Json.to_string (snapshot_to_json s)] to [buf]. *)
 
 val alerts_to_json : t -> Telemetry.Json.t
 (** [schema:"alerts"] summary of every alert state. *)

@@ -7,7 +7,6 @@ type config = {
   warmup : float;
   service_dist : Ip_node.service_dist;
   arrival : Traffic_gen.arrival;
-  sample_interval : float option;
   trace : Trace.config option;
   check_invariants : bool;
   metrics : Metrics.config option;
@@ -29,7 +28,6 @@ module Config = struct
       warmup = 0.01;
       service_dist = Ip_node.Exponential;
       arrival = Traffic_gen.Poisson;
-      sample_interval = None;
       trace = None;
       check_invariants = false;
       metrics = None;
@@ -38,7 +36,6 @@ module Config = struct
     }
 
   let with_seed seed c = { c with seed }
-  let with_duration duration c = { c with duration }
 
   let with_horizon ?warmup duration c =
     let warmup = match warmup with Some w -> w | None -> duration /. 10. in
@@ -46,7 +43,6 @@ module Config = struct
 
   let with_service_dist service_dist c = { c with service_dist }
   let with_arrival arrival c = { c with arrival }
-  let with_sampling interval c = { c with sample_interval = Some interval }
   let with_trace trace c = { c with trace = Some trace }
   let with_invariants check_invariants c = { c with check_invariants }
   let with_metrics metrics c = { c with metrics = Some metrics }
@@ -95,7 +91,6 @@ type measurement = {
   summary : Telemetry.summary;
   vertex_stats : vertex_stats list;
   medium_stats : medium_stats list;
-  series : Telemetry.Series.t list;
   generated : int;
   fault_intervals : Faults.interval_stats list;
   resilience : Faults.resilience option;
@@ -801,34 +796,6 @@ let execute_with ?engine:reused (spec : Run.t) =
       arrive_f fl
     end
   in
-  (* Periodic state sampling into ring-buffer series (read-only probes:
-     enabling sampling never changes simulation results). *)
-  let series =
-    match config.sample_interval with
-    | None -> []
-    | Some dt ->
-      if not (dt > 0. && Float.is_finite dt) then
-        invalid_arg "Netsim.run: sample_interval must be positive and finite";
-      let probes =
-        List.concat_map
-          (fun node ->
-            let label = Ip_node.label node in
-            [
-              (label ^ ".depth", fun () -> float_of_int (Ip_node.in_system node));
-              (label ^ ".busy", fun () -> float_of_int (Ip_node.busy_engines node));
-            ])
-          node_list
-        @ List.map (fun m -> (Medium.label m ^ ".backlog", fun () -> Medium.backlog m)) media
-        |> List.map (fun (label, probe) ->
-               ( Telemetry.Series.create ~label ~interval:dt (),
-                 probe ))
-      in
-      Engine.every engine ~interval:dt ~until:config.duration (fun time ->
-          List.iter
-            (fun (s, probe) -> Telemetry.Series.add s ~time ~value:(probe ()))
-            probes);
-      List.map fst probes
-  in
   let gen =
     Traffic_gen.create engine ~rng:gen_rng ~arrival:config.arrival
       ~mix:spec.Run.mix ~on_arrival
@@ -889,7 +856,6 @@ let execute_with ?engine:reused (spec : Run.t) =
     summary;
     vertex_stats;
     medium_stats;
-    series;
     generated = Traffic_gen.generated gen;
     fault_intervals;
     resilience;
@@ -949,7 +915,6 @@ let measurement_to_json m =
                    ("rejections", J.Num (float_of_int s.m_rejections));
                  ])
              m.medium_stats) );
-      ("series", J.Arr (List.map Telemetry.Series.to_json m.series));
       ("generated", J.Num (float_of_int m.generated));
       ("fault_intervals", J.Arr (List.map Faults.interval_to_json m.fault_intervals));
       ( "resilience",

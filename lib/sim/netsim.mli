@@ -16,10 +16,11 @@
     [size·Σδ_in/p_v] bytes of processing.
 
     Every run is fully observable: drops are attributed to the queue or
-    medium buffer that shed them, each delivered packet's latency is
-    decomposed into queueing / service / wire / overhead components
-    (the Eq. 2 terms), and [sample_interval] turns on periodic
-    queue-depth / in-flight / backlog traces ({!Telemetry.Series}).
+    medium buffer that shed them, and each delivered packet's latency
+    is decomposed into queueing / service / wire / overhead components
+    (the Eq. 2 terms). Periodic queue-depth / busy-engine / backlog
+    samples come from the metrics layer: [config.metrics] attaches the
+    gauges, and {!Metrics.series} holds their histories.
 
     {b Entry points.} {!Run.t} is the single run spec — graph, hardware,
     traffic mix, config, and fault plan in one record — executed by
@@ -52,11 +53,6 @@ type config = private {
   warmup : float;  (** discarded prefix (default 10% of duration) *)
   service_dist : Ip_node.service_dist;  (** default [Exponential] *)
   arrival : Traffic_gen.arrival;  (** default [Poisson] *)
-  sample_interval : float option;
-      (** when [Some dt], sample every entity's state each [dt] seconds
-          into {!measurement.series} (default [None]; sampling is
-          read-only and never changes simulation results). Each series
-          keeps the newest 4096 samples. *)
   trace : Trace.config option;
       (** when [Some], record per-packet lifecycle spans for a
           reservoir-sampled subset of packets into
@@ -75,8 +71,9 @@ type config = private {
           the [invariants_hold_everywhere] property). *)
   metrics : Metrics.config option;
       (** when [Some], sample a live metrics registry every
-          [interval] sim-seconds, evaluate its SLO rules, and attach
-          the instance as {!measurement.metrics} (default [None]).
+          [interval] sim-seconds, evaluate its SLO rules, keep each
+          gauge's history ({!Metrics.series}), and attach the instance
+          as {!measurement.metrics} (default [None]).
           Every instrument, the latency histogram included, is a
           read-only view of the run's accounts (no per-delivery hook)
           and no rng stream is split, so enabling metrics never changes
@@ -125,7 +122,6 @@ module Config : sig
       exponential service, every optional layer off. *)
 
   val with_seed : int -> t -> t
-  val with_duration : float -> t -> t
 
   val with_horizon : ?warmup:float -> float -> t -> t
   (** [with_horizon d] sets [duration = d] and [warmup] to the
@@ -134,9 +130,6 @@ module Config : sig
 
   val with_service_dist : Ip_node.service_dist -> t -> t
   val with_arrival : Traffic_gen.arrival -> t -> t
-
-  val with_sampling : float -> t -> t
-  (** Enable periodic series sampling at the given interval. *)
 
   val with_trace : Trace.config -> t -> t
   val with_invariants : bool -> t -> t
@@ -205,10 +198,6 @@ type measurement = {
       (** interface, memory, then dedicated links in edge order; the
           first two rows are the shared media's utilization. Drops per
           site are [summary.drop_breakdown]. *)
-  series : Telemetry.Series.t list;
-      (** sampled time series (empty unless [sample_interval] is set):
-          ["LABEL.depth"] / ["LABEL.busy"] per node, ["LABEL.backlog"]
-          per medium *)
   generated : int;  (** packets offered over the whole run *)
   fault_intervals : Faults.interval_stats list;
       (** chronological, tiling [\[0, duration)]; empty for an empty
@@ -265,9 +254,9 @@ val execute_with : ?engine:Engine.t -> Run.t -> measurement
 val execute : Run.t -> measurement
 (** Run one simulation from a spec. Raises [Invalid_argument] if the
     duration is not positive and finite, the graph fails validation,
-    the sample interval is not positive, or a fault event targets an
-    entity the realized simulation does not have (unknown vertex label,
-    infinite-throughput vertex, unknown medium label).
+    the metrics interval is not positive and finite, or a fault event
+    targets an entity the realized simulation does not have (unknown
+    vertex label, infinite-throughput vertex, unknown medium label).
 
     {b Determinism.} With [faults = Faults.empty] the measurement is
     byte-identical to the pre-fault-era {!run} (no fault rng is split,
@@ -306,7 +295,7 @@ val run_single :
 
 val measurement_to_json : measurement -> Telemetry.Json.t
 (** The full measurement — summary, per-entity stats, drop sites,
-    series, fault intervals — as one versioned JSON object
+    fault intervals — as one versioned JSON object
     ([schema = "measurement"], see {!Telemetry.Json.versioned}; what
     [lognic report --trace] writes). *)
 

@@ -4,11 +4,12 @@
    {!Telemetry.Json.versioned}, which consults this table — so "which
    schemas exist, at which version" is answerable from one place, and
    an exporter cannot invent an unregistered stamp (the lookup raises).
-   Adding a document kind means adding a row here first. *)
+   Adding a document kind means adding a row here first, and a document
+   that changes shape bumps its own row's version. *)
 
 let table =
   [
-    ("measurement", 1);  (* Netsim.measurement_to_json *)
+    ("measurement", 2);  (* Netsim.measurement_to_json; 2: no "series" *)
     ("explain", 1);  (* Explain.to_json *)
     ("search_log", 1);  (* Search_log.to_json *)
     ("trace_events", 1);  (* Trace.to_chrome_json (rides in otherData) *)

@@ -11,13 +11,11 @@ type t = {
   mutable best : (float * O.assignment list) option;
 }
 
-let create ?(capacity = 4096) () =
+let create () =
   {
     mutex = Mutex.create ();
-    scores =
-      Telemetry.Series.create ~capacity ~label:"score" ~interval:1. ();
-    best_curve =
-      Telemetry.Series.create ~capacity ~label:"best_score" ~interval:1. ();
+    scores = Telemetry.Series.create ~label:"score" ~interval:1. ();
+    best_curve = Telemetry.Series.create ~label:"best_score" ~interval:1. ();
     knob_counts = Hashtbl.create 16;
     observations = 0;
     cache_hits = 0;

@@ -2,8 +2,8 @@
     {!Lognic.Optimizer.observation} events into a convergence log.
 
     Hook {!observer} into {!Lognic.Optimizer.optimize} (or [pareto])
-    via its [?observer] argument and the log accumulates, bounded by
-    the ring capacity of {!Telemetry.Series}:
+    via its [?observer] argument and the log accumulates, each curve
+    bounded by a {!Telemetry.Series} ring of the newest 4096 samples:
 
     - every candidate's objective score, indexed by its evaluation
       sequence number ([scores]);
@@ -21,9 +21,7 @@
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] (default 4096) bounds each underlying series; once full,
-    the newest samples win. *)
+val create : unit -> t
 
 val observer : t -> Lognic.Optimizer.observation -> unit
 (** The callback to pass as [~observer:(Search_log.observer log)]. *)

@@ -278,8 +278,6 @@ module Json = struct
      here, so "which schema am I parsing" is answerable from the
      document alone. The version comes from the {!Schema} registry:
      an unregistered kind raises, which keeps the table complete. *)
-  let schema_version = 1
-
   let versioned ~kind fields =
     Obj
       (("schema", Str kind)
@@ -288,14 +286,15 @@ module Json = struct
 end
 
 (* Ring-buffer time series: bounded memory however long the run, the
-   newest [capacity] samples win. *)
+   newest [capacity] samples win. The arrays start small and double up
+   to [capacity], so a short run does not pay for the full ring. *)
 module Series = struct
   type t = {
     label : string;
     interval : float;
     capacity : int;
-    times : float array;
-    values : float array;
+    mutable times : float array;
+    mutable values : float array;
     mutable len : int;
     mutable next : int;  (* ring write position *)
   }
@@ -303,12 +302,13 @@ module Series = struct
   let create ?(capacity = 4096) ~label ~interval () =
     if capacity < 1 then invalid_arg "Series.create: capacity must be >= 1";
     if interval <= 0. then invalid_arg "Series.create: interval must be > 0";
+    let slots = min capacity 16 in
     {
       label;
       interval;
       capacity;
-      times = Array.make capacity 0.;
-      values = Array.make capacity 0.;
+      times = Array.make slots 0.;
+      values = Array.make slots 0.;
       len = 0;
       next = 0;
     }
@@ -318,7 +318,15 @@ module Series = struct
   let capacity t = t.capacity
   let length t = t.len
 
+  (* Before the ring wraps the samples fill [0, len) of arrays exactly
+     [len] long, so doubling them is a plain append. *)
+  let grow t =
+    let extra = Array.make (min t.len (t.capacity - t.len)) 0. in
+    t.times <- Array.append t.times extra;
+    t.values <- Array.append t.values extra
+
   let add t ~time ~value =
+    if t.len = Array.length t.times && t.len < t.capacity then grow t;
     t.times.(t.next) <- time;
     t.values.(t.next) <- value;
     t.next <- (t.next + 1) mod t.capacity;

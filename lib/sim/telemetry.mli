@@ -23,9 +23,10 @@
     {e specific} entity that binds): drops carry their site, delivered
     packets carry a per-component latency decomposition that mirrors the
     Eq. 2 terms, per-entity {!Table} rows attribute packets to tenants,
-    flow-cache classes and fault sub-intervals, periodic state samples
-    land in bounded ring-buffer {!Series}, and everything exports as
-    JSON ({!to_json}, {!Json}) or CSV ({!Series.to_csv}). *)
+    flow-cache classes and fault sub-intervals, and everything exports
+    as JSON ({!to_json}, {!Json}). Periodic state samples are the
+    {!Metrics} gauges' histories, kept in bounded ring-buffer {!Series}
+    and exported as CSV ({!Series.to_csv}). *)
 
 (** A dependency-free JSON tree with a printer and a parser, so exported
     traces can be round-trip tested without adding a JSON library. *)
@@ -54,19 +55,6 @@ module Json : sig
   (** Shortest decimal string that [float_of_string] maps back to the
       same float. *)
 
-  val write_string : Buffer.t -> string -> unit
-  (** Append one JSON string literal (quotes and escaping included) —
-      the exact bytes {!to_string} emits for [Str]. For streaming
-      serializers that bypass the {!t} tree. *)
-
-  val write_num : Buffer.t -> float -> unit
-  (** Append one JSON number — the exact bytes {!to_string} emits for
-      [Num] (non-finite values become [null]). *)
-
-  val schema_version : int
-  (** Version stamped by {!versioned} into every JSON document the repo
-      emits. Bump when any exported schema changes shape. *)
-
   val versioned : kind:string -> (string * t) list -> t
   (** [versioned ~kind fields] is [Obj fields] prefixed with
       ["schema": kind] and ["schema_version": v] where [v] comes from
@@ -77,15 +65,19 @@ module Json : sig
       {!Schema.table}. *)
 end
 
-(** Bounded ring-buffer time series: appends are O(1), memory is fixed,
-    and once full the newest [capacity] samples win. Used for the
-    periodic queue-depth / in-flight / backlog traces. *)
+(** Bounded ring-buffer time series: appends are amortized O(1), memory
+    never exceeds [capacity] samples, and once full the newest
+    [capacity] samples win. Two users: each {!Metrics} gauge keeps its
+    sampled history in one ({!Metrics.series}), and {!Search_log} keeps
+    its score curves, indexed by evaluation sequence, in two. *)
 module Series : sig
   type t
 
   val create : ?capacity:int -> label:string -> interval:float -> unit -> t
-  (** [capacity] defaults to 4096 samples. Raises [Invalid_argument] on
-      a non-positive capacity or interval. *)
+  (** [capacity] defaults to 4096 samples. The storage starts at
+      [min capacity 16] samples and doubles as samples arrive, up to
+      [capacity]. Raises [Invalid_argument] on a non-positive capacity
+      or interval. *)
 
   val label : t -> string
   val interval : t -> float

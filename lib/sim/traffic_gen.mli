@@ -29,8 +29,7 @@ val create :
     class index (position in [mix]). The callback derives everything
     else itself — birth time is the engine's current time, size is the
     class's packet size, ids are dense in arrival order — so the
-    generator never materializes a packet record ({!Packet.t} remains
-    available for callers that want one). *)
+    generator never materializes a packet record. *)
 
 val start : t -> until:float -> unit
 (** Schedules the arrival process from the current time up to (not

@@ -264,8 +264,9 @@ let contention_validation () =
 
 (* Without a contention spec the contention report is observation-only:
    it drives the identical simulation a plain [Netsim.run] with the same
-   pinned config would, so the measurement inside the report is
-   byte-identical to the standalone run. *)
+   config would — the report's run only adds the read-only metrics
+   gauges explain samples queue depths from — so the measurement inside
+   the report is byte-identical to the standalone run. *)
 let contention_off_identity () =
   let module D = Lognic_devices in
   let module S = Lognic_sim in
@@ -273,12 +274,7 @@ let contention_off_identity () =
     D.Liquidio.inline_accel_graph ~spec:D.Accel_spec.md5 ~packet_size:U.mtu ()
   in
   let hw = D.Liquidio.hardware in
-  let config =
-    S.Netsim.Config.(
-      default |> with_horizon ~warmup:2e-4 1e-2
-      (* pinned explicitly: Explain.run would otherwise default it *)
-      |> with_sampling (1e-2 /. 256.))
-  in
+  let config = S.Netsim.Config.(default |> with_horizon ~warmup:2e-4 1e-2) in
   let mix =
     [
       (T.make ~rate:(D.Liquidio.line_rate /. 2.) ~packet_size:U.mtu, 0.6);
@@ -287,6 +283,8 @@ let contention_off_identity () =
   in
   let json m = S.Telemetry.Json.to_string (S.Netsim.measurement_to_json m) in
   let report = S.Contention.run ~config g ~hw ~mix in
+  Alcotest.(check bool) "the report's run sampled metrics" true
+    (report.S.Contention.base.S.Explain.measurement.S.Netsim.metrics <> None);
   Alcotest.(check string) "contention-off report = plain run, byte-identical"
     (json (S.Netsim.run ~config g ~hw ~mix))
     (json report.S.Contention.base.S.Explain.measurement)

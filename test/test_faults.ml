@@ -182,7 +182,7 @@ let with_setters_update () =
   let spec = S.Netsim.Run.make ~config g ~hw ~mix in
   let spec =
     S.Netsim.Run.with_config spec
-      S.Netsim.Config.(config |> with_seed 42 |> with_duration 0.01)
+      S.Netsim.Config.(config |> with_seed 42 |> with_horizon 0.01)
   in
   Alcotest.(check int) "seed set" 42 spec.S.Netsim.Run.config.S.Netsim.seed;
   check_close "duration set" 0.01 spec.S.Netsim.Run.config.S.Netsim.duration;
@@ -368,7 +368,9 @@ let faults_json_versioned () =
   Alcotest.(check bool) "schema stamped" true
     (contains_substring s "\"schema\":\"faults\"");
   Alcotest.(check bool) "schema_version stamped" true
-    (contains_substring s "\"schema_version\":1");
+    (contains_substring s
+       (Printf.sprintf "\"schema_version\":%d"
+          (S.Schema.version_of_exn "faults")));
   let text = Format.asprintf "%a" Lognic_sim.Resilience.pp r in
   Alcotest.(check bool) "text mentions the fault" true
     (contains_substring text "engine_down:ip")

@@ -1,9 +1,9 @@
 (* Tests for the live metrics layer: SLO rule grammar, the histogram
    view of a telemetry table row, delta/rate arithmetic, alert
-   hysteresis, the zero-perturbation guarantee under Netsim, the
-   streaming serializer's byte-equality with the JSON-tree exporter,
-   OpenMetrics output, the self-profiler, and the central Schema
-   registry. *)
+   hysteresis, the zero-perturbation guarantee under Netsim, gauge
+   histories, the snapshot writer's JSON round trip, OpenMetrics
+   output, the self-profiler, and the central Schema registry with one
+   stamped document per registered kind. *)
 
 open Helpers
 module S = Lognic_sim
@@ -251,25 +251,79 @@ let measurement_json config =
 
 let metrics_bit_identical () =
   let snaps = ref 0 in
+  (* every gauge sample the snapshots report, as ("ENTITY.NAME", (tick
+     time, value)), newest first *)
+  let gauges = ref [] in
+  let on_snapshot snap =
+    incr snaps;
+    List.iter
+      (fun e ->
+        List.iter
+          (fun (name, sample) ->
+            match sample with
+            | M.Gauge_s { value } ->
+              gauges :=
+                (e.M.e_name ^ "." ^ name, (snap.M.s_time, value)) :: !gauges
+            | M.Counter_s _ | M.Rate_s _ | M.Hist_s _ -> ())
+          e.M.e_samples)
+      snap.M.s_entities
+  in
   let metrics =
     {
       M.default_config with
       interval = 2e-4;
       slo = [ M.Slo.parse_exn "*.utilization>0.5" ];
-      on_snapshot = Some (fun _ -> incr snaps);
+      on_snapshot = Some on_snapshot;
     }
   in
   let bare = measurement_json base_config in
-  let streamed =
-    measurement_json (S.Netsim.Config.with_metrics metrics base_config)
+  let m =
+    S.Netsim.run_single
+      ~config:(S.Netsim.Config.with_metrics metrics base_config)
+      (pipeline ()) ~hw ~traffic
   in
   Alcotest.(check string)
-    "measurement JSON identical with metrics on/off" bare streamed;
+    "measurement JSON identical with metrics on/off" bare
+    (J.to_string (S.Netsim.measurement_to_json m));
   (* 5 ms horizon / 200 µs interval, plus the final flush tick *)
   Alcotest.(check bool)
     (Printf.sprintf "snapshot cadence (%d snapshots)" !snaps)
     true
     (!snaps >= 25 && !snaps <= 27);
+  (* One sampler: each gauge's history is exactly the samples its
+     snapshots reported, and the histories come in registration order
+     (per node queue_depth and busy_engines, then per medium
+     backlog_bytes). *)
+  let series =
+    match m.S.Netsim.metrics with
+    | Some metrics -> M.series metrics
+    | None -> Alcotest.fail "metrics attached but absent"
+  in
+  Alcotest.(check (list string))
+    "one history per gauge, in registration order"
+    (List.concat_map
+       (fun (v : S.Netsim.vertex_stats) ->
+         [ v.vlabel ^ ".queue_depth"; v.vlabel ^ ".busy_engines" ])
+       m.S.Netsim.vertex_stats
+    @ List.map
+        (fun (md : S.Netsim.medium_stats) -> md.mlabel ^ ".backlog_bytes")
+        m.S.Netsim.medium_stats)
+    (List.map S.Telemetry.Series.label series);
+  let reported = List.rev !gauges in
+  Alcotest.(check int) "every reported gauge sample is in a history"
+    (List.length reported)
+    (List.fold_left (fun acc s -> acc + S.Telemetry.Series.length s) 0 series);
+  List.iter
+    (fun s ->
+      let label = S.Telemetry.Series.label s in
+      Alcotest.(check (array (pair (float 0.) (float 0.))))
+        (label ^ " history = its reported (time, value) samples")
+        (Array.of_list
+           (List.filter_map
+              (fun (l, sample) -> if l = label then Some sample else None)
+              reported))
+        (S.Telemetry.Series.to_array s))
+    series;
   (* One account: on a two-class run, run.latency's interval counts and
      sums add up to the summary's deliveries and latency total, and the
      class rows' deliveries add up to the run's. *)
@@ -333,24 +387,38 @@ let metrics_jobs_invariant () =
 (* ------------------------------------------------------------------ *)
 (* Exports.                                                           *)
 
-(* The streaming writer must emit the exact bytes of the tree path —
-   on real snapshots from a run and on a synthetic one that exercises
-   string escaping and non-finite numbers. *)
-let streaming_serializer_byte_identical () =
+(* The NDJSON sink appends [Json.to_string (snapshot_to_json s)], and
+   every document parses back to the tree it was written from: on real
+   snapshots from a run, and on a synthetic one whose strings need
+   escaping (they survive exactly) and whose non-finite numbers read
+   back as [null]. *)
+let streaming_serializer_round_trip () =
+  let json = Alcotest.testable (fun ppf j -> Fmt.string ppf (J.to_string j)) ( = ) in
+  let rec nulled = function
+    | J.Num x when not (Float.is_finite x) -> J.Null
+    | J.Arr xs -> J.Arr (List.map nulled xs)
+    | J.Obj kvs -> J.Obj (List.map (fun (k, v) -> (k, nulled v)) kvs)
+    | v -> v
+  in
   let checked = ref 0 in
-  let check_snap snap =
+  let round_trip snap =
     incr checked;
-    Alcotest.(check string)
-      "snapshot_to_string = to_string (snapshot_to_json)"
-      (J.to_string (M.snapshot_to_json snap))
-      (M.snapshot_to_string snap)
+    let buf = Buffer.create 1024 in
+    M.snapshot_to_buffer buf snap;
+    match J.of_string (Buffer.contents buf) with
+    | Ok parsed ->
+      Alcotest.check json "snapshot parses back to its tree"
+        (nulled (M.snapshot_to_json snap))
+        parsed;
+      parsed
+    | Error e -> Alcotest.failf "snapshot %d does not parse: %s" snap.M.s_seq e
   in
   let metrics =
     {
       M.default_config with
       interval = 2e-4;
       slo = [ M.Slo.parse_exn "*.utilization>0.5" ];
-      on_snapshot = Some check_snap;
+      on_snapshot = Some (fun snap -> ignore (round_trip snap));
     }
   in
   ignore
@@ -358,37 +426,59 @@ let streaming_serializer_byte_identical () =
        ~config:(S.Netsim.Config.with_metrics metrics base_config)
        (pipeline ()) ~hw ~traffic);
   Alcotest.(check bool) "checked real snapshots" true (!checked > 10);
-  check_snap
-    {
-      M.s_seq = 42;
-      s_time = 1.25e-3;
-      s_interval = 2.5e-4;
-      s_entities =
-        [
-          {
-            M.e_name = "we\"ird\n\t entity \x01";
-            e_samples =
-              [
-                ("c", M.Counter_s { total = 1e16; delta = -0. });
-                ("g", M.Gauge_s { value = infinity });
-                ("r", M.Rate_s { value = Float.nan; total = 0.1 });
-                ( "h",
-                  M.Hist_s
-                    { count = 0; sum = 0.; p50 = 1e-7; p99 = neg_infinity } );
-              ];
-          };
-          { M.e_name = ""; e_samples = [] };
-        ];
-      s_alerts =
-        [
-          {
-            M.ev_rule = "a.b>1";
-            ev_entity = "\\back\\slash";
-            ev_firing = false;
-            ev_value = 3.14159;
-          };
-        ];
-    }
+  let weird = "we\"ird\n\t entity \x01" and back = "\\back\\slash" in
+  let parsed =
+    round_trip
+      {
+        M.s_seq = 42;
+        s_time = 1.25e-3;
+        s_interval = 2.5e-4;
+        s_entities =
+          [
+            {
+              M.e_name = weird;
+              e_samples =
+                [
+                  ("c", M.Counter_s { total = 1e16; delta = -0. });
+                  ("g", M.Gauge_s { value = infinity });
+                  ("r", M.Rate_s { value = Float.nan; total = 0.1 });
+                  ( "h",
+                    M.Hist_s
+                      { count = 0; sum = 0.; p50 = 1e-7; p99 = neg_infinity } );
+                ];
+            };
+            { M.e_name = ""; e_samples = [] };
+          ];
+        s_alerts =
+          [
+            {
+              M.ev_rule = "a.b>1";
+              ev_entity = back;
+              ev_firing = false;
+              ev_value = 3.14159;
+            };
+          ];
+      }
+  in
+  let field path =
+    List.fold_left
+      (fun j key ->
+        match (j, int_of_string_opt key) with
+        | Some (J.Arr xs), Some i -> List.nth_opt xs i
+        | Some j, _ -> J.member key j
+        | None, _ -> None)
+      (Some parsed) path
+  in
+  Alcotest.(check (option json)) "escaped entity name survives exactly"
+    (Some (J.Str weird)) (field [ "entities"; "0"; "entity" ]);
+  Alcotest.(check (option json)) "alert entity survives exactly"
+    (Some (J.Str back)) (field [ "alerts"; "0"; "entity" ]);
+  List.iter
+    (fun (i, key) ->
+      Alcotest.(check (option json)) "non-finite number reads back as null"
+        (Some J.Null)
+        (field [ "entities"; "0"; "metrics"; i; key ]))
+    [ ("1", "value"); ("2", "value"); ("3", "p99") ]
 
 let openmetrics_export () =
   let t =
@@ -509,21 +599,77 @@ let schema_registry () =
   check_raises_invalid "version_of_exn raises on unknown kind" (fun () ->
       S.Schema.version_of_exn "no-such-schema")
 
-(* Emitted documents carry the stamp the registry declares. *)
+(* Emitted documents carry the stamp the registry declares: one row per
+   registered kind, each building a small document through its real
+   exporter. [check] is built by the CLI alone and keeps its own
+   validator. *)
 let documents_match_registry () =
-  let t = M.create M.default_config in
+  let config = S.Netsim.Config.(default |> with_horizon 1e-3) in
+  let g = pipeline () in
+  let mix = [ (traffic, 1.) ] in
+  let run config = S.Netsim.run_single ~config g ~hw ~traffic in
+  let t = M.create { M.default_config with profile = true } in
   let snap = M.tick t ~now:1e-3 in
-  let check_doc kind json =
-    Alcotest.(check bool) (kind ^ " stamped") true
-      (J.member "schema" json = Some (J.Str kind));
-    Alcotest.(check bool)
-      (kind ^ " version matches registry")
-      true
-      (J.member "schema_version" json
-      = Some (J.Num (float_of_int (S.Schema.version_of_exn kind))))
+  let rows =
+    [
+      ("measurement", fun () -> S.Netsim.measurement_to_json (run config));
+      ("explain", fun () -> S.Explain.to_json (S.Explain.run ~config g ~hw ~mix));
+      ("search_log", fun () -> S.Search_log.to_json (S.Search_log.create ()));
+      ( "trace_events",
+        fun () ->
+          let m =
+            run (S.Netsim.Config.with_trace { S.Trace.reservoir = 4 } config)
+          in
+          (* the stamp rides in the trace's otherData *)
+          Option.value ~default:J.Null
+            (J.member "otherData"
+               (S.Trace.to_chrome_json (Option.get m.S.Netsim.trace))) );
+      ( "contention",
+        fun () -> S.Contention.to_json (S.Contention.run ~config g ~hw ~mix) );
+      ( "faults",
+        fun () ->
+          S.Resilience.to_json
+            (S.Resilience.run ~config g ~hw ~traffic
+               ~plan:
+                 [
+                   S.Faults.engine_down ~vertex:"ip" ~engines:1 ~start:2e-4
+                     ~stop:5e-4;
+                 ]) );
+      ("metrics", fun () -> M.snapshot_to_json snap);
+      ("alerts", fun () -> M.alerts_to_json t);
+      ("profile", fun () -> Option.get (M.profile_to_json t));
+      ( "tenants",
+        fun () ->
+          S.Explain.tenants_to_json
+            (S.Explain.run_tenants ~config g ~hw ~traffic
+               ~tenants:(S.Tenant.set [ S.Tenant.spec "a"; S.Tenant.spec "b" ])) );
+      ( "flowcache",
+        fun () ->
+          let app = Lognic_apps.Flow_cache.default in
+          S.Explain.flowcache_to_json
+            (S.Explain.run_flowcache ~config
+               (Lognic.Flowcache.spec ~emc_entries:64 ~megaflow_entries:256
+                  ~flows:1024 ())
+               (Lognic_apps.Flow_cache.graph app)
+               ~hw:Lognic_apps.Flow_cache.hardware
+               ~traffic:(Lognic_apps.Flow_cache.traffic app)) );
+    ]
   in
-  check_doc "metrics" (M.snapshot_to_json snap);
-  check_doc "alerts" (M.alerts_to_json t)
+  Alcotest.(check (list string))
+    "one row per registered kind but check"
+    (List.sort compare (List.filter (( <> ) "check") S.Schema.kinds))
+    (List.sort compare (List.map fst rows));
+  List.iter
+    (fun (kind, document) ->
+      let json = document () in
+      Alcotest.(check bool) (kind ^ " stamped") true
+        (J.member "schema" json = Some (J.Str kind));
+      Alcotest.(check bool)
+        (kind ^ " version matches registry")
+        true
+        (J.member "schema_version" json
+        = Some (J.Num (float_of_int (S.Schema.version_of_exn kind)))))
+    rows
 
 let bad_configs_rejected () =
   List.iter
@@ -548,8 +694,8 @@ let suite =
     quick "alerts: histogram p99 target" histogram_slo_target;
     slow "netsim: metrics on/off bit-identical" metrics_bit_identical;
     slow "netsim: jobs-invariant with metrics attached" metrics_jobs_invariant;
-    slow "export: streaming serializer byte-identical"
-      streaming_serializer_byte_identical;
+    slow "export: streaming serializer round-trips"
+      streaming_serializer_round_trip;
     quick "export: openmetrics exposition" openmetrics_export;
     quick "export: alerts and profile JSON" alerts_and_profile_json;
     quick "schema: registry is consistent" schema_registry;

@@ -218,26 +218,38 @@ let search_log_matches_stats () =
 
 (* Series overload behaviour: the ring buffer is bounded, keeps the
    newest samples in order, and its CSV export stays well-formed after
-   wrapping. *)
+   wrapping. Capacities 20 and 40 start below their capacity and grow
+   (16 -> 20 is a partial doubling; 40 takes two steps) before they
+   wrap. *)
 let series_wraparound () =
-  let s =
-    S.Telemetry.Series.create ~capacity:8 ~label:"depth" ~interval:1. ()
+  let check_wrap ~capacity ~adds =
+    let s =
+      S.Telemetry.Series.create ~capacity ~label:"depth" ~interval:1. ()
+    in
+    for i = 0 to adds - 1 do
+      S.Telemetry.Series.add s ~time:(float_of_int i)
+        ~value:(float_of_int (i * i))
+    done;
+    let what = Printf.sprintf "capacity %d, %d adds: " capacity adds in
+    Alcotest.(check int) (what ^ "capacity") capacity
+      (S.Telemetry.Series.capacity s);
+    Alcotest.(check int) (what ^ "length clamps at capacity") capacity
+      (S.Telemetry.Series.length s);
+    let a = S.Telemetry.Series.to_array s in
+    Alcotest.(check int) (what ^ "array length") capacity (Array.length a);
+    let first = adds - capacity in
+    Array.iteri
+      (fun i (time, value) ->
+        (* the newest [capacity] samples, chronological *)
+        check_close (what ^ "wrapped time") (float_of_int (i + first)) time;
+        check_close (what ^ "wrapped value")
+          (float_of_int ((i + first) * (i + first)))
+          value)
+      a
   in
-  for i = 0 to 19 do
-    S.Telemetry.Series.add s ~time:(float_of_int i)
-      ~value:(float_of_int (i * i))
-  done;
-  Alcotest.(check int) "capacity" 8 (S.Telemetry.Series.capacity s);
-  Alcotest.(check int) "length clamps at capacity" 8
-    (S.Telemetry.Series.length s);
-  let a = S.Telemetry.Series.to_array s in
-  Alcotest.(check int) "array length" 8 (Array.length a);
-  Array.iteri
-    (fun i (time, value) ->
-      (* newest 8 of 20 samples: times 12..19, chronological *)
-      check_close "wrapped time" (float_of_int (i + 12)) time;
-      check_close "wrapped value" (float_of_int ((i + 12) * (i + 12))) value)
-    a
+  check_wrap ~capacity:8 ~adds:20;
+  check_wrap ~capacity:20 ~adds:100;
+  check_wrap ~capacity:40 ~adds:100
 
 let series_csv_after_wrap () =
   let s = S.Telemetry.Series.create ~capacity:4 ~label:"q" ~interval:1. () in
@@ -266,15 +278,18 @@ let series_degenerate_intervals () =
   let run interval =
     let config =
       S.Netsim.Config.(
-        default |> with_horizon 0.02 |> with_sampling interval)
+        default |> with_horizon 0.02
+        |> with_metrics { S.Metrics.default_config with interval })
     in
     S.Netsim.run_single ~config (pipeline ()) ~hw ~traffic
   in
   check_raises_invalid "zero interval" (fun () -> ignore (run 0.));
   check_raises_invalid "negative interval" (fun () -> ignore (run (-1e-3)));
   let check_single_final_sample name m =
-    Alcotest.(check bool)
-      (name ^ ": run produced series") true (m.S.Netsim.series <> []);
+    let series =
+      Option.fold ~none:[] ~some:S.Metrics.series m.S.Netsim.metrics
+    in
+    Alcotest.(check bool) (name ^ ": run produced series") true (series <> []);
     List.iter
       (fun s ->
         Alcotest.(check int)
@@ -284,7 +299,7 @@ let series_degenerate_intervals () =
           (S.Telemetry.Series.length s);
         let time, _ = (S.Telemetry.Series.to_array s).(0) in
         check_close (name ^ ": final sample sits at the horizon") 0.02 time)
-      m.S.Netsim.series
+      series
   in
   (* interval beyond the horizon: the one-shot fallback fires *)
   check_single_final_sample "oversized" (run 1.0);
@@ -316,7 +331,8 @@ let probes_read_only_under_overload () =
           (fun snap ->
             (* exercise every read-only export mid-run *)
             incr reads;
-            ignore (S.Metrics.snapshot_to_string snap));
+            ignore
+              (S.Telemetry.Json.to_string (S.Metrics.snapshot_to_json snap)));
     }
   in
   let bare = dump overload in

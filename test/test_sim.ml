@@ -834,13 +834,21 @@ let netsim_sampling () =
   let g = pipeline () in
   let traffic = T.make ~rate:(2. *. U.gbps) ~packet_size:1500. in
   let dt = 1e-3 in
-  let config = S.Netsim.Config.(default |> with_sampling dt) in
+  let config =
+    S.Netsim.Config.(
+      default |> with_metrics { S.Metrics.default_config with interval = dt })
+  in
   let m = S.Netsim.run_single ~config g ~hw ~traffic in
-  Alcotest.(check bool) "series present" true (List.length m.series > 0);
-  (* per node: depth + busy; per medium: backlog *)
+  let series =
+    match m.metrics with
+    | Some metrics -> S.Metrics.series metrics
+    | None -> Alcotest.fail "metrics attached but absent"
+  in
+  Alcotest.(check bool) "series present" true (List.length series > 0);
+  (* per node: queue_depth + busy_engines; per medium: backlog_bytes *)
   Alcotest.(check int) "one series per probe"
     ((2 * List.length m.vertex_stats) + List.length m.medium_stats)
-    (List.length m.series);
+    (List.length series);
   let expected_samples =
     int_of_float (S.Netsim.Config.default.duration /. dt)
   in
@@ -858,7 +866,7 @@ let netsim_sampling () =
             (float_of_int (i + 1) *. dt)
             t)
         samples)
-    m.series;
+    series;
   (* sampling is read-only: results identical with and without *)
   let plain = S.Netsim.run_single g ~hw ~traffic in
   check_close "sampling does not perturb the simulation"
