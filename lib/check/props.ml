@@ -735,6 +735,48 @@ let flowcache_fixed_point_converges ~count =
       && fail_close ~tol:1e-6 ~what:"megaflow hit ratio (init independence)"
            r'.FC.megaflow_hit_ratio r.FC.megaflow_hit_ratio)
 
+(* [hit_ratios] skips the Newton solve when the TTL binds. That must not
+   show: with θ on either side of the characteristic time T, each ratio
+   is 1 − exp(−rᵢ·min(T, θ)), bit for bit unless θ lies within 1e-9 of
+   T, where the solve's own tolerance decides which side T lands on. *)
+let flowcache_ttl_short_circuit ~count =
+  let gen st =
+    let flows = QCheck.Gen.int_range 1 4096 st in
+    let zipf = QCheck.Gen.float_range 0. 1.5 st in
+    let rate = 10. ** QCheck.Gen.float_range 3. 8. st in
+    (* capacities past [flows] cover the population that fits (T = ∞) *)
+    let capacity = QCheck.Gen.int_range 1 (flows + 64) st in
+    let ttl_over_t = 10. ** QCheck.Gen.float_range (-1.) 1. st in
+    (flows, zipf, rate, capacity, ttl_over_t)
+  in
+  QCheck.Test.make ~count
+    ~name:"flowcache: TTL short-circuit = 1 - exp(-r min(T, ttl))"
+    (arb gen ~print:(fun (flows, zipf, rate, capacity, k) ->
+         Printf.sprintf "flows=%d zipf=%g rate=%g capacity=%d ttl/T=%g" flows
+           zipf rate capacity k))
+    (fun (flows, zipf, rate, capacity, ttl_over_t) ->
+      let rates =
+        Array.map (fun p -> rate *. p) (FC.zipf_weights ~flows ~s:zipf)
+      in
+      let t = FC.che_characteristic_time ~rates ~capacity in
+      let theta =
+        ttl_over_t
+        *. if Float.is_finite t then t else float_of_int capacity /. rate
+      in
+      let h = FC.hit_ratios ~ttl:theta ~rates ~capacity () in
+      let t_eff = Float.min t theta in
+      let exact = Float.abs (t -. theta) > 1e-9 *. theta in
+      let rec agree i =
+        i >= flows
+        ||
+        let want = 1. -. exp (-.rates.(i) *. t_eff) in
+        let what = Printf.sprintf "flow %d hit ratio (T %g, ttl %g)" i t theta in
+        (if exact then fail_bits ~what want h.(i)
+         else fail_close ~tol:1e-9 ~what want h.(i))
+        && agree (i + 1)
+      in
+      agree 0)
+
 (* Without a TTL the hit ratios are rate-independent, so the feedback
    machinery must collapse to a plain static split: rewriting the graph
    once with the converged ratios and running the ordinary estimator
@@ -985,6 +1027,7 @@ let suite ?(scale = 1.) () =
     tenant_wrr_fairness ~count:(n 6);
     tenant_jobs_bit_identical ~count:(n 4);
     flowcache_fixed_point_converges ~count:(n 20);
+    flowcache_ttl_short_circuit ~count:(n 200);
     flowcache_collapse_static ~count:(n 20);
     flowcache_jobs_bit_identical ~count:(n 3);
     flowcache_off_identity ~count:(n 4);

@@ -28,9 +28,6 @@ val run_mix :
 
 val run_flowcache :
   ?queue_model:Latency.queue_model ->
-  ?damping:float ->
-  ?tol:float ->
-  ?max_iter:int ->
   ?init:float array ->
   Flowcache.spec ->
   Graph.t ->

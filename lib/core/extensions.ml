@@ -506,16 +506,21 @@ type fixed_point_result = {
   fp_converged : bool;
 }
 
-let fixed_point ?(damping = 0.5) ?(tol = 1e-9) ?(max_iter = 200) ~update x0 =
-  if (not (Float.is_finite damping)) || damping <= 0. || damping > 1. then
-    invalid_arg "Extensions.fixed_point: damping must be in (0, 1]";
+let fixed_point ?damping ?(tol = 1e-9) ?(max_iter = 200) ~update x0 =
+  (match damping with
+  | Some d when (not (Float.is_finite d)) || d <= 0. || d > 1. ->
+    invalid_arg "Extensions.fixed_point: damping must be in (0, 1]"
+  | _ -> ());
   if not (Float.is_finite tol && tol > 0.) then
     invalid_arg "Extensions.fixed_point: tol must be > 0";
   if max_iter < 1 then
     invalid_arg "Extensions.fixed_point: max_iter must be >= 1";
   let n = Array.length x0 in
   let x = Array.copy x0 in
-  let rec go i =
+  (* [d] is the damping of the next step and [prev] the last residual:
+     unless [damping] pins d, it starts undamped and halves whenever the
+     residual fails to shrink. *)
+  let rec go i d prev =
     if i >= max_iter then { value = x; iterations = i; fp_converged = false }
     else begin
       (* hand [update] its own copy so a mutating callee cannot corrupt
@@ -523,16 +528,23 @@ let fixed_point ?(damping = 0.5) ?(tol = 1e-9) ?(max_iter = 200) ~update x0 =
       let fx = update (Array.copy x) in
       if Array.length fx <> n then
         invalid_arg "Extensions.fixed_point: update changed the dimension";
-      let step = ref 0. in
+      let residual = ref 0. in
       for k = 0 to n - 1 do
         if not (Float.is_finite fx.(k)) then
           invalid_arg "Extensions.fixed_point: update produced a non-finite value";
-        let xk = ((1. -. damping) *. x.(k)) +. (damping *. fx.(k)) in
-        step := Float.max !step (Float.abs (xk -. x.(k)));
-        x.(k) <- xk
+        residual := Float.max !residual (Float.abs (fx.(k) -. x.(k)))
       done;
-      if !step <= tol then { value = x; iterations = i + 1; fp_converged = true }
-      else go (i + 1)
+      if !residual <= tol then
+        { value = x; iterations = i + 1; fp_converged = true }
+      else begin
+        let d =
+          if Option.is_none damping && !residual >= prev then d /. 2. else d
+        in
+        for k = 0 to n - 1 do
+          x.(k) <- ((1. -. d) *. x.(k)) +. (d *. fx.(k))
+        done;
+        go (i + 1) d !residual
+      end
     end
   in
-  go 0
+  go 0 (Option.value damping ~default:1.) infinity

@@ -134,9 +134,10 @@ val mixed_tail :
 
 type fixed_point_result = {
   value : float array;  (** the final (possibly unconverged) iterate *)
-  iterations : int;  (** damped steps actually taken *)
+  iterations : int;  (** calls to [update] *)
   fp_converged : bool;
-      (** the sup-norm step fell to [tol] within [max_iter] iterations *)
+      (** the sup-norm residual of [value] fell to [tol] within
+          [max_iter] iterations *)
 }
 
 val fixed_point :
@@ -147,16 +148,22 @@ val fixed_point :
   float array ->
   fixed_point_result
 (** [fixed_point ~update x0] iterates the damped map
-    x ← (1 − d)·x + d·update(x) from [x0] until the sup-norm step is
-    ≤ [tol] (default 1e-9) or [max_iter] (default 200) steps elapse.
-    [damping] d ∈ (0, 1] defaults to 0.5 — a contraction keeps its
-    fixed points under damping and oscillating maps (a cache whose hit
-    ratio rises when its arrival rate falls, and vice versa) are pulled
-    back toward convergence. The state-dependent traffic-split solver
-    ({!Flowcache.evaluate}) iterates split fractions → per-stage rates
-    → steady-state hit ratios through this. Raises [Invalid_argument]
-    on out-of-domain parameters, a dimension change, or a non-finite
-    update component. *)
+    x ← (1 − d)·x + d·update(x) from [x0] until the sup-norm residual
+    ‖update(x) − x‖∞ is ≤ [tol] (default 1e-9), and returns that x,
+    or until [max_iter] (default 200) iterations elapse. The test reads
+    the undamped residual, so a small d cannot fake convergence.
+
+    By default d starts at 1 (plain iteration, which lands on a
+    constant map's value bit for bit) and halves whenever the residual
+    fails to shrink, so an oscillating map (a cache whose hit ratio
+    rises when its arrival rate falls, and vice versa) is pulled back
+    toward its fixed point; a contraction keeps its fixed points under
+    any d. An explicit [damping] d ∈ (0, 1] fixes d instead. The
+    state-dependent traffic-split solver ({!Flowcache.evaluate})
+    iterates split fractions → per-stage rates → steady-state hit
+    ratios through this. Raises [Invalid_argument] on out-of-domain
+    parameters, a dimension change, or a non-finite update
+    component. *)
 
 val insert_rate_limiter :
   Graph.t ->

@@ -59,10 +59,21 @@ let che_characteristic_time ~rates ~capacity =
   end
 
 let hit_ratios ?ttl ~rates ~capacity () =
-  let t = che_characteristic_time ~rates ~capacity in
-  let t_eff = match ttl with None -> t | Some theta -> Float.min t theta in
-  if t_eff = infinity then Array.map (fun r -> if r > 0. then 1. else 0.) rates
-  else Array.map (fun r -> 1. -. exp (-.r *. t_eff)) rates
+  if capacity < 1 then invalid_arg "Flowcache.hit_ratios: capacity must be >= 1";
+  let at t = Array.map (fun r -> 1. -. exp (-.r *. t)) rates in
+  match ttl with
+  | None ->
+    let t = che_characteristic_time ~rates ~capacity in
+    if t = infinity then Array.map (fun r -> if r > 0. then 1. else 0.) rates
+    else at t
+  | Some theta ->
+    (* f is increasing, so an occupancy Σ(1 − exp(−rᵢθ)) within C means
+       T ≥ θ: the TTL binds and the ratios at θ need no Newton solve. A
+       population that fits never gets past this test, so T is finite
+       below it. *)
+    let h = at theta in
+    if Array.fold_left ( +. ) 0. h <= float_of_int capacity then h
+    else at (Float.min (che_characteristic_time ~rates ~capacity) theta)
 
 type class_report = {
   klass : string;
@@ -124,7 +135,7 @@ let stage_packet_rate (lat : Latency.result) ~packet_rate vid =
   in
   packet_rate *. reach
 
-let evaluate ?queue_model ?damping ?tol ?max_iter ?init sp g ~hw ~traffic =
+let evaluate ?queue_model ?init sp g ~hw ~traffic =
   let emc_v, _, _ = cache_vertex g sp.emc_label in
   let mega_v, _, mega_miss_dst = cache_vertex g sp.megaflow_label in
   let p = zipf_weights ~flows:sp.flows ~s:sp.zipf in
@@ -167,7 +178,10 @@ let evaluate ?queue_model ?damping ?tol ?max_iter ?init sp g ~hw ~traffic =
         !acc
       end
     in
-    [| !agg_emc; agg_mega |]
+    (* weighted means of ratios in [0, 1]; for a table that holds every
+       flow, rounding can land an ulp above 1, which the next split
+       would read as a negative miss share *)
+    [| Float.min 1. !agg_emc; Float.min 1. agg_mega |]
   in
   let cached_static = ref None in
   let update x =
@@ -194,7 +208,7 @@ let evaluate ?queue_model ?damping ?tol ?max_iter ?init sp g ~hw ~traffic =
       if not (Float.is_finite v && v >= 0. && v <= 1.) then
         invalid_arg "Flowcache.evaluate: init components must lie in [0, 1]")
     x0;
-  let fp = Extensions.fixed_point ?damping ?tol ?max_iter ~update x0 in
+  let fp = Extensions.fixed_point ~update x0 in
   let h_emc = fp.Extensions.value.(0) and h_mega = fp.Extensions.value.(1) in
   (* One plain evaluation of the converged graph produces the report —
      the same calls a static split would get, so the no-feedback case

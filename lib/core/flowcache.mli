@@ -7,8 +7,8 @@
     not free parameters — they {e are} the caches' steady-state hit
     ratios, which in turn depend on the per-stage arrival rates the
     splits produce. This module closes that loop: it iterates split
-    fractions → per-stage rates → steady-state hit ratios to a damped
-    fixed point ({!Extensions.fixed_point}) and evaluates the converged
+    fractions → per-stage rates → steady-state hit ratios to a fixed
+    point ({!Extensions.fixed_point}) and evaluates the converged
     graph with the ordinary throughput/latency/tail machinery.
 
     Hit ratios come from Che's approximation for an LRU cache under the
@@ -16,12 +16,12 @@
     Σᵢ (1 − exp(−rᵢT)) = C for per-flow reference rates rᵢ and capacity
     C entries, and flow i then hits with probability 1 − exp(−rᵢT).
     Pure-LRU hit ratios are timescale invariant (substitute u = rT), so
-    without a TTL the fixed point converges after the first evaluation;
-    an optional TTL θ (the OVS flow idle-timeout analogue) caps the
-    characteristic time at θ and makes the hit ratio genuinely
-    rate-dependent. The flow population is Zipf(s)-distributed —
-    pᵢ ∝ 1/iˢ — matching the simulator's sampler
-    ([Lognic_sim.Flow_cache]). *)
+    without a TTL the fixed point lands on its target in the first,
+    undamped step and confirms it in the second; an optional TTL θ (the
+    OVS flow idle-timeout analogue) caps the characteristic time at θ
+    and makes the hit ratio genuinely rate-dependent. The flow
+    population is Zipf(s)-distributed — pᵢ ∝ 1/iˢ — matching the
+    simulator's sampler ([Lognic_sim.Flow_cache]). *)
 
 type spec = {
   flows : int;  (** flow population size (millions are fine) *)
@@ -55,13 +55,18 @@ val zipf_weights : flows:int -> s:float -> float array
 
 val che_characteristic_time : rates:float array -> capacity:int -> float
 (** The T solving Σᵢ (1 − exp(−rᵢT)) = C (Newton, monotone from
-    below). [infinity] when the population fits ([n ≤ C]) or no flow
-    has a positive rate. *)
+    below, to |f| ≤ 1e-12·C). [infinity] when the population fits
+    ([n ≤ C]) or no flow has a positive rate. *)
 
 val hit_ratios :
   ?ttl:float -> rates:float array -> capacity:int -> unit -> float array
 (** Per-flow steady-state LRU hit probabilities 1 − exp(−rᵢ·T_eff),
-    where T_eff is {!che_characteristic_time} capped at [ttl]. *)
+    where T_eff is {!che_characteristic_time} capped at [ttl] θ. The
+    occupancy Σᵢ (1 − exp(−rᵢθ)) is computed first: when it is ≤ C the
+    TTL binds (the occupancy rises with T, so T ≥ θ) and the ratios at
+    θ are returned with no Newton solve — the same bits as capping T,
+    unless T lies within the solve's tolerance of θ. Raises
+    [Invalid_argument] if [capacity < 1]. *)
 
 type class_report = {
   klass : string;  (** ["hot"], ["warm"] or ["cold"] *)
@@ -85,9 +90,6 @@ type result = {
 
 val evaluate :
   ?queue_model:Latency.queue_model ->
-  ?damping:float ->
-  ?tol:float ->
-  ?max_iter:int ->
   ?init:float array ->
   spec ->
   Graph.t ->
@@ -106,7 +108,8 @@ val evaluate :
     megaflow's reference stream is the EMC-miss stream
     (qᵢ ∝ pᵢ·(1 − hᵢᵉᵐᶜ)) rescaled to the megaflow stage rate.
     [init] (default [[|0.5; 0.5|]]) seeds [emc; megaflow] hit ratios;
-    damping/termination as in {!Extensions.fixed_point}.
+    the iteration, its damping and its termination (residual ≤ 1e-9,
+    200-iteration cap) are {!Extensions.fixed_point}'s defaults.
 
     The final report comes from one plain {!Throughput.evaluate} +
     {!Latency.evaluate} on the converged graph, so a degenerate

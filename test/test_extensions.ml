@@ -661,13 +661,72 @@ let fixed_point_basics () =
   check_raises_invalid "dimension change" (fun () ->
       ignore (E.fixed_point ~update:(fun _ -> [||]) [| 0. |]));
   check_raises_invalid "non-finite update" (fun () ->
-      ignore (E.fixed_point ~update:(fun _ -> [| nan |]) [| 0. |]))
+      ignore (E.fixed_point ~update:(fun _ -> [| nan |]) [| 0. |]));
+  (* the default starts undamped and halves d when the residual stops
+     shrinking: the oscillator lands on 0.5 at the first halving *)
+  let adaptive = E.fixed_point ~update:(fun x -> [| 1. -. x.(0) |]) [| 0. |] in
+  Alcotest.(check bool) "adaptive d tames the oscillator" true
+    adaptive.E.fp_converged;
+  Alcotest.(check bool) "oscillator within 3 iterations" true
+    (adaptive.E.iterations <= 3);
+  check_close ~tol:1e-9 "oscillator fixed point (adaptive)" 0.5
+    adaptive.E.value.(0);
+  (* an undamped first step lands on a constant map's value exactly:
+     the no-TTL flow-cache path *)
+  let c = 0.1 +. (1. /. 3.) in
+  let const = E.fixed_point ~update:(fun _ -> [| c |]) [| 0.5 |] in
+  Alcotest.(check int) "constant map in 2 iterations" 2 const.E.iterations;
+  Alcotest.(check int64) "constant map bit for bit" (Int64.bits_of_float c)
+    (Int64.bits_of_float const.E.value.(0));
+  (* a repelling map never settles: the cap ends the loop, no raise *)
+  let repel =
+    E.fixed_point ~update:(fun x -> [| (2. *. x.(0)) +. 1. |]) [| 0. |]
+  in
+  Alcotest.(check bool) "repelling map flagged" false repel.E.fp_converged;
+  Alcotest.(check int) "repelling map runs to max_iter" 200 repel.E.iterations;
+  Alcotest.(check bool) "repelling map iterate finite" true
+    (Float.is_finite repel.E.value.(0));
+  (* a contraction needs no damping: undamped beats d = 0.5 *)
+  let fixed =
+    E.fixed_point ~damping:0.5 ~update:(fun x -> [| (x.(0) /. 2.) +. 1. |])
+      [| 0. |]
+  in
+  Alcotest.(check bool) "fixed d = 0.5 converges" true fixed.E.fp_converged;
+  Alcotest.(check bool) "undamped contraction takes fewer iterations" true
+    (r.E.iterations < fixed.E.iterations)
 
 module FC = Lognic.Flowcache
 module App = Lognic_apps.Flow_cache
 
 let fc_spec =
   FC.spec ~flows:4096 ~zipf:1.0 ~emc_entries:256 ~megaflow_entries:1024 ()
+
+(* A TTL that binds at both caches: Σ(1 − exp(−rᵢθ)) ≤ Σ rᵢθ ≤ λθ, and
+   no stage sees more than the offered packet rate λ, so λθ within the
+   EMC (the smaller table) keeps every stage's occupancy at θ within
+   its table and the Che solve is never needed. *)
+let fixed_point_ttl_bound () =
+  let g = App.graph App.default in
+  let traffic = App.traffic App.default in
+  let ttl = 1e-5 in
+  let spec = { fc_spec with FC.ttl = Some ttl } in
+  Alcotest.(check bool) "ttl binds at the emc" true
+    (Lognic.Traffic.packet_rate traffic *. ttl <= float_of_int spec.FC.emc_entries);
+  let r = Lognic.Estimate.run_flowcache spec g ~hw:App.hardware ~traffic in
+  Alcotest.(check bool) "converged" true r.FC.converged;
+  Alcotest.(check bool) "within 4 iterations" true (r.FC.iterations <= 4);
+  let again =
+    Lognic.Estimate.run_flowcache
+      ~init:[| r.FC.emc_hit_ratio; r.FC.megaflow_hit_ratio |]
+      spec g ~hw:App.hardware ~traffic
+  in
+  Alcotest.(check bool) "restart converged" true again.FC.converged;
+  Alcotest.(check int) "restart from the fixed point: 1 iteration" 1
+    again.FC.iterations;
+  check_close ~tol:1e-9 "restart emc hit" r.FC.emc_hit_ratio
+    again.FC.emc_hit_ratio;
+  check_close ~tol:1e-9 "restart megaflow hit" r.FC.megaflow_hit_ratio
+    again.FC.megaflow_hit_ratio
 
 let flowcache_che_sanity () =
   let p = FC.zipf_weights ~flows:1000 ~s:1.0 in
@@ -692,7 +751,36 @@ let flowcache_che_sanity () =
   let h_ttl = FC.hit_ratios ~ttl:(t /. 4.) ~rates ~capacity:500 () in
   let agg_ttl = ref 0. in
   Array.iteri (fun i pi -> agg_ttl := !agg_ttl +. (pi *. h_ttl.(i))) p;
-  Alcotest.(check bool) "ttl only loses hits" true (!agg_ttl < big)
+  Alcotest.(check bool) "ttl only loses hits" true (!agg_ttl < big);
+  (* a TTL past T does not bind: the Newton path answers, and it is
+     pure LRU bit for bit *)
+  let lru = FC.hit_ratios ~rates ~capacity:500 () in
+  let loose = FC.hit_ratios ~ttl:(4. *. t) ~rates ~capacity:500 () in
+  Alcotest.(check bool) "non-binding ttl is pure LRU" true
+    (Array.for_all2
+       (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+       lru loose)
+
+(* A table that holds every flow hits every packet. Its hit ratio is a
+   weighted mean of ones, which rounding can put an ulp above 1; the
+   undamped first step would hand that to the split as a negative miss
+   share. Both specs raised before the ratios were capped at 1. *)
+let flowcache_table_holds_every_flow () =
+  List.iter
+    (fun (flows, emc_entries, megaflow_entries, ratio) ->
+      let spec = FC.spec ~flows ~zipf:0.3 ~emc_entries ~megaflow_entries () in
+      let r =
+        Lognic.Estimate.run_flowcache spec (App.graph App.default)
+          ~hw:App.hardware ~traffic:(App.traffic App.default)
+      in
+      Alcotest.(check bool) "converged" true r.FC.converged;
+      let h = ratio r in
+      Alcotest.(check bool) "the table that fits hits every flow" true
+        (h <= 1. && h >= 1. -. 1e-12))
+    [
+      (115, 70, 152, fun r -> r.FC.megaflow_hit_ratio);
+      (160, 173, 197, fun r -> r.FC.emc_hit_ratio);
+    ]
 
 let flowcache_converges () =
   let g = App.graph App.default in
@@ -811,9 +899,13 @@ let suite =
     quick "calibrate: opaque IP round trip" calibrate_opaque_ip_roundtrip;
     quick "calibrate: overhead intercept" calibrate_overhead_intercept;
     quick "fixed point: basics and validation" fixed_point_basics;
+    quick "fixed point: TTL-bound flow cache" fixed_point_ttl_bound;
     quick "flowcache: che solver sanity" flowcache_che_sanity;
     quick "flowcache: fixed point converges" flowcache_converges;
+    quick "flowcache: a table that holds every flow" flowcache_table_holds_every_flow;
     quick "flowcache: collapses to the static split" flowcache_collapse_bitforbit;
     quick "flowcache: validation" flowcache_validation;
+    QCheck_alcotest.to_alcotest
+      (Lognic_check.Props.flowcache_ttl_short_circuit ~count:200);
   ]
   @ properties

@@ -189,6 +189,74 @@ let report_json_shape () =
   in
   Alcotest.(check bool) "all numbers finite" true (all_finite j)
 
+(* The `lognic flowcache --flows 100K --emc 1K --megaflow 8K --duration
+   0.05` run (SI suffixes: 1K is 1000 entries) at the CLI's default
+   seed, load and queue model, read back through the JSON reader: schema
+   stamp, convergence, class order, hit errors within 5 points and a
+   self-consistent sim account. *)
+let cli_smoke_report () =
+  let spec = FC.spec ~emc_entries:1000 ~megaflow_entries:8000 ~flows:100_000 () in
+  let r =
+    Sim.Explain.run_flowcache
+      ~config:(config ~duration:0.05 ~seed:1 ())
+      ~queue_model:Lognic.Latency.Mm1n_model spec (App.graph App.default)
+      ~hw:App.hardware
+      ~traffic:(App.traffic ~load:0.5 App.default)
+  in
+  let j =
+    match J.of_string (J.to_string (Sim.Explain.flowcache_to_json r)) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "report JSON does not parse: %s" e
+  in
+  let rec get j = function
+    | [] -> j
+    | k :: ks ->
+      (match J.member k j with
+      | Some v -> get v ks
+      | None -> Alcotest.failf "missing key %S" k)
+  in
+  let num j path =
+    match get j path with
+    | J.Num x -> x
+    | _ -> Alcotest.failf "%s is not a number" (String.concat "." path)
+  in
+  let arr j path =
+    match get j path with
+    | J.Arr xs -> xs
+    | _ -> Alcotest.failf "%s is not an array" (String.concat "." path)
+  in
+  Alcotest.(check bool) "schema stamp" true
+    (get j [ "schema" ] = J.Str "flowcache" && num j [ "schema_version" ] = 1.);
+  Alcotest.(check bool) "fixed point converged" true
+    (get j [ "model"; "converged" ] = J.Bool true);
+  Alcotest.(check bool) "classes hot, warm, cold" true
+    (List.map (fun c -> get c [ "name" ]) (arr j [ "classes" ])
+    = [ J.Str "hot"; J.Str "warm"; J.Str "cold" ]);
+  List.iter
+    (fun k ->
+      if not (num j [ k ] <= 0.05) then
+        Alcotest.failf "%s %.4f exceeds 0.05" k (num j [ k ]))
+    [ "emc_hit_error"; "megaflow_hit_error"; "overall_hit_error" ];
+  let sim = get j [ "sim_detail" ] in
+  let emc = num sim [ "emc_lookups" ] and mega = num sim [ "mega_lookups" ] in
+  Alcotest.(check bool) "emc_lookups >= mega_lookups > 0" true
+    (emc >= mega && mega > 0.);
+  List.iter
+    (fun k ->
+      let x = num sim [ k ] in
+      if not (x >= 0. && x <= 1.) then Alcotest.failf "%s %.4f outside [0, 1]" k x)
+    [ "emc_hit_ratio"; "mega_hit_ratio"; "overall_hit_ratio" ];
+  let classes = arr sim [ "classes" ] in
+  let sum k = List.fold_left (fun acc c -> acc +. num c [ k ]) 0. classes in
+  Alcotest.(check bool) "delivered packets" true (sum "delivered" > 0.);
+  Alcotest.(check bool) "class shares sum to 1" true
+    (Float.abs (sum "share" -. 1.) < 1e-9);
+  List.iter
+    (fun c ->
+      if num c [ "mean_latency" ] > num c [ "max_latency" ] +. 1e-18 then
+        Alcotest.failf "mean latency above max latency")
+    classes
+
 (* ---- error paths ------------------------------------------------------ *)
 
 let missing_cache_vertex_raises () =
@@ -214,5 +282,6 @@ let suite =
     slow "flowcache: model hit ratios within 5 points of sim"
       model_matches_sim_hit_ratios;
     slow "flowcache: report JSON shape" report_json_shape;
+    slow "flowcache: CLI smoke report (100K flows)" cli_smoke_report;
     quick "flowcache: missing cache vertex raises" missing_cache_vertex_raises;
   ]
