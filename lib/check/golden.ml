@@ -3,12 +3,10 @@
    Each scenario is a fully pinned [Netsim.Run.t] — fixed seed, fixed
    duration, fixed traffic — whose measurement JSON is captured once
    (test/golden/gen.exe writes the fixtures) and asserted byte-equal on
-   every test run.  The fixtures in test/golden/*.json were generated
-   with the pre-calendar-queue binary-heap engine, so they pin the
-   engine overhaul to the exact event ordering, rng stream layout and
-   float operation order of the original implementation: any change to
-   pop order, draw order or summation order shows up as a one-byte
-   diff.
+   every test run.  They pin the exact (time, seq) pop order, rng
+   stream layout and float operation order across rewrites of the
+   event queue and the engine: any change to pop order, draw order or
+   summation order shows up as a one-byte diff.
 
    The set deliberately crosses the feature matrix: arrival processes
    (Poisson / Paced / Bursty), service distributions, multi-class

@@ -78,8 +78,8 @@ let jobs_bit_identical ~count =
       let spec =
         Sim.Netsim.Run.make ~config sc.Gen.graph ~hw:sc.Gen.hw ~mix:sc.Gen.mix
       in
-      let a = Sim.Parallel.execute_replicated ~jobs:1 ~runs:3 spec in
-      let b = Sim.Parallel.execute_replicated ~jobs:4 ~runs:3 spec in
+      let a = Sim.Netsim.execute_replicated ~jobs:1 ~runs:3 spec in
+      let b = Sim.Netsim.execute_replicated ~jobs:4 ~runs:3 spec in
       a = b || QCheck.Test.fail_reportf "replicated results diverge across jobs")
 
 (* ---- DSL round trip -------------------------------------------------- *)
@@ -450,8 +450,8 @@ let mix_identical_classes_collapse ~count =
       let spec =
         Sim.Netsim.Run.make ~config sc.Gen.graph ~hw:sc.Gen.hw ~mix:split
       in
-      Sim.Parallel.execute_replicated ~jobs:1 ~runs:2 spec
-      = Sim.Parallel.execute_replicated ~jobs:4 ~runs:2 spec
+      Sim.Netsim.execute_replicated ~jobs:1 ~runs:2 spec
+      = Sim.Netsim.execute_replicated ~jobs:4 ~runs:2 spec
       || QCheck.Test.fail_reportf "split mix diverges across jobs")
 
 (* The joint evaluation must not care how the class list is ordered:
@@ -674,8 +674,8 @@ let tenant_jobs_bit_identical ~count =
           ~config:(tenant_config (T.set specs))
           sc.Gen.graph ~hw:sc.Gen.hw ~mix:sc.Gen.mix
       in
-      let a = Sim.Parallel.execute_replicated ~jobs:1 ~runs:3 spec in
-      let b = Sim.Parallel.execute_replicated ~jobs:4 ~runs:3 spec in
+      let a = Sim.Netsim.execute_replicated ~jobs:1 ~runs:3 spec in
+      let b = Sim.Netsim.execute_replicated ~jobs:4 ~runs:3 spec in
       a = b
       || QCheck.Test.fail_reportf
            "tenanted replicated results diverge across jobs")
@@ -830,8 +830,8 @@ let flowcache_jobs_bit_identical ~count =
           ~hw:FApp.hardware
           ~mix:[ (FApp.traffic FApp.default, 1.) ]
       in
-      let a = Sim.Parallel.execute_replicated ~jobs:1 ~runs:3 spec in
-      let b = Sim.Parallel.execute_replicated ~jobs:4 ~runs:3 spec in
+      let a = Sim.Netsim.execute_replicated ~jobs:1 ~runs:3 spec in
+      let b = Sim.Netsim.execute_replicated ~jobs:4 ~runs:3 spec in
       a = b
       || QCheck.Test.fail_reportf
            "flow-cache replicated results diverge across jobs")
@@ -894,20 +894,15 @@ let spec_round_trip ~count =
         || QCheck.Test.fail_reportf "round trip changed %S to %S" s
              (Sp.render grammar v'))
 
-(* ---- suite ----------------------------------------------------------- *)
+(* ---- event queue vs an ordered-map oracle ---------------------------- *)
 
-(* [scale] multiplies each property's base case count, so callers can
-   run a quick smoke (scale < 1) or a deep soak (scale > 1) from the
-   same definitions. Sim-heavy properties get smaller bases. *)
-(* ---- calendar queue vs reference binary heap ------------------------ *)
-
-(* The calendar queue that now backs [Lognic_sim.Event_queue] must pop
-   the exact lexicographic (time, seq) minimum — bit-identical to the
-   binary heap it replaced (kept verbatim in [Heap_ref]).  Random op
-   sequences mix tie storms (integer times), near-uniform floats, huge
-   and negative magnitudes (exercising bucket-index clamping and
-   resizes), horizon-bounded pops right on the boundary, and [clear]
-   (reuse, vs a fresh heap). *)
+(* [Lognic_sim.Event_queue] must hand out the exact lexicographic
+   (time, seq) minimum, which [Queue_oracle] does by construction.
+   Random op sequences drive the engine's locate/located_time/take
+   triple and mix tie storms (integer times), near-uniform floats, huge,
+   negative and infinite magnitudes, horizon-bounded takes right on the
+   boundary, a bare [take] (legal only straight after a successful
+   locate) and [clear] (reuse, vs a fresh oracle). *)
 let queue_time_gen =
   QCheck.Gen.oneof
     [
@@ -927,6 +922,7 @@ let queue_op_gen =
       (2, QCheck.Gen.return `Pop);
       (2, QCheck.Gen.map (fun h -> `Pop_before h) queue_time_gen);
       (1, QCheck.Gen.return `Peek);
+      (1, QCheck.Gen.return `Take);
       (1, QCheck.Gen.return `Clear);
     ]
 
@@ -938,67 +934,83 @@ let queue_op_print = function
   | `Pop -> "pop"
   | `Pop_before h -> Printf.sprintf "pop_before %h" h
   | `Peek -> "peek"
+  | `Take -> "take"
   | `Clear -> "clear"
 
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-let calendar_matches_heap ~count =
+let event_queue_matches_oracle ~count =
   QCheck.Test.make ~count
-    ~name:"event queue: calendar pop order = reference binary heap"
+    ~name:"event queue: pop order = (time, seq)-ordered map"
     (arb
        ~print:(fun ops -> String.concat "; " (List.map queue_op_print ops))
        queue_ops_gen)
     (fun ops ->
-      let cq = Sim.Event_queue.create () in
-      let heap = ref (Heap_ref.create ()) in
+      let module Q = Sim.Event_queue in
+      let q = Q.create () in
+      let oracle = ref Queue_oracle.empty in
       let payload = ref 0 in
+      (* [true] straight after a [`Peek] whose locate succeeded *)
+      let located = ref false in
       let fail op what =
-        QCheck.Test.fail_reportf "%s: calendar %s reference heap"
-          (queue_op_print op) what
+        QCheck.Test.fail_reportf "%s: event queue %s oracle" (queue_op_print op)
+          what
       in
-      let check op a b =
-        match (a, b) with
-        | None, None -> ()
-        | Some (t1, p1), Some (t2, p2) when same_float t1 t2 && p1 = p2 -> ()
-        | _, _ -> fail op "disagrees with"
+      (* locate on both sides; when an event is found, its time must
+         match and, with [~take:true], so must the taken payload *)
+      let locate op ~horizon ~take =
+        match (Q.locate q ~horizon, Queue_oracle.first !oracle ~horizon) with
+        | false, None -> false
+        | true, Some (time, p) ->
+          if not (same_float (Q.located_time q) time) then
+            fail op "locates a different time than the";
+          if take then begin
+            if Q.take q <> p then fail op "takes a different payload than the";
+            oracle := Queue_oracle.remove_first !oracle
+          end;
+          true
+        | _ -> fail op "disagrees on emptiness with the"
       in
       List.iter
         (fun op ->
+          let was_located = !located in
+          located := false;
           (match op with
           | `Push t ->
             incr payload;
-            Sim.Event_queue.push cq ~time:t !payload;
-            Heap_ref.push !heap ~time:t !payload
-          | `Pop -> check op (Sim.Event_queue.pop cq) (Heap_ref.pop !heap)
-          | `Pop_before h ->
-            check op
-              (Sim.Event_queue.pop_if_before cq ~horizon:h)
-              (Heap_ref.pop_if_before !heap ~horizon:h)
-          | `Peek ->
-            (match
-               (Sim.Event_queue.peek_time cq, Heap_ref.peek_time !heap)
-             with
-            | None, None -> ()
-            | Some a, Some b when same_float a b -> ()
-            | _ -> fail op "peeks differently from")
+            Q.push q ~time:t !payload;
+            oracle := Queue_oracle.push !oracle ~time:t !payload
+          | `Pop -> ignore (locate op ~horizon:infinity ~take:true)
+          | `Pop_before h -> ignore (locate op ~horizon:h ~take:true)
+          | `Peek -> located := locate op ~horizon:infinity ~take:false
+          | `Take ->
+            (match Q.take q with
+            | p ->
+              if not was_located then fail op "takes without a locate, unlike the";
+              (match Queue_oracle.first !oracle ~horizon:infinity with
+              | Some (_, p') when p = p' -> ()
+              | _ -> fail op "takes a different payload than the");
+              oracle := Queue_oracle.remove_first !oracle
+            | exception Invalid_argument _ ->
+              if was_located then fail op "refuses a located take, unlike the")
           | `Clear ->
-            Sim.Event_queue.clear cq;
-            heap := Heap_ref.create ());
-          if Sim.Event_queue.size cq <> Heap_ref.size !heap then
-            fail op "sizes diverge after")
+            Q.clear q;
+            oracle := Queue_oracle.empty);
+          if Q.size q <> Queue_oracle.size !oracle then
+            fail op "has a different size than the")
         ops;
       (* drain both completely: every queued event must come out in the
          same order *)
-      let rec drain () =
-        let a = Sim.Event_queue.pop cq and b = Heap_ref.pop !heap in
-        match (a, b) with
-        | None, None -> true
-        | _ ->
-          check `Pop a b;
-          drain ()
-      in
-      drain ())
+      while locate `Pop ~horizon:infinity ~take:true do
+        ()
+      done;
+      Q.size q = 0 && Queue_oracle.size !oracle = 0)
 
+(* ---- suite ----------------------------------------------------------- *)
+
+(* [scale] multiplies each property's base case count, so callers can
+   run a quick smoke (scale < 1) or a deep soak (scale > 1) from the
+   same definitions. Sim-heavy properties get smaller bases. *)
 let suite ?(scale = 1.) () =
   if not (scale > 0. && Float.is_finite scale) then
     invalid_arg "Props.suite: scale must be positive and finite";
@@ -1016,7 +1028,7 @@ let suite ?(scale = 1.) () =
     run_wrapper_equivalence ~count:(n 10);
     invariants_hold_everywhere ~count:(n 20);
     routing_residual_mass ~count:(n 20);
-    calendar_matches_heap ~count:(n 500);
+    event_queue_matches_oracle ~count:(n 500);
     mix_single_class_limit ~count:(n 50);
     mix_identical_classes_collapse ~count:(n 6);
     mix_permutation_invariant ~count:(n 100);

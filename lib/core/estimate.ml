@@ -16,9 +16,6 @@ let run_mix ?queue_model ?contention g ~hw ~mix =
     ~graph_for:(fun _ -> g)
     mix
 
-let run_flowcache ?queue_model ?init spec g ~hw ~traffic =
-  Flowcache.evaluate ?queue_model ?init spec g ~hw ~traffic
-
 let saturation_sweep ?(points = 20) ?queue_model g ~hw ~packet_size ~max_rate =
   List.init points (fun i ->
       let rate = max_rate *. float_of_int (i + 1) /. float_of_int points in

@@ -26,17 +26,6 @@ val run_mix :
     size-independent graph; [?contention] adds the multi-resource
     interference layer. *)
 
-val run_flowcache :
-  ?queue_model:Latency.queue_model ->
-  ?init:float array ->
-  Flowcache.spec ->
-  Graph.t ->
-  hw:Params.hardware ->
-  traffic:Traffic.t ->
-  Flowcache.result
-(** State-dependent traffic splits ({!Flowcache.evaluate}): the cache
-    vertices' split fractions are solved to the fixed point where they
-    equal the steady-state hit ratios they induce. *)
 
 val saturation_sweep :
   ?points:int ->

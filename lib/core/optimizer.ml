@@ -74,10 +74,9 @@ let carried (report : Estimate.report) =
   Float.min report.throughput.Throughput.attained
     report.latency.Latency.carried_rate
 
-let score ?queue_model objective (report : Estimate.report) =
+let score objective (report : Estimate.report) =
   let attained = carried report in
   let latency = report.latency.Latency.mean in
-  ignore queue_model;
   match objective with
   | Maximize_throughput -> -.attained
   | Minimize_latency -> latency
@@ -263,7 +262,7 @@ let optimize ?(rng = N.Rng.create ~seed:42) ?queue_model ?jobs ?observer g ~hw
       let g' = apply_assignment g assignment in
       let traffic' = apply_traffic traffic assignment in
       let report = Estimate.run ?queue_model g' ~hw ~traffic:traffic' in
-      let result = (score ?queue_model objective report, g', report) in
+      let result = (score objective report, g', report) in
       Mutex.protect memo_mutex (fun () -> N.Lru.add memo key result);
       let s, _, _ = result in
       observe ~sequence ~candidate:assignment ~score:s ~cache_hit:false;

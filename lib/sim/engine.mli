@@ -44,12 +44,13 @@ val executed : t -> int
     {!reset}) — the numerator of the ledger's [engine.events_per_s]. *)
 
 val queue_resizes : t -> int
-(** Calendar rebuilds in this engine's queue since {!create} (not
-    cleared by {!reset}) — a diagnostic for the resize hysteresis; a
-    steady-state workload should settle after a handful. *)
+(** Storage doublings of this engine's event queue since {!create} (not
+    cleared by {!reset}): a reused engine reads no new ones once its
+    queue's arrays fit the run's pending events. *)
 
 val reset : t -> unit
 (** Back to a fresh engine — clock 0, nothing pending, counter 0 —
-    while keeping the event queue's arrays for reuse, so replicated
-    runs and optimizer sweeps stop reallocating per run. *)
+    while keeping the event queue's arrays for reuse, so a caller that
+    runs many specs on one engine ({!Netsim.execute_with}) stops
+    reallocating per run. *)
 

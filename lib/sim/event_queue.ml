@@ -1,253 +1,145 @@
-(* Calendar queue (Brown 1988), struct-of-arrays, with an exact
-   insertion-order tie-break.
+(* Binary min-heap on (time, seq), struct-of-arrays.
 
-   Events live in parallel slot arrays — unboxed float times, int
-   sequence numbers, payloads apart — threaded into per-bucket singly
-   linked chains through [nexts]; vacated slots form a free list
-   through the same array, so steady-state push/take never allocates.
+   Heap order lives in three parallel arrays — unboxed float [times],
+   int [seqs] and int [slots] — and payloads stay put in a slot pool
+   indexed by slot, so a sift moves only floats and ints and never hits
+   the write barrier.  [slots] is always a permutation of the pool's
+   indices: positions [0, n) hold the queued events' slots and
+   positions [n, capacity) are the free slots, so the pool needs no
+   separate free list.
 
-   The bucket of an event is [floor (time * inv_width) land mask].  The
-   scan cursor is the {e virtual} bucket number [vb_cur] (an int, never
-   an accumulated float): each slot stores its own virtual bucket
-   [vbs.(slot)], computed at insert with the same arithmetic, and the
-   locate scan accepts a slot only when [vbs.(slot) <= vb_cur].
-   Because [t -> floor (t * inv_width)] is (weakly) monotone even under
-   float rounding — including the saturating clamp for astronomically
-   large products — an accepted slot can never be beaten by a slot in a
-   later virtual bucket, so the scan returns the exact global
-   [(time, seq)] minimum: pop order is bit-identical to the binary heap
-   this replaced (pinned by the differential property in lib/check).
+   A push takes the next seq, which is larger than every queued seq, so
+   sift-up compares times only; sift-down breaks time ties on seq.  Pop
+   order is the exact lexicographic (time, seq) minimum, which makes
+   simulations deterministic given a seed.
 
-   When a full round of buckets yields nothing (events far sparser than
-   the bucket width), a direct search over all chains finds the minimum
-   and teleports the cursor to its slice — O(n), amortized away by the
-   resize policy keeping bucket count within a small factor of the
-   population.  The grow (len > 2*buckets) and shrink (len < buckets/4)
-   thresholds are a factor 8 apart so a population hovering near one
-   boundary cannot make alternating pushes and takes rebuild the
-   calendar back and forth; a drift watch additionally rebuilds at the
-   same bucket count when chain scans average long over a full window
-   of operations, re-deriving the width when the timestamp distribution
-   has moved under a stable population.  Rebuilds only affect geometry,
-   never pop order, so both policies are free to favour throughput.
+   Root removal is deferred: [take] hands out the root's payload and
+   leaves the root empty ([hole]).  The engine's next operation is
+   usually a push from the event just taken, which then writes its entry
+   at the root and sifts it down — one sift instead of a sift-down of
+   the last entry followed by a sift-up of the new one.  A [locate] that
+   finds the root still empty first fills it with the last entry.
 
-   The float scratch cell [fs.(0)] carries the time into
-   [push_prepared] so the inlinable [push] wrapper never boxes it; all
-   per-operation mutable state is int fields, so steady-state
-   operations allocate nothing. *)
+   No float is passed to a non-inlined call: [push] carries the time
+   into [push_prepared] through the scratch cell [fs.(0)], and [locate]
+   compares the horizon itself, so steady-state operations allocate
+   nothing. *)
 
 type 'a t = {
   mutable times : float array;
   mutable seqs : int array;
-  mutable vbs : int array;
+  mutable slots : int array;
   mutable payloads : 'a array;
-  mutable nexts : int array;  (* bucket chain links / free-list links *)
   mutable filler : 'a array;  (* 1 element once non-empty: slot clearing *)
-  mutable free_head : int;
-  mutable buckets : int array;  (* head slot per bucket, -1 when empty *)
-  mutable mask : int;  (* bucket count - 1; bucket count is a power of 2 *)
-  mutable width : float;
-  mutable inv_width : float;
-  fs : float array;  (* scratch: 0 = incoming push time, 1 = horizon *)
-  mutable vb_cur : int;  (* scan cursor: current virtual bucket *)
-  mutable len : int;
+  fs : float array;  (* scratch: incoming push time *)
+  mutable n : int;  (* heap positions in use, the empty root included *)
+  mutable hole : bool;  (* root emptied by [take], not yet refilled *)
+  mutable located : bool;  (* the last operation was a successful locate *)
   mutable next_seq : int;
-  mutable resizes : int;  (* diagnostic: calendar rebuilds since create *)
-  mutable scratch : int array;  (* pooled resize workspace, grow-only *)
-  (* drift watch: locates and chain-scan steps since the last rebuild
-     (or window reset); when chains average long over a full window the
-     width no longer fits the live distribution *)
-  mutable loc_ops : int;
-  mutable loc_steps : int;
-  (* located-slot cache, valid between a successful [locate] and the
-     next mutation *)
-  mutable loc_slot : int;
-  mutable loc_prev : int;
-  mutable loc_bucket : int;
+  mutable resizes : int;  (* storage doublings since [create] *)
 }
-
-let initial_buckets = 16
-
-(* Virtual bucket numbers saturate here: beyond ~2e18 the float product
-   has long lost integer precision and [int_of_float] would overflow at
-   2^62.  Saturation keeps the map monotone, which is all correctness
-   needs — the direct-search fallback handles anything parked there. *)
-let clamp_vb = 2_000_000_000_000_000_000
-
-(* Inlined into push/resize so the time stays in a float register —
-   as a call, the float argument would box on every push. *)
-let[@inline] vb_of_time t time =
-  let fl = Float.floor (time *. t.inv_width) in
-  if fl >= 2.0e18 then clamp_vb
-  else if fl <= -2.0e18 then -clamp_vb
-  else int_of_float fl
 
 let create () =
   {
     times = [||];
     seqs = [||];
-    vbs = [||];
+    slots = [||];
     payloads = [||];
-    nexts = [||];
     filler = [||];
-    free_head = -1;
-    buckets = Array.make initial_buckets (-1);
-    mask = initial_buckets - 1;
-    width = 1.;
-    inv_width = 1.;
-    fs = Array.make 2 0.;
-    vb_cur = 0;
-    len = 0;
+    fs = Array.make 1 0.;
+    n = 0;
+    hole = false;
+    located = false;
     next_seq = 0;
     resizes = 0;
-    scratch = [||];
-    loc_ops = 0;
-    loc_steps = 0;
-    loc_slot = -1;
-    loc_prev = -1;
-    loc_bucket = -1;
   }
 
-let is_empty t = t.len = 0
-let size t = t.len
+let size t = if t.hole then t.n - 1 else t.n
 let resizes t = t.resizes
 
-let grow_slots t payload =
+let grow t payload =
   let cap = Array.length t.times in
   let bigger = max 16 (2 * cap) in
   let times = Array.make bigger 0. in
   let seqs = Array.make bigger 0 in
-  let vbs = Array.make bigger 0 in
+  let slots = Array.init bigger Fun.id in
   let payloads = Array.make bigger payload in
-  let nexts = Array.make bigger (-1) in
   Array.blit t.times 0 times 0 cap;
   Array.blit t.seqs 0 seqs 0 cap;
-  Array.blit t.vbs 0 vbs 0 cap;
+  Array.blit t.slots 0 slots 0 cap;
   Array.blit t.payloads 0 payloads 0 cap;
-  Array.blit t.nexts 0 nexts 0 cap;
-  (* chain the fresh slots into the free list *)
-  for i = cap to bigger - 2 do
-    nexts.(i) <- i + 1
-  done;
-  nexts.(bigger - 1) <- t.free_head;
-  t.free_head <- cap;
   t.times <- times;
   t.seqs <- seqs;
-  t.vbs <- vbs;
+  t.slots <- slots;
   t.payloads <- payloads;
-  t.nexts <- nexts;
-  if Array.length t.filler = 0 then t.filler <- [| payload |]
+  if cap = 0 then t.filler <- [| payload |] else t.resizes <- t.resizes + 1
 
-(* Rebuild the calendar with [nb] buckets, re-deriving the bucket
-   width from the current population (1.5x the median inter-event gap
-   — see below).  The rebuild is deterministic (width depends only on
-   queue contents) and only affects geometry — pop order is a pure
-   function of (time, seq) regardless. *)
-let resize t nb =
-  t.resizes <- t.resizes + 1;
-  t.loc_ops <- 0;
-  t.loc_steps <- 0;
-  (* collect live slots into the pooled scratch (chain order is
-     irrelevant to results); grow-only, so repeat resizes stop paying
-     for the workspace *)
-  if Array.length t.scratch < t.len then
-    t.scratch <- Array.make (max 16 (2 * t.len)) 0;
-  let live = t.scratch in
-  let k = ref 0 in
-  let old_buckets = t.buckets in
-  for b = 0 to t.mask do
-    let s = ref old_buckets.(b) in
-    while !s >= 0 do
-      live.(!k) <- !s;
-      incr k;
-      s := t.nexts.(!s)
-    done
-  done;
-  (* free list survives untouched: freed slots are not in any chain *)
-  let arg_mn = ref live.(0) in
-  for i = 1 to t.len - 1 do
-    let tm = t.times.(live.(i)) in
-    if
-      tm < t.times.(!arg_mn)
-      || (tm = t.times.(!arg_mn) && t.seqs.(live.(i)) < t.seqs.(!arg_mn))
-    then arg_mn := live.(i)
-  done;
-  (* Gap-based width: sort the live times and take 1.5x the median
-     inter-event gap.  A typical population is a cluster of near-term
-     completions plus a long tail of far-future timers (duration end,
-     idle wakeups); sizing from the raw range lets the tail stretch
-     the width until the whole cluster lands in one or two buckets —
-     on the reference workload the range estimate this replaces froze
-     ~14x too wide and locate scanned ~9 chain slots per event instead
-     of ~3.  The median ignores the tail entirely; 1.5x measured best
-     on that workload (narrower trades chain scans for empty-bucket
-     hops, wider the reverse).  Rebuilds are rare, so the O(n log n)
-     sorts and the temporary arrays are off the steady-state path. *)
-  let n = t.len in
-  let ts = Array.make n 0. in
-  for i = 0 to n - 1 do
-    ts.(i) <- t.times.(live.(i))
-  done;
-  Lognic_numerics.Stats.sort_floats ts;
-  let range = ts.(n - 1) -. ts.(0) in
-  let w =
-    if n >= 2 && range > 0. && Float.is_finite range then begin
-      (* median gap: reuse ts as the gap array *)
-      for i = 0 to n - 2 do
-        ts.(i) <- ts.(i + 1) -. ts.(i)
-      done;
-      let gaps = Array.sub ts 0 (n - 1) in
-      Lognic_numerics.Stats.sort_floats gaps;
-      let med = gaps.((n - 1) / 2) in
-      let cand =
-        if med > 0. then 1.5 *. med
-        else begin
-          (* fall back to the filtered mean when ties dominate *)
-          let crude = range /. float_of_int (n - 1) in
-          let sum = ref 0. and cnt = ref 0 in
-          Array.iter (fun g -> if g <= 2. *. crude then begin sum := !sum +. g; incr cnt end) gaps;
-          if !cnt > 0 && !sum > 0. then 2. *. !sum /. float_of_int !cnt else crude
-        end
-      in
-      if cand > 0. && Float.is_finite cand then cand else t.width
-    end
-    else t.width
+(* Place the entry (fs.(0), seq, slot) into the vacant position [i] and
+   sift it down the heap [0, n).  Top-level recursion over ints, with
+   the time in the scratch cell: no closure or boxed float per event. *)
+let rec sift_down t seq slot i =
+  let time = t.fs.(0) in
+  let left = (2 * i) + 1 in
+  let c =
+    if left >= t.n then -1
+    else
+      let right = left + 1 in
+      if
+        right < t.n
+        && (t.times.(right) < t.times.(left)
+           || (t.times.(right) = t.times.(left) && t.seqs.(right) < t.seqs.(left)))
+      then right
+      else left
   in
-  t.width <- w;
-  t.inv_width <- 1. /. w;
-  t.buckets <- Array.make nb (-1);
-  t.mask <- nb - 1;
-  for i = 0 to t.len - 1 do
-    let s = live.(i) in
-    let vb = vb_of_time t t.times.(s) in
-    t.vbs.(s) <- vb;
-    let b = vb land t.mask in
-    t.nexts.(s) <- t.buckets.(b);
-    t.buckets.(b) <- s
-  done;
-  t.vb_cur <- t.vbs.(!arg_mn);
-  t.loc_slot <- -1
+  if c >= 0 && (t.times.(c) < time || (t.times.(c) = time && t.seqs.(c) < seq))
+  then begin
+    t.times.(i) <- t.times.(c);
+    t.seqs.(i) <- t.seqs.(c);
+    t.slots.(i) <- t.slots.(c);
+    sift_down t seq slot c
+  end
+  else begin
+    t.times.(i) <- time;
+    t.seqs.(i) <- seq;
+    t.slots.(i) <- slot
+  end
+
+(* Sift a new entry up from the vacant position [i]: its seq beats every
+   queued seq, so a parent at the same time stays above it. *)
+let rec sift_up t seq slot i =
+  let time = t.fs.(0) in
+  let parent = (i - 1) / 2 in
+  if i > 0 && time < t.times.(parent) then begin
+    t.times.(i) <- t.times.(parent);
+    t.seqs.(i) <- t.seqs.(parent);
+    t.slots.(i) <- t.slots.(parent);
+    sift_up t seq slot parent
+  end
+  else begin
+    t.times.(i) <- time;
+    t.seqs.(i) <- seq;
+    t.slots.(i) <- slot
+  end
 
 let push_prepared t payload =
-  let time = t.fs.(0) in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  if t.free_head < 0 then grow_slots t payload;
-  let slot = t.free_head in
-  t.free_head <- t.nexts.(slot);
-  t.times.(slot) <- time;
-  t.seqs.(slot) <- seq;
-  t.payloads.(slot) <- payload;
-  let vb = vb_of_time t time in
-  t.vbs.(slot) <- vb;
-  let b = vb land t.mask in
-  t.nexts.(slot) <- t.buckets.(b);
-  t.buckets.(b) <- slot;
-  (* keep the cursor invariant: no queued event sits before [vb_cur] *)
-  if t.len = 0 || vb < t.vb_cur then t.vb_cur <- vb;
-  t.len <- t.len + 1;
-  t.loc_slot <- -1;
-  if t.len > 2 * (t.mask + 1) then resize t (2 * (t.mask + 1))
+  t.located <- false;
+  if t.hole then begin
+    (* the root's slot was freed by [take]: reuse it *)
+    t.hole <- false;
+    let slot = t.slots.(0) in
+    t.payloads.(slot) <- payload;
+    sift_down t seq slot 0
+  end
+  else begin
+    if t.n = Array.length t.times then grow t payload;
+    let i = t.n in
+    let slot = t.slots.(i) in
+    t.n <- i + 1;
+    t.payloads.(slot) <- payload;
+    sift_up t seq slot i
+  end
 
 let[@inline] push t ~time payload =
   (* [x <> x] is the NaN test without the [Float.is_nan] call (whose
@@ -256,166 +148,41 @@ let[@inline] push t ~time payload =
   t.fs.(0) <- time;
   push_prepared t payload
 
-(* Exact global (time, seq) minimum over every chain — the fallback
-   when events are far sparser than the bucket width, and the resize
-   seed for the cursor. *)
-let direct_search t =
-  let best = ref (-1) and best_prev = ref (-1) and best_bucket = ref (-1) in
-  for b = 0 to t.mask do
-    let prev = ref (-1) in
-    let s = ref t.buckets.(b) in
-    while !s >= 0 do
-      (if
-         !best < 0
-         || t.times.(!s) < t.times.(!best)
-         || (t.times.(!s) = t.times.(!best) && t.seqs.(!s) < t.seqs.(!best))
-       then begin
-         best := !s;
-         best_prev := !prev;
-         best_bucket := b
-       end);
-      prev := !s;
-      s := t.nexts.(!s)
-    done
-  done;
-  t.loc_slot <- !best;
-  t.loc_prev <- !best_prev;
-  t.loc_bucket <- !best_bucket;
-  t.vb_cur <- t.vbs.(!best)
+(* Refill the empty root with the last entry; the freed slot moves to
+   the first free position past the heap's end. *)
+let fill_hole t =
+  t.hole <- false;
+  let freed = t.slots.(0) in
+  let last = t.n - 1 in
+  t.n <- last;
+  if last > 0 then begin
+    t.fs.(0) <- t.times.(last);
+    sift_down t t.seqs.(last) t.slots.(last) 0
+  end;
+  t.slots.(last) <- freed
 
-(* Scan the chain starting at [s], recording in [loc_slot]/[loc_prev]
-   the best (time, seq)-minimal slot whose virtual bucket is at or
-   before the cursor. Top-level recursion over int arguments: the
-   per-event locate path must not allocate, and local [ref] cells or
-   closures would (no flambda). *)
-let rec scan_chain t s prev =
-  if s >= 0 then begin
-    t.loc_steps <- t.loc_steps + 1;
-    (if t.vbs.(s) <= t.vb_cur then
-       let best = t.loc_slot in
-       if
-         best < 0
-         || t.times.(s) < t.times.(best)
-         || (t.times.(s) = t.times.(best) && t.seqs.(s) < t.seqs.(best))
-       then begin
-         t.loc_slot <- s;
-         t.loc_prev <- prev
-       end);
-    scan_chain t t.nexts.(s) s
-  end
-
-(* The cursor walk of [locate]; the horizon rides in [fs.(1)] so the
-   loop carries only int state across calls. *)
-let rec locate_loop t scanned =
-  let horizon = t.fs.(1) in
-  if scanned > t.mask then begin
-    (* a whole round of buckets held nothing current *)
-    direct_search t;
-    t.times.(t.loc_slot) <= horizon
-  end
-  else begin
-    let fvb = float_of_int t.vb_cur in
-    (* early out once the slice start passed the horizon; the one-
-       width slack absorbs rounding, valid while the product is
-       integer-exact *)
-    if Float.abs fvb < 4.0e15 && (fvb -. 1.) *. t.width > horizon then false
-    else begin
-      let b = t.vb_cur land t.mask in
-      t.loc_slot <- -1;
-      t.loc_prev <- -1;
-      scan_chain t t.buckets.(b) (-1);
-      if t.loc_slot >= 0 then
-        if t.times.(t.loc_slot) > horizon then begin
-          t.loc_slot <- -1;
-          false
-        end
-        else begin
-          t.loc_bucket <- b;
-          true
-        end
-      else begin
-        t.vb_cur <- t.vb_cur + 1;
-        locate_loop t (scanned + 1)
-      end
-    end
-  end
-
-(* Find (without removing) the earliest event; [true] iff it exists and
-   its time is <= horizon, leaving its position cached for [take].
-   Advancing the cursor past empty slices is persistent, so a run of
-   empty buckets is paid for once. The wrapper is inlinable so the
-   horizon reaches the loop through the scratch cell, never as a boxed
-   call argument. *)
 let[@inline] locate t ~horizon =
-  if t.len = 0 then false
-  else begin
-    t.loc_ops <- t.loc_ops + 1;
-    t.fs.(1) <- horizon;
-    locate_loop t 0
-  end
+  if t.hole then fill_hole t;
+  let found = t.n > 0 && t.times.(0) <= horizon in
+  t.located <- found;
+  found
 
-let[@inline] located_time t = t.times.(t.loc_slot)
+let[@inline] located_time t = t.times.(0)
 
 let take t =
-  let slot = t.loc_slot in
-  if slot < 0 then invalid_arg "Event_queue.take: no located event";
-  (if t.loc_prev >= 0 then t.nexts.(t.loc_prev) <- t.nexts.(slot)
-   else t.buckets.(t.loc_bucket) <- t.nexts.(slot));
+  if not t.located then invalid_arg "Event_queue.take: no located event";
+  t.located <- false;
+  t.hole <- true;
+  let slot = t.slots.(0) in
   let payload = t.payloads.(slot) in
   t.payloads.(slot) <- t.filler.(0);
-  t.nexts.(slot) <- t.free_head;
-  t.free_head <- slot;
-  t.len <- t.len - 1;
-  t.loc_slot <- -1;
-  let nb = t.mask + 1 in
-  if nb > initial_buckets && t.len > 0 && t.len < (nb / 4) - 2 then
-    resize t (nb / 2)
-  else if t.loc_ops >= 1024 && t.loc_ops >= t.len then
-    (* full window elapsed: rebuild (same bucket count) to re-derive
-       the width when chains averaged > 3 slots per locate, else just
-       restart the window.  Requiring a window of at least [len] ops
-       caps rebuild work at O(1) amortized even when long chains are
-       inherent (e.g. massed identical timestamps that no width can
-       split). *)
-    if t.loc_steps > 3 * t.loc_ops && t.len > 4 then resize t nb
-    else begin
-      t.loc_ops <- 0;
-      t.loc_steps <- 0
-    end;
   payload
 
-let pop t =
-  if locate t ~horizon:infinity then begin
-    let time = located_time t in
-    Some (time, take t)
-  end
-  else None
-
-let pop_if_before t ~horizon =
-  if locate t ~horizon then begin
-    let time = located_time t in
-    Some (time, take t)
-  end
-  else None
-
-let peek_time t = if locate t ~horizon:infinity then Some (located_time t) else None
-
+(* Every slot becomes free; [slots] stays a permutation, so it needs no
+   reset.  Seqs keep counting: only their order matters. *)
 let clear t =
-  t.len <- 0;
-  t.loc_ops <- 0;
-  t.loc_steps <- 0;
-  t.next_seq <- 0;
-  t.vb_cur <- 0;
-  t.loc_slot <- -1;
-  Array.fill t.buckets 0 (t.mask + 1) (-1);
-  let cap = Array.length t.times in
-  if cap > 0 then begin
-    let fill = t.filler.(0) in
-    for i = 0 to cap - 2 do
-      t.nexts.(i) <- i + 1;
-      t.payloads.(i) <- fill
-    done;
-    t.nexts.(cap - 1) <- -1;
-    t.payloads.(cap - 1) <- fill;
-    t.free_head <- 0
-  end
+  t.n <- 0;
+  t.hole <- false;
+  t.located <- false;
+  if Array.length t.filler > 0 then
+    Array.fill t.payloads 0 (Array.length t.payloads) t.filler.(0)

@@ -620,7 +620,7 @@ type flowcache_report = {
 
 let run_flowcache ?config ?queue_model spec g ~hw ~traffic =
   let model =
-    Lognic.Estimate.run_flowcache ?queue_model spec g ~hw ~traffic
+    Lognic.Flowcache.evaluate ?queue_model spec g ~hw ~traffic
   in
   let config = Option.value config ~default:Netsim.Config.default in
   let config = Netsim.Config.with_flow_cache spec config in

@@ -236,10 +236,9 @@ let execute_with ?engine:reused (spec : Run.t) =
      on it first, so the disabled path costs one pointer compare per
      hook site (the ledger's [layer.invariants.cost] tracks it). *)
   let checker = if config.check_invariants then Some (Invariants.create ()) else None in
-  (* A reused engine is reset, which keeps its event-queue arrays warm:
-     replicated runs stop paying queue (re)allocation per run, and the
-     calendar queue pops in exact (time, seq) order regardless of its
-     inherited bucket geometry, so reuse is result-identical. *)
+  (* A reused engine is reset, which keeps its event-queue storage; the
+     queue pops in exact (time, seq) order whatever storage it
+     inherited, so reuse is result-identical. *)
   let engine =
     match reused with
     | Some e ->
@@ -940,15 +939,14 @@ type replicated = {
   resilience : Faults.resilience_replicated option;
 }
 
-let replication_specs (spec : Run.t) runs =
+let execute_replicated ?jobs ?(runs = 5) (spec : Run.t) =
   if runs < 2 then invalid_arg "Netsim.execute_replicated: needs runs >= 2";
   let config = spec.Run.config in
-  List.init runs (fun i ->
-      Run.with_config spec (Config.with_seed (config.seed + i) config))
-
-let replicated_of_measurements measurements =
-  let runs = List.length measurements in
-  if runs < 2 then invalid_arg "Netsim.replicated_of_measurements: needs >= 2";
+  let measurements =
+    N.Parallel.map ?jobs execute
+      (List.init runs (fun i ->
+           Run.with_config spec (Config.with_seed (config.seed + i) config)))
+  in
   let n = float_of_int runs in
   (* Per-entity across-run means, in the first run's (deterministic)
      entity order: every replication simulates the same graph, so the
@@ -994,11 +992,3 @@ let replicated_of_measurements measurements =
       Faults.resilience_across
         (List.map (fun (m : measurement) -> m.resilience) measurements);
   }
-
-let execute_replicated ?(runs = 5) spec =
-  (* One engine serves every sequential replication: {!Engine.reset}
-     clears it between runs while keeping the calendar queue's arrays
-     warm, and reuse is result-identical (see {!execute_with}). *)
-  let engine = Engine.create () in
-  replicated_of_measurements
-    (List.map (fun s -> execute_with ~engine s) (replication_specs spec runs))

@@ -241,15 +241,12 @@ type measurement = {
 }
 
 val execute_with : ?engine:Engine.t -> Run.t -> measurement
-(** {!execute} with an optional caller-owned engine. The engine is
+(** {!execute} with an optional caller-owned engine, for callers that
+    time or profile many runs on one engine (the ledger). The engine is
     {!Engine.reset} before use, which keeps its event-queue storage
-    warm across runs — sequential sweeps ({!execute_replicated}, the
-    optimizer's inner loops) stop paying queue (re)allocation per run.
-    Reuse is result-identical: the reset restarts the tie-break
-    sequence and the calendar queue pops in exact (time, seq) order
-    whatever bucket geometry it inherited. Do {e not} share one engine
-    across concurrently-executing runs ({!Parallel.map} hands each
-    worker its own spec precisely so it can keep [?engine] unset). *)
+    across runs. Reuse is result-identical: the queue pops in exact
+    (time, push order) order whatever storage it inherited. Do {e not}
+    share one engine across concurrently-executing runs. *)
 
 val execute : Run.t -> measurement
 (** Run one simulation from a spec. Raises [Invalid_argument] if the
@@ -319,20 +316,11 @@ type replicated = {
           for fault-free replications *)
 }
 
-val execute_replicated : ?runs:int -> Run.t -> replicated
+val execute_replicated : ?jobs:int -> ?runs:int -> Run.t -> replicated
 (** [runs] (default 5) independent replications of the spec with derived
-    seeds ([config.seed + i]); reports across-run means and sample
-    standard deviations, per-entity means, and (for faulted specs)
-    recovery statistics. Raises [Invalid_argument] when [runs < 2]. *)
-
-val replication_specs : Run.t -> int -> Run.t list
-(** The per-replication specs: the same spec with seeds
-    [config.seed + i] for [i < runs], exposed so alternative execution
-    strategies ({!Parallel.execute_replicated}) derive identical seeds.
-    Raises [Invalid_argument] when [runs < 2]. *)
-
-val replicated_of_measurements : measurement list -> replicated
-(** The fold from per-run measurements to {!replicated} statistics,
-    shared with {!Parallel.execute_replicated} so both paths are
-    bit-identical. Raises [Invalid_argument] on fewer than two
-    measurements. *)
+    seeds ([config.seed + i]), each a fresh {!execute} on the domain
+    pool ({!Lognic_numerics.Parallel.map}, [jobs] workers); reports
+    across-run means and sample standard deviations, per-entity means,
+    and (for faulted specs) recovery statistics. Results are
+    bit-identical at every [jobs]. Raises [Invalid_argument] when
+    [runs < 2]. *)

@@ -20,11 +20,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 val sweep : ?jobs:int -> f:('a -> 'b) -> 'a list -> ('a * 'b) list
 (** [sweep ~f points] evaluates a parameter grid, returning
     [(point, result)] pairs in grid order. *)
-
-val execute_replicated : ?jobs:int -> ?runs:int -> Netsim.Run.t -> Netsim.replicated
-(** Drop-in parallel {!Netsim.execute_replicated}: identical derived
-    seeds ([config.seed + i], via {!Netsim.replication_specs}) and the
-    identical measurement fold ({!Netsim.replicated_of_measurements},
-    including the per-entity stats and across-run resilience), hence
-    bit-identical results for the same spec at any [jobs] — fault plans
-    included. Raises [Invalid_argument] when [runs < 2]. *)

@@ -138,7 +138,7 @@ let run ?config ?queue_model ?slo ?(runs = 1) ?jobs g ~hw ~traffic ~plan =
   in
   let across_runs =
     if runs >= 2 then
-      (Parallel.execute_replicated ?jobs ~runs spec).Netsim.resilience
+      (Netsim.execute_replicated ?jobs ~runs spec).Netsim.resilience
     else None
   in
   {

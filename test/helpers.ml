@@ -35,3 +35,30 @@ let contains_substring haystack needle =
 let prop name ?(count = 200) arbitrary predicate =
   QCheck_alcotest.to_alcotest ~speed_level:`Quick
     (QCheck.Test.make ~name ~count arbitrary predicate)
+
+(* A report's JSON read back through [Telemetry.Json]: [json_reparse]
+   prints and parses it, and the getters fetch the value at a key path,
+   failing the test on a missing key or a wrong type. *)
+module Json = Lognic_sim.Telemetry.Json
+
+let json_reparse j =
+  match Json.of_string (Json.to_string j) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "report JSON does not parse: %s" e
+
+let rec json_get j = function
+  | [] -> j
+  | k :: ks ->
+    (match Json.member k j with
+    | Some v -> json_get v ks
+    | None -> Alcotest.failf "missing key %S" k)
+
+let json_num j path =
+  match json_get j path with
+  | Json.Num x -> x
+  | _ -> Alcotest.failf "%s is not a number" (String.concat "." path)
+
+let json_arr j path =
+  match json_get j path with
+  | Json.Arr xs -> xs
+  | _ -> Alcotest.failf "%s is not an array" (String.concat "." path)

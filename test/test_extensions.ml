@@ -712,11 +712,11 @@ let fixed_point_ttl_bound () =
   let spec = { fc_spec with FC.ttl = Some ttl } in
   Alcotest.(check bool) "ttl binds at the emc" true
     (Lognic.Traffic.packet_rate traffic *. ttl <= float_of_int spec.FC.emc_entries);
-  let r = Lognic.Estimate.run_flowcache spec g ~hw:App.hardware ~traffic in
+  let r = Lognic.Flowcache.evaluate spec g ~hw:App.hardware ~traffic in
   Alcotest.(check bool) "converged" true r.FC.converged;
   Alcotest.(check bool) "within 4 iterations" true (r.FC.iterations <= 4);
   let again =
-    Lognic.Estimate.run_flowcache
+    Lognic.Flowcache.evaluate
       ~init:[| r.FC.emc_hit_ratio; r.FC.megaflow_hit_ratio |]
       spec g ~hw:App.hardware ~traffic
   in
@@ -770,7 +770,7 @@ let flowcache_table_holds_every_flow () =
     (fun (flows, emc_entries, megaflow_entries, ratio) ->
       let spec = FC.spec ~flows ~zipf:0.3 ~emc_entries ~megaflow_entries () in
       let r =
-        Lognic.Estimate.run_flowcache spec (App.graph App.default)
+        Lognic.Flowcache.evaluate spec (App.graph App.default)
           ~hw:App.hardware ~traffic:(App.traffic App.default)
       in
       Alcotest.(check bool) "converged" true r.FC.converged;
@@ -785,7 +785,7 @@ let flowcache_table_holds_every_flow () =
 let flowcache_converges () =
   let g = App.graph App.default in
   let traffic = App.traffic App.default in
-  let r = Lognic.Estimate.run_flowcache fc_spec g ~hw:App.hardware ~traffic in
+  let r = Lognic.Flowcache.evaluate fc_spec g ~hw:App.hardware ~traffic in
   Alcotest.(check bool) "converged" true r.FC.converged;
   Alcotest.(check bool) "emc hit ratio in (0,1)" true
     (r.FC.emc_hit_ratio > 0. && r.FC.emc_hit_ratio < 1.);
@@ -810,7 +810,7 @@ let flowcache_converges () =
   | cs -> Alcotest.failf "expected 3 classes, got %d" (List.length cs));
   (* convergence is init-independent *)
   let r' =
-    Lognic.Estimate.run_flowcache ~init:[| 0.05; 0.95 |] fc_spec g
+    Lognic.Flowcache.evaluate ~init:[| 0.05; 0.95 |] fc_spec g
       ~hw:App.hardware ~traffic
   in
   check_close ~tol:1e-6 "init-independent emc hit" r.FC.emc_hit_ratio
@@ -823,7 +823,7 @@ let flowcache_converges () =
 let flowcache_collapse_bitforbit () =
   let g = App.graph App.default in
   let traffic = App.traffic App.default in
-  let r = Lognic.Estimate.run_flowcache fc_spec g ~hw:App.hardware ~traffic in
+  let r = Lognic.Flowcache.evaluate fc_spec g ~hw:App.hardware ~traffic in
   let emc = (Option.get (G.find_vertex g ~label:"emc")).G.id in
   let mega = (Option.get (G.find_vertex g ~label:"megaflow")).G.id in
   let static =
@@ -856,7 +856,7 @@ let flowcache_validation () =
   let traffic = T.make ~rate:(2. *. U.gbps) ~packet_size:1500. in
   (* no vertex labelled "emc" in the plain chain *)
   check_raises_invalid "missing cache vertex" (fun () ->
-      ignore (Lognic.Estimate.run_flowcache fc_spec g ~hw ~traffic));
+      ignore (Lognic.Flowcache.evaluate fc_spec g ~hw ~traffic));
   (* an "emc" vertex without two out-edges is rejected too *)
   let g2, _ =
     let g = G.empty in
@@ -867,7 +867,7 @@ let flowcache_validation () =
     (G.add_edge ~src:w ~dst:e g, w)
   in
   check_raises_invalid "cache vertex needs 2 out-edges" (fun () ->
-      ignore (Lognic.Estimate.run_flowcache fc_spec g2 ~hw ~traffic))
+      ignore (Lognic.Flowcache.evaluate fc_spec g2 ~hw ~traffic))
 
 let suite =
   [

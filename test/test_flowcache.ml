@@ -203,28 +203,8 @@ let cli_smoke_report () =
       ~hw:App.hardware
       ~traffic:(App.traffic ~load:0.5 App.default)
   in
-  let j =
-    match J.of_string (J.to_string (Sim.Explain.flowcache_to_json r)) with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "report JSON does not parse: %s" e
-  in
-  let rec get j = function
-    | [] -> j
-    | k :: ks ->
-      (match J.member k j with
-      | Some v -> get v ks
-      | None -> Alcotest.failf "missing key %S" k)
-  in
-  let num j path =
-    match get j path with
-    | J.Num x -> x
-    | _ -> Alcotest.failf "%s is not a number" (String.concat "." path)
-  in
-  let arr j path =
-    match get j path with
-    | J.Arr xs -> xs
-    | _ -> Alcotest.failf "%s is not an array" (String.concat "." path)
-  in
+  let j = json_reparse (Sim.Explain.flowcache_to_json r) in
+  let get = json_get and num = json_num and arr = json_arr in
   Alcotest.(check bool) "schema stamp" true
     (get j [ "schema" ] = J.Str "flowcache" && num j [ "schema_version" ] = 1.);
   Alcotest.(check bool) "fixed point converged" true

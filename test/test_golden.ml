@@ -1,11 +1,11 @@
 (* Byte-identity against committed golden fixtures.
 
-   The files in test/golden/*.json were generated by test/golden/gen.exe
-   against the original binary-heap engine, before the calendar-queue /
-   zero-allocation overhaul.  Each test below re-runs the pinned
-   scenario on the current engine and asserts the measurement JSON is
-   byte-for-byte identical — event order, rng stream layout and float
-   operation order all have to match exactly for this to hold. *)
+   The files in test/golden/*.json are written by test/golden/gen.exe.
+   Each test below re-runs the pinned scenario on the current engine
+   and asserts the measurement JSON is byte-for-byte identical, so the
+   fixtures hold the exact (time, seq) pop order across rewrites of the
+   event queue — event order, rng stream layout and float operation
+   order all have to match exactly for this to hold. *)
 
 open Helpers
 

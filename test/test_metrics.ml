@@ -376,7 +376,7 @@ let metrics_jobs_invariant () =
       base_config
   in
   let spec = S.Netsim.Run.single ~config (pipeline ()) ~hw ~traffic in
-  let run jobs = S.Parallel.execute_replicated ~jobs ~runs:3 spec in
+  let run jobs = S.Netsim.execute_replicated ~jobs ~runs:3 spec in
   let a = run 1 and b = run 4 in
   Alcotest.(check bool)
     "replicated stats bit-identical at any jobs count" true

@@ -107,7 +107,7 @@ let traced_jobs_invariant () =
   let spec =
     S.Netsim.Run.single ~config:traced_config (pipeline ()) ~hw ~traffic
   in
-  let run jobs = S.Parallel.execute_replicated ~jobs ~runs:3 spec in
+  let run jobs = S.Netsim.execute_replicated ~jobs ~runs:3 spec in
   let a = run 1 and b = run 4 in
   Alcotest.(check bool)
     "replicated stats bit-identical at any jobs count" true

@@ -55,9 +55,8 @@ let nested_map_completes () =
     (List.map (fun x -> [ x + 1; x + 2; x + 3 ]) [ 10; 20; 30; 40 ])
     (P.map ~jobs:4 inner [ 10; 20; 30; 40 ])
 
-(* The tentpole guarantee: the parallel replicated driver is a drop-in
-   for Netsim.execute_replicated — same seeds, same fold, bit-identical
-   floats, at any job count. *)
+(* Netsim.execute_replicated on the domain pool is bit-identical to its
+   sequential run (jobs:1) at any job count: same seeds, same fold. *)
 
 let pipeline () =
   let svc t = G.service ~throughput:t () in
@@ -80,17 +79,17 @@ let replicated_bit_identical () =
   let mix = [ (T.make ~rate:(2. *. U.gbps) ~packet_size:1500., 1.) ] in
   let config = S.Netsim.Config.(default |> with_horizon 0.02) in
   let spec = S.Netsim.Run.make ~config g ~hw ~mix in
-  let sequential = S.Netsim.execute_replicated ~runs:4 spec in
+  let sequential = S.Netsim.execute_replicated ~jobs:1 ~runs:4 spec in
   List.iter
     (fun jobs ->
-      let parallel = S.Parallel.execute_replicated ~jobs ~runs:4 spec in
+      let parallel = S.Netsim.execute_replicated ~jobs ~runs:4 spec in
       Alcotest.(check bool)
         (Printf.sprintf "bit-identical at jobs:%d" jobs)
         true
         (sequential = parallel))
-    [ 1; 2; 4 ];
+    [ 2; 4 ];
   check_raises_invalid "needs >= 2 runs" (fun () ->
-      ignore (S.Parallel.execute_replicated ~jobs:4 ~runs:1 spec))
+      ignore (S.Netsim.execute_replicated ~jobs:4 ~runs:1 spec))
 
 let suite =
   [

@@ -12,31 +12,43 @@ module N = Lognic_numerics
 
 (* Event queue *)
 
+module Q = S.Event_queue
+
+(* One pop through the engine's locate/located_time/take triple. *)
+let pop_before q ~horizon =
+  if Q.locate q ~horizon then
+    let time = Q.located_time q in
+    Some (time, Q.take q)
+  else None
+
+let pop q = pop_before q ~horizon:infinity
+
 let event_queue_orders_by_time () =
-  let q = S.Event_queue.create () in
-  List.iter (fun (t, v) -> S.Event_queue.push q ~time:t v) [ (3., "c"); (1., "a"); (2., "b") ];
-  Alcotest.(check int) "size" 3 (S.Event_queue.size q);
-  Alcotest.(check (option (float 0.))) "peek" (Some 1.) (S.Event_queue.peek_time q);
-  let order = List.init 3 (fun _ -> snd (Option.get (S.Event_queue.pop q))) in
+  let q = Q.create () in
+  List.iter (fun (t, v) -> Q.push q ~time:t v) [ (3., "c"); (1., "a"); (2., "b") ];
+  Alcotest.(check int) "size" 3 (Q.size q);
+  Alcotest.(check (option (float 0.))) "peek" (Some 1.)
+    (if Q.locate q ~horizon:infinity then Some (Q.located_time q) else None);
+  let order = List.init 3 (fun _ -> snd (Option.get (pop q))) in
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] order;
-  Alcotest.(check bool) "drained" true (S.Event_queue.is_empty q)
+  Alcotest.(check bool) "drained" true (pop q = None && Q.size q = 0)
 
 let event_queue_fifo_on_ties () =
-  let q = S.Event_queue.create () in
-  List.iter (fun v -> S.Event_queue.push q ~time:5. v) [ 1; 2; 3; 4 ];
-  let order = List.init 4 (fun _ -> snd (Option.get (S.Event_queue.pop q))) in
+  let q = Q.create () in
+  List.iter (fun v -> Q.push q ~time:5. v) [ 1; 2; 3; 4 ];
+  let order = List.init 4 (fun _ -> snd (Option.get (pop q))) in
   Alcotest.(check (list int)) "insertion order on equal times" [ 1; 2; 3; 4 ] order
 
 let event_queue_interleaved () =
-  let q = S.Event_queue.create () in
+  let q = Q.create () in
   (* push/pop interleaving across growth boundaries *)
   for i = 0 to 99 do
-    S.Event_queue.push q ~time:(float_of_int (100 - i)) i
+    Q.push q ~time:(float_of_int (100 - i)) i
   done;
   let last = ref neg_infinity in
   let count = ref 0 in
   let rec drain () =
-    match S.Event_queue.pop q with
+    match pop q with
     | None -> ()
     | Some (t, _) ->
       Alcotest.(check bool) "non-decreasing" true (t >= !last);
@@ -48,25 +60,113 @@ let event_queue_interleaved () =
   Alcotest.(check int) "all events" 100 !count
 
 let event_queue_rejects_nan () =
-  let q = S.Event_queue.create () in
-  check_raises_invalid "nan time" (fun () -> S.Event_queue.push q ~time:Float.nan ())
+  let q = Q.create () in
+  check_raises_invalid "nan time" (fun () -> Q.push q ~time:Float.nan ())
 
-let event_queue_pop_if_before () =
-  let q = S.Event_queue.create () in
-  List.iter (fun (t, v) -> S.Event_queue.push q ~time:t v) [ (1., "a"); (5., "b") ];
+let event_queue_locate_horizon () =
+  let q = Q.create () in
+  List.iter (fun (t, v) -> Q.push q ~time:t v) [ (1., "a"); (5., "b") ];
   Alcotest.(check (option (pair (float 0.) string)))
     "pops events within the horizon" (Some (1., "a"))
-    (S.Event_queue.pop_if_before q ~horizon:3.);
+    (pop_before q ~horizon:3.);
   Alcotest.(check (option (pair (float 0.) string)))
     "leaves events past the horizon" None
-    (S.Event_queue.pop_if_before q ~horizon:3.);
-  Alcotest.(check int) "later event still queued" 1 (S.Event_queue.size q);
+    (pop_before q ~horizon:3.);
+  Alcotest.(check int) "later event still queued" 1 (Q.size q);
   Alcotest.(check (option (pair (float 0.) string)))
     "inclusive at the horizon" (Some (5., "b"))
-    (S.Event_queue.pop_if_before q ~horizon:5.);
+    (pop_before q ~horizon:5.);
   Alcotest.(check (option (pair (float 0.) string)))
     "empty queue" None
-    (S.Event_queue.pop_if_before q ~horizon:infinity)
+    (pop_before q ~horizon:infinity)
+
+(* A fresh block, pushed from its own frame so no local of the test
+   keeps it alive. *)
+let[@inline never] push_watched q w =
+  let payload = ref 1 in
+  Weak.set w 0 (Some payload);
+  Q.push q ~time:1. payload
+
+let event_queue_releases_taken () =
+  let q = Q.create () in
+  (* the first payload ever pushed is the filler that taken slots hold *)
+  Q.push q ~time:0. (ref 0);
+  let w = Weak.create 1 in
+  push_watched q w;
+  Alcotest.(check bool) "filler first" true (pop q <> None);
+  Alcotest.(check bool) "watched payload next" true
+    (Q.locate q ~horizon:infinity && Q.located_time q = 1.);
+  ignore (Q.take q);
+  Gc.full_major ();
+  Alcotest.(check bool) "taken payload collected" false (Weak.check w 0);
+  (* the queue itself must outlive the collection *)
+  Alcotest.(check int) "queue still live" 0 (Q.size q)
+
+let event_queue_take_needs_locate () =
+  let q = Q.create () in
+  check_raises_invalid "empty queue" (fun () -> Q.take q);
+  Q.push q ~time:2. "a";
+  check_raises_invalid "no locate yet" (fun () -> Q.take q);
+  Alcotest.(check bool) "locate past the horizon fails" false
+    (Q.locate q ~horizon:1.);
+  check_raises_invalid "after a failed locate" (fun () -> Q.take q);
+  Alcotest.(check bool) "locate" true (Q.locate q ~horizon:infinity);
+  Q.push q ~time:1. "b";
+  check_raises_invalid "after an intervening push" (fun () -> Q.take q);
+  Alcotest.(check bool) "relocate" true (Q.locate q ~horizon:infinity);
+  Alcotest.(check string) "earliest after the push" "b" (Q.take q);
+  check_raises_invalid "after a take" (fun () -> Q.take q);
+  Alcotest.(check bool) "locate before clear" true (Q.locate q ~horizon:infinity);
+  Q.clear q;
+  check_raises_invalid "after clear" (fun () -> Q.take q);
+  Alcotest.(check int) "cleared" 0 (Q.size q)
+
+let event_queue_size_skips_empty_root () =
+  let q = Q.create () in
+  List.iter (fun t -> Q.push q ~time:t ()) [ 1.; 2.; 3. ];
+  Alcotest.(check bool) "locate" true (Q.locate q ~horizon:infinity);
+  Q.take q;
+  Alcotest.(check int) "between take and the next op" 2 (Q.size q);
+  Alcotest.(check bool) "locate refills the root" true
+    (Q.locate q ~horizon:infinity);
+  Alcotest.(check int) "after locate" 2 (Q.size q);
+  Q.take q;
+  Q.push q ~time:4. ();
+  Alcotest.(check int) "a push fills the empty root" 2 (Q.size q)
+
+(* A hold model: each push lands at or after the last popped time, so
+   every pop must be strictly later in (time, seq) than the one before;
+   increments of 0 make ties. Popping every other push grows the queue
+   to ~5000 events through several doublings. *)
+let event_queue_sorted_across_doublings () =
+  let q = Q.create () in
+  let pass () =
+    let clock = ref 0. and last = ref (neg_infinity, -1) and popped = ref 0 in
+    let pop () =
+      match pop q with
+      | None -> Alcotest.fail "event missing"
+      | Some (time, i) ->
+        if compare (time, i) !last <= 0 then
+          Alcotest.failf "event %d at %g popped out of (time, seq) order" i time;
+        last := (time, i);
+        clock := time;
+        incr popped
+    in
+    for i = 0 to 9_999 do
+      Q.push q ~time:(!clock +. float_of_int (i * 37 mod 5)) i;
+      if i mod 2 = 1 then pop ()
+    done;
+    while Q.size q > 0 do
+      pop ()
+    done;
+    Alcotest.(check int) "every event popped" 10_000 !popped
+  in
+  pass ();
+  let resizes = Q.resizes q in
+  Alcotest.(check bool) "storage doubled" true (resizes >= 5);
+  Q.clear q;
+  pass ();
+  Alcotest.(check int) "no doubling on reuse" resizes (Q.resizes q)
 
 (* Engine *)
 
@@ -772,6 +872,36 @@ let netsim_replicated () =
   check_raises_invalid "needs >= 2 runs" (fun () ->
       ignore (S.Netsim.execute_replicated ~runs:1 spec))
 
+(* One engine serves a plain, a faulted and a tenanted run in turn; each
+   measurement is byte-equal to a fresh engine's. *)
+let netsim_execute_with_reused_engine () =
+  let g = pipeline () in
+  let traffic = T.make ~rate:(3. *. U.gbps) ~packet_size:1500. in
+  let config = S.Netsim.Config.(default |> with_horizon 0.02) in
+  let plain = S.Netsim.Run.single ~config g ~hw ~traffic in
+  let faulted =
+    S.Netsim.Run.with_faults plain
+      [
+        S.Faults.engine_down ~vertex:"ip" ~engines:1 ~start:0.004 ~stop:0.01;
+        S.Faults.drop_burst ~probability:0.3 ~start:0.002 ~stop:0.006;
+      ]
+  in
+  let tenanted =
+    S.Netsim.Run.with_config plain
+      (S.Netsim.Config.with_tenants
+         (S.Tenant.set [ S.Tenant.spec ~weight:3 "gold"; S.Tenant.spec "bronze" ])
+         config)
+  in
+  let json m = S.Telemetry.Json.to_string (S.Netsim.measurement_to_json m) in
+  let engine = S.Engine.create () in
+  List.iter
+    (fun (what, spec) ->
+      Alcotest.(check string)
+        (what ^ " run on a reused engine")
+        (json (S.Netsim.execute spec))
+        (json (S.Netsim.execute_with ~engine spec)))
+    [ ("plain", plain); ("faulted", faulted); ("tenanted", tenanted) ]
+
 let netsim_overload_observability () =
   (* Acceptance regression: under heavy overload every entity's
      utilization stays <= 1 (horizon clipping), loss_rate <= 1 (birth
@@ -910,11 +1040,11 @@ let properties =
          tiebreak; indexed payloads make the expected order exact. *)
       QCheck.(list_of_size (Gen.int_range 1 100) (int_range 0 10))
       (fun times ->
-        let q = S.Event_queue.create () in
+        let q = Q.create () in
         let entries = List.mapi (fun i t -> (float_of_int t, i)) times in
-        List.iter (fun (t, i) -> S.Event_queue.push q ~time:t i) entries;
+        List.iter (fun (t, i) -> Q.push q ~time:t i) entries;
         let rec drain acc =
-          match S.Event_queue.pop q with
+          match pop q with
           | None -> List.rev acc
           | Some entry -> drain (entry :: acc)
         in
@@ -944,6 +1074,14 @@ let suite =
     quick "event queue: FIFO ties" event_queue_fifo_on_ties;
     quick "event queue: interleaved growth" event_queue_interleaved;
     quick "event queue: rejects NaN" event_queue_rejects_nan;
+    quick "event queue: locate within a horizon" event_queue_locate_horizon;
+    quick "event queue: taken payload is released" event_queue_releases_taken;
+    quick "event queue: take needs a fresh locate" event_queue_take_needs_locate;
+    quick "event queue: size skips the empty root" event_queue_size_skips_empty_root;
+    quick "event queue: sorted across doublings and reuse"
+      event_queue_sorted_across_doublings;
+    QCheck_alcotest.to_alcotest
+      (Lognic_check.Props.event_queue_matches_oracle ~count:500);
     quick "engine: causal order" engine_runs_in_order;
     quick "engine: horizon" engine_horizon;
     quick "engine: rejects past events" engine_rejects_past;
@@ -980,6 +1118,7 @@ let suite =
     quick "netsim: overload observability" netsim_overload_observability;
     quick "netsim: latency decomposition" netsim_latency_decomposition;
     quick "netsim: sampled series" netsim_sampling;
+    quick "netsim: execute_with on a reused engine" netsim_execute_with_reused_engine;
     quick "netsim: replicated runs" netsim_replicated;
     quick "netsim: replicated per-entity stats" netsim_replicated_entities;
     quick "netsim: rejects invalid graphs" netsim_rejects_invalid_graph;

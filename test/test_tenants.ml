@@ -277,6 +277,53 @@ let spec_grammar_errors () =
   expect_error "a:1:2:3:4:5" "at most";
   expect_error ":4" "NAME"
 
+(* ---- CLI smoke report ------------------------------------------------ *)
+
+(* The run `lognic tenants examples/graphs/echo_md5.lognic --duration
+   0.02 --tenant gold:8:4:0.001 --tenant silver:4:2 --tenant bronze:2`
+   makes (default seed and queue model), with its report JSON read back
+   through [Telemetry.Json]; test/cli.t runs the CLI itself. *)
+let cli_smoke_report () =
+  let doc =
+    match Lognic_dsl.Parser.parse_file "../examples/graphs/echo_md5.lognic" with
+    | Ok doc -> doc
+    | Error e -> Alcotest.failf "echo_md5.lognic: %s" e
+  in
+  let tenants =
+    T.set
+      [
+        T.spec ~weight:8 ~share:4. ~slo_p99:0.001 "gold";
+        T.spec ~weight:4 ~share:2. "silver";
+        T.spec ~weight:2 "bronze";
+      ]
+  in
+  let r =
+    S.Explain.run_tenants
+      ~config:S.Netsim.Config.(default |> with_horizon 0.02 |> with_seed 1)
+      ~queue_model:Lognic.Latency.Mm1n_model doc.Lognic_dsl.Parser.graph
+      ~hw:(Option.get doc.Lognic_dsl.Parser.hardware)
+      ~traffic:(Option.get doc.Lognic_dsl.Parser.traffic)
+      ~tenants
+  in
+  let j = json_reparse (S.Explain.tenants_to_json r) in
+  Alcotest.(check bool) "schema stamp" true
+    (json_get j [ "schema" ] = Json.Str "tenants"
+    && json_num j [ "schema_version" ] = 1.);
+  Alcotest.(check bool) "tenant rows bronze, gold, silver" true
+    (List.map (fun row -> json_get row [ "name" ]) (json_arr j [ "tenants" ])
+    = [ Json.Str "bronze"; Json.Str "gold"; Json.Str "silver" ]);
+  let sim = json_arr j [ "sim_detail"; "tenants" ] in
+  let sum k = List.fold_left (fun acc row -> acc +. json_num row [ k ]) 0. sim in
+  Alcotest.(check bool) "delivered packets" true (sum "delivered" > 0.);
+  let agg = json_num j [ "sim"; "throughput" ] in
+  if not (Float.abs (sum "throughput" -. agg) <= 1e-6 *. agg) then
+    Alcotest.failf "per-VF throughput %.9g does not close on %.9g"
+      (sum "throughput") agg;
+  let jain = json_num j [ "sim_detail"; "fairness"; "jain" ] in
+  Alcotest.(check bool) "0 <= jain <= 1" true (jain >= 0. && jain <= 1.);
+  Alcotest.(check bool) "maxmin_ratio <= 1" true
+    (json_num j [ "sim_detail"; "fairness"; "maxmin_ratio" ] <= 1.)
+
 let suite =
   [
     quick "tenant: spec validation" spec_validation;
@@ -290,4 +337,5 @@ let suite =
     quick "tenant: attribution sums to aggregate" attribution_sums_to_aggregate;
     quick "spec: tenant grammar parses" spec_grammar_parses;
     quick "spec: tenant grammar errors" spec_grammar_errors;
+    quick "tenants: CLI smoke report" cli_smoke_report;
   ]
