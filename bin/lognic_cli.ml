@@ -140,11 +140,20 @@ let parse_specs grammar specs =
 (* estimate *)
 
 let tail_arg =
-  let doc = "Also estimate latency percentiles (p50/p90/p99)." in
+  let doc =
+    "Also estimate latency percentiles (p50/p90/p99); needs --queue-model \
+     mm1n or mmcn."
+  in
   Arg.(value & flag & info [ "tail" ] ~doc)
 
 let estimate_cmd =
   let run graph_path rate packet queue_model tail =
+    let* () =
+      match queue_model with
+      | (Lognic.Latency.Mm1_model | Lognic.Latency.No_queueing) when tail ->
+        Error (`Msg "--tail needs --queue-model mm1n or mmcn")
+      | _ -> Ok ()
+    in
     let* doc = load_document graph_path in
     let* traffic = resolve_traffic doc rate packet in
     let report =

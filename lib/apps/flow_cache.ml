@@ -33,19 +33,18 @@ let stage_service ~cores ~cost_cycles ~queue_capacity ~packet_size ?overhead ()
       (L.microservice_core_rate ~cost_cycles ~cores *. packet_size)
     ~parallelism:cores ~queue_capacity ?overhead ()
 
-let graph ?(emc_hit = 0.5) ?(megaflow_hit = 0.5) config =
-  let in_unit x name =
-    if not (Float.is_finite x && x >= 0. && x <= 1.) then
-      invalid_arg (Printf.sprintf "Flow_cache.graph: %s outside [0, 1]" name)
-  in
-  in_unit emc_hit "emc_hit";
-  in_unit megaflow_hit "megaflow_hit";
+(* Initial hit ratios at both caches; [megaflow_hit] is conditional on
+   an EMC miss. *)
+let emc_hit = 0.5
+let megaflow_hit = 0.5
+
+let graph config =
   let size = config.packet_size in
   let port = G.service ~throughput:L.line_rate ~queue_capacity:1024 () in
   let g = G.empty in
   let g, rx = G.add_vertex ~kind:G.Ingress ~label:"rx" ~service:port g in
   let g, emc =
-    G.add_vertex ~kind:G.Ip ~label:"emc"
+    G.add_vertex ~kind:G.Ip ~label:Lognic.Flowcache.emc_label
       ~service:
         (stage_service ~cores:config.emc_cores
            ~cost_cycles:config.emc_cost_cycles ~queue_capacity:512
@@ -53,7 +52,7 @@ let graph ?(emc_hit = 0.5) ?(megaflow_hit = 0.5) config =
       g
   in
   let g, mega =
-    G.add_vertex ~kind:G.Ip ~label:"megaflow"
+    G.add_vertex ~kind:G.Ip ~label:Lognic.Flowcache.megaflow_label
       ~service:
         (stage_service ~cores:config.megaflow_cores
            ~cost_cycles:config.megaflow_cost_cycles ~queue_capacity:512

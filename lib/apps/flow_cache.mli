@@ -32,12 +32,11 @@ val default : config
 (** 512 B packets; 4/8/4 cores at 300/1500/20000 cycles; a 20 µs
     slow-path round trip. *)
 
-val graph : ?emc_hit:float -> ?megaflow_hit:float -> config -> Lognic.Graph.t
-(** Build the datapath with initial split fractions ([0.5] each by
-    default — the fixed point rewrites them, and the simulator's
-    per-packet routing ignores δ at cache vertices). [megaflow_hit] is
-    conditional on an EMC miss. Raises [Invalid_argument] outside
-    [0, 1]. *)
+val graph : config -> Lognic.Graph.t
+(** Build the datapath with initial split fractions of 0.5 at each cache
+    (the megaflow's conditional on an EMC miss) — the fixed point
+    rewrites them, and the simulator's per-packet routing ignores δ at
+    cache vertices. *)
 
 val hardware : Lognic.Params.hardware
 (** {!Lognic_devices.Liquidio.hardware}. *)

@@ -11,12 +11,9 @@ let line_traffic ~packet_size =
    per packet). *)
 let ops_of_bytes ~packet_size bytes_per_s = bytes_per_s /. packet_size
 
-let default_granularities =
-  [ 512.; 1024.; 2048.; 4096.; 8192.; 16384. ]
+let granularities = [ 512.; 1024.; 2048.; 4096.; 8192.; 16384. ]
 
-let fig5_granularity_sweep ?(duration = 0.05) ?seed ?jobs ?granularities ~spec
-    () =
-  let granularities = Option.value granularities ~default:default_granularities in
+let fig5_granularity_sweep ?(duration = 0.05) ?seed ?jobs ~spec () =
   let packet_size = 1024. in
   let traffic = line_traffic ~packet_size in
   (* Each point runs an independent fixed-seed simulation; fan the

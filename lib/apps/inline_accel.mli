@@ -20,14 +20,13 @@ val fig5_granularity_sweep :
   ?duration:float ->
   ?seed:int ->
   ?jobs:int ->
-  ?granularities:float list ->
   spec:Lognic_devices.Accel_spec.t ->
   unit ->
   point list
 (** Accelerator operation rate (ops/s) with 1 KB traffic at line rate as
-    the per-call data-access granularity grows from 512 B to 16 KB
-    (default sweep). The drop past a few KB is the medium-bandwidth
-    ceiling (CMI or I/O interconnect). *)
+    the per-call data-access granularity doubles from 512 B to 16 KB.
+    The drop past a few KB is the medium-bandwidth ceiling (CMI or I/O
+    interconnect). *)
 
 val fig9_parallelism_sweep :
   ?duration:float ->

@@ -88,8 +88,9 @@ let sustainable_rps ?hit_ratio config =
   let g = graph ?hit_ratio config in
   Lognic.Throughput.capacity g ~hw:Sw.hardware /. config.request_size
 
-let hit_ratio_sweep ?(duration = 0.02) ?(seed = 71) ?jobs ?ratios config =
-  let ratios = Option.value ratios ~default:[ 0.; 0.25; 0.5; 0.75; 0.9; 0.99 ] in
+let swept_hit_ratios = [ 0.; 0.25; 0.5; 0.75; 0.9; 0.99 ]
+
+let hit_ratio_sweep ?(duration = 0.02) ?(seed = 71) ?jobs config =
   Lognic_sim.Parallel.map ?jobs
     (fun (i, hit_ratio) ->
       let g = graph ~hit_ratio config in
@@ -123,7 +124,7 @@ let hit_ratio_sweep ?(duration = 0.02) ?(seed = 71) ?jobs ?ratios config =
         model_latency = latency;
         server_share = 1. -. hit_ratio;
       })
-    (List.mapi (fun i r -> (i, r)) ratios)
+    (List.mapi (fun i r -> (i, r)) swept_hit_ratios)
 
 let speedup_at ~hit_ratio config =
   sustainable_rps ~hit_ratio config /. sustainable_rps ~hit_ratio:0. config

@@ -36,10 +36,10 @@ val hit_ratio_sweep :
   ?duration:float ->
   ?seed:int ->
   ?jobs:int ->
-  ?ratios:float list ->
   config ->
   point list
-(** The NetCache headline sweep ({!Study} entry-point conventions:
+(** The NetCache headline sweep over hit ratios 0, 0.25, 0.5, 0.75, 0.9
+    and 0.99 ({!Study} entry-point conventions:
     [?duration] / [?seed] / [?jobs]; point [i] simulates with seed
     [seed + i]). *)
 

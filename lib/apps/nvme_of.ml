@@ -66,10 +66,9 @@ type mixed_point = {
   model_bandwidth : float;
 }
 
-let fig7_read_ratio_sweep ?(duration = 0.4) ?(seed = 31) ?jobs ?ratios () =
-  let ratios =
-    Option.value ratios ~default:[ 0.; 0.1; 0.25; 0.5; 0.75; 0.9; 1.0 ]
-  in
+let read_ratios = [ 0.; 0.1; 0.25; 0.5; 0.75; 0.9; 1.0 ]
+
+let fig7_read_ratio_sweep ?(duration = 0.4) ?(seed = 31) ?jobs () =
   Lognic_sim.Parallel.map ?jobs
     (fun (i, read_ratio) ->
       let io = D.Ssd.mixed_4k ~read_fraction:read_ratio in
@@ -93,7 +92,7 @@ let fig7_read_ratio_sweep ?(duration = 0.4) ?(seed = 31) ?jobs ?ratios () =
         measured_bandwidth = m.summary.Lognic_sim.Telemetry.throughput;
         model_bandwidth = report.throughput.Lognic.Throughput.attained;
       })
-    (List.mapi (fun i r -> (i, r)) ratios)
+    (List.mapi (fun i r -> (i, r)) read_ratios)
 
 let calibration_demo ?(duration = 0.2) ?(seed = 53) ~io () =
   let eff = D.Ssd.effective D.Ssd.default ~io ~gc:D.Ssd.Gc_realistic in

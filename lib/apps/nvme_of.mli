@@ -49,11 +49,10 @@ val fig7_read_ratio_sweep :
   ?duration:float ->
   ?seed:int ->
   ?jobs:int ->
-  ?ratios:float list ->
   unit ->
   mixed_point list
 (** 4 KB random mixed I/O on a fragmented (write-preconditioned) drive
-    as the read ratio sweeps 0..100 %. *)
+    as the read ratio sweeps 0, 10, 25, 50, 75, 90 and 100 %. *)
 
 val calibration_demo :
   ?duration:float ->

@@ -96,10 +96,9 @@ type point = {
   off_path_latency : float;
 }
 
-let sweep ?fractions config =
-  let fractions =
-    Option.value fractions ~default:[ 0.05; 0.1; 0.2; 0.4; 0.6; 0.8; 1.0 ]
-  in
+let fractions = [ 0.05; 0.1; 0.2; 0.4; 0.6; 0.8; 1.0 ]
+
+let sweep config =
   List.map
     (fun f ->
       let on = on_path_graph ~compute_fraction:f config in
@@ -121,16 +120,16 @@ let sweep ?fractions config =
       })
     fractions
 
-let crossover ?(tolerance = 0.05) config =
+let crossover config =
   (* the smallest compute fraction from which the bypass advantage stays
-     below [tolerance] for every larger fraction (at tiny fractions both
+     below 5% for every larger fraction (at tiny fractions both
      deployments sit at line rate, so scanning from the top avoids
      declaring a spurious early crossover) *)
   let points = List.rev (sweep config) in
   let rec scan best = function
     | [] -> best
     | p :: rest ->
-      if p.on_path_capacity >= (1. -. tolerance) *. p.off_path_capacity then
+      if p.on_path_capacity >= 0.95 *. p.off_path_capacity then
         scan (Some p.compute_fraction) rest
       else best
   in

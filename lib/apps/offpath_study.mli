@@ -42,10 +42,11 @@ type point = {
   off_path_latency : float;
 }
 
-val sweep : ?fractions:float list -> config -> point list
+val sweep : config -> point list
+(** Compute fractions 0.05, 0.1, 0.2, 0.4, 0.6, 0.8 and 1. *)
 
-val crossover : ?tolerance:float -> config -> float option
+val crossover : config -> float option
 (** The smallest swept compute fraction from which on-path's capacity
-    stays within [tolerance] (default 5%%) of off-path's for all larger
-    fractions — where the bypass advantage has evaporated for good.
-    [None] if off-path keeps a material advantage through f = 1. *)
+    stays within 5%% of off-path's for all larger fractions — where the
+    bypass advantage has evaporated for good. [None] if off-path keeps a
+    material advantage through f = 1. *)

@@ -21,37 +21,37 @@ type credit_point = {
   model_latency : float;
 }
 
-let default_offered = 85. *. U.gbps
+let credit_offered = 85. *. U.gbps
 
 (* Model goodput and latency for one credit setting. The mixed profile
    is folded into the units' effective rates (harmonic-mean packet
    size; see Panic.effective_unit_rate), so a single-class evaluation
    at the mix's mean size reproduces the per-unit utilization exactly —
    the μ-accommodation Extension #2 prescribes for mixed traffic. *)
-let model_point ~offered ~profile ~credits =
-  let mix = T.mix_of_sizes ~rate:offered ~sizes:profile.sizes in
+let model_point ~profile ~credits =
+  let mix = T.mix_of_sizes ~rate:credit_offered ~sizes:profile.sizes in
   let g = P.pipelined_graph ~credits ~sizes:profile.sizes () in
   let traffic =
-    T.make ~rate:offered ~packet_size:(T.mean_packet_size_by_packets mix)
+    T.make ~rate:credit_offered
+      ~packet_size:(T.mean_packet_size_by_packets mix)
   in
   let report = Lognic.Latency.evaluate g ~hw:P.hardware ~traffic in
   (report.Lognic.Latency.carried_rate, report.Lognic.Latency.mean)
 
-let fig15_credit_sweep ?(duration = 0.03) ?(seed = 11) ?jobs
-    ?(offered = default_offered) ~profile () =
+let fig15_credit_sweep ?(duration = 0.03) ?(seed = 11) ?jobs ~profile () =
   (* One independent fixed-seed simulation per credit setting; fan the
      sweep over the domain pool (order and results unchanged). *)
   Lognic_sim.Parallel.map ?jobs
     (fun i ->
       let credits = i + 1 in
-      let mix = T.mix_of_sizes ~rate:offered ~sizes:profile.sizes in
+      let mix = T.mix_of_sizes ~rate:credit_offered ~sizes:profile.sizes in
       let g = P.pipelined_graph ~credits ~sizes:profile.sizes () in
       let m =
         Lognic_sim.Netsim.run
           ~config:(Study.sim_config ~seed:(seed + credits) duration)
           g ~hw:P.hardware ~mix
       in
-      let model_bandwidth, model_latency = model_point ~offered ~profile ~credits in
+      let model_bandwidth, model_latency = model_point ~profile ~credits in
       {
         credits;
         measured_bandwidth = m.summary.Lognic_sim.Telemetry.throughput;
@@ -60,12 +60,12 @@ let fig15_credit_sweep ?(duration = 0.03) ?(seed = 11) ?jobs
       })
     (List.init 8 Fun.id)
 
-let suggest_credits ?(offered = default_offered) ~profile () =
+let suggest_credits ~profile () =
   (* Fewest credits whose goodput stays within 7% of the 8-credit
      default's. The unit operates near saturation in this scenario, so
      M/M/1/N blocking decays slowly in N and a plateau slack tighter
      than a few percent would never admit a smaller queue. *)
-  let goodput credits = fst (model_point ~offered ~profile ~credits) in
+  let goodput credits = fst (model_point ~profile ~credits) in
   let reference = goodput 8 in
   let rec scan credits =
     if credits >= 8 then 8
@@ -74,10 +74,10 @@ let suggest_credits ?(offered = default_offered) ~profile () =
   in
   scan 1
 
-let latency_drop_vs_default ?(offered = default_offered) ~profile () =
-  let suggested = suggest_credits ~offered ~profile () in
-  let _, lat_suggested = model_point ~offered ~profile ~credits:suggested in
-  let _, lat_default = model_point ~offered ~profile ~credits:8 in
+let latency_drop_vs_default ~profile () =
+  let suggested = suggest_credits ~profile () in
+  let _, lat_suggested = model_point ~profile ~credits:suggested in
+  let _, lat_default = model_point ~profile ~credits:8 in
   if lat_default <= 0. then 0. else 1. -. (lat_suggested /. lat_default)
 
 type steering_point = {
@@ -107,7 +107,8 @@ let optimal_split ~packet_size ~offered =
   in
   x
 
-let fig16_17_steering ?(offered = steering_offered) ~packet_size () =
+let fig16_17_steering ~packet_size () =
+  let offered = steering_offered in
   let static =
     List.map
       (fun x ->
@@ -127,16 +128,15 @@ let fig16_17_steering ?(offered = steering_offered) ~packet_size () =
 
 type parallelism_point = { degree : int; p_latency : float; p_throughput : float }
 
-let parallelism_offered = 95. *. U.gbps
-let mtu_traffic offered = T.make ~rate:offered ~packet_size:U.mtu
+let mtu_traffic = T.make ~rate:(95. *. U.gbps) ~packet_size:U.mtu
 
-let fig18_19_parallelism ?(offered = parallelism_offered) ?jobs ~split () =
+let fig18_19_parallelism ?jobs ~split () =
   Lognic_sim.Parallel.map ?jobs
     (fun i ->
       let degree = i + 1 in
       let g = P.hybrid_graph ~ip4_parallelism:degree ~ip1_split:split ~packet_size:U.mtu () in
       let report =
-        Lognic.Estimate.run g ~hw:P.hardware ~traffic:(mtu_traffic offered)
+        Lognic.Estimate.run g ~hw:P.hardware ~traffic:mtu_traffic
       in
       {
         degree;
@@ -148,15 +148,11 @@ let fig18_19_parallelism ?(offered = parallelism_offered) ?jobs ~split () =
       })
     (List.init 8 Fun.id)
 
-let suggest_parallelism ?(offered = parallelism_offered) ~split () =
-  let points = fig18_19_parallelism ~offered ~split () in
+let suggest_parallelism ~split () =
+  let points = fig18_19_parallelism ~split () in
   let best_tp =
     List.fold_left (fun acc p -> Float.max acc p.p_throughput) 0. points
   in
-  let best_lat =
-    List.fold_left (fun acc p -> Float.min acc p.p_latency) infinity points
-  in
-  ignore best_lat;
   (* The goal is performance maximization (§4.6): the fewest engines
      within 1% of the achievable throughput. *)
   let ok p = p.p_throughput >= 0.99 *. best_tp in

@@ -27,20 +27,19 @@ val fig15_credit_sweep :
   ?duration:float ->
   ?seed:int ->
   ?jobs:int ->
-  ?offered:float ->
   profile:traffic_profile ->
   unit ->
   credit_point list
-(** Goodput as the per-unit credit count sweeps 1..8, offered
-    90 Gbps by default ({!Study} entry-point conventions; the point
-    with [credits] simulates with seed [seed + credits]). *)
+(** Goodput as the per-unit credit count sweeps 1..8, offered 85 Gbps
+    ({!Study} entry-point conventions; the point with [credits]
+    simulates with seed [seed + credits]). *)
 
-val suggest_credits : ?offered:float -> profile:traffic_profile -> unit -> int
-(** The LogNIC suggestion: the fewest credits whose model goodput is
-    within 1%% of the 8-credit goodput (5/4/4/4 in the paper). *)
+val suggest_credits : profile:traffic_profile -> unit -> int
+(** The LogNIC suggestion at 85 Gbps: the fewest credits whose model
+    goodput is within 7%% of the 8-credit goodput (5/4/4/4 in the
+    paper). *)
 
-val latency_drop_vs_default :
-  ?offered:float -> profile:traffic_profile -> unit -> float
+val latency_drop_vs_default : profile:traffic_profile -> unit -> float
 (** Relative model-latency reduction of the suggested credits against
     the 8-credit default (the "21.8%% latency drop" §4.6 reports for
     profile 1). *)
@@ -61,10 +60,10 @@ val optimal_split : packet_size:float -> offered:float -> float
 (** LogNIC-suggested X (golden-section search on the model's mean
     latency over X ∈ (0, 80)). *)
 
-val fig16_17_steering :
-  ?offered:float -> packet_size:float -> unit -> steering_point list
+val fig16_17_steering : packet_size:float -> unit -> steering_point list
 (** Latency and throughput of the four static splits plus the LogNIC
-    one, at the given packet size (64 B / 512 B / MTU in the paper). *)
+    one, offered 80 Gbps at the given packet size (64 B / 512 B / MTU in
+    the paper). *)
 
 (** {1 Scenario 3 — configuring hardware parallelism (Figs 18, 19)} *)
 
@@ -75,14 +74,11 @@ type parallelism_point = {
 }
 
 val fig18_19_parallelism :
-  ?offered:float ->
-  ?jobs:int ->
-  split:float * float ->
-  unit ->
-  parallelism_point list
-(** Latency/throughput as IP4's parallel degree sweeps 1..8, for an
-    IP1→IP3 / IP1→IP4 split of 50/50 or 80/20. *)
+  ?jobs:int -> split:float * float -> unit -> parallelism_point list
+(** Latency/throughput of MTU traffic offered at 95 Gbps as IP4's
+    parallel degree sweeps 1..8, for an IP1→IP3 / IP1→IP4 split of
+    50/50 or 80/20. *)
 
-val suggest_parallelism : ?offered:float -> split:float * float -> unit -> int
+val suggest_parallelism : split:float * float -> unit -> int
 (** The optimizer's degree: fewest engines within 1%% of the best
-    throughput and 5%% of the best latency (6 and 4 in the paper). *)
+    throughput (6 and 4 in the paper). *)

@@ -5,9 +5,3 @@ let sim_config ?seed ?(warmup_fraction = 0.1) duration =
 
 let header ppf title columns =
   Fmt.pf ppf "== %s ==@.%s@." title (String.concat "  " columns)
-
-let model_vs_measured ppf ~x ~model ~measured =
-  let gap =
-    if measured = 0. then 0. else 100. *. (measured -. model) /. measured
-  in
-  Fmt.pf ppf "%-12s  %12.4g  %12.4g  %6.1f%%@." x model measured gap

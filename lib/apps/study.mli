@@ -19,8 +19,3 @@ val sim_config :
 val header : Format.formatter -> string -> string list -> unit
 (** [header ppf title columns] prints the standard study table header:
     a [== title ==] banner followed by the column names. *)
-
-val model_vs_measured :
-  Format.formatter -> x:string -> model:float -> measured:float -> unit
-(** One standard result row: the swept point's label, the analytic
-    value, the simulated value, and their relative gap in percent. *)

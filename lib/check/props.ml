@@ -797,8 +797,8 @@ let flowcache_collapse_static ~count =
           | None -> QCheck.Test.fail_reportf "scenario lost vertex %S" label
         in
         let h = r.FC.emc_hit_ratio and hm = r.FC.megaflow_hit_ratio in
-        let g = G.scale_out_split g (v spec.FC.emc_label) [ h; 1. -. h ] in
-        G.scale_out_split g (v spec.FC.megaflow_label) [ hm; 1. -. hm ]
+        let g = G.scale_out_split g (v FC.emc_label) [ h; 1. -. h ] in
+        G.scale_out_split g (v FC.megaflow_label) [ hm; 1. -. hm ]
       in
       let s = Lognic.Estimate.run static ~hw ~traffic in
       fail_bits ~what:"attained throughput"

@@ -99,9 +99,8 @@ type interval_report = {
   slo_ok : bool;
 }
 
-type slo = { min_throughput_fraction : float; max_latency_factor : float }
-
-let default_slo = { min_throughput_fraction = 0.9; max_latency_factor = 2. }
+let slo_throughput_fraction = 0.9
+let slo_latency_factor = 2.
 
 type report = {
   intervals : interval_report list;
@@ -111,11 +110,9 @@ type report = {
   degraded_latency : float;
   availability : float;
   worst : interval_report option;
-  slo : slo;
 }
 
-let evaluate ?queue_model ?(slo = default_slo) g ~hw ~(traffic : Traffic.t)
-    ~intervals =
+let evaluate ?queue_model g ~hw ~(traffic : Traffic.t) ~intervals =
   if intervals = [] then invalid_arg "Degraded.evaluate: no intervals";
   List.iter
     (fun (a, b, _) ->
@@ -128,9 +125,9 @@ let evaluate ?queue_model ?(slo = default_slo) g ~hw ~(traffic : Traffic.t)
     (Latency.evaluate ?model:queue_model g ~hw ~traffic).Latency.mean
   in
   let meets_slo ~carried ~latency =
-    carried >= slo.min_throughput_fraction *. nominal_throughput
+    carried >= slo_throughput_fraction *. nominal_throughput
     && ((not (Float.is_finite nominal_latency))
-       || latency <= slo.max_latency_factor *. nominal_latency)
+       || latency <= slo_latency_factor *. nominal_latency)
   in
   let rows =
     List.map
@@ -217,7 +214,6 @@ let evaluate ?queue_model ?(slo = default_slo) g ~hw ~(traffic : Traffic.t)
     degraded_latency;
     availability;
     worst;
-    slo;
   }
 
 let pp g ppf r =

@@ -70,18 +70,13 @@ type interval_report = {
       (** T′_attainable under the modifier ([infinity] when fully
           failed) *)
   bottleneck : Throughput.bound;
-  slo_ok : bool;  (** interval meets the SLO (see {!type:slo}) *)
+  slo_ok : bool;
+      (** interval meets the SLO (see {!slo_throughput_fraction}) *)
 }
 
-type slo = {
-  min_throughput_fraction : float;
-      (** an interval violates when carried < fraction · nominal carried
-          (default 0.9) *)
-  max_latency_factor : float;
-      (** … or when latency > factor · nominal latency (default 2) *)
-}
-
-val default_slo : slo
+val slo_throughput_fraction : float
+(** 0.9: an interval violates the SLO when carried < 0.9 · nominal
+    carried, or when its latency exceeds twice the nominal latency. *)
 
 type report = {
   intervals : interval_report list;  (** chronological, tiling [0, horizon] *)
@@ -96,12 +91,10 @@ type report = {
       (** fraction of the horizon spent in SLO-meeting intervals *)
   worst : interval_report option;
       (** the degraded interval with the lowest carried rate *)
-  slo : slo;
 }
 
 val evaluate :
   ?queue_model:Latency.queue_model ->
-  ?slo:slo ->
   Graph.t ->
   hw:Params.hardware ->
   traffic:Traffic.t ->

@@ -506,22 +506,19 @@ type fixed_point_result = {
   fp_converged : bool;
 }
 
-let fixed_point ?damping ?(tol = 1e-9) ?(max_iter = 200) ~update x0 =
-  (match damping with
-  | Some d when (not (Float.is_finite d)) || d <= 0. || d > 1. ->
-    invalid_arg "Extensions.fixed_point: damping must be in (0, 1]"
-  | _ -> ());
-  if not (Float.is_finite tol && tol > 0.) then
-    invalid_arg "Extensions.fixed_point: tol must be > 0";
-  if max_iter < 1 then
-    invalid_arg "Extensions.fixed_point: max_iter must be >= 1";
+(* Convergence tolerance on the sup-norm residual, and the iteration cap. *)
+let fixed_point_tol = 1e-9
+let fixed_point_max_iter = 200
+
+let fixed_point ~update x0 =
   let n = Array.length x0 in
   let x = Array.copy x0 in
   (* [d] is the damping of the next step and [prev] the last residual:
-     unless [damping] pins d, it starts undamped and halves whenever the
-     residual fails to shrink. *)
+     d starts undamped and halves whenever the residual fails to
+     shrink. *)
   let rec go i d prev =
-    if i >= max_iter then { value = x; iterations = i; fp_converged = false }
+    if i >= fixed_point_max_iter then
+      { value = x; iterations = i; fp_converged = false }
     else begin
       (* hand [update] its own copy so a mutating callee cannot corrupt
          the iterate mid-step *)
@@ -534,12 +531,10 @@ let fixed_point ?damping ?(tol = 1e-9) ?(max_iter = 200) ~update x0 =
           invalid_arg "Extensions.fixed_point: update produced a non-finite value";
         residual := Float.max !residual (Float.abs (fx.(k) -. x.(k)))
       done;
-      if !residual <= tol then
+      if !residual <= fixed_point_tol then
         { value = x; iterations = i + 1; fp_converged = true }
       else begin
-        let d =
-          if Option.is_none damping && !residual >= prev then d /. 2. else d
-        in
+        let d = if !residual >= prev then d /. 2. else d in
         for k = 0 to n - 1 do
           x.(k) <- ((1. -. d) *. x.(k)) +. (d *. fx.(k))
         done;
@@ -547,4 +542,4 @@ let fixed_point ?damping ?(tol = 1e-9) ?(max_iter = 200) ~update x0 =
       end
     end
   in
-  go 0 (Option.value damping ~default:1.) infinity
+  go 0 1. infinity

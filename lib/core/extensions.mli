@@ -136,34 +136,27 @@ type fixed_point_result = {
   value : float array;  (** the final (possibly unconverged) iterate *)
   iterations : int;  (** calls to [update] *)
   fp_converged : bool;
-      (** the sup-norm residual of [value] fell to [tol] within
-          [max_iter] iterations *)
+      (** the sup-norm residual of [value] fell to 1e-9 within 200
+          iterations *)
 }
 
 val fixed_point :
-  ?damping:float ->
-  ?tol:float ->
-  ?max_iter:int ->
-  update:(float array -> float array) ->
-  float array ->
-  fixed_point_result
+  update:(float array -> float array) -> float array -> fixed_point_result
 (** [fixed_point ~update x0] iterates the damped map
     x ← (1 − d)·x + d·update(x) from [x0] until the sup-norm residual
-    ‖update(x) − x‖∞ is ≤ [tol] (default 1e-9), and returns that x,
-    or until [max_iter] (default 200) iterations elapse. The test reads
-    the undamped residual, so a small d cannot fake convergence.
+    ‖update(x) − x‖∞ is ≤ 1e-9, and returns that x, or until 200
+    iterations elapse. The test reads the undamped residual, so a small
+    d cannot fake convergence.
 
-    By default d starts at 1 (plain iteration, which lands on a
-    constant map's value bit for bit) and halves whenever the residual
-    fails to shrink, so an oscillating map (a cache whose hit ratio
-    rises when its arrival rate falls, and vice versa) is pulled back
-    toward its fixed point; a contraction keeps its fixed points under
-    any d. An explicit [damping] d ∈ (0, 1] fixes d instead. The
+    d starts at 1 (plain iteration, which lands on a constant map's
+    value bit for bit) and halves whenever the residual fails to
+    shrink, so an oscillating map (a cache whose hit ratio rises when
+    its arrival rate falls, and vice versa) is pulled back toward its
+    fixed point; a contraction keeps its fixed points under any d. The
     state-dependent traffic-split solver ({!Flowcache.evaluate})
     iterates split fractions → per-stage rates → steady-state hit
-    ratios through this. Raises [Invalid_argument] on out-of-domain
-    parameters, a dimension change, or a non-finite update
-    component. *)
+    ratios through this. Raises [Invalid_argument] on a dimension
+    change or a non-finite update component. *)
 
 val insert_rate_limiter :
   Graph.t ->

@@ -4,12 +4,13 @@ type spec = {
   emc_entries : int;
   megaflow_entries : int;
   ttl : float option;
-  emc_label : string;
-  megaflow_label : string;
 }
 
-let spec ?ttl ?(emc_label = "emc") ?(megaflow_label = "megaflow") ?(zipf = 1.0)
-    ?(emc_entries = 8192) ?(megaflow_entries = 65536) ~flows () =
+let emc_label = "emc"
+let megaflow_label = "megaflow"
+
+let spec ?ttl ?(zipf = 1.0) ?(emc_entries = 8192) ?(megaflow_entries = 65536)
+    ~flows () =
   if flows < 1 then invalid_arg "Flowcache.spec: flows must be >= 1";
   if not (Float.is_finite zipf && zipf >= 0.) then
     invalid_arg "Flowcache.spec: zipf must be finite and >= 0";
@@ -21,7 +22,7 @@ let spec ?ttl ?(emc_label = "emc") ?(megaflow_label = "megaflow") ?(zipf = 1.0)
   | Some t when not (Float.is_finite t && t > 0.) ->
     invalid_arg "Flowcache.spec: ttl must be finite and > 0"
   | _ -> ());
-  { flows; zipf; emc_entries; megaflow_entries; ttl; emc_label; megaflow_label }
+  { flows; zipf; emc_entries; megaflow_entries; ttl }
 
 let zipf_weights ~flows ~s =
   if flows < 1 then invalid_arg "Flowcache.zipf_weights: flows must be >= 1";
@@ -136,8 +137,8 @@ let stage_packet_rate (lat : Latency.result) ~packet_rate vid =
   packet_rate *. reach
 
 let evaluate ?queue_model ?init sp g ~hw ~traffic =
-  let emc_v, _, _ = cache_vertex g sp.emc_label in
-  let mega_v, _, mega_miss_dst = cache_vertex g sp.megaflow_label in
+  let emc_v, _, _ = cache_vertex g emc_label in
+  let mega_v, _, mega_miss_dst = cache_vertex g megaflow_label in
   let p = zipf_weights ~flows:sp.flows ~s:sp.zipf in
   let packet_rate = Traffic.packet_rate traffic in
   let apply g x =

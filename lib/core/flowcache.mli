@@ -31,15 +31,17 @@ type spec = {
   ttl : float option;
       (** optional idle timeout θ in seconds; entries idle longer than
           θ count as misses. [None] models pure LRU. *)
-  emc_label : string;  (** label of the EMC vertex (default "emc") *)
-  megaflow_label : string;
-      (** label of the megaflow vertex (default "megaflow") *)
 }
+
+val emc_label : string
+(** ["emc"]: the label of the EMC vertex, on both the model and the
+    simulator side. *)
+
+val megaflow_label : string
+(** ["megaflow"]: the label of the megaflow vertex. *)
 
 val spec :
   ?ttl:float ->
-  ?emc_label:string ->
-  ?megaflow_label:string ->
   ?zipf:float ->
   ?emc_entries:int ->
   ?megaflow_entries:int ->
@@ -97,8 +99,8 @@ val evaluate :
   traffic:Traffic.t ->
   result
 (** Fixed-point evaluation of the feedback splits. The graph must
-    contain a vertex labelled [spec.emc_label] and one labelled
-    [spec.megaflow_label], each with exactly two out-edges; by
+    contain a vertex labelled {!emc_label} and one labelled
+    {!megaflow_label}, each with exactly two out-edges; by
     convention the {e first} out-edge (in {!Graph.out_edges} insertion
     order) is the hit route and the second the miss route. Each
     iteration rewrites both splits with {!Graph.scale_out_split},

@@ -233,9 +233,9 @@ let memo_key assignment =
     (List.sort cmp assignment);
   Buffer.contents b
 
-let optimize ?(rng = N.Rng.create ~seed:42) ?queue_model ?jobs ?observer g ~hw
-    ~traffic ~knobs objective =
+let optimize ?queue_model ?jobs ?observer g ~hw ~traffic ~knobs objective =
   validate_knobs g knobs;
+  let rng = N.Rng.create ~seed:42 in
   let slices, dim = continuous_layout knobs g in
   let axes = discrete_axes knobs in
   (* The memo is shared by every candidate of this search (including
@@ -388,15 +388,14 @@ let optimize ?(rng = N.Rng.create ~seed:42) ?queue_model ?jobs ?observer g ~hw
         };
     }
 
-let pareto ?rng ?queue_model ?jobs ?observer ?(points = 8) g ~hw ~traffic
-    ~knobs =
+let pareto ?queue_model ?jobs ?observer ?(points = 8) g ~hw ~traffic ~knobs =
   (* anchor the bound range at the two single-objective extremes *)
   let fastest =
-    optimize ?rng ?queue_model ?jobs ?observer g ~hw ~traffic ~knobs
+    optimize ?queue_model ?jobs ?observer g ~hw ~traffic ~knobs
       Minimize_latency
   in
   let widest =
-    optimize ?rng ?queue_model ?jobs ?observer g ~hw ~traffic ~knobs
+    optimize ?queue_model ?jobs ?observer g ~hw ~traffic ~knobs
       Maximize_throughput
   in
   let lo = fastest.report.latency.Latency.mean in
@@ -412,7 +411,7 @@ let pareto ?rng ?queue_model ?jobs ?observer ?(points = 8) g ~hw ~traffic
   List.filter_map
     (fun bound ->
       let s =
-        optimize ?rng ?queue_model ?jobs ?observer g ~hw ~traffic ~knobs
+        optimize ?queue_model ?jobs ?observer g ~hw ~traffic ~knobs
           (Maximize_throughput_max_latency bound)
       in
       if s.feasible then Some (bound, s) else None)

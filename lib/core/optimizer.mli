@@ -79,7 +79,6 @@ val apply_traffic : Traffic.t -> assignment list -> Traffic.t
 (** Traffic-side effects ([Set_ingress_rate]). *)
 
 val optimize :
-  ?rng:Lognic_numerics.Rng.t ->
   ?queue_model:Latency.queue_model ->
   ?jobs:int ->
   ?observer:(observation -> unit) ->
@@ -90,8 +89,8 @@ val optimize :
   objective ->
   solution
 (** Raises [Invalid_argument] on an empty knob list, an empty candidate
-    array, or knobs referring to unknown vertices. The [rng] (default
-    seed 42) only affects the continuous multi-start. [jobs] (default:
+    array, or knobs referring to unknown vertices. The continuous
+    multi-start draws from a fresh seed-42 rng per call. [jobs] (default:
     {!Lognic_numerics.Parallel.default_jobs}) evaluates the exhaustive
     discrete grid that many domains wide; the result is identical at
     every job count (grid points are independent, folded in enumeration
@@ -106,7 +105,6 @@ val optimize :
     observer never influences the search result. *)
 
 val pareto :
-  ?rng:Lognic_numerics.Rng.t ->
   ?queue_model:Latency.queue_model ->
   ?jobs:int ->
   ?observer:(observation -> unit) ->

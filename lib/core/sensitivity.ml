@@ -32,18 +32,21 @@ let outputs ?queue_model g ~hw ~traffic =
   in
   (carried, report.latency.Latency.mean)
 
-let elasticity_of ?step:(h = 0.02) ?queue_model g ~hw ~traffic parameter =
+(* Relative step of the central differences. *)
+let step = 0.02
+
+let elasticity_of ?queue_model g ~hw ~traffic parameter =
   let eval factor =
     let g, hw, traffic = scaled_inputs parameter factor g hw traffic in
     outputs ?queue_model g ~hw ~traffic
   in
-  let up_t, up_l = eval (1. +. h) in
-  let down_t, down_l = eval (1. -. h) in
+  let up_t, up_l = eval (1. +. step) in
+  let down_t, down_l = eval (1. -. step) in
   (* central difference of ln(output) w.r.t. ln(parameter) *)
   let log_slope up down =
     if up <= 0. || down <= 0. || not (Float.is_finite up && Float.is_finite down)
     then 0.
-    else (log up -. log down) /. (log (1. +. h) -. log (1. -. h))
+    else (log up -. log down) /. (log (1. +. step) -. log (1. -. step))
   in
   {
     parameter;
@@ -51,7 +54,7 @@ let elasticity_of ?step:(h = 0.02) ?queue_model g ~hw ~traffic parameter =
     latency_elasticity = log_slope up_l down_l;
   }
 
-let analyze ?step ?queue_model ?jobs g ~hw ~traffic =
+let analyze ?queue_model ?jobs g ~hw ~traffic =
   (match Graph.validate g with
   | Ok () -> ()
   | Error errors ->
@@ -66,7 +69,7 @@ let analyze ?step ?queue_model ?jobs g ~hw ~traffic =
      out over the domain pool (order-preserving, so the report rows
      stay stable). *)
   Lognic_numerics.Parallel.map ?jobs
-    (elasticity_of ?step ?queue_model g ~hw ~traffic)
+    (elasticity_of ?queue_model g ~hw ~traffic)
     (vertex_params @ [ Bw_interface; Bw_memory; Offered_rate ])
 
 let most_binding elasticities =

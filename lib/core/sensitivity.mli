@@ -28,7 +28,6 @@ type elasticity = {
 }
 
 val analyze :
-  ?step:float ->
   ?queue_model:Latency.queue_model ->
   ?jobs:int ->
   Graph.t ->
@@ -36,8 +35,8 @@ val analyze :
   traffic:Traffic.t ->
   elasticity list
 (** Elasticities for every finite-throughput vertex plus the two shared
-    media and the offered load, via central differences with relative
-    [step] (default 2%%). Uses the blocking-discounted carried rate as
+    media and the offered load, via central differences with a relative
+    step of 2%%. Uses the blocking-discounted carried rate as
     the throughput output. [jobs] (default the global setting) computes
     per-parameter differences in parallel; the row order is unchanged. *)
 

@@ -15,7 +15,8 @@ let hardware =
 let submission_cost = 6600. /. core_frequency
 let completion_cost = 4500. /. core_frequency
 
-let nvme_of_graph ?(ssd = Ssd.default) ?(gc = Ssd.Gc_none) ~(io : Ssd.io) () =
+let nvme_of_graph ?(gc = Ssd.Gc_none) ~(io : Ssd.io) () =
+  let ssd = Ssd.default in
   let eff = Ssd.effective ssd ~io ~gc in
   let io_size = io.Ssd.io_size in
   let port_service = G.service ~throughput:line_rate ~queue_capacity:256 () in

@@ -29,11 +29,10 @@ val submission_cost : float
 val completion_cost : float
 (** Core seconds per I/O on the completion path. *)
 
-val nvme_of_graph :
-  ?ssd:Ssd.t -> ?gc:Ssd.gc_mode -> io:Ssd.io -> unit -> Lognic.Graph.t
+val nvme_of_graph : ?gc:Ssd.gc_mode -> io:Ssd.io -> unit -> Lognic.Graph.t
 (** Figure 2(c)'s graph for the given I/O profile: ingress → IP1
-    (submission cores) → IP2 (SSD) → IP3 (completion cores) → egress.
-    Edges 1/4 cross the SoC interconnect (α); edges 2/3 cross the
+    (submission cores) → IP2 ({!Ssd.default}) → IP3 (completion cores)
+    → egress. Edges 1/4 cross the SoC interconnect (α); edges 2/3 cross the
     interconnect and DRAM (α and β); the core↔SSD hop also rides the
     SSD's internal bus, modeled as a dedicated-bandwidth edge. The
     "packet" granularity of this graph is the I/O size. *)

@@ -25,14 +25,17 @@ let penalized problem ~weight x =
 
 let is_feasible problem x = violation problem x <= 1e-6
 
-let minimize ?(rounds = 4) ?options problem x0 =
+let rounds = 4
+let starts = 8
+
+let minimize problem x0 =
   let x0 = Vec.clamp ~lo:problem.lower ~hi:problem.upper x0 in
   let rec escalate round x =
     if round >= rounds then x
     else
       let weight = 1e3 *. (100. ** float_of_int round) in
       let result =
-        Nelder_mead.minimize ?options ~f:(penalized problem ~weight) ~x0:x ()
+        Nelder_mead.minimize ~f:(penalized problem ~weight) ~x0:x ()
       in
       escalate (round + 1) result.x
   in
@@ -40,7 +43,7 @@ let minimize ?(rounds = 4) ?options problem x0 =
   let x = Vec.clamp ~lo:problem.lower ~hi:problem.upper x in
   { x; f = problem.objective x; feasible = is_feasible problem x }
 
-let multi_start ?(starts = 8) ?rounds ?options ~rng problem =
+let multi_start ~rng problem =
   let n = Array.length problem.lower in
   let random_point () =
     Array.init n (fun i ->
@@ -51,7 +54,7 @@ let multi_start ?(starts = 8) ?rounds ?options ~rng problem =
     Array.init n (fun i -> (problem.lower.(i) +. problem.upper.(i)) /. 2.)
   in
   let seeds = centre :: List.init starts (fun _ -> random_point ()) in
-  let candidates = List.map (minimize ?rounds ?options problem) seeds in
+  let candidates = List.map (minimize problem) seeds in
   let better a b =
     match (a.feasible, b.feasible) with
     | true, false -> a

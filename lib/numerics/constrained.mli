@@ -21,14 +21,12 @@ type solution = {
   feasible : bool;  (** all inequalities within [1e-6] and inside the box *)
 }
 
-val minimize : ?rounds:int -> ?options:Nelder_mead.options -> problem -> Vec.t -> solution
-(** [minimize problem x0] runs [rounds] (default 4) penalty escalations,
+val minimize : problem -> Vec.t -> solution
+(** [minimize problem x0] runs 4 penalty escalations,
     each warm-started from the previous solution. [x0] is clamped into
     the box first. *)
 
-val multi_start :
-  ?starts:int -> ?rounds:int -> ?options:Nelder_mead.options ->
-  rng:Rng.t -> problem -> solution
-(** [multi_start ~rng problem] seeds [starts] (default 8) random points in
+val multi_start : rng:Rng.t -> problem -> solution
+(** [multi_start ~rng problem] seeds 8 random points in
     the box plus the box centre, and returns the best feasible solution
     found (or the least-infeasible one when none is feasible). *)

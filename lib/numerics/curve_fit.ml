@@ -8,26 +8,26 @@ let sum_sq_residuals model data p =
       else infinity)
     0. data
 
-let fit ?options ~model ~data ~p0 () =
+(* Each simplex run's budget: more than the optimizer's default, because
+   a fit's parameters span orders of magnitude. *)
+let max_iter = 5000
+
+let fit ~model ~data ~p0 () =
   if Array.length data = 0 then invalid_arg "Curve_fit.fit: no data";
   let objective = sum_sq_residuals model data in
   (* Parameters of physical models often span many orders of magnitude,
      which makes a single simplex run collapse early; restarting from
      the incumbent re-expands the simplex and recovers. *)
-  let options =
-    Option.value options
-      ~default:{ Nelder_mead.default_options with max_iter = 5000 }
-  in
   let result =
     let rec restart n best =
       if n = 0 then best
       else
         let next =
-          Nelder_mead.minimize ~options ~f:objective ~x0:best.Nelder_mead.x ()
+          Nelder_mead.minimize ~max_iter ~f:objective ~x0:best.Nelder_mead.x ()
         in
         restart (n - 1) (if next.Nelder_mead.f < best.Nelder_mead.f then next else best)
     in
-    restart 3 (Nelder_mead.minimize ~options ~f:objective ~x0:p0 ())
+    restart 3 (Nelder_mead.minimize ~max_iter ~f:objective ~x0:p0 ())
   in
   let ys = Array.map snd data in
   let y_mean = Stats.mean ys in

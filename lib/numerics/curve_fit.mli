@@ -13,7 +13,6 @@ type fit = {
 }
 
 val fit :
-  ?options:Nelder_mead.options ->
   model:(Vec.t -> float -> float) ->
   data:(float * float) array ->
   p0:Vec.t ->

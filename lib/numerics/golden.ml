@@ -1,6 +1,8 @@
 let inv_phi = (sqrt 5. -. 1.) /. 2.
 
-let minimize ?(tol = 1e-8) ?(max_iter = 200) ~f ~lo ~hi () =
+let max_iter = 200
+
+let minimize ?(tol = 1e-8) ~f ~lo ~hi () =
   if not (lo < hi) then invalid_arg "Golden.minimize: requires lo < hi";
   let rec loop a b c d fc fd iter =
     if b -. a <= tol || iter >= max_iter then

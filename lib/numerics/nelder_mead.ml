@@ -1,13 +1,3 @@
-type options = {
-  max_iter : int;
-  f_tol : float;
-  x_tol : float;
-  initial_step : float;
-}
-
-let default_options =
-  { max_iter = 2000; f_tol = 1e-9; x_tol = 1e-9; initial_step = 0.05 }
-
 type result = { x : Vec.t; f : float; iterations : int; converged : bool }
 
 (* Standard coefficients: reflection 1, expansion 2, contraction 1/2,
@@ -17,23 +7,30 @@ let gamma = 2.0
 let rho = 0.5
 let sigma = 0.5
 
-let initial_simplex ~step x0 =
+(* Relative convergence tolerances and the simplex seed's relative step. *)
+let f_tol = 1e-9
+let x_tol = 1e-9
+let initial_step = 0.05
+
+let initial_simplex x0 =
   let n = Array.length x0 in
   let vertex i =
     if i = 0 then Array.copy x0
     else
       let v = Array.copy x0 in
       let j = i - 1 in
-      let delta = if v.(j) = 0. then step else step *. abs_float v.(j) in
+      let delta =
+        if v.(j) = 0. then initial_step else initial_step *. abs_float v.(j)
+      in
       v.(j) <- v.(j) +. delta;
       v
   in
   Array.init (n + 1) vertex
 
-let minimize ?(options = default_options) ~f ~x0 () =
+let minimize ?(max_iter = 2000) ~f ~x0 () =
   let n = Array.length x0 in
   if n = 0 then invalid_arg "Nelder_mead.minimize: empty x0";
-  let pts = initial_simplex ~step:options.initial_step x0 in
+  let pts = initial_simplex x0 in
   let vals = Array.map f pts in
   if not (Float.is_finite vals.(0)) then
     invalid_arg "Nelder_mead.minimize: f(x0) must be finite";
@@ -53,19 +50,19 @@ let minimize ?(options = default_options) ~f ~x0 () =
      converge neither prematurely nor never. *)
   let spread_converged () =
     abs_float (vals.(n) -. vals.(0))
-    <= options.f_tol *. Float.max (abs_float vals.(0)) 1e-30
+    <= f_tol *. Float.max (abs_float vals.(0)) 1e-30
   in
   let diameter_converged () =
     let diameter =
       Array.fold_left (fun acc p -> Float.max acc (Vec.dist p pts.(0))) 0. pts
     in
-    diameter <= options.x_tol *. (1. +. Vec.norm2 pts.(0))
+    diameter <= x_tol *. (1. +. Vec.norm2 pts.(0))
   in
   let rec loop iter =
     order ();
     if spread_converged () || diameter_converged () then
       { x = pts.(0); f = vals.(0); iterations = iter; converged = true }
-    else if iter >= options.max_iter then
+    else if iter >= max_iter then
       { x = pts.(0); f = vals.(0); iterations = iter; converged = false }
     else begin
       let c = centroid_excluding_worst () in

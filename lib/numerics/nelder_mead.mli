@@ -6,20 +6,6 @@
     see DESIGN.md substitutions). Constraints are handled by
     {!Constrained} via penalties. *)
 
-type options = {
-  max_iter : int;  (** iteration budget (default 2000) *)
-  f_tol : float;
-      (** stop when the simplex's value spread falls below this fraction
-          of the best value's magnitude (default 1e-9) *)
-  x_tol : float;
-      (** stop when the simplex diameter falls below this fraction of
-          (1 + ||best point||) (default 1e-9) *)
-  initial_step : float;
-      (** relative perturbation used to seed the simplex (default 0.05) *)
-}
-
-val default_options : options
-
 type result = {
   x : Vec.t;  (** best point found *)
   f : float;  (** objective value at [x] *)
@@ -27,7 +13,12 @@ type result = {
   converged : bool;  (** false when the iteration budget ran out *)
 }
 
-val minimize : ?options:options -> f:(Vec.t -> float) -> x0:Vec.t -> unit -> result
-(** [minimize ~f ~x0 ()] runs the simplex from [x0]. [f] may return
-    [infinity] to reject a point (used for penalty constraints); [x0]
-    itself must evaluate finite. The dimension is [Array.length x0 >= 1]. *)
+val minimize : ?max_iter:int -> f:(Vec.t -> float) -> x0:Vec.t -> unit -> result
+(** [minimize ~f ~x0 ()] runs the simplex from [x0] for at most
+    [max_iter] iterations (default 2000). The simplex is seeded by
+    perturbing each coordinate of [x0] by 5% (or by 0.05 when it is 0).
+    It stops when the value spread falls below 1e-9 of the best value's
+    magnitude, or the simplex diameter below 1e-9 of
+    (1 + ||best point||). [f] may return [infinity] to reject a point
+    (used for penalty constraints); [x0] itself must evaluate finite.
+    The dimension is [Array.length x0 >= 1]. *)

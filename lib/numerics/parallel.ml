@@ -117,5 +117,3 @@ let map ?jobs f xs =
       (Array.map
          (function Some (Ok v) -> v | Some (Error _) | None -> assert false)
          results)
-
-let sweep ?jobs ~f points = map ?jobs (fun x -> (x, f x)) points

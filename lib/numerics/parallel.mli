@@ -23,8 +23,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs] evaluated by up to [jobs]
     domains, the caller included. [jobs] defaults to {!default_jobs};
     [jobs <= 1] or a short list runs sequentially in the caller. *)
-
-val sweep : ?jobs:int -> f:('a -> 'b) -> 'a list -> ('a * 'b) list
-(** [sweep ~f points] tags each grid point with its result —
-    [List.map (fun x -> (x, f x)) points] in parallel, order
-    preserved. *)

@@ -55,7 +55,9 @@ let bound_name g = function
 
 let relative_error ~model ~sim =
   let scale = Float.max (Float.abs sim) (Float.abs model) in
-  if scale <= 0. then 0. else Float.abs (model -. sim) /. scale
+  if not (Float.is_finite model) then 1.
+  else if scale <= 0. then 0.
+  else Float.abs (model -. sim) /. scale
 
 let join ~throughput ~latency (m : Netsim.measurement) =
   let sim_throughput = m.Netsim.summary.Telemetry.throughput in
@@ -467,10 +469,15 @@ let run_tenants ?config ?queue_model g ~hw ~traffic ~tenants =
                let throughput =
                  lambda.(i) *. (1. -. r.Lognic_queueing.Wmmcn.blocking) *. size
                in
+               (* an infinite aggregate (M/M/1 past ρ = 1) has an
+                  infinite wait at the bottleneck: inf − inf is no
+                  latency *)
                let latency =
-                 Float.max 0.
-                   (agg_latency -. agg_wait
-                   +. r.Lognic_queueing.Wmmcn.waiting)
+                 if agg_latency = infinity then infinity
+                 else
+                   Float.max 0.
+                     (agg_latency -. agg_wait
+                     +. r.Lognic_queueing.Wmmcn.waiting)
                in
                (throughput, latency, Some r.Lognic_queueing.Wmmcn.blocking)))
       end

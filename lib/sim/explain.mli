@@ -55,8 +55,10 @@ type join = {
 }
 
 val relative_error : model:float -> sim:float -> float
-(** |model − sim| / max(|model|, |sim|), 0 when both are 0 — the join
-    convention shared with {!Resilience}. *)
+(** |model − sim| / max(|model|, |sim|), 0 when both are 0 and 1 when
+    the model side is not finite (an M/M/1 queue past ρ = 1 predicts an
+    infinite latency) — the join convention shared with
+    {!Resilience}. *)
 
 val join : throughput:float -> latency:float -> Netsim.measurement -> join
 (** The model's attained throughput and mean latency against the

@@ -227,7 +227,7 @@ let create ~(spec : FC.spec) ~warmup =
 
 let table t = t.fc_table
 
-let roles (spec : FC.spec) g =
+let roles g =
   let module G = Lognic.Graph in
   let roles = Array.make (G.vertex_count g) 0 in
   let resolve role label =
@@ -244,8 +244,8 @@ let roles (spec : FC.spec) g =
              label outs);
       roles.(v.G.id) <- role
   in
-  resolve 1 spec.FC.emc_label;
-  resolve 2 spec.FC.megaflow_label;
+  resolve 1 FC.emc_label;
+  resolve 2 FC.megaflow_label;
   roles
 
 let[@inline] draw t ~bits = sample t.fc_sampler bits

@@ -40,13 +40,13 @@ val table : t -> Telemetry.Table.t
     reached a cache vertex into its class's row; {!summarize} reads
     it. *)
 
-val roles : Lognic.Flowcache.spec -> Lognic.Graph.t -> int array
+val roles : Lognic.Graph.t -> int array
 (** Each vertex's routing role, indexed by vertex id: [1] for the
-    vertex labelled [spec.emc_label], [2] for [spec.megaflow_label],
-    [0] (delta-proportional routing) elsewhere. Raises
-    [Invalid_argument] unless both cache vertices exist with exactly two
-    out-edges — the first added is the hit route, the second the miss
-    route. *)
+    vertex labelled {!Lognic.Flowcache.emc_label}, [2] for
+    {!Lognic.Flowcache.megaflow_label}, [0] (delta-proportional routing)
+    elsewhere. Raises [Invalid_argument] unless both cache vertices
+    exist with exactly two out-edges — the first added is the hit route,
+    the second the miss route. *)
 
 val draw : t -> bits:int -> int
 (** Map a 30-bit draw ([0, 2^30)) to a flow id with popularity

@@ -206,7 +206,7 @@ let check_admitted t ~time ~limit node =
 
 let check_medium t ~time m =
   check_bound t ~law:"medium-buffer" ~entity:(Medium.label m) ~time
-    ~limit:(Medium.buffer m) ~actual:(Medium.backlog m)
+    ~limit:Medium.buffer ~actual:(Medium.backlog m)
     "admitted backlog must fit the rate-matching buffer"
 
 let check_delivery t ~id ~time fs =

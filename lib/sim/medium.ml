@@ -2,7 +2,6 @@ type t = {
   engine : Engine.t;
   label : string;
   bandwidth : float;
-  buffer : float;
   mutable scale : float;
       (* fault-injection bandwidth factor; 1. outside degraded intervals *)
   f : float array;  (* unboxed hot state: 0 = next_free, 1 = busy *)
@@ -13,14 +12,14 @@ type t = {
          compare per nonzero transfer *)
 }
 
-let create engine ~label ~bandwidth ?(buffer = 2. *. 1024. *. 1024.) () =
+let buffer = 2. *. 1024. *. 1024.
+
+let create engine ~label ~bandwidth () =
   if bandwidth <= 0. then invalid_arg "Medium.create: bandwidth must be > 0";
-  if buffer <= 0. then invalid_arg "Medium.create: buffer must be > 0";
   {
     engine;
     label;
     bandwidth;
-    buffer;
     scale = 1.;
     f = Array.make 2 0.;
     rejections = 0;
@@ -29,7 +28,6 @@ let create engine ~label ~bandwidth ?(buffer = 2. *. 1024. *. 1024.) () =
   }
 
 let label t = t.label
-let buffer t = t.buffer
 
 (* The guard keeps the healthy path byte-identical to the pre-fault
    code: [b *. 1.] is [b] for every finite positive float, but skipping
@@ -54,7 +52,7 @@ let[@inline] transfer_admit ?tally ?span t ~bytes k =
      operand is ever NaN here, so the specialization is exact *)
   let wait = next_free -. now in
   let backlog_bytes = (if wait > 0. then wait else 0.) *. bw in
-  if backlog_bytes +. bytes > t.buffer then begin
+  if backlog_bytes +. bytes > buffer then begin
     t.rejections <- t.rejections + 1;
     false
   end

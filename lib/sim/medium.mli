@@ -6,24 +6,23 @@
     [bytes / bandwidth]. Zero-byte transfers complete immediately
     without touching the medium.
 
-    The medium holds a bounded backlog ([buffer] bytes, matching the
+    The medium holds a bounded backlog ({!buffer} bytes, matching the
     multi-megabyte rate-matching buffers §3.2 assumes); a transfer that
     would overflow it is rejected, which is how the simulated NIC sheds
     load when a shared interconnect is the bottleneck. *)
 
 type t
 
-val create : Engine.t -> label:string -> bandwidth:float -> ?buffer:float -> unit -> t
-(** [buffer] defaults to 2 MiB. Raises [Invalid_argument] on a
-    non-positive bandwidth or buffer. *)
+val create : Engine.t -> label:string -> bandwidth:float -> unit -> t
+(** Raises [Invalid_argument] on a non-positive bandwidth. *)
 
 val label : t -> string
 
-val buffer : t -> float
-(** The backlog limit in bytes, as configured at creation. Together
-    with {!backlog} this states the admission invariant a healthy
-    medium maintains: admitted-but-untransferred bytes never exceed
-    the buffer ({!Invariants}). *)
+val buffer : float
+(** Every medium's backlog limit: 2 MiB. Together with {!backlog} this
+    states the admission invariant a healthy medium maintains:
+    admitted-but-untransferred bytes never exceed the buffer
+    ({!Invariants}). *)
 
 val scale : t -> float
 (** Current fault-injection bandwidth factor (1 when healthy). *)

@@ -291,14 +291,16 @@ let execute_with ?engine:reused (spec : Run.t) =
         let node =
           match tenant_set with
           | Some tset when tenanted_sched ->
-            (* One queue group per tenant/VF, one queue per traffic
-               class within it — the SR-IOV two-stage arbiter. *)
+            (* One queue group per tenant/VF, one equal-weight queue
+               per traffic class within it — the SR-IOV two-stage
+               arbiter. *)
             Ip_node.create_hierarchical ~track_lanes:tracing engine
               ~rng:(N.Rng.split rng) ~label:v.label ~engines:d
               ~rate_per_engine:(aggregate /. float_of_int d)
               ~entries_per_queue:v.service.queue_capacity
               ~group_weights:(Tenant.weights tset)
-              ~class_weights:(Tenant.class_weight_rows tset ~classes:nclasses)
+              ~class_weights:
+                (Array.make_matrix (Tenant.count tset) nclasses 1)
               ~service_dist:config.service_dist
           | _ ->
             Ip_node.create ~track_lanes:tracing engine ~rng:(N.Rng.split rng)
@@ -364,7 +366,7 @@ let execute_with ?engine:reused (spec : Run.t) =
     Option.map
       (fun fspec ->
         let st = Flow_cache.create ~spec:fspec ~warmup:config.warmup in
-        let roles = Flow_cache.roles fspec g in
+        let roles = Flow_cache.roles g in
         (st, roles, N.Rng.split rng))
       config.flow_cache
   in

@@ -99,7 +99,7 @@ type config = private {
           packet draws a flow id from the spec's Zipf population (a
           dedicated flow rng, split after the tenant rng and before the
           trace rng), and the route out of the vertices labelled
-          [spec.emc_label] / [spec.megaflow_label] is decided by an
+          [Flowcache.emc_label] / [Flowcache.megaflow_label] is decided by an
           actual {!Flow_cache} lookup — hit takes the {e first}
           out-edge, miss the second; the static δs on those edges are
           ignored. Per-class (hot/warm/cold) telemetry accumulates into

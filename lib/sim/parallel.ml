@@ -1,4 +1,3 @@
 module P = Lognic_numerics.Parallel
 
 let map = P.map
-let sweep = P.sweep

@@ -16,7 +16,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving, exception-propagating parallel [List.map]; see
     {!Lognic_numerics.Parallel.map}. [jobs] defaults to the global
     default (set via [--jobs] in the CLI and the ledger). *)
-
-val sweep : ?jobs:int -> f:('a -> 'b) -> 'a list -> ('a * 'b) list
-(** [sweep ~f points] evaluates a parameter grid, returning
-    [(point, result)] pairs in grid order. *)

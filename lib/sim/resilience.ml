@@ -51,11 +51,11 @@ let aggregate subs =
   let latency = if delivered > 0 then lat /. float_of_int delivered else 0. in
   (throughput, latency, offered, delivered, dropped)
 
-let run ?config ?queue_model ?slo ?(runs = 1) ?jobs g ~hw ~traffic ~plan =
+let run ?config ?queue_model ?(runs = 1) ?jobs g ~hw ~traffic ~plan =
   let config = Option.value config ~default:Netsim.Config.default in
   let duration = config.Netsim.duration in
   let intervals = Faults.modifiers ~duration plan in
-  let model = D.evaluate ?queue_model ?slo g ~hw ~traffic ~intervals in
+  let model = D.evaluate ?queue_model g ~hw ~traffic ~intervals in
   let spec = Netsim.Run.single ~config ~faults:plan g ~hw ~traffic in
   let m = Netsim.execute spec in
   let rows =
@@ -94,9 +94,7 @@ let run ?config ?queue_model ?slo ?(runs = 1) ?jobs g ~hw ~traffic ~plan =
           model_latency = ir.latency;
           sim_latency;
           latency_error =
-            (if Float.is_finite ir.latency then
-               Explain.relative_error ~model:ir.latency ~sim:sim_latency
-             else 1.);
+            Explain.relative_error ~model:ir.latency ~sim:sim_latency;
           sim_offered;
           sim_delivered;
           sim_dropped;
@@ -119,7 +117,6 @@ let run ?config ?queue_model ?slo ?(runs = 1) ?jobs g ~hw ~traffic ~plan =
   (* Sim-side availability mirrors the model's SLO figure: the fraction
      of the horizon whose simulated throughput holds ≥ the SLO fraction
      of the sim's own healthy baseline (the best interval's rate). *)
-  let slo_v = Option.value slo ~default:D.default_slo in
   let sim_baseline =
     List.fold_left (fun acc r -> Float.max acc r.sim_throughput) 0. rows
   in
@@ -127,9 +124,7 @@ let run ?config ?queue_model ?slo ?(runs = 1) ?jobs g ~hw ~traffic ~plan =
     if horizon > 0. then
       List.fold_left
         (fun acc r ->
-          if
-            r.sim_throughput
-            >= slo_v.D.min_throughput_fraction *. sim_baseline
+          if r.sim_throughput >= D.slo_throughput_fraction *. sim_baseline
           then acc +. (r.r_stop -. r.r_start)
           else acc)
         0. rows

@@ -18,7 +18,7 @@ type row = {
   throughput_error : float;  (** {!Explain.relative_error} *)
   model_latency : float;
   sim_latency : float;
-  latency_error : float;  (** 1 when the model predicts [infinity] *)
+  latency_error : float;  (** {!Explain.relative_error} *)
   sim_offered : int;
   sim_delivered : int;
   sim_dropped : int;
@@ -43,7 +43,6 @@ type report = {
 val run :
   ?config:Netsim.config ->
   ?queue_model:Lognic.Latency.queue_model ->
-  ?slo:Lognic.Degraded.slo ->
   ?runs:int ->
   ?jobs:int ->
   Lognic.Graph.t ->

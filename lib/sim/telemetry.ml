@@ -289,52 +289,49 @@ end
    newest [capacity] samples win. The arrays start small and double up
    to [capacity], so a short run does not pay for the full ring. *)
 module Series = struct
+  let capacity = 4096
+
   type t = {
     label : string;
     interval : float;
-    capacity : int;
     mutable times : float array;
     mutable values : float array;
     mutable len : int;
     mutable next : int;  (* ring write position *)
   }
 
-  let create ?(capacity = 4096) ~label ~interval () =
-    if capacity < 1 then invalid_arg "Series.create: capacity must be >= 1";
+  let create ~label ~interval () =
     if interval <= 0. then invalid_arg "Series.create: interval must be > 0";
-    let slots = min capacity 16 in
     {
       label;
       interval;
-      capacity;
-      times = Array.make slots 0.;
-      values = Array.make slots 0.;
+      times = Array.make 16 0.;
+      values = Array.make 16 0.;
       len = 0;
       next = 0;
     }
 
   let label t = t.label
   let interval t = t.interval
-  let capacity t = t.capacity
   let length t = t.len
 
   (* Before the ring wraps the samples fill [0, len) of arrays exactly
      [len] long, so doubling them is a plain append. *)
   let grow t =
-    let extra = Array.make (min t.len (t.capacity - t.len)) 0. in
+    let extra = Array.make (min t.len (capacity - t.len)) 0. in
     t.times <- Array.append t.times extra;
     t.values <- Array.append t.values extra
 
   let add t ~time ~value =
-    if t.len = Array.length t.times && t.len < t.capacity then grow t;
+    if t.len = Array.length t.times && t.len < capacity then grow t;
     t.times.(t.next) <- time;
     t.values.(t.next) <- value;
-    t.next <- (t.next + 1) mod t.capacity;
-    if t.len < t.capacity then t.len <- t.len + 1
+    t.next <- (t.next + 1) mod capacity;
+    if t.len < capacity then t.len <- t.len + 1
 
   let to_array t =
     Array.init t.len (fun i ->
-        let idx = (t.next - t.len + i + (2 * t.capacity)) mod t.capacity in
+        let idx = (t.next - t.len + i + (2 * capacity)) mod capacity in
         (t.times.(idx), t.values.(idx)))
 
   let to_json t =

@@ -66,22 +66,23 @@ module Json : sig
 end
 
 (** Bounded ring-buffer time series: appends are amortized O(1), memory
-    never exceeds [capacity] samples, and once full the newest
-    [capacity] samples win. Two users: each {!Metrics} gauge keeps its
-    sampled history in one ({!Metrics.series}), and {!Search_log} keeps
-    its score curves, indexed by evaluation sequence, in two. *)
+    never exceeds {!Series.capacity} samples, and once full the newest
+    ones win. Two users: each {!Metrics} gauge keeps its sampled history
+    in one ({!Metrics.series}), and {!Search_log} keeps its score
+    curves, indexed by evaluation sequence, in two. *)
 module Series : sig
   type t
 
-  val create : ?capacity:int -> label:string -> interval:float -> unit -> t
-  (** [capacity] defaults to 4096 samples. The storage starts at
-      [min capacity 16] samples and doubles as samples arrive, up to
-      [capacity]. Raises [Invalid_argument] on a non-positive capacity
-      or interval. *)
+  val capacity : int
+  (** 4096 samples per series. *)
+
+  val create : label:string -> interval:float -> unit -> t
+  (** The storage starts at 16 samples and doubles as samples arrive, up
+      to {!capacity}. Raises [Invalid_argument] on a non-positive
+      interval. *)
 
   val label : t -> string
   val interval : t -> float
-  val capacity : t -> int
 
   val length : t -> int
   (** Samples currently retained (≤ capacity). *)

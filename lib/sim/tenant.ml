@@ -3,10 +3,9 @@ type spec = {
   weight : int;
   share : float;
   slo_p99 : float option;
-  class_weights : int array;
 }
 
-let spec ?(weight = 1) ?(share = 1.) ?slo_p99 ?(class_weights = [||]) name =
+let spec ?(weight = 1) ?(share = 1.) ?slo_p99 name =
   if name = "" then invalid_arg "Tenant.spec: empty name";
   if weight < 1 then invalid_arg "Tenant.spec: weight must be >= 1";
   if share <= 0. || not (Float.is_finite share) then
@@ -15,9 +14,7 @@ let spec ?(weight = 1) ?(share = 1.) ?slo_p99 ?(class_weights = [||]) name =
   | Some s when not (s > 0. && Float.is_finite s) ->
     invalid_arg "Tenant.spec: slo must be finite and > 0"
   | _ -> ());
-  if Array.exists (fun w -> w < 1) class_weights then
-    invalid_arg "Tenant.spec: class weights must be >= 1";
-  { name; weight; share; slo_p99; class_weights = Array.copy class_weights }
+  { name; weight; share; slo_p99 }
 
 type set = {
   t_specs : spec array;  (* canonical: sorted by name, names unique *)
@@ -101,17 +98,6 @@ let weights t = Array.map (fun s -> s.weight) t.t_specs
 let shares t =
   let total = Array.fold_left (fun acc s -> acc +. s.share) 0. t.t_specs in
   Array.map (fun s -> s.share /. total) t.t_specs
-
-(* Per-tenant class-WRR rows, padded to a uniform [classes] width for
-   {!Ip_node.create_hierarchical}: a tenant declaring fewer classes (or
-   none) gets weight 1 for the remainder. *)
-let class_weight_rows t ~classes =
-  if classes < 1 then invalid_arg "Tenant.class_weight_rows: classes < 1";
-  Array.map
-    (fun s ->
-      Array.init classes (fun c ->
-          if c < Array.length s.class_weights then s.class_weights.(c) else 1))
-    t.t_specs
 
 (* The simulator's per-arrival path: O(1) alias-table lookup on a
    [Rng.bits] draw. [u * n] splits the 30-bit draw into a bucket index

@@ -27,23 +27,12 @@ type spec = {
       (** relative share of offered traffic attributed to this tenant
           (> 0; normalized across the set) *)
   slo_p99 : float option;  (** p99 latency budget, seconds *)
-  class_weights : int array;
-      (** per-traffic-class WRR weights within this tenant's queue
-          group (stage 2 of the arbiter); [[||]] (the default) means
-          equal weight for every class *)
 }
 
-val spec :
-  ?weight:int ->
-  ?share:float ->
-  ?slo_p99:float ->
-  ?class_weights:int array ->
-  string ->
-  spec
-(** [weight] defaults to 1, [share] to 1, [class_weights] to [[||]].
-    Raises [Invalid_argument] on an empty name, [weight < 1], a
-    [share] or SLO that is not finite and positive, or a class
-    weight < 1. *)
+val spec : ?weight:int -> ?share:float -> ?slo_p99:float -> string -> spec
+(** [weight] defaults to 1, [share] to 1. Raises [Invalid_argument] on
+    an empty name, [weight < 1], or a [share] or SLO that is not finite
+    and positive. *)
 
 type set
 (** A canonicalized tenant population (sorted by name, names unique). *)
@@ -67,12 +56,6 @@ val weights : set -> int array
 
 val shares : set -> float array
 (** Normalized offered-traffic shares in canonical order (sums to 1). *)
-
-val class_weight_rows : set -> classes:int -> int array array
-(** One stage-2 WRR row per tenant (canonical order), each padded with
-    weight 1 out to [classes] entries — the [class_weights] argument of
-    {!Ip_node.create_hierarchical}. Raises [Invalid_argument] when
-    [classes < 1]. *)
 
 val index_of_bits : set -> int -> int
 (** [index_of_bits set u] maps a 30-bit draw ([u ∈ \[0, 2^30)], from

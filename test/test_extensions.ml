@@ -647,23 +647,12 @@ let fixed_point_basics () =
   in
   Alcotest.(check bool) "converged" true r.E.fp_converged;
   check_close ~tol:1e-6 "fixed point" 2. r.E.value.(0);
-  (* undamped oscillator x -> 1 - x never settles; damping 0.5 lands it
-     on the fixed point 0.5 in one step *)
-  let osc = E.fixed_point ~damping:1. ~max_iter:50 ~update:(fun x -> [| 1. -. x.(0) |]) [| 0. |] in
-  Alcotest.(check bool) "undamped oscillation flagged" false osc.E.fp_converged;
-  let damped = E.fixed_point ~damping:0.5 ~update:(fun x -> [| 1. -. x.(0) |]) [| 0. |] in
-  Alcotest.(check bool) "damping tames the oscillator" true damped.E.fp_converged;
-  check_close ~tol:1e-6 "oscillator fixed point" 0.5 damped.E.value.(0);
-  check_raises_invalid "bad damping" (fun () ->
-      ignore (E.fixed_point ~damping:0. ~update:(fun x -> x) [| 0. |]));
-  check_raises_invalid "bad tol" (fun () ->
-      ignore (E.fixed_point ~tol:0. ~update:(fun x -> x) [| 0. |]));
   check_raises_invalid "dimension change" (fun () ->
       ignore (E.fixed_point ~update:(fun _ -> [||]) [| 0. |]));
   check_raises_invalid "non-finite update" (fun () ->
       ignore (E.fixed_point ~update:(fun _ -> [| nan |]) [| 0. |]));
-  (* the default starts undamped and halves d when the residual stops
-     shrinking: the oscillator lands on 0.5 at the first halving *)
+  (* d starts undamped and halves when the residual stops shrinking:
+     the oscillator x -> 1 - x lands on 0.5 at the first halving *)
   let adaptive = E.fixed_point ~update:(fun x -> [| 1. -. x.(0) |]) [| 0. |] in
   Alcotest.(check bool) "adaptive d tames the oscillator" true
     adaptive.E.fp_converged;
@@ -685,15 +674,7 @@ let fixed_point_basics () =
   Alcotest.(check bool) "repelling map flagged" false repel.E.fp_converged;
   Alcotest.(check int) "repelling map runs to max_iter" 200 repel.E.iterations;
   Alcotest.(check bool) "repelling map iterate finite" true
-    (Float.is_finite repel.E.value.(0));
-  (* a contraction needs no damping: undamped beats d = 0.5 *)
-  let fixed =
-    E.fixed_point ~damping:0.5 ~update:(fun x -> [| (x.(0) /. 2.) +. 1. |])
-      [| 0. |]
-  in
-  Alcotest.(check bool) "fixed d = 0.5 converges" true fixed.E.fp_converged;
-  Alcotest.(check bool) "undamped contraction takes fewer iterations" true
-    (r.E.iterations < fixed.E.iterations)
+    (Float.is_finite repel.E.value.(0))
 
 module FC = Lognic.Flowcache
 module App = Lognic_apps.Flow_cache

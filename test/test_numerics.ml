@@ -231,9 +231,7 @@ let nelder_mead_rosenbrock () =
     (100. *. ((x.(1) -. (x.(0) *. x.(0))) ** 2.)) +. ((1. -. x.(0)) ** 2.)
   in
   let r =
-    N.Nelder_mead.minimize
-      ~options:{ N.Nelder_mead.default_options with max_iter = 10_000 }
-      ~f ~x0:[| -1.2; 1. |] ()
+    N.Nelder_mead.minimize ~max_iter:10_000 ~f ~x0:[| -1.2; 1. |] ()
   in
   check_close ~tol:1e-2 "rosenbrock x" 1. r.x.(0);
   check_close ~tol:1e-2 "rosenbrock y" 1. r.x.(1)

@@ -172,6 +172,15 @@ let explain_rows_ranked_and_joined () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "explain JSON does not parse: %s" e
 
+(* The join's relative error: symmetric in scale, 0 when both sides are
+   0, and 1 (never NaN) when the model predicts an unbounded latency, as
+   M/M/1 does past ρ = 1. *)
+let explain_relative_error () =
+  let e = S.Explain.relative_error in
+  check_close "10% of the larger side" 0.1 (e ~model:90. ~sim:100.);
+  check_close "both zero" 0. (e ~model:0. ~sim:0.);
+  check_close "infinite model" 1. (e ~model:infinity ~sim:2.5e-4)
+
 (* Optimizer search telemetry: the observer sees every evaluation,
    and the search log's fold matches the solution's own stats. *)
 let search_log_matches_stats () =
@@ -218,21 +227,17 @@ let search_log_matches_stats () =
 
 (* Series overload behaviour: the ring buffer is bounded, keeps the
    newest samples in order, and its CSV export stays well-formed after
-   wrapping. Capacities 20 and 40 start below their capacity and grow
-   (16 -> 20 is a partial doubling; 40 takes two steps) before they
-   wrap. *)
+   wrapping. The storage starts at 16 samples and doubles up to the
+   4096-sample ring before it wraps, once or several times. *)
 let series_wraparound () =
-  let check_wrap ~capacity ~adds =
-    let s =
-      S.Telemetry.Series.create ~capacity ~label:"depth" ~interval:1. ()
-    in
+  let capacity = S.Telemetry.Series.capacity in
+  let check_wrap ~adds =
+    let s = S.Telemetry.Series.create ~label:"depth" ~interval:1. () in
     for i = 0 to adds - 1 do
       S.Telemetry.Series.add s ~time:(float_of_int i)
         ~value:(float_of_int (i * i))
     done;
-    let what = Printf.sprintf "capacity %d, %d adds: " capacity adds in
-    Alcotest.(check int) (what ^ "capacity") capacity
-      (S.Telemetry.Series.capacity s);
+    let what = Printf.sprintf "%d adds: " adds in
     Alcotest.(check int) (what ^ "length clamps at capacity") capacity
       (S.Telemetry.Series.length s);
     let a = S.Telemetry.Series.to_array s in
@@ -247,13 +252,13 @@ let series_wraparound () =
           value)
       a
   in
-  check_wrap ~capacity:8 ~adds:20;
-  check_wrap ~capacity:20 ~adds:100;
-  check_wrap ~capacity:40 ~adds:100
+  check_wrap ~adds:(capacity + 12);
+  check_wrap ~adds:((3 * capacity) + 5)
 
 let series_csv_after_wrap () =
-  let s = S.Telemetry.Series.create ~capacity:4 ~label:"q" ~interval:1. () in
-  for i = 0 to 9 do
+  let s = S.Telemetry.Series.create ~label:"q" ~interval:1. () in
+  let capacity = S.Telemetry.Series.capacity in
+  for i = 0 to capacity + 5 do
     S.Telemetry.Series.add s ~time:(float_of_int i) ~value:(float_of_int i)
   done;
   let csv = S.Telemetry.Series.to_csv s in
@@ -263,12 +268,11 @@ let series_csv_after_wrap () =
   (match lines with
   | header :: rows ->
     Alcotest.(check string) "header names the label" "time,q" header;
-    Alcotest.(check int) "one row per retained sample" 4 (List.length rows);
-    Alcotest.(check bool) "first retained row is the oldest survivor" true
-      (contains_substring (List.hd rows) "6")
-  | [] -> Alcotest.fail "empty CSV");
-  check_raises_invalid "non-positive capacity" (fun () ->
-      S.Telemetry.Series.create ~capacity:0 ~label:"q" ~interval:1. ())
+    Alcotest.(check int) "one row per retained sample" capacity
+      (List.length rows);
+    Alcotest.(check string) "first retained row is the oldest survivor"
+      "6,6" (List.hd rows)
+  | [] -> Alcotest.fail "empty CSV")
 
 (* Degenerate sample intervals: 0 / negative are programming errors;
    an interval longer than the horizon must still yield one final
@@ -373,6 +377,7 @@ let suite =
     slow "explain: agrees on interface-bound graph"
       explain_agrees_when_interface_bound;
     slow "explain: rows ranked and joined" explain_rows_ranked_and_joined;
+    quick "explain: relative error" explain_relative_error;
     quick "series: ring buffer wraparound" series_wraparound;
     quick "series: CSV after wrap" series_csv_after_wrap;
     quick "series: degenerate sample intervals" series_degenerate_intervals;

@@ -29,13 +29,6 @@ let map_propagates_first_exception () =
         (fun () -> ignore (P.map ~jobs f (List.init 10 Fun.id))))
     [ 1; 4 ]
 
-let sweep_tags_points () =
-  let pts = [ 2.; 3.; 5. ] in
-  Alcotest.(check (list (pair (float 0.) (float 0.))))
-    "pairs in grid order"
-    (List.map (fun x -> (x, x *. x)) pts)
-    (P.sweep ~jobs:4 ~f:(fun x -> x *. x) pts)
-
 let default_jobs_roundtrip () =
   let saved = P.default_jobs () in
   Fun.protect
@@ -95,7 +88,6 @@ let suite =
   [
     quick "map: matches List.map" map_matches_list_map;
     quick "map: first exception wins" map_propagates_first_exception;
-    quick "sweep: tagged grid order" sweep_tags_points;
     quick "default jobs: set and clamp" default_jobs_roundtrip;
     quick "map: nested calls don't deadlock" nested_map_completes;
     quick "execute_replicated: bit-identical to sequential" replicated_bit_identical;

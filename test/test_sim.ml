@@ -221,13 +221,15 @@ let medium_zero_bytes_passthrough () =
 
 let medium_buffer_rejects () =
   let e = S.Engine.create () in
-  let m = S.Medium.create e ~label:"bus" ~bandwidth:100. ~buffer:100. () in
-  Alcotest.(check bool) "first accepted" true (S.Medium.transfer m ~bytes:80. ignore);
-  Alcotest.(check bool) "overflow rejected" false (S.Medium.transfer m ~bytes:80. ignore);
+  let m = S.Medium.create e ~label:"bus" ~bandwidth:100. () in
+  (* two transfers of 80% of the 2 MiB buffer: the second overflows *)
+  let bytes = 0.8 *. S.Medium.buffer in
+  Alcotest.(check bool) "first accepted" true (S.Medium.transfer m ~bytes ignore);
+  Alcotest.(check bool) "overflow rejected" false (S.Medium.transfer m ~bytes ignore);
   Alcotest.(check int) "rejection counted" 1 (S.Medium.rejections m);
   (* after draining there is room again *)
   S.Engine.run e;
-  Alcotest.(check bool) "accepted after drain" true (S.Medium.transfer m ~bytes:80. ignore)
+  Alcotest.(check bool) "accepted after drain" true (S.Medium.transfer m ~bytes ignore)
 
 (* Ip_node *)
 
@@ -552,26 +554,24 @@ let telemetry_table () =
 (* Series ring buffers *)
 
 let series_ring_overwrites () =
-  let s =
-    S.Telemetry.Series.create ~capacity:4 ~label:"depth" ~interval:1. ()
-  in
-  for i = 1 to 6 do
+  let s = S.Telemetry.Series.create ~label:"depth" ~interval:1. () in
+  let capacity = S.Telemetry.Series.capacity in
+  for i = 1 to capacity + 2 do
     S.Telemetry.Series.add s ~time:(float_of_int i) ~value:(float_of_int (10 * i))
   done;
-  Alcotest.(check int) "bounded length" 4 (S.Telemetry.Series.length s);
-  Alcotest.(check (array (pair (float 0.) (float 0.))))
-    "newest samples win, chronological"
-    [| (3., 30.); (4., 40.); (5., 50.); (6., 60.) |]
-    (S.Telemetry.Series.to_array s);
+  Alcotest.(check int) "bounded length" capacity (S.Telemetry.Series.length s);
+  let a = S.Telemetry.Series.to_array s in
+  let sample = Alcotest.(pair (float 0.) (float 0.)) in
+  Alcotest.check sample "oldest survivor first" (3., 30.) a.(0);
+  let last = float_of_int (capacity + 2) in
+  Alcotest.check sample "newest last" (last, 10. *. last) a.(capacity - 1);
   Alcotest.(check string) "label" "depth" (S.Telemetry.Series.label s);
   check_close "interval" 1. (S.Telemetry.Series.interval s);
-  check_raises_invalid "bad capacity" (fun () ->
-      S.Telemetry.Series.create ~capacity:0 ~label:"x" ~interval:1. ());
   check_raises_invalid "bad interval" (fun () ->
       S.Telemetry.Series.create ~label:"x" ~interval:0. ())
 
 let series_csv () =
-  let s = S.Telemetry.Series.create ~capacity:8 ~label:"q" ~interval:0.5 () in
+  let s = S.Telemetry.Series.create ~label:"q" ~interval:0.5 () in
   S.Telemetry.Series.add s ~time:0.5 ~value:2.;
   S.Telemetry.Series.add s ~time:1. ~value:3.;
   Alcotest.(check string) "csv" "time,q\n0.5,2\n1,3\n"

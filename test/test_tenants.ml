@@ -17,8 +17,6 @@ let spec_validation () =
   check_raises_invalid "share nan" (fun () -> T.spec ~share:Float.nan "a");
   check_raises_invalid "slo 0" (fun () -> T.spec ~slo_p99:0. "a");
   check_raises_invalid "slo nan" (fun () -> T.spec ~slo_p99:Float.nan "a");
-  check_raises_invalid "class weight 0" (fun () ->
-      T.spec ~class_weights:[| 1; 0 |] "a");
   check_raises_invalid "empty set" (fun () -> T.set []);
   check_raises_invalid "duplicate name" (fun () ->
       T.set [ T.spec "a"; T.spec "a" ]);
@@ -37,13 +35,6 @@ let set_canonicalizes () =
   check_close "share normalized" 0.75 shares.(0);
   check_close "shares sum to 1" 1. (Array.fold_left ( +. ) 0. shares);
   Alcotest.(check int) "uniform count" 2000 (T.count (T.uniform 2000))
-
-let class_weight_rows () =
-  let s = T.set [ T.spec ~class_weights:[| 3; 2 |] "a"; T.spec "b" ] in
-  let rows = T.class_weight_rows s ~classes:3 in
-  Alcotest.(check (array int)) "declared row padded" [| 3; 2; 1 |] rows.(0);
-  Alcotest.(check (array int)) "default row all ones" [| 1; 1; 1 |] rows.(1);
-  check_raises_invalid "classes 0" (fun () -> T.class_weight_rows s ~classes:0)
 
 (* ---- tenant draw ----------------------------------------------------- *)
 
@@ -328,7 +319,6 @@ let suite =
   [
     quick "tenant: spec validation" spec_validation;
     quick "tenant: set canonicalizes" set_canonicalizes;
-    quick "tenant: class weight rows" class_weight_rows;
     quick "tenant: alias draw matches shares" alias_draw_matches_shares;
     quick "hier: group WRR order" hier_group_wrr_order;
     quick "hier: work conserving" hier_work_conserving;
