@@ -867,8 +867,9 @@ let flowcache_cmd =
     (Cmd.info "flowcache"
        ~doc:
          "Evaluate the flow-cache offload scenario with state-dependent \
-          (feedback) splits: solve the EMC/megaflow hit ratios to a damped \
-          fixed point under Che's LRU approximation, simulate the converged \
+          (feedback) splits: solve the EMC/megaflow hit ratios to a fixed \
+          point under Che's LRU approximation (the step starts undamped and \
+          halves whenever the residual does not shrink), simulate the converged \
           datapath with per-packet cache lookups over a Zipf flow \
           population, and join the two — hit ratios, per-class (hot/warm/\
           cold) tail latency, and aggregate residuals.")

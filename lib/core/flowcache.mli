@@ -110,8 +110,9 @@ val evaluate :
     megaflow's reference stream is the EMC-miss stream
     (qᵢ ∝ pᵢ·(1 − hᵢᵉᵐᶜ)) rescaled to the megaflow stage rate.
     [init] (default [[|0.5; 0.5|]]) seeds [emc; megaflow] hit ratios;
-    the iteration, its damping and its termination (residual ≤ 1e-9,
-    200-iteration cap) are {!Extensions.fixed_point}'s defaults.
+    the iteration and its termination (residual ≤ 1e-9, 200-iteration
+    cap) are {!Extensions.fixed_point}'s: the step starts undamped and
+    halves whenever the residual does not shrink.
 
     The final report comes from one plain {!Throughput.evaluate} +
     {!Latency.evaluate} on the converged graph, so a degenerate

@@ -122,8 +122,6 @@ let vertex_terms ?model g ~traffic id =
     let lambda, mu = vertex_rates g ~traffic id in
     terms_of_rates ?model g id ~service ~lambda ~mu
 
-let vertex_queueing ?model g ~traffic id = (vertex_terms ?model g ~traffic id).queueing
-
 let edge_transfer_time g ~(hw : Params.hardware) ~(traffic : Traffic.t)
     (e : Graph.edge) =
   ignore g;

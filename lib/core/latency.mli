@@ -64,10 +64,6 @@ val vertex_service_time :
   Graph.t -> traffic:Traffic.t -> Graph.vertex_id -> float
 (** C_i/A_i per Eq 7. 0 for infinite-throughput vertices. *)
 
-val vertex_queueing :
-  ?model:queue_model -> Graph.t -> traffic:Traffic.t -> Graph.vertex_id -> float
-(** Q_i per Eq 12 (or the selected ablation). *)
-
 val vertex_rates : Graph.t -> traffic:Traffic.t -> Graph.vertex_id -> float * float
 (** (λ, μ) of the vertex's virtual shared queue per Eq 11 — the inputs
     to the queueing term, exposed for the tail-latency extension. *)

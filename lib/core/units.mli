@@ -29,8 +29,6 @@ val mbps : float
 val mbytes_per_s : float
 (** 1 MB/s in bytes/s. *)
 
-val gbytes_per_s : float
-
 val mops : float
 (** 1 million operations per second. *)
 
@@ -42,11 +40,9 @@ val msec : float
 val to_gbps : float -> float
 (** bytes/s -> Gbit/s. *)
 
-val to_mbps : float -> float
 val to_mbytes_per_s : float -> float
 val to_mops : float -> float
 val to_usec : float -> float
-val to_msec : float -> float
 
 val mtu : float
 (** Standard Ethernet MTU payload size used throughout the paper's

@@ -6,18 +6,6 @@ let line_rate = 100. *. U.gbps
 let hardware =
   Lognic.Params.hardware ~bw_interface:(800. *. U.gbps) ~bw_memory:(600. *. U.gbps)
 
-let rate_of ~c_pp ~unit_bw ~packet_size =
-  packet_size /. (c_pp +. (packet_size /. unit_bw))
-
-let rmt_rate ~packet_size = rate_of ~c_pp:3.3e-9 ~unit_bw:(400. *. U.gbps) ~packet_size
-(* 300 Mpps RMT pipeline: never the binding constraint in our sweeps. *)
-
-let scheduler_rate ~packet_size =
-  rate_of ~c_pp:4e-9 ~unit_bw:(400. *. U.gbps) ~packet_size
-
-let unit_rate ?(parallelism = 1) ~c_pp ~unit_bw ~packet_size () =
-  float_of_int parallelism *. rate_of ~c_pp ~unit_bw ~packet_size
-
 (* The prototype's ingress aggregates dual 100G MACs plus the PCIe
    path, so the port engine itself is never the queueing hotspot the
    scenarios probe. *)

@@ -19,18 +19,6 @@ val line_rate : float
 val hardware : Lognic.Params.hardware
 (** interface = the switching fabric; memory = on-chip packet buffer. *)
 
-val rmt_rate : packet_size:float -> float
-(** RMT pipeline throughput (packet-rate bound). *)
-
-val scheduler_rate : packet_size:float -> float
-
-val unit_rate :
-  ?parallelism:int -> c_pp:float -> unit_bw:float -> packet_size:float -> unit -> float
-(** Compute-unit throughput in bytes/s:
-    [parallelism · size / (c_pp + size/unit_bw)] — a fixed per-packet
-    cost plus a per-byte pipeline term, so small packets utilize the
-    unit harder (the effect behind Fig 15's per-profile credit needs). *)
-
 val unit_a_params : float * float
 (** (per-packet seconds, byte bandwidth) of Model 1's first compute
     unit — exposed for the M/G/1 service-variability analysis. *)

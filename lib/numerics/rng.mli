@@ -17,16 +17,15 @@ val split : t -> t
 
 val float : t -> float -> float
 (** [float t bound] draws uniformly from [\[0, bound)]. [bound] must be
-    positive. *)
+    positive. Bit for bit the draw of [Random.State.float] on the same
+    state, without its per-draw float box. *)
 
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [\[0, bound)]. [bound] must be
     positive. *)
 
 val bits : t -> int
-(** [bits t] draws 30 uniform bits — the allocation-free draw for hot
-    paths where [float]'s boxed intermediate would show up in the
-    per-event allocation budget. *)
+(** [bits t] draws 30 uniform bits. *)
 
 val bool : t -> bool
 

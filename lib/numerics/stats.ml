@@ -22,135 +22,96 @@ let stddev xs = sqrt (variance xs)
    keep IEEE propagation (a poisoned sum is a signal, not a sample to
    discard). *)
 
-(* Heapsort sift-down over a.(lo..lo+len-1), root at offset [root].
-   Int arguments and unhoisted float reads only: the comparisons stay
-   in float registers, where [Array.sort Float.compare] would box two
-   floats per comparison — ~1M minor words to sort one run's 17k
-   latency samples. *)
-let rec sift_down (a : float array) lo len root =
-  let child = (2 * root) + 1 in
-  if child < len then begin
-    let child =
-      if child + 1 < len && a.(lo + child) < a.(lo + child + 1) then child + 1
-      else child
-    in
-    if a.(lo + root) < a.(lo + child) then begin
-      let tmp = a.(lo + root) in
-      a.(lo + root) <- a.(lo + child);
-      a.(lo + child) <- tmp;
-      sift_down a lo len child
-    end
-  end
-
-(* In-place, allocation-free sort in exactly [Float.compare] order:
-   NaNs first (their mutual order is irrelevant — [Array.sort] is
-   unstable and [Float.compare] equates all NaNs), then [-0.] before
-   [0.], then increasing. For NaN-free input every slot of the result
-   is bit-identical to what [Array.sort Float.compare] produces, which
-   is what keeps measurement JSON byte-stable across the swap. *)
-let sort_floats a =
-  let n = Array.length a in
-  (* compact NaNs to the front *)
-  let nans = ref 0 in
-  for i = 0 to n - 1 do
-    let x = a.(i) in
-    if x <> x then begin
-      a.(i) <- a.(!nans);
-      a.(!nans) <- x;
-      incr nans
-    end
-  done;
-  let lo = !nans in
-  let m = n - lo in
-  (* heapsort the non-NaN suffix: NaN-free direct [<] is a total order *)
-  for root = (m / 2) - 1 downto 0 do
-    sift_down a lo m root
-  done;
-  for last = m - 1 downto 1 do
-    let tmp = a.(lo) in
-    a.(lo) <- a.(lo + last);
-    a.(lo + last) <- tmp;
-    sift_down a lo last 0
-  done;
-  (* [<] equates -0. and 0., so the zero run is mixed: rewrite it with
-     the -0.s first, completing the [Float.compare] order *)
-  let i = ref lo in
-  while !i < n && a.(!i) < 0. do
-    incr i
-  done;
-  let j = ref !i in
-  let neg = ref 0 in
-  while !j < n && a.(!j) = 0. do
-    if 1. /. a.(!j) < 0. then incr neg;
-    incr j
-  done;
-  for k = !i to !i + !neg - 1 do
-    a.(k) <- -0.
-  done;
-  for k = !i + !neg to !j - 1 do
-    a.(k) <- 0.
+(* Hoare's FIND (Wirth's variant) on a.(lo..hi), NaN-free: afterwards
+   a.(k) holds the value of rank k under [<], with nothing larger before
+   it and nothing smaller after it. Both scans stop on keys equal to the
+   pivot, so a run of ties splits in the middle and an all-equal range
+   (deterministic service, where many latencies coincide) stays linear.
+   The pivot position comes from a fixed integer hash of the range, so
+   the result is reproducible and ordered input is no worst case. Int
+   arguments and float-array reads only: nothing is boxed. *)
+let select (a : float array) lo hi k =
+  let l = ref lo and r = ref hi in
+  let h = ref (hi lxor (lo lsl 17) lxor 0x2545F491) in
+  while !l < !r do
+    h := (!h * 0x5851F42D) + 0x14057B7E;
+    let x = a.(!l + ((!h lsr 17) mod (!r - !l + 1))) in
+    let i = ref !l and j = ref !r in
+    while !i <= !j do
+      while a.(!i) < x do
+        incr i
+      done;
+      while x < a.(!j) do
+        decr j
+      done;
+      if !i <= !j then begin
+        let tmp = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- tmp;
+        incr i;
+        decr j
+      end
+    done;
+    if !j < k then l := !i;
+    if k < !i then r := !j
   done
 
-(* Sort once, query many: every order statistic in the family reads the
-   same sorted copy, so a summary computing p50/p99/min/max pays for
-   one sort instead of one per call (the old [percentile] re-sorted its
-   input every time). *)
-module Sorted = struct
-  type t = { data : float array; first : int }
-
-  let of_array xs =
-    require_nonempty xs "Stats.Sorted.of_array";
-    let data = Array.copy xs in
-    (* [sort_floats] reproduces the [Float.compare] total order without
-       boxing: NaN sorts before every float, so non-NaN samples occupy
-       a suffix. *)
-    sort_floats data;
-    let n = Array.length data in
-    let first = ref 0 in
-    while
-      !first < n
-      &&
-      let x = data.(!first) in
-      x <> x
-    do
-      incr first
+(* The rank-k value of a.(lo..hi), after [select] placed it at k.
+   Order statistics rank every -0. below every 0., which [<] (and
+   [Float.compare]) cannot see, so a zero of rank k is -0. exactly when
+   more than k - lo samples are negative or -0. *)
+let ranked (a : float array) lo hi k =
+  let x = a.(k) in
+  if x <> 0. then x
+  else begin
+    let below = ref 0 in
+    for i = lo to hi do
+      let y = a.(i) in
+      if y < 0. || (y = 0. && Float.sign_bit y) then incr below
     done;
-    { data; first = !first }
+    if k - lo < !below then -0. else 0.
+  end
 
-  let count t = Array.length t.data - t.first
-
-  let percentile t p =
-    if p < 0. || p > 100. then
-      invalid_arg "Stats.percentile: p outside [0,100]";
-    let n = Array.length t.data in
-    let first = t.first in
-    if first = n then Float.nan
-    else
-      let n = n - first in
-      let rank = p /. 100. *. float_of_int (n - 1) in
-      let lo = first + int_of_float (floor rank) in
-      let hi = first + int_of_float (ceil rank) in
-      if lo = hi then t.data.(lo)
-      else
-        let frac = rank -. float_of_int (lo - first) in
-        t.data.(lo) +. (frac *. (t.data.(hi) -. t.data.(lo)))
-
-  let median t = percentile t 50.
-
-  (* First/last non-NaN of the total order = the Float.min/Float.max
-     folds of the old implementation (Float.compare orders -0 below +0,
-     matching Float.min/max's signed-zero treatment). *)
-  let minimum t =
-    if t.first = Array.length t.data then Float.nan else t.data.(t.first)
-
-  let maximum t =
-    let n = Array.length t.data in
-    if t.first = n then Float.nan else t.data.(n - 1)
-end
+let percentile_in_place a ~len p =
+  if len <= 0 || len > Array.length a then
+    invalid_arg "Stats.percentile_in_place: len outside [1, length]";
+  if p < 0. || p > 100. then invalid_arg "Stats.percentile: p outside [0,100]";
+  (* NaN samples go to the front and are left out *)
+  let first = ref 0 in
+  for i = 0 to len - 1 do
+    let x = a.(i) in
+    if x <> x then begin
+      a.(i) <- a.(!first);
+      a.(!first) <- x;
+      incr first
+    end
+  done;
+  let first = !first and last = len - 1 in
+  if first = len then Float.nan
+  else
+    let rank = p /. 100. *. float_of_int (last - first) in
+    let lo = first + int_of_float (floor rank) in
+    let hi = first + int_of_float (ceil rank) in
+    select a first last lo;
+    let v_lo = ranked a first last lo in
+    if lo = hi then v_lo
+    else begin
+      (* rank lo + 1 is the smallest value after the partition at lo *)
+      let m = ref hi in
+      for i = hi + 1 to last do
+        if a.(i) < a.(!m) then m := i
+      done;
+      let tmp = a.(hi) in
+      a.(hi) <- a.(!m);
+      a.(!m) <- tmp;
+      let v_hi = ranked a first last hi in
+      let frac = rank -. float_of_int (lo - first) in
+      v_lo +. (frac *. (v_hi -. v_lo))
+    end
 
 let percentile xs p =
   require_nonempty xs "Stats.percentile";
-  Sorted.percentile (Sorted.of_array xs) p
+  percentile_in_place (Array.copy xs) ~len:(Array.length xs) p
 
 let median xs = percentile xs 50.
 

@@ -13,34 +13,15 @@ val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [\[0, 100\]], linear interpolation
     between order statistics. Does not mutate [xs]. NaN samples are
     ignored; the result is NaN only when every sample is NaN.
-    Sorts a copy of [xs] on every call — when extracting several order
-    statistics from one sample, sort once with {!Sorted.of_array}. *)
+    Bit-identical to reading the non-NaN samples sorted by
+    [Float.compare], with every [-0.] ranked below every [0.] (a tie
+    [Float.compare] leaves open). Selects on a copy of [xs] in expected
+    O(n) time. *)
 
-val sort_floats : float array -> unit
-(** In-place, allocation-free sort in exactly the [Float.compare] total
-    order (NaNs first, [-0.] before [0.], then increasing). Heapsort
-    over direct float comparisons: [Array.sort Float.compare] boxes two
-    floats per comparison, which dominated the per-run summary's
-    allocation when sorting latency samples. *)
-
-(** Sort once, query many: the percentile/median/minimum/maximum family
-    over one shared sorted copy. Byte-identical results to the
-    top-level functions, minus the repeated sorts. *)
-module Sorted : sig
-  type t
-
-  val of_array : float array -> t
-  (** Sorts a copy ([xs] is not mutated). Raises [Invalid_argument] on
-      an empty array. *)
-
-  val count : t -> int
-  (** Number of non-NaN samples. *)
-
-  val percentile : t -> float -> float
-  val median : t -> float
-  val minimum : t -> float
-  val maximum : t -> float
-end
+val percentile_in_place : float array -> len:int -> float -> float
+(** [percentile_in_place a ~len p] is [percentile (Array.sub a 0 len) p]
+    without the copy: it reorders [a.(0..len-1)] in place.
+    Raises [Invalid_argument] unless [0 < len <= Array.length a]. *)
 
 val median : float array -> float
 

@@ -44,11 +44,11 @@ let run ?until ?observer ?profile t =
   (* Two loops so the no-observer, no-profile path (the default) stays
      the exact hot loop: no per-event option match, no closure call —
      and via locate/take, no per-event allocation at all. The
-     instrumented loop calls the observer (if any) before each event
-     and, when profiling, brackets queue operations and observer
-     callbacks with {!Profile} phases; event thunks execute in whatever
-     phase was current ([phase_other] unless the thunk switches
-     itself). *)
+     instrumented loop advances the clock, then calls the observer (if
+     any), which reads the event's time as [now t]; when profiling, it
+     brackets queue operations and observer callbacks with {!Profile}
+     phases. Event thunks execute in whatever phase was current
+     ([phase_other] unless the thunk switches itself). *)
   (match (observer, profile) with
   | None, None ->
     let rec loop () =
@@ -71,14 +71,13 @@ let run ?until ?observer ?profile t =
     let rec loop () =
       let prev = enter Profile.phase_queue in
       if Event_queue.locate q ~horizon then begin
-        let time = Event_queue.located_time q in
+        t.clock.(0) <- Event_queue.located_time q;
         (match observer with
         | Some observe ->
           let pq = enter Profile.phase_observer in
-          observe time;
+          observe ();
           leave pq
         | None -> ());
-        t.clock.(0) <- time;
         t.executed <- t.executed + 1;
         let thunk = Event_queue.take q in
         leave prev;

@@ -26,12 +26,15 @@ val every : t -> interval:float -> until:float -> (float -> unit) -> unit
     them. *)
 
 val run :
-  ?until:float -> ?observer:(float -> unit) -> ?profile:Profile.t -> t -> unit
+  ?until:float -> ?observer:(unit -> unit) -> ?profile:Profile.t -> t -> unit
 (** Processes events in order until the queue empties or virtual time
     would exceed [until] (remaining events stay queued, and the clock is
-    left at [until]). [observer], when given, is called with each event's
-    time just before it executes — in pop order, so a well-behaved queue
-    feeds it non-decreasing times ({!Invariants.observe_event_time}).
+    left at [until]). [observer], when given, is called once per event,
+    after the clock has advanced to the event's time and just before the
+    event executes; it reads that time as {!now}. Calls come in pop
+    order, so a well-behaved queue shows it non-decreasing times
+    ({!Invariants.observe_event_time}). Taking no argument, the call
+    boxes no float.
     [profile], when given, charges queue operations (and observer
     callbacks) to their {!Profile} phases; event thunks run in the
     enclosing phase. The default path (neither given) runs the exact

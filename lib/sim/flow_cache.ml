@@ -24,45 +24,48 @@ type sampler = { s_n : int; s_prob : int array; s_alias : int array }
 let sampler ~flows ~zipf =
   let p = FC.zipf_weights ~flows ~s:zipf in
   let n = flows in
-  let cum_bits = Array.make n 0 in
-  let running = ref 0. in
-  Array.iteri
-    (fun i pi ->
-      running := !running +. pi;
-      cum_bits.(i) <- int_of_float (!running *. float_of_int bits_range))
-    p;
-  (* pin the last edge: a 30-bit draw can never fall off the end *)
-  cum_bits.(n - 1) <- bits_range;
+  (* Each flow's mass on the 30-bit lattice, scaled by n: the gaps
+     between consecutive cumulative edges, with the last edge pinned so
+     a 30-bit draw can never fall off the end. *)
+  let w = Array.make n 0 in
+  let running = ref 0. and edge = ref 0 in
+  for i = 0 to n - 1 do
+    running := !running +. p.(i);
+    let next =
+      if i = n - 1 then bits_range
+      else int_of_float (!running *. float_of_int bits_range)
+    in
+    w.(i) <- n * (next - !edge);
+    edge := next
+  done;
   let prob = Array.make n bits_range in
   let alias = Array.init n (fun i -> i) in
-  let w =
-    Array.init n (fun i ->
-        n * (cum_bits.(i) - if i = 0 then 0 else cum_bits.(i - 1)))
-  in
-  (* two-stack split in exact integer arithmetic, array-backed so a
-     million-flow build does not cons a million list cells *)
-  let small = Array.make n 0 and large = Array.make n 0 in
+  (* Two-stack split in exact integer arithmetic, both stacks in one
+     array: the small stack grows up from slot 0, the large one down
+     from slot n - 1. Every index sits on exactly one, so they never
+     meet. *)
+  let stack = Array.make n 0 in
   let ns = ref 0 and nl = ref 0 in
   for i = 0 to n - 1 do
     if w.(i) < bits_range then begin
-      small.(!ns) <- i;
+      stack.(!ns) <- i;
       incr ns
     end
     else begin
-      large.(!nl) <- i;
+      stack.(n - 1 - !nl) <- i;
       incr nl
     end
   done;
   while !ns > 0 && !nl > 0 do
     decr ns;
-    let l = small.(!ns) in
-    let g = large.(!nl - 1) in
+    let l = stack.(!ns) in
+    let g = stack.(n - !nl) in
     prob.(l) <- w.(l);
     alias.(l) <- g;
     w.(g) <- w.(g) - (bits_range - w.(l));
     if w.(g) < bits_range then begin
       decr nl;
-      small.(!ns) <- g;
+      stack.(!ns) <- g;
       incr ns
     end
   done;
@@ -79,7 +82,10 @@ let[@inline] sample s u =
 (* Slots 0..cap-1; [-1] is the null index throughout. The recency list
    is doubly linked ([l_prev]/[l_next], head = MRU); hash chains are
    singly linked ([h_next]) from power-of-two [buckets]. [stamp] holds
-   the last-access time for the lazy TTL check. *)
+   the last-access time for the lazy TTL check; [clock] is the current
+   operation's time, one slot shared by both tables of a cache, so no
+   LRU function takes a float argument (which would box at each
+   call). *)
 type lru = {
   cap : int;
   mask : int;
@@ -89,12 +95,13 @@ type lru = {
   l_prev : int array;
   l_next : int array;
   stamp : float array;
+  clock : float array;
   mutable head : int;
   mutable tail : int;
   mutable used : int;
 }
 
-let lru_create cap =
+let lru_create cap ~clock =
   if cap < 1 then invalid_arg "Flow_cache: capacity must be >= 1";
   let size = ref 1 in
   while !size < 2 * cap do
@@ -109,6 +116,7 @@ let lru_create cap =
     l_prev = Array.make cap (-1);
     l_next = Array.make cap (-1);
     stamp = Array.make cap 0.;
+    clock;
     head = -1;
     tail = -1;
     used = 0;
@@ -143,39 +151,39 @@ let list_push_front t i =
   if t.head >= 0 then t.l_prev.(t.head) <- i else t.tail <- i;
   t.head <- i
 
-(* Look [k] up; a hit refreshes recency and the TTL stamp. An entry
-   idle past [ttl] is removed and reported as a miss (lazy expiry). *)
-let lru_find t ?ttl ~now k =
-  let b = hash_of t k in
-  let rec walk i =
-    if i < 0 then false
-    else if t.key.(i) = k then begin
-      match ttl with
-      | Some theta when now -. t.stamp.(i) > theta ->
-        chain_remove t i;
-        list_unlink t i;
-        t.key.(i) <- -1;
-        (* recycle the slot through the recency tail so insert finds it *)
-        t.l_next.(i) <- -1;
-        t.l_prev.(i) <- t.tail;
-        if t.tail >= 0 then t.l_next.(t.tail) <- i else t.head <- i;
-        t.tail <- i;
-        false
-      | _ ->
-        t.stamp.(i) <- now;
-        if t.head <> i then begin
-          list_unlink t i;
-          list_push_front t i
-        end;
-        true
-    end
-    else walk t.h_next.(i)
-  in
-  walk t.buckets.(b)
+(* Slot [i] holds the probed key: a hit refreshes recency and the TTL
+   stamp; an entry idle past [ttl] is removed and reported as a miss
+   (lazy expiry). *)
+let found t ttl i =
+  let now = t.clock.(0) in
+  match ttl with
+  | Some theta when now -. t.stamp.(i) > theta ->
+    chain_remove t i;
+    list_unlink t i;
+    t.key.(i) <- -1;
+    (* recycle the slot through the recency tail so insert finds it *)
+    t.l_next.(i) <- -1;
+    t.l_prev.(i) <- t.tail;
+    if t.tail >= 0 then t.l_next.(t.tail) <- i else t.head <- i;
+    t.tail <- i;
+    false
+  | _ ->
+    t.stamp.(i) <- now;
+    if t.head <> i then begin
+      list_unlink t i;
+      list_push_front t i
+    end;
+    true
 
-(* Insert [k] (must not be present): reuse a free slot while the table
-   is filling, then evict the LRU tail. *)
-let lru_insert t ~now k =
+let rec walk t ttl k i =
+  i >= 0 && if t.key.(i) = k then found t ttl i else walk t ttl k t.h_next.(i)
+
+(* Look [k] up at [t.clock]. *)
+let lru_find t ttl k = walk t ttl k t.buckets.(hash_of t k)
+
+(* Insert [k] (must not be present) stamped [t.clock]: reuse a free
+   slot while the table is filling, then evict the LRU tail. *)
+let lru_insert t k =
   let i =
     if t.used < t.cap then begin
       let i = t.used in
@@ -190,7 +198,7 @@ let lru_insert t ~now k =
     end
   in
   t.key.(i) <- k;
-  t.stamp.(i) <- now;
+  t.stamp.(i) <- t.clock.(0);
   let b = hash_of t k in
   t.h_next.(i) <- t.buckets.(b);
   t.buckets.(b) <- i;
@@ -202,6 +210,7 @@ type t = {
   fc_spec : FC.spec;
   fc_warmup : float;
   fc_sampler : sampler;
+  clock : float array;  (* both tables' [clock] *)
   emc : lru;
   mega : lru;
   mutable emc_lookups : int;
@@ -212,12 +221,14 @@ type t = {
 }
 
 let create ~(spec : FC.spec) ~warmup =
+  let clock = [| 0. |] in
   {
     fc_spec = spec;
     fc_warmup = warmup;
     fc_sampler = sampler ~flows:spec.FC.flows ~zipf:spec.FC.zipf;
-    emc = lru_create spec.FC.emc_entries;
-    mega = lru_create spec.FC.megaflow_entries;
+    clock;
+    emc = lru_create spec.FC.emc_entries ~clock;
+    mega = lru_create spec.FC.megaflow_entries ~clock;
     emc_lookups = 0;
     emc_hit_count = 0;
     mega_lookups = 0;
@@ -252,31 +263,41 @@ let[@inline] draw t ~bits = sample t.fc_sampler bits
 
 (* Lookup counters follow the arrival windowing convention: counted by
    the lookup's own time, so the measured hit ratio covers exactly the
-   post-warmup reference stream. *)
+   post-warmup reference stream. Each lookup is an inlinable wrapper
+   that stores [now] into the clock cell unboxed and hands the rest to
+   a probe taking no float. *)
 
-let emc_lookup t ~now ~flow =
-  let hit = lru_find t.emc ?ttl:t.fc_spec.FC.ttl ~now flow in
-  if now >= t.fc_warmup then begin
+let emc_probe t ~counted flow =
+  let hit = lru_find t.emc t.fc_spec.FC.ttl flow in
+  if counted then begin
     t.emc_lookups <- t.emc_lookups + 1;
     if hit then t.emc_hit_count <- t.emc_hit_count + 1
   end;
   hit
 
+let[@inline] emc_lookup t ~now ~flow =
+  t.clock.(0) <- now;
+  emc_probe t ~counted:(now >= t.fc_warmup) flow
+
 (* An EMC miss consults the megaflow table. A megaflow hit promotes the
    flow into the EMC; a megaflow miss is a slow-path classification,
    which installs the flow in both tables on its way back. *)
-let mega_lookup t ~now ~flow =
-  let hit = lru_find t.mega ?ttl:t.fc_spec.FC.ttl ~now flow in
-  if now >= t.fc_warmup then begin
+let mega_probe t ~counted flow =
+  let hit = lru_find t.mega t.fc_spec.FC.ttl flow in
+  if counted then begin
     t.mega_lookups <- t.mega_lookups + 1;
     if hit then t.mega_hit_count <- t.mega_hit_count + 1
   end;
-  if hit then lru_insert t.emc ~now flow
+  if hit then lru_insert t.emc flow
   else begin
-    lru_insert t.mega ~now flow;
-    lru_insert t.emc ~now flow
+    lru_insert t.mega flow;
+    lru_insert t.emc flow
   end;
   hit
+
+let[@inline] mega_lookup t ~now ~flow =
+  t.clock.(0) <- now;
+  mega_probe t ~counted:(now >= t.fc_warmup) flow
 
 (* ---- summaries ------------------------------------------------------- *)
 

@@ -21,7 +21,8 @@
     lazy TTL expiry): the steady-state hot loop allocates nothing per
     flow or per packet, so million-flow populations cost setup memory
     only (the ledger's [flow_cache.words_per_event_delta] metric tracks
-    the residual, the per-arrival flow draw). *)
+    it). The lookups are inlinable wrappers that store [now] into a
+    clock cell the two tables share, so no float crosses a call. *)
 
 val classes : int
 (** 3 — hot (EMC hit), warm (megaflow hit), cold (slow path). *)

@@ -19,11 +19,13 @@ type t = {
   mutable n_checks : int;
   mutable n_violations : int;
   mutable recorded : violation list;  (* newest first, capped *)
-  fates : (int, unit) Hashtbl.t;  (* injected, not yet resolved *)
+  mutable fates : Bytes.t;  (* bit [id] set while packet [id] is in flight *)
+  mutable n_live : int;  (* bits set in [fates] *)
   mutable n_injected : int;
   mutable n_delivered : int;
   mutable n_dropped : int;
-  mutable last_event_time : float;
+  last_event_time : float array;
+      (* one slot: a mutable float field would box on every store *)
 }
 
 let create () =
@@ -31,124 +33,140 @@ let create () =
     n_checks = 0;
     n_violations = 0;
     recorded = [];
-    fates = Hashtbl.create 1024;
+    fates = Bytes.make 128 '\000';
+    n_live = 0;
     n_injected = 0;
     n_delivered = 0;
     n_dropped = 0;
-    last_event_time = neg_infinity;
+    last_event_time = [| neg_infinity |];
   }
 
-let record t v =
+(* Counts a violation; true while it is still kept verbatim, so the
+   per-packet checks format its strings only then. *)
+let keep t =
   t.n_violations <- t.n_violations + 1;
-  if t.n_violations <= max_recorded then t.recorded <- v :: t.recorded
+  t.n_violations <= max_recorded
+
+(* The per-event checks below are inlined at their call sites with the
+   pass test on unboxed floats; only a failure reaches one of these
+   out-of-line recorders, which box the floats and build the strings. *)
+let[@inline never] violated t ~law ~entity ~time ~expected ~actual detail =
+  if keep t then
+    t.recorded <- { law; entity; time; expected; actual; detail } :: t.recorded
+
+let[@inline never] packet_violated t ~law ~id ~time ~expected ~actual detail =
+  if keep t then
+    t.recorded <-
+      {
+        law;
+        entity = Printf.sprintf "packet-%d" id;
+        time;
+        expected;
+        actual;
+        detail;
+      }
+      :: t.recorded
 
 (* Relative closeness with an absolute floor of 1: laws about
    near-zero quantities (an idle medium's busy time, say) are judged
-   at absolute [tol] rather than an impossible relative one. *)
-let close ~tol expected actual =
-  abs_float (expected -. actual)
-  <= tol *. Float.max 1. (Float.max (abs_float expected) (abs_float actual))
+   at absolute [tol] rather than an impossible relative one. A NaN on
+   either side fails: every comparison with it is false. The scale is
+   [Float.max] spelled out, exact here because a NaN operand has
+   already failed the test. *)
+let[@inline] close ~tol expected actual =
+  let ae = abs_float expected and aa = abs_float actual in
+  let m = if ae > aa then ae else aa in
+  abs_float (expected -. actual) <= tol *. if m > 1. then m else 1.
+
+let[@inline] within ~tol ~limit actual =
+  let al = abs_float limit in
+  actual <= limit +. (tol *. if al > 1. then al else 1.)
 
 let check_close t ~law ~entity ~time ?(tol = 1e-9) ~expected ~actual detail =
   t.n_checks <- t.n_checks + 1;
-  let pass =
-    (* NaN actual must fail; comparisons involving NaN are false, so
-       [close] already treats it as a violation. *)
-    close ~tol expected actual
-  in
-  if not pass then record t { law; entity; time; expected; actual; detail }
+  if not (close ~tol expected actual) then
+    violated t ~law ~entity ~time ~expected ~actual detail
 
 let check_count t ~law ~entity ~time ~expected ~actual detail =
   t.n_checks <- t.n_checks + 1;
   if expected <> actual then
-    record t
-      {
-        law;
-        entity;
-        time;
-        expected = float_of_int expected;
-        actual = float_of_int actual;
-        detail;
-      }
+    violated t ~law ~entity ~time ~expected:(float_of_int expected)
+      ~actual:(float_of_int actual) detail
+
+let[@inline] bound t ~law ~entity ~time ~tol ~limit ~actual detail =
+  t.n_checks <- t.n_checks + 1;
+  if not (within ~tol ~limit actual) then
+    violated t ~law ~entity ~time ~expected:limit ~actual detail
 
 let check_bound t ~law ~entity ~time ?(tol = 1e-9) ~limit ~actual detail =
-  t.n_checks <- t.n_checks + 1;
-  let pass = actual <= limit +. (tol *. Float.max 1. (abs_float limit)) in
-  if not pass then record t { law; entity; time; expected = limit; actual; detail }
+  bound t ~law ~entity ~time ~tol ~limit ~actual detail
 
 let check_nonneg t ~law ~entity ~time ~actual detail =
   t.n_checks <- t.n_checks + 1;
-  if not (actual >= 0.) then
-    record t { law; entity; time; expected = 0.; actual; detail }
+  if not (actual >= 0.) then violated t ~law ~entity ~time ~expected:0. ~actual detail
 
-let packet_entity id = Printf.sprintf "packet-%d" id
+let[@inline never] grow_fates t id =
+  if id < 0 then invalid_arg "Invariants: packet ids must be non-negative";
+  let old = t.fates in
+  let bigger = Bytes.make (max ((id lsr 3) + 1) (2 * Bytes.length old)) '\000' in
+  Bytes.blit old 0 bigger 0 (Bytes.length old);
+  t.fates <- bigger
 
-let packet_injected t ~id ~time =
+let[@inline] packet_injected t ~id ~time =
   t.n_checks <- t.n_checks + 1;
   t.n_injected <- t.n_injected + 1;
-  if Hashtbl.mem t.fates id then
-    record t
-      {
-        law = "packet-fate";
-        entity = packet_entity id;
-        time;
-        expected = 0.;
-        actual = 1.;
-        detail = "packet id injected while already in flight";
-      }
-  else Hashtbl.replace t.fates id ()
+  let i = id lsr 3 and bit = 1 lsl (id land 7) in
+  if i >= Bytes.length t.fates then grow_fates t id;
+  let b = Char.code (Bytes.get t.fates i) in
+  if b land bit <> 0 then
+    packet_violated t ~law:"packet-fate" ~id ~time ~expected:0. ~actual:1.
+      "packet id injected while already in flight"
+  else begin
+    Bytes.set t.fates i (Char.unsafe_chr (b lor bit));
+    t.n_live <- t.n_live + 1
+  end
 
-let resolve t ~id ~time what =
+let[@inline] resolve t ~id ~time detail =
   t.n_checks <- t.n_checks + 1;
-  if Hashtbl.mem t.fates id then Hashtbl.remove t.fates id
+  let i = id lsr 3 and bit = 1 lsl (id land 7) in
+  let b = if i < Bytes.length t.fates then Char.code (Bytes.get t.fates i) else 0 in
+  if b land bit <> 0 then begin
+    Bytes.set t.fates i (Char.unsafe_chr (b land lnot bit));
+    t.n_live <- t.n_live - 1
+  end
   else
-    record t
-      {
-        law = "packet-fate";
-        entity = packet_entity id;
-        time;
-        expected = 1.;
-        actual = 0.;
-        detail =
-          Printf.sprintf "%s without a live injection (double delivery/drop?)"
-            what;
-      }
+    packet_violated t ~law:"packet-fate" ~id ~time ~expected:1. ~actual:0. detail
 
-let packet_delivered t ~id ~time =
+let[@inline] packet_delivered t ~id ~time =
   t.n_delivered <- t.n_delivered + 1;
-  resolve t ~id ~time "delivered"
+  resolve t ~id ~time
+    "delivered without a live injection (double delivery/drop?)"
 
-let packet_dropped t ~id ~time =
+let[@inline] packet_dropped t ~id ~time =
   t.n_dropped <- t.n_dropped + 1;
-  resolve t ~id ~time "dropped"
+  resolve t ~id ~time "dropped without a live injection (double delivery/drop?)"
 
 let injected t = t.n_injected
 let delivered t = t.n_delivered
 let dropped t = t.n_dropped
-let in_flight t = Hashtbl.length t.fates
+let in_flight t = t.n_live
 
 let check_conservation t ~time ~generated =
   check_count t ~law:"packet-conservation" ~entity:"run" ~time
     ~expected:t.n_injected
-    ~actual:(t.n_delivered + t.n_dropped + Hashtbl.length t.fates)
+    ~actual:(t.n_delivered + t.n_dropped + t.n_live)
     "injected packets must equal delivered + dropped + in-flight at the horizon";
   check_count t ~law:"packet-conservation" ~entity:"run" ~time
     ~expected:generated ~actual:t.n_injected
     "the traffic generator's count must equal packets seen at ingress"
 
-let observe_event_time t time =
+let[@inline] observe_event_time t time =
   t.n_checks <- t.n_checks + 1;
-  if time < t.last_event_time then
-    record t
-      {
-        law = "event-monotonicity";
-        entity = "engine";
-        time;
-        expected = t.last_event_time;
-        actual = time;
-        detail = "event queue popped a time earlier than its predecessor";
-      };
-  t.last_event_time <- time
+  let last = t.last_event_time.(0) in
+  if time < last then
+    violated t ~law:"event-monotonicity" ~entity:"engine" ~time ~expected:last
+      ~actual:time "event queue popped a time earlier than its predecessor";
+  t.last_event_time.(0) <- time
 
 let check_summary t ~horizon (s : Telemetry.summary) =
   let time = horizon in
@@ -194,34 +212,37 @@ let check_summary t ~horizon (s : Telemetry.summary) =
       "packet rate must be delivered packets over the window"
   end
 
-let check_admitted t ~time ~limit node =
+let[@inline] check_admitted t ~time ~limit node =
   let entity = Ip_node.label node in
-  check_bound t ~law:"queue-capacity" ~entity ~time ~limit
+  bound t ~law:"queue-capacity" ~entity ~time ~tol:1e-9 ~limit
     ~actual:(float_of_int (Ip_node.in_system node))
     "in-system requests must not exceed the queue capacity";
-  check_bound t ~law:"engine-count" ~entity ~time
+  bound t ~law:"engine-count" ~entity ~time ~tol:1e-9
     ~limit:(float_of_int (Ip_node.engines node))
     ~actual:(float_of_int (Ip_node.busy_engines node))
     "busy engines must not exceed the configured engine count"
 
-let check_medium t ~time m =
-  check_bound t ~law:"medium-buffer" ~entity:(Medium.label m) ~time
+let[@inline] check_medium t ~time m =
+  bound t ~law:"medium-buffer" ~entity:(Medium.label m) ~time ~tol:1e-9
     ~limit:Medium.buffer ~actual:(Medium.backlog m)
     "admitted backlog must fit the rate-matching buffer"
 
-let check_delivery t ~id ~time fs =
+let[@inline] check_delivery t ~id ~time fs =
   packet_delivered t ~id ~time;
   (* Eq. 2 tiling: each hop adds its pieces from the same event times
      that advance the clock, so only float rounding separates the
      two sides. *)
-  check_close t ~law:"latency-tiling" ~entity:(packet_entity id) ~time ~tol:1e-9
-    ~expected:(time -. fs.(Telemetry.slot_born))
-    ~actual:
-      (fs.(Telemetry.slot_queueing)
-      +. fs.(Telemetry.slot_service)
-      +. fs.(Telemetry.slot_wire)
-      +. fs.(Telemetry.slot_overhead))
-    "queueing + service + wire + overhead must equal birth-to-egress time"
+  t.n_checks <- t.n_checks + 1;
+  let expected = time -. fs.(Telemetry.slot_born) in
+  let actual =
+    fs.(Telemetry.slot_queueing)
+    +. fs.(Telemetry.slot_service)
+    +. fs.(Telemetry.slot_wire)
+    +. fs.(Telemetry.slot_overhead)
+  in
+  if not (close ~tol:1e-9 expected actual) then
+    packet_violated t ~law:"latency-tiling" ~id ~time ~expected ~actual
+      "queueing + service + wire + overhead must equal birth-to-egress time"
 
 let check_horizon t ~horizon ~nodes ~media ~generated ?(birth_bins = [||])
     summary =

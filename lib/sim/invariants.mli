@@ -13,8 +13,9 @@
     balancing instead of surfacing later as a subtly-wrong summary.
 
     Checking is opt-in ({!Netsim.config.check_invariants}); the disabled
-    path adds no work to the simulator hot loop (the ledger's
-    [layer.invariants.cost] metric tracks the enabled path's cost). *)
+    path adds no work to the simulator hot loop, and the enabled path
+    allocates nothing per event (the ledger's [layer.invariants.cost]
+    metric tracks its time). *)
 
 type violation = {
   law : string;  (** stable kebab-case law name, e.g. ["packet-conservation"] *)
@@ -96,7 +97,9 @@ val check_nonneg :
     Every packet id must be injected exactly once and resolved
     (delivered or dropped) at most once; ids resolved without a live
     injection record a ["packet-fate"] violation — the signature of a
-    double delivery or double drop. *)
+    double delivery or double drop. The ledger is a bitmap indexed by
+    id, so ids must be non-negative: injecting a negative id raises
+    [Invalid_argument]. *)
 
 val packet_injected : t -> id:int -> time:float -> unit
 val packet_delivered : t -> id:int -> time:float -> unit
@@ -116,7 +119,8 @@ val check_conservation : t -> time:float -> generated:int -> unit
 
 val observe_event_time : t -> float -> unit
 (** Feed every popped event time in execution order; times must be
-    non-decreasing (["event-monotonicity"]). *)
+    non-decreasing (["event-monotonicity"]). {!Netsim} calls it from an
+    {!Engine.run} observer with {!Engine.now}. *)
 
 val check_summary : t -> horizon:float -> Telemetry.summary -> unit
 (** The {!Telemetry.summary} self-consistency laws: the drop breakdown

@@ -101,8 +101,11 @@ let[@inline] transfer ?tally ?span t ~bytes k =
       admitted
   end
 
-let backlog t =
-  Float.max 0. (t.f.(0) -. Engine.now t.engine) *. effective_bandwidth t
+(* Inlinable, with [transfer_admit]'s spelled-out [Float.max], so the
+   per-admission invariant check reads it unboxed. *)
+let[@inline] backlog t =
+  let wait = t.f.(0) -. Engine.now t.engine in
+  (if wait > 0. then wait else 0.) *. effective_bandwidth t
 
 let busy_time t = t.f.(1)
 

@@ -806,7 +806,7 @@ let execute_with ?engine:reused (spec : Run.t) =
   (match checker with
   | Some inv ->
     Engine.run ~until:config.duration
-      ~observer:(Invariants.observe_event_time inv)
+      ~observer:(fun () -> Invariants.observe_event_time inv (Engine.now engine))
       ?profile engine
   | None -> Engine.run ~until:config.duration ?profile engine);
   let summary = Telemetry.summarize telemetry ~horizon:config.duration in

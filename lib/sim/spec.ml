@@ -154,8 +154,5 @@ let get_float values i =
 let get_str values i =
   match values.(i) with S s -> s | _ -> kind_mismatch i
 
-let find_int values i = if i < Array.length values then Some (get_int values i) else None
 let find_float values i =
   if i < Array.length values then Some (get_float values i) else None
-let find_str values i =
-  if i < Array.length values then Some (get_str values i) else None

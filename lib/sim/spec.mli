@@ -82,8 +82,5 @@ val get_float : value array -> int -> float
 
 val get_str : value array -> int -> string
 
-val find_int : value array -> int -> int option
-(** [None] when the (optional) field at that index was omitted. *)
-
 val find_float : value array -> int -> float option
-val find_str : value array -> int -> string option
+(** [None] when the (optional) field at that index was omitted. *)

@@ -14,8 +14,6 @@ module Buf = struct
     if t.len = Array.length t.data then grow t;
     t.data.(t.len) <- x;
     t.len <- t.len + 1
-
-  let to_array t = Array.sub t.data 0 t.len
 end
 
 (* Minimal JSON tree + printer + parser. The repo deliberately carries
@@ -370,8 +368,6 @@ let drop_site_name = function
   | Medium_buffer label -> Printf.sprintf "medium:%s" label
   | Fault_burst -> "fault:burst"
 
-let pp_drop_site ppf site = Format.pp_print_string ppf (drop_site_name site)
-
 type latency_terms = {
   queueing : float;
   service : float;
@@ -596,13 +592,13 @@ type summary = {
 let summarize t ~horizon =
   let tb = t.table in
   let window = Float.max 0. (horizon -. tb.cutoff) in
-  (* one sort feeds the exact order statistics (p50/p99) *)
-  let sorted =
-    if t.latencies.len = 0 then None
-    else
-      Some (Lognic_numerics.Stats.Sorted.of_array (Buf.to_array t.latencies))
+  (* exact order statistics, selected in place: the samples' order
+     carries nothing, so the buffer is reordered rather than copied *)
+  let stat p =
+    let b = t.latencies in
+    if b.len = 0 then 0.
+    else Lognic_numerics.Stats.percentile_in_place b.data ~len:b.len p
   in
-  let stat f = match sorted with None -> 0. | Some s -> f s in
   let per_class =
     List.filter_map
       (fun klass ->
@@ -633,8 +629,8 @@ let summarize t ~horizon =
     packet_rate =
       (if window > 0. then float_of_int delivered /. window else 0.);
     mean_latency = Table.mean_latency tb 0;
-    p50_latency = stat (fun s -> Lognic_numerics.Stats.Sorted.percentile s 50.);
-    p99_latency = stat (fun s -> Lognic_numerics.Stats.Sorted.percentile s 99.);
+    p50_latency = stat 50.;
+    p99_latency = stat 99.;
     max_latency = Table.max_latency tb 0;
     loss_rate =
       (if offered = 0 then 0.

@@ -109,8 +109,6 @@ val drop_site_name : drop_site -> string
 (** Stable textual key ("node:LABEL/qI" / "medium:LABEL"), also used in
     the JSON export. *)
 
-val pp_drop_site : Format.formatter -> drop_site -> unit
-
 (** Per-packet latency decomposition, seconds. Summed over every hop of
     a packet's walk, the four components account for its entire
     end-to-end latency, mirroring the model's Eq. 2 terms: [wire] ↔ the

@@ -48,8 +48,7 @@ let set specs =
      the distribution whatever the rounding of the partial sums. *)
   cumulative.(Array.length arr - 1) <- 1.;
   (* The edges scaled to the 30-bit integer lattice (last = 2^30), so
-     the per-arrival draw stays on [Rng.bits], which (unlike
-     [Rng.float]) allocates nothing. *)
+     the per-arrival draw is one [Rng.bits]. *)
   let cum_bits =
     Array.map (fun c -> int_of_float (c *. float_of_int bits_range)) cumulative
   in

@@ -76,34 +76,39 @@ let step t =
   let gap = if gap < 1e15 then int_of_float gap else max_int / 4 in
   t.next <- t.next + 1 + gap
 
-let on_packet t ~packet ~born ~size ~klass =
+(* The reservoir slot the next generated packet takes, or -1 when it
+   is not sampled. *)
+let admit t =
   let n = t.seen in
   t.seen <- n + 1;
-  let slot =
-    if n < t.capacity then begin
-      if n = t.capacity - 1 then begin
-        (* reservoir just filled: schedule the first replacement *)
-        t.next <- n;
-        step t
-      end;
-      n
-    end
-    else if n = t.next then begin
-      let j = Lognic_numerics.Rng.int t.rng t.capacity in
-      step t;
-      j
-    end
-    else -1
-  in
-  if slot < 0 then None
-  else begin
-    let r =
-      { packet; born; size; klass; fate = Pending; rev_spans = []; live = true }
-    in
-    (match t.slots.(slot) with Some old -> old.live <- false | None -> ());
-    t.slots.(slot) <- Some r;
-    Some r
+  if n < t.capacity then begin
+    if n = t.capacity - 1 then begin
+      (* reservoir just filled: schedule the first replacement *)
+      t.next <- n;
+      step t
+    end;
+    n
   end
+  else if n = t.next then begin
+    let j = Lognic_numerics.Rng.int t.rng t.capacity in
+    step t;
+    j
+  end
+  else -1
+
+let install t slot r =
+  (match t.slots.(slot) with Some old -> old.live <- false | None -> ());
+  t.slots.(slot) <- Some r;
+  Some r
+
+(* Inlinable so the sampling decision comes before [born] and [size]
+   are touched: an unsampled packet boxes neither. *)
+let[@inline] on_packet t ~packet ~born ~size ~klass =
+  let slot = admit t in
+  if slot < 0 then None
+  else
+    install t slot
+      { packet; born; size; klass; fate = Pending; rev_spans = []; live = true }
 
 let add_span r ~entity ~lane ~phase ~start ~duration =
   if r.live && duration > 0. then

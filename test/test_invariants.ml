@@ -96,6 +96,17 @@ let fate_ledger () =
   Alcotest.(check int) "in flight" 1 (I.in_flight t);
   I.check_conservation t ~time:1. ~generated:3;
   Alcotest.(check int) "books balance" 0 (I.report t).I.total_violations;
+  (* the ledger is a bitmap indexed by id: the first id and one far
+     past its initial size, which forces it to grow *)
+  I.packet_injected t ~id:0 ~time:1.;
+  I.packet_injected t ~id:3_000_000 ~time:1.;
+  Alcotest.(check int) "in flight after two more" 3 (I.in_flight t);
+  I.packet_delivered t ~id:3_000_000 ~time:1.5;
+  I.packet_dropped t ~id:0 ~time:1.5;
+  I.packet_delivered t ~id:3 ~time:1.5;
+  Alcotest.(check int) "in flight after resolving them" 0 (I.in_flight t);
+  I.check_conservation t ~time:2. ~generated:5;
+  Alcotest.(check int) "grown ledger balances" 0 (I.report t).I.total_violations;
   I.check_conservation t ~time:1. ~generated:4;
   Alcotest.(check bool) "generator disagreement caught" true
     (List.mem "packet-conservation" (laws (I.report t)))
@@ -110,7 +121,38 @@ let fate_double_delivery () =
   let r = I.report t in
   Alcotest.(check int) "double delivery and orphan drop" 2 r.I.total_violations;
   Alcotest.(check (list string)) "both are fate violations"
-    [ "packet-fate"; "packet-fate" ] (laws r)
+    [ "packet-fate"; "packet-fate" ] (laws r);
+  Alcotest.(check (list string)) "each names its packet" [ "packet-7"; "packet-99" ]
+    (List.map (fun (v : I.violation) -> v.entity) r.I.violations);
+  Alcotest.(check (list string)) "and how it was resolved"
+    [
+      "delivered without a live injection (double delivery/drop?)";
+      "dropped without a live injection (double delivery/drop?)";
+    ]
+    (List.map (fun (v : I.violation) -> v.detail) r.I.violations)
+
+let tiling_corruption_is_caught () =
+  let module T = S.Telemetry in
+  let t = I.create () in
+  let fs = Array.make T.flight_slots 0. in
+  fs.(T.slot_born) <- 0.1;
+  fs.(T.slot_queueing) <- 0.1;
+  fs.(T.slot_service) <- 0.2;
+  I.packet_injected t ~id:6 ~time:0.1;
+  I.check_delivery t ~id:6 ~time:0.4 fs;
+  Alcotest.(check int) "a tiled flight passes" 0 (I.report t).I.total_violations;
+  I.packet_injected t ~id:7 ~time:0.1;
+  fs.(T.slot_wire) <- 0.05;
+  I.check_delivery t ~id:7 ~time:0.4 fs;
+  let r = I.report t in
+  Alcotest.(check int) "inject, deliver, tile: 3 checks per packet" 6 r.I.checks;
+  match r.I.violations with
+  | [ v ] ->
+    Alcotest.(check string) "law" "latency-tiling" v.I.law;
+    Alcotest.(check string) "entity" "packet-7" v.I.entity;
+    check_close "expected is birth to egress" 0.3 v.I.expected;
+    check_close "actual is the corrupted sum" 0.35 v.I.actual
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
 
 let event_monotonicity () =
   let t = I.create () in
@@ -235,6 +277,7 @@ let suite =
     quick "invariants: packet-fate ledger" fate_ledger;
     quick "invariants: double delivery is caught" fate_double_delivery;
     quick "invariants: event-time monotonicity" event_monotonicity;
+    quick "invariants: corrupted flight fails latency tiling" tiling_corruption_is_caught;
     quick "invariants: corrupted summaries are caught" corrupt_summary_is_caught;
     quick "invariants: clean netsim run attaches an ok report" netsim_clean_run_has_report;
     quick "invariants: disabled flag attaches nothing" netsim_disabled_run_has_none;

@@ -11,6 +11,29 @@ let rng_deterministic () =
     check_close "same seed, same stream" (N.Rng.float a 1.) (N.Rng.float b 1.)
   done
 
+(* [Rng.create]'s seeding restated, so the test holds the same state as
+   a plain [Random.State.t]. *)
+let stdlib_state seed = Random.State.make [| seed; 0x10619c; seed lxor 0x5f3759df |]
+
+let rng_float_matches_stdlib () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun bound ->
+          let r = N.Rng.create ~seed and s = stdlib_state seed in
+          for i = 1 to 100_000 do
+            let a = N.Rng.float r bound and b = Random.State.float s bound in
+            if Int64.bits_of_float a <> Int64.bits_of_float b then
+              Alcotest.failf "seed %d, bound %g, draw %d: %h, stdlib %h" seed
+                bound i a b
+          done;
+          for _ = 1 to 16 do
+            Alcotest.(check int) "streams still aligned" (Random.State.bits s)
+              (N.Rng.bits r)
+          done)
+        [ 1.; 3.7; 1e-300; 1e300 ])
+    [ 1; 7; 42 ]
+
 let rng_seed_changes_stream () =
   let a = N.Rng.create ~seed:1 and b = N.Rng.create ~seed:2 in
   let same = ref 0 in
@@ -141,6 +164,44 @@ let stats_percentile_does_not_mutate () =
   let _ = N.Stats.percentile xs 50. in
   Alcotest.(check (list (float 0.))) "input order preserved" [ 3.; 1.; 2. ]
     (Array.to_list xs)
+
+(* The definition selection must reproduce bit for bit: sort a copy by
+   [Float.compare] (NaNs first) and interpolate over the non-NaN
+   suffix. [Float.compare] equates -0. and 0., which leaves a mixed
+   zero run in the sort's arbitrary order; the order statistics put
+   every -0. first, so the reference breaks that tie the same way. *)
+let percentile_by_sort xs p =
+  let a = Array.copy xs in
+  Array.sort
+    (fun x y ->
+      match Float.compare x y with
+      | 0 -> Bool.compare (Float.sign_bit y) (Float.sign_bit x)
+      | c -> c)
+    a;
+  let n = Array.length a in
+  let first = ref 0 in
+  while !first < n && Float.is_nan a.(!first) do
+    incr first
+  done;
+  let first = !first in
+  if first = n then Float.nan
+  else
+    let rank = p /. 100. *. float_of_int (n - first - 1) in
+    let lo = first + int_of_float (floor rank) in
+    let hi = first + int_of_float (ceil rank) in
+    if lo = hi then a.(lo)
+    else a.(lo) +. ((rank -. float_of_int (lo - first)) *. (a.(hi) -. a.(lo)))
+
+let same_bits a b =
+  (Float.is_nan a && Float.is_nan b) || Int64.bits_of_float a = Int64.bits_of_float b
+
+let stats_percentile_all_equal () =
+  let xs = Array.make 100_000 3.25 in
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (Printf.sprintf "p%g of 1e5 equal samples" p) true
+        (same_bits 3.25 (N.Stats.percentile xs p)))
+    [ 0.; 25.; 50.; 99.; 100. ]
 
 let stats_relative_error () =
   check_close "10% error" 0.1 (N.Stats.relative_error ~actual:110. ~expected:100.);
@@ -338,8 +399,41 @@ let mm1_model_domain () =
 
 (* Properties *)
 
+(* Samples drawn to collide: NaN, signed zeros, infinities and small
+   integers recur, so ties and the -0./0. order are exercised. *)
+let sample_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ Float.nan; 0.; -0.; infinity; neg_infinity; 1e-300; -1e-300 ];
+        map float_of_int (int_range (-4) 4);
+        float_range (-1e6) 1e6;
+      ])
+
+let percentile_case =
+  QCheck.make
+    ~print:(fun (xs, p) ->
+      Printf.sprintf "p%h of [%s]" p
+        (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") xs))))
+    QCheck.Gen.(
+      pair
+        (array_size (int_range 1 60) sample_gen)
+        (oneof [ oneofl [ 0.; 25.; 50.; 99.; 100. ]; float_range 0. 100. ]))
+
 let properties =
   [
+    prop "percentile selection equals the Float.compare sort bit for bit"
+      ~count:1000 percentile_case (fun (xs, p) ->
+        let before = Array.copy xs in
+        let got = N.Stats.percentile xs p in
+        (* the in-place form on a longer buffer reads only its prefix *)
+        let buf = Array.append xs [| -1e308; Float.nan |] in
+        let in_place = N.Stats.percentile_in_place buf ~len:(Array.length xs) p in
+        let want = percentile_by_sort xs p in
+        Array.for_all2 same_bits before xs
+        && same_bits want got && same_bits want in_place
+        && same_bits (-1e308) buf.(Array.length xs)
+        && Float.is_nan buf.(Array.length xs + 1));
     prop "percentile is monotone in p"
       QCheck.(
         pair
@@ -407,6 +501,7 @@ let suite =
     quick "lru: evicts least-recently used" lru_evicts_least_recent;
     quick "lru: hit/miss counters" lru_counts_hits_and_misses;
     quick "lru: refresh in place" lru_refresh_updates_value;
+    quick "rng: float is Random.State.float bit for bit" rng_float_matches_stdlib;
     quick "rng: seed changes stream" rng_seed_changes_stream;
     quick "rng: split reproducible" rng_split_independent;
     quick "rng: bounds" rng_bounds;
@@ -419,6 +514,7 @@ let suite =
     quick "stats: NaN policy" stats_nan_policy;
     quick "stats: percentile interpolation" stats_percentile_interpolates;
     quick "stats: percentile purity" stats_percentile_does_not_mutate;
+    quick "stats: percentile of 1e5 equal samples" stats_percentile_all_equal;
     quick "stats: relative error" stats_relative_error;
     quick "stats: weighted/geometric means" stats_weighted_geometric;
     quick "stats: online accumulator" stats_online_matches_batch;

@@ -182,6 +182,18 @@ let engine_runs_in_order () =
   Alcotest.(check (list string)) "causal order" [ "a"; "a2"; "b" ] (List.rev !log);
   check_close "clock at last event" 2. (S.Engine.now e)
 
+let engine_observer_reads_clock () =
+  let e = S.Engine.create () in
+  let seen = ref [] and ran = ref [] in
+  List.iter
+    (fun at -> S.Engine.schedule e ~at (fun () -> ran := S.Engine.now e :: !ran))
+    [ 0.5; 0.2; 0.2; 0.1 ];
+  S.Engine.run ~observer:(fun () -> seen := S.Engine.now e :: !seen) e;
+  Alcotest.(check (list (float 0.))) "observer sees each event's time, in pop order"
+    [ 0.1; 0.2; 0.2; 0.5 ] (List.rev !seen);
+  Alcotest.(check (list (float 0.))) "the event runs at the time observed"
+    (List.rev !seen) (List.rev !ran)
+
 let engine_horizon () =
   let e = S.Engine.create () in
   let fired = ref false in
@@ -1083,6 +1095,7 @@ let suite =
     QCheck_alcotest.to_alcotest
       (Lognic_check.Props.event_queue_matches_oracle ~count:500);
     quick "engine: causal order" engine_runs_in_order;
+    quick "engine: observer reads the advanced clock" engine_observer_reads_clock;
     quick "engine: horizon" engine_horizon;
     quick "engine: rejects past events" engine_rejects_past;
     quick "medium: FIFO serialization" medium_serializes;
