@@ -208,6 +208,11 @@ let sweep_cmd =
       if Float.is_finite max_rate then Ok ()
       else Error (`Msg "graph has unbounded capacity: pass --max-rate")
     in
+    (* computed before the header, so a bad flag prints only its error *)
+    let rows =
+      Lognic.Estimate.saturation_sweep ~points ~queue_model doc.graph ~hw
+        ~packet_size:traffic.Lognic.Traffic.packet_size ~max_rate
+    in
     Fmt.pr "offered(Gbps)  attained(Gbps)  latency(us)@.";
     List.iter
       (fun (offered, attained, latency) ->
@@ -215,8 +220,7 @@ let sweep_cmd =
           (Lognic.Units.to_gbps offered)
           (Lognic.Units.to_gbps attained)
           (Lognic.Units.to_usec latency))
-      (Lognic.Estimate.saturation_sweep ~points ~queue_model doc.graph ~hw
-         ~packet_size:traffic.Lognic.Traffic.packet_size ~max_rate);
+      rows;
     Ok ()
   in
   let term =
@@ -238,7 +242,10 @@ let simulate_cmd =
   let run graph_path rate packet config =
     let* doc = load_document graph_path in
     let* mix = resolve_mix doc rate packet in
-    let m = Lognic_sim.Netsim.run ~config doc.graph ~hw:(hardware_of doc) ~mix in
+    let m =
+      Lognic_sim.Netsim.(
+        execute (Run.make ~config doc.graph ~hw:(hardware_of doc) ~mix))
+    in
     let s = m.summary in
     Fmt.pr "throughput: %.3f Gbps (%d packets delivered, %d dropped)@."
       (Lognic.Units.to_gbps s.Lognic_sim.Telemetry.throughput)
@@ -287,7 +294,10 @@ let check_cmd =
     let* doc = load_document path in
     let* mix = resolve_mix doc None None in
     let config = Lognic_sim.Netsim.Config.with_invariants true config in
-    let m = Lognic_sim.Netsim.run ~config doc.graph ~hw:(hardware_of doc) ~mix in
+    let m =
+      Lognic_sim.Netsim.(
+        execute (Run.make ~config doc.graph ~hw:(hardware_of doc) ~mix))
+    in
     match m.invariants with
     | None ->
       Error (`Msg "internal error: check_invariants was set but no report came back")
@@ -416,7 +426,10 @@ let report_cmd =
       | None -> config
     in
     let* mix = resolve_mix doc rate packet in
-    let m = Lognic_sim.Netsim.run ~config doc.graph ~hw:(hardware_of doc) ~mix in
+    let m =
+      Lognic_sim.Netsim.(
+        execute (Run.make ~config doc.graph ~hw:(hardware_of doc) ~mix))
+    in
     let s = m.summary in
     let module Tel = Lognic_sim.Telemetry in
     Fmt.pr "throughput: %.3f Gbps (%d delivered, %d dropped, loss %.2f%%)@."
@@ -632,7 +645,10 @@ let watch_cmd =
         { M.interval = dt; slo; profile; on_snapshot = Some on_snapshot }
         config
     in
-    let m = Lognic_sim.Netsim.run ~config doc.graph ~hw:(hardware_of doc) ~mix in
+    let m =
+      Lognic_sim.Netsim.(
+        execute (Run.make ~config doc.graph ~hw:(hardware_of doc) ~mix))
+    in
     Option.iter Out_channel.close stream_oc;
     let* mm =
       match m.metrics with

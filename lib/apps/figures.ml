@@ -245,7 +245,7 @@ let ext_tail ?(speed = Full) ppf =
         (U.to_usec summary.Lognic_sim.Telemetry.p50_latency)
         (U.to_usec q.Lognic.Tail.p99)
         (U.to_usec summary.Lognic_sim.Telemetry.p99_latency))
-    (Lognic_sim.Parallel.map
+    (Lognic_numerics.Parallel.map
        (fun load ->
          let traffic =
            Lognic.Traffic.make ~rate:(load *. 4. *. U.gbps) ~packet_size:U.mtu
@@ -375,7 +375,7 @@ let ext_observability ?(speed = Full) ppf =
         (U.to_usec t.Tel.queueing) (U.to_usec t.Tel.service)
         (U.to_usec t.Tel.wire) (U.to_usec t.Tel.overhead)
         s.Tel.loss_rate top)
-    (Lognic_sim.Parallel.map
+    (Lognic_numerics.Parallel.map
        (fun load ->
          let traffic =
            Lognic.Traffic.make ~rate:(load *. 4. *. U.gbps) ~packet_size:U.mtu
@@ -469,7 +469,7 @@ let all ?speed ?jobs ppf =
      order. The printed bytes are identical to a sequential [all]. *)
   List.iter
     (fun contents -> Fmt.pf ppf "%s" contents)
-    (Lognic_sim.Parallel.map ?jobs
+    (Lognic_numerics.Parallel.map ?jobs
        (fun (_, f) ->
          let buf = Buffer.create 4096 in
          let bppf = Format.formatter_of_buffer buf in

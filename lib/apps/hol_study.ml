@@ -79,12 +79,12 @@ let run organization ?(seed = 17) ?(duration = 2.) config =
   let schedule_stream ~klass ~size ~pps =
     let rec arrive () =
       submit ~klass ~size;
-      let gap = N.Dist.sample (N.Dist.exponential ~rate:pps) arrival_rng in
+      let gap = N.Dist.sample_exponential ~rate:pps arrival_rng in
       let next = S.Engine.now engine +. gap in
       if next < duration then S.Engine.schedule engine ~at:next arrive
     in
     S.Engine.schedule engine
-      ~at:(N.Dist.sample (N.Dist.exponential ~rate:pps) arrival_rng)
+      ~at:(N.Dist.sample_exponential ~rate:pps arrival_rng)
       arrive
   in
   schedule_stream ~klass:0 ~size:config.mice_size

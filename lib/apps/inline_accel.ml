@@ -18,7 +18,7 @@ let fig5_granularity_sweep ?(duration = 0.05) ?seed ?jobs ~spec () =
   let traffic = line_traffic ~packet_size in
   (* Each point runs an independent fixed-seed simulation; fan the
      sweep out over the domain pool (order and results unchanged). *)
-  Lognic_sim.Parallel.map ?jobs
+  Lognic_numerics.Parallel.map ?jobs
     (fun granularity ->
       let g =
         D.Liquidio.inline_accel_graph ~granularity ~spec ~packet_size ()
@@ -40,7 +40,7 @@ let fig9_parallelism_sweep ?(duration = 0.05) ?seed ?jobs ?cores ~spec () =
   let cores = Option.value cores ~default:(List.init 16 (fun i -> i + 1)) in
   let packet_size = U.mtu in
   let traffic = line_traffic ~packet_size in
-  Lognic_sim.Parallel.map ?jobs
+  Lognic_numerics.Parallel.map ?jobs
     (fun n ->
       let g = D.Liquidio.inline_accel_graph ~cores:n ~spec ~packet_size () in
       let report = Lognic.Estimate.run g ~hw:D.Liquidio.hardware ~traffic in
@@ -76,7 +76,7 @@ let default_sizes = [ 64.; 128.; 256.; 512.; 1024.; U.mtu ]
 
 let fig10_packet_size_sweep ?(duration = 0.05) ?seed ?jobs ?sizes ~spec () =
   let sizes = Option.value sizes ~default:default_sizes in
-  Lognic_sim.Parallel.map ?jobs
+  Lognic_numerics.Parallel.map ?jobs
     (fun packet_size ->
       let traffic = line_traffic ~packet_size in
       let g = D.Liquidio.inline_accel_graph ~spec ~packet_size () in

@@ -7,6 +7,7 @@ type workload = {
   request_size : float;
 }
 
+(* Flow monitoring. *)
 let nfv_fin =
   {
     name = "NFV-FIN";
@@ -15,6 +16,7 @@ let nfv_fin =
     request_size = 512.;
   }
 
+(* Intrusion detection. *)
 let nfv_din =
   {
     name = "NFV-DIN";
@@ -25,6 +27,7 @@ let nfv_din =
     request_size = 1024.;
   }
 
+(* Spam filter. *)
 let rta_sf =
   {
     name = "RTA-SF";
@@ -35,6 +38,7 @@ let rta_sf =
     request_size = 1024.;
   }
 
+(* Server health monitoring. *)
 let rta_shm =
   {
     name = "RTA-SHM";
@@ -42,6 +46,7 @@ let rta_shm =
     request_size = 256.;
   }
 
+(* IoT data hub. *)
 let iot_dh =
   {
     name = "IOT-DH";
@@ -59,6 +64,9 @@ let scheme_name = function
   | Equal_partition -> "Equal-Partition"
   | Lognic_opt -> "LogNIC-Opt"
 
+(* Multiplier on a request's total cycles when one core executes every
+   stage back-to-back (instruction-cache and context thrashing across
+   heterogeneous stage code; E3's own motivation). *)
 let run_to_completion_penalty = 1.45
 let total_cores = D.Liquidio.total_cores
 let line_rate = D.Liquidio.line_rate

@@ -17,51 +17,22 @@ type workload = {
   request_size : float;  (** bytes handed between stages *)
 }
 
-val nfv_fin : workload
-(** Flow monitoring. *)
-
-val nfv_din : workload
-(** Intrusion detection. *)
-
-val rta_sf : workload
-(** Spam filter. *)
-
-val rta_shm : workload
-(** Server health monitoring. *)
-
-val iot_dh : workload
-(** IoT data hub. *)
-
 val all : workload list
 
 type scheme = Round_robin | Equal_partition | Lognic_opt
 
 val scheme_name : scheme -> string
 
-val run_to_completion_penalty : float
-(** Multiplier on a request's total cycles when one core executes every
-    stage back-to-back (instruction-cache and context thrashing across
-    heterogeneous stage code; E3's own motivation). 1.45. *)
-
 val allocation : scheme -> workload -> int list
 (** Cores per stage under the scheme (total ≤ 16). [Round_robin]
     returns a single entry — the undivided pool. [Lognic_opt]
     exhaustively searches stage-core compositions through the model. *)
-
-val graph : scheme -> workload -> Lognic.Graph.t
-(** The workload's execution graph under the scheme's allocation. *)
 
 type outcome = {
   scheme : scheme;
   throughput : float;  (** requests/s carried under saturating load *)
   latency : float;  (** model mean latency at the 80%-load point, seconds *)
 }
-
-val evaluate : ?load:float -> workload -> scheme -> outcome
-(** Throughput is measured under saturating offered load (Fig 11);
-    latency at [load] (default 0.8, the paper's "80%% traffic load") of
-    the weakest scheme's capacity, the same absolute rate for every
-    scheme (Fig 12). *)
 
 val compare_schemes : ?load:float -> workload -> outcome list
 (** All three schemes on one workload. *)

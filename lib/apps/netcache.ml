@@ -91,7 +91,7 @@ let sustainable_rps ?hit_ratio config =
 let swept_hit_ratios = [ 0.; 0.25; 0.5; 0.75; 0.9; 0.99 ]
 
 let hit_ratio_sweep ?(duration = 0.02) ?(seed = 71) ?jobs config =
-  Lognic_sim.Parallel.map ?jobs
+  Lognic_numerics.Parallel.map ?jobs
     (fun (i, hit_ratio) ->
       let g = graph ~hit_ratio config in
       let capacity_rps = sustainable_rps ~hit_ratio config in
@@ -101,10 +101,12 @@ let hit_ratio_sweep ?(duration = 0.02) ?(seed = 71) ?jobs config =
           ~packet_size:config.request_size
       in
       let m =
-        Lognic_sim.Netsim.run
-          ~config:(Study.sim_config ~seed:(seed + i) duration)
-          g ~hw:Sw.hardware
-          ~mix:[ (saturating, 1.) ]
+        Lognic_sim.Netsim.(
+          execute
+            (Run.make
+               ~config:(Study.sim_config ~seed:(seed + i) duration)
+               g ~hw:Sw.hardware
+               ~mix:[ (saturating, 1.) ]))
       in
       let comfortable =
         Lognic.Traffic.make

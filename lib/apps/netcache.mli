@@ -21,9 +21,6 @@ val default : config
 (** 128 B requests, 128 B values, a 4 M req/s server at 8 µs per
     lookup. *)
 
-val graph : ?hit_ratio:float -> config -> Lognic.Graph.t
-(** The two-path execution graph for a given hit ratio in [0, 1]. *)
-
 type point = {
   hit_ratio : float;
   model_rps : float;  (** sustainable requests/s, analytic *)

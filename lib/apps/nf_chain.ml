@@ -23,6 +23,7 @@ let opt_placement ~packet_size =
     (B.placements ());
   match !best with Some (p, _) -> p | None -> assert false
 
+(* [Lognic_opt] searches all placements through the model. *)
 let placement_for scheme ~packet_size =
   match scheme with
   | Arm_only -> fun _ -> B.On_arm

@@ -13,11 +13,6 @@ type scheme = Arm_only | Accel_only | Lognic_opt
 
 val scheme_name : scheme -> string
 
-val placement_for :
-  scheme -> packet_size:float -> Lognic_devices.Bluefield2.nf -> Lognic_devices.Bluefield2.placement
-(** The placement function each scheme uses at this packet size.
-    [Lognic_opt] searches all placements through the model. *)
-
 val describe_placement : packet_size:float -> string
 (** Human-readable LogNIC-opt placement at a packet size, e.g.
     ["FW:accel LB:accel DPI:arm NAT:arm PE:accel"]. *)
@@ -28,8 +23,6 @@ type outcome = {
   throughput : float;  (** carried bytes/s under saturating load *)
   latency : float;  (** mean latency at the 80%-load point, seconds *)
 }
-
-val evaluate : ?load:float -> packet_size:float -> scheme -> outcome
 
 val sweep : ?load:float -> ?sizes:float list -> unit -> outcome list
 (** Figs 13/14: all three schemes across 64 B..MTU (grouped by size,

@@ -20,7 +20,7 @@ let fig6_profile_sweep ?(duration = 0.4) ?(seed = 7) ?jobs ?(points = 10) ~io
   let eff = D.Ssd.effective D.Ssd.default ~io ~gc:D.Ssd.Gc_realistic in
   let graph = D.Stingray.nvme_of_graph ~gc:D.Ssd.Gc_realistic ~io () in
   let max_rate = 0.9 *. eff.D.Ssd.capacity in
-  Lognic_sim.Parallel.map ?jobs
+  Lognic_numerics.Parallel.map ?jobs
     (fun i ->
       let offered = max_rate *. float_of_int (i + 1) /. float_of_int points in
       let traffic = Lognic.Traffic.make ~rate:offered ~packet_size:io.D.Ssd.io_size in
@@ -69,7 +69,7 @@ type mixed_point = {
 let read_ratios = [ 0.; 0.1; 0.25; 0.5; 0.75; 0.9; 1.0 ]
 
 let fig7_read_ratio_sweep ?(duration = 0.4) ?(seed = 31) ?jobs () =
-  Lognic_sim.Parallel.map ?jobs
+  Lognic_numerics.Parallel.map ?jobs
     (fun (i, read_ratio) ->
       let io = D.Ssd.mixed_4k ~read_fraction:read_ratio in
       (* Drive the drive into saturation so bandwidth, not offered load,

@@ -22,10 +22,6 @@ let default =
 
 let hw = Lognic.Params.hardware ~bw_interface:(200. *. U.gbps) ~bw_memory:(150. *. U.gbps)
 
-let check_fraction f =
-  if f < 0.01 || f > 1. then
-    invalid_arg "Offpath_study: compute_fraction outside [0.01, 1]"
-
 (* On the fast path the SoC cores only shuffle descriptors: ~10x
    cheaper than the full computation. *)
 let fast_path_rate config = 10. *. config.soc_rate
@@ -37,8 +33,10 @@ let soc_service config ~rate ~share =
     ~partition:(Float.max 0.001 (Float.min 0.999 share))
     ~overhead:config.soc_transit ~queue_capacity:128 ()
 
+(* Everything transits the SoC; only [compute_fraction] of it incurs
+   the heavy processing (the rest is fast-path forwarding on the SoC
+   cores). *)
 let on_path_graph ~compute_fraction config =
-  check_fraction compute_fraction;
   let f = compute_fraction in
   (* the physical SoC splits between heavy compute and fast forwarding,
      partitioned by their work shares *)
@@ -65,8 +63,9 @@ let on_path_graph ~compute_fraction config =
   let g = G.add_edge ~delta:(1. -. f) ~alpha:(1. -. f) ~src:fast ~dst:tx g in
   g
 
+(* The NIC switch forwards [1 - compute_fraction] directly (bypass);
+   only the compute share enters the SoC. *)
 let off_path_graph ~compute_fraction config =
-  check_fraction compute_fraction;
   let f = compute_fraction in
   let g = G.empty in
   let g, rx = G.add_vertex ~kind:G.Ingress ~label:"rx" ~service:(port config) g in

@@ -25,15 +25,6 @@ val default : config
 (** A 100 GbE card with a 40 Gbps 8-core SoC and a 200 Gbps NIC
     switch. *)
 
-val on_path_graph : compute_fraction:float -> config -> Lognic.Graph.t
-(** Everything transits the SoC; only [compute_fraction] of it incurs
-    the heavy processing (the rest is fast-path forwarding on the SoC
-    cores). *)
-
-val off_path_graph : compute_fraction:float -> config -> Lognic.Graph.t
-(** The NIC switch forwards [1 - compute_fraction] directly (bypass);
-    only the compute share enters the SoC. *)
-
 type point = {
   compute_fraction : float;
   on_path_capacity : float;  (** bytes/s *)

@@ -41,15 +41,17 @@ let model_point ~profile ~credits =
 let fig15_credit_sweep ?(duration = 0.03) ?(seed = 11) ?jobs ~profile () =
   (* One independent fixed-seed simulation per credit setting; fan the
      sweep over the domain pool (order and results unchanged). *)
-  Lognic_sim.Parallel.map ?jobs
+  Lognic_numerics.Parallel.map ?jobs
     (fun i ->
       let credits = i + 1 in
       let mix = T.mix_of_sizes ~rate:credit_offered ~sizes:profile.sizes in
       let g = P.pipelined_graph ~credits ~sizes:profile.sizes () in
       let m =
-        Lognic_sim.Netsim.run
-          ~config:(Study.sim_config ~seed:(seed + credits) duration)
-          g ~hw:P.hardware ~mix
+        Lognic_sim.Netsim.(
+          execute
+            (Run.make
+               ~config:(Study.sim_config ~seed:(seed + credits) duration)
+               g ~hw:P.hardware ~mix))
       in
       let model_bandwidth, model_latency = model_point ~profile ~credits in
       {
@@ -87,6 +89,7 @@ type steering_point = {
   throughput : float;
 }
 
+(* §4.6's hand-tuned X values. *)
 let static_splits = [ 10.; 30.; 50.; 70. ]
 let steering_offered = 80. *. U.gbps
 
@@ -100,6 +103,8 @@ let steering_eval ~offered ~packet_size x =
     Float.min report.latency.Lognic.Latency.carried_rate
       report.throughput.Lognic.Throughput.attained )
 
+(* LogNIC-suggested X (golden-section search on the model's mean
+   latency over X ∈ (0, 80)). *)
 let optimal_split ~packet_size ~offered =
   let objective x = fst (steering_eval ~offered ~packet_size x) in
   let x, _ =
@@ -131,7 +136,7 @@ type parallelism_point = { degree : int; p_latency : float; p_throughput : float
 let mtu_traffic = T.make ~rate:(95. *. U.gbps) ~packet_size:U.mtu
 
 let fig18_19_parallelism ?jobs ~split () =
-  Lognic_sim.Parallel.map ?jobs
+  Lognic_numerics.Parallel.map ?jobs
     (fun i ->
       let degree = i + 1 in
       let g = P.hybrid_graph ~ip4_parallelism:degree ~ip1_split:split ~packet_size:U.mtu () in

@@ -53,13 +53,6 @@ type steering_point = {
   throughput : float;
 }
 
-val static_splits : float list
-(** The four §4.6 hand-tuned X values: 10, 30, 50, 70. *)
-
-val optimal_split : packet_size:float -> offered:float -> float
-(** LogNIC-suggested X (golden-section search on the model's mean
-    latency over X ∈ (0, 80)). *)
-
 val fig16_17_steering : packet_size:float -> unit -> steering_point list
 (** Latency and throughput of the four static splits plus the LogNIC
     one, offered 80 Gbps at the given packet size (64 B / 512 B / MTU in

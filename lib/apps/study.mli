@@ -6,7 +6,7 @@
     them): [?duration] is the simulated horizon per point in seconds,
     [?seed] the base rng seed (points at index [i] derive [seed + i] so
     replications stay independent yet reproducible), and [?jobs] the
-    domain count handed to {!Lognic_sim.Parallel.map} — results are
+    domain count handed to {!Lognic_numerics.Parallel.map} — results are
     bit-identical at every value. *)
 
 val sim_config :

@@ -206,28 +206,6 @@ let mm1n_vs_sim_sojourn ~count =
         (Q.Mm1n.mean_time_in_system queue)
         m.Sim.Netsim.summary.Sim.Telemetry.mean_latency)
 
-(* ---- wrapper equivalence --------------------------------------------- *)
-
-let run_wrapper_equivalence ~count =
-  QCheck.Test.make ~count ~name:"netsim: run wrapper equals Run.make + execute"
-    (arb Gen.wild ~print:(fun s -> s.Gen.label))
-    (fun sc ->
-      let config =
-        Sim.Netsim.Config.(default |> with_horizon 2e-3)
-      in
-      let via_wrapper =
-        Sim.Netsim.run ~config sc.Gen.graph ~hw:sc.Gen.hw ~mix:sc.Gen.mix
-      in
-      let via_spec =
-        Sim.Netsim.execute
-          (Sim.Netsim.Run.make ~config sc.Gen.graph ~hw:sc.Gen.hw ~mix:sc.Gen.mix)
-      in
-      let json m =
-        Sim.Telemetry.Json.to_string (Sim.Netsim.measurement_to_json m)
-      in
-      json via_wrapper = json via_spec
-      || QCheck.Test.fail_reportf "wrapper and spec measurements diverge")
-
 (* ---- invariant conformance ------------------------------------------- *)
 
 (* The tentpole closing the loop on itself: every run the fuzzer can
@@ -441,7 +419,8 @@ let mix_identical_classes_collapse ~count =
         Sim.Telemetry.Json.to_string
           (strip_per_class
              (Sim.Netsim.measurement_to_json
-                (Sim.Netsim.run ~config sc.Gen.graph ~hw:sc.Gen.hw ~mix)))
+                (Sim.Netsim.execute
+                   (Sim.Netsim.Run.make ~config sc.Gen.graph ~hw:sc.Gen.hw ~mix))))
       in
       (json [ (merged, 1.) ] = json split
       || QCheck.Test.fail_reportf "split mix changed the measurement JSON")
@@ -540,8 +519,9 @@ let mix_low_load_latency ~count =
           sc.Gen.graph ~hw:sc.Gen.hw ~mix:sc.Gen.mix
       in
       let m =
-        Sim.Netsim.run ~config:low_load_config sc.Gen.graph ~hw:sc.Gen.hw
-          ~mix:sc.Gen.mix
+        Sim.Netsim.execute
+          (Sim.Netsim.Run.make ~config:low_load_config sc.Gen.graph ~hw:sc.Gen.hw
+             ~mix:sc.Gen.mix)
       in
       let per_class = m.Sim.Netsim.summary.Sim.Telemetry.per_class in
       List.for_all2
@@ -1025,7 +1005,6 @@ let suite ?(scale = 1.) () =
     jobs_bit_identical ~count:(n 6);
     littles_law_vs_sim ~count:(n 6);
     mm1n_vs_sim_sojourn ~count:(n 6);
-    run_wrapper_equivalence ~count:(n 10);
     invariants_hold_everywhere ~count:(n 20);
     routing_residual_mass ~count:(n 20);
     event_queue_matches_oracle ~count:(n 500);

@@ -31,6 +31,12 @@ let link_endpoints label =
     | _ -> None)
   | _ -> None
 
+(* The modified graph and hardware an interval is evaluated under, plus
+   the first fully-failed vertex (all engines down) if any — in that
+   case the returned graph simply omits that vertex's D′ = 0 scaling
+   and the caller must treat the interval as delivering nothing.
+   Unknown labels are ignored here; [Lognic_sim.Faults] validates names
+   against the realized entities before anything reaches this point. *)
 let apply_modifier g ~(hw : Params.hardware) m =
   let failed = ref None in
   let g =
@@ -215,26 +221,3 @@ let evaluate ?queue_model g ~hw ~(traffic : Traffic.t) ~intervals =
     availability;
     worst;
   }
-
-let pp g ppf r =
-  Fmt.pf ppf "degraded mode: nominal %.4g B/s, %.4g s@." r.nominal_throughput
-    r.nominal_latency;
-  Fmt.pf ppf "  %-20s %-8s %12s %12s %10s %s@." "interval(s)" "state"
-    "capacity" "carried" "latency" "bottleneck";
-  List.iter
-    (fun row ->
-      Fmt.pf ppf "  [%8.4f, %8.4f) %-8s %12.4g %12.4g %10.3g %a%s@."
-        row.d_start row.d_stop
-        (if row.degraded then "faulted" else "healthy")
-        row.capacity row.carried row.latency (Throughput.pp_bound g)
-        row.bottleneck
-        (if row.slo_ok then "" else "  [SLO-violating]"))
-    r.intervals;
-  Fmt.pf ppf
-    "  time-weighted throughput %.4g B/s (%.1f%% of nominal), latency %.4g s, \
-     availability %.1f%%@."
-    r.degraded_throughput
-    (if r.nominal_throughput > 0. then
-       100. *. r.degraded_throughput /. r.nominal_throughput
-     else 0.)
-    r.degraded_latency (100. *. r.availability)

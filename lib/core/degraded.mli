@@ -43,21 +43,6 @@ type modifier = {
 val no_modifier : modifier
 (** Nothing degraded: evaluation under it equals the nominal model. *)
 
-val is_degraded : modifier -> bool
-
-val apply_modifier :
-  Graph.t ->
-  hw:Params.hardware ->
-  modifier ->
-  Graph.t * Params.hardware * Graph.vertex_id option
-(** The modified graph and hardware an interval is evaluated under, plus
-    the first fully-failed vertex (all engines down) if any — in that
-    case the returned graph simply omits that vertex's D′ = 0 scaling
-    and the caller must treat the interval as delivering nothing.
-    Unknown labels are ignored here; [Lognic_sim.Faults] validates names
-    against the realized entities before anything reaches this point.
-    Exposed for tests. *)
-
 type interval_report = {
   d_start : float;
   d_stop : float;
@@ -105,5 +90,3 @@ val evaluate :
     [Lognic_sim.Faults.modifiers]); raises [Invalid_argument] when
     empty, on a non-positive interval, or if the graph fails
     validation. *)
-
-val pp : Graph.t -> Format.formatter -> report -> unit

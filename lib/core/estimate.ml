@@ -17,6 +17,7 @@ let run_mix ?queue_model ?contention g ~hw ~mix =
     mix
 
 let saturation_sweep ?(points = 20) ?queue_model g ~hw ~packet_size ~max_rate =
+  if points < 1 then invalid_arg "Estimate.saturation_sweep: points must be >= 1";
   List.init points (fun i ->
       let rate = max_rate *. float_of_int (i + 1) /. float_of_int points in
       let traffic = Traffic.make ~rate ~packet_size in

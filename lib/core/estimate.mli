@@ -37,6 +37,8 @@ val saturation_sweep :
   (float * float * float) list
 (** [(offered rate, attained rate, mean latency)] at [points]
     (default 20) offered loads from [max_rate/points] to [max_rate] —
-    the latency-vs-throughput curves of Fig 6. *)
+    the latency-vs-throughput curves of Fig 6. Raises
+    [Invalid_argument] when [points < 1], or as {!Traffic.make} on a
+    non-positive or non-finite [max_rate]. *)
 
 val pp_report : Graph.t -> Format.formatter -> report -> unit

@@ -273,18 +273,3 @@ let evaluate ?queue_model ?init sp g ~hw ~traffic =
     latency;
     classes;
   }
-
-let pp_result ppf r =
-  Fmt.pf ppf
-    "@[<v>flow-cache fixed point: %s in %d iteration(s)@,\
-     hit ratios: emc %.4f, megaflow %.4f (cond), overall %.4f@,\
-     attained %.4g B/s, mean latency %.4g s"
-    (if r.converged then "converged" else "NOT CONVERGED")
-    r.iterations r.emc_hit_ratio r.megaflow_hit_ratio r.overall_hit_ratio
-    r.throughput.Throughput.attained r.latency.Latency.mean;
-  List.iter
-    (fun c ->
-      Fmt.pf ppf "@,  %-4s share %.4f  mean %.4g s  p99 %.4g s" c.klass
-        c.share c.class_mean c.class_p99)
-    r.classes;
-  Fmt.pf ppf "@]"

@@ -128,5 +128,3 @@ val evaluate :
 
     Raises [Invalid_argument] if a cache vertex is missing or lacks
     exactly two out-edges. *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -187,12 +187,7 @@ let topological_order g =
 
 let is_dag g = Option.is_some (topological_order g)
 
-exception Path_limit_exceeded of int
-
-(* Shared DFS under both path entry points: collects up to [limit]
-   ingress→egress paths, then either stops quietly or signals the
-   caller, depending on [on_limit]. *)
-let enumerate_paths ~limit ~on_limit g =
+let paths_capped ?(limit = 10_000) g =
   let exception Stop in
   let count = ref 0 in
   let truncated = ref false in
@@ -202,7 +197,6 @@ let enumerate_paths ~limit ~on_limit g =
     if vx.kind = Egress then begin
       if !count >= limit then begin
         truncated := true;
-        on_limit ();
         raise Stop
       end;
       incr count;
@@ -214,15 +208,6 @@ let enumerate_paths ~limit ~on_limit g =
   (try List.iter (fun v -> walk v.id []) (ingress_vertices g)
    with Stop -> ());
   (List.rev !results, if !truncated then `Truncated else `Complete)
-
-let paths ?(limit = 10_000) g =
-  fst
-    (enumerate_paths ~limit
-       ~on_limit:(fun () -> raise (Path_limit_exceeded limit))
-       g)
-
-let paths_capped ?(limit = 10_000) g =
-  enumerate_paths ~limit ~on_limit:(fun () -> ()) g
 
 let reachable_from g seeds =
   let visited = Hashtbl.create 16 in

@@ -114,15 +114,12 @@ val in_edges : t -> vertex_id -> edge list
 val out_edges : t -> vertex_id -> edge list
 val in_degree : t -> vertex_id -> int
 val ingress_vertices : t -> vertex list
-val egress_vertices : t -> vertex list
 val vertex_count : t -> int
 
 val find_vertex : t -> label:string -> vertex option
 (** First vertex with the given label, if any. *)
 
 (** {1 Mutation (functional)} *)
-
-val set_service : t -> vertex_id -> service -> t
 
 val update_service : t -> vertex_id -> (service -> service) -> t
 
@@ -150,24 +147,13 @@ val scale_out_split : t -> vertex_id -> float list -> t
 val topological_order : t -> vertex_id list option
 (** [None] when the graph has a cycle. *)
 
-val is_dag : t -> bool
-
-exception Path_limit_exceeded of int
-(** Raised by {!paths} when a graph has more ingress→egress paths than
-    the enumeration limit; carries that limit. *)
-
-val paths : ?limit:int -> t -> vertex_id list list
-(** All ingress→egress paths as vertex-id sequences, in a deterministic
-    order. Raises {!Path_limit_exceeded} if more than [limit] (default
-    10_000) paths exist — execution graphs are small by construction.
-    Callers that would rather degrade than fail use {!paths_capped}. *)
-
 val paths_capped :
   ?limit:int -> t -> vertex_id list list * [ `Complete | `Truncated ]
-(** Like {!paths} but total: on a path explosion it returns the first
-    [limit] paths in enumeration order tagged [`Truncated] instead of
-    raising — how {!Latency} (and the explain engine on top of it)
-    degrades to a top-K path approximation on combinatorial graphs. *)
+(** Every ingress→egress path (vertex ids in order), up to [limit]
+    (default 10_000): on a path explosion it returns the first [limit]
+    paths in enumeration order tagged [`Truncated] — how {!Latency}
+    (and the explain engine on top of it) degrades to a top-K path
+    approximation on combinatorial graphs. *)
 
 val validate : t -> (unit, string list) result
 (** Structural checks: at least one ingress and one egress, acyclicity,

@@ -39,6 +39,8 @@ type solution = {
   stats : search_stats;
 }
 
+(* Graph-side effects of an assignment ([Set_ingress_rate] entries are
+   ignored here — see {!apply_traffic}). *)
 let apply_assignment g assignment =
   List.fold_left
     (fun g -> function

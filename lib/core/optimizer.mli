@@ -71,13 +71,6 @@ type observation = {
   cache_hit : bool;  (** served from the memo, no model run *)
 }
 
-val apply_assignment : Graph.t -> assignment list -> Graph.t
-(** Graph-side effects of an assignment ([Set_ingress_rate] entries are
-    ignored here — see {!apply_traffic}). *)
-
-val apply_traffic : Traffic.t -> assignment list -> Traffic.t
-(** Traffic-side effects ([Set_ingress_rate]). *)
-
 val optimize :
   ?queue_model:Latency.queue_model ->
   ?jobs:int ->
@@ -91,8 +84,9 @@ val optimize :
 (** Raises [Invalid_argument] on an empty knob list, an empty candidate
     array, or knobs referring to unknown vertices. The continuous
     multi-start draws from a fresh seed-42 rng per call. [jobs] (default:
-    {!Lognic_numerics.Parallel.default_jobs}) evaluates the exhaustive
-    discrete grid that many domains wide; the result is identical at
+    the parallelism set by {!Lognic_numerics.Parallel.set_default_jobs})
+    evaluates the exhaustive discrete grid that many domains wide; the
+    result is identical at
     every job count (grid points are independent, folded in enumeration
     order, and the multi-start rngs are pre-split in that same order).
 

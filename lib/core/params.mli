@@ -46,5 +46,4 @@ type entry = {
 val table2 : entry list
 (** The parameter glossary exactly as the paper's Table 2 lists it. *)
 
-val pp_source : Format.formatter -> source -> unit
 val pp_entry : Format.formatter -> entry -> unit

@@ -1,22 +1,14 @@
 type ceiling = { name : string; bandwidth : float }
 type t = { label : string; peak_ops : float; ceilings : ceiling list }
 
-let create ~label ~peak_ops ~ceilings =
-  if peak_ops <= 0. then invalid_arg "Roofline.create: peak_ops must be > 0";
-  if ceilings = [] then invalid_arg "Roofline.create: needs >= 1 ceiling";
-  List.iter
-    (fun c ->
-      if c.bandwidth <= 0. then
-        invalid_arg "Roofline.create: ceiling bandwidth must be > 0")
-    ceilings;
-  { label; peak_ops; ceilings }
-
 let check_intensity intensity =
   if intensity <= 0. then invalid_arg "Roofline: intensity must be > 0"
 
 let min_bw t =
   List.fold_left (fun acc c -> Float.min acc c.bandwidth) infinity t.ceilings
 
+(* Attainable operation rate (ops/s) at the given packet intensity
+   (ops per byte, > 0). *)
 let attainable_ops t ~intensity =
   check_intensity intensity;
   Float.min t.peak_ops (min_bw t *. intensity)
@@ -26,8 +18,6 @@ let attainable_bytes t ~intensity = attainable_ops t ~intensity /. intensity
 let compute_bound t ~intensity =
   check_intensity intensity;
   t.peak_ops <= min_bw t *. intensity
-
-let knee t = t.peak_ops /. min_bw t
 
 let binding_ceiling t ~intensity =
   if compute_bound t ~intensity then "compute"
@@ -41,10 +31,6 @@ let binding_ceiling t ~intensity =
         None t.ceilings
     in
     match best with Some c -> c.name | None -> assert false
-
-let ops_per_packet ~ops ~packet_size =
-  if packet_size <= 0. then invalid_arg "Roofline.ops_per_packet: packet_size";
-  ops /. packet_size
 
 let of_vertex g ~(hw : Params.hardware) ~packet_size id =
   let v = Graph.vertex g id in
@@ -84,12 +70,5 @@ let of_vertex g ~(hw : Params.hardware) ~packet_size id =
         [ { name = "unconstrained"; bandwidth = peak_ops *. packet_size *. 1e3 } ]
       else ceilings
     in
-    Some (create ~label:v.label ~peak_ops ~ceilings)
+    Some { label = v.label; peak_ops; ceilings }
   end
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>roofline %S: peak=%.3g ops/s" t.label t.peak_ops;
-  List.iter
-    (fun c -> Fmt.pf ppf "@,  ceiling %S: %.3g B/s" c.name c.bandwidth)
-    t.ceilings;
-  Fmt.pf ppf "@,  knee intensity: %.3g ops/B@]" (knee t)

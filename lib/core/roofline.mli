@@ -16,32 +16,12 @@ type t = {
   ceilings : ceiling list;
 }
 
-val create : label:string -> peak_ops:float -> ceilings:ceiling list -> t
-(** Raises [Invalid_argument] unless [peak_ops > 0], every ceiling
-    bandwidth is positive, and at least one ceiling is given. *)
-
-val attainable_ops : t -> intensity:float -> float
-(** Attainable operation rate (ops/s) at the given packet intensity
-    (ops per byte, > 0). *)
-
 val attainable_bytes : t -> intensity:float -> float
-(** Same bound expressed as consumable traffic (bytes/s):
-    [attainable_ops / intensity]. *)
-
-val compute_bound : t -> intensity:float -> bool
-(** True when the peak-ops roof (not a bandwidth ceiling) is binding. *)
-
-val knee : t -> float
-(** The packet intensity at which the binding constraint switches from
-    the tightest bandwidth ceiling to the compute roof:
-    [peak_ops / min_bw]. Below the knee the IP is I/O-bound. *)
+(** The attainable operation rate expressed as consumable traffic
+    (bytes/s): [min(peak_ops, min_i (bw_i * intensity)) / intensity]. *)
 
 val binding_ceiling : t -> intensity:float -> string
 (** Name of the binding constraint: a ceiling name, or ["compute"]. *)
-
-val ops_per_packet : ops:float -> packet_size:float -> float
-(** Converts the paper's per-packet operation counts into the per-byte
-    intensity used here. *)
 
 val of_vertex :
   Graph.t ->
@@ -57,5 +37,3 @@ val of_vertex :
     packet_size)]; [attainable_bytes] then reproduces the vertex's
     {!Throughput} cap restricted to its own media. [None] for
     infinite-throughput vertices. *)
-
-val pp : Format.formatter -> t -> unit

@@ -52,6 +52,12 @@ let mmcn_moments ~lambda ~mu ~servers ~capacity =
     (!m1, Float.max 0. (!m2 -. (!m1 *. !m1)))
   end
 
+(* (mean, variance) of the vertex's sojourn (queueing + service) for
+   an accepted request; (0, 0) for transparent vertices. Only
+   [Mm1n_model] and [Mmcn_model] are meaningful; the ablation models
+   fall back to Mm1n. [rates_for] overrides the Eq 11 (λ, μ) per
+   vertex ([None] falls back) — the hook {!Extensions.mixed_tail}
+   uses to thread union-queue rates through the tail analysis. *)
 let vertex_sojourn_moments ?(model = Latency.Mm1n_model) ?rates_for g ~traffic
     id =
   let v = Graph.vertex g id in
@@ -180,7 +186,3 @@ let evaluate ?model ?rates_for g ~hw ~traffic =
     }
   in
   { overall_q; tails; mixture }
-
-let quantile r p =
-  if p <= 0. || p >= 1. then invalid_arg "Tail.quantile: p outside (0, 1)";
-  mixture_quantile r.mixture p

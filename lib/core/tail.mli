@@ -42,20 +42,6 @@ type result
 val overall : result -> quantiles
 val per_path : result -> path_tail list
 
-val vertex_sojourn_moments :
-  ?model:Latency.queue_model ->
-  ?rates_for:(Graph.vertex_id -> (float * float) option) ->
-  Graph.t ->
-  traffic:Traffic.t ->
-  Graph.vertex_id ->
-  float * float
-(** (mean, variance) of the vertex's sojourn (queueing + service) for
-    an accepted request; (0, 0) for transparent vertices. Only
-    [Mm1n_model] and [Mmcn_model] are meaningful; the ablation models
-    fall back to Mm1n. [rates_for] overrides the Eq 11 (λ, μ) per
-    vertex ([None] falls back) — the hook {!Extensions.mixed_tail}
-    uses to thread union-queue rates through the tail analysis. *)
-
 val evaluate :
   ?model:Latency.queue_model ->
   ?rates_for:(Graph.vertex_id -> (float * float) option) ->
@@ -67,7 +53,3 @@ val evaluate :
     {!Latency.evaluate}). The overall [q_mean] agrees with
     {!Latency.evaluate}'s mean by construction (same per-vertex
     queueing assumptions). *)
-
-val quantile : result -> float -> float
-(** [quantile r p] inverts the weighted path mixture at an arbitrary
-    p ∈ (0, 1). Raises [Invalid_argument] outside that interval. *)

@@ -33,10 +33,6 @@ let normalize_weights classes =
   let total = List.fold_left (fun acc (_, w) -> acc +. w) 0. classes in
   List.map (fun (c, w) -> (c, w /. total)) classes
 
-let mean_packet_size classes =
-  let normalized = normalize_weights classes in
-  List.fold_left (fun acc (c, w) -> acc +. (c.packet_size *. w)) 0. normalized
-
 let total_rate classes = List.fold_left (fun acc (c, _) -> acc +. c.rate) 0. classes
 
 let total_packet_rate classes =

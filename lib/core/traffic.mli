@@ -32,20 +32,10 @@ val mix_of_sizes : rate:float -> sizes:(float * float) list -> mix
 val normalize_weights : mix -> (t * float) list
 (** Same classes with weights summing to 1. *)
 
-val mean_packet_size : mix -> float
-(** Byte-weighted mean of per-class packet sizes — the size of the
-    average {e byte}'s packet. Use {!mean_packet_size_by_packets} when
-    converting an aggregate byte rate to a packet rate. *)
-
 val mean_packet_size_by_packets : mix -> float
 (** Packet-weighted (harmonic-in-bytes) mean packet size:
     [total_rate / total_packet_rate]. Dividing the aggregate byte rate
     by this value yields the mix's true aggregate packet rate, which
     the byte-weighted mean does not. *)
-
-val total_rate : mix -> float
-
-val total_packet_rate : mix -> float
-(** Aggregate packets per second across all classes. *)
 
 val pp : Format.formatter -> t -> unit

@@ -10,32 +10,17 @@
     (Gbps, MB/s, MOPS, µs, ...). A value like [25. *. gbps] reads as
     "25 gigabits per second expressed in bytes/s". *)
 
-val kb : float
-(** 1 kB = 1000 bytes (decimal, matching NIC datasheets). *)
-
 val kib : float
 (** 1 KiB = 1024 bytes (binary, matching I/O block sizes: "4KB" I/Os). *)
 
-val mb : float
-val mib : float
-val gb : float
-
 val gbps : float
 (** 1 Gbit/s in bytes/s (= 1.25e8). *)
-
-val mbps : float
-(** 1 Mbit/s in bytes/s. *)
-
-val mbytes_per_s : float
-(** 1 MB/s in bytes/s. *)
 
 val mops : float
 (** 1 million operations per second. *)
 
 val usec : float
 (** 1 µs in seconds. *)
-
-val msec : float
 
 val to_gbps : float -> float
 (** bytes/s -> Gbit/s. *)

@@ -36,10 +36,3 @@ let sha1 = make "SHA-1" 1.5 Cmi 9.
 let sms4 = make "SMS4" 1.3 Cmi 10.
 let kasumi = make "KASUMI" 1.76 Cmi 8.
 let hfa = make "HFA" 1.18 Io_interconnect 11.
-let zip = make "ZIP" 0.8 Io_interconnect 10.
-
-let all = [ crc; des3; md5; aes; sha1; sms4; kasumi; hfa; zip ]
-
-let find name =
-  let lower = String.lowercase_ascii name in
-  List.find_opt (fun t -> String.lowercase_ascii t.name = lower) all

@@ -36,9 +36,3 @@ val sha1 : t
 val sms4 : t
 val kasumi : t
 val hfa : t
-val zip : t
-
-val all : t list
-
-val find : string -> t option
-(** Case-insensitive lookup by name. *)

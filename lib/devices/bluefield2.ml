@@ -52,21 +52,26 @@ let accel_spec = function
   | Pe -> (8e6, 60. *. U.gbps, 150., 1.2e-6)
   | Dpi -> invalid_arg "DPI has no hardware accelerator"
 
+(* ARM cycles to drive one accelerator call (submission + completion
+   shepherding). Raises [Invalid_argument] for DPI. *)
 let accel_issue_cycles nf =
   require_accel nf;
   let _, _, issue, _ = accel_spec nf in
   issue
 
+(* Bytes/s. Raises [Invalid_argument] for DPI. *)
 let accel_rate nf ~packet_size =
   require_accel nf;
   let pps, bytes, _, _ = accel_spec nf in
   Float.min (pps *. packet_size) bytes
 
+(* O — seconds of computation-transfer overhead per call. *)
 let accel_overhead nf =
   require_accel nf;
   let _, _, _, o = accel_spec nf in
   o
 
+(* Interface fraction charged per direction of an accelerator hop. *)
 let crossing_alpha = 0.9
 
 let placements () =

@@ -22,8 +22,6 @@ val chain : nf list
 val line_rate : float
 (** 100 Gbps. *)
 
-val total_cores : int
-val core_frequency : float
 val hardware : Lognic.Params.hardware
 (** interface = SoC interconnect, memory = DRAM controllers. The
     resource vector names the ARM cluster's shared LLC ([llc]) and the
@@ -31,23 +29,6 @@ val hardware : Lognic.Params.hardware
 
 val has_accelerator : nf -> bool
 (** False only for DPI. *)
-
-val arm_cycles : nf -> packet_size:float -> float
-(** Per-packet ARM cost of the NF's software implementation. *)
-
-val accel_issue_cycles : nf -> float
-(** ARM cycles to drive one accelerator call (submission + completion
-    shepherding). Raises [Invalid_argument] for DPI. *)
-
-val accel_rate : nf -> packet_size:float -> float
-(** Accelerator throughput in bytes/s: min of its packet-rate and
-    byte-rate limits. Raises [Invalid_argument] for DPI. *)
-
-val accel_overhead : nf -> float
-(** O — seconds of computation-transfer overhead per call. *)
-
-val crossing_alpha : float
-(** Interface fraction charged per direction of an accelerator hop. *)
 
 val chain_graph :
   ?cores:int ->

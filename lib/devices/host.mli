@@ -11,22 +11,11 @@ val available_cores : int
 (** Host cores the orchestrator may draw on (4 — the rest run the
     actual application). *)
 
-val core_frequency : float
-(** 2.4 GHz Xeon-class. *)
-
-val cycle_efficiency : float
-(** Cycles a host core needs per cnMIPS cycle of work (0.8: wider
-    issue, bigger caches). *)
-
 val pcie_bandwidth : float
 (** Effective PCIe 3.0 x16 data rate, bytes/s. *)
 
 val pcie_latency : float
 (** One-way PCIe + driver crossing latency, seconds. *)
-
-val stage_rate : cost_cycles:float -> cores:int -> float
-(** Requests/s of [cores] host cores running a stage whose cnMIPS cost
-    is [cost_cycles]. *)
 
 val stage_service : cost_cycles:float -> cores:int -> request_size:float -> Lognic.Graph.service
 (** A graph vertex for a host-resident stage. *)

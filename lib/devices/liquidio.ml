@@ -18,9 +18,12 @@ let hardware =
     (Lognic.Params.hardware ~bw_interface:io_bandwidth ~bw_memory:cmi_bandwidth)
     [ ("l2-fill", l2_fill_bandwidth); ("dram", dram_bandwidth) ]
 
+(* P (bytes/s of consumed traffic) of a NIC-core cluster of [cores]
+   cores driving the given accelerator at the given packet size. *)
 let core_rate_bytes ~(spec : Accel_spec.t) ~cores ~packet_size =
   float_of_int cores *. spec.core_issue_ops *. packet_size
 
+(* P of the accelerator itself: one operation per packet. *)
 let accel_rate_bytes ~(spec : Accel_spec.t) ~packet_size =
   spec.peak_ops *. packet_size
 

@@ -14,24 +14,10 @@ val line_rate : float
 val total_cores : int
 (** 16 cnMIPS cores. *)
 
-val cmi_bandwidth : float
-(** 50 Gbps. *)
-
-val io_bandwidth : float
-(** 40 Gbps. *)
-
 val hardware : Lognic.Params.hardware
 (** interface = I/O interconnect, memory = CMI. The resource vector
     names the L2 fill path ([l2-fill]) and the DDR3 channel ([dram])
     for the multi-resource contention layer. *)
-
-val core_rate_bytes :
-  spec:Accel_spec.t -> cores:int -> packet_size:float -> float
-(** P (bytes/s of consumed traffic) of a NIC-core cluster of [cores]
-    cores driving the given accelerator at the given packet size. *)
-
-val accel_rate_bytes : spec:Accel_spec.t -> packet_size:float -> float
-(** P of the accelerator itself: one operation per packet. *)
 
 val inline_accel_graph :
   ?cores:int ->

@@ -13,17 +13,12 @@
     Model 2 "Parallelized Chain" (units in parallel behind the
     scheduler) and Model 3 "Hybrid Chain". *)
 
-val line_rate : float
-(** 100 Gbps. *)
-
 val hardware : Lognic.Params.hardware
 (** interface = the switching fabric; memory = on-chip packet buffer. *)
 
 val unit_a_params : float * float
 (** (per-packet seconds, byte bandwidth) of Model 1's first compute
     unit — exposed for the M/G/1 service-variability analysis. *)
-
-val unit_b_params : float * float
 
 val effective_unit_rate : float * float -> sizes:(float * float) list -> float
 (** [effective_unit_rate (c_pp, bw) ~sizes] is a compute unit's
@@ -60,6 +55,3 @@ val hybrid_graph :
     to IP1/IP2; IP1 fans out to IP3/IP4 by [ip1_split]; IP2 feeds IP4;
     IP3 and IP4 merge into egress. [ip4_parallelism] (default 1) scales
     IP4's engine count — the Fig 18/19 knob. *)
-
-val ip4_engine_rate : float
-(** Per-engine throughput of IP4, bytes/s (11.5 Gbps). *)

@@ -1,6 +1,10 @@
+(* Watts per busy cnMIPS core. *)
 let nic_core_active = 1.2
+(* SmartNIC base draw (memory, MACs, fabric), watts. *)
 let nic_base = 8.
+(* Watts per busy Xeon core (amortized share of package power). *)
 let host_core_active = 12.
+(* Host share attributable to keeping cores available, watts. *)
 let host_base = 20.
 
 let nic_power ~busy_cores =

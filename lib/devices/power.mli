@@ -8,18 +8,6 @@
     core draws ~1.2 W busy, a Xeon core ~12 W, plus per-device base
     draw. *)
 
-val nic_core_active : float
-(** Watts per busy cnMIPS core. *)
-
-val nic_base : float
-(** SmartNIC base draw (memory, MACs, fabric), watts. *)
-
-val host_core_active : float
-(** Watts per busy Xeon core (amortized share of package power). *)
-
-val host_base : float
-(** Host share attributable to keeping cores available, watts. *)
-
 val nic_power : busy_cores:float -> float
 (** Total SmartNIC draw with the given mean number of busy cores. *)
 

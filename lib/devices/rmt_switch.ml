@@ -3,6 +3,8 @@ module U = Lognic.Units
 
 let line_rate = 3200. *. U.gbps
 let pipeline_pps = 1.2e9
+(* Seconds a packet spends traversing the pipeline, independent of
+   load. *)
 let pipeline_depth = 400e-9
 let register_bandwidth = 400e9 (* bytes/s of stateful SRAM access *)
 

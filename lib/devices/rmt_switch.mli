@@ -20,25 +20,15 @@
 val line_rate : float
 (** 3.2 Tbps aggregate switching capacity. *)
 
-val pipeline_pps : float
-(** Packets per second through one pipeline pass (1.2 Gpps class). *)
-
-val pipeline_depth : float
-(** Seconds a packet spends traversing the pipeline (ns-scale,
-    independent of load). *)
-
 val hardware : Lognic.Params.hardware
 (** interface = the switching crossbar; memory = the register/SRAM
     subsystem. *)
-
-val register_bandwidth : float
-(** Aggregate stateful-memory access bandwidth, bytes/s. *)
 
 val pipeline_service :
   ?partition:float -> packet_size:float -> unit -> Lognic.Graph.service
 (** The pipeline as a graph vertex for the given packet size:
     throughput = pps × size (packet-rate bound), D sized so service
-    time equals {!pipeline_depth}. *)
+    time equals the 400 ns pipeline depth. *)
 
 val forwarding_graph :
   ?recirculate:float ->

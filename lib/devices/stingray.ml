@@ -4,6 +4,7 @@ module U = Lognic.Units
 let line_rate = 100. *. U.gbps
 let total_cores = 8
 let core_frequency = 3.0e9
+(* SoC interconnect bandwidth backing the model's interface medium. *)
 let soc_interconnect = 150. *. U.gbps
 let dram_bandwidth = 19.2e9 (* DDR4-2400 single channel, bytes/s *)
 
@@ -13,6 +14,7 @@ let hardware =
 (* ~6.6k cycles of RDMA + NVMe protocol work to submit an I/O, ~4.5k to
    complete one; at 3 GHz that is 2.2 us and 1.5 us per I/O. *)
 let submission_cost = 6600. /. core_frequency
+(* Core seconds per I/O on the completion path. *)
 let completion_cost = 4500. /. core_frequency
 
 let nvme_of_graph ?(gc = Ssd.Gc_none) ~(io : Ssd.io) () =

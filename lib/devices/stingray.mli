@@ -8,26 +8,7 @@
     response-packet construction (IP3) — the execution graph of
     Figure 2(c). *)
 
-val line_rate : float
-(** 100 Gbps in bytes/s. *)
-
-val total_cores : int
-(** 8 ARM A72 cores. *)
-
-val soc_interconnect : float
-(** SoC interconnect bandwidth backing the model's interface medium. *)
-
-val dram_bandwidth : float
-(** DDR4-2400 channel bandwidth backing the memory medium. *)
-
 val hardware : Lognic.Params.hardware
-
-val submission_cost : float
-(** Core seconds per I/O on the submission path (RDMA receive + NVMe
-    command fabrication). *)
-
-val completion_cost : float
-(** Core seconds per I/O on the completion path. *)
 
 val nvme_of_graph : ?gc:Ssd.gc_mode -> io:Ssd.io -> unit -> Lognic.Graph.t
 (** Figure 2(c)'s graph for the given I/O profile: ingress → IP1

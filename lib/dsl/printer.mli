@@ -3,9 +3,6 @@
 
 val document_to_string : Parser.document -> string
 
-val graph_to_string : Lognic.Graph.t -> string
-(** Just the vertex/edge statements. *)
-
 val to_dot : Lognic.Graph.t -> string
 (** Graphviz rendering: ingress/egress as houses, IPs as boxes labelled
     with their P/D/N, edges labelled with δ and their medium usage.

@@ -63,11 +63,6 @@ let parse text =
     | None -> Error (Printf.sprintf "cannot parse quantity %S" text)
   end
 
-let parse_exn text =
-  match parse text with
-  | Ok v -> v
-  | Error e -> invalid_arg (Printf.sprintf "Quantity.parse: %s" e)
-
 let print_with units v =
   (* only commit to a rendering that parses back to exactly [v]: a
      magnitude like 1500 B is 1.46484375 KiB, which %g truncates to
@@ -102,9 +97,3 @@ let print_rate v =
       (1., 1. /. 8., "bps");
     ]
     v
-
-let print_size v =
-  print_with [ (1024. *. 1024., 1024. *. 1024., "MiB"); (1024., 1024., "KiB"); (1., 1., "B") ] v
-
-let print_time v =
-  print_with [ (1., 1., "s"); (1e-3, 1e-3, "ms"); (1e-6, 1e-6, "us"); (1e-9, 1e-9, "ns") ] v

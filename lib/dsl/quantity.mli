@@ -14,13 +14,5 @@
 val parse : string -> (float, string) result
 (** [parse "25Gbps"] = [Ok 3.125e9]. *)
 
-val parse_exn : string -> float
-(** Raises [Invalid_argument] with the parse error, which names the
-    offending input (e.g. [Quantity.parse: cannot parse quantity
-    "25Gbs"]). *)
-
 val print_rate : float -> string
 (** Human-friendly rendering of a bytes/s value, e.g. ["25Gbps"]. *)
-
-val print_size : float -> string
-val print_time : float -> string

@@ -21,11 +21,6 @@ type solution = {
   feasible : bool;  (** all inequalities within [1e-6] and inside the box *)
 }
 
-val minimize : problem -> Vec.t -> solution
-(** [minimize problem x0] runs 4 penalty escalations,
-    each warm-started from the previous solution. [x0] is clamped into
-    the box first. *)
-
 val multi_start : rng:Rng.t -> problem -> solution
 (** [multi_start ~rng problem] seeds 8 random points in
     the box plus the box centre, and returns the best feasible solution

@@ -1,47 +1,5 @@
-type t =
-  | Constant of float
-  | Uniform of float * float
-  | Exponential of float
-  | Lognormal of float * float
-  | Empirical of (float * float) array
-
-let constant v = Constant v
-let uniform ~lo ~hi = Uniform (lo, hi)
-let exponential ~rate = Exponential rate
-let lognormal ~mu ~sigma = Lognormal (mu, sigma)
-
-let empirical points =
-  match points with
-  | [] -> invalid_arg "Dist.empirical: empty support"
-  | _ ->
-    let arr = Array.of_list points in
-    let total = Array.fold_left (fun acc (_, w) -> acc +. w) 0. arr in
-    if Array.exists (fun (_, w) -> w < 0.) arr then
-      invalid_arg "Dist.empirical: negative weight"
-    else if total <= 0. then invalid_arg "Dist.empirical: zero total weight"
-    else Empirical arr
-
-let mean = function
-  | Constant v -> v
-  | Uniform (lo, hi) -> (lo +. hi) /. 2.
-  | Exponential rate -> 1. /. rate
-  | Lognormal (mu, sigma) -> exp (mu +. (sigma *. sigma /. 2.))
-  | Empirical arr ->
-    let total = Array.fold_left (fun acc (_, w) -> acc +. w) 0. arr in
-    Array.fold_left (fun acc (v, w) -> acc +. (v *. w)) 0. arr /. total
-
-(* Box-Muller; one variate per call keeps the generator stream simple to
-   reason about in tests even though it discards half the transform. *)
-let sample_normal rng =
-  let u1 = max 1e-300 (Rng.float rng 1.) in
-  let u2 = Rng.float rng 1. in
-  sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2)
-
-(* The Exponential branch of [sample] without constructing the variant:
-   the simulator draws one of these per service and per arrival, so the
-   hot path skips a 2-word allocation per draw. Inlinable so the rate
-   is never boxed either. The float operations are bit-identical to
-   [sample (exponential ~rate)]. *)
+(* The simulator draws one of these per service and per arrival, so
+   the draw is inlinable and allocates nothing. *)
 let[@inline] sample_exponential ~rate rng =
   let d = Rng.float rng 1. in
   (* [max 1e-300 d] spelled out: the polymorphic [max] is a call that
@@ -49,57 +7,3 @@ let[@inline] sample_exponential ~rate rng =
      the result is bit-identical *)
   let u = if 1e-300 >= d then 1e-300 else d in
   -.log u /. rate
-
-let sample t rng =
-  match t with
-  | Constant v -> v
-  | Uniform (lo, hi) -> lo +. Rng.float rng (hi -. lo)
-  | Exponential rate -> sample_exponential ~rate rng
-  | Lognormal (mu, sigma) -> exp (mu +. (sigma *. sample_normal rng))
-  | Empirical arr ->
-    let total = Array.fold_left (fun acc (_, w) -> acc +. w) 0. arr in
-    let target = Rng.float rng total in
-    let rec pick i acc =
-      if i = Array.length arr - 1 then fst arr.(i)
-      else
-        let v, w = arr.(i) in
-        let acc = acc +. w in
-        if target < acc then v else pick (i + 1) acc
-    in
-    pick 0 0.
-
-let sample_poisson ~rate rng =
-  assert (rate >= 0.);
-  if rate > 500. then
-    (* Normal approximation with continuity correction. *)
-    let z = sample_normal rng in
-    max 0 (int_of_float (Float.round (rate +. (sqrt rate *. z))))
-  else
-    let limit = exp (-.rate) in
-    let rec loop k p =
-      let p = p *. Rng.float rng 1. in
-      if p <= limit then k else loop (k + 1) p
-    in
-    loop 0 1.
-
-let validate = function
-  | Constant v when v < 0. -> Error "Constant: negative value"
-  | Uniform (lo, hi) when not (lo < hi) -> Error "Uniform: requires lo < hi"
-  | Exponential rate when rate <= 0. -> Error "Exponential: rate must be > 0"
-  | Lognormal (_, sigma) when sigma < 0. -> Error "Lognormal: sigma must be >= 0"
-  | Empirical arr
-    when Array.length arr = 0
-         || Array.exists (fun (_, w) -> w < 0.) arr
-         || Array.fold_left (fun acc (_, w) -> acc +. w) 0. arr <= 0. ->
-    Error "Empirical: needs non-negative weights with positive sum"
-  | Constant _ | Uniform _ | Exponential _ | Lognormal _ | Empirical _ -> Ok ()
-
-let pp ppf = function
-  | Constant v -> Fmt.pf ppf "const(%g)" v
-  | Uniform (lo, hi) -> Fmt.pf ppf "uniform(%g, %g)" lo hi
-  | Exponential rate -> Fmt.pf ppf "exp(rate=%g)" rate
-  | Lognormal (mu, sigma) -> Fmt.pf ppf "lognormal(mu=%g, sigma=%g)" mu sigma
-  | Empirical arr ->
-    Fmt.pf ppf "empirical(%a)"
-      Fmt.(array ~sep:comma (pair ~sep:(any ":") float float))
-      arr

@@ -1,47 +1,9 @@
-(** Probability distributions used by traffic generators and service-time
-    models.
-
-    Each distribution offers [sample] (a draw through an {!Rng.t}) and,
-    where meaningful, closed-form [mean]. The traffic model of LogNIC
-    (§3.6) assumes Poisson arrivals and exponential service times; the
-    simulator also supports deterministic, uniform, lognormal and
-    empirical distributions for sensitivity experiments. *)
-
-type t =
-  | Constant of float  (** always the given value *)
-  | Uniform of float * float  (** inclusive lower bound, exclusive upper *)
-  | Exponential of float  (** rate λ > 0; mean 1/λ *)
-  | Lognormal of float * float  (** [mu], [sigma] of the underlying normal *)
-  | Empirical of (float * float) array
-      (** weighted point masses [(value, weight)]; weights need not be
-          normalized but must be non-negative with positive sum *)
-
-val constant : float -> t
-val uniform : lo:float -> hi:float -> t
-val exponential : rate:float -> t
-val lognormal : mu:float -> sigma:float -> t
-
-val empirical : (float * float) list -> t
-(** [empirical points] builds a discrete distribution from
-    [(value, weight)] pairs. Raises [Invalid_argument] on an empty list,
-    a negative weight, or an all-zero weight sum. *)
-
-val mean : t -> float
-(** Closed-form expectation. *)
-
-val sample : t -> Rng.t -> float
+(** Exponential draws for the traffic generators and service times.
+    The traffic model of LogNIC (§3.6) assumes Poisson arrivals and
+    exponential service times. *)
 
 val sample_exponential : rate:float -> Rng.t -> float
-(** Exactly [sample (exponential ~rate)] — same draw, same float
-    operations — without constructing the distribution value; the
-    simulator's per-service/per-arrival fast path. *)
-
-val sample_poisson : rate:float -> Rng.t -> int
-(** [sample_poisson ~rate rng] draws a Poisson-distributed count with the
-    given mean, via inversion for small rates and
-    normal approximation above 500. *)
-
-val validate : t -> (unit, string) result
-(** Checks parameter domains (positive rates, ordered bounds, ...). *)
-
-val pp : Format.formatter -> t -> unit
+(** [sample_exponential ~rate rng] draws from the exponential
+    distribution with rate λ = [rate] (mean 1/λ) by inversion of one
+    uniform draw; inlinable, so the simulator's per-service/per-arrival
+    fast path never boxes the rate or the result. *)

@@ -6,6 +6,7 @@ let lanczos =
     -0.13857109526572012; 9.9843695780195716e-6; 1.5056327351493116e-7;
   |]
 
+(* ln Γ(x) for x > 0 (Lanczos approximation, ~1e-10 relative). *)
 let rec log_gamma x =
   if x <= 0. then invalid_arg "Gamma.log_gamma: requires x > 0"
   else if x < 0.5 then
@@ -58,6 +59,9 @@ let upper_cf ~a ~x =
    with Exit -> ());
   !h *. exp ((a *. log x) -. x -. log_gamma a)
 
+(* P(a, x) = γ(a, x)/Γ(a), the CDF of a Gamma(shape a, scale 1) at x.
+   Requires [a > 0] and [x >= 0]. Series expansion for x < a+1,
+   continued fraction otherwise. *)
 let regularized_lower ~a ~x =
   if a <= 0. then invalid_arg "Gamma.regularized_lower: requires a > 0";
   if x < 0. then invalid_arg "Gamma.regularized_lower: requires x >= 0";

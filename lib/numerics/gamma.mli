@@ -3,14 +3,6 @@
     distribution with matched mean and variance, whose quantiles give
     p50/p90/p99 estimates. *)
 
-val log_gamma : float -> float
-(** ln Γ(x) for x > 0 (Lanczos approximation, ~1e-10 relative). *)
-
-val regularized_lower : a:float -> x:float -> float
-(** P(a, x) = γ(a, x)/Γ(a), the CDF of a Gamma(shape a, scale 1) at x.
-    Requires [a > 0] and [x >= 0]. Series expansion for x < a+1,
-    continued fraction otherwise. *)
-
 val cdf : shape:float -> scale:float -> float -> float
 (** Gamma(shape, scale) CDF. *)
 

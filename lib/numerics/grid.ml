@@ -1,76 +1,11 @@
-let minimize_int ~f ~lo ~hi () =
-  if lo > hi then invalid_arg "Grid.minimize_int: requires lo <= hi";
+let maximize_int ~f ~lo ~hi () =
+  if lo > hi then invalid_arg "Grid.maximize_int: requires lo <= hi";
   let best = ref lo and best_v = ref (f lo) in
   for i = lo + 1 to hi do
     let v = f i in
-    if v < !best_v then begin
+    if v > !best_v then begin
       best := i;
       best_v := v
     end
   done;
   (!best, !best_v)
-
-let maximize_int ~f ~lo ~hi () =
-  let x, v = minimize_int ~f:(fun i -> -.f i) ~lo ~hi () in
-  (x, -.v)
-
-let space_size ranges =
-  Array.fold_left
-    (fun acc (lo, hi) ->
-      if lo > hi then invalid_arg "Grid.minimize_ints: requires lo <= hi";
-      acc * (hi - lo + 1))
-    1 ranges
-
-let minimize_ints ~f ~ranges () =
-  let n = Array.length ranges in
-  if n = 0 then invalid_arg "Grid.minimize_ints: empty ranges";
-  if space_size ranges > 10_000_000 then
-    invalid_arg "Grid.minimize_ints: search space too large";
-  let current = Array.map fst ranges in
-  let best = ref (Array.copy current) and best_v = ref (f current) in
-  (* Odometer enumeration of the Cartesian product. *)
-  let rec advance i =
-    if i < 0 then false
-    else
-      let _, hi = ranges.(i) in
-      if current.(i) < hi then begin
-        current.(i) <- current.(i) + 1;
-        true
-      end
-      else begin
-        current.(i) <- fst ranges.(i);
-        advance (i - 1)
-      end
-  in
-  let continue = ref (advance (n - 1)) in
-  while !continue do
-    let v = f current in
-    if v < !best_v then begin
-      best := Array.copy current;
-      best_v := v
-    end;
-    continue := advance (n - 1)
-  done;
-  (!best, !best_v)
-
-let minimize_floats ~f ~axes () =
-  let n = Array.length axes in
-  if n = 0 then invalid_arg "Grid.minimize_floats: empty axes";
-  Array.iter
-    (fun axis ->
-      if Array.length axis = 0 then invalid_arg "Grid.minimize_floats: empty axis")
-    axes;
-  let ranges = Array.map (fun axis -> (0, Array.length axis - 1)) axes in
-  let eval idx = f (Array.mapi (fun d i -> axes.(d).(i)) idx) in
-  let idx, v = minimize_ints ~f:eval ~ranges () in
-  (Array.mapi (fun d i -> axes.(d).(i)) idx, v)
-
-let argmin_smallest_within ~f ~lo ~hi ~slack () =
-  let _, best_v = minimize_int ~f ~lo ~hi () in
-  let tolerance = abs_float best_v *. slack in
-  let rec scan i =
-    if i > hi then hi
-    else if f i <= best_v +. tolerance then i
-    else scan (i + 1)
-  in
-  scan lo

@@ -1,34 +1,10 @@
-(** Exhaustive grid and integer search.
+(** Exhaustive integer search.
 
     The LogNIC optimizer's discrete knobs (core counts, queue credits,
     parallelism degrees) span small spaces, so exhaustive search is both
-    exact and cheap; it also serves as the oracle that the continuous
-    solvers are tested against. *)
-
-val minimize_int :
-  f:(int -> float) -> lo:int -> hi:int -> unit -> int * float
-(** Scan the inclusive range, returning the argmin (first one on ties).
-    Raises [Invalid_argument] unless [lo <= hi]. *)
+    exact and cheap. *)
 
 val maximize_int :
   f:(int -> float) -> lo:int -> hi:int -> unit -> int * float
-
-val minimize_ints :
-  f:(int array -> float) -> ranges:(int * int) array -> unit -> int array * float
-(** Full Cartesian product over inclusive per-dimension ranges. The space
-    size must not exceed [10_000_000]. *)
-
-val minimize_floats :
-  f:(float array -> float) ->
-  axes:float array array ->
-  unit ->
-  float array * float
-(** Cartesian product over explicit per-dimension value lists. *)
-
-val argmin_smallest_within :
-  f:(int -> float) -> lo:int -> hi:int -> slack:float -> unit -> int
-(** [argmin_smallest_within ~f ~lo ~hi ~slack ()] treats [f] as a cost and
-    returns the {e smallest} index whose cost is within [slack]
-    (relative) of the global minimum over the range — the "minimal
-    resource that does not hurt performance" rule used for PANIC credit
-    sizing (§4.6 scenario 1, with [f = fun n -> -. throughput n]). *)
+(** Scan the inclusive range, returning the argmax (first one on ties).
+    Raises [Invalid_argument] unless [lo <= hi]. *)

@@ -10,8 +10,6 @@ type ('k, 'v) t = {
   table : ('k, ('k, 'v) node) Hashtbl.t;
   mutable newest : ('k, 'v) node option;
   mutable oldest : ('k, 'v) node option;
-  mutable hit_count : int;
-  mutable miss_count : int;
 }
 
 let create ~capacity =
@@ -21,14 +19,7 @@ let create ~capacity =
     table = Hashtbl.create (min capacity 64);
     newest = None;
     oldest = None;
-    hit_count = 0;
-    miss_count = 0;
   }
-
-let length t = Hashtbl.length t.table
-let capacity t = t.cap
-let hits t = t.hit_count
-let misses t = t.miss_count
 
 let unlink t n =
   (match n.prev with Some p -> p.next <- n.next | None -> t.newest <- n.next);
@@ -43,11 +34,8 @@ let push_newest t n =
 
 let find_opt t k =
   match Hashtbl.find_opt t.table k with
-  | None ->
-    t.miss_count <- t.miss_count + 1;
-    None
+  | None -> None
   | Some n ->
-    t.hit_count <- t.hit_count + 1;
     unlink t n;
     push_newest t n;
     Some n.value

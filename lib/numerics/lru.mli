@@ -10,14 +10,8 @@ val create : capacity:int -> ('k, 'v) t
 (** Raises [Invalid_argument] when [capacity < 1]. *)
 
 val find_opt : ('k, 'v) t -> 'k -> 'v option
-(** Marks the entry most-recently used on a hit. Hits and misses are
-    counted (see {!hits}/{!misses}). *)
+(** Marks the entry most-recently used on a hit. *)
 
 val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Inserts (or refreshes) a binding, evicting the least-recently-used
     entry when over capacity. *)
-
-val length : ('k, 'v) t -> int
-val capacity : ('k, 'v) t -> int
-val hits : ('k, 'v) t -> int
-val misses : ('k, 'v) t -> int

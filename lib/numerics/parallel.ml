@@ -1,5 +1,4 @@
 let default = Atomic.make (max 1 (Domain.recommended_domain_count ()))
-let default_jobs () = Atomic.get default
 let set_default_jobs n = Atomic.set default (max 1 n)
 
 (* The shared pool: a queue of runner thunks under a mutex, drained by
@@ -52,7 +51,7 @@ let try_pop () =
   t
 
 let map ?jobs f xs =
-  let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
+  let jobs = match jobs with Some j -> max 1 j | None -> Atomic.get default in
   match xs with
   | ([] | [ _ ]) as xs -> List.map f xs
   | xs when jobs <= 1 -> List.map f xs

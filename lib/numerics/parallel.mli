@@ -10,16 +10,13 @@
     index wins, deterministically. A caller waiting on its batch helps
     execute queued work, so nested [map] calls cannot deadlock. *)
 
-val default_jobs : unit -> int
-(** The default parallelism, initially
-    [Domain.recommended_domain_count ()] (so 1 on a single-core
-    machine: everything stays sequential unless asked). *)
-
 val set_default_jobs : int -> unit
 (** Set the default parallelism (clamped to [>= 1]), e.g. from a
-    [--jobs] flag. *)
+    [--jobs] flag. It starts at [Domain.recommended_domain_count ()]
+    (so 1 on a single-core machine: everything stays sequential unless
+    asked). *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs] evaluated by up to [jobs]
-    domains, the caller included. [jobs] defaults to {!default_jobs};
+    domains, the caller included. [jobs] defaults to the default parallelism;
     [jobs <= 1] or a short list runs sequentially in the caller. *)

@@ -23,6 +23,3 @@ let[@inline] int t bound =
   Random.State.int t bound
 
 let[@inline] bits t = Random.State.bits t
-
-let bool t = Random.State.bool t
-let copy t = Random.State.copy t

@@ -26,8 +26,3 @@ val int : t -> int -> int
 
 val bits : t -> int
 (** [bits t] draws 30 uniform bits. *)
-
-val bool : t -> bool
-
-val copy : t -> t
-(** [copy t] snapshots the generator state. *)

@@ -5,6 +5,8 @@ let mean xs =
   require_nonempty xs "Stats.mean";
   Array.fold_left ( +. ) 0. xs /. float_of_int (Array.length xs)
 
+(* Unbiased sample variance (n-1 denominator); 0 for singleton input.
+   Raises [Invalid_argument] on an empty array. *)
 let variance xs =
   require_nonempty xs "Stats.variance";
   let n = Array.length xs in
@@ -17,10 +19,9 @@ let variance xs =
 let stddev xs = sqrt (variance xs)
 
 (* NaN policy for order statistics: NaN samples carry no ordering
-   information, so [percentile]/[median]/[minimum]/[maximum] all ignore
-   them. An input consisting only of NaN yields NaN. [mean]/[variance]
-   keep IEEE propagation (a poisoned sum is a signal, not a sample to
-   discard). *)
+   information, so [percentile] ignores them. An input consisting only
+   of NaN yields NaN. [mean]/[variance] keep IEEE propagation (a
+   poisoned sum is a signal, not a sample to discard). *)
 
 (* Hoare's FIND (Wirth's variant) on a.(lo..hi), NaN-free: afterwards
    a.(k) holds the value of rank k under [<], with nothing larger before
@@ -113,30 +114,9 @@ let percentile xs p =
   require_nonempty xs "Stats.percentile";
   percentile_in_place (Array.copy xs) ~len:(Array.length xs) p
 
-let median xs = percentile xs 50.
-
-let fold_ignoring_nan better name xs =
-  require_nonempty xs name;
-  Array.fold_left
-    (fun acc x ->
-      if Float.is_nan x then acc
-      else if Float.is_nan acc then x
-      else better acc x)
-    Float.nan xs
-
-let minimum xs = fold_ignoring_nan Float.min "Stats.minimum" xs
-let maximum xs = fold_ignoring_nan Float.max "Stats.maximum" xs
-
 let relative_error ~actual ~expected =
   if expected = 0. then if actual = 0. then 0. else infinity
   else abs_float (actual -. expected) /. abs_float expected
-
-let geometric_mean xs =
-  require_nonempty xs "Stats.geometric_mean";
-  if Array.exists (fun x -> x <= 0.) xs then
-    invalid_arg "Stats.geometric_mean: non-positive entry";
-  let log_sum = Array.fold_left (fun acc x -> acc +. log x) 0. xs in
-  exp (log_sum /. float_of_int (Array.length xs))
 
 let weighted_mean pairs =
   let wsum = List.fold_left (fun acc (_, w) -> acc +. w) 0. pairs in
@@ -144,76 +124,13 @@ let weighted_mean pairs =
   List.fold_left (fun acc (v, w) -> acc +. (v *. w)) 0. pairs /. wsum
 
 module Online = struct
-  type t = { mutable n : int; mutable mean : float; mutable m2 : float }
+  type t = { mutable n : int; mutable mean : float }
 
-  let create () = { n = 0; mean = 0.; m2 = 0. }
+  let create () = { n = 0; mean = 0. }
 
   let add t x =
     t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
+    t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.n)
 
-  let count t = t.n
   let mean t = if t.n = 0 then 0. else t.mean
-  let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
-end
-
-module Histogram = struct
-  type t = {
-    lo : float;
-    hi : float;
-    counts : int array;
-    mutable total : int;
-    mutable underflow : int;
-    mutable overflow : int;
-    mutable nan_count : int;
-  }
-
-  let create ~lo ~hi ~bins =
-    if not (lo < hi) then invalid_arg "Histogram.create: requires lo < hi";
-    if bins <= 0 then invalid_arg "Histogram.create: requires bins > 0";
-    {
-      lo;
-      hi;
-      counts = Array.make bins 0;
-      total = 0;
-      underflow = 0;
-      overflow = 0;
-      nan_count = 0;
-    }
-
-  let add t x =
-    (* NaN first: any range comparison against NaN is false, and
-       [int_of_float nan] is unspecified — it must never reach the bin
-       index computation. Out-of-range samples are tallied separately
-       instead of being clamped into the edge bins, which used to distort
-       exported latency distributions. *)
-    t.total <- t.total + 1;
-    if Float.is_nan x then t.nan_count <- t.nan_count + 1
-    else if x < t.lo then t.underflow <- t.underflow + 1
-    else if x > t.hi then t.overflow <- t.overflow + 1
-    else begin
-      let bins = Array.length t.counts in
-      let raw =
-        int_of_float (float_of_int bins *. (x -. t.lo) /. (t.hi -. t.lo))
-      in
-      (* x = hi maps to bins, folded into the last (closed-range) bin. *)
-      let i = min (bins - 1) raw in
-      t.counts.(i) <- t.counts.(i) + 1
-    end
-
-  let counts t = Array.copy t.counts
-  let total t = t.total
-  let underflow t = t.underflow
-  let overflow t = t.overflow
-  let nan_count t = t.nan_count
-  let in_range t = t.total - t.underflow - t.overflow - t.nan_count
-
-  let bin_mid t i =
-    let bins = Array.length t.counts in
-    if i < 0 || i >= bins then invalid_arg "Histogram.bin_mid: index";
-    let width = (t.hi -. t.lo) /. float_of_int bins in
-    t.lo +. (width *. (float_of_int i +. 0.5))
 end

@@ -7,7 +7,6 @@ let map2 f a b =
   check_same_length a b "Vec.map2";
   Array.init (Array.length a) (fun i -> f a.(i) b.(i))
 
-let add a b = map2 ( +. ) a b
 let sub a b = map2 ( -. ) a b
 let scale k a = Array.map (fun x -> k *. x) a
 let axpy k x y = map2 (fun xi yi -> (k *. xi) +. yi) x y
@@ -39,10 +38,3 @@ let clamp ~lo ~hi v =
   check_same_length lo v "Vec.clamp";
   check_same_length hi v "Vec.clamp";
   Array.init (Array.length v) (fun i -> Float.max lo.(i) (Float.min hi.(i) v.(i)))
-
-let linspace a b n =
-  if n < 2 then invalid_arg "Vec.linspace: needs n >= 2";
-  let step = (b -. a) /. float_of_int (n - 1) in
-  Array.init n (fun i -> a +. (step *. float_of_int i))
-
-let pp ppf v = Fmt.pf ppf "[%a]" Fmt.(array ~sep:(any "; ") float) v

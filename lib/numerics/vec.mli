@@ -2,14 +2,11 @@
 
 type t = float array
 
-val add : t -> t -> t
-val sub : t -> t -> t
 val scale : float -> t -> t
 
 val axpy : float -> t -> t -> t
 (** [axpy a x y = a*x + y] elementwise. *)
 
-val dot : t -> t -> float
 val norm2 : t -> float
 
 val dist : t -> t -> float
@@ -18,13 +15,5 @@ val dist : t -> t -> float
 val centroid : t list -> t
 (** Raises [Invalid_argument] on an empty list. *)
 
-val map2 : (float -> float -> float) -> t -> t -> t
-
 val clamp : lo:t -> hi:t -> t -> t
 (** Project elementwise into the box [\[lo, hi\]]. *)
-
-val linspace : float -> float -> int -> t
-(** [linspace a b n] gives [n >= 2] evenly spaced points from [a] to [b]
-    inclusive. *)
-
-val pp : Format.formatter -> t -> unit

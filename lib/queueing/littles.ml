@@ -1,6 +1,3 @@
-let number_in_system ~arrival_rate ~time_in_system = arrival_rate *. time_in_system
-let time_in_system ~arrival_rate ~number_in_system = number_in_system /. arrival_rate
-let arrival_rate ~number_in_system ~time_in_system = number_in_system /. time_in_system
 
 let consistent ?(tol = 0.05) ~arrival_rate ~time_in_system ~number_in_system () =
   let expected = arrival_rate *. time_in_system in

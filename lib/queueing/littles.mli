@@ -1,8 +1,4 @@
-(** Little's-law helpers (L = λW), used by telemetry cross-checks. *)
-
-val number_in_system : arrival_rate:float -> time_in_system:float -> float
-val time_in_system : arrival_rate:float -> number_in_system:float -> float
-val arrival_rate : number_in_system:float -> time_in_system:float -> float
+(** Little's law (L = λW) as a check over simulator measurements. *)
 
 val consistent :
   ?tol:float ->

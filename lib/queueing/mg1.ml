@@ -20,16 +20,10 @@ let of_service_mix ~lambda ~services =
   create ~lambda ~mu:(1. /. mean) ~scv:(variance /. (mean *. mean))
 
 let utilization t = t.lambda /. t.mu
-let stable t = utilization t < 1.
 
 let mean_waiting_time t =
   let rho = utilization t in
   if rho >= 1. then infinity
   else rho *. (1. +. t.scv) /. (2. *. t.mu *. (1. -. rho))
-
-let mean_time_in_system t = mean_waiting_time t +. (1. /. t.mu)
-
-let mean_number_in_system t =
-  if stable t then t.lambda *. mean_time_in_system t else infinity
 
 let mm1_underestimate t = (1. +. t.scv) /. 2.

@@ -21,14 +21,8 @@ val of_service_mix : lambda:float -> services:(float * float) list -> t
     masses — e.g. per-packet-size service times weighted by packet
     share. *)
 
-val utilization : t -> float
-val stable : t -> bool
-
 val mean_waiting_time : t -> float
 (** Wq = ρ(1 + scv) / (2μ(1 − ρ)); infinite when unstable. *)
-
-val mean_time_in_system : t -> float
-val mean_number_in_system : t -> float
 
 val mm1_underestimate : t -> float
 (** Wq(M/G/1) / Wq(M/M/1) = (1 + scv)/2 — how far an exponential

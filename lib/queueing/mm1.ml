@@ -5,18 +5,8 @@ let create ~lambda ~mu =
   { lambda; mu }
 
 let utilization t = t.lambda /. t.mu
+(* The closed forms below require stability. *)
 let stable t = utilization t < 1.
-
-let mean_number_in_system t =
-  let rho = utilization t in
-  if rho >= 1. then infinity else rho /. (1. -. rho)
-
-let mean_number_in_queue t =
-  let rho = utilization t in
-  if rho >= 1. then infinity else rho *. rho /. (1. -. rho)
-
-let mean_time_in_system t =
-  if stable t then 1. /. (t.mu -. t.lambda) else infinity
 
 let mean_waiting_time t =
   if stable t then utilization t /. (t.mu -. t.lambda) else infinity

@@ -8,20 +8,6 @@ type t = { lambda : float; mu : float }
 val create : lambda:float -> mu:float -> t
 (** Raises [Invalid_argument] unless both rates are positive. *)
 
-val utilization : t -> float
-(** ρ = λ/μ. *)
-
-val stable : t -> bool
-(** ρ < 1; the closed forms below require stability. *)
-
-val mean_number_in_system : t -> float
-(** L = ρ/(1−ρ). Infinite when unstable. *)
-
-val mean_number_in_queue : t -> float
-(** Lq = ρ²/(1−ρ). *)
-
-val mean_time_in_system : t -> float
-(** W = 1/(μ−λ). *)
-
 val mean_waiting_time : t -> float
-(** Wq = ρ/(μ−λ) — time spent queueing, excluding service. *)
+(** Wq = ρ/(μ−λ) — time spent queueing, excluding service; infinite
+    when ρ ≥ 1. *)

@@ -5,46 +5,36 @@ let create ~lambda ~mu ~capacity =
   if capacity < 1 then invalid_arg "Mm1n.create: capacity must be >= 1";
   { lambda; mu; capacity }
 
+(* Offered, not carried, load. *)
 let utilization t = t.lambda /. t.mu
 
 (* The state distribution is geometric truncated at N. Computing it as an
    explicit normalized vector is O(N), exact at rho = 1, and numerically
    stable for any utilization — capacities here are queue credits, so N is
-   small. *)
-let probabilities t =
-  let rho = utilization t in
-  let raw = Array.init (t.capacity + 1) (fun k -> rho ** float_of_int k) in
+   small. When rho^N overflows (rho >> 1) the same vector is normalized
+   from the top state down: Pro_k is proportional to (1/rho)^(N-k). *)
+let state_probabilities t =
+  let rho = utilization t and n = t.capacity in
+  let raw = Array.init (n + 1) (fun k -> rho ** float_of_int k) in
   let total = Array.fold_left ( +. ) 0. raw in
-  Array.map (fun p -> p /. total) raw
+  if Float.is_finite total then Array.map (fun p -> p /. total) raw
+  else
+    let raw = Array.init (n + 1) (fun k -> (1. /. rho) ** float_of_int (n - k)) in
+    let total = Array.fold_left ( +. ) 0. raw in
+    Array.map (fun p -> p /. total) raw
 
-let state_probabilities = probabilities
-
-(* Each public query builds the O(N) vector exactly once: these sit on the
-   optimizer's inner loop, where the old one-vector-per-call pattern
-   rebuilt it up to three times per [mean_time_in_system]. *)
-let mean_number_of probs =
-  let acc = ref 0. in
-  Array.iteri (fun k p -> acc := !acc +. (float_of_int k *. p)) probs;
-  !acc
-
-let effective_arrival_of t probs =
-  t.lambda *. (1. -. probs.(t.capacity))
-
-let state_probability t k =
-  if k < 0 || k > t.capacity then 0. else (probabilities t).(k)
-
-let blocking_probability t = (probabilities t).(t.capacity)
-let mean_number_in_system t = mean_number_of (probabilities t)
-
-let effective_arrival_rate t =
-  let probs = probabilities t in
-  effective_arrival_of t probs
-
-let throughput = effective_arrival_rate
-
+(* One O(N) vector per query: this sits on the optimizer's inner loop.
+   Past rho ~ 1e16 Pro_N rounds to 1, so the admitted fraction is then
+   read as the mass below the top state instead of 1 - Pro_N. *)
 let mean_time_in_system t =
-  let probs = probabilities t in
-  mean_number_of probs /. effective_arrival_of t probs
+  let probs = state_probabilities t in
+  let l = ref 0. in
+  Array.iteri (fun k p -> l := !l +. (float_of_int k *. p)) probs;
+  let admitted =
+    let a = 1. -. probs.(t.capacity) in
+    if a > 0. then a else Array.fold_left ( +. ) 0. (Array.sub probs 0 t.capacity)
+  in
+  !l /. (t.lambda *. admitted)
 
 let mean_waiting_time t =
   Float.max 0. (mean_time_in_system t -. (1. /. t.mu))

@@ -14,33 +14,16 @@ val create : lambda:float -> mu:float -> capacity:int -> t
 (** Raises [Invalid_argument] unless rates are positive and
     [capacity >= 1]. *)
 
-val utilization : t -> float
-(** ρ = λ/μ (offered, not carried, load). *)
-
-val state_probability : t -> int -> float
-(** [state_probability t k] is Pro_k, the steady-state probability of [k]
-    requests in the system (paper Eq 10); 0 outside [0..capacity]. *)
-
 val state_probabilities : t -> float array
-(** The full normalized vector [Pro_0 .. Pro_N] in one O(N) pass. Loop
-    callers (e.g. tail-latency summation) should use this instead of
-    calling [state_probability] per state, which rebuilds the vector on
-    every call. *)
-
-val blocking_probability : t -> float
-(** Pro_N — the packet drop rate of the IP. *)
-
-val mean_number_in_system : t -> float
-(** L = Σ k·Pro_k. *)
-
-val effective_arrival_rate : t -> float
-(** λe = λ(1 − Pro_N): the admitted-traffic rate. *)
-
-val throughput : t -> float
-(** Carried rate — equal to [effective_arrival_rate] in steady state. *)
+(** The normalized vector [Pro_0 .. Pro_N] (paper Eq 10) in one O(N)
+    pass; [Pro_N] is the blocking probability, the IP's drop rate.
+    Finite for any ρ: when ρ^N overflows, the vector is normalized
+    from the top state down. *)
 
 val mean_time_in_system : t -> float
-(** W = L/λe (Little's law over admitted requests). *)
+(** W = L/λe (Little's law over admitted requests). Finite for any
+    finite ρ: past ρ ≈ 1e16, where Pro_N rounds to 1, λe counts the
+    mass below the top state. *)
 
 val mean_waiting_time : t -> float
 (** Q = L/λe − 1/μ — paper Eq 9/12, the queueing delay that enters the
@@ -49,5 +32,5 @@ val mean_waiting_time : t -> float
 val waiting_time_closed_form : t -> float
 (** Paper Eq 12's algebraic form
     (1/μ)·(ρ/(1−ρ) − Nρ^N/(1−ρ^N)), with the ρ→1 limit handled.
-    Kept separate so tests can confirm it agrees with
-    [mean_waiting_time]. *)
+    Kept separate so [lognic check]'s properties can confirm it agrees
+    with [mean_waiting_time]. *)

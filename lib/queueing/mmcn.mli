@@ -24,8 +24,6 @@ val state_probabilities : t -> float array
 (** Steady-state distribution over [0..capacity] requests in system. *)
 
 val blocking_probability : t -> float
-val mean_number_in_system : t -> float
-val effective_arrival_rate : t -> float
 
 val mean_time_in_system : t -> float
 (** W = L/λe. *)

@@ -48,8 +48,8 @@ val run :
   report
 (** Without [?contention] the report still joins model and simulation
     per class and entity (all slowdowns 1, empty interference ranking)
-    — and runs the {e identical} simulation a plain {!Netsim.run} with
-    the same config would (held by the [extensions-optimizer] test
+    — and runs the {e identical} simulation a plain {!Netsim.execute}
+    of the same spec would (held by the [extensions-optimizer] test
     "contention: off is byte-identical to a plain run"). Raises
     [Invalid_argument] like {!Explain.run}, plus the contention
     validation of {!Lognic.Extensions.mixed_traffic}. *)

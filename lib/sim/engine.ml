@@ -89,7 +89,6 @@ let run ?until ?observer ?profile t =
     loop ());
   if horizon < infinity && t.clock.(0) < horizon then t.clock.(0) <- horizon
 
-let pending t = Event_queue.size t.queue
 let executed t = t.executed
 let queue_resizes t = Event_queue.resizes t.queue
 
@@ -97,4 +96,3 @@ let reset t =
   Event_queue.clear t.queue;
   t.clock.(0) <- 0.;
   t.executed <- 0
-

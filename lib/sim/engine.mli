@@ -40,8 +40,6 @@ val run :
     enclosing phase. The default path (neither given) runs the exact
     pre-observer loop and allocates nothing per event. *)
 
-val pending : t -> int
-
 val executed : t -> int
 (** Events executed so far (cumulative across [run] calls; cleared by
     {!reset}) — the numerator of the ledger's [engine.events_per_s]. *)
@@ -56,4 +54,3 @@ val reset : t -> unit
     while keeping the event queue's arrays for reuse, so a caller that
     runs many specs on one engine ({!Netsim.execute_with}) stops
     reallocating per run. *)
-

@@ -45,6 +45,8 @@ type report = {
   agree : bool;
 }
 
+(* The entity name a throughput bound pins ("offered-load" for
+   {!Lognic.Throughput.Offered_load}), matching {!entity_row.name}. *)
 let bound_name g = function
   | Lognic.Throughput.Vertex_bound id -> (G.vertex g id).G.label
   | Lognic.Throughput.Edge_bound (s, d) -> Printf.sprintf "link-%d-%d" s d
@@ -71,6 +73,8 @@ let join ~throughput ~latency (m : Netsim.measurement) =
     latency_error = relative_error ~model:latency ~sim:sim_latency;
   }
 
+(* The two aggregate lines, ["  throughput  model … sim … error …"]
+   and ["  latency     model … sim … error …"]. *)
 let pp_join ppf j =
   let pct x = 100. *. x in
   Format.fprintf ppf
@@ -80,6 +84,10 @@ let pp_join ppf j =
     "  latency     model %.4g s     sim %.4g s     error %.1f%%@\n"
     j.model_latency j.sim_latency (pct j.latency_error)
 
+(* The join's JSON fields: the model side's [throughput] and
+   [latency], the sim side's, and [throughput_error] /
+   [latency_error]. Each report places the first two in its own
+   [model] and [sim] objects, next to its own fields. *)
 let join_json j =
   ( [ ("throughput", J.Num j.model_throughput); ("latency", J.Num j.model_latency) ],
     [ ("throughput", J.Num j.sim_throughput); ("latency", J.Num j.sim_latency) ],

@@ -60,24 +60,6 @@ val relative_error : model:float -> sim:float -> float
     infinite latency) — the join convention shared with
     {!Resilience}. *)
 
-val join : throughput:float -> latency:float -> Netsim.measurement -> join
-(** The model's attained throughput and mean latency against the
-    measurement's summary throughput and mean latency. *)
-
-val pp_join : Format.formatter -> join -> unit
-(** The two aggregate lines, ["  throughput  model … sim … error …"]
-    and ["  latency     model … sim … error …"]. *)
-
-val join_json :
-  join ->
-  (string * Telemetry.Json.t) list
-  * (string * Telemetry.Json.t) list
-  * (string * Telemetry.Json.t) list
-(** The join's JSON fields: the model side's [throughput] and
-    [latency], the sim side's, and [throughput_error] /
-    [latency_error]. Each report places the first two in its own
-    [model] and [sim] objects, next to its own fields. *)
-
 (** {2 Explain} *)
 
 type class_row = {
@@ -91,7 +73,8 @@ type class_row = {
       (** [None] when the simulator delivered no packets of the class *)
   c_latency_error : float option;
   c_model_bottleneck : string;
-      (** the class's binding entity, {!bound_name} convention (may be
+      (** the class's binding entity, named like {!entity_row.name}
+          (["offered-load"] when the offered load binds; may be
           ["resource:NAME"] under contention) *)
 }
 
@@ -109,10 +92,6 @@ type report = {
   sim_bottleneck : string;  (** [rows]' top entity, or "none" *)
   agree : bool;
 }
-
-val bound_name : Lognic.Graph.t -> Lognic.Throughput.bound -> string
-(** The entity name a throughput bound pins ("offered-load" for
-    {!Lognic.Throughput.Offered_load}), matching {!entity_row.name}. *)
 
 val run :
   ?config:Netsim.config ->

@@ -64,7 +64,6 @@ val fault_label : fault -> string
 (** Stable short key used in interval reports: ["engine_down:VERTEX"],
     ["degrade:MEDIUM"], ["queue_shrink:VERTEX"], ["drop_burst"]. *)
 
-val event_to_json : event -> Telemetry.Json.t
 val to_json : plan -> Telemetry.Json.t
 (** The plan as a JSON array of events (embedded in the [lognic faults]
     report so a result document carries its own scenario). *)

@@ -12,6 +12,7 @@
 module N = Lognic_numerics
 module FC = Lognic.Flowcache
 
+(* Hot (EMC hit), warm (megaflow hit), cold (slow path). *)
 let classes = 3
 let class_names = [| "hot"; "warm"; "cold" |]
 
@@ -244,13 +245,13 @@ let roles g =
   let resolve role label =
     match G.find_vertex g ~label with
     | None ->
-      invalid_arg (Printf.sprintf "Netsim.run: flow cache needs a vertex %S" label)
+      invalid_arg (Printf.sprintf "Netsim.execute: flow cache needs a vertex %S" label)
     | Some v ->
       let outs = List.length (G.out_edges g v.G.id) in
       if outs <> 2 then
         invalid_arg
           (Printf.sprintf
-             "Netsim.run: flow-cache vertex %S needs exactly 2 out-edges (hit, \
+             "Netsim.execute: flow-cache vertex %S needs exactly 2 out-edges (hit, \
               miss), has %d"
              label outs);
       roles.(v.G.id) <- role

@@ -24,9 +24,6 @@
     it). The lookups are inlinable wrappers that store [now] into a
     clock cell the two tables share, so no float crosses a call. *)
 
-val classes : int
-(** 3 — hot (EMC hit), warm (megaflow hit), cold (slow path). *)
-
 type t
 (** Runtime state: the Zipf sampler, both LRU tables, the lookup
     counters and the per-class attribution table. *)

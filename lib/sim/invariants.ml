@@ -13,6 +13,9 @@ type report = {
   violations : violation list;
 }
 
+(* Violations kept verbatim in a report; a systemically broken
+   run can fail millions of per-packet checks and the report should
+   not grow with it. *)
 let max_recorded = 100
 
 type t = {
@@ -146,11 +149,9 @@ let[@inline] packet_dropped t ~id ~time =
   t.n_dropped <- t.n_dropped + 1;
   resolve t ~id ~time "dropped without a live injection (double delivery/drop?)"
 
-let injected t = t.n_injected
-let delivered t = t.n_delivered
-let dropped t = t.n_dropped
-let in_flight t = t.n_live
-
+(* The ledger's closing entry: injected = delivered + dropped +
+   in-flight, and injected agrees with the traffic generator's own
+   count ([generated]). *)
 let check_conservation t ~time ~generated =
   check_count t ~law:"packet-conservation" ~entity:"run" ~time
     ~expected:t.n_injected
@@ -168,6 +169,13 @@ let[@inline] observe_event_time t time =
       ~actual:time "event queue popped a time earlier than its predecessor";
   t.last_event_time.(0) <- time
 
+(* The {!Telemetry.summary} self-consistency laws: the drop breakdown
+   sums to [dropped_packets], per-class delivered counts sum to
+   [delivered_packets], the mean latency-term decomposition tiles
+   [mean_latency], [throughput]/[packet_rate] agree with
+   delivered bytes/packets over the window, [loss_rate] is in [0, 1],
+   the window fits the horizon, and (when anything was delivered)
+   p50 ≤ p99 ≤ max and mean ≤ max. *)
 let check_summary t ~horizon (s : Telemetry.summary) =
   let time = horizon in
   let entity = "summary" in

@@ -30,14 +30,10 @@ type report = {
   checks : int;  (** individual law evaluations performed *)
   total_violations : int;
   violations : violation list;
-      (** first {!max_recorded} violations in detection order; the
-          count above is not capped *)
+      (** first 100 violations in detection order, so a systemically
+          broken run that fails millions of per-packet checks keeps a
+          bounded report; the count above is not capped *)
 }
-
-val max_recorded : int
-(** Violations kept verbatim in a report (100); a systemically broken
-    run can fail millions of per-packet checks and the report should
-    not grow with it. *)
 
 type t
 (** A mutable checker accumulating violations over one run. *)
@@ -102,34 +98,12 @@ val check_nonneg :
     [Invalid_argument]. *)
 
 val packet_injected : t -> id:int -> time:float -> unit
-val packet_delivered : t -> id:int -> time:float -> unit
 val packet_dropped : t -> id:int -> time:float -> unit
-
-val injected : t -> int
-val delivered : t -> int
-val dropped : t -> int
-
-val in_flight : t -> int
-(** Injected packets not yet delivered or dropped. *)
-
-val check_conservation : t -> time:float -> generated:int -> unit
-(** The ledger's closing entry: injected = delivered + dropped +
-    in-flight, and injected agrees with the traffic generator's own
-    count ([generated]). *)
 
 val observe_event_time : t -> float -> unit
 (** Feed every popped event time in execution order; times must be
     non-decreasing (["event-monotonicity"]). {!Netsim} calls it from an
     {!Engine.run} observer with {!Engine.now}. *)
-
-val check_summary : t -> horizon:float -> Telemetry.summary -> unit
-(** The {!Telemetry.summary} self-consistency laws: the drop breakdown
-    sums to [dropped_packets], per-class delivered counts sum to
-    [delivered_packets], the mean latency-term decomposition tiles
-    [mean_latency], [throughput]/[packet_rate] agree with
-    delivered bytes/packets over the window, [loss_rate] is in [0, 1],
-    the window fits the horizon, and (when anything was delivered)
-    p50 ≤ p99 ≤ max and mean ≤ max. *)
 
 (** {1 Simulator hooks}
 
@@ -145,7 +119,8 @@ val check_medium : t -> time:float -> Medium.t -> unit
     buffer. *)
 
 val check_delivery : t -> id:int -> time:float -> float array -> unit
-(** {!packet_delivered}, plus the Eq. 2 tiling law on the flight's
+(** Resolve packet [id] as delivered (fate law as for
+    {!packet_dropped}), plus the Eq. 2 tiling law on the flight's
     {!Telemetry.flight_slots} array: queueing + service + wire +
     overhead equal birth-to-egress time. *)
 
@@ -158,10 +133,21 @@ val check_horizon :
   ?birth_bins:(int * int) array ->
   Telemetry.summary ->
   unit
-(** The end-of-run laws, in order: horizon-clipped utilization and busy
-    time of every node and medium, {!check_conservation}, the
-    [(offered, resolved)] count of each fault birth bin
-    ({!Faults.birth_bins}; default none), then {!check_summary}. *)
+(** The end-of-run laws, in order:
+    - horizon-clipped utilization and busy time of every node and
+      medium;
+    - the ledger's closing entry: injected = delivered + dropped +
+      in-flight, and injected agrees with the traffic generator's own
+      count ([generated]);
+    - the [(offered, resolved)] count of each fault birth bin
+      ({!Faults.birth_bins}; default none);
+    - the {!Telemetry.summary} self-consistency laws: the drop
+      breakdown sums to [dropped_packets], per-class delivered counts
+      sum to [delivered_packets], the mean latency-term decomposition
+      tiles [mean_latency], [throughput]/[packet_rate] agree with
+      delivered bytes/packets over the window, [loss_rate] is in
+      [0, 1], the window fits the horizon, and (when anything was
+      delivered) p50 ≤ p99 ≤ max and mean ≤ max. *)
 
 (** {1 Reporting} *)
 
@@ -173,7 +159,6 @@ val ok : report -> bool
 (** No violations. *)
 
 val pp_violation : Format.formatter -> violation -> unit
-val violation_to_json : violation -> Telemetry.Json.t
 
 val report_to_json : report -> Telemetry.Json.t
 (** [{"checks": n, "violations": n, "recorded": [...]}] — a fragment

@@ -164,11 +164,6 @@ let engines t = t.engines
 let queue_count t = Array.length t.queues
 let in_system t = t.busy_engines + t.queued_total
 
-let queue_length t i =
-  if i < 0 || i >= Array.length t.queues then
-    invalid_arg "Ip_node.queue_length: bad queue index";
-  t.queues.(i).r_len
-
 let busy_engines t = t.busy_engines
 
 let drops t = Array.fold_left ( + ) 0 t.drops_per_queue
@@ -179,7 +174,6 @@ let drops_of_queue t i =
   t.drops_per_queue.(i)
 
 let completions t = t.completions
-let busy_time t = t.fb.(0)
 
 (* Clip scheduled busy time to the [\[0, until\]] window: every service
    still in flight at query time started at or before the horizon,
@@ -524,7 +518,6 @@ let create_hierarchical ?(track_lanes = false) engine ~rng ~label ~engines
   make engine ~rng ~label ~engines ~rate_per_engine ~entries_per_queue
     ~service_dist ~track_lanes ~hier:(Some (group_weights, class_weights))
 
-let offline t = t.offline
 let set_profile t p = t.prof <- p
 
 let set_offline t n =
@@ -535,8 +528,6 @@ let set_offline t n =
      as many services as there are freed engines and backlogged
      requests (work conserving). *)
   dispatch t
-
-let capacity_override t = t.capacity_override
 
 let set_capacity_override t cap =
   (match cap with

@@ -121,13 +121,9 @@ val submit_at :
     index in an option at every call. *)
 
 val in_system : t -> int
-val queue_length : t -> int -> int
 
 val busy_engines : t -> int
 (** Engines currently serving a request. *)
-
-val offline : t -> int
-(** Engines currently held down by fault injection (0 when healthy). *)
 
 val set_offline : t -> int -> unit
 (** Fail (or recover) engines: the dispatcher serves with at most
@@ -138,8 +134,6 @@ val set_offline : t -> int -> unit
     denominator ([engines]), so a half-failed node saturates at 0.5.
     Raises [Invalid_argument] outside [\[0, engines\]]. With [n = 0] the
     node is byte-identical to one that never saw a fault. *)
-
-val capacity_override : t -> int option
 
 val set_capacity_override : t -> int option -> unit
 (** Temporarily shrink the queue capacity: admission checks use
@@ -152,12 +146,8 @@ val drops : t -> int
 val drops_of_queue : t -> int -> int
 val completions : t -> int
 
-val busy_time : t -> float
-(** Aggregate scheduled engine-busy seconds, including any service time
-    extending past the simulation horizon. *)
-
 val busy_within : t -> until:float -> float
-(** {!busy_time} with each in-flight service clipped to
+(** Engine-busy seconds, with each in-flight service clipped to
     [\[0, until\]] — exact at the run horizon. *)
 
 val utilization : t -> until:float -> float

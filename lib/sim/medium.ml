@@ -35,8 +35,6 @@ let label t = t.label
 let effective_bandwidth t =
   if t.scale = 1. then t.bandwidth else t.bandwidth *. t.scale
 
-let scale t = t.scale
-
 let set_scale t factor =
   if (not (Float.is_finite factor)) || factor <= 0. || factor > 1. then
     invalid_arg "Medium.set_scale: factor must be in (0, 1]";
@@ -106,8 +104,6 @@ let[@inline] transfer ?tally ?span t ~bytes k =
 let[@inline] backlog t =
   let wait = t.f.(0) -. Engine.now t.engine in
   (if wait > 0. then wait else 0.) *. effective_bandwidth t
-
-let busy_time t = t.f.(1)
 
 (* Transfers admitted while backlogged run back to back, so everything
    scheduled past [until] is the single contiguous run ending at

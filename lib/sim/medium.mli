@@ -24,9 +24,6 @@ val buffer : float
     admitted-but-untransferred bytes never exceed the buffer
     ({!Invariants}). *)
 
-val scale : t -> float
-(** Current fault-injection bandwidth factor (1 when healthy). *)
-
 val set_scale : t -> float -> unit
 (** Degrade (or restore) the medium: subsequent transfers run at
     [factor · bandwidth] and the backlog limit converts at the degraded
@@ -61,14 +58,10 @@ val backlog : t -> float
 (** Bytes admitted but not yet transferred, at the engine's current
     virtual time. *)
 
-val busy_time : t -> float
-(** Cumulative seconds of scheduled transfer time, including any tail
-    extending past the simulation horizon. *)
-
 val busy_within : t -> until:float -> float
-(** {!busy_time} clipped to [\[0, until\]]. Exact whenever [until] is
-    at or after the last admission time (in particular at the run
-    horizon). *)
+(** Seconds spent transferring, clipped to [\[0, until\]]. Exact
+    whenever [until] is at or after the last admission time (in
+    particular at the run horizon). *)
 
 val utilization : t -> until:float -> float
 (** [busy_within ~until / until]; never exceeds 1 at the horizon, even

@@ -204,7 +204,6 @@ let create cfg =
     profiler = (if cfg.profile then Some (Profile.create ()) else None);
   }
 
-let config t = t.cfg
 let profiler t = t.profiler
 let snapshots t = t.seq
 

@@ -53,8 +53,6 @@ module Slo : sig
   val parse_exn : string -> rule
   val to_string : rule -> string
   (** Round-trips through {!parse}; also the [rule] key in exports. *)
-
-  val matches : rule -> entity:string -> metric:string -> bool
 end
 
 type t
@@ -102,8 +100,6 @@ val default_config : config
 val create : config -> t
 (** Raises [Invalid_argument] on an interval that is not positive and
     finite. *)
-
-val config : t -> config
 
 (** {2 Instruments} *)
 

@@ -211,11 +211,11 @@ let execute_with ?engine:reused (spec : Run.t) =
   let hw = spec.Run.hw in
   let config = spec.Run.config in
   if not (Float.is_finite config.duration && config.duration > 0.) then
-    invalid_arg "Netsim.run: duration must be positive and finite";
+    invalid_arg "Netsim.execute: duration must be positive and finite";
   (match G.validate g with
   | Ok () -> ()
   | Error errors ->
-    invalid_arg ("Netsim.run: invalid graph: " ^ String.concat "; " errors));
+    invalid_arg ("Netsim.execute: invalid graph: " ^ String.concat "; " errors));
   (* ---- tenants ------------------------------------------------------ *)
   let tenant_set = config.tenants in
   let ntenants =
@@ -875,10 +875,7 @@ let execute_with ?engine:reused (spec : Run.t) =
 
 let execute spec = execute_with spec
 
-let run ?(config = Config.default) g ~hw ~mix =
-  execute (Run.make ~config g ~hw ~mix)
-
-let run_single ?config g ~hw ~traffic = run ?config g ~hw ~mix:[ (traffic, 1.) ]
+let run_single ?config g ~hw ~traffic = execute (Run.single ?config g ~hw ~traffic)
 
 let measurement_to_json m =
   let module J = Telemetry.Json in

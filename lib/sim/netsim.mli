@@ -24,9 +24,7 @@
 
     {b Entry points.} {!Run.t} is the single run spec — graph, hardware,
     traffic mix, config, and fault plan in one record — executed by
-    {!execute} / {!execute_replicated}. {!run} and {!run_single} are
-    thin wrappers over an empty-fault spec and produce byte-identical
-    measurements.
+    {!execute} / {!execute_replicated}.
 
     {b Layers.} This module owns the packet walk (arrive → route →
     traverse → deliver/drop); each optional layer lives in its own
@@ -256,9 +254,9 @@ val execute : Run.t -> measurement
     vertex label, infinite-throughput vertex, unknown medium label).
 
     {b Determinism.} With [faults = Faults.empty] the measurement is
-    byte-identical to the pre-fault-era {!run} (no fault rng is split,
-    no per-packet accounting is added — held by the [faults] tests
-    [wrappers_equivalent] and [empty_plan_identity]).
+    byte-identical to a run without the fault layer (no fault rng is
+    split, no per-packet accounting is added — held by the [faults]
+    test [empty_plan_identity]).
     With any plan, results are bit-identical at every [--jobs]: the
     fault rng is its own stream, split after the per-node rngs and
     before the tenant and trace rngs, and is drawn only while a
@@ -271,24 +269,13 @@ val execute : Run.t -> measurement
     feature off restores the exact streams of a run that never had
     it. *)
 
-val run :
-  ?config:config ->
-  Lognic.Graph.t ->
-  hw:Lognic.Params.hardware ->
-  mix:Lognic.Traffic.mix ->
-  measurement
-(** Pre-spec entry point, kept for compatibility: exactly
-    [execute (Run.make ~config g ~hw ~mix)] (empty fault plan). Prefer
-    {!Run.make} + {!execute} in new code. *)
-
 val run_single :
   ?config:config ->
   Lognic.Graph.t ->
   hw:Lognic.Params.hardware ->
   traffic:Lognic.Traffic.t ->
   measurement
-(** Single-class convenience wrapper over {!run}; prefer {!Run.single} +
-    {!execute} in new code. *)
+(** [execute (Run.single ?config g ~hw ~traffic)]. *)
 
 val measurement_to_json : measurement -> Telemetry.Json.t
 (** The full measurement — summary, per-entity stats, drop sites,

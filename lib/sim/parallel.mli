@@ -1,10 +1,7 @@
-(** Parallel simulation driver (OCaml 5 domains).
-
-    {!Netsim.run} is the repo's slow path — exactly the packet-level
-    simulator the paper's pitch is measured against — and replicated
-    runs, figure sweeps, and optimizer grids execute many mutually
-    independent simulations. This module fans them out over the domain
-    pool of {!Lognic_numerics.Parallel}.
+(** Parallel simulation on OCaml 5 domains: the domain pool of
+    {!Lognic_numerics.Parallel} under the simulator's name. The ledger
+    renders figures through it; the library's own sweeps call
+    {!Lognic_numerics.Parallel.map} directly.
 
     {b Determinism guarantee}: every simulation derives its randomness
     from an explicit per-run seed and touches no shared mutable state,

@@ -23,6 +23,7 @@ let phase_observer = 3
 let phase_other = 4
 let phase_count = 5
 
+(* Stable display/export name per phase index. *)
 let phase_names =
   [| "queue_ops"; "node_service"; "media_arbitration"; "observer"; "other" |]
 
@@ -121,9 +122,9 @@ let tick t ~time =
   t.rows <- row :: t.rows;
   row
 
-let rows t = List.rev t.rows
 let self_seconds t phase = t.acc.(phase)
 let enter_count t phase = t.enters.(phase)
+(* Wall seconds since {!create}. *)
 let elapsed t = Unix.gettimeofday () -. t.started
 
 let phases_obj values =

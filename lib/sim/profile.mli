@@ -31,11 +31,6 @@ val phase_other : int
 (** Everything outside the bracketed phases (event thunks' own work,
     setup, metrics ticks). The initial phase. *)
 
-val phase_count : int
-
-val phase_names : string array
-(** Stable display/export name per phase index. *)
-
 (** {2 Accounting} *)
 
 val create : unit -> t
@@ -66,17 +61,10 @@ val tick : t -> time:float -> row
 
 (** {2 Reports} *)
 
-val rows : t -> row list
-(** Recorded intervals, chronological. *)
-
 val self_seconds : t -> int -> float
 (** Cumulative self seconds of a phase. *)
 
 val enter_count : t -> int -> int
-val elapsed : t -> float
-(** Wall seconds since {!create}. *)
-
-val row_to_json : row -> Telemetry.Json.t
 
 val to_json : t -> Telemetry.Json.t
 (** [schema:"profile"] document: phase totals plus the interval rows. *)

@@ -23,10 +23,8 @@ let table =
     ("flowcache", 1);  (* Explain.flowcache_to_json (lognic flowcache --json) *)
   ]
 
-let version_of kind = List.assoc_opt kind table
-
 let version_of_exn kind =
-  match version_of kind with
+  match List.assoc_opt kind table with
   | Some v -> v
   | None ->
     invalid_arg
@@ -34,5 +32,3 @@ let version_of_exn kind =
          "Schema.version_of_exn: unregistered document kind %S (add it to \
           Lognic_sim.Schema.table)"
          kind)
-
-let kinds = List.map fst table

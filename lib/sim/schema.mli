@@ -7,10 +7,5 @@
 val table : (string * int) list
 (** Every known document kind with its current version. *)
 
-val version_of : string -> int option
-
 val version_of_exn : string -> int
 (** Raises [Invalid_argument] on a kind missing from {!table}. *)
-
-val kinds : string list
-(** The registered kind names, in table order. *)

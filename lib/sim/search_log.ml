@@ -52,15 +52,6 @@ let observer t (obs : O.observation) =
           Hashtbl.replace t.knob_counts key (n + 1))
         obs.candidate)
 
-let observations t = Mutex.protect t.mutex (fun () -> t.observations)
-let cache_hits t = Mutex.protect t.mutex (fun () -> t.cache_hits)
-let best t = Mutex.protect t.mutex (fun () -> t.best)
-
-let knob_histogram t =
-  Mutex.protect t.mutex (fun () ->
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.knob_counts []
-      |> List.sort compare)
-
 let to_json t =
   Mutex.protect t.mutex (fun () ->
       let best =
@@ -91,5 +82,3 @@ let to_json t =
           ("scores", Telemetry.Series.to_json t.scores);
           ("knob_histogram", J.Obj histogram);
         ])
-
-let to_string t = J.to_string (to_json t)

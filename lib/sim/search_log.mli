@@ -26,17 +26,4 @@ val create : unit -> t
 val observer : t -> Lognic.Optimizer.observation -> unit
 (** The callback to pass as [~observer:(Search_log.observer log)]. *)
 
-val observations : t -> int
-(** Candidates recorded (= optimizer evaluations while hooked). *)
-
-val cache_hits : t -> int
-
-val best : t -> (float * Lognic.Optimizer.assignment list) option
-(** Lowest score seen and its candidate ([None] before any event). *)
-
-val knob_histogram : t -> (string * int) list
-(** [(knob key, evaluations touching it)], sorted by key; keys look
-    like ["throughput:3"], ["split:1"], ["ingress_rate"]. *)
-
 val to_json : t -> Telemetry.Json.t
-val to_string : t -> string

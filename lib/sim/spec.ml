@@ -23,6 +23,7 @@ let grammar ~flag fields =
 
 let flag g = g.g_flag
 
+(* ["NAME:WEIGHT[:SHARE[:SLO]]"] — the docv-style shape string. *)
 let usage g =
   let buf = Buffer.create 32 in
   let opened = ref 0 in

@@ -39,9 +39,6 @@ val grammar : flag:string -> field list -> grammar
 
 val flag : grammar -> string
 
-val usage : grammar -> string
-(** ["NAME:WEIGHT[:SHARE[:SLO]]"] — the docv-style shape string. *)
-
 type value = I of int | F of float | S of string
 
 val parse :

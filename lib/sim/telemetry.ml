@@ -310,8 +310,6 @@ module Series = struct
     }
 
   let label t = t.label
-  let interval t = t.interval
-  let length t = t.len
 
   (* Before the ring wraps the samples fill [0, len) of arrays exactly
      [len] long, so doubling them is a plain append. *)

@@ -66,26 +66,19 @@ module Json : sig
 end
 
 (** Bounded ring-buffer time series: appends are amortized O(1), memory
-    never exceeds {!Series.capacity} samples, and once full the newest
+    never exceeds 4096 samples, and once full the newest
     ones win. Two users: each {!Metrics} gauge keeps its sampled history
     in one ({!Metrics.series}), and {!Search_log} keeps its score
     curves, indexed by evaluation sequence, in two. *)
 module Series : sig
   type t
 
-  val capacity : int
-  (** 4096 samples per series. *)
-
   val create : label:string -> interval:float -> unit -> t
   (** The storage starts at 16 samples and doubles as samples arrive, up
-      to {!capacity}. Raises [Invalid_argument] on a non-positive
+      to 4096. Raises [Invalid_argument] on a non-positive
       interval. *)
 
   val label : t -> string
-  val interval : t -> float
-
-  val length : t -> int
-  (** Samples currently retained (≤ capacity). *)
 
   val add : t -> time:float -> value:float -> unit
   val to_array : t -> (float * float) array

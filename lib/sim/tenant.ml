@@ -91,7 +91,6 @@ let uniform ?(prefix = "vf") n =
   set (List.init n (fun i -> spec (Printf.sprintf "%s%04d" prefix i)))
 
 let count t = Array.length t.t_specs
-let specs t = Array.copy t.t_specs
 let weights t = Array.map (fun s -> s.weight) t.t_specs
 
 let shares t =

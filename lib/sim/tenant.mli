@@ -48,9 +48,6 @@ val uniform : ?prefix:string -> int -> set
 
 val count : set -> int
 
-val specs : set -> spec array
-(** The canonical (name-sorted) specs; a fresh copy. *)
-
 val weights : set -> int array
 (** Scheduler weights in canonical order; a fresh copy. *)
 

@@ -53,7 +53,6 @@ let create ~config ~rng () =
     weight = 1.;
   }
 
-let capacity t = t.capacity
 let seen t = t.seen
 
 (* Algorithm L reservoir sampling (Li 1994): instead of one rng draw
@@ -133,17 +132,6 @@ let critical_path r =
   List.stable_sort
     (fun a b -> Float.compare a.start b.start)
     (List.rev r.rev_spans)
-
-let span_total r =
-  (* Sum in recording (= chronological) order so the float rounding of
-     the total matches a left-to-right walk of the timeline. *)
-  List.fold_left
-    (fun acc s -> acc +. s.duration)
-    0.
-    (List.rev r.rev_spans)
-
-let latency r =
-  match r.fate with Delivered at -> Some (at -. r.born) | Pending | Dropped _ -> None
 
 (* --- Chrome trace-event export (catapult JSON, loads in Perfetto) --- *)
 

@@ -11,8 +11,9 @@
     traced runs remain bit-identical at any [--jobs] count.
 
     A packet's walk is strictly sequential, so its recorded spans tile
-    [born, delivered] exactly: {!critical_path} is the timeline in
-    order, and {!span_total} equals the recorded end-to-end latency.
+    [born, delivered] exactly: in recording order the spans are the
+    timeline, and their durations sum to the recorded end-to-end
+    latency.
 
     {!to_chrome_json} renders the whole trace in Chrome trace-event
     (catapult) JSON, loadable in Perfetto / [chrome://tracing]: one
@@ -26,8 +27,6 @@ type phase =
   | Service  (** execution-engine occupancy *)
   | Wire  (** transfer across a medium *)
   | Overhead  (** fixed per-vertex computation-transfer overhead *)
-
-val phase_name : phase -> string
 
 type span = {
   entity : string;  (** vertex label or medium label *)
@@ -48,7 +47,7 @@ type record = {
   size : float;
   klass : int;
   mutable fate : fate;
-  mutable rev_spans : span list;  (** newest first; see {!critical_path} *)
+  mutable rev_spans : span list;  (** newest first *)
   mutable live : bool;
       (** false once evicted from the reservoir; dead records ignore
           further spans (they are unreachable from {!records}) *)
@@ -60,8 +59,6 @@ val create : config:config -> rng:Lognic_numerics.Rng.t -> unit -> t
 (** Raises [Invalid_argument] on a reservoir capacity < 1. The [rng]
     must be dedicated to the trace (split from the run seed) so that
     enabling tracing perturbs no other stochastic stream. *)
-
-val capacity : t -> int
 
 val seen : t -> int
 (** Packets offered to the reservoir so far. *)
@@ -88,17 +85,6 @@ val drop : record -> site:string -> time:float -> unit
 
 val records : t -> record list
 (** Records still held by the reservoir, in packet-id order. *)
-
-val critical_path : record -> span list
-(** The packet's spans in start-time order — its full timeline. *)
-
-val span_total : record -> float
-(** Sum of span durations in chronological order; equals
-    [latency record] for a delivered packet (the walk tiles the
-    packet's lifetime). *)
-
-val latency : record -> float option
-(** End-to-end latency for a delivered packet, [None] otherwise. *)
 
 val to_chrome_json : t -> Telemetry.Json.t
 (** Chrome trace-event JSON ([ts]/[dur] in microseconds):

@@ -30,13 +30,13 @@ let md1_matches_deterministic_sim () =
       (S.Ip_node.submit node ~work:100. (fun () ->
            if born > 1000. then
              N.Stats.Online.add stats (S.Engine.now engine -. born)));
-    let next = born +. N.Dist.sample (N.Dist.exponential ~rate:lambda) rng in
+    let next = born +. N.Dist.sample_exponential ~rate:lambda rng in
     if next < horizon then S.Engine.schedule engine ~at:next arrive
   in
   S.Engine.schedule engine ~at:0.1 arrive;
   S.Engine.run ~until:horizon engine;
   let predicted =
-    Q.Mg1.mean_time_in_system (Q.Mg1.create ~lambda ~mu:1. ~scv:0.)
+    Q.Mg1.mean_waiting_time (Q.Mg1.create ~lambda ~mu:1. ~scv:0.) +. 1.
   in
   check_within ~pct:4. "M/D/1 sojourn matches sim" predicted
     (N.Stats.Online.mean stats)
@@ -109,17 +109,20 @@ let sensitivity_rejects_invalid () =
 
 (* Off-path study *)
 
+(* The sweep evaluates both graphs at every fraction, and the model
+   validates each graph before it evaluates it. *)
 let offpath_graphs_valid () =
+  let points = Lognic_apps.Offpath_study.(sweep default) in
+  Alcotest.(check (list (float 0.))) "every fraction swept"
+    [ 0.05; 0.1; 0.2; 0.4; 0.6; 0.8; 1. ]
+    (List.map (fun (p : Lognic_apps.Offpath_study.point) -> p.compute_fraction) points);
   List.iter
-    (fun f ->
-      let open Lognic_apps.Offpath_study in
+    (fun (p : Lognic_apps.Offpath_study.point) ->
       Alcotest.(check bool) "on-path valid" true
-        (Result.is_ok (G.validate (on_path_graph ~compute_fraction:f default)));
+        (Float.is_finite p.on_path_capacity && p.on_path_capacity > 0.);
       Alcotest.(check bool) "off-path valid" true
-        (Result.is_ok (G.validate (off_path_graph ~compute_fraction:f default))))
-    [ 0.05; 0.5; 1.0 ];
-  check_raises_invalid "fraction domain" (fun () ->
-      Lognic_apps.Offpath_study.(on_path_graph ~compute_fraction:0. default))
+        (Float.is_finite p.off_path_capacity && p.off_path_capacity > 0.))
+    points
 
 let offpath_bypass_advantage () =
   let open Lognic_apps.Offpath_study in

@@ -203,14 +203,14 @@ let case3_hybrid_migration () =
       done)
     Microservices.all;
   check_raises_invalid "split out of range" (fun () ->
-      Microservices.hybrid_graph Microservices.nfv_fin ~split_at:9)
+      Microservices.hybrid_graph (List.hd Microservices.all) ~split_at:9)
 
 let case3_hybrid_pays_pcie_latency () =
   (* structural: the crossing vertex carries the PCIe driver latency as
      O and the crossing edge is the PCIe link. (In end-to-end latency
      the faster host cores largely offset that tax, which is exactly
      why the capacity-driven migration is worthwhile.) *)
-  let w = Microservices.nfv_fin in
+  let w = List.find (fun w -> w.Microservices.name = "NFV-FIN") Microservices.all in
   let g = Microservices.hybrid_graph w ~split_at:2 in
   let crossing =
     List.find
@@ -262,18 +262,30 @@ let case3_energy_efficiency () =
 (* Case study #4 *)
 
 let case4_opt_dominates_throughput () =
+  let outcomes = Nf_chain.sweep () in
   List.iter
     (fun (o : Nf_chain.outcome) ->
-      let opt = Nf_chain.evaluate ~packet_size:o.packet_size Nf_chain.Lognic_opt in
+      let opt =
+        List.find
+          (fun (p : Nf_chain.outcome) ->
+            p.scheme = Nf_chain.Lognic_opt && p.packet_size = o.packet_size)
+          outcomes
+      in
       Alcotest.(check bool)
         (Printf.sprintf "opt >= %s at %gB" (Nf_chain.scheme_name o.scheme) o.packet_size)
         true
         (opt.throughput >= o.throughput -. 1e-6))
-    (Nf_chain.sweep ())
+    outcomes
 
 let case4_regime_flip () =
   (* ARM wins at 64B, accelerators win at MTU. *)
-  let at size scheme = (Nf_chain.evaluate ~packet_size:size scheme).Nf_chain.throughput in
+  let outcomes = Nf_chain.sweep ~sizes:[ 64.; U.mtu ] () in
+  let at size scheme =
+    (List.find
+       (fun (o : Nf_chain.outcome) -> o.scheme = scheme && o.packet_size = size)
+       outcomes)
+      .Nf_chain.throughput
+  in
   Alcotest.(check bool)
     "ARM-only >= accel-only at 64B" true
     (at 64. Nf_chain.Arm_only >= at 64. Nf_chain.Accel_only);

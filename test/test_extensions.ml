@@ -263,8 +263,8 @@ let contention_validation () =
 (* Extension #3: rate limiter *)
 
 (* Without a contention spec the contention report is observation-only:
-   it drives the identical simulation a plain [Netsim.run] with the same
-   config would — the report's run only adds the read-only metrics
+   it drives the identical simulation a plain [Netsim.execute] of the
+   same spec would — the report's run only adds the read-only metrics
    gauges explain samples queue depths from — so the measurement inside
    the report is byte-identical to the standalone run. *)
 let contention_off_identity () =
@@ -286,7 +286,7 @@ let contention_off_identity () =
   Alcotest.(check bool) "the report's run sampled metrics" true
     (report.S.Contention.base.S.Explain.measurement.S.Netsim.metrics <> None);
   Alcotest.(check string) "contention-off report = plain run, byte-identical"
-    (json (S.Netsim.run ~config g ~hw ~mix))
+    (json (S.Netsim.execute (S.Netsim.Run.make ~config g ~hw ~mix)))
     (json report.S.Contention.base.S.Explain.measurement)
 
 let rate_limiter_insertion () =
@@ -421,7 +421,7 @@ let optimizer_matches_exhaustive () =
   let brute =
     Array.fold_left
       (fun acc p ->
-        let g' = O.apply_assignment g [ O.Set_throughput (w, p) ] in
+        let g' = G.update_service g w (fun s -> { s with G.throughput = p }) in
         Float.max acc (Lognic.Throughput.evaluate g' ~hw ~traffic).attained)
       0. candidates
   in

@@ -13,8 +13,9 @@ module U = Lognic.Units
 module T = Lognic.Traffic
 
 (* The validation pipeline: in (25G) -> ip (4G, 4 engines, N=64) ->
-   out (25G), every edge crossing the interface. *)
-let pipeline () =
+   out (25G), every edge crossing the interface; with [beta] the ip's
+   input edge also moves that share of its bytes over memory. *)
+let pipeline ?(beta = 0.) () =
   let svc t = G.service ~throughput:t () in
   let g = G.empty in
   let g, i = G.add_vertex ~kind:G.Ingress ~label:"in" ~service:(svc (25. *. U.gbps)) g in
@@ -25,7 +26,7 @@ let pipeline () =
       g
   in
   let g, e = G.add_vertex ~kind:G.Egress ~label:"out" ~service:(svc (25. *. U.gbps)) g in
-  let g = G.add_edge ~delta:1. ~alpha:1. ~src:i ~dst:w g in
+  let g = G.add_edge ~delta:1. ~alpha:1. ~beta ~src:i ~dst:w g in
   let g = G.add_edge ~delta:1. ~alpha:1. ~src:w ~dst:e g in
   g
 
@@ -33,6 +34,15 @@ let hw = Lognic.Params.hardware ~bw_interface:(50. *. U.gbps) ~bw_memory:(60. *.
 let traffic = T.make ~rate:(2. *. U.gbps) ~packet_size:1500.
 let mix = [ (traffic, 1.) ]
 let config = S.Netsim.Config.(default |> with_horizon 0.02)
+
+(* One interval under [m], evaluated next to the plain model on the
+   graph and hardware the modifier should produce. *)
+let degraded_interval g m =
+  match (D.evaluate g ~hw ~traffic ~intervals:[ (0., 1., m) ]).D.intervals with
+  | [ r ] -> r
+  | _ -> Alcotest.fail "expected one interval"
+
+let model_latency g ~hw = (Lognic.Latency.evaluate g ~hw ~traffic).Lognic.Latency.mean
 
 (* --- smart constructors ------------------------------------------- *)
 
@@ -109,48 +119,50 @@ let modifiers_compose () =
          (fun acc (l, f) -> if l = "interface" then acc *. f else acc)
          1. m.D.media_factors);
     check_close "burst survival multiplies" 0.75 m.D.ingress_drop;
-    Alcotest.(check bool) "degraded" true (D.is_degraded m)
+    Alcotest.(check bool) "degraded" true (degraded_interval (pipeline ()) m).D.degraded
   | _ -> Alcotest.fail "expected a single interval"
 
-(* --- Degraded.apply_modifier -------------------------------------- *)
+(* --- Degraded.evaluate applies D'/B'/N' ------------------------------ *)
 
 let apply_modifier_scales () =
   let g = pipeline () in
   let nominal = Lognic.Throughput.capacity g ~hw in
   check_close "nominal capacity is the ip" (4. *. U.gbps) nominal;
+  let ip = match G.find_vertex g ~label:"ip" with Some v -> v.G.id | None -> assert false in
+  let with_ip f = G.update_service g ip f in
   (* two of four engines down: the binding vertex halves *)
-  let m = { D.no_modifier with D.engines_down = [ ("ip", 2) ] } in
-  let g', hw', failed = D.apply_modifier g ~hw m in
-  Alcotest.(check bool) "no full failure" true (failed = None);
-  check_close "capacity halves" (2. *. U.gbps)
-    (Lognic.Throughput.capacity g' ~hw:hw');
-  (match G.find_vertex g' ~label:"ip" with
-  | Some v -> Alcotest.(check int) "parallelism shrinks" 2 v.G.service.G.parallelism
-  | None -> Alcotest.fail "ip vanished");
-  (* all engines down: reported as fully failed, graph untouched *)
-  let m = { D.no_modifier with D.engines_down = [ ("ip", 4) ] } in
-  let _, _, failed = D.apply_modifier g ~hw m in
-  (match G.find_vertex g ~label:"ip" with
-  | Some v ->
-    Alcotest.(check bool) "full failure reported" true (failed = Some v.G.id)
-  | None -> Alcotest.fail "ip vanished");
-  (* interface factor scales the hardware *)
-  let m = { D.no_modifier with D.media_factors = [ ("interface", 0.5) ] } in
-  let _, hw', _ = D.apply_modifier g ~hw m in
-  check_close "interface halves" (25. *. U.gbps) hw'.Lognic.Params.bw_interface;
-  check_close "memory untouched" (60. *. U.gbps) hw'.Lognic.Params.bw_memory;
+  let r = degraded_interval g { D.no_modifier with D.engines_down = [ ("ip", 2) ] } in
+  Alcotest.(check bool) "no full failure" true (r.D.carried > 0.);
+  check_close "capacity halves" (2. *. U.gbps) r.D.capacity;
+  check_close "parallelism shrinks"
+    (model_latency ~hw
+       (with_ip (fun s -> { s with G.throughput = s.G.throughput *. 0.5; parallelism = 2 })))
+    r.D.latency;
+  (* all engines down: reported as fully failed *)
+  let r = degraded_interval g { D.no_modifier with D.engines_down = [ ("ip", 4) ] } in
+  Alcotest.(check bool) "full failure reported" true
+    (r.D.bottleneck = Lognic.Throughput.Vertex_bound ip
+    && r.D.carried = 0. && r.D.latency = infinity);
+  (* interface factor scales the hardware; on a graph that also uses
+     memory, both media's terms enter the latency *)
+  let gm = pipeline ~beta:1. () in
+  let r = degraded_interval gm { D.no_modifier with D.media_factors = [ ("interface", 0.5) ] } in
+  let half_interface = { hw with Lognic.Params.bw_interface = hw.Lognic.Params.bw_interface *. 0.5 } in
+  check_close "interface halves" (model_latency gm ~hw:half_interface) r.D.latency;
+  Alcotest.(check bool) "interface term moved" true (r.D.latency <> model_latency gm ~hw);
+  Alcotest.(check bool) "memory untouched" true
+    (r.D.latency
+    <> model_latency gm
+         ~hw:{ half_interface with Lognic.Params.bw_memory = hw.Lognic.Params.bw_memory *. 0.5 });
   (* queue caps min-combine with the vertex's own N *)
-  let m = { D.no_modifier with D.queue_caps = [ ("ip", 8) ] } in
-  let g', _, _ = D.apply_modifier g ~hw m in
-  (match G.find_vertex g' ~label:"ip" with
-  | Some v -> Alcotest.(check int) "queue capped" 8 v.G.service.G.queue_capacity
-  | None -> Alcotest.fail "ip vanished");
+  let r = degraded_interval g { D.no_modifier with D.queue_caps = [ ("ip", 8) ] } in
+  check_close "queue capped"
+    (model_latency ~hw (with_ip (fun s -> { s with G.queue_capacity = 8 })))
+    r.D.latency;
   (* unknown labels are ignored *)
-  let m = { D.no_modifier with D.engines_down = [ ("nope", 1) ] } in
-  let g', hw', failed = D.apply_modifier g ~hw m in
+  let r = degraded_interval g { D.no_modifier with D.engines_down = [ ("nope", 1) ] } in
   Alcotest.(check bool) "unknown label is a no-op" true
-    (failed = None
-    && Lognic.Throughput.capacity g' ~hw:hw' = nominal)
+    (r.D.capacity = nominal && r.D.latency = model_latency g ~hw)
 
 let evaluate_nominal_identity () =
   let g = pipeline () in
@@ -166,12 +178,6 @@ let evaluate_nominal_identity () =
 
 let wrappers_equivalent () =
   let g = pipeline () in
-  let legacy = S.Netsim.run ~config g ~hw ~mix in
-  let spec = S.Netsim.Run.make ~config g ~hw ~mix in
-  let via_spec = S.Netsim.execute spec in
-  Alcotest.(check string) "run = execute(Run.make), byte-identical JSON"
-    (S.Telemetry.Json.to_string (S.Netsim.measurement_to_json legacy))
-    (S.Telemetry.Json.to_string (S.Netsim.measurement_to_json via_spec));
   let single = S.Netsim.run_single ~config g ~hw ~traffic in
   let via_single = S.Netsim.execute (S.Netsim.Run.single ~config g ~hw ~traffic) in
   Alcotest.(check bool) "run_single = execute(Run.single)" true
@@ -194,7 +200,7 @@ let with_setters_update () =
 
 let empty_plan_identity () =
   let g = pipeline () in
-  let base = S.Netsim.run ~config g ~hw ~mix in
+  let base = S.Netsim.execute (S.Netsim.Run.make ~config g ~hw ~mix) in
   Alcotest.(check bool) "no fault intervals" true (base.S.Netsim.fault_intervals = []);
   Alcotest.(check bool) "no resilience" true (base.S.Netsim.resilience = None);
   (* a plan whose only fault is a zero-probability burst realizes the

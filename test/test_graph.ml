@@ -31,7 +31,6 @@ let accessors () =
   let g, a, b, c = chain () in
   Alcotest.(check int) "in degree" 1 (G.in_degree g b);
   Alcotest.(check int) "ingress count" 1 (List.length (G.ingress_vertices g));
-  Alcotest.(check int) "egress count" 1 (List.length (G.egress_vertices g));
   Alcotest.(check int) "out edges of a" 1 (List.length (G.out_edges g a));
   Alcotest.(check int) "in edges of c" 1 (List.length (G.in_edges g c));
   (match G.find_vertex g ~label:"work" with
@@ -61,7 +60,7 @@ let edge_validation () =
 
 let mutation () =
   let g, _, b, c = chain () in
-  let g = G.set_service g b (svc 7e8) in
+  let g = G.update_service g b (fun _ -> svc 7e8) in
   check_close "service replaced" 7e8 (G.vertex g b).service.throughput;
   let g = G.update_service g b (fun s -> { s with G.queue_capacity = 5 }) in
   Alcotest.(check int) "service updated" 5 (G.vertex g b).service.queue_capacity;
@@ -139,7 +138,7 @@ let topology () =
   (match G.topological_order g with
   | Some order -> Alcotest.(check (list int)) "topo order" [ a; b; c ] order
   | None -> Alcotest.fail "chain is a DAG");
-  Alcotest.(check bool) "is dag" true (G.is_dag g)
+  Alcotest.(check bool) "validates as a DAG" true (Result.is_ok (G.validate g))
 
 let cycle_detection () =
   let g = G.empty in
@@ -147,11 +146,15 @@ let cycle_detection () =
   let g, b = G.add_vertex ~kind:G.Ip ~label:"b" ~service:(svc 1.) g in
   let g = G.add_edge ~src:a ~dst:b g in
   let g = G.add_edge ~src:b ~dst:a g in
-  Alcotest.(check bool) "cycle detected" false (G.is_dag g)
+  match G.validate g with
+  | Error errors ->
+    Alcotest.(check bool) "cycle detected" true (List.mem "graph has a cycle" errors)
+  | Ok () -> Alcotest.fail "a cycle must not validate"
 
 let paths_enumeration () =
   let g, i, x, y, e = fanout () in
-  let paths = G.paths g in
+  let paths, status = G.paths_capped g in
+  Alcotest.(check bool) "complete" true (status = `Complete);
   Alcotest.(check int) "two paths" 2 (List.length paths);
   Alcotest.(check bool) "path via x" true (List.mem [ i; x; e ] paths);
   Alcotest.(check bool) "path via y" true (List.mem [ i; y; e ] paths)
@@ -178,9 +181,10 @@ let paths_limit () =
   done;
   let out = add G.Egress "out" in
   g := G.add_edge ~src:!prev ~dst:out !g;
-  Alcotest.check_raises "path explosion guarded" (G.Path_limit_exceeded 10_000)
-    (fun () -> ignore (G.paths !g));
-  (* The total variant degrades to the first [limit] paths instead. *)
+  let default, status = G.paths_capped !g in
+  Alcotest.(check int) "path explosion guarded" 10_000 (List.length default);
+  Alcotest.(check bool) "default limit truncates" true (status = `Truncated);
+  (* The enumeration degrades to the first [limit] paths. *)
   let capped, status = G.paths_capped ~limit:100 !g in
   Alcotest.(check int) "capped at limit" 100 (List.length capped);
   Alcotest.(check bool) "flagged truncated" true (status = `Truncated);
@@ -195,6 +199,11 @@ let validation () =
   let g2 = G.empty in
   let g2, _ = G.add_vertex ~kind:G.Egress ~label:"out" ~service:(svc 1.) g2 in
   Alcotest.(check bool) "missing ingress" true (Result.is_error (G.validate g2));
+  (* no egress *)
+  let g4 = G.empty in
+  let g4, _ = G.add_vertex ~kind:G.Ingress ~label:"in" ~service:(svc 1.) g4 in
+  Alcotest.(check bool) "missing egress" true
+    (G.validate g4 = Error [ "graph has no egress vertex" ]);
   (* orphan IP vertex *)
   let g3, _, _, _ = chain () in
   let g3, _ = G.add_vertex ~kind:G.Ip ~label:"orphan" ~service:(svc 1.) g3 in

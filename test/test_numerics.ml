@@ -64,76 +64,24 @@ let rng_bounds () =
 
 (* Dist *)
 
-let dist_means () =
-  check_close "constant" 5. N.Dist.(mean (constant 5.));
-  check_close "uniform" 3. N.Dist.(mean (uniform ~lo:2. ~hi:4.));
-  check_close "exponential" 0.25 N.Dist.(mean (exponential ~rate:4.));
-  check_close ~tol:1e-6 "lognormal" (exp 0.5)
-    N.Dist.(mean (lognormal ~mu:0. ~sigma:1.));
-  check_close "empirical" 2.5
-    N.Dist.(mean (empirical [ (1., 1.); (4., 1.) ]))
-
 let dist_sample_statistics () =
   let rng = N.Rng.create ~seed:5 in
-  let sample_mean dist n =
+  let sample_mean rate n =
     let acc = ref 0. in
     for _ = 1 to n do
-      acc := !acc +. N.Dist.sample dist rng
+      acc := !acc +. N.Dist.sample_exponential ~rate rng
     done;
     !acc /. float_of_int n
   in
-  check_within ~pct:3. "exponential sample mean" 0.5
-    (sample_mean (N.Dist.exponential ~rate:2.) 50_000);
-  check_within ~pct:3. "uniform sample mean" 5.
-    (sample_mean (N.Dist.uniform ~lo:0. ~hi:10.) 50_000);
-  check_close "constant sample" 7. (sample_mean (N.Dist.constant 7.) 10)
-
-let dist_empirical_weights () =
-  let rng = N.Rng.create ~seed:9 in
-  let dist = N.Dist.empirical [ (1., 3.); (2., 1.) ] in
-  let ones = ref 0 in
-  let n = 40_000 in
-  for _ = 1 to n do
-    if N.Dist.sample dist rng = 1. then incr ones
-  done;
-  check_within ~pct:3. "3:1 point masses" 0.75
-    (float_of_int !ones /. float_of_int n)
-
-let dist_poisson_mean () =
-  let rng = N.Rng.create ~seed:13 in
-  let total = ref 0 in
-  let n = 20_000 in
-  for _ = 1 to n do
-    total := !total + N.Dist.sample_poisson ~rate:3.5 rng
-  done;
-  check_within ~pct:3. "poisson mean" 3.5 (float_of_int !total /. float_of_int n);
-  (* large-rate branch *)
-  let big = N.Dist.sample_poisson ~rate:1000. rng in
-  Alcotest.(check bool) "large-rate sane" true (big > 800 && big < 1200)
-
-let dist_validation () =
-  Alcotest.(check bool)
-    "negative exponential rejected" true
-    (Result.is_error N.Dist.(validate (Exponential (-1.))));
-  Alcotest.(check bool)
-    "inverted uniform rejected" true
-    (Result.is_error N.Dist.(validate (Uniform (2., 1.))));
-  Alcotest.(check bool)
-    "valid accepted" true
-    (Result.is_ok N.Dist.(validate (Exponential 2.)));
-  check_raises_invalid "empty empirical" (fun () -> N.Dist.empirical []);
-  check_raises_invalid "negative weight" (fun () ->
-      N.Dist.empirical [ (1., -1.); (2., 2.) ])
+  check_within ~pct:3. "exponential sample mean" 0.5 (sample_mean 2. 50_000)
 
 (* Stats *)
 
 let stats_basics () =
   let xs = [| 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. |] in
   check_close "mean" 5. (N.Stats.mean xs);
-  check_close ~tol:1e-6 "variance" (32. /. 7.) (N.Stats.variance xs);
-  check_close "median" 4.5 (N.Stats.median xs);
-  check_close "min" 2. (N.Stats.minimum xs);
-  check_close "max" 9. (N.Stats.maximum xs);
+  check_close ~tol:1e-6 "stddev" (sqrt (32. /. 7.)) (N.Stats.stddev xs);
+  check_close "median" 4.5 (N.Stats.percentile xs 50.);
   check_close "p0" 2. (N.Stats.percentile xs 0.);
   check_close "p100" 9. (N.Stats.percentile xs 100.)
 
@@ -141,16 +89,10 @@ let stats_nan_policy () =
   (* One policy across the order statistics: NaN samples are ignored,
      and the result is NaN only when every sample is NaN. *)
   let xs = [| Float.nan; 4.; 2.; Float.nan; 9. |] in
-  check_close "minimum ignores NaN" 2. (N.Stats.minimum xs);
-  check_close "maximum ignores NaN" 9. (N.Stats.maximum xs);
   check_close "p0 ignores NaN" 2. (N.Stats.percentile xs 0.);
   check_close "p50 ignores NaN" 4. (N.Stats.percentile xs 50.);
   check_close "p100 ignores NaN" 9. (N.Stats.percentile xs 100.);
   let all_nan = [| Float.nan; Float.nan |] in
-  Alcotest.(check bool) "all-NaN minimum" true
-    (Float.is_nan (N.Stats.minimum all_nan));
-  Alcotest.(check bool) "all-NaN maximum" true
-    (Float.is_nan (N.Stats.maximum all_nan));
   Alcotest.(check bool) "all-NaN percentile" true
     (Float.is_nan (N.Stats.percentile all_nan 50.))
 
@@ -210,12 +152,9 @@ let stats_relative_error () =
     "zero expected" true
     (N.Stats.relative_error ~actual:1. ~expected:0. = infinity)
 
-let stats_weighted_geometric () =
+let stats_weighted () =
   check_close "weighted mean" 2.5
     (N.Stats.weighted_mean [ (1., 1.); (3., 3.) ]);
-  check_close ~tol:1e-9 "geometric mean" 2. (N.Stats.geometric_mean [| 1.; 4. |]);
-  check_raises_invalid "geometric needs positive" (fun () ->
-      N.Stats.geometric_mean [| 1.; 0. |]);
   check_raises_invalid "weighted needs mass" (fun () ->
       N.Stats.weighted_mean [ (1., 0.) ])
 
@@ -224,28 +163,7 @@ let stats_online_matches_batch () =
   let online = N.Stats.Online.create () in
   Array.iter (N.Stats.Online.add online) xs;
   check_close ~tol:1e-12 "online mean" (N.Stats.mean xs)
-    (N.Stats.Online.mean online);
-  check_close ~tol:1e-9 "online variance" (N.Stats.variance xs)
-    (N.Stats.Online.variance online);
-  Alcotest.(check int) "count" 6 (N.Stats.Online.count online)
-
-let stats_histogram () =
-  let h = N.Stats.Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  List.iter (N.Stats.Histogram.add h) [ 1.; 3.; 3.; 9.; -5.; 50.; Float.nan ];
-  Alcotest.(check int) "total counts every sample" 7 (N.Stats.Histogram.total h);
-  let counts = N.Stats.Histogram.counts h in
-  Alcotest.(check int) "first bin" 1 counts.(0);
-  Alcotest.(check int) "middle" 2 counts.(1);
-  Alcotest.(check int) "last bin" 1 counts.(4);
-  Alcotest.(check int) "underflow not clamped" 1 (N.Stats.Histogram.underflow h);
-  Alcotest.(check int) "overflow not clamped" 1 (N.Stats.Histogram.overflow h);
-  Alcotest.(check int) "nan counted" 1 (N.Stats.Histogram.nan_count h);
-  Alcotest.(check int) "in_range" 4 (N.Stats.Histogram.in_range h);
-  (* hi itself belongs to the last bin, not to overflow *)
-  N.Stats.Histogram.add h 10.;
-  Alcotest.(check int) "hi lands in last bin" 2 (N.Stats.Histogram.counts h).(4);
-  Alcotest.(check int) "hi is in range" 5 (N.Stats.Histogram.in_range h);
-  check_close "bin midpoint" 3. (N.Stats.Histogram.bin_mid h 1)
+    (N.Stats.Online.mean online)
 
 let stats_empty_rejected () =
   check_raises_invalid "mean of empty" (fun () -> N.Stats.mean [||]);
@@ -256,26 +174,23 @@ let stats_empty_rejected () =
 
 let vec_arithmetic () =
   let a = [| 1.; 2.; 3. |] and b = [| 4.; 5.; 6. |] in
-  Alcotest.(check (array (float 1e-12))) "add" [| 5.; 7.; 9. |] (N.Vec.add a b);
-  Alcotest.(check (array (float 1e-12))) "sub" [| 3.; 3.; 3. |] (N.Vec.sub b a);
+  check_close "dist" (sqrt 27.) (N.Vec.dist b a);
   Alcotest.(check (array (float 1e-12))) "scale" [| 2.; 4.; 6. |] (N.Vec.scale 2. a);
-  check_close "dot" 32. (N.Vec.dot a b);
+  check_close "norm" (sqrt 14.) (N.Vec.norm2 a);
   check_close "norm" 5. (N.Vec.norm2 [| 3.; 4. |]);
   check_close "dist" 5. (N.Vec.dist [| 0.; 0. |] [| 3.; 4. |]);
   Alcotest.(check (array (float 1e-12)))
     "axpy" [| 6.; 9.; 12. |]
     (N.Vec.axpy 2. a b)
 
-let vec_centroid_clamp_linspace () =
+let vec_centroid_clamp () =
   Alcotest.(check (array (float 1e-12)))
     "centroid" [| 2.; 3. |]
     (N.Vec.centroid [ [| 1.; 2. |]; [| 3.; 4. |] ]);
   Alcotest.(check (array (float 1e-12)))
     "clamp" [| 0.; 1.; 0.5 |]
     (N.Vec.clamp ~lo:[| 0.; 0.; 0. |] ~hi:[| 1.; 1.; 1. |] [| -3.; 7.; 0.5 |]);
-  Alcotest.(check (array (float 1e-12)))
-    "linspace" [| 0.; 0.5; 1. |] (N.Vec.linspace 0. 1. 3);
-  check_raises_invalid "length mismatch" (fun () -> N.Vec.add [| 1. |] [| 1.; 2. |]);
+  check_raises_invalid "length mismatch" (fun () -> N.Vec.dist [| 1. |] [| 1.; 2. |]);
   check_raises_invalid "empty centroid" (fun () -> N.Vec.centroid [])
 
 (* Optimizers *)
@@ -313,32 +228,14 @@ let golden_section () =
       N.Golden.minimize ~f:Fun.id ~lo:1. ~hi:0. ())
 
 let grid_search () =
-  let x, v = N.Grid.minimize_int ~f:(fun i -> float_of_int ((i - 4) * (i - 4))) ~lo:0 ~hi:10 () in
-  Alcotest.(check int) "argmin int" 4 x;
-  check_close "min value" 0. v;
+  let x, v =
+    N.Grid.maximize_int ~f:(fun i -> -.float_of_int ((i - 4) * (i - 4))) ~lo:0 ~hi:10 ()
+  in
+  Alcotest.(check int) "argmax of a parabola" 4 x;
+  check_close "max value" 0. v;
   let x, v = N.Grid.maximize_int ~f:(fun i -> float_of_int i) ~lo:2 ~hi:9 () in
   Alcotest.(check int) "argmax" 9 x;
   check_close "max" 9. v
-
-let grid_multidim () =
-  let f idx =
-    let x = float_of_int idx.(0) and y = float_of_int idx.(1) in
-    ((x -. 2.) ** 2.) +. ((y -. 5.) ** 2.)
-  in
-  let best, v = N.Grid.minimize_ints ~f ~ranges:[| (0, 4); (3, 8) |] () in
-  Alcotest.(check (array int)) "argmin" [| 2; 5 |] best;
-  check_close "value" 0. v;
-  let axes = [| [| 0.; 0.5; 1.0 |]; [| 10.; 20. |] |] in
-  let pt, _ =
-    N.Grid.minimize_floats ~f:(fun p -> abs_float (p.(0) -. 0.5) +. p.(1)) ~axes ()
-  in
-  Alcotest.(check (array (float 1e-12))) "float grid" [| 0.5; 10. |] pt
-
-let grid_smallest_within () =
-  (* cost plateaus from 5 onward *)
-  let f n = if n >= 5 then 10. else 10. +. float_of_int (5 - n) in
-  let n = N.Grid.argmin_smallest_within ~f ~lo:1 ~hi:10 ~slack:0.01 () in
-  Alcotest.(check int) "smallest within slack" 5 n
 
 let constrained_penalty () =
   (* minimize x^2 + y^2 subject to x + y >= 1 -> (0.5, 0.5) *)
@@ -364,7 +261,7 @@ let constrained_box_only () =
       upper = [| 3. |];
     }
   in
-  let s = N.Constrained.minimize problem [| 1. |] in
+  let s = N.Constrained.multi_start ~rng:(N.Rng.create ~seed:21) problem in
   check_close ~tol:1e-2 "pushed to upper bound" 3. s.x.(0)
 
 (* Curve fitting *)
@@ -446,12 +343,12 @@ let properties =
       QCheck.(array_of_size (Gen.int_range 1 50) (float_range (-1e3) 1e3))
       (fun xs ->
         let m = N.Stats.mean xs in
-        N.Stats.minimum xs -. 1e-9 <= m && m <= N.Stats.maximum xs +. 1e-9);
+        N.Stats.percentile xs 0. -. 1e-9 <= m && m <= N.Stats.percentile xs 100. +. 1e-9);
     prop "exponential samples are positive"
       QCheck.(pair (float_range 0.1 100.) small_int)
       (fun (rate, seed) ->
         let rng = N.Rng.create ~seed in
-        N.Dist.sample (N.Dist.exponential ~rate) rng > 0.);
+        N.Dist.sample_exponential ~rate rng > 0.);
     prop "golden finds the vertex of shifted parabolas"
       QCheck.(float_range (-50.) 50.)
       (fun c ->
@@ -470,28 +367,18 @@ let lru_evicts_least_recent () =
   (* touch "a" so "b" is the eviction victim when "c" arrives *)
   Alcotest.(check (option int)) "hit a" (Some 1) (Lognic_numerics.Lru.find_opt c "a");
   Lognic_numerics.Lru.add c "c" 3;
-  Alcotest.(check int) "stays at capacity" 2 (Lognic_numerics.Lru.length c);
   Alcotest.(check (option int)) "b evicted" None (Lognic_numerics.Lru.find_opt c "b");
   Alcotest.(check (option int)) "a survives" (Some 1) (Lognic_numerics.Lru.find_opt c "a");
   Alcotest.(check (option int)) "c present" (Some 3) (Lognic_numerics.Lru.find_opt c "c")
-
-let lru_counts_hits_and_misses () =
-  let c = Lognic_numerics.Lru.create ~capacity:4 in
-  Alcotest.(check (option int)) "cold miss" None (Lognic_numerics.Lru.find_opt c 1);
-  Lognic_numerics.Lru.add c 1 10;
-  ignore (Lognic_numerics.Lru.find_opt c 1);
-  ignore (Lognic_numerics.Lru.find_opt c 1);
-  ignore (Lognic_numerics.Lru.find_opt c 2);
-  Alcotest.(check int) "hits" 2 (Lognic_numerics.Lru.hits c);
-  Alcotest.(check int) "misses" 2 (Lognic_numerics.Lru.misses c);
-  Alcotest.(check int) "capacity" 4 (Lognic_numerics.Lru.capacity c)
 
 let lru_refresh_updates_value () =
   let c = Lognic_numerics.Lru.create ~capacity:2 in
   Lognic_numerics.Lru.add c "k" 1;
   Lognic_numerics.Lru.add c "k" 2;
-  Alcotest.(check int) "no duplicate" 1 (Lognic_numerics.Lru.length c);
   Alcotest.(check (option int)) "latest value" (Some 2) (Lognic_numerics.Lru.find_opt c "k");
+  (* one entry, not two: a second key fits without evicting "k" *)
+  Lognic_numerics.Lru.add c "j" 3;
+  Alcotest.(check (option int)) "no duplicate" (Some 2) (Lognic_numerics.Lru.find_opt c "k");
   check_raises_invalid "capacity >= 1" (fun () ->
       Lognic_numerics.Lru.create ~capacity:0)
 
@@ -499,36 +386,31 @@ let suite =
   [
     quick "rng: deterministic" rng_deterministic;
     quick "lru: evicts least-recently used" lru_evicts_least_recent;
-    quick "lru: hit/miss counters" lru_counts_hits_and_misses;
     quick "lru: refresh in place" lru_refresh_updates_value;
     quick "rng: float is Random.State.float bit for bit" rng_float_matches_stdlib;
     quick "rng: seed changes stream" rng_seed_changes_stream;
     quick "rng: split reproducible" rng_split_independent;
     quick "rng: bounds" rng_bounds;
-    quick "dist: closed-form means" dist_means;
     slow "dist: sample statistics" dist_sample_statistics;
-    slow "dist: empirical weights" dist_empirical_weights;
-    slow "dist: poisson mean" dist_poisson_mean;
-    quick "dist: validation" dist_validation;
     quick "stats: basics" stats_basics;
     quick "stats: NaN policy" stats_nan_policy;
     quick "stats: percentile interpolation" stats_percentile_interpolates;
     quick "stats: percentile purity" stats_percentile_does_not_mutate;
     quick "stats: percentile of 1e5 equal samples" stats_percentile_all_equal;
     quick "stats: relative error" stats_relative_error;
-    quick "stats: weighted/geometric means" stats_weighted_geometric;
+    (* This name and "vec: centroid/clamp/linspace" below still list a
+       deleted subject (the geometric mean, linspace): they are kept so
+       the reported test ids stay stable. *)
+    quick "stats: weighted/geometric means" stats_weighted;
     quick "stats: online accumulator" stats_online_matches_batch;
-    quick "stats: histogram" stats_histogram;
     quick "stats: empty inputs rejected" stats_empty_rejected;
     quick "vec: arithmetic" vec_arithmetic;
-    quick "vec: centroid/clamp/linspace" vec_centroid_clamp_linspace;
+    quick "vec: centroid/clamp/linspace" vec_centroid_clamp;
     quick "nelder-mead: quadratic" nelder_mead_quadratic;
     quick "nelder-mead: rosenbrock" nelder_mead_rosenbrock;
     quick "nelder-mead: infinite regions" nelder_mead_rejects_infinite_regions;
     quick "golden: parabola" golden_section;
     quick "grid: 1d" grid_search;
-    quick "grid: multi-dimensional" grid_multidim;
-    quick "grid: smallest within slack" grid_smallest_within;
     quick "constrained: penalty method" constrained_penalty;
     quick "constrained: box bounds" constrained_box_only;
     quick "curve-fit: linear" linear_fit;

@@ -36,8 +36,8 @@ let traced_config =
 let traffic = T.make ~rate:(3. *. U.gbps) ~packet_size:1500.
 
 (* Tentpole invariant: a packet's spans tile [born, delivered] — the
-   critical path is chronological, contiguous, and its durations sum
-   exactly to the recorded end-to-end latency. *)
+   recorded spans are chronological, contiguous, and their durations
+   sum exactly to the recorded end-to-end latency. *)
 let spans_sum_to_latency () =
   let m = S.Netsim.run_single ~config:traced_config (pipeline ()) ~hw ~traffic in
   let trace = Option.get m.S.Netsim.trace in
@@ -50,11 +50,14 @@ let spans_sum_to_latency () =
   Alcotest.(check bool) "sampled delivered packets" true (List.length delivered > 0);
   List.iter
     (fun (r : S.Trace.record) ->
-      let latency = Option.get (S.Trace.latency r) in
+      let path = List.rev r.rev_spans in
+      let latency =
+        match r.fate with S.Trace.Delivered at -> at -. r.born | _ -> assert false
+      in
       check_close
         (Printf.sprintf "packet %d span sum = latency" r.packet)
-        latency (S.Trace.span_total r);
-      let path = S.Trace.critical_path r in
+        latency
+        (List.fold_left (fun acc (s : S.Trace.span) -> acc +. s.duration) 0. path);
       Alcotest.(check bool) "has spans" true (path <> []);
       (* chronological and contiguous from birth to delivery *)
       let end_time =
@@ -201,36 +204,31 @@ let search_log_matches_stats () =
         ]
       Lognic.Optimizer.Maximize_throughput
   in
+  let json = json_reparse (S.Search_log.to_json log) in
   Alcotest.(check int)
     "observer saw every evaluation"
     solution.stats.Lognic.Optimizer.evaluations
-    (S.Search_log.observations log);
+    (int_of_float (json_num json [ "evaluations" ]));
   Alcotest.(check int)
     "observer saw every memo hit" solution.stats.Lognic.Optimizer.memo_hits
-    (S.Search_log.cache_hits log);
-  (match S.Search_log.best log with
-  | None -> Alcotest.fail "no best candidate recorded"
-  | Some (score, _) ->
-    Alcotest.(check bool) "best score is a real score" true (Float.is_finite score));
+    (int_of_float (json_num json [ "cache_hits" ]));
+  Alcotest.(check bool) "best score is a real score" true
+    (Float.is_finite (json_num json [ "best"; "score" ]));
+  let histogram = json_get json [ "knob_histogram" ] in
   Alcotest.(check bool)
     "histogram covers both knobs" true
-    (List.mem_assoc (Printf.sprintf "queue_capacity:%d" w)
-       (S.Search_log.knob_histogram log)
-    && List.mem_assoc (Printf.sprintf "accel:%d" w)
-         (S.Search_log.knob_histogram log));
-  match S.Telemetry.Json.of_string (S.Search_log.to_string log) with
-  | Ok json ->
-    Alcotest.(check bool)
-      "best_curve present" true
-      (S.Telemetry.Json.member "best_curve" json <> None)
-  | Error e -> Alcotest.failf "search log JSON does not parse: %s" e
+    (S.Telemetry.Json.member (Printf.sprintf "queue_capacity:%d" w) histogram <> None
+    && S.Telemetry.Json.member (Printf.sprintf "accel:%d" w) histogram <> None);
+  Alcotest.(check bool)
+    "best_curve present" true
+    (S.Telemetry.Json.member "best_curve" json <> None)
 
 (* Series overload behaviour: the ring buffer is bounded, keeps the
    newest samples in order, and its CSV export stays well-formed after
    wrapping. The storage starts at 16 samples and doubles up to the
    4096-sample ring before it wraps, once or several times. *)
 let series_wraparound () =
-  let capacity = S.Telemetry.Series.capacity in
+  let capacity = 4096 in
   let check_wrap ~adds =
     let s = S.Telemetry.Series.create ~label:"depth" ~interval:1. () in
     for i = 0 to adds - 1 do
@@ -238,10 +236,8 @@ let series_wraparound () =
         ~value:(float_of_int (i * i))
     done;
     let what = Printf.sprintf "%d adds: " adds in
-    Alcotest.(check int) (what ^ "length clamps at capacity") capacity
-      (S.Telemetry.Series.length s);
     let a = S.Telemetry.Series.to_array s in
-    Alcotest.(check int) (what ^ "array length") capacity (Array.length a);
+    Alcotest.(check int) (what ^ "length clamps at capacity") capacity (Array.length a);
     let first = adds - capacity in
     Array.iteri
       (fun i (time, value) ->
@@ -257,7 +253,7 @@ let series_wraparound () =
 
 let series_csv_after_wrap () =
   let s = S.Telemetry.Series.create ~label:"q" ~interval:1. () in
-  let capacity = S.Telemetry.Series.capacity in
+  let capacity = 4096 in
   for i = 0 to capacity + 5 do
     S.Telemetry.Series.add s ~time:(float_of_int i) ~value:(float_of_int i)
   done;
@@ -300,7 +296,7 @@ let series_degenerate_intervals () =
           (Printf.sprintf "%s: series %S has exactly one sample" name
              (S.Telemetry.Series.label s))
           1
-          (S.Telemetry.Series.length s);
+          (Array.length (S.Telemetry.Series.to_array s));
         let time, _ = (S.Telemetry.Series.to_array s).(0) in
         check_close (name ^ ": final sample sits at the horizon") 0.02 time)
       series
@@ -356,16 +352,6 @@ let probes_read_only_under_overload () =
   Alcotest.(check string)
     "measurement JSON identical with probes reading mid-run" bare probed
 
-let quantity_parse_exn_names_input () =
-  check_raises_invalid "bad quantity" (fun () ->
-      Lognic_dsl.Quantity.parse_exn "25Gbs");
-  match Lognic_dsl.Quantity.parse_exn "25Gbs" with
-  | _ -> Alcotest.fail "expected Invalid_argument"
-  | exception Invalid_argument msg ->
-    Alcotest.(check bool)
-      "message names the offending input" true
-      (contains_substring msg "25Gbs")
-
 let suite =
   [
     slow "trace: spans sum to latency" spans_sum_to_latency;
@@ -384,6 +370,4 @@ let suite =
     slow "metrics: probes read-only under overload"
       probes_read_only_under_overload;
     quick "search log: matches optimizer stats" search_log_matches_stats;
-    quick "quantity: parse_exn raises Invalid_argument"
-      quantity_parse_exn_names_input;
   ]

@@ -17,6 +17,42 @@ let map_matches_list_map () =
   Alcotest.(check (list int)) "empty" [] (P.map ~jobs:4 f []);
   Alcotest.(check (list int)) "singleton" [ f 7 ] (P.map ~jobs:4 f [ 7 ])
 
+let default_jobs_roundtrip () =
+  (* [map] without [~jobs] uses the default. Each element of a batch of
+     three waits (up to [patience] seconds of CPU time) until a second
+     one has started, which only a second runner can bring about: with
+     a default of 3 some element runs outside the caller's domain, with
+     a default of 1, or one clamped to 1, none does. *)
+  let caller = Domain.self () in
+  let domains ~patience =
+    let started = Atomic.make 0 in
+    P.map
+      (fun _ ->
+        Atomic.incr started;
+        let deadline = Sys.time () +. patience in
+        while Atomic.get started < 2 && Sys.time () < deadline do
+          Domain.cpu_relax ()
+        done;
+        Domain.self ())
+      [ 0; 1; 2 ]
+  in
+  let sequential () = List.for_all (fun d -> d = caller) (domains ~patience:0.1) in
+  Fun.protect
+    ~finally:(fun () -> P.set_default_jobs (Domain.recommended_domain_count ()))
+    (fun () ->
+      P.set_default_jobs 1;
+      Alcotest.(check bool) "default 1: sequential" true (sequential ());
+      P.set_default_jobs 3;
+      Alcotest.(check bool) "default 3: a second domain runs" true
+        (List.exists (fun d -> d <> caller) (domains ~patience:10.));
+      List.iter
+        (fun jobs ->
+          P.set_default_jobs jobs;
+          Alcotest.(check bool)
+            (Printf.sprintf "default %d clamped to 1: sequential" jobs)
+            true (sequential ()))
+        [ 0; -5 ])
+
 let map_propagates_first_exception () =
   (* Several elements throw; the smallest input index must win at every
      job count (the guarantee callers rely on for determinism). *)
@@ -28,16 +64,6 @@ let map_propagates_first_exception () =
         (Failure "boom 1")
         (fun () -> ignore (P.map ~jobs f (List.init 10 Fun.id))))
     [ 1; 4 ]
-
-let default_jobs_roundtrip () =
-  let saved = P.default_jobs () in
-  Fun.protect
-    ~finally:(fun () -> P.set_default_jobs saved)
-    (fun () ->
-      P.set_default_jobs 3;
-      Alcotest.(check int) "set" 3 (P.default_jobs ());
-      P.set_default_jobs 0;
-      Alcotest.(check int) "clamped to >= 1" 1 (P.default_jobs ()))
 
 let nested_map_completes () =
   (* A map whose elements themselves map must not deadlock even when
@@ -87,8 +113,8 @@ let replicated_bit_identical () =
 let suite =
   [
     quick "map: matches List.map" map_matches_list_map;
-    quick "map: first exception wins" map_propagates_first_exception;
     quick "default jobs: set and clamp" default_jobs_roundtrip;
+    quick "map: first exception wins" map_propagates_first_exception;
     quick "map: nested calls don't deadlock" nested_map_completes;
     quick "execute_replicated: bit-identical to sequential" replicated_bit_identical;
   ]

@@ -8,24 +8,13 @@ module Q = Lognic_queueing
 (* M/M/1 *)
 
 let mm1_textbook () =
-  (* rho = 0.5: L = 1, W = 1/(mu - lambda) = 0.2s with mu = 10. *)
+  (* rho = 0.5: Wq = rho/(mu - lambda) = 0.1s with mu = 10. *)
   let q = Q.Mm1.create ~lambda:5. ~mu:10. in
-  check_close "utilization" 0.5 (Q.Mm1.utilization q);
-  check_close "L" 1. (Q.Mm1.mean_number_in_system q);
-  check_close "Lq" 0.5 (Q.Mm1.mean_number_in_queue q);
-  check_close "W" 0.2 (Q.Mm1.mean_time_in_system q);
   check_close "Wq" 0.1 (Q.Mm1.mean_waiting_time q)
-
-let mm1_littles_law () =
-  let q = Q.Mm1.create ~lambda:3. ~mu:7. in
-  check_close ~tol:1e-12 "L = lambda W"
-    (3. *. Q.Mm1.mean_time_in_system q)
-    (Q.Mm1.mean_number_in_system q)
 
 let mm1_unstable () =
   let q = Q.Mm1.create ~lambda:10. ~mu:5. in
-  Alcotest.(check bool) "unstable" false (Q.Mm1.stable q);
-  Alcotest.(check bool) "infinite W" true (Q.Mm1.mean_time_in_system q = infinity)
+  Alcotest.(check bool) "infinite Wq" true (Q.Mm1.mean_waiting_time q = infinity)
 
 let mm1_validation () =
   check_raises_invalid "negative rate" (fun () -> Q.Mm1.create ~lambda:(-1.) ~mu:1.)
@@ -37,11 +26,12 @@ let mm1n_paper_worked_example () =
      Q = L/lambda_e - 1/mu = 1/3 x (1/mu). Checked by hand against the
      paper's Eq 9-12 with mu = 1, lambda = 0.5. *)
   let q = Q.Mm1n.create ~lambda:0.5 ~mu:1. ~capacity:2 in
-  check_close ~tol:1e-12 "Pro_0" (4. /. 7.) (Q.Mm1n.state_probability q 0);
-  check_close ~tol:1e-12 "Pro_1" (2. /. 7.) (Q.Mm1n.state_probability q 1);
-  check_close ~tol:1e-12 "Pro_2" (1. /. 7.) (Q.Mm1n.state_probability q 2);
-  check_close ~tol:1e-12 "blocking" (1. /. 7.) (Q.Mm1n.blocking_probability q);
-  check_close ~tol:1e-12 "L" (4. /. 7.) (Q.Mm1n.mean_number_in_system q);
+  let probs = Q.Mm1n.state_probabilities q in
+  check_close ~tol:1e-12 "Pro_0" (4. /. 7.) probs.(0);
+  check_close ~tol:1e-12 "Pro_1" (2. /. 7.) probs.(1);
+  check_close ~tol:1e-12 "Pro_2" (1. /. 7.) probs.(2);
+  check_close ~tol:1e-12 "blocking" (1. /. 7.) probs.(2);
+  check_close ~tol:1e-12 "L" (4. /. 7.) (probs.(1) +. (2. *. probs.(2)));
   check_close ~tol:1e-9 "Q (Eq 9)" (1. /. 3.) (Q.Mm1n.mean_waiting_time q)
 
 let mm1n_closed_form_agrees () =
@@ -63,13 +53,13 @@ let mm1n_rho_one_limit () =
   (* At rho = 1 the distribution is uniform; closed form uses the
      (N-1)/2 limit. *)
   let q = Q.Mm1n.create ~lambda:2. ~mu:2. ~capacity:4 in
-  check_close ~tol:1e-9 "uniform states" 0.2 (Q.Mm1n.state_probability q 3);
+  check_close ~tol:1e-9 "uniform states" 0.2 (Q.Mm1n.state_probabilities q).(3);
   check_close ~tol:1e-6 "closed form at rho=1"
     (Q.Mm1n.mean_waiting_time q)
     (Q.Mm1n.waiting_time_closed_form q)
 
 let mm1n_state_vector () =
-  (* The one-shot probability vector agrees with the per-state query,
+  (* The probability vector is the truncated geometric Pro_k ~ rho^k,
      sums to one, and indexes 0..N. *)
   let q = Q.Mm1n.create ~lambda:0.8 ~mu:1. ~capacity:6 in
   let probs = Q.Mm1n.state_probabilities q in
@@ -78,13 +68,33 @@ let mm1n_state_vector () =
     (fun n p ->
       check_close ~tol:1e-12
         (Printf.sprintf "state %d" n)
-        (Q.Mm1n.state_probability q n)
+        (probs.(0) *. (0.8 ** float_of_int n))
         p)
     probs;
-  check_close ~tol:1e-12 "sums to one" 1. (Array.fold_left ( +. ) 0. probs);
-  check_close ~tol:1e-12 "blocking is the last entry"
-    (Q.Mm1n.blocking_probability q)
-    probs.(6)
+  check_close ~tol:1e-12 "sums to one" 1. (Array.fold_left ( +. ) 0. probs)
+
+let mm1n_far_overload_finite () =
+  (* rho^N overflows at rho = 1e10, N = 64: the vector is normalized
+     from the top state down, so it stays finite and the admitted
+     fraction 1 - Pro_N is 1/rho to first order. At rho = 1e20 Pro_N
+     rounds to 1; the mass below the top state is still 1/rho. Either
+     way every admitted request waits behind a full queue: W ~ N/mu. *)
+  let capacity = 64 in
+  List.iter
+    (fun rho ->
+      let name what = Printf.sprintf "%s at rho = %g" what rho in
+      let q = Q.Mm1n.create ~lambda:rho ~mu:1. ~capacity in
+      let probs = Q.Mm1n.state_probabilities q in
+      Alcotest.(check bool) (name "finite") true (Array.for_all Float.is_finite probs);
+      check_close ~tol:1e-12 (name "sums to one") 1. (Array.fold_left ( +. ) 0. probs);
+      let below_top = Array.fold_left ( +. ) 0. (Array.sub probs 0 capacity) in
+      check_close ~tol:1e-9 (name "mass below the top state x rho") 1. (below_top *. rho);
+      if rho < 1e16 then
+        check_close ~tol:1e-5 (name "blocking ~ 1 - 1/rho") 1.
+          ((1. -. probs.(capacity)) *. rho);
+      check_close ~tol:1e-5 (name "W ~ N/mu") (float_of_int capacity)
+        (Q.Mm1n.mean_time_in_system q))
+    [ 1e10; 1e20 ]
 
 let mm1n_closed_form_continuous_near_rho_one () =
   (* The geometric-series Eq 12 degenerates as rho -> 1 (0/0); the
@@ -118,17 +128,16 @@ let mm1n_converges_to_mm1 () =
     (Q.Mm1n.mean_waiting_time finite);
   Alcotest.(check bool)
     "blocking vanishes" true
-    (Q.Mm1n.blocking_probability finite < 1e-9)
+    ((Q.Mm1n.state_probabilities finite).(500) < 1e-9)
 
 let mm1n_overload_carries_capacity () =
   (* Far beyond saturation the queue ships ~mu. *)
   let q = Q.Mm1n.create ~lambda:100. ~mu:1. ~capacity:16 in
-  check_within ~pct:2. "carried rate ~ mu" 1. (Q.Mm1n.throughput q)
+  let blocking = (Q.Mm1n.state_probabilities q).(16) in
+  check_within ~pct:2. "carried rate ~ mu" 1. (100. *. (1. -. blocking))
 
 let mm1n_blocking_decreases_with_capacity () =
-  let blocking n =
-    Q.Mm1n.blocking_probability (Q.Mm1n.create ~lambda:0.9 ~mu:1. ~capacity:n)
-  in
+  let blocking n = (Q.Mm1n.state_probabilities (Q.Mm1n.create ~lambda:0.9 ~mu:1. ~capacity:n)).(n) in
   let rec check n =
     if n <= 8 then begin
       Alcotest.(check bool)
@@ -147,7 +156,7 @@ let mmcn_reduces_to_mm1n () =
     (fun rho ->
       let a = Q.Mmcn.create ~lambda:rho ~mu:1. ~servers:1 ~capacity:8 in
       let b = Q.Mm1n.create ~lambda:rho ~mu:1. ~capacity:8 in
-      check_close ~tol:1e-9 "blocking" (Q.Mm1n.blocking_probability b)
+      check_close ~tol:1e-9 "blocking" (Q.Mm1n.state_probabilities b).(8)
         (Q.Mmcn.blocking_probability a);
       check_close ~tol:1e-9 "waiting" (Q.Mm1n.mean_waiting_time b)
         (Q.Mmcn.mean_waiting_time a))
@@ -215,10 +224,6 @@ let mg1_waiting_grows_with_scv () =
 (* Little's law *)
 
 let littles_helpers () =
-  check_close "L" 6. (Q.Littles.number_in_system ~arrival_rate:2. ~time_in_system:3.);
-  check_close "W" 3. (Q.Littles.time_in_system ~arrival_rate:2. ~number_in_system:6.);
-  check_close "lambda" 2.
-    (Q.Littles.arrival_rate ~number_in_system:6. ~time_in_system:3.);
   Alcotest.(check bool)
     "consistent" true
     (Q.Littles.consistent ~arrival_rate:2. ~time_in_system:3. ~number_in_system:6.1
@@ -247,20 +252,17 @@ let properties =
     prop "mm1n blocking grows with load"
       QCheck.(triple (float_range 0.05 2.) (float_range 0.05 1.) (int_range 1 32))
       (fun (rho, bump, capacity) ->
-        let p1 =
-          Q.Mm1n.blocking_probability (Q.Mm1n.create ~lambda:rho ~mu:1. ~capacity)
+        let blocking lambda =
+          (Q.Mm1n.state_probabilities (Q.Mm1n.create ~lambda ~mu:1. ~capacity)).(capacity)
         in
-        let p2 =
-          Q.Mm1n.blocking_probability
-            (Q.Mm1n.create ~lambda:(rho +. bump) ~mu:1. ~capacity)
-        in
+        let p1 = blocking rho and p2 = blocking (rho +. bump) in
         p2 >= p1 -. 1e-12);
     prop "mmcn effective rate never exceeds capacity or offered load"
       QCheck.(triple (float_range 0.1 20.) (int_range 1 8) (int_range 0 56))
       (fun (lambda, servers, extra) ->
         let capacity = servers + extra in
         let q = Q.Mmcn.create ~lambda ~mu:1. ~servers ~capacity in
-        let carried = Q.Mmcn.effective_arrival_rate q in
+        let carried = lambda *. (1. -. Q.Mmcn.blocking_probability q) in
         carried <= lambda +. 1e-9
         && carried <= (float_of_int servers *. 1.) +. 1e-9);
   ]
@@ -268,10 +270,10 @@ let properties =
 let suite =
   [
     quick "mm1: textbook numbers" mm1_textbook;
-    quick "mm1: little's law" mm1_littles_law;
     quick "mm1: instability" mm1_unstable;
     quick "mm1: validation" mm1_validation;
     quick "mm1n: paper worked example" mm1n_paper_worked_example;
+    quick "mm1n: finite at rho >> 1" mm1n_far_overload_finite;
     quick "mm1n: Eq 12 identity" mm1n_closed_form_agrees;
     quick "mm1n: rho = 1 limit" mm1n_rho_one_limit;
     quick "mm1n: state-probability vector" mm1n_state_vector;

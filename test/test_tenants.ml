@@ -23,13 +23,13 @@ let spec_validation () =
   check_raises_invalid "uniform 0" (fun () -> T.uniform 0)
 
 let set_canonicalizes () =
-  let spec_names s = Array.map (fun (x : T.spec) -> x.T.name) (T.specs s) in
-  let a = T.set [ T.spec "zeta"; T.spec "alpha"; T.spec "mid" ] in
-  let b = T.set [ T.spec "mid"; T.spec "zeta"; T.spec "alpha" ] in
-  Alcotest.(check (array string))
-    "name-sorted" [| "alpha"; "mid"; "zeta" |] (spec_names a);
-  Alcotest.(check (array string)) "order-independent" (spec_names a)
-    (spec_names b);
+  (* each name carries a distinct weight, so the weight vector reads
+     off the canonical order *)
+  let zeta = T.spec ~weight:3 "zeta" and alpha = T.spec ~weight:1 "alpha" in
+  let mid = T.spec ~weight:2 "mid" in
+  let a = T.set [ zeta; alpha; mid ] and b = T.set [ mid; zeta; alpha ] in
+  Alcotest.(check (array int)) "name-sorted" [| 1; 2; 3 |] (T.weights a);
+  Alcotest.(check (array int)) "order-independent" (T.weights a) (T.weights b);
   let s = T.set [ T.spec ~share:3. "a"; T.spec ~share:1. "b" ] in
   let shares = T.shares s in
   check_close "share normalized" 0.75 shares.(0);
@@ -234,9 +234,11 @@ let tenant_grammar =
     ]
 
 let spec_grammar_parses () =
-  Alcotest.(check string)
-    "usage string" "NAME:WEIGHT[:SHARE[:SLO]]"
-    (S.Spec.usage tenant_grammar);
+  (match S.Spec.parse tenant_grammar "gold" with
+  | Error e ->
+    Alcotest.(check bool) ("usage string in " ^ e) true
+      (contains_substring e "expected NAME:WEIGHT[:SHARE[:SLO]]")
+  | Ok _ -> Alcotest.fail "gold without a weight accepted");
   (match S.Spec.parse tenant_grammar "gold:4" with
   | Ok v ->
     Alcotest.(check string) "name" "gold" (S.Spec.get_str v 0);
