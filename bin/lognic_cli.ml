@@ -162,8 +162,8 @@ let estimate_cmd =
     Fmt.pr "%a@." (Lognic.Estimate.pp_report doc.graph) report;
     if tail then begin
       let r =
-        Lognic.Tail.evaluate ~model:queue_model doc.graph ~hw:(hardware_of doc)
-          ~traffic
+        Lognic.Tail.evaluate doc.graph ~hw:(hardware_of doc) ~traffic
+          report.latency
       in
       let q = Lognic.Tail.overall r in
       Fmt.pr "tail: p50 %.2f us, p90 %.2f us, p99 %.2f us@."

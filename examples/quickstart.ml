@@ -78,7 +78,10 @@ let () =
 
   (* 6. Tail latency (an extension beyond the paper: §4.7 says the
         model cannot estimate the tail — ours can, see Lognic.Tail). *)
-  let tail = Lognic.Tail.overall (Lognic.Tail.evaluate g ~hw ~traffic) in
+  let tail =
+    Lognic.Tail.overall
+      (Lognic.Tail.evaluate g ~hw ~traffic report.Lognic.Estimate.latency)
+  in
   Fmt.pr "--- tail estimate ---@.p50 %.2f us, p90 %.2f us, p99 %.2f us@."
     (U.to_usec tail.p50) (U.to_usec tail.p90) (U.to_usec tail.p99);
 

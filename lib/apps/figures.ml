@@ -251,7 +251,9 @@ let ext_tail ?(speed = Full) ppf =
            Lognic.Traffic.make ~rate:(load *. 4. *. U.gbps) ~packet_size:U.mtu
          in
          let q =
-           Lognic.Tail.overall (Lognic.Tail.evaluate g ~hw:validation_hw ~traffic)
+           Lognic.Tail.overall
+             (Lognic.Tail.evaluate g ~hw:validation_hw ~traffic
+                (Lognic.Latency.evaluate g ~hw:validation_hw ~traffic))
          in
          let m =
            Lognic_sim.Netsim.run_single

@@ -123,4 +123,4 @@ let model_mean_latency config =
     Lognic_queueing.Mm1n.create ~lambda ~mu:(1. /. mean_service)
       ~capacity:(2 * config.entries)
   in
-  Lognic_queueing.Mm1n.mean_time_in_system queue
+  (Lognic_queueing.Mm1n.solve queue).time_in_system

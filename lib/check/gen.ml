@@ -220,7 +220,8 @@ let fault_plan ~duration st =
     ]
   | 2 ->
     [
-      Lognic_sim.Faults.medium_degraded ~medium:"interface" ~factor:0.5
+      Lognic_sim.Faults.medium_degraded
+        ~medium:(Lognic.Params.medium_name Interface) ~factor:0.5
         ~start:(duration /. 4.)
         ~stop:(3. *. duration /. 4.);
     ]

@@ -48,8 +48,9 @@ let nvme_mix =
 let md5_faults_plan =
   [
     Sim.Faults.engine_down ~vertex:"ip2.MD5" ~engines:1 ~start:5e-4 ~stop:1e-3;
-    Sim.Faults.medium_degraded ~medium:"interface" ~factor:0.5 ~start:4e-4
-      ~stop:8e-4;
+    Sim.Faults.medium_degraded
+      ~medium:(Lognic.Params.medium_name Interface)
+      ~factor:0.5 ~start:4e-4 ~stop:8e-4;
     Sim.Faults.drop_burst ~probability:0.25 ~start:1e-3 ~stop:1.4e-3;
   ]
 

@@ -65,23 +65,6 @@ let model_vs_sim_throughput ~count =
       fail_close ~tol:0.05 ~what:"throughput" traffic.Lognic.Traffic.rate
         m.Sim.Netsim.summary.Sim.Telemetry.throughput)
 
-(* ---- parallel execution --------------------------------------------- *)
-
-let jobs_bit_identical ~count =
-  QCheck.Test.make ~count
-    ~name:"parallel: --jobs 1 and --jobs 4 are bit-identical"
-    (arb Gen.wild ~print:(fun s -> s.Gen.label))
-    (fun sc ->
-      let config =
-        Sim.Netsim.Config.(default |> with_horizon 2e-3)
-      in
-      let spec =
-        Sim.Netsim.Run.make ~config sc.Gen.graph ~hw:sc.Gen.hw ~mix:sc.Gen.mix
-      in
-      let a = Sim.Netsim.execute_replicated ~jobs:1 ~runs:3 spec in
-      let b = Sim.Netsim.execute_replicated ~jobs:4 ~runs:3 spec in
-      a = b || QCheck.Test.fail_reportf "replicated results diverge across jobs")
-
 (* ---- DSL round trip -------------------------------------------------- *)
 
 let dsl_round_trip ~count =
@@ -111,7 +94,7 @@ let mm1n_limit_is_mm1 ~count =
       let infinite = Q.Mm1.create ~lambda ~mu in
       fail_close ~tol:1e-3 ~what:"waiting time"
         (Q.Mm1.mean_waiting_time infinite)
-        (Q.Mm1n.mean_waiting_time finite))
+        (Q.Mm1n.solve finite).Q.Mm1n.waiting)
 
 let mg1_exponential_is_mm1 ~count =
   QCheck.Test.make ~count ~name:"queueing: Mg1 at scv=1 equals Mm1"
@@ -133,7 +116,7 @@ let mm1n_closed_form_near_saturation ~count =
     (fun (mu, eps, capacity) ->
       let queue = Q.Mm1n.create ~lambda:(mu *. (1. +. eps)) ~mu ~capacity in
       fail_close ~tol:1e-6 ~what:"waiting time near saturation"
-        (Q.Mm1n.mean_waiting_time queue)
+        (Q.Mm1n.solve queue).Q.Mm1n.waiting
         (Q.Mm1n.waiting_time_closed_form queue))
 
 (* Little's law, sim vs analytics: a single queueing node with no wire
@@ -203,7 +186,7 @@ let mm1n_vs_sim_sojourn ~count =
       let mu = throughput /. size in
       let queue = Q.Mm1n.create ~lambda:(rho *. mu) ~mu ~capacity:64 in
       fail_close ~tol:0.3 ~what:"mean sojourn"
-        (Q.Mm1n.mean_time_in_system queue)
+        (Q.Mm1n.solve queue).Q.Mm1n.time_in_system
         m.Sim.Netsim.summary.Sim.Telemetry.mean_latency)
 
 (* ---- invariant conformance ------------------------------------------- *)
@@ -581,21 +564,6 @@ let tenant_order_invariant ~count =
       run specs = run (List.rev specs)
       || QCheck.Test.fail_reportf "permuted tenant specs changed the run")
 
-(* One tenant means no arbitration decisions to make: the run must be
-   byte-identical to the untenanted baseline (the tenanted scheduler
-   and the tenant rng split both switch on at two tenants). *)
-let tenant_single_identity ~count =
-  QCheck.Test.make ~count
-    ~name:"tenants: single tenant is byte-identical to untenanted"
-    scenario_and_tenants
-    (fun (sc, specs) ->
-      let solo = tenant_config (T.set [ List.hd specs ]) in
-      let bare = Sim.Netsim.Config.(default |> with_horizon ~warmup:2e-4 2e-3) in
-      measurement_json (tenant_measure sc solo)
-      = measurement_json (tenant_measure sc bare)
-      || QCheck.Test.fail_reportf
-           "single-tenant measurement JSON diverged from the untenanted run")
-
 (* Saturate one node with equal offered shares and random weights:
    every tenant stays backlogged, so the stage-1 WRR must deliver
    packets in proportion to weight, and the weighted max-min index must
@@ -641,24 +609,6 @@ let tenant_wrr_fairness ~count =
              "unfair at saturation: weight-normalized delivery spread %.1f%%, \
               max-min ratio %.3f"
              (spread *. 100.) maxmin)
-
-(* The tenanted scheduler and attribution must preserve the determinism
-   contract that domain-parallel replication relies on. *)
-let tenant_jobs_bit_identical ~count =
-  QCheck.Test.make ~count
-    ~name:"tenants: --jobs 1 and --jobs 4 are bit-identical"
-    scenario_and_tenants
-    (fun (sc, specs) ->
-      let spec =
-        Sim.Netsim.Run.make
-          ~config:(tenant_config (T.set specs))
-          sc.Gen.graph ~hw:sc.Gen.hw ~mix:sc.Gen.mix
-      in
-      let a = Sim.Netsim.execute_replicated ~jobs:1 ~runs:3 spec in
-      let b = Sim.Netsim.execute_replicated ~jobs:4 ~runs:3 spec in
-      a = b
-      || QCheck.Test.fail_reportf
-           "tenanted replicated results diverge across jobs")
 
 (* ---- flow-cache feedback splits -------------------------------------- *)
 
@@ -794,49 +744,113 @@ let flowcache_collapse_static ~count =
            s.Lognic.Estimate.latency.Lognic.Latency.carried_rate
            r.FC.latency.Lognic.Latency.carried_rate)
 
-(* Per-packet lookup-driven routing must preserve the determinism
-   contract domain-parallel replication relies on. *)
-let flowcache_jobs_bit_identical ~count =
-  QCheck.Test.make ~count
-    ~name:"flowcache: --jobs 1 and --jobs 4 are bit-identical"
-    (arb fc_spec_gen ~print:fc_spec_print)
-    (fun spec_fc ->
-      let config =
-        Sim.Netsim.Config.(
-          default |> with_horizon ~warmup:2e-4 2e-3 |> with_flow_cache spec_fc)
-      in
-      let spec =
-        Sim.Netsim.Run.make ~config (FApp.graph FApp.default)
-          ~hw:FApp.hardware
-          ~mix:[ (FApp.traffic FApp.default, 1.) ]
-      in
-      let a = Sim.Netsim.execute_replicated ~jobs:1 ~runs:3 spec in
-      let b = Sim.Netsim.execute_replicated ~jobs:4 ~runs:3 spec in
-      a = b
-      || QCheck.Test.fail_reportf
-           "flow-cache replicated results diverge across jobs")
+(* ---- optional layers, one table ------------------------------------ *)
 
-(* Setting and then clearing the flow cache must leave no residue: the
-   round-tripped config runs byte-identical to the untouched baseline
-   (the flow rng splits only when the cache is configured, so a clean
-   [without_flow_cache] restores every stream). *)
-let flowcache_off_identity ~count =
+(* Every optional simulator layer as a row: how to switch it on for a
+   fuzzed input and, where the layer has one, the setting that must run
+   byte-identical to the plain run. For the observation-only layers
+   (invariants, metrics, trace) that setting is "on" itself. *)
+type layer_input = {
+  sc : Gen.scenario;
+  specs : T.spec list;
+  fc : FC.spec;
+  plan : Sim.Faults.plan;
+}
+
+type layer = {
+  layer : string;
+  on : layer_input -> Sim.Netsim.Run.t;
+  neutral : (layer_input -> Sim.Netsim.Run.t) option;
+}
+
+let layer_horizon = 2e-3
+let layer_config = Sim.Netsim.Config.(default |> with_horizon layer_horizon)
+
+let plain_run i =
+  Sim.Netsim.Run.make ~config:layer_config i.sc.Gen.graph ~hw:i.sc.Gen.hw
+    ~mix:i.sc.Gen.mix
+
+let configured f i = Sim.Netsim.Run.with_config (plain_run i) (f i layer_config)
+
+let layers =
+  let module C = Sim.Netsim.Config in
+  let observed layer config =
+    let run = configured (fun _ -> config) in
+    { layer; on = run; neutral = Some run }
+  in
+  [
+    { layer = "plain"; on = plain_run; neutral = None };
+    {
+      layer = "tenants";
+      on = configured (fun i -> C.with_tenants (T.set i.specs));
+      (* the tenanted scheduler and its rng split switch on at two *)
+      neutral = Some (configured (fun i -> C.with_tenants (T.set [ List.hd i.specs ])));
+    };
+    {
+      layer = "flow cache";
+      (* lookups need the cache vertices: the flow-cache scenario *)
+      on =
+        (fun i ->
+          Sim.Netsim.Run.make
+            ~config:(C.with_flow_cache i.fc layer_config)
+            (FApp.graph FApp.default) ~hw:FApp.hardware
+            ~mix:[ (FApp.traffic FApp.default, 1.) ]);
+      (* set and cleared: the flow rng splits only while configured *)
+      neutral =
+        Some (configured (fun i c -> C.(c |> with_flow_cache i.fc |> without_flow_cache)));
+    };
+    {
+      layer = "faults";
+      on = (fun i -> Sim.Netsim.Run.with_faults (plain_run i) i.plan);
+      neutral = None;
+    };
+    observed "invariants" (C.with_invariants true);
+    observed "metrics" (C.with_metrics { Sim.Metrics.default_config with interval = 2e-4 });
+    observed "trace" (C.with_trace { Sim.Trace.reservoir = 32 });
+  ]
+
+let layer_input =
+  arb
+    QCheck.Gen.(
+      map
+        (fun (sc, specs, (fc, plan)) -> { sc; specs; fc; plan })
+        (triple Gen.wild Gen.tenant_specs
+           (pair fc_spec_gen (Gen.fault_plan ~duration:layer_horizon))))
+    ~print:(fun i ->
+      Printf.sprintf "%s [%s] %s, %d fault(s)" i.sc.Gen.label
+        (tenant_print i.specs) (fc_spec_print i.fc) (List.length i.plan))
+
+let layers_neutral_identity ~count =
   QCheck.Test.make ~count
-    ~name:"flowcache: disabled config is byte-identical to baseline"
-    (arb
-       (QCheck.Gen.pair Gen.wild fc_spec_gen)
-       ~print:(fun (sc, s) -> sc.Gen.label ^ " " ^ fc_spec_print s))
-    (fun (sc, spec_fc) ->
-      let base =
-        Sim.Netsim.Config.(default |> with_horizon ~warmup:2e-4 2e-3)
-      in
-      let round_trip =
-        Sim.Netsim.Config.(base |> with_flow_cache spec_fc |> without_flow_cache)
-      in
-      measurement_json (tenant_measure sc base)
-      = measurement_json (tenant_measure sc round_trip)
-      || QCheck.Test.fail_reportf
-           "flow-cache round-tripped config perturbed the run")
+    ~name:"layers: each neutral setting is byte-identical to the plain run"
+    layer_input
+    (fun i ->
+      let plain = measurement_json (Sim.Netsim.execute (plain_run i)) in
+      List.for_all
+        (fun l ->
+          match l.neutral with
+          | None -> true
+          | Some neutral ->
+            measurement_json (Sim.Netsim.execute (neutral i)) = plain
+            || QCheck.Test.fail_reportf "%s: measurement JSON diverged from the plain run"
+                 l.layer)
+        layers)
+
+(* The determinism contract domain-parallel replication relies on,
+   with each layer on. *)
+let layers_jobs_bit_identical ~count =
+  QCheck.Test.make ~count
+    ~name:"layers: each layer is bit-identical at --jobs 1 and --jobs 4"
+    layer_input
+    (fun i ->
+      List.for_all
+        (fun l ->
+          let spec = l.on i in
+          Sim.Netsim.execute_replicated ~jobs:1 ~runs:3 spec
+          = Sim.Netsim.execute_replicated ~jobs:4 ~runs:3 spec
+          || QCheck.Test.fail_reportf "%s: replicated results diverge across jobs"
+               l.layer)
+        layers)
 
 (* ---- colon-spec grammar round trip ----------------------------------- *)
 
@@ -1002,7 +1016,6 @@ let suite ?(scale = 1.) () =
     mm1n_closed_form_near_saturation ~count:(n 300);
     model_vs_sim_latency ~count:(n 20);
     model_vs_sim_throughput ~count:(n 20);
-    jobs_bit_identical ~count:(n 6);
     littles_law_vs_sim ~count:(n 6);
     mm1n_vs_sim_sojourn ~count:(n 6);
     invariants_hold_everywhere ~count:(n 20);
@@ -1014,13 +1027,11 @@ let suite ?(scale = 1.) () =
     contention_monotonic ~count:(n 100);
     mix_low_load_latency ~count:(n 6);
     tenant_order_invariant ~count:(n 6);
-    tenant_single_identity ~count:(n 6);
     tenant_wrr_fairness ~count:(n 6);
-    tenant_jobs_bit_identical ~count:(n 4);
     flowcache_fixed_point_converges ~count:(n 20);
     flowcache_ttl_short_circuit ~count:(n 200);
     flowcache_collapse_static ~count:(n 20);
-    flowcache_jobs_bit_identical ~count:(n 3);
-    flowcache_off_identity ~count:(n 4);
+    layers_neutral_identity ~count:(n 6);
+    layers_jobs_bit_identical ~count:(n 4);
     spec_round_trip ~count:(n 300);
   ]

@@ -1,3 +1,9 @@
+type fault =
+  | Engine_down of { vertex : string; engines : int }
+  | Medium_degraded of { medium : string; factor : float }
+  | Queue_shrunk of { vertex : string; capacity : int }
+  | Drop_burst of { probability : float }
+
 type modifier = {
   engines_down : (string * int) list;
   media_factors : (string * float) list;
@@ -12,24 +18,29 @@ let is_degraded m =
   m.engines_down <> [] || m.media_factors <> [] || m.queue_caps <> []
   || m.ingress_drop > 0.
 
-(* Fold duplicate targets into one entry each: offline engines add up,
-   bandwidth factors multiply, capacity overrides take the tightest. *)
-let combine merge entries =
-  List.fold_left
-    (fun acc (key, v) ->
-      match List.assoc_opt key acc with
-      | None -> acc @ [ (key, v) ]
-      | Some prev ->
-        List.map (fun (k, x) -> if k = key then (k, merge prev v) else (k, x)) acc)
-    [] entries
+(* One entry per target, in first-seen order: a repeated target folds
+   into its entry with [merge]. *)
+let add merge key v entries =
+  match List.assoc_opt key entries with
+  | None -> entries @ [ (key, v) ]
+  | Some prev ->
+    List.map (fun (k, x) -> if k = key then (k, merge prev v) else (k, x)) entries
 
-let link_endpoints label =
-  match String.split_on_char '-' label with
-  | [ "link"; s; d ] -> (
-    match (int_of_string_opt s, int_of_string_opt d) with
-    | Some s, Some d -> Some (s, d)
-    | _ -> None)
-  | _ -> None
+let compose faults =
+  let m, survival =
+    List.fold_left
+      (fun (m, survival) fault ->
+        match fault with
+        | Engine_down { vertex; engines } ->
+          ({ m with engines_down = add ( + ) vertex engines m.engines_down }, survival)
+        | Medium_degraded { medium; factor } ->
+          ({ m with media_factors = add ( *. ) medium factor m.media_factors }, survival)
+        | Queue_shrunk { vertex; capacity } ->
+          ({ m with queue_caps = add min vertex capacity m.queue_caps }, survival)
+        | Drop_burst { probability } -> (m, survival *. (1. -. probability)))
+      (no_modifier, 1.) faults
+  in
+  { m with ingress_drop = 1. -. survival }
 
 (* The modified graph and hardware an interval is evaluated under, plus
    the first fully-failed vertex (all engines down) if any — in that
@@ -58,8 +69,7 @@ let apply_modifier g ~(hw : Params.hardware) m =
                   Graph.throughput = s.Graph.throughput *. keep;
                   parallelism = d - down;
                 }))
-      g
-      (combine ( + ) m.engines_down)
+      g m.engines_down
   in
   let g =
     List.fold_left
@@ -69,28 +79,27 @@ let apply_modifier g ~(hw : Params.hardware) m =
         | Some v ->
           Graph.update_service g v.Graph.id (fun s ->
               { s with Graph.queue_capacity = min s.Graph.queue_capacity cap }))
-      g
-      (combine min m.queue_caps)
+      g m.queue_caps
   in
   let g, hw =
     List.fold_left
       (fun (g, hw) (label, factor) ->
-        match label with
-        | "interface" ->
+        if label = Params.medium_name Interface then
           (g, { hw with Params.bw_interface = hw.Params.bw_interface *. factor })
-        | "memory" ->
+        else if label = Params.medium_name Memory then
           (g, { hw with Params.bw_memory = hw.Params.bw_memory *. factor })
-        | label -> (
-          match link_endpoints label with
-          | None -> (g, hw)
-          | Some (src, dst) -> (
-            match Graph.edge g ~src ~dst with
-            | Some { Graph.bandwidth = Some bw; _ } ->
-              ( Graph.set_edge_params ~bandwidth:(Some (bw *. factor)) ~src ~dst g,
-                hw )
-            | Some _ | None -> (g, hw))))
-      (g, hw)
-      (combine ( *. ) m.media_factors)
+        else
+          match
+            List.find_opt
+              (fun (e : Graph.edge) ->
+                e.bandwidth <> None
+                && Params.medium_name (Link (e.src, e.dst)) = label)
+              (Graph.edges g)
+          with
+          | Some { src; dst; bandwidth = Some bw; _ } ->
+            (Graph.set_edge_params ~bandwidth:(Some (bw *. factor)) ~src ~dst g, hw)
+          | Some _ | None -> (g, hw))
+      (g, hw) m.media_factors
   in
   (g, hw, !failed)
 

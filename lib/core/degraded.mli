@@ -27,21 +27,42 @@
     [Lognic_sim.Faults.modifiers], which lowers a simulator fault plan
     into this module's representation. *)
 
+type fault =
+  | Engine_down of { vertex : string; engines : int }
+      (** [engines] of the vertex's D engines are down; ≥ D means the
+          vertex is fully failed *)
+  | Medium_degraded of { medium : string; factor : float }
+      (** the medium named [medium] ({!Params.medium_name}) runs at
+          [factor · bandwidth], factor ∈ (0, 1] *)
+  | Queue_shrunk of { vertex : string; capacity : int }
+      (** the vertex's queue capacity is capped at [min capacity N] *)
+  | Drop_burst of { probability : float }
+      (** each offered packet is shed at ingress with this
+          probability *)
+(** One fault on one target; [Lognic_sim.Faults] schedules them in
+    time and realizes them in the simulator. *)
+
 type modifier = {
   engines_down : (string * int) list;
-      (** vertex label → engines offline (summed if repeated; ≥ D means
-          the vertex is fully failed) *)
+      (** vertex label → engines offline (≥ D means the vertex is fully
+          failed) *)
   media_factors : (string * float) list;
-      (** medium label ("interface", "memory", or "link-SRC-DST") →
-          bandwidth factor in (0, 1] (multiplied if repeated) *)
+      (** medium name ({!Params.medium_name}) → bandwidth factor in
+          (0, 1] *)
   queue_caps : (string * int) list;
       (** vertex label → temporary queue capacity (min-combined with the
           vertex's own N) *)
   ingress_drop : float;  (** probability in [0, 1] *)
 }
+(** Each list holds one entry per target, as {!compose} builds it. *)
 
-val no_modifier : modifier
-(** Nothing degraded: evaluation under it equals the nominal model. *)
+val compose : fault list -> modifier
+(** The one rule for faults active at the same time, which the
+    simulator applies too: offline engines add, bandwidth factors
+    multiply, queue caps take the minimum and drop bursts combine as
+    1 − Π(1 − p). Each target gets one entry, in order of first
+    appearance. [compose []] degrades nothing: evaluation under it
+    equals the nominal model. *)
 
 type interval_report = {
   d_start : float;

@@ -455,16 +455,6 @@ let mixed_traffic ?queue_model ?contention ~hw ~graph_for mix =
   in
   { classes = evaluated; throughput; latency; contention }
 
-let mixed_tail ?model ?contention ~hw ~graph_for mix =
-  let jcs = build_joint ?contention ~hw ~graph_for mix in
-  List.map
-    (fun jc ->
-      let rates_for id =
-        Option.map (fun (l, m, _) -> (l, m)) (joint_rates jcs jc id)
-      in
-      (jc.jc_cls, Tail.evaluate ?model ~rates_for jc.jc_slow ~hw ~traffic:jc.jc_cls))
-    jcs
-
 let insert_rate_limiter g ~before ~rate ~queue_capacity =
   let target = Graph.vertex g before in
   if target.kind <> Graph.Ip then

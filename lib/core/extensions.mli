@@ -120,18 +120,6 @@ val mixed_traffic :
     Raises [Invalid_argument] on a demand-vector arity mismatch or a
     resource name absent from [hw.resources]. *)
 
-val mixed_tail :
-  ?model:Latency.queue_model ->
-  ?contention:contention ->
-  hw:Params.hardware ->
-  graph_for:(Traffic.t -> Graph.t) ->
-  Traffic.mix ->
-  (Traffic.t * Tail.result) list
-(** Per-class tail-latency analysis under the same joint evaluation:
-    each class's sojourn moments are computed with the union-queue
-    (λ, μ) of every shared vertex threaded through
-    {!Tail.evaluate}'s [rates_for] hook. *)
-
 type fixed_point_result = {
   value : float array;  (** the final (possibly unconverged) iterate *)
   iterations : int;  (** calls to [update] *)

@@ -217,7 +217,7 @@ let evaluate ?queue_model ?init sp g ~hw ~traffic =
   let g_final = apply g fp.Extensions.value in
   let throughput = Throughput.evaluate g_final ~hw ~traffic in
   let latency = Latency.evaluate ?model:queue_model g_final ~hw ~traffic in
-  let tail = Tail.evaluate ?model:queue_model g_final ~hw ~traffic in
+  let tail = Tail.evaluate g_final ~hw ~traffic latency in
   let class_of path =
     if List.mem mega_miss_dst path then `Cold
     else if List.mem mega_v path then `Warm

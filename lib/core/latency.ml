@@ -6,6 +6,7 @@ type vertex_terms = {
   service : float;
   utilization : float;
   drop_probability : float;
+  sojourn : float * float;
 }
 
 type path_report = {
@@ -58,66 +59,48 @@ let vertex_rates g ~(traffic : Traffic.t) id =
 (* The queue-model dispatch given a vertex's (lambda, mu): the shared
    tail of [vertex_terms] and of the joint multi-class evaluation, which
    feeds it union arrival rates and mixture service rates instead of the
-   single-class Eq 11 values. *)
+   single-class Eq 11 values. One solve per vertex; the ablations keep
+   M/M/1/N's sojourn moments for the tail. *)
 let terms_of_rates ?(model = Mm1n_model) g id ~service ~lambda ~mu =
   let v = Graph.vertex g id in
   let utilization = lambda /. mu in
+  let terms ~queueing ~drop_probability (s : Lognic_queueing.Mm1n.solution) =
+    { vid = id; queueing; service; utilization; drop_probability; sojourn = s.sojourn }
+  in
+  let mm1n () =
+    Lognic_queueing.Mm1n.solve
+      (Lognic_queueing.Mm1n.create ~lambda ~mu ~capacity:v.service.queue_capacity)
+  in
   match model with
-    | No_queueing ->
-      { vid = id; queueing = 0.; service; utilization; drop_probability = 0. }
-    | Mm1_model ->
-      let q =
-        if utilization >= 1. then infinity
-        else Lognic_queueing.Mm1.mean_waiting_time (Lognic_queueing.Mm1.create ~lambda ~mu)
-      in
-      { vid = id; queueing = q; service; utilization; drop_probability = 0. }
-    | Mm1n_model ->
-      let queue = Lognic_queueing.Mm1n.create ~lambda ~mu ~capacity:v.service.queue_capacity in
-      (* One O(N) state-vector build per vertex query: this sits on the
-         optimizer's inner loop, so don't pay for it twice via the
-         per-call convenience accessors. *)
-      let capacity = v.service.queue_capacity in
-      let probs = Lognic_queueing.Mm1n.state_probabilities queue in
-      let blocking = probs.(capacity) in
-      let effective = lambda *. (1. -. blocking) in
-      let mean_number = ref 0. in
-      Array.iteri
-        (fun k p -> mean_number := !mean_number +. (float_of_int k *. p))
-        probs;
-      let queueing =
-        if effective <= 0. then 0.
-        else Float.max 0. ((!mean_number /. effective) -. (1. /. mu))
-      in
-      {
-        vid = id;
-        queueing;
-        service;
-        utilization;
-        drop_probability = blocking;
-      }
-    | Mmcn_model ->
-      (* Undo Eq 11's division of the arrival stream across D
-         per-engine queues: the exact multi-server queue sees the whole
-         stream with D servers of rate 1/C each. *)
-      let d = float_of_int v.service.parallelism in
-      let capacity = max v.service.queue_capacity v.service.parallelism in
-      let queue =
-        Lognic_queueing.Mmcn.create ~lambda:(lambda *. d) ~mu
-          ~servers:v.service.parallelism ~capacity
-      in
-      {
-        vid = id;
-        queueing = Lognic_queueing.Mmcn.mean_waiting_time queue;
-        service;
-        utilization;
-        drop_probability = Lognic_queueing.Mmcn.blocking_probability queue;
-      }
+  | No_queueing -> terms ~queueing:0. ~drop_probability:0. (mm1n ())
+  | Mm1_model ->
+    let q =
+      if utilization >= 1. then infinity
+      else Lognic_queueing.Mm1.mean_waiting_time (Lognic_queueing.Mm1.create ~lambda ~mu)
+    in
+    terms ~queueing:q ~drop_probability:0. (mm1n ())
+  | Mm1n_model ->
+    let s = mm1n () in
+    terms ~queueing:s.waiting ~drop_probability:s.blocking s
+  | Mmcn_model ->
+    (* Undo Eq 11's division of the arrival stream across D
+       per-engine queues: the exact multi-server queue sees the whole
+       stream with D servers of rate 1/C each. *)
+    let d = float_of_int v.service.parallelism in
+    let capacity = max v.service.queue_capacity v.service.parallelism in
+    let s =
+      Lognic_queueing.Mmcn.solve
+        (Lognic_queueing.Mmcn.create ~lambda:(lambda *. d) ~mu
+           ~servers:v.service.parallelism ~capacity)
+    in
+    terms ~queueing:s.waiting ~drop_probability:s.blocking s
 
 let vertex_terms ?model g ~traffic id =
   let v = Graph.vertex g id in
   let service = vertex_service_time g ~traffic id in
   if v.service.throughput = infinity || Throughput.vertex_inflow g id <= 0. then
-    { vid = id; queueing = 0.; service; utilization = 0.; drop_probability = 0. }
+    { vid = id; queueing = 0.; service; utilization = 0.; drop_probability = 0.;
+      sojourn = (0., 0.) }
   else
     let lambda, mu = vertex_rates g ~traffic id in
     terms_of_rates ?model g id ~service ~lambda ~mu

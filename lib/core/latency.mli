@@ -37,8 +37,13 @@ type vertex_terms = {
   service : float;  (** C_i/A_i, seconds *)
   utilization : float;  (** ρ_i *)
   drop_probability : float;
-      (** M/M/1/N blocking probability Pro_N (0 under the other queue
-          models) *)
+      (** blocking probability Pro_N of the M/M/1/N or M/M/D/N queue
+          (0 under the ablations) *)
+  sojourn : float * float;
+      (** an accepted request's sojourn (mean, variance) from the same
+          queue solve, what {!Tail} reads; the ablations hold
+          M/M/1/N's, transparent vertices (0, 0). The joint M/G/1
+          waiting inflation scales [queueing] only. *)
 }
 
 type path_report = {
@@ -54,7 +59,11 @@ type path_report = {
 type result = {
   mean : float;  (** T_attainable (Eq 8), seconds *)
   per_path : path_report list;
-  per_vertex : vertex_terms list;
+      (** every ingress→egress path with its normalized δ-branching
+          weight; on a combinatorial graph the first 10_000
+          ({!Graph.paths_capped}), weights renormalized over that
+          subset *)
+  per_vertex : vertex_terms list;  (** the vertices on those paths *)
   carried_rate : float;
       (** BW_in discounted by the path-weighted blocking along the way —
           the model's goodput estimate under finite queues, bytes/s *)
@@ -66,7 +75,8 @@ val vertex_service_time :
 
 val vertex_rates : Graph.t -> traffic:Traffic.t -> Graph.vertex_id -> float * float
 (** (λ, μ) of the vertex's virtual shared queue per Eq 11 — the inputs
-    to the queueing term, exposed for the tail-latency extension. *)
+    to the queueing term, exposed for the joint multi-class
+    evaluation. *)
 
 val vertex_terms :
   ?model:queue_model -> Graph.t -> traffic:Traffic.t -> Graph.vertex_id -> vertex_terms
@@ -91,12 +101,6 @@ val edge_transfer_time :
   Graph.t -> hw:Params.hardware -> traffic:Traffic.t -> Graph.edge -> float
 (** g_in·α/BW_INTF + g_in·β/BW_MEM (+ g_in·δ/BW_mn on a dedicated
     link) — Eq 7, first line. *)
-
-val path_weights : Graph.t -> (Graph.vertex_id list * float) list
-(** All ingress→egress paths with normalized δ-branching weights. On a
-    combinatorial graph this degrades to the first 10_000 paths
-    ({!Graph.paths_capped}), weights renormalized over that subset,
-    rather than raising. *)
 
 val evaluate :
   ?model:queue_model ->

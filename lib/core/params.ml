@@ -31,6 +31,13 @@ let with_resources hw resources =
 
 let resource_capacity hw name = List.assoc_opt name hw.resources
 
+type medium = Interface | Memory | Link of int * int
+
+let medium_name = function
+  | Interface -> "interface"
+  | Memory -> "memory"
+  | Link (src, dst) -> Printf.sprintf "link-%d-%d" src dst
+
 type source = Spec | Characterization | Configurable
 
 type entry = {

@@ -32,6 +32,15 @@ val with_resources : hardware -> (string * float) list -> hardware
 
 val resource_capacity : hardware -> string -> float option
 
+(** The media a byte crosses: the two device-wide media and an edge's
+    dedicated link (source and destination vertex ids). *)
+type medium = Interface | Memory | Link of int * int
+
+val medium_name : medium -> string
+(** ["interface"], ["memory"], ["link-SRC-DST"]: the one spelling of a
+    medium's name in the simulator's media and drop sites, reports,
+    rooflines and fault plans. *)
+
 type source = Spec | Characterization | Configurable
 (** Where a parameter's value comes from (Table 2's SPEC/CHAR/CONF
     column). *)

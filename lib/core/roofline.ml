@@ -46,10 +46,10 @@ let of_vertex g ~(hw : Params.hardware) ~packet_size id =
     let sum_beta = sum (fun (e : Graph.edge) -> e.beta) in
     let ceilings =
       (if sum_alpha > 0. then
-         [ { name = "interface"; bandwidth = hw.bw_interface /. sum_alpha } ]
+         [ { name = Params.medium_name Interface; bandwidth = hw.bw_interface /. sum_alpha } ]
        else [])
       @ (if sum_beta > 0. then
-           [ { name = "memory"; bandwidth = hw.bw_memory /. sum_beta } ]
+           [ { name = Params.medium_name Memory; bandwidth = hw.bw_memory /. sum_beta } ]
          else [])
       @ List.filter_map
           (fun (e : Graph.edge) ->
@@ -57,7 +57,7 @@ let of_vertex g ~(hw : Params.hardware) ~packet_size id =
             | Some bw when e.delta > 0. ->
               Some
                 {
-                  name = Printf.sprintf "link-%d-%d" e.src e.dst;
+                  name = Params.medium_name (Link (e.src, e.dst));
                   bandwidth = bw /. e.delta;
                 }
             | Some _ | None -> None)

@@ -6,11 +6,10 @@
     closes that gap under the model's own assumptions (Poisson
     arrivals, exponential service, M/M/D/N vertices):
 
-    - an accepted arrival that finds [k] requests in an M/M/1/N system
-      sojourns for an Erlang(k+1, μ) time, so the sojourn's first two
-      moments follow from the state distribution (PASTA conditioned on
-      acceptance); the M/M/c/N case splits into a no-wait branch
-      (k < c) and an Erlang wait at rate cμ;
+    - each vertex's sojourn (mean, variance) comes from the same queue
+      solve as its mean latency term ({!Lognic_queueing.Mm1n.solve},
+      {!Lognic_queueing.Mmcn.solve}), carried in
+      {!Latency.vertex_terms};
     - a path's random sojourn is the independent sum over its vertices,
       so means and variances add; deterministic terms (overheads, data
       movement) shift the distribution;
@@ -36,20 +35,17 @@ type path_tail = {
 }
 
 type result
-(** Holds the per-path distributions so arbitrary quantiles stay
-    invertible. *)
 
 val overall : result -> quantiles
 val per_path : result -> path_tail list
 
 val evaluate :
-  ?model:Latency.queue_model ->
-  ?rates_for:(Graph.vertex_id -> (float * float) option) ->
-  Graph.t ->
-  hw:Params.hardware ->
-  traffic:Traffic.t ->
-  result
-(** Raises [Invalid_argument] on an invalid graph (same contract as
-    {!Latency.evaluate}). The overall [q_mean] agrees with
-    {!Latency.evaluate}'s mean by construction (same per-vertex
-    queueing assumptions). *)
+  Graph.t -> hw:Params.hardware -> traffic:Traffic.t -> Latency.result -> result
+(** [evaluate g ~hw ~traffic latency] reads the paths, their weights and
+    every vertex's sojourn moments ({!Latency.vertex_terms}) from
+    [latency], which must be {!Latency.evaluate}'s (or
+    {!Latency.evaluate_with}'s) result on [g] under [traffic]: the
+    tail follows whatever queue model, and for a joint multi-class
+    evaluation whatever union-queue rates, produced it. [g] and [hw]
+    give the deterministic shift (overheads, data movement), so
+    the overall [q_mean] agrees with [latency]'s mean. *)

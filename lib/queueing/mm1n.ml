@@ -23,21 +23,49 @@ let state_probabilities t =
     let total = Array.fold_left ( +. ) 0. raw in
     Array.map (fun p -> p /. total) raw
 
-(* One O(N) vector per query: this sits on the optimizer's inner loop.
-   Past rho ~ 1e16 Pro_N rounds to 1, so the admitted fraction is then
-   read as the mass below the top state instead of 1 - Pro_N. *)
-let mean_time_in_system t =
-  let probs = state_probabilities t in
+type solution = {
+  probs : float array;
+  blocking : float;
+  time_in_system : float;
+  waiting : float;
+  sojourn : float * float;
+}
+
+(* Past rho ~ 1e16 Pro_N rounds to 1, so the admitted fraction is then
+   read as the mass below the top state instead of 1 - Pro_N. An
+   accepted arrival finds k requests with q_k = Pro_k / admitted (PASTA
+   conditioned on acceptance). *)
+let solution ~lambda ~mu probs ~moments =
+  let capacity = Array.length probs - 1 in
+  let admitted =
+    let a = 1. -. probs.(capacity) in
+    if a > 0. then a else Array.fold_left ( +. ) 0. (Array.sub probs 0 capacity)
+  in
   let l = ref 0. in
   Array.iteri (fun k p -> l := !l +. (float_of_int k *. p)) probs;
-  let admitted =
-    let a = 1. -. probs.(t.capacity) in
-    if a > 0. then a else Array.fold_left ( +. ) 0. (Array.sub probs 0 t.capacity)
-  in
-  !l /. (t.lambda *. admitted)
+  let time_in_system = !l /. (lambda *. admitted) in
+  {
+    probs;
+    blocking = probs.(capacity);
+    time_in_system;
+    waiting = Float.max 0. (time_in_system -. (1. /. mu));
+    sojourn =
+      (if admitted <= 0. then (0., 0.) else moments ~admitted);
+  }
 
-let mean_waiting_time t =
-  Float.max 0. (mean_time_in_system t -. (1. /. t.mu))
+let solve t =
+  let mu = t.mu and probs = state_probabilities t in
+  solution ~lambda:t.lambda ~mu probs ~moments:(fun ~admitted ->
+      let mu2 = mu *. mu in
+      let m1 = ref 0. and m2 = ref 0. in
+      for k = 0 to t.capacity - 1 do
+        let q_k = probs.(k) /. admitted in
+        let stages = float_of_int (k + 1) in
+        (* Erlang(k+1, mu): E[T] = (k+1)/mu, E[T^2] = (k+1)(k+2)/mu^2 *)
+        m1 := !m1 +. (q_k *. stages /. mu);
+        m2 := !m2 +. (q_k *. stages *. (stages +. 1.) /. mu2)
+      done;
+      (!m1, Float.max 0. (!m2 -. (!m1 *. !m1))))
 
 let waiting_time_closed_form t =
   let rho = utilization t in

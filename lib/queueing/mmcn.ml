@@ -26,16 +26,29 @@ let state_probabilities t =
   let total = Array.fold_left ( +. ) 0. raw in
   Array.map (fun p -> p /. total) raw
 
-let blocking_probability t = (state_probabilities t).(t.capacity)
-
-let mean_number_in_system t =
-  let probs = state_probabilities t in
-  let acc = ref 0. in
-  Array.iteri (fun k p -> acc := !acc +. (float_of_int k *. p)) probs;
-  !acc
-
-let effective_arrival_rate t = t.lambda *. (1. -. blocking_probability t)
-let mean_time_in_system t = mean_number_in_system t /. effective_arrival_rate t
-
-let mean_waiting_time t =
-  Float.max 0. (mean_time_in_system t -. (1. /. t.mu))
+let solve t =
+  let mu = t.mu and servers = t.servers and probs = state_probabilities t in
+  Mm1n.solution ~lambda:t.lambda ~mu probs ~moments:(fun ~admitted ->
+      let c = float_of_int servers in
+      let mu2 = mu *. mu and cmu = c *. mu in
+      let cmu2 = cmu ** 2. and service_var = 1. /. mu2 in
+      let m1 = ref 0. and m2 = ref 0. in
+      for k = 0 to t.capacity - 1 do
+        let q_k = probs.(k) /. admitted in
+        if k < servers then begin
+          (* immediate service: Exp(mu) *)
+          m1 := !m1 +. (q_k /. mu);
+          m2 := !m2 +. (q_k *. 2. /. mu2)
+        end
+        else begin
+          (* Erlang(k-c+1, c mu) wait plus Exp(mu) service, independent *)
+          let stages = float_of_int (k - servers + 1) in
+          let wait_mean = stages /. cmu in
+          let wait_var = stages /. cmu2 in
+          let mean = wait_mean +. (1. /. mu) in
+          let var = wait_var +. service_var in
+          m1 := !m1 +. (q_k *. mean);
+          m2 := !m2 +. (q_k *. (var +. (mean *. mean)))
+        end
+      done;
+      (!m1, Float.max 0. (!m2 -. (!m1 *. !m1))))

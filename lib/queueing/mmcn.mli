@@ -20,13 +20,9 @@ val create : lambda:float -> mu:float -> servers:int -> capacity:int -> t
 val utilization : t -> float
 (** ρ = λ/(cμ), offered. *)
 
-val state_probabilities : t -> float array
-(** Steady-state distribution over [0..capacity] requests in system. *)
-
-val blocking_probability : t -> float
-
-val mean_time_in_system : t -> float
-(** W = L/λe. *)
-
-val mean_waiting_time : t -> float
-(** Q = W − 1/μ, clamped non-negative. *)
+val solve : t -> Mm1n.solution
+(** The M/M/c/N solution ({!Mm1n.solution}) over the birth-death chain
+    with service rate min(k, c)·μ in state [k]: an accepted arrival
+    that finds [k < c] requests is served at once (Exp(μ)), otherwise
+    it waits an Erlang(k − c + 1, cμ) time before its Exp(μ)
+    service. *)

@@ -106,10 +106,11 @@ let evaluate ~lambda ~mu ~servers ~capacity ~weights =
         let q =
           Mmcn.create ~lambda:lambda.(i) ~mu:mu_i ~servers ~capacity
         in
+        let s = Mmcn.solve q in
         {
           share;
           rho = Mmcn.utilization q;
-          blocking = Mmcn.blocking_probability q;
-          sojourn = Mmcn.mean_time_in_system q;
-          waiting = Mmcn.mean_waiting_time q;
+          blocking = s.Mm1n.blocking;
+          sojourn = s.Mm1n.time_in_system;
+          waiting = s.Mm1n.waiting;
         })

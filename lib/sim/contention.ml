@@ -4,7 +4,7 @@ type class_info = {
   slowdown : float;
   pressure : (string * float) list;
   resource_caps : (string * float) list;
-  model_p99 : float option;
+  model_p99 : float;
 }
 
 type interference_edge = {
@@ -34,16 +34,15 @@ let run ?config ?queue_model ?contention g ~hw ~mix =
           })
   in
   (* Joint tail analysis: the p99 each class should see on the union
-     queues, the contention-aware analogue of Tail.evaluate. *)
+     queues, read off the joint model's per-class latency. The slowdown
+     rescales only service rates, so [g] gives every class's overheads
+     and data movement. *)
   let p99s =
-    match
-      Lognic.Extensions.mixed_tail ?model:queue_model ?contention ~hw
-        ~graph_for:(fun _ -> g)
-        mix
-    with
-    | tails ->
-      List.map (fun (_, t) -> Some (Lognic.Tail.overall t).Lognic.Tail.p99) tails
-    | exception Invalid_argument _ -> List.init n (fun _ -> None)
+    List.map
+      (fun ((cls : Lognic.Traffic.t), _, _, lat) ->
+        (Lognic.Tail.overall (Lognic.Tail.evaluate g ~hw ~traffic:cls lat))
+          .Lognic.Tail.p99)
+      base.Explain.model.Lognic.Extensions.classes
   in
   let per_class =
     List.map2
@@ -86,8 +85,6 @@ let run ?config ?queue_model ?contention g ~hw ~mix =
   in
   { base; per_class; ranked }
 
-let opt_float = function None -> J.Null | Some x -> J.Num x
-
 let to_json t =
   let b = t.base in
   let assoc_json l = J.Obj (List.map (fun (k, v) -> (k, J.Num v)) l) in
@@ -100,7 +97,7 @@ let to_json t =
             ("slowdown", J.Num info.slowdown);
             ("pressure", assoc_json info.pressure);
             ("resource_caps", assoc_json info.resource_caps);
-            ("model_p99", opt_float info.model_p99);
+            ("model_p99", J.Num info.model_p99);
           ])
     | other -> other
   in
@@ -133,9 +130,8 @@ let pp ppf t =
   Format.fprintf ppf "  %-5s %9s %11s@\n" "class" "slowdown" "model-p99";
   List.iteri
     (fun i info ->
-      let opt = function None -> "-" | Some x -> Printf.sprintf "%.4g" x in
-      Format.fprintf ppf "  %-5d %9.4f %11s@\n" i info.slowdown
-        (opt info.model_p99);
+      Format.fprintf ppf "  %-5d %9.4f %11.4g@\n" i info.slowdown
+        info.model_p99;
       List.iter
         (fun (name, p) ->
           Format.fprintf ppf "        pressure %-12s %9.4f@\n" name p)

@@ -22,8 +22,9 @@ type class_info = {
       (** this class's own rate·demand/capacity per resource *)
   resource_caps : (string * float) list;
       (** this class's byte/s ceiling per demanded resource *)
-  model_p99 : float option;
-      (** joint-tail p99 seconds ({!Lognic.Extensions.mixed_tail}) *)
+  model_p99 : float;
+      (** joint-tail p99 seconds: {!Lognic.Tail.evaluate} on the
+          class's joint latency, whose union queues it reads *)
 }
 
 type interference_edge = {

@@ -49,9 +49,9 @@ type report = {
    {!Lognic.Throughput.Offered_load}), matching {!entity_row.name}. *)
 let bound_name g = function
   | Lognic.Throughput.Vertex_bound id -> (G.vertex g id).G.label
-  | Lognic.Throughput.Edge_bound (s, d) -> Printf.sprintf "link-%d-%d" s d
-  | Lognic.Throughput.Interface_bound -> "interface"
-  | Lognic.Throughput.Memory_bound -> "memory"
+  | Lognic.Throughput.Edge_bound (s, d) -> Lognic.Params.medium_name (Link (s, d))
+  | Lognic.Throughput.Interface_bound -> Lognic.Params.medium_name Interface
+  | Lognic.Throughput.Memory_bound -> Lognic.Params.medium_name Memory
   | Lognic.Throughput.Resource_bound name -> "resource:" ^ name
   | Lognic.Throughput.Offered_load -> "offered-load"
 
@@ -179,10 +179,10 @@ let entity_join g (m : Netsim.measurement) (caps : Lognic.Throughput.result)
   in
   let medium_rows =
     List.filter_map shared_medium
-      (("interface", caps.Lognic.Throughput.interface_cap)
-      :: ("memory", caps.Lognic.Throughput.memory_cap)
+      ((Lognic.Params.medium_name Interface, caps.Lognic.Throughput.interface_cap)
+      :: (Lognic.Params.medium_name Memory, caps.Lognic.Throughput.memory_cap)
       :: List.map
-           (fun ((s, d), cap) -> (Printf.sprintf "link-%d-%d" s d, cap))
+           (fun ((s, d), cap) -> (Lognic.Params.medium_name (Link (s, d)), cap))
            caps.Lognic.Throughput.edge_caps)
   in
   let rows =

@@ -1,4 +1,4 @@
-type fault =
+type fault = Lognic.Degraded.fault =
   | Engine_down of { vertex : string; engines : int }
   | Medium_degraded of { medium : string; factor : float }
   | Queue_shrunk of { vertex : string; capacity : int }
@@ -88,26 +88,10 @@ let intervals ~duration plan =
   in
   pair edges
 
-let modifier_of_events events =
-  List.fold_left
-    (fun (m : Lognic.Degraded.modifier) ev ->
-      match ev.fault with
-      | Engine_down { vertex; engines } ->
-        { m with engines_down = m.engines_down @ [ (vertex, engines) ] }
-      | Medium_degraded { medium; factor } ->
-        { m with media_factors = m.media_factors @ [ (medium, factor) ] }
-      | Queue_shrunk { vertex; capacity } ->
-        { m with queue_caps = m.queue_caps @ [ (vertex, capacity) ] }
-      | Drop_burst { probability } ->
-        {
-          m with
-          ingress_drop = 1. -. ((1. -. m.ingress_drop) *. (1. -. probability));
-        })
-    Lognic.Degraded.no_modifier events
-
 let modifiers ~duration plan =
   List.map
-    (fun (a, b, events) -> (a, b, modifier_of_events events))
+    (fun (a, b, events) ->
+      (a, b, Lognic.Degraded.compose (List.map (fun ev -> ev.fault) events)))
     (intervals ~duration plan)
 
 let pp ppf plan =
@@ -204,7 +188,8 @@ let realize plan engine ~rng ~nodes ~media ~duration =
       | Medium_degraded { medium; _ } -> ignore (medium_of medium)
       | Drop_burst _ -> ())
     plan;
-  (* Overlapping faults compose; each target (keyed by its
+  (* Overlapping faults compose by the model's rule
+     ({!Lognic.Degraded.compose}); each target (keyed by its
      {!fault_label}) keeps its active faults in activation order and the
      effective value is recomputed from that list on every change, so
      apply/revert sequences are deterministic and leave no
@@ -214,23 +199,20 @@ let realize plan engine ~rng ~nodes ~media ~duration =
     let key = fault_label ev.fault in
     let faults = change (Option.value (Hashtbl.find_opt active key) ~default:[]) in
     Hashtbl.replace active key faults;
-    let fold f init = List.fold_left f init faults in
+    let m = Lognic.Degraded.compose faults in
     match ev.fault with
     | Engine_down { vertex; _ } ->
       let node = node_of vertex in
-      let engines = function Engine_down { engines; _ } -> engines | _ -> 0 in
       Ip_node.set_offline node
-        (min (Ip_node.engines node) (fold (fun acc f -> acc + engines f) 0))
+        (min (Ip_node.engines node)
+           (Option.value (List.assoc_opt vertex m.engines_down) ~default:0))
     | Medium_degraded { medium; _ } ->
-      let factor = function Medium_degraded { factor; _ } -> factor | _ -> 1. in
-      Medium.set_scale (medium_of medium) (fold (fun acc f -> acc *. factor f) 1.)
+      Medium.set_scale (medium_of medium)
+        (Option.value (List.assoc_opt medium m.media_factors) ~default:1.)
     | Queue_shrunk { vertex; _ } ->
-      let cap = function Queue_shrunk { capacity; _ } -> capacity | _ -> max_int in
       Ip_node.set_capacity_override (node_of vertex)
-        (if faults = [] then None else Some (fold (fun acc f -> min acc (cap f)) max_int))
-    | Drop_burst _ ->
-      let survive = function Drop_burst { probability } -> 1. -. probability | _ -> 1. in
-      rt.burst_p <- 1. -. fold (fun acc f -> acc *. survive f) 1.
+        (List.assoc_opt vertex m.queue_caps)
+    | Drop_burst _ -> rt.burst_p <- m.ingress_drop
   in
   let apply ev () = update ev (fun faults -> faults @ [ ev.fault ]) in
   let revert ev () = update ev (remove_first ev.fault) in

@@ -19,26 +19,21 @@
     hands each to {!Lognic.Degraded.evaluate} — the basis of the
     [lognic faults] model-vs-sim join. *)
 
-type fault =
+type fault = Lognic.Degraded.fault =
   | Engine_down of { vertex : string; engines : int }
-      (** [engines] of the vertex's D engines are down; ≥ D means the
-          vertex is fully failed *)
   | Medium_degraded of { medium : string; factor : float }
-      (** "interface", "memory", or "link-SRC-DST" runs at
-          [factor · bandwidth], factor ∈ (0, 1] *)
   | Queue_shrunk of { vertex : string; capacity : int }
-      (** the vertex's queue capacity is capped at
-          [min capacity N] *)
   | Drop_burst of { probability : float }
-      (** each offered packet is shed at ingress with this probability *)
+(** The model's faults ({!Lognic.Degraded.fault}), re-exported. *)
 
 type event = { start : float; stop : float; fault : fault }
 (** The fault is active on [\[start, stop)]. *)
 
 type plan = event list
 (** Events need not be sorted and may overlap; overlapping faults
-    compose (offline engines add, bandwidth factors multiply, capacities
-    min-combine, burst survival probabilities multiply). *)
+    compose by {!Lognic.Degraded.compose} in the simulator and the
+    model alike (offline engines add, bandwidth factors multiply,
+    capacities min-combine, burst survival probabilities multiply). *)
 
 val empty : plan
 val is_empty : plan -> bool
@@ -78,8 +73,9 @@ val intervals : duration:float -> plan -> (float * float * event list) list
 
 val modifiers :
   duration:float -> plan -> (float * float * Lognic.Degraded.modifier) list
-(** {!intervals} lowered for {!Lognic.Degraded.evaluate}: active faults
-    of each interval folded into one composed modifier. *)
+(** {!intervals} lowered for {!Lognic.Degraded.evaluate}: the active
+    faults of each interval composed into one modifier
+    ({!Lognic.Degraded.compose}). *)
 
 val pp : Format.formatter -> plan -> unit
 

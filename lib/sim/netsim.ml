@@ -253,12 +253,14 @@ let execute_with ?engine:reused (spec : Run.t) =
   let p_vertex, p_edge = reach_probabilities g in
   let prob_vertex id = Option.value (Hashtbl.find_opt p_vertex id) ~default:0. in
   let prob_edge e = Option.value (Hashtbl.find_opt p_edge e) ~default:0. in
+  let medium_name = Lognic.Params.medium_name in
   let interface =
-    Medium.create engine ~label:"interface"
+    Medium.create engine ~label:(medium_name Interface)
       ~bandwidth:hw.Lognic.Params.bw_interface ()
   in
   let memory =
-    Medium.create engine ~label:"memory" ~bandwidth:hw.Lognic.Params.bw_memory ()
+    Medium.create engine ~label:(medium_name Memory)
+      ~bandwidth:hw.Lognic.Params.bw_memory ()
   in
   let links = Hashtbl.create 8 in
   List.iter
@@ -267,7 +269,7 @@ let execute_with ?engine:reused (spec : Run.t) =
       | Some bw ->
         Hashtbl.replace links (e.src, e.dst)
           (Medium.create engine
-             ~label:(Printf.sprintf "link-%d-%d" e.src e.dst)
+             ~label:(medium_name (Link (e.src, e.dst)))
              ~bandwidth:bw ())
       | None -> ())
     (G.edges g);
@@ -385,8 +387,8 @@ let execute_with ?engine:reused (spec : Run.t) =
       d_name = Telemetry.drop_site_name site;
     }
   in
-  let interface_drop = dropper (Telemetry.Medium_buffer "interface") in
-  let memory_drop = dropper (Telemetry.Medium_buffer "memory") in
+  let interface_drop = dropper (Telemetry.Medium_buffer (medium_name Interface)) in
+  let memory_drop = dropper (Telemetry.Medium_buffer (medium_name Memory)) in
   let burst_drop = dropper Telemetry.Fault_burst in
   let edge_list = G.edges g in
   let edge_index = Hashtbl.create 16 in

@@ -32,6 +32,32 @@ let contains_substring haystack needle =
   let rec scan i = i + n <= h && (String.sub haystack i n = needle || scan (i + 1)) in
   n = 0 || scan 0
 
+(* The suites' shared model: in (25 Gbps) -> ip -> out (25 Gbps) on
+   50/60 Gbps interface/memory hardware. Both edges carry the whole load
+   and [alpha] of it over the interface; only the ip's input edge moves
+   [beta] of its bytes over memory. The ip's unset knobs keep
+   [Graph.service]'s defaults. *)
+let hw =
+  Lognic.Params.hardware
+    ~bw_interface:(50. *. Lognic.Units.gbps)
+    ~bw_memory:(60. *. Lognic.Units.gbps)
+
+let pipeline ?parallelism ?(queue = 32) ?(ip_rate = 4. *. Lognic.Units.gbps)
+    ?overhead ?(alpha = 1.) ?(beta = 0.) () =
+  let module G = Lognic.Graph in
+  let port = G.service ~throughput:(25. *. Lognic.Units.gbps) () in
+  let g, i = G.add_vertex ~kind:G.Ingress ~label:"in" ~service:port G.empty in
+  let g, w =
+    G.add_vertex ~kind:G.Ip ~label:"ip"
+      ~service:
+        (G.service ~throughput:ip_rate ?parallelism ~queue_capacity:queue
+           ?overhead ())
+      g
+  in
+  let g, e = G.add_vertex ~kind:G.Egress ~label:"out" ~service:port g in
+  let g = G.add_edge ~delta:1. ~alpha ~beta ~src:i ~dst:w g in
+  G.add_edge ~delta:1. ~alpha ~src:w ~dst:e g
+
 let prop name ?(count = 200) arbitrary predicate =
   QCheck_alcotest.to_alcotest ~speed_level:`Quick
     (QCheck.Test.make ~name ~count arbitrary predicate)

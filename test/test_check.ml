@@ -69,7 +69,7 @@ let mini_suite_passes () =
         Alcotest.failf "property %s failed: %s" o.name
           (Option.value ~default:"" o.message))
     outcomes;
-  Alcotest.(check int) "every property ran" 27 (List.length outcomes)
+  Alcotest.(check int) "every property ran" 24 (List.length outcomes)
 
 let suite =
   [

@@ -12,25 +12,9 @@ module G = Lognic.Graph
 module U = Lognic.Units
 module T = Lognic.Traffic
 
-(* The validation pipeline: in (25G) -> ip (4G, 4 engines, N=64) ->
-   out (25G), every edge crossing the interface; with [beta] the ip's
-   input edge also moves that share of its bytes over memory. *)
-let pipeline ?(beta = 0.) () =
-  let svc t = G.service ~throughput:t () in
-  let g = G.empty in
-  let g, i = G.add_vertex ~kind:G.Ingress ~label:"in" ~service:(svc (25. *. U.gbps)) g in
-  let g, w =
-    G.add_vertex ~kind:G.Ip ~label:"ip"
-      ~service:
-        (G.service ~throughput:(4. *. U.gbps) ~parallelism:4 ~queue_capacity:64 ())
-      g
-  in
-  let g, e = G.add_vertex ~kind:G.Egress ~label:"out" ~service:(svc (25. *. U.gbps)) g in
-  let g = G.add_edge ~delta:1. ~alpha:1. ~beta ~src:i ~dst:w g in
-  let g = G.add_edge ~delta:1. ~alpha:1. ~src:w ~dst:e g in
-  g
-
-let hw = Lognic.Params.hardware ~bw_interface:(50. *. U.gbps) ~bw_memory:(60. *. U.gbps)
+(* The shared pipeline with a 4-engine, N = 64 ip, so engine faults
+   leave engines running. *)
+let pipeline = pipeline ~parallelism:4 ~queue:64
 let traffic = T.make ~rate:(2. *. U.gbps) ~packet_size:1500.
 let mix = [ (traffic, 1.) ]
 let config = S.Netsim.Config.(default |> with_horizon 0.02)
@@ -108,16 +92,11 @@ let modifiers_compose () =
   in
   match F.modifiers ~duration:1. plan with
   | [ (_, _, m) ] ->
-    (* duplicate targets stay as separate entries and fold at apply
-       time (engines sum, factors multiply) — assert the fold *)
-    Alcotest.(check int) "engines sum" 3
-      (List.fold_left
-         (fun acc (v, n) -> if v = "ip" then acc + n else acc)
-         0 m.D.engines_down);
-    check_close "factors multiply" 0.25
-      (List.fold_left
-         (fun acc (l, f) -> if l = "interface" then acc *. f else acc)
-         1. m.D.media_factors);
+    (* duplicate targets compose into one entry each *)
+    Alcotest.(check (list (pair string int))) "engines sum" [ ("ip", 3) ]
+      m.D.engines_down;
+    Alcotest.(check (list (pair string (float 1e-12)))) "factors multiply"
+      [ ("interface", 0.25) ] m.D.media_factors;
     check_close "burst survival multiplies" 0.75 m.D.ingress_drop;
     Alcotest.(check bool) "degraded" true (degraded_interval (pipeline ()) m).D.degraded
   | _ -> Alcotest.fail "expected a single interval"
@@ -131,7 +110,7 @@ let apply_modifier_scales () =
   let ip = match G.find_vertex g ~label:"ip" with Some v -> v.G.id | None -> assert false in
   let with_ip f = G.update_service g ip f in
   (* two of four engines down: the binding vertex halves *)
-  let r = degraded_interval g { D.no_modifier with D.engines_down = [ ("ip", 2) ] } in
+  let r = degraded_interval g (D.compose [ D.Engine_down { vertex = "ip"; engines = 2 } ]) in
   Alcotest.(check bool) "no full failure" true (r.D.carried > 0.);
   check_close "capacity halves" (2. *. U.gbps) r.D.capacity;
   check_close "parallelism shrinks"
@@ -139,14 +118,14 @@ let apply_modifier_scales () =
        (with_ip (fun s -> { s with G.throughput = s.G.throughput *. 0.5; parallelism = 2 })))
     r.D.latency;
   (* all engines down: reported as fully failed *)
-  let r = degraded_interval g { D.no_modifier with D.engines_down = [ ("ip", 4) ] } in
+  let r = degraded_interval g (D.compose [ D.Engine_down { vertex = "ip"; engines = 4 } ]) in
   Alcotest.(check bool) "full failure reported" true
     (r.D.bottleneck = Lognic.Throughput.Vertex_bound ip
     && r.D.carried = 0. && r.D.latency = infinity);
   (* interface factor scales the hardware; on a graph that also uses
      memory, both media's terms enter the latency *)
   let gm = pipeline ~beta:1. () in
-  let r = degraded_interval gm { D.no_modifier with D.media_factors = [ ("interface", 0.5) ] } in
+  let r = degraded_interval gm (D.compose [ D.Medium_degraded { medium = "interface"; factor = 0.5 } ]) in
   let half_interface = { hw with Lognic.Params.bw_interface = hw.Lognic.Params.bw_interface *. 0.5 } in
   check_close "interface halves" (model_latency gm ~hw:half_interface) r.D.latency;
   Alcotest.(check bool) "interface term moved" true (r.D.latency <> model_latency gm ~hw);
@@ -155,19 +134,19 @@ let apply_modifier_scales () =
     <> model_latency gm
          ~hw:{ half_interface with Lognic.Params.bw_memory = hw.Lognic.Params.bw_memory *. 0.5 });
   (* queue caps min-combine with the vertex's own N *)
-  let r = degraded_interval g { D.no_modifier with D.queue_caps = [ ("ip", 8) ] } in
+  let r = degraded_interval g (D.compose [ D.Queue_shrunk { vertex = "ip"; capacity = 8 } ]) in
   check_close "queue capped"
     (model_latency ~hw (with_ip (fun s -> { s with G.queue_capacity = 8 })))
     r.D.latency;
   (* unknown labels are ignored *)
-  let r = degraded_interval g { D.no_modifier with D.engines_down = [ ("nope", 1) ] } in
+  let r = degraded_interval g (D.compose [ D.Engine_down { vertex = "nope"; engines = 1 } ]) in
   Alcotest.(check bool) "unknown label is a no-op" true
     (r.D.capacity = nominal && r.D.latency = model_latency g ~hw)
 
 let evaluate_nominal_identity () =
   let g = pipeline () in
   let r =
-    D.evaluate g ~hw ~traffic ~intervals:[ (0., 1., D.no_modifier) ]
+    D.evaluate g ~hw ~traffic ~intervals:[ (0., 1., D.compose []) ]
   in
   check_close "degraded = nominal throughput" r.D.nominal_throughput
     r.D.degraded_throughput;

@@ -225,26 +225,8 @@ let histogram_slo_target () =
 (* ------------------------------------------------------------------ *)
 (* Netsim integration: zero perturbation, snapshot cadence.           *)
 
-let pipeline () =
-  let svc t = G.service ~throughput:t () in
-  let g = G.empty in
-  let g, i =
-    G.add_vertex ~kind:G.Ingress ~label:"in" ~service:(svc (25. *. U.gbps)) g
-  in
-  let g, w =
-    G.add_vertex ~kind:G.Ip ~label:"ip"
-      ~service:(G.service ~throughput:(4. *. U.gbps) ~queue_capacity:16 ())
-      g
-  in
-  let g, e =
-    G.add_vertex ~kind:G.Egress ~label:"out" ~service:(svc (25. *. U.gbps)) g
-  in
-  let g = G.add_edge ~delta:1. ~alpha:1. ~src:i ~dst:w g in
-  G.add_edge ~delta:1. ~alpha:1. ~src:w ~dst:e g
-
-let hw =
-  Lognic.Params.hardware ~bw_interface:(50. *. U.gbps)
-    ~bw_memory:(60. *. U.gbps)
+(* The shared pipeline with a 16-entry ip queue. *)
+let pipeline = pipeline ~queue:16
 
 let traffic = T.make ~rate:(3. *. U.gbps) ~packet_size:1500.
 
@@ -375,23 +357,6 @@ let metrics_bit_identical () =
   Alcotest.(check int) "class rows sum to the run's row"
     s.S.Telemetry.delivered_packets
     (List.fold_left (fun acc (_, n, _) -> acc + n) 0 s.S.Telemetry.per_class)
-
-(* Metrics compose with the parallel driver: replication stats stay
-   bit-identical at any jobs count with a registry attached. *)
-let metrics_jobs_invariant () =
-  let config =
-    S.Netsim.Config.with_metrics
-      { M.default_config with interval = 2e-4 }
-      base_config
-  in
-  let spec = S.Netsim.Run.single ~config (pipeline ()) ~hw ~traffic in
-  let run jobs = S.Netsim.execute_replicated ~jobs ~runs:3 spec in
-  let a = run 1 and b = run 4 in
-  Alcotest.(check bool)
-    "replicated stats bit-identical at any jobs count" true
-    (a.S.Netsim.throughput_mean = b.S.Netsim.throughput_mean
-    && a.S.Netsim.latency_mean = b.S.Netsim.latency_mean
-    && a.S.Netsim.loss_mean = b.S.Netsim.loss_mean)
 
 (* ------------------------------------------------------------------ *)
 (* Exports.                                                           *)
@@ -700,7 +665,6 @@ let suite =
     quick "alerts: rising rule" rising_rule_fires;
     quick "alerts: histogram p99 target" histogram_slo_target;
     slow "netsim: metrics on/off bit-identical" metrics_bit_identical;
-    slow "netsim: jobs-invariant with metrics attached" metrics_jobs_invariant;
     slow "export: streaming serializer round-trips"
       streaming_serializer_round_trip;
     quick "export: openmetrics exposition" openmetrics_export;

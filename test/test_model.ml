@@ -244,6 +244,14 @@ let latency_transfer_media () =
     ((1000. *. 0.5 /. (8. *. U.gbps)) +. (1000. *. 0.25 /. (16. *. U.gbps)))
     (Lognic.Latency.edge_transfer_time g ~hw ~traffic e)
 
+(* The normalized δ-branching path weights, as a latency evaluation
+   reports them. *)
+let path_weights g =
+  List.map
+    (fun (r : Lognic.Latency.path_report) -> (r.path, r.weight))
+    (Lognic.Latency.evaluate g ~hw ~traffic:(T.make ~rate:1e8 ~packet_size:1000.))
+      .per_path
+
 let latency_path_weights () =
   let g = G.empty in
   let g, i = G.add_vertex ~kind:G.Ingress ~label:"in" ~service:(svc (10. *. U.gbps)) g in
@@ -254,7 +262,7 @@ let latency_path_weights () =
   let g = G.add_edge ~delta:0.25 ~src:i ~dst:y g in
   let g = G.add_edge ~delta:0.75 ~src:x ~dst:e g in
   let g = G.add_edge ~delta:0.25 ~src:y ~dst:e g in
-  let weights = Lognic.Latency.path_weights g in
+  let weights = path_weights g in
   Alcotest.(check int) "two paths" 2 (List.length weights);
   List.iter
     (fun (path, weight) ->
@@ -407,7 +415,7 @@ let properties =
         let g = G.add_edge ~delta:d2 ~src:i ~dst:y g in
         let g = G.add_edge ~delta:d1 ~src:x ~dst:e g in
         let g = G.add_edge ~delta:d2 ~src:y ~dst:e g in
-        let weights = List.map snd (Lognic.Latency.path_weights g) in
+        let weights = List.map snd (path_weights g) in
         abs_float (List.fold_left ( +. ) 0. weights -. 1.) < 1e-9
         && List.for_all (fun w -> w >= 0.) weights);
   ]

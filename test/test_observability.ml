@@ -1,7 +1,8 @@
 (* Tests for the observability layer: packet-lifecycle tracing
-   (reservoir sampling, span exactness, Chrome export, the
-   zero-perturbation guarantee), the model-vs-sim explain engine, and
-   optimizer search telemetry. *)
+   (reservoir sampling, span exactness, Chrome export), the model-vs-sim
+   explain engine, and optimizer search telemetry. Tracing's
+   zero-perturbation and --jobs guarantees are rows of [lognic check]'s
+   layer table. *)
 
 open Helpers
 module S = Lognic_sim
@@ -9,24 +10,9 @@ module G = Lognic.Graph
 module U = Lognic.Units
 module T = Lognic.Traffic
 
-let hw = Lognic.Params.hardware ~bw_interface:(50. *. U.gbps) ~bw_memory:(60. *. U.gbps)
-
-(* in -> ip -> out with a per-vertex overhead, so traces exercise all
-   four span phases (queue, service, wire, overhead). *)
-let pipeline ?(queue = 32) ?(ip_rate = 4. *. U.gbps) ?(alpha = 1.) () =
-  let svc t = G.service ~throughput:t () in
-  let g = G.empty in
-  let g, i = G.add_vertex ~kind:G.Ingress ~label:"in" ~service:(svc (25. *. U.gbps)) g in
-  let g, w =
-    G.add_vertex ~kind:G.Ip ~label:"ip"
-      ~service:
-        (G.service ~throughput:ip_rate ~queue_capacity:queue ~overhead:1e-7 ())
-      g
-  in
-  let g, e = G.add_vertex ~kind:G.Egress ~label:"out" ~service:(svc (25. *. U.gbps)) g in
-  let g = G.add_edge ~delta:1. ~alpha ~src:i ~dst:w g in
-  let g = G.add_edge ~delta:1. ~alpha ~src:w ~dst:e g in
-  g
+(* The shared pipeline with a per-vertex overhead on the ip, so traces
+   exercise all four span phases (queue, service, wire, overhead). *)
+let pipeline = pipeline ~overhead:1e-7
 
 let untraced_config = S.Netsim.Config.(default |> with_horizon 0.02)
 
@@ -91,32 +77,6 @@ let reservoir_deterministic () =
   Alcotest.(check bool)
     "different seed, different reservoir" true
     (ids (run ()) <> ids other)
-
-(* The zero-perturbation guarantee: enabling tracing must not change a
-   single measured bit — the measurement JSON is byte-identical. *)
-let disabled_trace_bit_identical () =
-  let dump config =
-    S.Telemetry.Json.to_string
-      (S.Netsim.measurement_to_json
-         (S.Netsim.run_single ~config (pipeline ()) ~hw ~traffic))
-  in
-  Alcotest.(check string)
-    "measurement JSON identical with tracing on/off" (dump untraced_config)
-    (dump traced_config)
-
-(* Tracing composes with the parallel driver: --jobs N replication is
-   bit-identical to sequential even with the trace recorder attached. *)
-let traced_jobs_invariant () =
-  let spec =
-    S.Netsim.Run.single ~config:traced_config (pipeline ()) ~hw ~traffic
-  in
-  let run jobs = S.Netsim.execute_replicated ~jobs ~runs:3 spec in
-  let a = run 1 and b = run 4 in
-  Alcotest.(check bool)
-    "replicated stats bit-identical at any jobs count" true
-    (a.S.Netsim.throughput_mean = b.S.Netsim.throughput_mean
-    && a.S.Netsim.latency_mean = b.S.Netsim.latency_mean
-    && a.S.Netsim.loss_mean = b.S.Netsim.loss_mean)
 
 let chrome_json_roundtrip () =
   let m = S.Netsim.run_single ~config:traced_config (pipeline ()) ~hw ~traffic in
@@ -356,8 +316,6 @@ let suite =
   [
     slow "trace: spans sum to latency" spans_sum_to_latency;
     slow "trace: reservoir deterministic" reservoir_deterministic;
-    slow "trace: disabled path bit-identical" disabled_trace_bit_identical;
-    slow "trace: jobs-invariant under parallel driver" traced_jobs_invariant;
     slow "trace: chrome JSON round-trips" chrome_json_roundtrip;
     slow "explain: agrees on vertex-bound graph" explain_agrees_when_vertex_bound;
     slow "explain: agrees on interface-bound graph"

@@ -77,21 +77,6 @@ let nested_map_completes () =
 (* Netsim.execute_replicated on the domain pool is bit-identical to its
    sequential run (jobs:1) at any job count: same seeds, same fold. *)
 
-let pipeline () =
-  let svc t = G.service ~throughput:t () in
-  let g = G.empty in
-  let g, i = G.add_vertex ~kind:G.Ingress ~label:"in" ~service:(svc (25. *. U.gbps)) g in
-  let g, w =
-    G.add_vertex ~kind:G.Ip ~label:"ip"
-      ~service:(G.service ~throughput:(4. *. U.gbps) ~queue_capacity:32 ())
-      g
-  in
-  let g, e = G.add_vertex ~kind:G.Egress ~label:"out" ~service:(svc (25. *. U.gbps)) g in
-  let g = G.add_edge ~delta:1. ~alpha:1. ~src:i ~dst:w g in
-  let g = G.add_edge ~delta:1. ~alpha:1. ~src:w ~dst:e g in
-  g
-
-let hw = Lognic.Params.hardware ~bw_interface:(50. *. U.gbps) ~bw_memory:(60. *. U.gbps)
 
 let replicated_bit_identical () =
   let g = pipeline () in

@@ -26,13 +26,13 @@ let mm1n_paper_worked_example () =
      Q = L/lambda_e - 1/mu = 1/3 x (1/mu). Checked by hand against the
      paper's Eq 9-12 with mu = 1, lambda = 0.5. *)
   let q = Q.Mm1n.create ~lambda:0.5 ~mu:1. ~capacity:2 in
-  let probs = Q.Mm1n.state_probabilities q in
+  let probs = (Q.Mm1n.solve q).probs in
   check_close ~tol:1e-12 "Pro_0" (4. /. 7.) probs.(0);
   check_close ~tol:1e-12 "Pro_1" (2. /. 7.) probs.(1);
   check_close ~tol:1e-12 "Pro_2" (1. /. 7.) probs.(2);
   check_close ~tol:1e-12 "blocking" (1. /. 7.) probs.(2);
   check_close ~tol:1e-12 "L" (4. /. 7.) (probs.(1) +. (2. *. probs.(2)));
-  check_close ~tol:1e-9 "Q (Eq 9)" (1. /. 3.) (Q.Mm1n.mean_waiting_time q)
+  check_close ~tol:1e-9 "Q (Eq 9)" (1. /. 3.) (Q.Mm1n.solve q).waiting
 
 let mm1n_closed_form_agrees () =
   (* The paper's algebraic Eq 12 must equal the first-principles
@@ -44,7 +44,7 @@ let mm1n_closed_form_agrees () =
           let q = Q.Mm1n.create ~lambda:rho ~mu:1. ~capacity in
           check_close ~tol:1e-9
             (Printf.sprintf "Eq12 at rho=%g N=%d" rho capacity)
-            (Q.Mm1n.mean_waiting_time q)
+            (Q.Mm1n.solve q).waiting
             (Q.Mm1n.waiting_time_closed_form q))
         [ 1; 2; 5; 8; 32; 128 ])
     [ 0.05; 0.3; 0.7; 0.95; 1.2; 3. ]
@@ -53,16 +53,16 @@ let mm1n_rho_one_limit () =
   (* At rho = 1 the distribution is uniform; closed form uses the
      (N-1)/2 limit. *)
   let q = Q.Mm1n.create ~lambda:2. ~mu:2. ~capacity:4 in
-  check_close ~tol:1e-9 "uniform states" 0.2 (Q.Mm1n.state_probabilities q).(3);
+  check_close ~tol:1e-9 "uniform states" 0.2 (Q.Mm1n.solve q).probs.(3);
   check_close ~tol:1e-6 "closed form at rho=1"
-    (Q.Mm1n.mean_waiting_time q)
+    (Q.Mm1n.solve q).waiting
     (Q.Mm1n.waiting_time_closed_form q)
 
 let mm1n_state_vector () =
   (* The probability vector is the truncated geometric Pro_k ~ rho^k,
      sums to one, and indexes 0..N. *)
   let q = Q.Mm1n.create ~lambda:0.8 ~mu:1. ~capacity:6 in
-  let probs = Q.Mm1n.state_probabilities q in
+  let probs = (Q.Mm1n.solve q).probs in
   Alcotest.(check int) "N+1 states" 7 (Array.length probs);
   Array.iteri
     (fun n p ->
@@ -78,13 +78,16 @@ let mm1n_far_overload_finite () =
      from the top state down, so it stays finite and the admitted
      fraction 1 - Pro_N is 1/rho to first order. At rho = 1e20 Pro_N
      rounds to 1; the mass below the top state is still 1/rho. Either
-     way every admitted request waits behind a full queue: W ~ N/mu. *)
+     way every admitted request waits behind a full queue: W ~ N/mu.
+     Both solves read that admitted fraction, so at rho = 1e20 an
+     M/M/c/N queue's W is N/(c mu) too (c = 1 and 2), and the
+     accepted-arrival sojourn moments stay finite. *)
   let capacity = 64 in
   List.iter
     (fun rho ->
       let name what = Printf.sprintf "%s at rho = %g" what rho in
       let q = Q.Mm1n.create ~lambda:rho ~mu:1. ~capacity in
-      let probs = Q.Mm1n.state_probabilities q in
+      let probs = (Q.Mm1n.solve q).probs in
       Alcotest.(check bool) (name "finite") true (Array.for_all Float.is_finite probs);
       check_close ~tol:1e-12 (name "sums to one") 1. (Array.fold_left ( +. ) 0. probs);
       let below_top = Array.fold_left ( +. ) 0. (Array.sub probs 0 capacity) in
@@ -93,8 +96,27 @@ let mm1n_far_overload_finite () =
         check_close ~tol:1e-5 (name "blocking ~ 1 - 1/rho") 1.
           ((1. -. probs.(capacity)) *. rho);
       check_close ~tol:1e-5 (name "W ~ N/mu") (float_of_int capacity)
-        (Q.Mm1n.mean_time_in_system q))
-    [ 1e10; 1e20 ]
+        (Q.Mm1n.solve q).time_in_system)
+    [ 1e10; 1e20 ];
+  let rho = 1e20 in
+  let full name servers (s : Q.Mm1n.solution) =
+    let name what = Printf.sprintf "%s %s (c = %d)" name what servers in
+    let n_over_cmu = float_of_int capacity /. float_of_int servers in
+    check_close ~tol:1e-9 (name "W = N/(c mu)") n_over_cmu s.time_in_system;
+    let mean, var = s.sojourn in
+    Alcotest.(check bool) (name "finite moments") true
+      (Float.is_finite mean && Float.is_finite var);
+    check_close ~tol:1e-9 (name "sojourn mean = W") n_over_cmu mean
+  in
+  full "mm1n" 1 (Q.Mm1n.solve (Q.Mm1n.create ~lambda:rho ~mu:1. ~capacity));
+  List.iter
+    (fun servers ->
+      full "mmcn" servers
+        (Q.Mmcn.solve
+           (Q.Mmcn.create
+              ~lambda:(rho *. float_of_int servers)
+              ~mu:1. ~servers ~capacity)))
+    [ 1; 2 ]
 
 let mm1n_closed_form_continuous_near_rho_one () =
   (* The geometric-series Eq 12 degenerates as rho -> 1 (0/0); the
@@ -125,19 +147,19 @@ let mm1n_converges_to_mm1 () =
   let infinite = Q.Mm1.create ~lambda ~mu in
   check_within ~pct:0.01 "Wq converges"
     (Q.Mm1.mean_waiting_time infinite)
-    (Q.Mm1n.mean_waiting_time finite);
+    (Q.Mm1n.solve finite).waiting;
   Alcotest.(check bool)
     "blocking vanishes" true
-    ((Q.Mm1n.state_probabilities finite).(500) < 1e-9)
+    ((Q.Mm1n.solve finite).probs.(500) < 1e-9)
 
 let mm1n_overload_carries_capacity () =
   (* Far beyond saturation the queue ships ~mu. *)
   let q = Q.Mm1n.create ~lambda:100. ~mu:1. ~capacity:16 in
-  let blocking = (Q.Mm1n.state_probabilities q).(16) in
+  let blocking = (Q.Mm1n.solve q).probs.(16) in
   check_within ~pct:2. "carried rate ~ mu" 1. (100. *. (1. -. blocking))
 
 let mm1n_blocking_decreases_with_capacity () =
-  let blocking n = (Q.Mm1n.state_probabilities (Q.Mm1n.create ~lambda:0.9 ~mu:1. ~capacity:n)).(n) in
+  let blocking n = (Q.Mm1n.solve (Q.Mm1n.create ~lambda:0.9 ~mu:1. ~capacity:n)).blocking in
   let rec check n =
     if n <= 8 then begin
       Alcotest.(check bool)
@@ -156,10 +178,10 @@ let mmcn_reduces_to_mm1n () =
     (fun rho ->
       let a = Q.Mmcn.create ~lambda:rho ~mu:1. ~servers:1 ~capacity:8 in
       let b = Q.Mm1n.create ~lambda:rho ~mu:1. ~capacity:8 in
-      check_close ~tol:1e-9 "blocking" (Q.Mm1n.state_probabilities b).(8)
-        (Q.Mmcn.blocking_probability a);
-      check_close ~tol:1e-9 "waiting" (Q.Mm1n.mean_waiting_time b)
-        (Q.Mmcn.mean_waiting_time a))
+      check_close ~tol:1e-9 "blocking" (Q.Mm1n.solve b).probs.(8)
+        (Q.Mmcn.solve a).blocking;
+      check_close ~tol:1e-9 "waiting" (Q.Mm1n.solve b).waiting
+        (Q.Mmcn.solve a).waiting)
     [ 0.2; 0.9; 1.5 ]
 
 let mmcn_multi_server_waits_less () =
@@ -169,17 +191,17 @@ let mmcn_multi_server_waits_less () =
   check_close "same rho" (Q.Mmcn.utilization single) (Q.Mmcn.utilization multi);
   Alcotest.(check bool)
     "multi-server waits less" true
-    (Q.Mmcn.mean_waiting_time multi < 0.5 *. Q.Mmcn.mean_waiting_time single)
+    ((Q.Mmcn.solve multi).waiting < 0.5 *. (Q.Mmcn.solve single).waiting)
 
 let mmcn_probabilities_normalize () =
   let q = Q.Mmcn.create ~lambda:5. ~mu:1. ~servers:4 ~capacity:32 in
-  let total = Array.fold_left ( +. ) 0. (Q.Mmcn.state_probabilities q) in
+  let total = Array.fold_left ( +. ) 0. (Q.Mmcn.solve q).probs in
   check_close ~tol:1e-12 "sums to one" 1. total
 
 let mmcn_extreme_load_stable () =
   (* The normalized-weights computation must not overflow. *)
   let q = Q.Mmcn.create ~lambda:1e6 ~mu:1. ~servers:2 ~capacity:256 in
-  let p = Q.Mmcn.blocking_probability q in
+  let p = (Q.Mmcn.solve q).blocking in
   Alcotest.(check bool) "finite" true (Float.is_finite p);
   Alcotest.(check bool) "nearly always blocked" true (p > 0.99)
 
@@ -241,19 +263,19 @@ let properties =
       QCheck.(pair (float_range 0.01 5.) (int_range 1 64))
       (fun (rho, capacity) ->
         let q = Q.Mm1n.create ~lambda:rho ~mu:1. ~capacity in
-        let w = Q.Mm1n.mean_waiting_time q in
+        let w = (Q.Mm1n.solve q).waiting in
         Float.is_finite w && w >= 0.);
     prop "mm1n closed form matches first principles"
       QCheck.(pair (float_range 0.01 3.) (int_range 1 64))
       (fun (rho, capacity) ->
         let q = Q.Mm1n.create ~lambda:rho ~mu:1. ~capacity in
-        abs_float (Q.Mm1n.mean_waiting_time q -. Q.Mm1n.waiting_time_closed_form q)
-        < 1e-6 *. Float.max 1. (Q.Mm1n.mean_waiting_time q));
+        abs_float ((Q.Mm1n.solve q).waiting -. Q.Mm1n.waiting_time_closed_form q)
+        < 1e-6 *. Float.max 1. (Q.Mm1n.solve q).waiting);
     prop "mm1n blocking grows with load"
       QCheck.(triple (float_range 0.05 2.) (float_range 0.05 1.) (int_range 1 32))
       (fun (rho, bump, capacity) ->
         let blocking lambda =
-          (Q.Mm1n.state_probabilities (Q.Mm1n.create ~lambda ~mu:1. ~capacity)).(capacity)
+          (Q.Mm1n.solve (Q.Mm1n.create ~lambda ~mu:1. ~capacity)).blocking
         in
         let p1 = blocking rho and p2 = blocking (rho +. bump) in
         p2 >= p1 -. 1e-12);
@@ -262,7 +284,7 @@ let properties =
       (fun (lambda, servers, extra) ->
         let capacity = servers + extra in
         let q = Q.Mmcn.create ~lambda ~mu:1. ~servers ~capacity in
-        let carried = lambda *. (1. -. Q.Mmcn.blocking_probability q) in
+        let carried = lambda *. (1. -. (Q.Mmcn.solve q).blocking) in
         carried <= lambda +. 1e-9
         && carried <= (float_of_int servers *. 1.) +. 1e-9);
   ]

@@ -360,8 +360,9 @@ let ip_node_matches_mm1n () =
   S.Engine.run ~until:horizon e;
   let measured_drop = float_of_int (S.Ip_node.drops n) /. float_of_int !offered in
   let predicted =
-    (Lognic_queueing.Mm1n.state_probabilities
-       (Lognic_queueing.Mm1n.create ~lambda ~mu ~capacity:4)).(4)
+    (Lognic_queueing.Mm1n.solve
+       (Lognic_queueing.Mm1n.create ~lambda ~mu ~capacity:4))
+      .blocking
   in
   check_within ~pct:5. "blocking matches closed form" predicted measured_drop
 
@@ -656,21 +657,6 @@ let summary_json_roundtrip () =
 
 (* Netsim: end-to-end *)
 
-let hw = Lognic.Params.hardware ~bw_interface:(50. *. U.gbps) ~bw_memory:(60. *. U.gbps)
-
-let pipeline ?(queue = 32) ?(ip_rate = 4. *. U.gbps) () =
-  let svc t = G.service ~throughput:t () in
-  let g = G.empty in
-  let g, i = G.add_vertex ~kind:G.Ingress ~label:"in" ~service:(svc (25. *. U.gbps)) g in
-  let g, w =
-    G.add_vertex ~kind:G.Ip ~label:"ip"
-      ~service:(G.service ~throughput:ip_rate ~queue_capacity:queue ())
-      g
-  in
-  let g, e = G.add_vertex ~kind:G.Egress ~label:"out" ~service:(svc (25. *. U.gbps)) g in
-  let g = G.add_edge ~delta:1. ~alpha:1. ~src:i ~dst:w g in
-  let g = G.add_edge ~delta:1. ~alpha:1. ~src:w ~dst:e g in
-  g
 
 let netsim_conservation () =
   let g = pipeline () in

@@ -78,38 +78,29 @@ let gamma_of_moments () =
 
 (* Tail model *)
 
-let hw = Lognic.Params.hardware ~bw_interface:(50. *. U.gbps) ~bw_memory:(60. *. U.gbps)
+(* The shared pipeline with no interface traffic: the ip queue is the
+   only random term. *)
+let chain = pipeline ~alpha:0.
 
-let chain ?(queue = 32) ?(rate = 4. *. U.gbps) () =
-  let svc t = G.service ~throughput:t () in
-  let g = G.empty in
-  let g, i = G.add_vertex ~kind:G.Ingress ~label:"in" ~service:(svc (25. *. U.gbps)) g in
-  let g, w =
-    G.add_vertex ~kind:G.Ip ~label:"ip"
-      ~service:(G.service ~throughput:rate ~queue_capacity:queue ())
-      g
-  in
-  let g, e = G.add_vertex ~kind:G.Egress ~label:"out" ~service:(svc (25. *. U.gbps)) g in
-  let g = G.add_edge ~delta:1. ~src:i ~dst:w g in
-  let g = G.add_edge ~delta:1. ~src:w ~dst:e g in
-  g
+(* The tail read off [g]'s latency evaluation under [model]. *)
+let tail ?model g ~traffic =
+  Lognic.Tail.evaluate g ~hw ~traffic (Lognic.Latency.evaluate ?model g ~hw ~traffic)
 
 let tail_mean_agrees_with_latency () =
   let g = chain () in
   List.iter
     (fun load ->
       let traffic = T.make ~rate:(load *. 4. *. U.gbps) ~packet_size:1500. in
-      let tail = Lognic.Tail.evaluate g ~hw ~traffic in
       let latency = Lognic.Latency.evaluate g ~hw ~traffic in
       check_within ~pct:0.5 "tail mean = latency mean"
         latency.Lognic.Latency.mean
-        (Lognic.Tail.overall tail).q_mean)
+        (Lognic.Tail.overall (Lognic.Tail.evaluate g ~hw ~traffic latency)).q_mean)
     [ 0.3; 0.7; 0.95 ]
 
 let tail_quantiles_ordered () =
   let g = chain () in
   let traffic = T.make ~rate:(3. *. U.gbps) ~packet_size:1500. in
-  let q = Lognic.Tail.overall (Lognic.Tail.evaluate g ~hw ~traffic) in
+  let q = Lognic.Tail.overall (tail g ~traffic) in
   Alcotest.(check bool) "p50 < mean < p99" true (q.p50 < q.q_mean && q.q_mean < q.p99);
   Alcotest.(check bool) "p50 < p90 < p99" true (q.p50 < q.p90 && q.p90 < q.p99)
 
@@ -118,7 +109,7 @@ let tail_matches_simulator () =
   List.iter
     (fun load ->
       let traffic = T.make ~rate:(load *. 4. *. U.gbps) ~packet_size:1500. in
-      let tail = Lognic.Tail.overall (Lognic.Tail.evaluate g ~hw ~traffic) in
+      let tail = Lognic.Tail.overall (tail g ~traffic) in
       let m =
         S.Netsim.run_single
           ~config:S.Netsim.Config.(default |> with_horizon 0.5)
@@ -140,10 +131,10 @@ let tail_mmcn_below_mm1n () =
   in
   let traffic = T.make ~rate:(3.4 *. U.gbps) ~packet_size:1500. in
   let mm1n =
-    Lognic.Tail.overall (Lognic.Tail.evaluate ~model:Lognic.Latency.Mm1n_model g ~hw ~traffic)
+    Lognic.Tail.overall (tail ~model:Lognic.Latency.Mm1n_model g ~traffic)
   in
   let mmcn =
-    Lognic.Tail.overall (Lognic.Tail.evaluate ~model:Lognic.Latency.Mmcn_model g ~hw ~traffic)
+    Lognic.Tail.overall (tail ~model:Lognic.Latency.Mmcn_model g ~traffic)
   in
   Alcotest.(check bool) "multi-server tail lighter" true (mmcn.p99 < mm1n.p99)
 
@@ -160,7 +151,7 @@ let tail_multipath_mixture () =
   let g = G.add_edge ~delta:0.9 ~src:fast ~dst:e g in
   let g = G.add_edge ~delta:0.1 ~src:slow ~dst:e g in
   let traffic = T.make ~rate:(2. *. U.gbps) ~packet_size:1500. in
-  let r = Lognic.Tail.evaluate g ~hw ~traffic in
+  let r = tail g ~traffic in
   let paths = Lognic.Tail.per_path r in
   Alcotest.(check int) "two paths" 2 (List.length paths);
   let slow_path =
@@ -184,7 +175,7 @@ let tail_multipath_mixture () =
 (* Bursty arrivals *)
 
 let bursty_preserves_mean_rate () =
-  let g = chain ~rate:(20. *. U.gbps) () in
+  let g = chain ~ip_rate:(20. *. U.gbps) () in
   let traffic = T.make ~rate:(2. *. U.gbps) ~packet_size:1500. in
   let m =
     S.Netsim.run_single
@@ -321,7 +312,7 @@ let hol_model_is_class_blind () =
 (* New optimizer knobs *)
 
 let optimizer_accel_knob () =
-  let g = chain ~rate:(2. *. U.gbps) () in
+  let g = chain ~ip_rate:(2. *. U.gbps) () in
   let traffic = T.make ~rate:(5. *. U.gbps) ~packet_size:1500. in
   let s =
     Lognic.Optimizer.optimize g ~hw ~traffic
@@ -363,7 +354,7 @@ let properties =
       (fun load ->
         let g = chain () in
         let traffic = T.make ~rate:(load *. 4. *. U.gbps) ~packet_size:1500. in
-        let q = Lognic.Tail.overall (Lognic.Tail.evaluate g ~hw ~traffic) in
+        let q = Lognic.Tail.overall (tail g ~traffic) in
         q.p99 >= q.q_mean -. 1e-12);
   ]
 
