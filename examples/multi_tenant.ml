@@ -106,8 +106,8 @@ let run_vfs title ~noisy =
     (fun (r : Sim.Explain.tenant_row) ->
       Fmt.pr "  %-7s w=%d share=%.3f  sim %.2f Gbps (model %.2f)%s@."
         r.Sim.Explain.tn_name r.Sim.Explain.tn_weight r.Sim.Explain.tn_share
-        (U.to_gbps r.Sim.Explain.tn_sim_throughput)
-        (U.to_gbps r.Sim.Explain.tn_model_throughput)
+        (U.to_gbps (Option.get r.Sim.Explain.tn_throughput.sim))
+        (U.to_gbps r.Sim.Explain.tn_throughput.model)
         (match r.Sim.Explain.tn_slo_ok with
         | Some true -> "  [SLO ok]"
         | Some false -> "  [SLO MISS]"

@@ -99,9 +99,7 @@ let steering_eval ~offered ~packet_size x =
   in
   let traffic = T.make ~rate:offered ~packet_size in
   let report = Lognic.Estimate.run g ~hw:P.hardware ~traffic in
-  ( report.latency.Lognic.Latency.mean,
-    Float.min report.latency.Lognic.Latency.carried_rate
-      report.throughput.Lognic.Throughput.attained )
+  (report.latency.Lognic.Latency.mean, Lognic.Estimate.goodput report)
 
 (* LogNIC-suggested X (golden-section search on the model's mean
    latency over X ∈ (0, 80)). *)
@@ -146,10 +144,7 @@ let fig18_19_parallelism ?jobs ~split () =
       {
         degree;
         p_latency = report.latency.Lognic.Latency.mean;
-        p_throughput =
-          Float.min
-            report.latency.Lognic.Latency.carried_rate
-            report.throughput.Lognic.Throughput.attained;
+        p_throughput = Lognic.Estimate.goodput report;
       })
     (List.init 8 Fun.id)
 

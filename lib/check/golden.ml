@@ -225,6 +225,17 @@ let explain ~config g ~hw ~mix () =
   Sim.Telemetry.Json.to_string
     (Sim.Explain.to_json (Sim.Explain.run ~config g ~hw ~mix))
 
+(* Pinned faults join: the md5-faults run (seed 9) joined per fault
+   interval against {!Lognic.Degraded}, captured as the versioned
+   [kind:"faults"] report JSON. One fixture pins the interval
+   aggregation, the per-interval model/sim rows and the recovery
+   summary. *)
+let faults_md5 () =
+  Sim.Telemetry.Json.to_string
+    (Sim.Resilience.to_json
+       (Sim.Resilience.run ~config:(config ~seed:9 ()) (md5_graph ())
+          ~hw:D.Liquidio.hardware ~traffic:md5_traffic ~plan:md5_faults_plan))
+
 let table () =
   List.map
     (fun (name, run) -> (name, name, ".json", fun () -> measurement_string run))
@@ -248,4 +259,5 @@ let table () =
         "md5-faults",
         ".json",
         fun () -> measurement_string (md5_faults_all_layers ()) );
+      ("faults-md5", "faults-md5", ".json", faults_md5);
     ]

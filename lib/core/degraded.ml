@@ -148,18 +148,26 @@ let evaluate ?queue_model g ~hw ~(traffic : Traffic.t) ~intervals =
     List.map
       (fun (d_start, d_stop, m) ->
         let g', hw', failed = apply_modifier g ~hw m in
-        match failed with
-        | Some vid ->
+        let carries_nothing ~capacity bottleneck =
           {
             d_start;
             d_stop;
             degraded = true;
-            capacity = 0.;
+            capacity;
             carried = 0.;
             latency = infinity;
-            bottleneck = Throughput.Vertex_bound vid;
+            bottleneck;
             slo_ok = false;
           }
+        in
+        match failed with
+        | Some vid -> carries_nothing ~capacity:0. (Throughput.Vertex_bound vid)
+        | None when m.ingress_drop >= 1. ->
+          (* every offered packet is shed at ingress: the device keeps
+             its ceiling, and nothing reaches it *)
+          carries_nothing
+            ~capacity:(Throughput.evaluate g' ~hw:hw' ~traffic).Throughput.capacity
+            Throughput.Offered_load
         | None ->
           let traffic' =
             { traffic with Traffic.rate = traffic.rate *. (1. -. m.ingress_drop) }

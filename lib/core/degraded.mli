@@ -71,10 +71,10 @@ type interval_report = {
   capacity : float;  (** P′_attainable: the device ceiling under D′/B′ *)
   carried : float;
       (** min(capacity, (1 − p)·BW_in) — the model's goodput for the
-          interval; 0 when a vertex is fully failed *)
+          interval; 0 when a vertex is fully failed or p = 1 *)
   latency : float;
-      (** T′_attainable under the modifier ([infinity] when fully
-          failed) *)
+      (** T′_attainable under the modifier ([infinity] when the
+          interval carries nothing) *)
   bottleneck : Throughput.bound;
   slo_ok : bool;
       (** interval meets the SLO (see {!slo_throughput_fraction}) *)

@@ -11,6 +11,9 @@ let run ?queue_model g ~hw ~traffic =
     traffic;
   }
 
+let goodput r =
+  Float.min r.throughput.Throughput.attained r.latency.Latency.carried_rate
+
 let run_mix ?queue_model ?contention g ~hw ~mix =
   Extensions.mixed_traffic ?queue_model ?contention ~hw
     ~graph_for:(fun _ -> g)

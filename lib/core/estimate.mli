@@ -15,6 +15,11 @@ val run :
   traffic:Traffic.t ->
   report
 
+val goodput : report -> float
+(** The model's goodput: Eq 1's attainable rate further discounted by
+    finite-queue blocking ({!Latency.result.carried_rate}), so a
+    configuration cannot carry traffic its queues drop. *)
+
 val run_mix :
   ?queue_model:Latency.queue_model ->
   ?contention:Extensions.contention ->

@@ -69,15 +69,10 @@ let apply_traffic traffic assignment =
    realistic latency (seconds) or negated throughput (-bytes/s). *)
 let constraint_penalty = 1e15
 
-(* Goals are judged on the carried rate: the Eq 4 ceiling further
-   discounted by finite-queue blocking, so a configuration cannot "meet"
-   a throughput bound by dropping packets. *)
-let carried (report : Estimate.report) =
-  Float.min report.throughput.Throughput.attained
-    report.latency.Latency.carried_rate
-
+(* Goals are judged on the model's goodput ({!Estimate.goodput}), so a
+   configuration cannot "meet" a throughput bound by dropping packets. *)
 let score objective (report : Estimate.report) =
-  let attained = carried report in
+  let attained = Estimate.goodput report in
   let latency = report.latency.Latency.mean in
   match objective with
   | Maximize_throughput -> -.attained
@@ -92,7 +87,8 @@ let score objective (report : Estimate.report) =
 let feasible objective (report : Estimate.report) =
   match objective with
   | Maximize_throughput | Minimize_latency -> true
-  | Minimize_latency_min_throughput bound -> carried report >= bound *. (1. -. 1e-6)
+  | Minimize_latency_min_throughput bound ->
+    Estimate.goodput report >= bound *. (1. -. 1e-6)
   | Maximize_throughput_max_latency bound ->
     report.latency.Latency.mean <= bound *. (1. +. 1e-6)
 
@@ -188,7 +184,7 @@ let assignment_of_discrete axes idx =
    they produce the same graph and traffic. Nelder–Mead and
    golden-section refinement revisit configurations exactly (clamped
    boundary points, the final re-evaluation of the winning simplex
-   vertex, duplicate discrete candidates), and each hit skips a full
+   vertex), and each hit skips a full
    [Throughput.evaluate]/[Latency.evaluate] pass. *)
 let memo_key assignment =
   let rank = function
@@ -240,41 +236,12 @@ let optimize ?queue_model ?jobs ?observer g ~hw ~traffic ~knobs objective =
   let rng = N.Rng.create ~seed:42 in
   let slices, dim = continuous_layout knobs g in
   let axes = discrete_axes knobs in
-  (* The memo is shared by every candidate of this search (including
-     across domains when the discrete grid is evaluated in parallel —
-     hence the mutex); hit/evaluation counts surface in the solution's
-     [stats]. *)
-  let memo = N.Lru.create ~capacity:4096 in
-  let memo_mutex = Mutex.create () in
-  let evaluations = Atomic.make 0 and memo_hits = Atomic.make 0 in
-  let observe ~sequence ~candidate ~score ~cache_hit =
-    match observer with
-    | None -> ()
-    | Some f -> f { sequence; candidate; score; cache_hit }
-  in
-  let evaluate assignment =
-    let sequence = Atomic.fetch_and_add evaluations 1 in
-    let key = memo_key assignment in
-    match Mutex.protect memo_mutex (fun () -> N.Lru.find_opt memo key) with
-    | Some ((s, _, _) as result) ->
-      Atomic.incr memo_hits;
-      observe ~sequence ~candidate:assignment ~score:s ~cache_hit:true;
-      result
-    | None ->
-      let g' = apply_assignment g assignment in
-      let traffic' = apply_traffic traffic assignment in
-      let report = Estimate.run ?queue_model g' ~hw ~traffic:traffic' in
-      let result = (score objective report, g', report) in
-      Mutex.protect memo_mutex (fun () -> N.Lru.add memo key result);
-      let s, _, _ = result in
-      observe ~sequence ~candidate:assignment ~score:s ~cache_hit:false;
-      result
-  in
-  (* For one discrete choice, settle the continuous knobs (if any).
-     [mrng] is that grid point's pre-split multi-start rng — split in
-     enumeration order by the caller so parallel evaluation draws the
-     exact sequence the sequential walk did. *)
-  let solve_continuous mrng discrete_assignment =
+  (* For one discrete choice, settle the continuous knobs (if any)
+     through [evaluate]. [mrng] is that grid point's pre-split
+     multi-start rng — split in enumeration order by the caller so
+     parallel evaluation draws the exact sequence the sequential walk
+     did. *)
+  let solve_continuous evaluate mrng discrete_assignment =
     if dim = 0 then
       let s, g', report = evaluate discrete_assignment in
       (s, discrete_assignment, g', report)
@@ -319,16 +286,57 @@ let optimize ?queue_model ?jobs ?observer g ~hw ~traffic ~knobs objective =
       (s, assignment, g', report)
     end
   in
+  (* One grid point, with its own memo: its hits are the continuous
+     search's revisits and do not depend on which domain ran it or on
+     what ran beside it. Returns the point's result, its evaluation
+     and memo-hit counts, and, for an observer, its (candidate, score,
+     cache hit) log in evaluation order. *)
+  let solve_point mrng discrete_assignment =
+    let memo = N.Lru.create ~capacity:4096 in
+    let evaluations = ref 0 and hits = ref 0 and log = ref [] in
+    let evaluate assignment =
+      incr evaluations;
+      let key = memo_key assignment in
+      let ((s, _, _) as result), cache_hit =
+        match N.Lru.find_opt memo key with
+        | Some result ->
+          incr hits;
+          (result, true)
+        | None ->
+          let g' = apply_assignment g assignment in
+          let traffic' = apply_traffic traffic assignment in
+          let report = Estimate.run ?queue_model g' ~hw ~traffic:traffic' in
+          let result = (score objective report, g', report) in
+          N.Lru.add memo key result;
+          (result, false)
+      in
+      if Option.is_some observer then log := (assignment, s, cache_hit) :: !log;
+      result
+    in
+    let result = solve_continuous evaluate mrng discrete_assignment in
+    (result, !evaluations, !hits, List.rev !log)
+  in
   let split_for_point () = if dim = 0 then None else Some (N.Rng.split rng) in
-  let best = ref None in
-  let consider candidate =
+  (* Points are folded in grid order in the calling domain: the
+     observer sees, and numbers, every evaluation in that order. *)
+  let best = ref None and evaluations = ref 0 and memo_hits = ref 0 in
+  let consider (candidate, n, hits, log) =
+    Option.iter
+      (fun f ->
+        List.iteri
+          (fun i (candidate, score, cache_hit) ->
+            f { sequence = !evaluations + i; candidate; score; cache_hit })
+          log)
+      observer;
+    evaluations := !evaluations + n;
+    memo_hits := !memo_hits + hits;
     match !best with
     | None -> best := Some candidate
     | Some (s, _, _, _) ->
       let s', _, _, _ = candidate in
       if s' < s then best := Some candidate
   in
-  (if axes = [] then consider (solve_continuous (split_for_point ()) [])
+  (if axes = [] then consider (solve_point (split_for_point ()) [])
    else begin
      (* Exhaustive grid over the discrete axes, evaluated [jobs]-wide:
         grid points are enumerated in odometer order (chunked so huge
@@ -370,8 +378,7 @@ let optimize ?queue_model ?jobs ?observer g ~hw ~traffic ~knobs objective =
        done;
        List.iter consider
          (N.Parallel.map ?jobs
-            (fun (idx, mrng) ->
-              solve_continuous mrng (assignment_of_discrete axes idx))
+            (fun (idx, mrng) -> solve_point mrng (assignment_of_discrete axes idx))
             (List.rev !chunk))
      done
    end);
@@ -383,11 +390,7 @@ let optimize ?queue_model ?jobs ?observer g ~hw ~traffic ~knobs objective =
       assignment;
       report;
       feasible = feasible objective report;
-      stats =
-        {
-          evaluations = Atomic.get evaluations;
-          memo_hits = Atomic.get memo_hits;
-        };
+      stats = { evaluations = !evaluations; memo_hits = !memo_hits };
     }
 
 let pareto ?queue_model ?jobs ?observer ?(points = 8) g ~hw ~traffic ~knobs =

@@ -47,8 +47,8 @@ type assignment =
 type search_stats = {
   evaluations : int;  (** model evaluations requested by the search *)
   memo_hits : int;
-      (** of those, served from the LRU memo of canonicalized knob
-          assignments instead of re-running
+      (** of those, served from the grid point's LRU memo of
+          canonicalized knob assignments instead of re-running
           [Throughput.evaluate]/[Latency.evaluate] *)
 }
 
@@ -62,10 +62,8 @@ type solution = {
 
 type observation = {
   sequence : int;
-      (** 0-based evaluation index (the value of the [evaluations]
-          counter when this candidate was requested); dense but not
-          necessarily delivered in order under parallel grid
-          evaluation *)
+      (** 0-based evaluation index: grid points in enumeration order,
+          each point's evaluations in the order it made them *)
   candidate : assignment list;  (** the knob assignment evaluated *)
   score : float;  (** objective value (lower is better, as searched) *)
   cache_hit : bool;  (** served from the memo, no model run *)
@@ -90,13 +88,15 @@ val optimize :
     every job count (grid points are independent, folded in enumeration
     order, and the multi-start rngs are pre-split in that same order).
 
+    Each grid point keeps its own memo, so [stats] is identical at
+    every job count too.
+
     [observer] fires once per candidate evaluation — memo hits
     included — with the candidate, its objective score, its cache-hit
     status, and a dense sequence index; {!Lognic_sim.Search_log} folds
-    these into a convergence log. Under parallel grid evaluation the
-    observer is called concurrently from worker domains: it must be
-    thread-safe, and observation order is not the sequence order. The
-    observer never influences the search result. *)
+    these into a convergence log. It is called from the calling
+    domain, in sequence order, as each chunk of grid points is folded.
+    The observer never influences the search result. *)
 
 val pareto :
   ?queue_model:Latency.queue_model ->

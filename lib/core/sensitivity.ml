@@ -26,11 +26,7 @@ let scaled_inputs parameter factor g (hw : Params.hardware) (traffic : Traffic.t
 
 let outputs ?queue_model g ~hw ~traffic =
   let report = Estimate.run ?queue_model g ~hw ~traffic in
-  let carried =
-    Float.min report.throughput.Throughput.attained
-      report.latency.Latency.carried_rate
-  in
-  (carried, report.latency.Latency.mean)
+  (Estimate.goodput report, report.latency.Latency.mean)
 
 (* Relative step of the central differences. *)
 let step = 0.02

@@ -28,7 +28,11 @@ let path_shape g ~hw ~traffic ~sojourn path =
     | [] -> (mean, var, shift)
   in
   let mean, var, shift = walk 0. 0. 0. path in
-  { shift; gamma = N.Gamma.of_moments ~mean ~variance:var; random_mean = mean }
+  (* an infinite mean fits no gamma: every quantile is infinite *)
+  let gamma =
+    if Float.is_finite mean then N.Gamma.of_moments ~mean ~variance:var else None
+  in
+  { shift; gamma; random_mean = mean }
 
 let shape_cdf shape x =
   if x < shape.shift then 0.

@@ -34,7 +34,8 @@ type solution = {
 (* Past rho ~ 1e16 Pro_N rounds to 1, so the admitted fraction is then
    read as the mass below the top state instead of 1 - Pro_N. An
    accepted arrival finds k requests with q_k = Pro_k / admitted (PASTA
-   conditioned on acceptance). *)
+   conditioned on acceptance). When even that mass underflows to 0, W is
+   infinite, and so is an accepted arrival's sojourn. *)
 let solution ~lambda ~mu probs ~moments =
   let capacity = Array.length probs - 1 in
   let admitted =
@@ -50,7 +51,7 @@ let solution ~lambda ~mu probs ~moments =
     time_in_system;
     waiting = Float.max 0. (time_in_system -. (1. /. mu));
     sojourn =
-      (if admitted <= 0. then (0., 0.) else moments ~admitted);
+      (if admitted <= 0. then (infinity, 0.) else moments ~admitted);
   }
 
 let solve t =

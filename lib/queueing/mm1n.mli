@@ -34,7 +34,8 @@ type solution = {
   sojourn : float * float;
       (** an accepted arrival's sojourn (mean, variance), from the
           state it finds on arrival (PASTA conditioned on
-          acceptance) *)
+          acceptance); an infinite mean when W is infinite (no mass
+          below the top state is representable) *)
 }
 
 val solution :

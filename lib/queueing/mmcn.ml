@@ -10,13 +10,17 @@ let utilization t = t.lambda /. (float_of_int t.servers *. t.mu)
 
 (* Birth-death chain: service rate at state k is min(k, c)·mu. The
    unnormalized weights are built multiplicatively in log-free form with
-   running normalization to stay finite for any load. *)
+   running normalization to stay finite for any load. When one step's
+   ratio λ/(min(k, c)·μ) overflows anyway, the same chain is normalized
+   from the top state down, as {!Mm1n.state_probabilities} does: the
+   weight of state k − 1 is state k's over that ratio. *)
 let state_probabilities t =
-  let raw = Array.make (t.capacity + 1) 0. in
+  let n = t.capacity in
+  let service_rate k = float_of_int (min k t.servers) *. t.mu in
+  let raw = Array.make (n + 1) 0. in
   raw.(0) <- 1.;
-  for k = 1 to t.capacity do
-    let service_rate = float_of_int (min k t.servers) *. t.mu in
-    raw.(k) <- raw.(k - 1) *. t.lambda /. service_rate;
+  for k = 1 to n do
+    raw.(k) <- raw.(k - 1) *. t.lambda /. service_rate k;
     (* Rescale on overflow risk; relative weights are all that matter. *)
     if raw.(k) > 1e250 then
       for j = 0 to k do
@@ -24,7 +28,15 @@ let state_probabilities t =
       done
   done;
   let total = Array.fold_left ( +. ) 0. raw in
-  Array.map (fun p -> p /. total) raw
+  if Float.is_finite total then Array.map (fun p -> p /. total) raw
+  else begin
+    raw.(n) <- 1.;
+    for k = n downto 1 do
+      raw.(k - 1) <- raw.(k) /. (t.lambda /. service_rate k)
+    done;
+    let total = Array.fold_left ( +. ) 0. raw in
+    Array.map (fun p -> p /. total) raw
+  end
 
 let solve t =
   let mu = t.mu and servers = t.servers and probs = state_probabilities t in

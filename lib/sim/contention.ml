@@ -88,18 +88,15 @@ let run ?config ?queue_model ?contention g ~hw ~mix =
 let to_json t =
   let b = t.base in
   let assoc_json l = J.Obj (List.map (fun (k, v) -> (k, J.Num v)) l) in
-  let class_json i (row : Explain.class_row) (info : class_info) =
-    match Explain.class_row_to_json i row with
-    | J.Obj fields ->
-      J.Obj
-        (fields
-        @ [
-            ("slowdown", J.Num info.slowdown);
-            ("pressure", assoc_json info.pressure);
-            ("resource_caps", assoc_json info.resource_caps);
-            ("model_p99", J.Num info.model_p99);
-          ])
-    | other -> other
+  let class_json i row info =
+    J.Obj
+      (Explain.class_row_fields i row
+      @ [
+          ("slowdown", J.Num info.slowdown);
+          ("pressure", assoc_json info.pressure);
+          ("resource_caps", assoc_json info.resource_caps);
+          ("model_p99", J.Num info.model_p99);
+        ])
   in
   Explain.head_json ~kind:"contention" b
     [

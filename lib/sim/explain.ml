@@ -13,24 +13,15 @@ type entity_row = {
   drops : int;
 }
 
-type join = {
-  model_throughput : float;
-  sim_throughput : float;
-  throughput_error : float;
-  model_latency : float;
-  sim_latency : float;
-  latency_error : float;
-}
+type pair = { model : float; sim : float option; error : float option }
+
+type join = { throughput : pair; latency : pair }
 
 type class_row = {
   c_traffic : Lognic.Traffic.t;
   c_weight : float;
-  c_model_throughput : float;
-  c_sim_throughput : float;
-  c_throughput_error : float;
-  c_model_latency : float;
-  c_sim_latency : float option;
-  c_latency_error : float option;
+  c_throughput : pair;
+  c_latency : pair;
   c_model_bottleneck : string;
 }
 
@@ -61,39 +52,54 @@ let relative_error ~model ~sim =
   else if scale <= 0. then 0.
   else Float.abs (model -. sim) /. scale
 
+let pair ~model ~sim =
+  { model; sim; error = Option.map (fun sim -> relative_error ~model ~sim) sim }
+
+(* A row that delivered no packet has no sim latency. *)
+let if_delivered delivered x = if delivered > 0 then Some x else None
+
+let opt_float = function None -> J.Null | Some x -> J.Num x
+
+let pair_fields name (p : pair) =
+  [
+    ("model_" ^ name, J.Num p.model);
+    ("sim_" ^ name, opt_float p.sim);
+    (name ^ "_error", opt_float p.error);
+  ]
+
+let cell fmt = function None -> "-" | Some x -> Printf.sprintf fmt x
+
+let error_cell fmt (p : pair) = cell fmt (Option.map (fun e -> 100. *. e) p.error)
+
 let join ~throughput ~latency (m : Netsim.measurement) =
-  let sim_throughput = m.Netsim.summary.Telemetry.throughput in
-  let sim_latency = m.Netsim.summary.Telemetry.mean_latency in
+  let s = m.Netsim.summary in
   {
-    model_throughput = throughput;
-    sim_throughput;
-    throughput_error = relative_error ~model:throughput ~sim:sim_throughput;
-    model_latency = latency;
-    sim_latency;
-    latency_error = relative_error ~model:latency ~sim:sim_latency;
+    throughput = pair ~model:throughput ~sim:(Some s.Telemetry.throughput);
+    latency = pair ~model:latency ~sim:(Some s.Telemetry.mean_latency);
   }
 
 (* The two aggregate lines, ["  throughput  model … sim … error …"]
    and ["  latency     model … sim … error …"]. *)
 let pp_join ppf j =
-  let pct x = 100. *. x in
-  Format.fprintf ppf
-    "  throughput  model %.4g B/s   sim %.4g B/s   error %.1f%%@\n"
-    j.model_throughput j.sim_throughput (pct j.throughput_error);
-  Format.fprintf ppf
-    "  latency     model %.4g s     sim %.4g s     error %.1f%%@\n"
-    j.model_latency j.sim_latency (pct j.latency_error)
+  let line name unit (p : pair) =
+    Format.fprintf ppf "  %-11s model %.4g %-3s   sim %s %-3s   error %s@\n" name
+      p.model unit (cell "%.4g" p.sim) unit
+      (error_cell "%.1f%%" p)
+  in
+  line "throughput" "B/s" j.throughput;
+  line "latency" "s" j.latency
 
 (* The join's JSON fields: the model side's [throughput] and
    [latency], the sim side's, and [throughput_error] /
    [latency_error]. Each report places the first two in its own
    [model] and [sim] objects, next to its own fields. *)
 let join_json j =
-  ( [ ("throughput", J.Num j.model_throughput); ("latency", J.Num j.model_latency) ],
-    [ ("throughput", J.Num j.sim_throughput); ("latency", J.Num j.sim_latency) ],
+  let side f = [ ("throughput", f j.throughput); ("latency", f j.latency) ] in
+  ( side (fun (p : pair) -> J.Num p.model),
+    side (fun p -> opt_float p.sim),
     [
-      ("throughput_error", J.Num j.throughput_error);
-      ("latency_error", J.Num j.latency_error);
+      ("throughput_error", opt_float j.throughput.error);
+      ("latency_error", opt_float j.latency.error);
     ] )
 
 (* Mean of a gauge's sampled history ("ENTITY.NAME"); [None] when the
@@ -211,25 +217,17 @@ let run ?config ?queue_model ?contention g ~hw ~mix =
           | Some (_, d, m) -> (d, m)
           | None -> (0, 0.)
         in
-        let c_sim_throughput =
+        let sim_throughput =
           if window > 0. then
             float_of_int delivered *. cls.packet_size /. window
           else 0.
         in
-        let c_sim_latency = if delivered > 0 then Some sim_mean else None in
         {
           c_traffic = cls;
           c_weight = w;
-          c_model_throughput = tp.attained;
-          c_sim_throughput;
-          c_throughput_error =
-            relative_error ~model:tp.attained ~sim:c_sim_throughput;
-          c_model_latency = lat.mean;
-          c_sim_latency;
-          c_latency_error =
-            Option.map
-              (fun sim -> relative_error ~model:lat.mean ~sim)
-              c_sim_latency;
+          c_throughput = pair ~model:tp.attained ~sim:(Some sim_throughput);
+          c_latency =
+            pair ~model:lat.mean ~sim:(if_delivered delivered sim_mean);
           c_model_bottleneck = bound_name g tp.bottleneck;
         })
       classes
@@ -295,8 +293,6 @@ let run ?config ?queue_model ?contention g ~hw ~mix =
     agree = String.equal model_bottleneck sim_bottleneck;
   }
 
-let opt_float = function None -> J.Null | Some x -> J.Num x
-
 let row_to_json rank r =
   J.Obj
     [
@@ -312,21 +308,16 @@ let row_to_json rank r =
       ("drops", J.Num (float_of_int r.drops));
     ]
 
-let class_row_to_json i r =
-  J.Obj
-    [
-      ("class", J.Num (float_of_int i));
-      ("rate", J.Num r.c_traffic.Lognic.Traffic.rate);
-      ("packet_size", J.Num r.c_traffic.Lognic.Traffic.packet_size);
-      ("weight", J.Num r.c_weight);
-      ("model_throughput", J.Num r.c_model_throughput);
-      ("sim_throughput", J.Num r.c_sim_throughput);
-      ("throughput_error", J.Num r.c_throughput_error);
-      ("model_latency", J.Num r.c_model_latency);
-      ("sim_latency", opt_float r.c_sim_latency);
-      ("latency_error", opt_float r.c_latency_error);
-      ("model_bottleneck", J.Str r.c_model_bottleneck);
-    ]
+let class_row_fields i r =
+  [
+    ("class", J.Num (float_of_int i));
+    ("rate", J.Num r.c_traffic.Lognic.Traffic.rate);
+    ("packet_size", J.Num r.c_traffic.Lognic.Traffic.packet_size);
+    ("weight", J.Num r.c_weight);
+  ]
+  @ pair_fields "throughput" r.c_throughput
+  @ pair_fields "latency" r.c_latency
+  @ [ ("model_bottleneck", J.Str r.c_model_bottleneck) ]
 
 let head_json ~kind t fields =
   let model, sim, errors = join_json t.join in
@@ -345,12 +336,15 @@ let multi_class t = List.compare_length_with t.class_rows 2 >= 0
 let to_json t =
   head_json ~kind:"explain" t
     ((if multi_class t then
-        [ ("classes", J.Arr (List.mapi class_row_to_json t.class_rows)) ]
+        [
+          ( "classes",
+            J.Arr (List.mapi (fun i r -> J.Obj (class_row_fields i r)) t.class_rows)
+          );
+        ]
       else [])
     @ [ ("entities", J.Arr (List.mapi (fun i r -> row_to_json (i + 1) r) t.rows)) ])
 
 let pp ppf t =
-  let pct x = 100. *. x in
   Format.fprintf ppf "explain: model vs simulation%s@\n"
     (if multi_class t then
        Printf.sprintf " (%d-class mix)" (List.length t.class_rows)
@@ -365,16 +359,13 @@ let pp ppf t =
       "l-err";
     List.iteri
       (fun i r ->
-        let opt = function None -> "-" | Some x -> Printf.sprintf "%.4g" x in
-        let opt_pct = function
-          | None -> "-"
-          | Some x -> Printf.sprintf "%.1f%%" (pct x)
-        in
         Format.fprintf ppf
-          "  %-5d %9.0f %7.3f %12.4g %12.4g %7.1f%% %12.4g %12s %8s@\n" i
-          r.c_traffic.Lognic.Traffic.packet_size r.c_weight
-          r.c_model_throughput r.c_sim_throughput (pct r.c_throughput_error)
-          r.c_model_latency (opt r.c_sim_latency) (opt_pct r.c_latency_error))
+          "  %-5d %9.0f %7.3f %12.4g %12s %8s %12.4g %12s %8s@\n" i
+          r.c_traffic.Lognic.Traffic.packet_size r.c_weight r.c_throughput.model
+          (cell "%.4g" r.c_throughput.sim)
+          (error_cell "%.1f%%" r.c_throughput)
+          r.c_latency.model (cell "%.4g" r.c_latency.sim)
+          (error_cell "%.1f%%" r.c_latency))
       t.class_rows
   end;
   Format.fprintf ppf
@@ -382,10 +373,11 @@ let pp ppf t =
     "sim-u" "residual" "modelQ(pkt)" "simQ" "drops";
   List.iteri
     (fun i r ->
-      let opt = function None -> "-" | Some x -> Printf.sprintf "%.3g" x in
       Format.fprintf ppf "  %-4d %-16s %9.3f %9.3f %+9.3f %11s %9s %6d@\n"
         (i + 1) r.name r.model_utilization r.sim_utilization r.residual
-        (opt r.model_queue_depth) (opt r.sim_queue_depth) r.drops)
+        (cell "%.3g" r.model_queue_depth)
+        (cell "%.3g" r.sim_queue_depth)
+        r.drops)
     t.rows
 
 (* ---- tenants -------------------------------------------------------- *)
@@ -394,12 +386,8 @@ type tenant_row = {
   tn_name : string;
   tn_weight : int;
   tn_share : float;
-  tn_model_throughput : float;
-  tn_sim_throughput : float;
-  tn_throughput_error : float;
-  tn_model_latency : float;
-  tn_sim_latency : float option;
-  tn_latency_error : float option;
+  tn_throughput : pair;
+  tn_latency : pair;
   tn_model_blocking : float option;
   tn_slo_p99 : float option;
   tn_slo_ok : bool option;
@@ -500,25 +488,15 @@ let run_tenants ?config ?queue_model g ~hw ~traffic ~tenants =
              | Some a -> a.(i)
              | None -> (shares.(i) *. attained, agg_latency, None)
            in
-           let sim_latency =
-             if r.Tenant.r_delivered > 0 then Some r.Tenant.r_mean_latency
-             else None
-           in
            {
              tn_name = r.Tenant.r_name;
              tn_weight = r.Tenant.r_weight;
              tn_share = r.Tenant.r_share;
-             tn_model_throughput = model_throughput;
-             tn_sim_throughput = r.Tenant.r_throughput;
-             tn_throughput_error =
-               relative_error ~model:model_throughput
-                 ~sim:r.Tenant.r_throughput;
-             tn_model_latency = model_latency;
-             tn_sim_latency = sim_latency;
-             tn_latency_error =
-               Option.map
-                 (fun sim -> relative_error ~model:model_latency ~sim)
-                 sim_latency;
+             tn_throughput =
+               pair ~model:model_throughput ~sim:(Some r.Tenant.r_throughput);
+             tn_latency =
+               pair ~model:model_latency
+                 ~sim:(if_delivered r.Tenant.r_delivered r.Tenant.r_mean_latency);
              tn_model_blocking = model_blocking;
              tn_slo_p99 = r.Tenant.r_slo_p99;
              tn_slo_ok = r.Tenant.r_slo_ok;
@@ -538,20 +516,18 @@ let opt_bool = function None -> J.Null | Some b -> J.Bool b
 
 let tenant_row_to_json r =
   J.Obj
-    [
-      ("name", J.Str r.tn_name);
-      ("weight", J.Num (float_of_int r.tn_weight));
-      ("share", J.Num r.tn_share);
-      ("model_throughput", J.Num r.tn_model_throughput);
-      ("sim_throughput", J.Num r.tn_sim_throughput);
-      ("throughput_error", J.Num r.tn_throughput_error);
-      ("model_latency", J.Num r.tn_model_latency);
-      ("sim_latency", opt_float r.tn_sim_latency);
-      ("latency_error", opt_float r.tn_latency_error);
-      ("model_blocking", opt_float r.tn_model_blocking);
-      ("slo_p99", opt_float r.tn_slo_p99);
-      ("slo_ok", opt_bool r.tn_slo_ok);
-    ]
+    ([
+       ("name", J.Str r.tn_name);
+       ("weight", J.Num (float_of_int r.tn_weight));
+       ("share", J.Num r.tn_share);
+     ]
+    @ pair_fields "throughput" r.tn_throughput
+    @ pair_fields "latency" r.tn_latency
+    @ [
+        ("model_blocking", opt_float r.tn_model_blocking);
+        ("slo_p99", opt_float r.tn_slo_p99);
+        ("slo_ok", opt_bool r.tn_slo_ok);
+      ])
 
 let tenants_to_json t =
   let model, sim, errors = join_json t.tr_join in
@@ -573,7 +549,6 @@ let tenants_to_json t =
       ])
 
 let pp_tenants ppf t =
-  let pct x = 100. *. x in
   let fairness = t.tr_stats.Tenant.t_fairness in
   Format.fprintf ppf "tenants: model vs simulation (%d tenants)@\n"
     (List.length t.tr_rows);
@@ -590,11 +565,6 @@ let pp_tenants ppf t =
     "sim-lat" "l-err" "slo";
   List.iter
     (fun r ->
-      let opt = function None -> "-" | Some x -> Printf.sprintf "%.3g" x in
-      let opt_pct = function
-        | None -> "-"
-        | Some x -> Printf.sprintf "%.0f%%" (pct x)
-      in
       let slo =
         match r.tn_slo_ok with
         | None -> "-"
@@ -602,10 +572,13 @@ let pp_tenants ppf t =
         | Some false -> "MISS"
       in
       Format.fprintf ppf
-        "  %-12s %3d %6.3f %12.4g %12.4g %5.0f%% %10.3g %10s %6s %5s@\n"
-        r.tn_name r.tn_weight r.tn_share r.tn_model_throughput
-        r.tn_sim_throughput (pct r.tn_throughput_error) r.tn_model_latency
-        (opt r.tn_sim_latency) (opt_pct r.tn_latency_error) slo)
+        "  %-12s %3d %6.3f %12.4g %12s %6s %10.3g %10s %6s %5s@\n"
+        r.tn_name r.tn_weight r.tn_share r.tn_throughput.model
+        (cell "%.4g" r.tn_throughput.sim)
+        (error_cell "%.0f%%" r.tn_throughput)
+        r.tn_latency.model (cell "%.3g" r.tn_latency.sim)
+        (error_cell "%.0f%%" r.tn_latency)
+        slo)
     t.tr_rows
 
 (* ---- flow cache ------------------------------------------------------ *)
@@ -614,9 +587,7 @@ type flowcache_class_row = {
   fr_name : string;  (* hot / warm / cold *)
   fr_model_share : float;
   fr_sim_share : float;
-  fr_model_mean : float;
-  fr_sim_mean : float option;
-  fr_mean_error : float option;
+  fr_mean : pair;
   fr_model_p99 : float;
   fr_sim_p99 : float option;
 }
@@ -662,10 +633,9 @@ let run_flowcache ?config ?queue_model spec g ~hw ~traffic =
     List.map
       (fun (c : Lognic.Flowcache.class_report) ->
         let sim = sim_row c.Lognic.Flowcache.klass in
-        let sim_mean =
+        let delivered f =
           Option.bind sim (fun (r : Flow_cache.class_row) ->
-              if r.Flow_cache.c_count > 0 then Some r.Flow_cache.c_mean_latency
-              else None)
+              if_delivered r.Flow_cache.c_count (f r))
         in
         {
           fr_name = c.Lognic.Flowcache.klass;
@@ -674,17 +644,11 @@ let run_flowcache ?config ?queue_model spec g ~hw ~traffic =
             (match sim with
             | Some r -> r.Flow_cache.c_share
             | None -> 0.);
-          fr_model_mean = c.Lognic.Flowcache.class_mean;
-          fr_sim_mean = sim_mean;
-          fr_mean_error =
-            Option.map
-              (fun sim -> relative_error ~model:c.Lognic.Flowcache.class_mean ~sim)
-              sim_mean;
+          fr_mean =
+            pair ~model:c.Lognic.Flowcache.class_mean
+              ~sim:(delivered (fun r -> r.Flow_cache.c_mean_latency));
           fr_model_p99 = c.Lognic.Flowcache.class_p99;
-          fr_sim_p99 =
-            Option.bind sim (fun (r : Flow_cache.class_row) ->
-                if r.Flow_cache.c_count > 0 then Some r.Flow_cache.c_p99_latency
-                else None);
+          fr_sim_p99 = delivered (fun r -> r.Flow_cache.c_p99_latency);
         })
       model.Lognic.Flowcache.classes
   in
@@ -715,16 +679,16 @@ let run_flowcache ?config ?queue_model spec g ~hw ~traffic =
 
 let flowcache_class_to_json r =
   J.Obj
-    [
-      ("name", J.Str r.fr_name);
-      ("model_share", J.Num r.fr_model_share);
-      ("sim_share", J.Num r.fr_sim_share);
-      ("model_mean_latency", J.Num r.fr_model_mean);
-      ("sim_mean_latency", opt_float r.fr_sim_mean);
-      ("mean_latency_error", opt_float r.fr_mean_error);
-      ("model_p99_latency", J.Num r.fr_model_p99);
-      ("sim_p99_latency", opt_float r.fr_sim_p99);
-    ]
+    ([
+       ("name", J.Str r.fr_name);
+       ("model_share", J.Num r.fr_model_share);
+       ("sim_share", J.Num r.fr_sim_share);
+     ]
+    @ pair_fields "mean_latency" r.fr_mean
+    @ [
+        ("model_p99_latency", J.Num r.fr_model_p99);
+        ("sim_p99_latency", opt_float r.fr_sim_p99);
+      ])
 
 let flowcache_to_json t =
   let m = t.fc_model in
@@ -762,7 +726,6 @@ let flowcache_to_json t =
 
 let pp_flowcache ppf t =
   let m = t.fc_model in
-  let pct x = 100. *. x in
   Format.fprintf ppf
     "flow cache: model vs simulation (%d flows, zipf %.2f, emc %d, megaflow \
      %d)@\n"
@@ -789,13 +752,10 @@ let pp_flowcache ppf t =
     "sim-p99";
   List.iter
     (fun r ->
-      let opt = function None -> "-" | Some x -> Printf.sprintf "%.3g" x in
-      let opt_pct = function
-        | None -> "-"
-        | Some x -> Printf.sprintf "%.0f%%" (pct x)
-      in
       Format.fprintf ppf
         "  %-6s %11.4f %9.4f %11.3g %9s %6s %11.3g %9s@\n" r.fr_name
-        r.fr_model_share r.fr_sim_share r.fr_model_mean (opt r.fr_sim_mean)
-        (opt_pct r.fr_mean_error) r.fr_model_p99 (opt r.fr_sim_p99))
+        r.fr_model_share r.fr_sim_share r.fr_mean.model
+        (cell "%.3g" r.fr_mean.sim)
+        (error_cell "%.0f%%" r.fr_mean)
+        r.fr_model_p99 (cell "%.3g" r.fr_sim_p99))
     t.fc_rows

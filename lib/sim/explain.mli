@@ -43,35 +43,55 @@ type entity_row = {
   drops : int;  (** node drops / medium rejections over the whole run *)
 }
 
-(** {2 The aggregate join} *)
+(** {2 The compared quantity}
 
-type join = {
-  model_throughput : float;  (** attained bytes/s *)
-  sim_throughput : float;  (** delivered bytes/s over the window *)
-  throughput_error : float;  (** relative, in [0, 1] *)
-  model_latency : float;  (** mean seconds *)
-  sim_latency : float;
-  latency_error : float;
+    Every model-vs-sim row of every join report holds each compared
+    quantity as one {!pair}. *)
+
+type pair = {
+  model : float;
+  sim : float option;
+      (** [None] when the row delivered no packet (a latency has no
+          sim side then) *)
+  error : float option;  (** {!relative_error}, present with [sim] *)
 }
 
 val relative_error : model:float -> sim:float -> float
 (** |model − sim| / max(|model|, |sim|), 0 when both are 0 and 1 when
     the model side is not finite (an M/M/1 queue past ρ = 1 predicts an
-    infinite latency) — the join convention shared with
-    {!Resilience}. *)
+    infinite latency). *)
+
+val pair : model:float -> sim:float option -> pair
+(** The one place a join applies {!relative_error}. *)
+
+val pair_fields : string -> pair -> (string * Telemetry.Json.t) list
+(** [pair_fields n p] is [p]'s JSON fields [model_n], [sim_n] and
+    [n_error], in that order; an absent side writes [null]. *)
+
+val cell : ('a -> string, unit, string) format -> 'a option -> string
+(** A table cell: the value in the given format, or ["-"] when
+    absent. *)
+
+val error_cell : (float -> string, unit, string) format -> pair -> string
+(** A pair's error as a percentage {!cell}: [error_cell "%.1f%%" p]. *)
+
+(** {2 The aggregate join} *)
+
+type join = {
+  throughput : pair;
+      (** attained bytes/s against delivered bytes/s over the window *)
+  latency : pair;  (** mean seconds; the sim side is always present *)
+}
 
 (** {2 Explain} *)
 
 type class_row = {
   c_traffic : Lognic.Traffic.t;
   c_weight : float;  (** normalized mix weight *)
-  c_model_throughput : float;  (** this class's carried bytes/s *)
-  c_sim_throughput : float;  (** delivered bytes over the window *)
-  c_throughput_error : float;
-  c_model_latency : float;
-  c_sim_latency : float option;
-      (** [None] when the simulator delivered no packets of the class *)
-  c_latency_error : float option;
+  c_throughput : pair;
+      (** this class's carried bytes/s against its delivered bytes over
+          the window *)
+  c_latency : pair;
   c_model_bottleneck : string;
       (** the class's binding entity, named like {!entity_row.name}
           (["offered-load"] when the offered load binds; may be
@@ -110,8 +130,9 @@ val run :
 val row_to_json : int -> entity_row -> Telemetry.Json.t
 (** One entity row at the given rank — shared with {!Contention}. *)
 
-val class_row_to_json : int -> class_row -> Telemetry.Json.t
-(** One class row at the given index — shared with {!Contention}. *)
+val class_row_fields : int -> class_row -> (string * Telemetry.Json.t) list
+(** One class row's JSON fields at the given index — {!Contention}
+    appends its own. *)
 
 val head_json :
   kind:string -> report -> (string * Telemetry.Json.t) list -> Telemetry.Json.t
@@ -140,19 +161,15 @@ type tenant_row = {
   tn_name : string;
   tn_weight : int;
   tn_share : float;  (** configured normalized offered-traffic share *)
-  tn_model_throughput : float;
-      (** carried bytes/s the analytic decomposition predicts for this
-          tenant ([share × attained] when undifferentiated) *)
-  tn_sim_throughput : float;
-  tn_throughput_error : float;
-  tn_model_latency : float;
-      (** aggregate model latency with the bottleneck vertex's wait
-          replaced by this tenant's weighted-M/M/c/N wait (equal to the
-          aggregate when undifferentiated) *)
-  tn_sim_latency : float option;
-      (** [None] when the simulator delivered none of this tenant's
-          packets *)
-  tn_latency_error : float option;
+  tn_throughput : pair;
+      (** the model side is the carried bytes/s the analytic
+          decomposition predicts for this tenant ([share × attained]
+          when undifferentiated) *)
+  tn_latency : pair;
+      (** the model side is the aggregate model latency with the
+          bottleneck vertex's wait replaced by this tenant's
+          weighted-M/M/c/N wait (equal to the aggregate when
+          undifferentiated) *)
   tn_model_blocking : float option;
       (** this tenant's M/M/c/N blocking probability; [None] when the
           bottleneck is not an IP vertex *)
@@ -204,13 +221,11 @@ type flowcache_class_row = {
   fr_name : string;  (** ["hot"], ["warm"] or ["cold"] *)
   fr_model_share : float;
   fr_sim_share : float;
-  fr_model_mean : float;
-  fr_sim_mean : float option;
-      (** [None] when the simulator delivered no packets of this class *)
-  fr_mean_error : float option;
+  fr_mean : pair;  (** mean latency *)
   fr_model_p99 : float;
   fr_sim_p99 : float option;
-      (** log₂-bucket estimate — good to a factor of 2 *)
+      (** log₂-bucket estimate — good to a factor of 2; [None] when the
+          simulator delivered no packets of this class *)
 }
 
 type flowcache_report = {

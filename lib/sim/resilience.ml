@@ -7,12 +7,8 @@ type row = {
   r_stop : float;
   r_faults : string list;
   r_degraded : bool;
-  model_throughput : float;
-  sim_throughput : float;
-  throughput_error : float;
-  model_latency : float;
-  sim_latency : float;
-  latency_error : float;
+  throughput : Explain.pair;
+  latency : Explain.pair;
   sim_offered : int;
   sim_delivered : int;
   sim_dropped : int;
@@ -87,14 +83,8 @@ let run ?config ?queue_model ?(runs = 1) ?jobs g ~hw ~traffic ~plan =
               (fun (ev : Faults.event) -> Faults.fault_label ev.fault)
               events;
           r_degraded = ir.degraded;
-          model_throughput = ir.carried;
-          sim_throughput;
-          throughput_error =
-            Explain.relative_error ~model:ir.carried ~sim:sim_throughput;
-          model_latency = ir.latency;
-          sim_latency;
-          latency_error =
-            Explain.relative_error ~model:ir.latency ~sim:sim_latency;
+          throughput = Explain.pair ~model:ir.carried ~sim:(Some sim_throughput);
+          latency = Explain.pair ~model:ir.latency ~sim:(Some sim_latency);
           sim_offered;
           sim_delivered;
           sim_dropped;
@@ -103,13 +93,14 @@ let run ?config ?queue_model ?(runs = 1) ?jobs g ~hw ~traffic ~plan =
       model.D.intervals
       (Faults.intervals ~duration plan)
   in
+  let sim_throughput r = Option.get r.throughput.Explain.sim in
   let horizon =
     List.fold_left (fun acc r -> acc +. (r.r_stop -. r.r_start)) 0. rows
   in
   let sim_degraded_throughput =
     if horizon > 0. then
       List.fold_left
-        (fun acc r -> acc +. (r.sim_throughput *. (r.r_stop -. r.r_start)))
+        (fun acc r -> acc +. (sim_throughput r *. (r.r_stop -. r.r_start)))
         0. rows
       /. horizon
     else 0.
@@ -118,13 +109,13 @@ let run ?config ?queue_model ?(runs = 1) ?jobs g ~hw ~traffic ~plan =
      of the horizon whose simulated throughput holds ≥ the SLO fraction
      of the sim's own healthy baseline (the best interval's rate). *)
   let sim_baseline =
-    List.fold_left (fun acc r -> Float.max acc r.sim_throughput) 0. rows
+    List.fold_left (fun acc r -> Float.max acc (sim_throughput r)) 0. rows
   in
   let sim_availability =
     if horizon > 0. then
       List.fold_left
         (fun acc r ->
-          if r.sim_throughput >= D.slo_throughput_fraction *. sim_baseline
+          if sim_throughput r >= D.slo_throughput_fraction *. sim_baseline
           then acc +. (r.r_stop -. r.r_start)
           else acc)
         0. rows
@@ -150,22 +141,20 @@ let run ?config ?queue_model ?(runs = 1) ?jobs g ~hw ~traffic ~plan =
 
 let row_to_json r =
   J.Obj
-    [
-      ("start", J.Num r.r_start);
-      ("stop", J.Num r.r_stop);
-      ("faults", J.Arr (List.map (fun l -> J.Str l) r.r_faults));
-      ("degraded", J.Bool r.r_degraded);
-      ("model_throughput", J.Num r.model_throughput);
-      ("sim_throughput", J.Num r.sim_throughput);
-      ("throughput_error", J.Num r.throughput_error);
-      ("model_latency", J.Num r.model_latency);
-      ("sim_latency", J.Num r.sim_latency);
-      ("latency_error", J.Num r.latency_error);
-      ("offered", J.Num (float_of_int r.sim_offered));
-      ("delivered", J.Num (float_of_int r.sim_delivered));
-      ("dropped", J.Num (float_of_int r.sim_dropped));
-      ("slo_ok", J.Bool r.slo_ok);
-    ]
+    ([
+       ("start", J.Num r.r_start);
+       ("stop", J.Num r.r_stop);
+       ("faults", J.Arr (List.map (fun l -> J.Str l) r.r_faults));
+       ("degraded", J.Bool r.r_degraded);
+     ]
+    @ Explain.pair_fields "throughput" r.throughput
+    @ Explain.pair_fields "latency" r.latency
+    @ [
+        ("offered", J.Num (float_of_int r.sim_offered));
+        ("delivered", J.Num (float_of_int r.sim_delivered));
+        ("dropped", J.Num (float_of_int r.sim_dropped));
+        ("slo_ok", J.Bool r.slo_ok);
+      ])
 
 let to_json t =
   J.versioned ~kind:"faults"
@@ -231,17 +220,19 @@ let pp ppf t =
     List.fold_left
       (fun acc r ->
         match acc with
-        | Some (w : row) when w.throughput_error >= r.throughput_error -> acc
+        | Some (w : row) when w.throughput.error >= r.throughput.error -> acc
         | _ -> Some r)
       None t.rows
   in
   List.iter
     (fun r ->
-      Format.fprintf ppf "  [%8.4f, %8.4f) %-10s %12.4g %12.4g %6.1f%% %6.1f%% %5s%s@\n"
+      Format.fprintf ppf "  [%8.4f, %8.4f) %-10s %12.4g %12s %7s %7s %5s%s@\n"
         r.r_start r.r_stop
         (if r.r_degraded then "faulted" else "healthy")
-        r.model_throughput r.sim_throughput
-        (pct r.throughput_error) (pct r.latency_error)
+        r.throughput.model
+        (Explain.cell "%.4g" r.throughput.sim)
+        (Explain.error_cell "%.1f%%" r.throughput)
+        (Explain.error_cell "%.1f%%" r.latency)
         (if r.slo_ok then "ok" else "VIOL")
         (match worst with
         | Some w when w == r && List.length t.rows > 1 -> "  <- worst join"

@@ -13,12 +13,12 @@ type row = {
   r_stop : float;
   r_faults : string list;  (** active {!Faults.fault_label}s *)
   r_degraded : bool;
-  model_throughput : float;  (** the interval's model carried rate *)
-  sim_throughput : float;  (** delivered bytes / interval seconds *)
-  throughput_error : float;  (** {!Explain.relative_error} *)
-  model_latency : float;
-  sim_latency : float;
-  latency_error : float;  (** {!Explain.relative_error} *)
+  throughput : Explain.pair;
+      (** the interval's model carried rate against delivered bytes /
+          interval seconds *)
+  latency : Explain.pair;
+      (** the sim side is always present: 0 when the interval delivered
+          no packet *)
   sim_offered : int;
   sim_delivered : int;
   sim_dropped : int;

@@ -1,4 +1,4 @@
-(** Optimizer search telemetry: a thread-safe fold of
+(** Optimizer search telemetry: a fold of
     {!Lognic.Optimizer.observation} events into a convergence log.
 
     Hook {!observer} into {!Lognic.Optimizer.optimize} (or [pareto])
@@ -13,11 +13,10 @@
       each knob;
     - evaluation / memo-hit totals and the best assignment seen.
 
-    All entry points lock an internal mutex, so one log can serve a
-    parallel ([~jobs]) grid search; under parallel evaluation the
-    best-so-far fold runs in arrival order, which may differ from
-    sequence order, but the final best is order-independent.
-    [lognic optimize --search-log PATH] writes {!to_json} to a file. *)
+    The optimizer delivers observations in sequence order from the
+    calling domain at any [~jobs], so the log needs no lock and is the
+    same at every job count. [lognic optimize --search-log PATH] writes
+    {!to_json} to a file. *)
 
 type t
 

@@ -562,36 +562,9 @@ let calibrate_overhead_intercept () =
   check_within ~pct:1. "slope = 1/bandwidth" 1e-9 per_byte;
   check_within ~pct:1. "intercept = O" 2e-6 fixed
 
-let optimizer_memoizes_duplicate_candidates () =
-  (* Duplicate candidate values canonicalize to the same memo key, so
-     the second enumeration of each must be served from the LRU. One
-     domain: with several, two copies of a point can miss concurrently. *)
-  let g, w = chain ~alpha:0. (1. *. U.gbps) in
-  let traffic = T.make ~rate:(2.1 *. U.gbps) ~packet_size:1500. in
-  let s =
-    O.optimize ~jobs:1 g ~hw ~traffic
-      ~knobs:[ O.Vertex_throughput (w, [| 1e9; 2e9; 1e9; 2e9 |]) ]
-      O.Maximize_throughput
-  in
-  Alcotest.(check bool) "evaluations counted" true (s.stats.O.evaluations >= 4);
-  Alcotest.(check bool)
-    "duplicate grid points hit the memo" true
-    (s.stats.O.memo_hits >= 2);
-  Alcotest.(check bool)
-    "hits don't exceed evaluations" true
-    (s.stats.O.memo_hits < s.stats.O.evaluations);
-  let plain =
-    O.optimize g ~hw ~traffic
-      ~knobs:[ O.Vertex_throughput (w, [| 1e9; 2e9 |]) ]
-      O.Maximize_throughput
-  in
-  check_close "result unaffected by memoization"
-    plain.report.throughput.Lognic.Throughput.attained
-    s.report.throughput.Lognic.Throughput.attained
-
-let optimizer_jobs_invariant () =
-  (* The whole point of ?jobs: the solution must be identical at any
-     parallelism, including the continuous multi-start's rng stream. *)
+(* A fork whose left branch [x] has a queue knob: the optimizer's
+   discrete grid (queue capacities) with a continuous split at [i]. *)
+let fork_search () =
   let g = G.empty in
   let g, i = G.add_vertex ~kind:G.Ingress ~label:"in" ~service:(svc (40. *. U.gbps)) g in
   let g, x = G.add_vertex ~kind:G.Ip ~label:"x" ~service:(svc ~queue_capacity:16 (2. *. U.gbps)) g in
@@ -602,7 +575,50 @@ let optimizer_jobs_invariant () =
   let g = G.add_edge ~delta:0.5 ~src:x ~dst:e g in
   let g = G.add_edge ~delta:0.5 ~src:y ~dst:e g in
   let traffic = T.make ~rate:(10. *. U.gbps) ~packet_size:1500. in
-  let knobs = [ O.Queue_capacity (x, 2, 10); O.Out_split i ] in
+  (g, traffic, [ O.Queue_capacity (x, 2, 10); O.Out_split i ])
+
+let optimizer_stats_and_log_jobs_invariant () =
+  (* Each grid point keeps its own memo and the observer sees every
+     point's evaluations in grid order, so the search effort and the
+     search log are byte for byte the same at any parallelism. *)
+  let g, traffic, knobs = fork_search () in
+  let search jobs =
+    let log = Lognic_sim.Search_log.create () in
+    let s =
+      O.optimize ~jobs ~observer:(Lognic_sim.Search_log.observer log) g ~hw
+        ~traffic ~knobs O.Maximize_throughput
+    in
+    (s, Lognic_sim.Telemetry.Json.to_string (Lognic_sim.Search_log.to_json log))
+  in
+  let reference, reference_log = search 1 in
+  let stats = reference.stats in
+  Alcotest.(check bool) "the continuous search revisits" true (stats.O.memo_hits > 0);
+  Alcotest.(check bool)
+    "hits don't exceed evaluations" true
+    (stats.O.memo_hits < stats.O.evaluations);
+  List.iter
+    (fun jobs ->
+      let s, log = search jobs in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "identical stats at jobs:%d" jobs)
+        (stats.O.evaluations, stats.O.memo_hits)
+        (s.stats.O.evaluations, s.stats.O.memo_hits);
+      Alcotest.(check string)
+        (Printf.sprintf "identical search log at jobs:%d" jobs)
+        reference_log log)
+    [ 2; 4 ];
+  (* the winner's report, served from the memo, is the model's own *)
+  let fresh = Lognic.Estimate.run reference.graph ~hw ~traffic in
+  check_close "result unaffected by memoization"
+    fresh.throughput.Lognic.Throughput.attained
+    reference.report.throughput.Lognic.Throughput.attained;
+  check_close "latency unaffected by memoization" fresh.latency.Lognic.Latency.mean
+    reference.report.latency.Lognic.Latency.mean
+
+let optimizer_jobs_invariant () =
+  (* The whole point of ?jobs: the solution must be identical at any
+     parallelism, including the continuous multi-start's rng stream. *)
+  let g, traffic, knobs = fork_search () in
   let solve jobs = O.optimize ~jobs g ~hw ~traffic ~knobs O.Maximize_throughput in
   let reference = solve 1 in
   List.iter
@@ -872,7 +888,8 @@ let suite =
     quick "optimizer: knob validation" optimizer_validation;
     quick "optimizer: matches exhaustive search" optimizer_matches_exhaustive;
     quick "optimizer: mixed discrete+continuous" optimizer_mixed_discrete_continuous;
-    quick "optimizer: memoizes duplicate candidates" optimizer_memoizes_duplicate_candidates;
+    quick "optimizer: stats and search log identical at any job count"
+      optimizer_stats_and_log_jobs_invariant;
     quick "optimizer: identical at any job count" optimizer_jobs_invariant;
     quick "estimate: run_mix" estimate_run_mix;
     quick "optimizer: pareto frontier" optimizer_pareto_frontier;

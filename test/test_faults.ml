@@ -252,13 +252,13 @@ let engine_failure_agreement () =
       let pct = if row.r_degraded then 20. else 12. in
       check_within ~pct
         (Printf.sprintf "throughput agrees on [%g, %g)" row.r_start row.r_stop)
-        row.model_throughput row.sim_throughput)
+        row.throughput.model (Option.get row.throughput.sim))
     r.S.Resilience.rows;
   (* the faulted interval carries half or less of the healthy rate *)
   (match List.find_opt (fun (row : S.Resilience.row) -> row.r_degraded) r.S.Resilience.rows with
   | Some row ->
     Alcotest.(check bool) "degradation visible in the sim" true
-      (row.sim_throughput < 0.75 *. traffic.T.rate);
+      (Option.get row.throughput.sim < 0.75 *. traffic.T.rate);
     Alcotest.(check bool) "SLO violated during the outage" true (not row.slo_ok)
   | None -> Alcotest.fail "no degraded interval");
   check_within ~pct:15. "composite degraded throughput agrees"
@@ -284,12 +284,12 @@ let link_degradation_agreement () =
       in
       check_within ~pct
         (Printf.sprintf "throughput agrees on [%g, %g)" row.r_start row.r_stop)
-        row.model_throughput row.sim_throughput)
+        row.throughput.model (Option.get row.throughput.sim))
     r.S.Resilience.rows;
   (match List.find_opt (fun (row : S.Resilience.row) -> row.r_degraded) r.S.Resilience.rows with
   | Some row ->
     check_within ~pct:20. "degraded interval pinned at the squeezed link"
-      (1. *. U.gbps) row.sim_throughput
+      (1. *. U.gbps) (Option.get row.throughput.sim)
   | None -> Alcotest.fail "no degraded interval");
   (* model availability: 20 ms of 100 ms violates *)
   check_close ~tol:1e-6 "model availability" 0.8 r.S.Resilience.model.D.availability
@@ -302,7 +302,7 @@ let empty_plan_resilience_degenerates () =
   Alcotest.(check bool) "healthy" true (not row.S.Resilience.r_degraded);
   check_close "sim side is the whole-run summary"
     r.S.Resilience.measurement.S.Netsim.summary.S.Telemetry.throughput
-    row.S.Resilience.sim_throughput;
+    (Option.get row.S.Resilience.throughput.sim);
   Alcotest.(check bool) "no recovery stats" true (r.S.Resilience.resilience = None)
 
 let recovery_observed () =
@@ -362,6 +362,21 @@ let faults_json_versioned () =
   Alcotest.(check bool) "text mentions the fault" true
     (contains_substring text "engine_down:ip")
 
+(* Two bursts that each keep 2^-53 of the traffic compose to an
+   ingress drop of exactly 1: the interval carries nothing, like a
+   fully failed vertex, instead of evaluating a zero offered rate. *)
+let full_drop_carries_nothing () =
+  let g = pipeline () in
+  let p = Float.pred 1. in
+  let m = D.compose [ D.Drop_burst { probability = p }; D.Drop_burst { probability = p } ] in
+  Alcotest.(check (float 0.)) "bursts compose to exactly 1" 1. m.D.ingress_drop;
+  let r = degraded_interval g m in
+  Alcotest.(check bool) "carries nothing" true
+    (r.D.carried = 0. && r.D.latency = infinity && not r.D.slo_ok);
+  Alcotest.(check bool) "offered load binds" true
+    (r.D.bottleneck = Lognic.Throughput.Offered_load);
+  check_close "device keeps its ceiling" (Lognic.Throughput.capacity g ~hw) r.D.capacity
+
 let suite =
   [
     quick "constructors: reject bad windows and parameters" constructors_validate;
@@ -380,4 +395,5 @@ let suite =
     slow "resilience: recovery time observed" recovery_observed;
     quick "resilience: versioned JSON and text" faults_json_versioned;
     quick "faults: all layers on, one drop path" all_layers_drop_path;
+    quick "degraded: bursts composing to 1 carry nothing" full_drop_carries_nothing;
   ]
