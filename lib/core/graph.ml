@@ -20,6 +20,8 @@ let default_service =
     partition = 1.;
   }
 
+let effective_rate s = s.partition *. s.accel *. s.throughput
+
 let service ?(parallelism = 1) ?(queue_capacity = 64) ?(overhead = 0.)
     ?(accel = 1.) ?(partition = 1.) ~throughput () =
   if throughput <= 0. then invalid_arg "Graph.service: throughput must be > 0";
@@ -33,6 +35,11 @@ let service ?(parallelism = 1) ?(queue_capacity = 64) ?(overhead = 0.)
   { throughput; parallelism; queue_capacity; overhead; accel; partition }
 
 type vertex = { id : vertex_id; kind : kind; label : string; service : service }
+
+let unservable v ~packet_size =
+  invalid_arg
+    (Printf.sprintf "vertex %S cannot serve one %g-byte packet in finite time"
+       v.label packet_size)
 
 type edge = {
   src : vertex_id;

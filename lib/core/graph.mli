@@ -51,6 +51,11 @@ val default_service : service
 (** Infinite throughput, parallelism 1, queue capacity 64, no overhead,
     accel 1, full partition — a transparent vertex. *)
 
+val effective_rate : service -> float
+(** [partition × accel × throughput]: the bytes/s this (virtual) vertex
+    serves — the rate every model equation and the simulator's engines
+    divide work by. *)
+
 val service :
   ?parallelism:int ->
   ?queue_capacity:int ->
@@ -69,6 +74,13 @@ type vertex = private {
   label : string;
   service : service;
 }
+
+val unservable : vertex -> packet_size:float -> 'a
+(** Raises [Invalid_argument] naming the vertex: its service time for
+    one [packet_size]-byte packet overflows to infinity (a rate so
+    small that size / rate is not a float). The model and the
+    simulator both reject such a vertex rather than compute with an
+    infinite service time, whose queueing terms are [inf − inf]. *)
 
 type edge = private {
   src : vertex_id;

@@ -30,9 +30,6 @@ type result = {
    by at least one logical edge. *)
 let effective_indegree g id = max 1 (Graph.in_degree g id)
 
-let effective_rate (v : Graph.vertex) =
-  v.service.partition *. v.service.accel *. v.service.throughput
-
 let vertex_service_time g ~(traffic : Traffic.t) id =
   let v = Graph.vertex g id in
   if v.service.throughput = infinity then 0.
@@ -42,7 +39,12 @@ let vertex_service_time g ~(traffic : Traffic.t) id =
     else
       let d = float_of_int v.service.parallelism in
       let indeg = float_of_int (effective_indegree g id) in
-      d *. traffic.packet_size *. inflow /. (effective_rate v *. indeg)
+      let t =
+        d *. traffic.packet_size *. inflow
+        /. (Graph.effective_rate v.service *. indeg)
+      in
+      if Float.is_finite t then t
+      else Graph.unservable v ~packet_size:traffic.packet_size
 
 let vertex_rates g ~(traffic : Traffic.t) id =
   (* (lambda, mu) of the vertex's virtual shared queue, per Eq 11. *)
@@ -52,7 +54,8 @@ let vertex_rates g ~(traffic : Traffic.t) id =
   let indeg = float_of_int (effective_indegree g id) in
   let lambda = traffic.rate *. indeg /. (d *. traffic.packet_size) in
   let mu =
-    effective_rate v *. indeg /. (d *. traffic.packet_size *. inflow)
+    Graph.effective_rate v.service *. indeg
+    /. (d *. traffic.packet_size *. inflow)
   in
   (lambda, mu)
 

@@ -71,7 +71,9 @@ type result = {
 
 val vertex_service_time :
   Graph.t -> traffic:Traffic.t -> Graph.vertex_id -> float
-(** C_i/A_i per Eq 7. 0 for infinite-throughput vertices. *)
+(** C_i/A_i per Eq 7. 0 for infinite-throughput vertices. Raises
+    [Invalid_argument] naming the vertex ({!Graph.unservable}) when the
+    time overflows to infinity. *)
 
 val vertex_rates : Graph.t -> traffic:Traffic.t -> Graph.vertex_id -> float * float
 (** (λ, μ) of the vertex's virtual shared queue per Eq 11 — the inputs

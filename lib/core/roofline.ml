@@ -36,10 +36,7 @@ let of_vertex g ~(hw : Params.hardware) ~packet_size id =
   let v = Graph.vertex g id in
   if v.service.throughput = infinity then None
   else begin
-    let peak_ops =
-      v.service.partition *. v.service.accel *. v.service.throughput
-      /. packet_size
-    in
+    let peak_ops = Graph.effective_rate v.service /. packet_size in
     let incoming = Graph.in_edges g id in
     let sum f = List.fold_left (fun acc e -> acc +. f e) 0. incoming in
     let sum_alpha = sum (fun (e : Graph.edge) -> e.alpha) in

@@ -35,10 +35,7 @@ let compute_caps g ~(hw : Params.hardware) =
         let inflow = vertex_inflow g v.id in
         if inflow <= 0. || v.service.throughput = infinity then None
         else
-          let effective =
-            v.service.partition *. v.service.accel *. v.service.throughput
-          in
-          Some (v.id, effective /. inflow))
+          Some (v.id, Graph.effective_rate v.service /. inflow))
       (Graph.vertices g)
   in
   let edge_caps =

@@ -64,6 +64,12 @@ val relative_error : model:float -> sim:float -> float
 val pair : model:float -> sim:float option -> pair
 (** The one place a join applies {!relative_error}. *)
 
+val if_delivered : int -> float -> float option
+(** The delivered rule: [if_delivered delivered x] is [Some x] when the
+    row delivered a packet, [None] otherwise — a row that delivered
+    nothing has no sim latency, so its latency error is absent rather
+    than 100%. *)
+
 val pair_fields : string -> pair -> (string * Telemetry.Json.t) list
 (** [pair_fields n p] is [p]'s JSON fields [model_n], [sim_n] and
     [n_error], in that order; an absent side writes [null]. *)

@@ -138,10 +138,6 @@ type runtime = {
   mutable burst_p : float;
 }
 
-let rec remove_first x = function
-  | [] -> []
-  | y :: rest -> if y = x then rest else y :: remove_first x rest
-
 (* Sub-interval grid for fault-time accounting: the fault-plan edges
    refined with a uniform duration/64 grid, so recovery after the last
    fault clears is observable at finer resolution than the plan's own
@@ -188,41 +184,35 @@ let realize plan engine ~rng ~nodes ~media ~duration =
       | Medium_degraded { medium; _ } -> ignore (medium_of medium)
       | Drop_burst _ -> ())
     plan;
-  (* Overlapping faults compose by the model's rule
-     ({!Lognic.Degraded.compose}); each target (keyed by its
-     {!fault_label}) keeps its active faults in activation order and the
-     effective value is recomputed from that list on every change, so
-     apply/revert sequences are deterministic and leave no
-     floating-point residue once all faults clear. *)
-  let active = Hashtbl.create 8 in
-  let update ev change =
-    let key = fault_label ev.fault in
-    let faults = change (Option.value (Hashtbl.find_opt active key) ~default:[]) in
-    Hashtbl.replace active key faults;
-    let m = Lognic.Degraded.compose faults in
-    match ev.fault with
-    | Engine_down { vertex; _ } ->
-      let node = node_of vertex in
-      Ip_node.set_offline node
-        (min (Ip_node.engines node)
-           (Option.value (List.assoc_opt vertex m.engines_down) ~default:0))
-    | Medium_degraded { medium; _ } ->
-      Medium.set_scale (medium_of medium)
-        (Option.value (List.assoc_opt medium m.media_factors) ~default:1.)
-    | Queue_shrunk { vertex; _ } ->
-      Ip_node.set_capacity_override (node_of vertex)
-        (List.assoc_opt vertex m.queue_caps)
-    | Drop_burst _ -> rt.burst_p <- m.ingress_drop
+  (* The sim realizes the spans the model evaluates: at each span
+     start, every target the plan names takes that span's
+     {!Lognic.Degraded.compose}d value, composed in plan order as
+     {!modifiers} composes it. One setting per instant, so a fault that
+     ends where another on the same target begins never lets the
+     target recover in between. *)
+  let enter events () =
+    let m = Lognic.Degraded.compose (List.map (fun ev -> ev.fault) events) in
+    List.iter
+      (fun ev ->
+        match ev.fault with
+        | Engine_down { vertex; _ } ->
+          let node = node_of vertex in
+          Ip_node.set_offline node
+            (min (Ip_node.engines node)
+               (Option.value (List.assoc_opt vertex m.engines_down) ~default:0))
+        | Medium_degraded { medium; _ } ->
+          Medium.set_scale (medium_of medium)
+            (Option.value (List.assoc_opt medium m.media_factors) ~default:1.)
+        | Queue_shrunk { vertex; _ } ->
+          Ip_node.set_capacity_override (node_of vertex)
+            (List.assoc_opt vertex m.queue_caps)
+        | Drop_burst _ -> rt.burst_p <- m.ingress_drop)
+      plan
   in
-  let apply ev () = update ev (fun faults -> faults @ [ ev.fault ]) in
-  let revert ev () = update ev (remove_first ev.fault) in
   List.iter
-    (fun ev ->
-      if ev.start < duration then begin
-        Engine.schedule engine ~at:ev.start (apply ev);
-        if ev.stop < duration then Engine.schedule engine ~at:ev.stop (revert ev)
-      end)
-    plan;
+    (fun (a, _, events) ->
+      if a > 0. || events <> [] then Engine.schedule engine ~at:a (enter events))
+    spans;
   rt
 
 (* The draw comes from the fault rng, and only while a burst is active,

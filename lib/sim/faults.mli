@@ -81,8 +81,8 @@ val pp : Format.formatter -> plan -> unit
 
 (** {1 Realization inside a simulation run}
 
-    {!Netsim.execute} realizes a non-empty plan as one {!runtime}: the
-    plan's apply/revert events on the run's engine, the drop-burst
+    {!Netsim.execute} realizes a non-empty plan as one {!runtime}: one
+    event per fault span on the run's engine, the drop-burst
     probability with its dedicated rng, and a {!Telemetry.Table} with
     one row per sub-interval that attributes every packet to the
     sub-interval of its {e birth} time. An empty plan realizes
@@ -137,9 +137,12 @@ val realize :
   duration:float ->
   runtime
 (** Validate every target against the run's nodes (by label) and media,
-    then schedule each event's apply at [start] and revert at [stop]
-    (events starting at or after [duration] are skipped, reverts at or
-    after it are left out). [rng] is the run's dedicated fault stream.
+    then schedule one event at the start of each of {!intervals}' spans
+    (the first only when it is faulted) that sets every target the plan
+    names to the span's {!Lognic.Degraded.compose}d value, composed in
+    plan order — the spans and values {!modifiers} hands the model. So
+    splitting an event at an interior point changes no measured
+    quantity. [rng] is the run's dedicated fault stream.
     Raises [Invalid_argument] on an unknown or infinite-throughput
     vertex, an unknown medium, or a non-positive [duration]. *)
 

@@ -2,12 +2,11 @@
    megaflow → slow path) behind the simulator's state-dependent routing.
 
    Everything on the per-packet path is O(1) and allocation-free: the
-   flow draw is a Walker alias lookup on one [Rng.bits] draw (the
-   tenant sampler's construction, scaled to flow populations in the
-   millions — masses are n·Δbits ≤ 2^50, comfortably inside 63-bit
-   ints), and each cache is a fixed-capacity int-array LRU (doubly
-   linked recency list + chained hash buckets, lazy TTL expiry), so the
-   steady-state hot loop never allocates per flow. *)
+   flow draw is a [Choice] alias lookup on one [Rng.bits] draw (the
+   tenants' table, over flow populations in the millions), and each
+   cache is a fixed-capacity int-array LRU (doubly linked recency list
+   + chained hash buckets, lazy TTL expiry), so the steady-state hot
+   loop never allocates per flow. *)
 
 module N = Lognic_numerics
 module FC = Lognic.Flowcache
@@ -15,68 +14,6 @@ module FC = Lognic.Flowcache
 (* Hot (EMC hit), warm (megaflow hit), cold (slow path). *)
 let classes = 3
 let class_names = [| "hot"; "warm"; "cold" |]
-
-(* ---- Zipf alias sampler --------------------------------------------- *)
-
-let bits_range = 1 lsl 30
-
-type sampler = { s_n : int; s_prob : int array; s_alias : int array }
-
-let sampler ~flows ~zipf =
-  let p = FC.zipf_weights ~flows ~s:zipf in
-  let n = flows in
-  (* Each flow's mass on the 30-bit lattice, scaled by n: the gaps
-     between consecutive cumulative edges, with the last edge pinned so
-     a 30-bit draw can never fall off the end. *)
-  let w = Array.make n 0 in
-  let running = ref 0. and edge = ref 0 in
-  for i = 0 to n - 1 do
-    running := !running +. p.(i);
-    let next =
-      if i = n - 1 then bits_range
-      else int_of_float (!running *. float_of_int bits_range)
-    in
-    w.(i) <- n * (next - !edge);
-    edge := next
-  done;
-  let prob = Array.make n bits_range in
-  let alias = Array.init n (fun i -> i) in
-  (* Two-stack split in exact integer arithmetic, both stacks in one
-     array: the small stack grows up from slot 0, the large one down
-     from slot n - 1. Every index sits on exactly one, so they never
-     meet. *)
-  let stack = Array.make n 0 in
-  let ns = ref 0 and nl = ref 0 in
-  for i = 0 to n - 1 do
-    if w.(i) < bits_range then begin
-      stack.(!ns) <- i;
-      incr ns
-    end
-    else begin
-      stack.(n - 1 - !nl) <- i;
-      incr nl
-    end
-  done;
-  while !ns > 0 && !nl > 0 do
-    decr ns;
-    let l = stack.(!ns) in
-    let g = stack.(n - !nl) in
-    prob.(l) <- w.(l);
-    alias.(l) <- g;
-    w.(g) <- w.(g) - (bits_range - w.(l));
-    if w.(g) < bits_range then begin
-      decr nl;
-      stack.(!ns) <- g;
-      incr ns
-    end
-  done;
-  (* leftovers on either stack sit exactly on the mean *)
-  { s_n = n; s_prob = prob; s_alias = alias }
-
-let[@inline] sample s u =
-  let m = u * s.s_n in
-  let j = m lsr 30 in
-  if m land (bits_range - 1) < s.s_prob.(j) then j else s.s_alias.(j)
 
 (* ---- fixed-capacity int-array LRU ----------------------------------- *)
 
@@ -210,7 +147,7 @@ let lru_insert t k =
 type t = {
   fc_spec : FC.spec;
   fc_warmup : float;
-  fc_sampler : sampler;
+  fc_sampler : N.Choice.alias;
   clock : float array;  (* both tables' [clock] *)
   emc : lru;
   mega : lru;
@@ -226,7 +163,8 @@ let create ~(spec : FC.spec) ~warmup =
   {
     fc_spec = spec;
     fc_warmup = warmup;
-    fc_sampler = sampler ~flows:spec.FC.flows ~zipf:spec.FC.zipf;
+    fc_sampler =
+      N.Choice.alias (FC.zipf_weights ~flows:spec.FC.flows ~s:spec.FC.zipf);
     clock;
     emc = lru_create spec.FC.emc_entries ~clock;
     mega = lru_create spec.FC.megaflow_entries ~clock;
@@ -260,7 +198,7 @@ let roles g =
   resolve 2 FC.megaflow_label;
   roles
 
-let[@inline] draw t ~bits = sample t.fc_sampler bits
+let[@inline] draw t ~bits = N.Choice.draw t.fc_sampler bits
 
 (* Lookup counters follow the arrival windowing convention: counted by
    the lookup's own time, so the measured hit ratio covers exactly the

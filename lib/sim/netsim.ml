@@ -134,7 +134,8 @@ type vertex_rt = {
   v_node : Ip_node.t option;
   v_drop : dropper;  (* meaningful only when [v_node] is [Some] *)
   v_out : int array;  (* edge_rt indices, in {!G.out_edges} order *)
-  v_out_total : float;  (* sum of out-edge deltas, in the same order *)
+  v_out_delta : float array;  (* their deltas, in the same order *)
+  v_out_total : float;  (* left-to-right sum of [v_out_delta] *)
 }
 
 (* A pooled in-flight packet: the latency ledger lives in the [fs]
@@ -282,14 +283,29 @@ let execute_with ?engine:reused (spec : Run.t) =
         (G.edges g)
   in
   let tracing = config.trace <> None in
+  (* Per-vertex processing-work multiplier: size * inflow / p(v). *)
+  let work_factor id =
+    let p = prob_vertex id in
+    if p <= 0. then 0. else Lognic.Throughput.vertex_inflow g id /. p
+  in
+  let class_sizes =
+    Array.of_list
+      (List.map
+         (fun ((c : Lognic.Traffic.t), _) -> c.Lognic.Traffic.packet_size)
+         spec.Run.mix)
+  in
   let nodes = Hashtbl.create 16 in
   List.iter
     (fun (v : G.vertex) ->
       if v.service.throughput < infinity then begin
         let d = v.service.parallelism in
-        let aggregate =
-          v.service.partition *. v.service.accel *. v.service.throughput
-        in
+        let rate_per_engine = G.effective_rate v.service /. float_of_int d in
+        let wf = work_factor v.id in
+        Array.iter
+          (fun size ->
+            if not (Float.is_finite (size *. wf /. rate_per_engine)) then
+              G.unservable v ~packet_size:size)
+          class_sizes;
         let node =
           match tenant_set with
           | Some tset when tenanted_sched ->
@@ -298,7 +314,7 @@ let execute_with ?engine:reused (spec : Run.t) =
                arbiter. *)
             Ip_node.create_hierarchical ~track_lanes:tracing engine
               ~rng:(N.Rng.split rng) ~label:v.label ~engines:d
-              ~rate_per_engine:(aggregate /. float_of_int d)
+              ~rate_per_engine
               ~entries_per_queue:v.service.queue_capacity
               ~group_weights:(Tenant.weights tset)
               ~class_weights:
@@ -307,7 +323,7 @@ let execute_with ?engine:reused (spec : Run.t) =
           | _ ->
             Ip_node.create ~track_lanes:tracing engine ~rng:(N.Rng.split rng)
               ~label:v.label ~engines:d
-              ~rate_per_engine:(aggregate /. float_of_int d)
+              ~rate_per_engine
               ~queue_capacity:v.service.queue_capacity
               ~service_dist:config.service_dist
         in
@@ -323,7 +339,7 @@ let execute_with ?engine:reused (spec : Run.t) =
      stream exactly where the pre-fault code put it (byte-identical
      runs), and a non-empty plan perturbs at most which packets the
      trace reservoir samples — never a measured quantity. Realizing
-     the plan schedules its apply/revert events, ahead of every other
+     the plan schedules its fault-span events, ahead of every other
      setup event. *)
   let faults =
     if Faults.is_empty spec.Run.faults then None
@@ -414,15 +430,13 @@ let execute_with ?engine:reused (spec : Run.t) =
            })
          edge_list)
   in
-  (* Per-vertex processing-work multiplier: size * inflow / p(v). *)
-  let work_factor id =
-    let p = prob_vertex id in
-    if p <= 0. then 0. else Lognic.Throughput.vertex_inflow g id /. p
-  in
   let vrt =
     Array.init (G.vertex_count g) (fun id ->
         let v = G.vertex g id in
         let outs = G.out_edges g id in
+        let deltas =
+          Array.of_list (List.map (fun (e : G.edge) -> e.delta) outs)
+        in
         {
           v_label = v.label;
           v_is_egress = v.kind = G.Egress;
@@ -444,8 +458,8 @@ let execute_with ?engine:reused (spec : Run.t) =
               (List.map
                  (fun (e : G.edge) -> Hashtbl.find edge_index (e.src, e.dst))
                  outs);
-          v_out_total =
-            List.fold_left (fun acc (e : G.edge) -> acc +. e.delta) 0. outs;
+          v_out_delta = deltas;
+          v_out_total = Array.fold_left ( +. ) 0. deltas;
         })
   in
   (* Media admission invariant. Skipped on faulted runs: a bandwidth
@@ -470,11 +484,6 @@ let execute_with ?engine:reused (spec : Run.t) =
       config.metrics
   in
   (* ---- the packet walk --------------------------------------------- *)
-  (* Scratch cells for the routing scan: unboxed accumulator and index,
-     so choosing an out-edge allocates nothing beyond the rng draw. The
-     scan never calls out, so the cells cannot be clobbered reentrantly. *)
-  let route_acc = Array.make 1 0. in
-  let route_i = Array.make 1 0 in
   let free_flights = ref None in
   let rec arrive_f fl =
     let vr = vrt.(fl.fl_vertex) in
@@ -551,30 +560,12 @@ let execute_with ?engine:reused (spec : Run.t) =
         in
         fl.fl_edge <- vr.v_out.(if hit then 0 else 1)
       | _ ->
-        (* Delta-proportional out-edge choice, same draw and the same
-           accumulation order as the historical list walk. No draw can
-           fall off the end of the cumulative table, by two independent
-           protections: [target < v_out_total] and the scan's running
-           sum add the per-edge deltas in the same left-to-right order,
-           so the final partial sum equals [v_out_total] bit-for-bit
-           even for pathological vectors like [1e-300; 1e-300; 1.0];
-           and the [route_i.(0) < n - 1] bound clamps the index
-           regardless, so the last branch absorbs any residual
-           probability mass. *)
-        let target = N.Rng.float route_rng vr.v_out_total in
-        let outs = vr.v_out in
-        let n = Array.length outs in
-        route_acc.(0) <- 0.;
-        route_i.(0) <- 0;
-        while
-          route_i.(0) < n - 1
-          && (let acc = route_acc.(0) +. ert.(outs.(route_i.(0))).e_delta in
-              route_acc.(0) <- acc;
-              target >= acc)
-        do
-          route_i.(0) <- route_i.(0) + 1
-        done;
-        fl.fl_edge <- outs.(route_i.(0)));
+        (* Delta-proportional out-edge choice. [v_out_total] is the
+           scan's own left-to-right sum, so the draw lands inside the
+           table even for vectors like [1e-300; 1e-300; 1.0]. *)
+        fl.fl_edge <-
+          vr.v_out.(N.Choice.scan route_rng vr.v_out_delta
+                      ~total:vr.v_out_total));
       if vr.v_overhead > 0. then begin
         fl.fs.(Telemetry.slot_overhead) <-
           fl.fs.(Telemetry.slot_overhead) +. vr.v_overhead;
@@ -722,12 +713,6 @@ let execute_with ?engine:reused (spec : Run.t) =
   in
   let ingresses = G.ingress_vertices g in
   let ingress_ids = Array.of_list (List.map (fun (v : G.vertex) -> v.id) ingresses) in
-  let class_sizes =
-    Array.of_list
-      (List.map
-         (fun ((c : Lognic.Traffic.t), _) -> c.Lognic.Traffic.packet_size)
-         spec.Run.mix)
-  in
   let next_id = ref 0 in
   let on_arrival klass =
     let now = Engine.now engine in
@@ -940,14 +925,15 @@ type replicated = {
   resilience : Faults.resilience_replicated option;
 }
 
+let replications ?jobs ~runs (spec : Run.t) =
+  let config = spec.Run.config in
+  N.Parallel.map ?jobs execute
+    (List.init runs (fun i ->
+         Run.with_config spec (Config.with_seed (config.seed + i) config)))
+
 let execute_replicated ?jobs ?(runs = 5) (spec : Run.t) =
   if runs < 2 then invalid_arg "Netsim.execute_replicated: needs runs >= 2";
-  let config = spec.Run.config in
-  let measurements =
-    N.Parallel.map ?jobs execute
-      (List.init runs (fun i ->
-           Run.with_config spec (Config.with_seed (config.seed + i) config)))
-  in
+  let measurements = replications ?jobs ~runs spec in
   let n = float_of_int runs in
   (* Per-entity across-run means, in the first run's (deterministic)
      entity order: every replication simulates the same graph, so the

@@ -29,7 +29,7 @@
     {b Layers.} This module owns the packet walk (arrive → route →
     traverse → deliver/drop); each optional layer lives in its own
     module and is hooked in only when configured:
-    - faults: {!Faults.realize} (apply/revert events, burst sheds,
+    - faults: {!Faults.realize} (one event per fault span, burst sheds,
       birth-bin accounting, {!Faults.summarize});
     - invariants: {!Invariants} (per-packet and per-admission checks,
       {!Invariants.check_horizon} at the end of the run);
@@ -251,7 +251,9 @@ val execute : Run.t -> measurement
     duration is not positive and finite, the graph fails validation,
     the metrics interval is not positive and finite, or a fault event
     targets an entity the realized simulation does not have (unknown
-    vertex label, infinite-throughput vertex, unknown medium label).
+    vertex label, infinite-throughput vertex, unknown medium label),
+    or a vertex's service time for one packet of some class overflows
+    to infinity ({!Lognic.Graph.unservable}).
 
     {b Determinism.} With [faults = Faults.empty] the measurement is
     byte-identical to a run without the fault layer (no fault rng is
@@ -303,11 +305,16 @@ type replicated = {
           for fault-free replications *)
 }
 
+val replications : ?jobs:int -> runs:int -> Run.t -> measurement list
+(** [runs] independent replications of the spec, in order: replication
+    [i] is a fresh {!execute} with seed [config.seed + i] (so
+    replication 0 is the spec itself), run on the domain pool
+    ({!Lognic_numerics.Parallel.map}, [jobs] workers) and bit-identical
+    at every [jobs]. *)
+
 val execute_replicated : ?jobs:int -> ?runs:int -> Run.t -> replicated
-(** [runs] (default 5) independent replications of the spec with derived
-    seeds ([config.seed + i]), each a fresh {!execute} on the domain
-    pool ({!Lognic_numerics.Parallel.map}, [jobs] workers); reports
-    across-run means and sample standard deviations, per-entity means,
+(** [runs] (default 5) {!replications} of the spec; reports across-run
+    means and sample standard deviations, per-entity means,
     and (for faulted specs) recovery statistics. Results are
     bit-identical at every [jobs]. Raises [Invalid_argument] when
     [runs < 2]. *)

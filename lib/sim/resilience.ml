@@ -53,7 +53,15 @@ let run ?config ?queue_model ?(runs = 1) ?jobs g ~hw ~traffic ~plan =
   let intervals = Faults.modifiers ~duration plan in
   let model = D.evaluate ?queue_model g ~hw ~traffic ~intervals in
   let spec = Netsim.Run.single ~config ~faults:plan g ~hw ~traffic in
-  let m = Netsim.execute spec in
+  (* The joined run is replication 0, so [--runs N] simulates N runs. *)
+  let m, across_runs =
+    if runs >= 2 then
+      let ms = Netsim.replications ?jobs ~runs spec in
+      ( List.hd ms,
+        Faults.resilience_across
+          (List.map (fun (m : Netsim.measurement) -> m.resilience) ms) )
+    else (Netsim.execute spec, None)
+  in
   let rows =
     List.map2
       (fun (ir : D.interval_report) (_, _, events) ->
@@ -84,7 +92,9 @@ let run ?config ?queue_model ?(runs = 1) ?jobs g ~hw ~traffic ~plan =
               events;
           r_degraded = ir.degraded;
           throughput = Explain.pair ~model:ir.carried ~sim:(Some sim_throughput);
-          latency = Explain.pair ~model:ir.latency ~sim:(Some sim_latency);
+          latency =
+            Explain.pair ~model:ir.latency
+              ~sim:(Explain.if_delivered sim_delivered sim_latency);
           sim_offered;
           sim_delivered;
           sim_dropped;
@@ -121,11 +131,6 @@ let run ?config ?queue_model ?(runs = 1) ?jobs g ~hw ~traffic ~plan =
         0. rows
       /. horizon
     else 1.
-  in
-  let across_runs =
-    if runs >= 2 then
-      (Netsim.execute_replicated ?jobs ~runs spec).Netsim.resilience
-    else None
   in
   {
     plan;

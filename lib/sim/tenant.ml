@@ -16,15 +16,15 @@ let spec ?(weight = 1) ?(share = 1.) ?slo_p99 name =
   | _ -> ());
   { name; weight; share; slo_p99 }
 
+(* Shares normalized to sum to 1, in the given order. *)
+let normalized specs =
+  let total = Array.fold_left (fun acc s -> acc +. s.share) 0. specs in
+  Array.map (fun s -> s.share /. total) specs
+
 type set = {
   t_specs : spec array;  (* canonical: sorted by name, names unique *)
-  t_prob : int array;
-      (* Walker alias table: bucket [j] accepts itself when the low
-         draw bits fall under [t_prob.(j)] (threshold on [0, 2^30]) *)
-  t_alias : int array;  (* ... and redirects to [t_alias.(j)] otherwise *)
+  t_draw : Lognic_numerics.Choice.alias;  (* over the normalized shares *)
 }
-
-let bits_range = 1 lsl 30
 
 let set specs =
   if specs = [] then invalid_arg "Tenant.set: no tenants";
@@ -36,55 +36,7 @@ let set specs =
         invalid_arg
           (Printf.sprintf "Tenant.set: duplicate tenant name %S" s.name))
     arr;
-  let total = Array.fold_left (fun acc s -> acc +. s.share) 0. arr in
-  let cumulative = Array.make (Array.length arr) 0. in
-  let running = ref 0. in
-  Array.iteri
-    (fun i s ->
-      running := !running +. (s.share /. total);
-      cumulative.(i) <- !running)
-    arr;
-  (* Pin the last edge so a draw of 1 − ε can never fall off the end of
-     the distribution whatever the rounding of the partial sums. *)
-  cumulative.(Array.length arr - 1) <- 1.;
-  (* The edges scaled to the 30-bit integer lattice (last = 2^30), so
-     the per-arrival draw is one [Rng.bits]. *)
-  let cum_bits =
-    Array.map (fun c -> int_of_float (c *. float_of_int bits_range)) cumulative
-  in
-  cum_bits.(Array.length arr - 1) <- bits_range;
-  (* Walker alias table over the lattice masses. A binary search over
-     the cumulative edges costs log₂ n data-dependent branches per
-     draw, and on random input every one is a coin-flip the branch
-     predictor loses — ~4× the arithmetic cost at n = 16. The alias
-     table replaces that with one multiply, two loads and a single
-     compare. Construction is the classic two-stack split of buckets
-     below/above the mean, in exact integer arithmetic (masses scaled
-     by [n] so the mean is exactly [bits_range], and the leftovers
-     land on it exactly). *)
-  let n = Array.length arr in
-  let prob = Array.make n bits_range in
-  let alias = Array.init n (fun i -> i) in
-  let w =
-    Array.init n (fun i ->
-        n * (cum_bits.(i) - if i = 0 then 0 else cum_bits.(i - 1)))
-  in
-  let small = ref [] and large = ref [] in
-  for i = n - 1 downto 0 do
-    if w.(i) < bits_range then small := i :: !small else large := i :: !large
-  done;
-  let rec pair small large =
-    match (small, large) with
-    | l :: small, g :: large ->
-        prob.(l) <- w.(l);
-        alias.(l) <- g;
-        w.(g) <- w.(g) - (bits_range - w.(l));
-        if w.(g) < bits_range then pair (g :: small) large
-        else pair small (g :: large)
-    | rest, [] | [], rest -> List.iter (fun i -> prob.(i) <- bits_range) rest
-  in
-  pair !small !large;
-  { t_specs = arr; t_prob = prob; t_alias = alias }
+  { t_specs = arr; t_draw = Lognic_numerics.Choice.alias (normalized arr) }
 
 let uniform ?(prefix = "vf") n =
   if n < 1 then invalid_arg "Tenant.uniform: need at least one tenant";
@@ -93,18 +45,11 @@ let uniform ?(prefix = "vf") n =
 let count t = Array.length t.t_specs
 let weights t = Array.map (fun s -> s.weight) t.t_specs
 
-let shares t =
-  let total = Array.fold_left (fun acc s -> acc +. s.share) 0. t.t_specs in
-  Array.map (fun s -> s.share /. total) t.t_specs
+let shares t = normalized t.t_specs
 
-(* The simulator's per-arrival path: O(1) alias-table lookup on a
-   [Rng.bits] draw. [u * n] splits the 30-bit draw into a bucket index
-   (high bits) and an acceptance threshold (low bits) — one shared
-   draw, with per-tenant probabilities accurate to n·2^-30. *)
-let[@inline] index_of_bits t u =
-  let m = u * Array.length t.t_specs in
-  let j = m lsr 30 in
-  if m land (bits_range - 1) < t.t_prob.(j) then j else t.t_alias.(j)
+(* The simulator's per-arrival path: an O(1) alias-table lookup on a
+   [Rng.bits] draw. *)
+let[@inline] index_of_bits t u = Lognic_numerics.Choice.draw t.t_draw u
 
 (* ---- summaries ------------------------------------------------------- *)
 

@@ -56,11 +56,10 @@ val shares : set -> float array
 
 val index_of_bits : set -> int -> int
 (** [index_of_bits set u] maps a 30-bit draw ([u ∈ \[0, 2^30)], from
-    {!Lognic_numerics.Rng.bits}) to a tenant id through a Walker alias
-    table: one multiply, two loads, one compare — O(1) with no
-    data-dependent branch chain, where a binary search pays log₂ n
-    mispredicted branches per draw. The simulator's per-arrival path;
-    allocation-free, per-tenant probabilities exact to n·2^-30. *)
+    {!Lognic_numerics.Rng.bits}) to a tenant id through the set's
+    {!Lognic_numerics.Choice.alias} table over its shares. The
+    simulator's per-arrival path: O(1) and allocation-free, per-tenant
+    probabilities exact to n·2^-30. *)
 
 (** {2 Summaries} *)
 

@@ -3,7 +3,6 @@ type arrival = Poisson | Paced | Bursty of { burstiness : float; mean_on : float
 (* Scratch-float layout: mutable float record fields box on every store
    (no flambda), so the generator's float state lives in [fb]. *)
 let fb_phase_until = 0 (* end of the current ON phase (Bursty) *)
-let fb_acc = 1 (* class-scan accumulator *)
 
 type t = {
   engine : Engine.t;
@@ -13,7 +12,6 @@ type t = {
   total_pps : float;
   on_arrival : int -> unit;
   mutable count : int;
-  mutable cursor : int;  (* class-scan index *)
   fb : float array;
 }
 
@@ -40,27 +38,8 @@ let create engine ~rng ~arrival ~mix ~on_arrival =
     total_pps;
     on_arrival;
     count = 0;
-    cursor = 0;
-    fb = Array.make 2 0.;
+    fb = Array.make 1 0.;
   }
-
-(* Same draw and the same accumulation order as the historical
-   recursive scan, as a loop over scratch cells: no boxed accumulator,
-   no per-call closure. *)
-let pick_class t =
-  let target = Lognic_numerics.Rng.float t.rng t.total_pps in
-  let n = Array.length t.class_rates in
-  t.fb.(fb_acc) <- 0.;
-  t.cursor <- 0;
-  while
-    t.cursor < n - 1
-    && (let acc = t.fb.(fb_acc) +. t.class_rates.(t.cursor) in
-        t.fb.(fb_acc) <- acc;
-        target >= acc)
-  do
-    t.cursor <- t.cursor + 1
-  done;
-  t.cursor
 
 (* Next arrival time from [now], Bursty case. Packets are only
    generated inside ON phases; crossing the phase boundary inserts an
@@ -107,7 +86,9 @@ let[@inline] next_arrival t now =
 let start t ~until =
   let rec emit () =
     let now = Engine.now t.engine in
-    let klass = pick_class t in
+    let klass =
+      Lognic_numerics.Choice.scan t.rng t.class_rates ~total:t.total_pps
+    in
     t.count <- t.count + 1;
     t.on_arrival klass;
     let next = next_arrival t now in

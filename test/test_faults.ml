@@ -323,6 +323,62 @@ let recovery_observed () =
     Alcotest.fail "recovery not observed"
   | None -> Alcotest.fail "no resilience summary"
 
+(* The sim realizes the spans the model evaluates, so cutting an event
+   in two at an interior point changes nothing measured: the summary,
+   vertex and medium rows stay byte-identical, and only the fault-
+   interval rows may split at the new edge. The all-engines-down plan
+   builds a backlog a momentary recovery at the cut would serve; the
+   overlapping plan composes three factors whose product rounds with
+   their order. *)
+let split_event_identity () =
+  let g = pipeline () in
+  let measured plan =
+    let m =
+      S.Netsim.measurement_to_json
+        (S.Netsim.execute
+           (S.Netsim.Run.single ~config ~faults:plan g ~hw ~traffic))
+    in
+    List.map
+      (fun key -> S.Telemetry.Json.(to_string (Option.get (member key m))))
+      [ "summary"; "vertices"; "media" ]
+  in
+  let split plan i =
+    List.concat
+      (List.mapi
+         (fun j (ev : F.event) ->
+           if j <> i then [ ev ]
+           else
+             let mid = (ev.start +. ev.stop) /. 2. in
+             [ { ev with stop = mid }; { ev with start = mid } ])
+         plan)
+  in
+  let degrade factor start stop =
+    F.medium_degraded ~medium:"interface" ~factor ~start ~stop
+  in
+  List.iter
+    (fun (name, plan) ->
+      let whole = measured plan in
+      List.iteri
+        (fun i _ ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s, event %d split" name i)
+            whole
+            (measured (split plan i)))
+        plan)
+    [
+      ( "all engines down",
+        [ F.engine_down ~vertex:"ip" ~engines:4 ~start:0.004 ~stop:0.012 ] );
+      ( "overlapping",
+        [
+          degrade 0.1 0.004 0.014;
+          degrade 0.1 0.006 0.012;
+          degrade 0.7 0.002 0.010;
+          F.engine_down ~vertex:"ip" ~engines:2 ~start:0.005 ~stop:0.011;
+          F.queue_shrunk ~vertex:"ip" ~capacity:4 ~start:0.003 ~stop:0.009;
+          F.drop_burst ~probability:0.2 ~start:0.007 ~stop:0.013;
+        ] );
+    ]
+
 (* The md5-faults golden run with every observation-only layer on (its
    JSON byte-identity is the golden [md5-faults-all-layers] row). Burst
    sheds at ingress and queue/buffer drops mid-walk resolve through one
@@ -335,10 +391,12 @@ let all_layers_drop_path () =
     (match List.assoc_opt S.Telemetry.Fault_burst summary.S.Telemetry.drop_breakdown with
     | Some n -> n > 0
     | None -> false);
+  (* The count includes one event-time check per event; the engine's
+     recovery and the burst's start at 1 ms are one fault-span event. *)
   (match m.S.Netsim.invariants with
   | Some r ->
     Alcotest.(check string) "invariant report, check count included"
-      {|{"checks":74264,"violations":0,"recorded":[]}|}
+      {|{"checks":74263,"violations":0,"recorded":[]}|}
       (S.Telemetry.Json.to_string (S.Invariants.report_to_json r))
   | None -> Alcotest.fail "invariant report missing");
   match m.S.Netsim.tenants with
@@ -394,6 +452,7 @@ let suite =
     quick "resilience: empty plan degenerates" empty_plan_resilience_degenerates;
     slow "resilience: recovery time observed" recovery_observed;
     quick "resilience: versioned JSON and text" faults_json_versioned;
+    quick "faults: a split event changes no measurement" split_event_identity;
     quick "faults: all layers on, one drop path" all_layers_drop_path;
     quick "degraded: bursts composing to 1 carry nothing" full_drop_carries_nothing;
   ]
