@@ -64,7 +64,7 @@ let run organization ?(seed = 17) ?(duration = 2.) config =
     let born = S.Engine.now engine in
     let queue = match organization with Shared_fifo -> 0 | Wrr -> klass in
     let accepted =
-      S.Ip_node.submit ~queue node ~work:size (fun () ->
+      S.Ip_node.submit_at node ~queue ~work:size (fun () ->
           if born >= warmup then begin
             let sojourn = S.Engine.now engine -. born in
             let online, samples =

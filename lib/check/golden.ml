@@ -236,6 +236,35 @@ let faults_md5 () =
        (Sim.Resilience.run ~config:(config ~seed:9 ()) (md5_graph ())
           ~hw:D.Liquidio.hardware ~traffic:md5_traffic ~plan:md5_faults_plan))
 
+(* Pinned packet-lifecycle trace: the md5-faults run with four weighted
+   tenants (so every node runs the hierarchical arbiter) and a 16-packet
+   reservoir, captured as the Chrome trace-event JSON. One fixture pins
+   which packets the reservoir keeps, every span's entity, lane, start
+   and duration, and each packet's delivery or drop site. *)
+let trace_md5_faults () =
+  let tenants =
+    Sim.Tenant.set
+      [
+        Sim.Tenant.spec ~weight:4 ~share:2. "gold";
+        Sim.Tenant.spec ~weight:2 "silver";
+        Sim.Tenant.spec "bronze";
+        Sim.Tenant.spec "best-effort";
+      ]
+  in
+  let run =
+    Sim.Netsim.Run.single
+      ~config:
+        Sim.Netsim.Config.(
+          config ~seed:9 ()
+          |> with_trace { Sim.Trace.reservoir = 16 }
+          |> with_tenants tenants)
+      ~faults:md5_faults_plan (md5_graph ()) ~hw:D.Liquidio.hardware
+      ~traffic:md5_traffic
+  in
+  match (Sim.Netsim.execute run).trace with
+  | Some t -> Sim.Trace.to_chrome_string t
+  | None -> invalid_arg "Golden.trace_md5_faults: the run kept no trace"
+
 let table () =
   List.map
     (fun (name, run) -> (name, name, ".json", fun () -> measurement_string run))
@@ -260,4 +289,5 @@ let table () =
         ".json",
         fun () -> measurement_string (md5_faults_all_layers ()) );
       ("faults-md5", "faults-md5", ".json", faults_md5);
+      ("trace-md5-faults", "trace-md5-faults", ".json", trace_md5_faults);
     ]

@@ -5,6 +5,11 @@ let make ~rate ~packet_size =
     invalid_arg "Traffic.make: rate must be finite and > 0";
   if not (Float.is_finite packet_size && packet_size > 0.) then
     invalid_arg "Traffic.make: packet_size must be finite and > 0";
+  if not (Float.is_finite (rate /. packet_size)) then
+    invalid_arg
+      (Printf.sprintf
+         "Traffic.make: packet rate (%g B/s over %g-byte packets) is not finite"
+         rate packet_size);
   { rate; packet_size }
 
 let packet_rate t = t.rate /. t.packet_size

@@ -12,7 +12,8 @@ type t = {
 
 val make : rate:float -> packet_size:float -> t
 (** Raises [Invalid_argument] unless both values are finite and
-    positive. *)
+    positive and the packet rate [rate /. packet_size] is finite (a
+    tiny packet size can overflow it). *)
 
 val packet_rate : t -> float
 (** Packets per second: rate / packet_size. *)

@@ -75,7 +75,9 @@ let join ~throughput ~latency (m : Netsim.measurement) =
   let s = m.Netsim.summary in
   {
     throughput = pair ~model:throughput ~sim:(Some s.Telemetry.throughput);
-    latency = pair ~model:latency ~sim:(Some s.Telemetry.mean_latency);
+    latency =
+      pair ~model:latency
+        ~sim:(if_delivered s.Telemetry.delivered_packets s.Telemetry.mean_latency);
   }
 
 (* The two aggregate lines, ["  throughput  model … sim … error …"]

@@ -86,7 +86,9 @@ val error_cell : (float -> string, unit, string) format -> pair -> string
 type join = {
   throughput : pair;
       (** attained bytes/s against delivered bytes/s over the window *)
-  latency : pair;  (** mean seconds; the sim side is always present *)
+  latency : pair;
+      (** mean seconds; the sim side follows {!if_delivered}, so a run
+          that delivered nothing has no sim latency *)
 }
 
 (** {2 Explain} *)

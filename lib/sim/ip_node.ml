@@ -2,15 +2,14 @@ type service_dist = Deterministic | Exponential
 
 (* Pending requests live in per-queue ring buffers stored
    struct-of-arrays: work and submission times in unboxed float arrays,
-   continuations and observer hooks in parallel pointer arrays. Pushing
-   a request is five array stores — no record, no list cell — and the
+   per-hop ledgers and continuations in parallel pointer arrays. Pushing
+   a request is four array stores — no record, no list cell — and the
    rings only ever grow (amortized), so steady state allocates
    nothing. *)
 type ring = {
   mutable r_work : float array;
   mutable r_sub : float array;
-  mutable r_tally : float array option array;
-  mutable r_span : (lane:int -> queued:float -> service:float -> unit) option array;
+  mutable r_hop : Hop.t option array;
   mutable r_k : (unit -> unit) array;
   mutable r_head : int;
   mutable r_len : int;
@@ -29,8 +28,7 @@ let ring_create slots =
   {
     r_work = Array.make slots 0.;
     r_sub = Array.make slots 0.;
-    r_tally = Array.make slots None;
-    r_span = Array.make slots None;
+    r_hop = Array.make slots None;
     r_k = Array.make slots noop;
     r_head = 0;
     r_len = 0;
@@ -41,21 +39,18 @@ let ring_grow r =
   let bigger = 2 * cap in
   let work = Array.make bigger 0. in
   let sub = Array.make bigger 0. in
-  let tally = Array.make bigger None in
-  let span = Array.make bigger None in
+  let hop = Array.make bigger None in
   let k = Array.make bigger noop in
   for i = 0 to r.r_len - 1 do
     let j = (r.r_head + i) land (cap - 1) in
     work.(i) <- r.r_work.(j);
     sub.(i) <- r.r_sub.(j);
-    tally.(i) <- r.r_tally.(j);
-    span.(i) <- r.r_span.(j);
+    hop.(i) <- r.r_hop.(j);
     k.(i) <- r.r_k.(j)
   done;
   r.r_work <- work;
   r.r_sub <- sub;
-  r.r_tally <- tally;
-  r.r_span <- span;
+  r.r_hop <- hop;
   r.r_k <- k;
   r.r_head <- 0
 
@@ -126,21 +121,16 @@ type t = {
          in a fixed [engines]-slot array *)
   mutable ifl_len : int;
   (* Service-completion slots, pooled per node ([engines] of them, the
-     maximum concurrency): each slot carries the finish time, lane and
+     maximum concurrency): each slot carries the finish time and
      downstream continuation of one running service, and [sv_fire] is
      its completion closure built once at node creation — scheduling a
-     completion allocates nothing. *)
+     completion allocates nothing. A slot is held for exactly one
+     service, so its index is the engine lane a trace shows. *)
   sv_finish : float array;
-  sv_lane : int array;
   sv_k : (unit -> unit) array;
   sv_fire : (unit -> unit) array;
   sv_free : int array;
   mutable sv_free_top : int;
-  free_lanes : int array;
-      (* stack of free engine lanes, only maintained when the node was
-         created with [track_lanes] (tracing); empty otherwise so the
-         untraced path pays nothing *)
-  mutable free_top : int;  (* live entries in [free_lanes] *)
   mutable prof : Profile.t option;
       (* self-profiler hook ({!Metrics}); [None] costs one pointer
          compare per dispatch/completion entry *)
@@ -217,22 +207,6 @@ let[@inline] remove_in_flight t finish =
       t.ifl.(j) <- t.ifl.(j + 1)
     done;
     t.ifl_len <- t.ifl_len - 1
-  end
-
-(* Pop a free engine lane; only meaningful when lanes are tracked.
-   [busy_engines < engines] before every start, so the stack is never
-   empty here. *)
-let claim_lane t =
-  if t.free_top = 0 then 0
-  else begin
-    t.free_top <- t.free_top - 1;
-    t.free_lanes.(t.free_top)
-  end
-
-let release_lane t lane =
-  if Array.length t.free_lanes > 0 then begin
-    t.free_lanes.(t.free_top) <- lane;
-    t.free_top <- t.free_top + 1
   end
 
 (* Stage 1 of the hierarchical arbiter: the current group keeps the
@@ -319,8 +293,9 @@ let[@inline] hier_dequeued t q =
 
 (* Service start, shared by the drain loop and the idle-node fast
    grant in [submit_at]: engine accounting, busy-time and in-flight
-   bookkeeping, telemetry tallies and the pooled completion slot. *)
-let[@inline] start_service t ~work ~submitted ~tally ~span k =
+   bookkeeping, the pooled completion slot and the hop's report.
+   [busy_engines < engines] before every start, so a slot is free. *)
+let[@inline] start_service t ~work ~submitted ~hop k =
   t.busy_engines <- t.busy_engines + 1;
   let now = Engine.now t.engine in
   let duration = service_time t work in
@@ -328,20 +303,14 @@ let[@inline] start_service t ~work ~submitted ~tally ~span k =
   t.fb.(0) <- t.fb.(0) +. duration;
   t.ifl.(t.ifl_len) <- finish;
   t.ifl_len <- t.ifl_len + 1;
-  let lane = claim_lane t in
-  (match tally with
-  | Some a ->
-    a.(Telemetry.slot_queueing) <-
-      a.(Telemetry.slot_queueing) +. (now -. submitted);
-    a.(Telemetry.slot_service) <- a.(Telemetry.slot_service) +. duration
-  | None -> ());
-  (match span with
-  | Some f -> f ~lane ~queued:(now -. submitted) ~service:duration
-  | None -> ());
   let slot = t.sv_free.(t.sv_free_top - 1) in
   t.sv_free_top <- t.sv_free_top - 1;
+  (match hop with
+  | Some h ->
+    Hop.served h ~entity:t.label ~lane:slot ~now ~queued:(now -. submitted)
+      ~service:duration
+  | None -> ());
   t.sv_finish.(slot) <- finish;
-  t.sv_lane.(slot) <- lane;
   t.sv_k.(slot) <- k;
   Engine.schedule_after t.engine ~delay:duration t.sv_fire.(slot)
 
@@ -360,17 +329,15 @@ let rec dispatch_loop t =
     let head = r.r_head in
     let work = r.r_work.(head) in
     let submitted = r.r_sub.(head) in
-    let tally = r.r_tally.(head) in
-    let span = r.r_span.(head) in
+    let hop = r.r_hop.(head) in
     let k = r.r_k.(head) in
-    r.r_tally.(head) <- None;
-    r.r_span.(head) <- None;
+    r.r_hop.(head) <- None;
     r.r_k.(head) <- noop;
     r.r_head <- (head + 1) land (cap - 1);
     r.r_len <- r.r_len - 1;
     t.queued_total <- t.queued_total - 1;
     if t.groups > 0 then hier_dequeued t q;
-    start_service t ~work ~submitted ~tally ~span k;
+    start_service t ~work ~submitted ~hop k;
     dispatch_loop t
   end
 
@@ -390,10 +357,8 @@ and dispatch t =
    stop the node clock before running downstream work. *)
 and fire_steps t slot =
   let finish = t.sv_finish.(slot) in
-  let lane = t.sv_lane.(slot) in
   let k = t.sv_k.(slot) in
   t.busy_engines <- t.busy_engines - 1;
-  release_lane t lane;
   remove_in_flight t finish;
   t.completions <- t.completions + 1;
   t.sv_k.(slot) <- noop;
@@ -422,7 +387,7 @@ let validate_common ~engines ~rate_per_engine ~capacity =
 (* [hier = None] builds a flat one-queue node; [Some (group_weights,
    class_weights)] the two-stage arbiter. *)
 let make engine ~rng ~label ~engines ~rate_per_engine ~entries_per_queue
-    ~service_dist ~track_lanes ~hier =
+    ~service_dist ~hier =
   let groups, queues_per_group =
     match hier with
     | None -> (0, 1)
@@ -469,17 +434,11 @@ let make engine ~rng ~label ~engines ~rate_per_engine ~entries_per_queue
       ifl = Array.make engines 0.;
       ifl_len = 0;
       sv_finish = Array.make engines 0.;
-      sv_lane = Array.make engines 0;
       sv_k = Array.make engines noop;
       sv_fire = Array.make engines noop;
       (* slot [0] on top of the stack so the first start takes slot 0 *)
       sv_free = Array.init engines (fun i -> engines - 1 - i);
       sv_free_top = engines;
-      (* lane [0] on top of the stack so the first claim is lane 0 *)
-      free_lanes =
-        (if track_lanes then Array.init engines (fun i -> engines - 1 - i)
-         else [||]);
-      free_top = (if track_lanes then engines else 0);
       prof = None;
     }
   in
@@ -490,13 +449,13 @@ let make engine ~rng ~label ~engines ~rate_per_engine ~entries_per_queue
   done;
   t
 
-let create ?(track_lanes = false) engine ~rng ~label ~engines ~rate_per_engine
-    ~queue_capacity ~service_dist =
+let create engine ~rng ~label ~engines ~rate_per_engine ~queue_capacity
+    ~service_dist =
   validate_common ~engines ~rate_per_engine ~capacity:queue_capacity;
   make engine ~rng ~label ~engines ~rate_per_engine
-    ~entries_per_queue:queue_capacity ~service_dist ~track_lanes ~hier:None
+    ~entries_per_queue:queue_capacity ~service_dist ~hier:None
 
-let create_hierarchical ?(track_lanes = false) engine ~rng ~label ~engines
+let create_hierarchical engine ~rng ~label ~engines
     ~rate_per_engine ~entries_per_queue ~group_weights ~class_weights
     ~service_dist =
   validate_common ~engines ~rate_per_engine ~capacity:entries_per_queue;
@@ -516,7 +475,7 @@ let create_hierarchical ?(track_lanes = false) engine ~rng ~label ~engines
         invalid_arg "Ip_node.create_hierarchical: class weights must be >= 1")
     class_weights;
   make engine ~rng ~label ~engines ~rate_per_engine ~entries_per_queue
-    ~service_dist ~track_lanes ~hier:(Some (group_weights, class_weights))
+    ~service_dist ~hier:(Some (group_weights, class_weights))
 
 let set_profile t p = t.prof <- p
 
@@ -541,22 +500,21 @@ let effective_capacity t =
   | None -> t.entries_per_queue
   | Some c -> min c t.entries_per_queue
 
-let[@inline] submit_at ?tally ?span t ~queue ~work k =
+let[@inline] submit_at ?hop t ~queue ~work k =
   if queue < 0 || queue >= Array.length t.queues then
-    invalid_arg "Ip_node.submit: bad queue index";
-  if work < 0. then invalid_arg "Ip_node.submit: negative work";
+    invalid_arg "Ip_node.submit_at: bad queue index";
+  if work < 0. then invalid_arg "Ip_node.submit_at: negative work";
   (* Fast path: a request needing no engine time completes immediately —
      but only when its queue is empty, otherwise it would overtake
      queued requests and reorder the stream. *)
   if
     (work = 0. || t.rate_per_engine = infinity) && t.queues.(queue).r_len = 0
   then begin
-    (match tally with
-    | Some a ->
-      a.(Telemetry.slot_queueing) <- a.(Telemetry.slot_queueing) +. 0.;
-      a.(Telemetry.slot_service) <- a.(Telemetry.slot_service) +. 0.
+    (match hop with
+    | Some h ->
+      Hop.served h ~entity:t.label ~lane:0 ~now:(Engine.now t.engine)
+        ~queued:0. ~service:0.
     | None -> ());
-    (match span with Some f -> f ~lane:0 ~queued:0. ~service:0. | None -> ());
     k ();
     true
   end
@@ -573,10 +531,10 @@ let[@inline] submit_at ?tally ?span t ~queue ~work k =
   then begin
     (match t.prof with
     | None ->
-      start_service t ~work ~submitted:(Engine.now t.engine) ~tally ~span k
+      start_service t ~work ~submitted:(Engine.now t.engine) ~hop k
     | Some p ->
       let prev = Profile.enter p Profile.phase_node in
-      start_service t ~work ~submitted:(Engine.now t.engine) ~tally ~span k;
+      start_service t ~work ~submitted:(Engine.now t.engine) ~hop k;
       Profile.leave p prev);
     true
   end
@@ -598,8 +556,7 @@ let[@inline] submit_at ?tally ?span t ~queue ~work k =
       let i = (r.r_head + r.r_len) land (cap - 1) in
       r.r_work.(i) <- work;
       r.r_sub.(i) <- Engine.now t.engine;
-      r.r_tally.(i) <- tally;
-      r.r_span.(i) <- span;
+      r.r_hop.(i) <- hop;
       r.r_k.(i) <- k;
       r.r_len <- r.r_len + 1;
       t.queued_total <- t.queued_total + 1;
@@ -608,6 +565,3 @@ let[@inline] submit_at ?tally ?span t ~queue ~work k =
       true
     end
   end
-
-let[@inline] submit ?(queue = 0) ?tally ?span t ~work k =
-  submit_at ?tally ?span t ~queue ~work k

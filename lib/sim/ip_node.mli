@@ -19,7 +19,6 @@ type service_dist =
 type t
 
 val create :
-  ?track_lanes:bool ->
   Engine.t ->
   rng:Lognic_numerics.Rng.t ->
   label:string ->
@@ -30,14 +29,9 @@ val create :
   t
 (** A single-queue node ([queues = 1]). Raises [Invalid_argument] on
     non-positive engine count / rate / capacity. [rate_per_engine] may
-    be [infinity] for a transparent node. [track_lanes] (default
-    [false]) maintains per-engine occupancy so {!submit}'s [span]
-    callback reports a stable engine index; off, the node allocates no
-    lane state and [span] always reports lane 0. Lane bookkeeping never
-    affects scheduling. *)
+    be [infinity] for a transparent node. *)
 
 val create_hierarchical :
-  ?track_lanes:bool ->
   Engine.t ->
   rng:Lognic_numerics.Rng.t ->
   label:string ->
@@ -77,48 +71,26 @@ val engines : t -> int
 
 val queue_count : t -> int
 
-val submit :
-  ?queue:int ->
-  ?tally:float array ->
-  ?span:(lane:int -> queued:float -> service:float -> unit) ->
-  t ->
-  work:float ->
-  (unit -> unit) ->
-  bool
-(** [submit node ~work k] enqueues a request needing [work] bytes of
-    processing into [queue] (default 0); [k] fires at service
-    completion. Returns [false] (and counts a drop) when that queue is
-    full. [tally], when given, receives the request's time-in-queue and
-    drawn service duration at service start, accumulated ([+.]) into
-    [tally.(Telemetry.slot_queueing)] /
-    [tally.(Telemetry.slot_service)] — the per-hop inputs to
-    {!Telemetry.latency_terms}, recorded without boxing a float
-    (callers keep one scratch array per in-flight packet; pass a
-    pre-allocated [Some] to stay allocation-free). [span] is the
-    tracing sink ({!Trace}): called once at service start with the same
-    quantities plus the serving engine's lane index (see
-    [track_lanes]); when absent, the request records nothing and costs
-    nothing.
+val submit_at :
+  ?hop:Hop.t -> t -> queue:int -> work:float -> (unit -> unit) -> bool
+(** [submit_at node ~queue ~work k] enqueues a request needing [work]
+    bytes of processing into queue [queue] (0 on a single-queue node);
+    [k] fires at service completion. Returns [false] (and counts a
+    drop) when that queue is full. [hop], the packet's ledger, is told
+    of the request's time in queue and drawn service duration at
+    service start through {!Hop.served}, under the node's label; pass a
+    pre-built [Some] to stay allocation-free. The lane it reports is
+    the index of the completion slot the service holds: concurrent
+    services report distinct lanes in \[0, engines), and a completion
+    frees its lane for the next start.
 
     Zero-work requests (and any request on an infinite-rate node) take
     a fast path {e only while their queue is empty}: they complete
-    immediately without consuming an engine. When the queue is
-    non-empty they are routed through it like any other request —
-    preserving FIFO order (no overtaking) and subject to the capacity
-    check. Raises [Invalid_argument] on a bad queue index or negative
-    work. *)
-
-val submit_at :
-  ?tally:float array ->
-  ?span:(lane:int -> queued:float -> service:float -> unit) ->
-  t ->
-  queue:int ->
-  work:float ->
-  (unit -> unit) ->
-  bool
-(** {!submit} with the queue index as a required argument — the hot-path
-    entry for multiqueue/hierarchical callers, which avoids boxing the
-    index in an option at every call. *)
+    immediately without consuming an engine, and report lane 0. When
+    the queue is non-empty they are routed through it like any other
+    request — preserving FIFO order (no overtaking) and subject to the
+    capacity check. Raises [Invalid_argument] on a bad queue index or
+    negative work. *)
 
 val in_system : t -> int
 

@@ -41,7 +41,7 @@ let set_scale t factor =
   t.scale <- factor
 
 (* Nonzero-byte admission: arbitration, backlog check, scheduling. *)
-let[@inline] transfer_admit ?tally ?span t ~bytes k =
+let[@inline] transfer_admit ?hop t ~bytes k =
   let now = Engine.now t.engine in
   let bw = effective_bandwidth t in
   let next_free = t.f.(0) in
@@ -60,41 +60,32 @@ let[@inline] transfer_admit ?tally ?span t ~bytes k =
     t.f.(0) <- start +. duration;
     t.f.(1) <- t.f.(1) +. duration;
     t.transfers <- t.transfers + 1;
-    (match tally with
-    | Some a ->
-      a.(Telemetry.slot_queueing) <-
-        a.(Telemetry.slot_queueing) +. (start -. now);
-      a.(Telemetry.slot_wire) <- a.(Telemetry.slot_wire) +. duration
-    | None -> ());
-    (match span with
-    | Some f -> f ~label:t.label ~queued:(start -. now) ~wire:duration
+    (match hop with
+    | Some h ->
+      Hop.transferred h ~entity:t.label ~now ~queued:(start -. now)
+        ~wire:duration
     | None -> ());
     Engine.schedule t.engine ~at:(start +. duration) k;
     true
   end
 
-(* [tally], when given, receives the backlog wait and transmission time
-   as [+.] accumulations into the {!Telemetry} flight-slot layout —
-   unboxed float-array stores, replacing the old per-call [?timing]
-   closure whose float arguments boxed on every hop. *)
-let[@inline] transfer ?tally ?span t ~bytes k =
+let[@inline] transfer ?hop t ~bytes k =
   if bytes < 0. then invalid_arg "Medium.transfer: negative bytes";
   if bytes = 0. then begin
-    (match tally with
-    | Some a ->
-      a.(Telemetry.slot_queueing) <- a.(Telemetry.slot_queueing) +. 0.;
-      a.(Telemetry.slot_wire) <- a.(Telemetry.slot_wire) +. 0.
+    (match hop with
+    | Some h ->
+      Hop.transferred h ~entity:t.label ~now:(Engine.now t.engine) ~queued:0.
+        ~wire:0.
     | None -> ());
-    (match span with Some f -> f ~label:t.label ~queued:0. ~wire:0. | None -> ());
     k ();
     true
   end
   else begin
     match t.prof with
-    | None -> transfer_admit ?tally ?span t ~bytes k
+    | None -> transfer_admit ?hop t ~bytes k
     | Some p ->
       let prev = Profile.enter p Profile.phase_media in
-      let admitted = transfer_admit ?tally ?span t ~bytes k in
+      let admitted = transfer_admit ?hop t ~bytes k in
       Profile.leave p prev;
       admitted
   end

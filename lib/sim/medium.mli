@@ -32,27 +32,14 @@ val set_scale : t -> float -> unit
     unless [factor] is in (0, 1]. With [factor = 1] the medium is
     byte-identical to one that was never degraded. *)
 
-val transfer :
-  ?tally:float array ->
-  ?span:(label:string -> queued:float -> wire:float -> unit) ->
-  t ->
-  bytes:float ->
-  (unit -> unit) ->
-  bool
+val transfer : ?hop:Hop.t -> t -> bytes:float -> (unit -> unit) -> bool
 (** [transfer medium ~bytes k] schedules [k] at the completion time and
     returns [true], or returns [false] (counting a rejection) when the
-    pending backlog exceeds the buffer. [tally], when given, receives
-    the transfer's backlog wait and transmission time (both zero for
-    zero-byte transfers) accumulated ([+.]) into
-    [tally.(Telemetry.slot_queueing)] / [tally.(Telemetry.slot_wire)] —
-    the per-hop inputs to {!Telemetry.latency_terms}, recorded without
-    boxing a float (callers keep one scratch array per in-flight
-    packet; pass a pre-allocated [Some] to stay allocation-free).
-    [span] is the tracing sink ({!Trace}): called right after the tally
-    with the same quantities plus the medium's own label, so one sink
-    closure serves every medium on a hop; when absent the transfer
-    records nothing and costs nothing.
-    Raises [Invalid_argument] on negative [bytes]. *)
+    pending backlog exceeds the buffer. [hop], the packet's ledger, is
+    told of an admitted transfer's backlog wait and transmission time
+    (both zero for zero-byte transfers) through {!Hop.transferred},
+    under the medium's label; pass a pre-built [Some] to stay
+    allocation-free. Raises [Invalid_argument] on negative [bytes]. *)
 
 val backlog : t -> float
 (** Bytes admitted but not yet transferred, at the engine's current

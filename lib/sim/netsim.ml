@@ -138,16 +138,17 @@ type vertex_rt = {
   v_out_total : float;  (* left-to-right sum of [v_out_delta] *)
 }
 
-(* A pooled in-flight packet: the latency ledger lives in the [fs]
-   float array ({!Telemetry.flight_slots} layout, unboxed stores), and
-   each continuation of the walk is a per-flight closure built once
-   when the flight is first allocated. Finished flights chain through
-   [fl_next] onto a free list ([fl_self] is the pre-built [Some] link,
-   so releasing allocates nothing), and steady state recycles them:
-   after warm-up the walk of a packet allocates no flight state at
-   all. *)
+(* A pooled in-flight packet: [hop] is its per-hop ledger (the
+   {!Telemetry.flight_slots} floats every record reads, and its trace
+   record while sampled), and each continuation of the walk is a
+   per-flight closure built once when the flight is first allocated.
+   Finished flights chain through [fl_next] onto a free list
+   ([fl_self] is the pre-built [Some] link, so releasing allocates
+   nothing), and steady state recycles them: after warm-up the walk of
+   a packet allocates no flight state at all. *)
 type flight = {
-  fs : float array;
+  hop : Hop.t;
+  fl_hop : Hop.t option;  (* [Some hop], built once, passed to every hop *)
   mutable fl_id : int;
   mutable fl_klass : int;
   mutable fl_tenant : int;  (* owning tenant id; 0 when untenanted *)
@@ -156,25 +157,13 @@ type flight = {
   mutable fl_fclass : int;  (* hot/warm/cold (0..2); -1 = unclassified *)
   mutable fl_vertex : G.vertex_id;  (* vertex being visited *)
   mutable fl_edge : int;  (* edge_rt index being traversed *)
-  mutable fl_tr : Trace.record option;
   mutable fl_next : flight option;  (* free-list link *)
   mutable fl_self : flight option;  (* [Some self], built once *)
-  fl_tally : float array option;  (* [Some fs], built once *)
   fl_on_served : unit -> unit;
   fl_continue : unit -> unit;
   fl_via_memory : unit -> unit;
   fl_via_link : unit -> unit;
   fl_arrive : unit -> unit;
-  mutable fl_span_node :
-    (lane:int -> queued:float -> service:float -> unit) option;
-  mutable fl_span_medium :
-    (label:string -> queued:float -> wire:float -> unit) option;
-  (* the built sinks, installed into the two active fields only for
-     sampled packets — see the per-packet installation site *)
-  mutable fl_span_node_on :
-    (lane:int -> queued:float -> service:float -> unit) option;
-  mutable fl_span_medium_on :
-    (label:string -> queued:float -> wire:float -> unit) option;
 }
 
 (* Probability that a packet's walk crosses each vertex/edge, from the
@@ -282,7 +271,6 @@ let execute_with ?engine:reused (spec : Run.t) =
         (fun (e : G.edge) -> Hashtbl.find_opt links (e.src, e.dst))
         (G.edges g)
   in
-  let tracing = config.trace <> None in
   (* Per-vertex processing-work multiplier: size * inflow / p(v). *)
   let work_factor id =
     let p = prob_vertex id in
@@ -312,7 +300,7 @@ let execute_with ?engine:reused (spec : Run.t) =
             (* One queue group per tenant/VF, one equal-weight queue
                per traffic class within it — the SR-IOV two-stage
                arbiter. *)
-            Ip_node.create_hierarchical ~track_lanes:tracing engine
+            Ip_node.create_hierarchical engine
               ~rng:(N.Rng.split rng) ~label:v.label ~engines:d
               ~rate_per_engine
               ~entries_per_queue:v.service.queue_capacity
@@ -321,7 +309,7 @@ let execute_with ?engine:reused (spec : Run.t) =
                 (Array.make_matrix (Tenant.count tset) nclasses 1)
               ~service_dist:config.service_dist
           | _ ->
-            Ip_node.create ~track_lanes:tracing engine ~rng:(N.Rng.split rng)
+            Ip_node.create engine ~rng:(N.Rng.split rng)
               ~label:v.label ~engines:d
               ~rate_per_engine
               ~queue_capacity:v.service.queue_capacity
@@ -491,9 +479,8 @@ let execute_with ?engine:reused (spec : Run.t) =
     | None -> serve_f fl
     | Some node ->
       if
-        Ip_node.submit_at node ?tally:fl.fl_tally ?span:fl.fl_span_node
-          ~queue:fl.fl_queue
-          ~work:(fl.fs.(Telemetry.slot_size) *. vr.v_work_factor)
+        Ip_node.submit_at node ?hop:fl.fl_hop ~queue:fl.fl_queue
+          ~work:(fl.hop.fs.(Telemetry.slot_size) *. vr.v_work_factor)
           fl.fl_on_served
       then begin
         match checker with
@@ -511,25 +498,26 @@ let execute_with ?engine:reused (spec : Run.t) =
   and serve_f fl =
     let vr = vrt.(fl.fl_vertex) in
     if vr.v_is_egress then begin
-      fl.fs.(Telemetry.slot_now) <- Engine.now engine;
+      let fs = fl.hop.fs in
+      fs.(Telemetry.slot_now) <- Engine.now engine;
       (match checker with
       | Some inv ->
-        Invariants.check_delivery inv ~id:fl.fl_id ~time:(Engine.now engine) fl.fs
+        Invariants.check_delivery inv ~id:fl.fl_id ~time:(Engine.now engine) fs
       | None -> ());
-      (match fl.fl_tr with
+      (match fl.hop.record with
       | Some r -> Trace.deliver r ~time:(Engine.now engine)
       | None -> ());
       (match faults with
-      | Some f -> Faults.record_delivered f fl.fs
+      | Some f -> Faults.record_delivered f fs
       | None -> ());
-      Telemetry.record_completion_fs telemetry ~fs:fl.fs ~klass:fl.fl_klass;
+      Telemetry.record_completion_fs telemetry ~fs ~klass:fl.fl_klass;
       (match tenants with
-      | Some (_, tbl) -> Telemetry.Table.record_delivered tbl ~row:fl.fl_tenant fl.fs
+      | Some (_, tbl) -> Telemetry.Table.record_delivered tbl ~row:fl.fl_tenant fs
       | None -> ());
       (match flow with
       | Some (st, _, _) when fl.fl_fclass >= 0 ->
         Telemetry.Table.record_delivered (Flow_cache.table st) ~row:fl.fl_fclass
-          fl.fs
+          fs
       | _ -> ());
       release_flight fl
     end
@@ -567,13 +555,8 @@ let execute_with ?engine:reused (spec : Run.t) =
           vr.v_out.(N.Choice.scan route_rng vr.v_out_delta
                       ~total:vr.v_out_total));
       if vr.v_overhead > 0. then begin
-        fl.fs.(Telemetry.slot_overhead) <-
-          fl.fs.(Telemetry.slot_overhead) +. vr.v_overhead;
-        (match fl.fl_tr with
-        | Some r ->
-          Trace.add_span r ~entity:vr.v_label ~lane:0 ~phase:Trace.Overhead
-            ~start:(Engine.now engine) ~duration:vr.v_overhead
-        | None -> ());
+        Hop.overhead fl.hop ~entity:vr.v_label ~now:(Engine.now engine)
+          ~duration:vr.v_overhead;
         Engine.schedule_after engine ~delay:vr.v_overhead fl.fl_continue
       end
       else traverse_f fl
@@ -582,22 +565,18 @@ let execute_with ?engine:reused (spec : Run.t) =
     let er = ert.(fl.fl_edge) in
     let bytes =
       if er.e_pe <= 0. then 0.
-      else fl.fs.(Telemetry.slot_size) *. er.e_alpha /. er.e_pe
+      else fl.hop.fs.(Telemetry.slot_size) *. er.e_alpha /. er.e_pe
     in
-    if
-      Medium.transfer ?tally:fl.fl_tally ?span:fl.fl_span_medium interface
-        ~bytes fl.fl_via_memory
+    if Medium.transfer ?hop:fl.fl_hop interface ~bytes fl.fl_via_memory
     then check_medium interface
     else drop_flight fl interface_drop
   and via_memory_f fl =
     let er = ert.(fl.fl_edge) in
     let bytes =
       if er.e_pe <= 0. then 0.
-      else fl.fs.(Telemetry.slot_size) *. er.e_beta /. er.e_pe
+      else fl.hop.fs.(Telemetry.slot_size) *. er.e_beta /. er.e_pe
     in
-    if
-      Medium.transfer ?tally:fl.fl_tally ?span:fl.fl_span_medium memory ~bytes
-        fl.fl_via_link
+    if Medium.transfer ?hop:fl.fl_hop memory ~bytes fl.fl_via_link
     then check_medium memory
     else drop_flight fl memory_drop
   and via_link_f fl =
@@ -606,11 +585,9 @@ let execute_with ?engine:reused (spec : Run.t) =
     | Some link ->
       let bytes =
         if er.e_pe <= 0. then 0.
-        else fl.fs.(Telemetry.slot_size) *. er.e_delta /. er.e_pe
+        else fl.hop.fs.(Telemetry.slot_size) *. er.e_delta /. er.e_pe
       in
-      if
-        Medium.transfer ?tally:fl.fl_tally ?span:fl.fl_span_medium link ~bytes
-          fl.fl_arrive
+      if Medium.transfer ?hop:fl.fl_hop link ~bytes fl.fl_arrive
       then check_medium link
       else drop_flight fl er.e_link_drop
     | None -> arrive_dst_f fl
@@ -624,27 +601,29 @@ let execute_with ?engine:reused (spec : Run.t) =
     | Some inv ->
       Invariants.packet_dropped inv ~id:fl.fl_id ~time:(Engine.now engine)
     | None -> ());
-    (match fl.fl_tr with
+    (match fl.hop.record with
     | Some r -> Trace.drop r ~site:d.d_name ~time:(Engine.now engine)
     | None -> ());
+    let fs = fl.hop.fs in
     (match faults with
-    | Some f -> Faults.record_dropped f fl.fs
+    | Some f -> Faults.record_dropped f fs
     | None -> ());
-    Telemetry.record_drop_counted telemetry fl.fs d.dk;
+    Telemetry.record_drop_counted telemetry fs d.dk;
     (match tenants with
-    | Some (_, tbl) -> Telemetry.Table.record_dropped tbl ~row:fl.fl_tenant fl.fs
+    | Some (_, tbl) -> Telemetry.Table.record_dropped tbl ~row:fl.fl_tenant fs
     | None -> ());
     release_flight fl
   and release_flight fl =
-    fl.fl_tr <- None;
+    fl.hop.record <- None;
     fl.fl_next <- !free_flights;
     free_flights := fl.fl_self
   in
   let new_flight () =
-    let fs = Array.make Telemetry.flight_slots 0. in
+    let hop = Hop.create () in
     let rec fl =
       {
-        fs;
+        hop;
+        fl_hop = Some hop;
         fl_id = 0;
         fl_klass = 0;
         fl_tenant = 0;
@@ -653,54 +632,16 @@ let execute_with ?engine:reused (spec : Run.t) =
         fl_fclass = -1;
         fl_vertex = 0;
         fl_edge = 0;
-        fl_tr = None;
         fl_next = None;
         fl_self = None;
-        fl_tally = Some fs;
         fl_on_served = (fun () -> serve_f fl);
         fl_continue = (fun () -> traverse_f fl);
         fl_via_memory = (fun () -> via_memory_f fl);
         fl_via_link = (fun () -> via_link_f fl);
         fl_arrive = (fun () -> arrive_dst_f fl);
-        fl_span_node = None;
-        fl_span_medium = None;
-        fl_span_node_on = None;
-        fl_span_medium_on = None;
       }
     in
     fl.fl_self <- Some fl;
-    if tracing then begin
-      (* Tracing sinks are per-flight too, reading the flight's current
-         trace record (None for unsampled packets). The node span fires
-         at service start — while the flight is still parked at the
-         serving vertex — so the queue span is the interval ending now
-         and the service span the one starting now. Medium spans are
-         reported at admission: backlog wait starts now, the wire slice
-         follows it. *)
-      fl.fl_span_node_on <-
-        Some
-          (fun ~lane ~queued ~service ->
-            match fl.fl_tr with
-            | None -> ()
-            | Some r ->
-              let start = Engine.now engine in
-              let entity = vrt.(fl.fl_vertex).v_label in
-              Trace.add_span r ~entity ~lane ~phase:Trace.Queue
-                ~start:(start -. queued) ~duration:queued;
-              Trace.add_span r ~entity ~lane ~phase:Trace.Service ~start
-                ~duration:service);
-      fl.fl_span_medium_on <-
-        Some
-          (fun ~label ~queued ~wire ->
-            match fl.fl_tr with
-            | None -> ()
-            | Some r ->
-              let now = Engine.now engine in
-              Trace.add_span r ~entity:label ~lane:0 ~phase:Trace.Queue
-                ~start:now ~duration:queued;
-              Trace.add_span r ~entity:label ~lane:0 ~phase:Trace.Wire
-                ~start:(now +. queued) ~duration:wire)
-    end;
     fl
   in
   let acquire_flight () =
@@ -727,7 +668,7 @@ let execute_with ?engine:reused (spec : Run.t) =
        counts sum exactly to the aggregate telemetry accounts. *)
     let tid = draw_tenant () in
     let fl = acquire_flight () in
-    let fs = fl.fs in
+    let fs = fl.hop.fs in
     fs.(Telemetry.slot_queueing) <- 0.;
     fs.(Telemetry.slot_service) <- 0.;
     fs.(Telemetry.slot_wire) <- 0.;
@@ -745,7 +686,7 @@ let execute_with ?engine:reused (spec : Run.t) =
     (match faults with
     | Some f -> Faults.record_offered f fs
     | None -> ());
-    fl.fl_tr <-
+    fl.hop.record <-
       (match trace with
       | None -> None
       | Some t -> Trace.on_packet t ~packet:id ~born:now ~size ~klass);
@@ -766,21 +707,6 @@ let execute_with ?engine:reused (spec : Run.t) =
         fl.fl_flow <- Flow_cache.draw st ~bits:(N.Rng.bits frng);
         fl.fl_fclass <- -1
       | None -> ());
-      (* Install span sinks per packet: an unsampled flight carries
-         [None], so the per-hop span calls in [Ip_node]/[Medium]
-         short-circuit before boxing their float arguments — with a
-         64-packet reservoir virtually every packet takes that path,
-         which is what keeps the traced-run overhead inside its 5%
-         budget. *)
-      if tracing then begin
-        match fl.fl_tr with
-        | None ->
-          fl.fl_span_node <- None;
-          fl.fl_span_medium <- None
-        | Some _ ->
-          fl.fl_span_node <- fl.fl_span_node_on;
-          fl.fl_span_medium <- fl.fl_span_medium_on
-      end;
       arrive_f fl
     end
   in

@@ -18,7 +18,10 @@
     Every run is fully observable: drops are attributed to the queue or
     medium buffer that shed them, and each delivered packet's latency
     is decomposed into queueing / service / wire / overhead components
-    (the Eq. 2 terms). Periodic queue-depth / busy-engine / backlog
+    (the Eq. 2 terms). Each in-flight packet carries one {!Hop.t}
+    ledger: nodes, media and the walk's vertex overheads add its terms
+    and, for a traced packet, record its spans, through that one
+    argument. Periodic queue-depth / busy-engine / backlog
     samples come from the metrics layer: [config.metrics] attaches the
     gauges, and {!Metrics.series} holds their histories.
 

@@ -27,7 +27,7 @@ let md1_matches_deterministic_sim () =
   let rec arrive () =
     let born = S.Engine.now engine in
     ignore
-      (S.Ip_node.submit node ~work:100. (fun () ->
+      (S.Ip_node.submit_at node ~queue:0 ~work:100. (fun () ->
            if born > 1000. then
              N.Stats.Online.add stats (S.Engine.now engine -. born)));
     let next = born +. N.Dist.sample_exponential ~rate:lambda rng in

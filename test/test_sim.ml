@@ -257,7 +257,7 @@ let ip_node_serves_fifo () =
   let n = node e in
   let completions = ref [] in
   for i = 1 to 3 do
-    ignore (S.Ip_node.submit n ~work:100. (fun () -> completions := (i, S.Engine.now e) :: !completions))
+    ignore (S.Ip_node.submit_at n ~queue:0 ~work:100. (fun () -> completions := (i, S.Engine.now e) :: !completions))
   done;
   S.Engine.run e;
   Alcotest.(check (list (pair int (float 1e-9))))
@@ -269,7 +269,7 @@ let ip_node_parallel_engines () =
   let n = node ~engines:2 e in
   let finished = ref [] in
   for _ = 1 to 2 do
-    ignore (S.Ip_node.submit n ~work:100. (fun () -> finished := S.Engine.now e :: !finished))
+    ignore (S.Ip_node.submit_at n ~queue:0 ~work:100. (fun () -> finished := S.Engine.now e :: !finished))
   done;
   S.Engine.run e;
   Alcotest.(check (list (float 1e-9))) "both served concurrently" [ 1.; 1. ] !finished
@@ -277,9 +277,9 @@ let ip_node_parallel_engines () =
 let ip_node_drops_when_full () =
   let e = S.Engine.create () in
   let n = node ~capacity:2 e in
-  Alcotest.(check bool) "1 in service" true (S.Ip_node.submit n ~work:100. ignore);
-  Alcotest.(check bool) "1 queued" true (S.Ip_node.submit n ~work:100. ignore);
-  Alcotest.(check bool) "3rd rejected" false (S.Ip_node.submit n ~work:100. ignore);
+  Alcotest.(check bool) "1 in service" true (S.Ip_node.submit_at n ~queue:0 ~work:100. ignore);
+  Alcotest.(check bool) "1 queued" true (S.Ip_node.submit_at n ~queue:0 ~work:100. ignore);
+  Alcotest.(check bool) "3rd rejected" false (S.Ip_node.submit_at n ~queue:0 ~work:100. ignore);
   Alcotest.(check int) "drop counted" 1 (S.Ip_node.drops n);
   Alcotest.(check int) "in system" 2 (S.Ip_node.in_system n)
 
@@ -287,7 +287,7 @@ let ip_node_zero_work_passthrough () =
   let e = S.Engine.create () in
   let n = node e in
   let fired = ref false in
-  ignore (S.Ip_node.submit n ~work:0. (fun () -> fired := true));
+  ignore (S.Ip_node.submit_at n ~queue:0 ~work:0. (fun () -> fired := true));
   Alcotest.(check bool) "immediate" true !fired
 
 let ip_node_zero_work_fifo () =
@@ -296,18 +296,18 @@ let ip_node_zero_work_fifo () =
   let e = S.Engine.create () in
   let n = node e in
   let order = ref [] in
-  ignore (S.Ip_node.submit n ~work:100. (fun () -> order := `Work1 :: !order));
-  ignore (S.Ip_node.submit n ~work:100. (fun () -> order := `Work2 :: !order));
-  ignore (S.Ip_node.submit n ~work:0. (fun () -> order := `Zero :: !order));
+  ignore (S.Ip_node.submit_at n ~queue:0 ~work:100. (fun () -> order := `Work1 :: !order));
+  ignore (S.Ip_node.submit_at n ~queue:0 ~work:100. (fun () -> order := `Work2 :: !order));
+  ignore (S.Ip_node.submit_at n ~queue:0 ~work:0. (fun () -> order := `Zero :: !order));
   S.Engine.run e;
   Alcotest.(check bool) "FIFO preserved" true
     (List.rev !order = [ `Work1; `Work2; `Zero ]);
   (* queued zero-work is subject to capacity like any request *)
   let n2 = node ~capacity:2 e in
-  ignore (S.Ip_node.submit n2 ~work:100. ignore);
-  ignore (S.Ip_node.submit n2 ~work:100. ignore);
+  ignore (S.Ip_node.submit_at n2 ~queue:0 ~work:100. ignore);
+  ignore (S.Ip_node.submit_at n2 ~queue:0 ~work:100. ignore);
   Alcotest.(check bool) "queued zero-work can drop" false
-    (S.Ip_node.submit n2 ~work:0. ignore)
+    (S.Ip_node.submit_at n2 ~queue:0 ~work:0. ignore)
 
 let ip_node_overload_utilization () =
   (* Busy-time clipping: a service in flight at the horizon must only
@@ -316,13 +316,59 @@ let ip_node_overload_utilization () =
   let n = node ~capacity:16 e in
   (* 10 x 1s services, horizon 2.5s: without clipping busy = 3s *)
   for _ = 1 to 10 do
-    ignore (S.Ip_node.submit n ~work:100. ignore)
+    ignore (S.Ip_node.submit_at n ~queue:0 ~work:100. ignore)
   done;
   S.Engine.run ~until:2.5 e;
   check_close "clipped busy" 2.5 (S.Ip_node.busy_within n ~until:2.5);
   check_close "utilization capped" 1. (S.Ip_node.utilization n ~until:2.5);
   Alcotest.(check bool) "never above 1" true
     (S.Ip_node.utilization n ~until:2.5 <= 1.)
+
+(* A traced service's lane is the completion slot it holds: concurrent
+   services on a 4-engine node report four distinct lanes, and the lane
+   a completion frees is the one the next queued request starts on. A
+   zero-work request on the fast path reports lane 0 with zero queue
+   and service time, so its sampled record keeps no span, and it holds
+   no slot. *)
+let ip_node_lanes_are_slots () =
+  let e = S.Engine.create () in
+  let n = node ~engines:4 ~capacity:8 e in
+  let trace =
+    S.Trace.create ~config:{ S.Trace.reservoir = 8 } ~rng:(N.Rng.create ~seed:1) ()
+  in
+  let packets = ref 0 in
+  let submit ~work =
+    let hop = S.Hop.create () in
+    hop.record <-
+      S.Trace.on_packet trace ~packet:!packets ~born:(S.Engine.now e) ~size:work
+        ~klass:0;
+    incr packets;
+    ignore (S.Ip_node.submit_at ~hop n ~queue:0 ~work ignore);
+    hop
+  in
+  let lanes (hop : S.Hop.t) =
+    match hop.record with
+    | None -> Alcotest.fail "every packet is sampled"
+    | Some r ->
+      List.filter_map
+        (fun (s : S.Trace.span) ->
+          if s.phase = S.Trace.Service then Some s.lane else None)
+        (List.rev r.rev_spans)
+  in
+  (* four concurrent services; the third finishes first *)
+  let running = List.map (fun work -> submit ~work) [ 400.; 300.; 100.; 200. ] in
+  Alcotest.(check (list int))
+    "distinct lanes in [0, 4)" [ 0; 1; 2; 3 ]
+    (List.sort compare (List.concat_map lanes running));
+  let zero = submit ~work:0. in
+  Alcotest.(check (list int)) "zero-work fast path: no span" [] (lanes zero);
+  Alcotest.(check (float 0.)) "zero-work fast path: no time" 0.
+    (zero.fs.(S.Telemetry.slot_queueing) +. zero.fs.(S.Telemetry.slot_service));
+  let waiting = submit ~work:100. in
+  Alcotest.(check (list int)) "queued: not started" [] (lanes waiting);
+  S.Engine.run e;
+  Alcotest.(check (list int))
+    "freed lane is the next start's" (lanes (List.nth running 2)) (lanes waiting)
 
 let medium_overload_utilization () =
   let e = S.Engine.create () in
@@ -351,7 +397,7 @@ let ip_node_matches_mm1n () =
     let now = S.Engine.now e in
     if now < horizon then begin
       incr offered;
-      ignore (S.Ip_node.submit n ~work:100. ignore);
+      ignore (S.Ip_node.submit_at n ~queue:0 ~work:100. ignore);
       let gap = N.Dist.sample_exponential ~rate:lambda rng in
       S.Engine.schedule e ~at:(now +. gap) arrival
     end
@@ -1093,6 +1139,7 @@ let suite =
     quick "ip node: zero-work passthrough" ip_node_zero_work_passthrough;
     quick "ip node: zero-work FIFO under load" ip_node_zero_work_fifo;
     quick "ip node: overload utilization <= 1" ip_node_overload_utilization;
+    quick "ip node: a trace lane is the completion slot" ip_node_lanes_are_slots;
     quick "medium: overload utilization <= 1" medium_overload_utilization;
     slow "ip node: M/M/1/N blocking" ip_node_matches_mm1n;
     quick "telemetry: warmup windows" telemetry_windows;

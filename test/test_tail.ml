@@ -233,8 +233,8 @@ let wrr_weights_respected () =
   (* preload both queues, then count service order over one WRR cycle *)
   let order = ref [] in
   for _ = 1 to 8 do
-    ignore (S.Ip_node.submit ~queue:0 node ~work:1. (fun () -> order := 0 :: !order));
-    ignore (S.Ip_node.submit ~queue:1 node ~work:1. (fun () -> order := 1 :: !order))
+    ignore (S.Ip_node.submit_at node ~queue:0 ~work:1. (fun () -> order := 0 :: !order));
+    ignore (S.Ip_node.submit_at node ~queue:1 ~work:1. (fun () -> order := 1 :: !order))
   done;
   S.Engine.run e;
   let first_cycle =
@@ -252,7 +252,7 @@ let wrr_skips_empty_queues () =
   (* only the light queue has work: it must still be served immediately *)
   let served = ref 0 in
   for _ = 1 to 5 do
-    ignore (S.Ip_node.submit ~queue:1 node ~work:1. (fun () -> incr served))
+    ignore (S.Ip_node.submit_at node ~queue:1 ~work:1. (fun () -> incr served))
   done;
   S.Engine.run e;
   Alcotest.(check int) "work conserving" 5 !served
@@ -262,17 +262,17 @@ let wrr_per_queue_capacity () =
   let node = wrr_node ~rate:1e-9 e ~entries:2 [| 1; 1 |] in
   (* engine grabs the first; then 2 fit per queue *)
   for _ = 1 to 4 do
-    ignore (S.Ip_node.submit ~queue:0 node ~work:1. ignore)
+    ignore (S.Ip_node.submit_at node ~queue:0 ~work:1. ignore)
   done;
   Alcotest.(check int) "queue 0 drops" 1 (S.Ip_node.drops_of_queue node 0);
   Alcotest.(check bool)
     "queue 1 unaffected" true
-    (S.Ip_node.submit ~queue:1 node ~work:1. ignore);
+    (S.Ip_node.submit_at node ~queue:1 ~work:1. ignore);
   Alcotest.(check int) "queue 1 no drops" 0 (S.Ip_node.drops_of_queue node 1);
   (* one in service, queue 0 full at 2, one waiting on queue 1 *)
   Alcotest.(check int) "lengths" 4 (S.Ip_node.in_system node);
   check_raises_invalid "bad queue index" (fun () ->
-      ignore (S.Ip_node.submit ~queue:7 node ~work:1. ignore))
+      ignore (S.Ip_node.submit_at node ~queue:7 ~work:1. ignore))
 
 let wrr_validation () =
   let e = S.Engine.create () in

@@ -102,10 +102,10 @@ let hier_group_wrr_order () =
      group and 1 from the weight-1 group, whichever group the round
      happens to start with *)
   for _ = 1 to 10 do
-    ignore (S.Ip_node.submit ~queue:0 node ~work:1. (fun () -> order := 0 :: !order))
+    ignore (S.Ip_node.submit_at node ~queue:0 ~work:1. (fun () -> order := 0 :: !order))
   done;
   for _ = 1 to 4 do
-    ignore (S.Ip_node.submit ~queue:1 node ~work:1. (fun () -> order := 1 :: !order))
+    ignore (S.Ip_node.submit_at node ~queue:1 ~work:1. (fun () -> order := 1 :: !order))
   done;
   S.Engine.run e;
   let served = List.rev !order in
@@ -123,7 +123,7 @@ let hier_work_conserving () =
   (* only the light group has work: its queue must still drain at full
      rate, and a group never blocks an idle round *)
   for _ = 1 to 5 do
-    ignore (S.Ip_node.submit ~queue:1 node ~work:1. (fun () -> incr served))
+    ignore (S.Ip_node.submit_at node ~queue:1 ~work:1. (fun () -> incr served))
   done;
   S.Engine.run e;
   Alcotest.(check int) "light group served alone" 5 !served
@@ -139,10 +139,10 @@ let hier_class_wrr_within_group () =
      observable), so every grant follows the expanded class pattern:
      each full window of 3 carries 2 class-0 grants and 1 class-1 *)
   for _ = 1 to 8 do
-    ignore (S.Ip_node.submit ~queue:0 node ~work:1. (fun () -> order := 0 :: !order))
+    ignore (S.Ip_node.submit_at node ~queue:0 ~work:1. (fun () -> order := 0 :: !order))
   done;
   for _ = 1 to 4 do
-    ignore (S.Ip_node.submit ~queue:1 node ~work:1. (fun () -> order := 1 :: !order))
+    ignore (S.Ip_node.submit_at node ~queue:1 ~work:1. (fun () -> order := 1 :: !order))
   done;
   S.Engine.run e;
   let served = List.rev !order in
@@ -155,7 +155,7 @@ let hier_reactivation_fresh_credit () =
   let e = S.Engine.create () in
   let node = hier_node ~group_weights:[| 2; 2 |] e in
   let order = ref [] in
-  let sub q = ignore (S.Ip_node.submit ~queue:q node ~work:1. (fun () -> order := q :: !order)) in
+  let sub q = ignore (S.Ip_node.submit_at node ~queue:q ~work:1. (fun () -> order := q :: !order)) in
   (* drain group 0 completely, then backlog both groups: group 0 must
      rejoin the ring with a fresh credit grant, not a stale one — every
      full round of 4 queued grants after reactivation still splits
