@@ -4,7 +4,10 @@
 
 open Cmdliner
 
-let ( let* ) = Result.bind
+(* Every input error, the CLI's own checks as much as the library's,
+   raises [Invalid_argument] and is reported at the one boundary at the
+   bottom of this file. *)
+let fail fmt = Printf.ksprintf invalid_arg fmt
 
 let default_hardware =
   (* A generous SoC so graphs without a hardware statement still run. *)
@@ -14,8 +17,8 @@ let default_hardware =
 
 let load_document path =
   match Lognic_dsl.Parser.parse_file path with
-  | Ok doc -> Ok doc
-  | Error e -> Error (`Msg (Printf.sprintf "%s: %s" path e))
+  | Ok doc -> doc
+  | Error e -> fail "%s: %s" path e
 
 (* Command-line values override the graph's traffic line field by
    field; the result always goes through [Traffic.make], which rejects
@@ -28,21 +31,18 @@ let resolve_traffic (doc : Lognic_dsl.Parser.document) rate packet =
     ( or_doc rate (fun t -> t.Lognic.Traffic.rate),
       or_doc packet (fun t -> t.Lognic.Traffic.packet_size) )
   with
-  | Some rate, Some packet_size -> Ok (Lognic.Traffic.make ~rate ~packet_size)
+  | Some rate, Some packet_size -> Lognic.Traffic.make ~rate ~packet_size
   | _ ->
-    Error
-      (`Msg
-         "no traffic profile: add a 'traffic' line to the graph or pass --rate \
-          and --packet")
+    fail
+      "no traffic profile: add a 'traffic' line to the graph or pass --rate \
+       and --packet"
 
 (* A graph carrying `class` lines runs its whole mix unless --rate or
    --packet pins a single class. *)
 let resolve_mix (doc : Lognic_dsl.Parser.document) rate packet =
   match (doc.mix, rate, packet) with
-  | Some mix, None, None -> Ok mix
-  | _ ->
-    let* traffic = resolve_traffic doc rate packet in
-    Ok [ (traffic, 1.) ]
+  | Some mix, None, None -> mix
+  | _ -> [ (resolve_traffic doc rate packet, 1.) ]
 
 let hardware_of doc = Option.value doc.Lognic_dsl.Parser.hardware ~default:default_hardware
 
@@ -60,6 +60,18 @@ let quantity_conv =
   in
   Arg.conv (parse, fun ppf v -> Fmt.pf ppf "%g" v)
 
+(* A table size or population: a whole-number quantity (8K, 1M) from 1
+   to max_int = 2^62 - 1, so that it converts to an int exactly. *)
+let count_conv =
+  let parse s =
+    match Lognic_dsl.Quantity.parse s with
+    | Ok v when Float.is_integer v && v >= 1. && v < 0x1p62 ->
+      Ok (int_of_float v)
+    | Ok _ -> Error (`Msg (Printf.sprintf "%S is not a whole number in [1, 2^62)" s))
+    | Error e -> Error (`Msg e)
+  in
+  Arg.conv (parse, Fmt.int)
+
 let rate_arg =
   let doc = "Offered load (accepts unit suffixes, e.g. 25Gbps)." in
   Arg.(value & opt (some quantity_conv) None & info [ "rate" ] ~docv:"RATE" ~doc)
@@ -67,6 +79,19 @@ let rate_arg =
 let packet_arg =
   let doc = "Packet size (e.g. 1500B, 4KiB)." in
   Arg.(value & opt (some quantity_conv) None & info [ "packet" ] ~docv:"SIZE" ~doc)
+
+(* The graph with its offered traffic, resolved in one place for every
+   subcommand that takes GRAPH, --rate and --packet: one class, or the
+   graph's whole class mix. *)
+let resolved resolve =
+  Term.(
+    const (fun path rate packet ->
+        let doc = load_document path in
+        (doc, resolve doc rate packet))
+    $ graph_arg $ rate_arg $ packet_arg)
+
+let traffic_term = resolved resolve_traffic
+let mix_term = resolved resolve_mix
 
 let queue_model_arg =
   let doc = "Queueing model: mm1n (paper Eq 12), mmcn, mm1, none." in
@@ -106,6 +131,10 @@ let config_term ?(duration = 0.1) ?(seed = 1)
 
 let config_arg = config_term ()
 
+let simulate ~config ((doc : Lognic_dsl.Parser.document), mix) =
+  Lognic_sim.Netsim.(
+    execute (Run.make ~config doc.graph ~hw:(hardware_of doc) ~mix))
+
 let json_arg =
   let doc = "Also write the full report as versioned JSON to $(docv)." in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH" ~doc)
@@ -123,19 +152,27 @@ let print_report ~what pp to_json json report =
   Fmt.pr "%a@." pp report;
   Option.iter
     (fun path -> write_json ~what:(what ^ " report") path (to_json report))
-    json;
-  Ok ()
-
-(* Colon-spec flags all parse through the shared grammar engine, with
-   the DSL's quantity parser plugged in for unit-suffixed fields. *)
+    json
 
 module Spec = Lognic_sim.Spec
 
-let parse_specs grammar specs =
-  Result.map_error
-    (fun e -> `Msg e)
-    (Spec.parse_all ~quantity:Lognic_dsl.Quantity.parse grammar specs)
-
+(* A repeatable colon-spec flag, declared once: the flag's name and
+   docv come from [grammar], each instance parses through it (with the
+   DSL's quantity parser for unit-suffixed fields), and [mk] builds the
+   typed value. A value [mk] rejects is reported with the flag and its
+   source, in the same shape as a malformed field. *)
+let spec_arg grammar ~doc mk =
+  let flag = Spec.flag grammar in
+  let build src =
+    match Spec.parse ~quantity:Lognic_dsl.Quantity.parse grammar src with
+    | Error e -> invalid_arg e
+    | Ok v -> (
+      try mk v with Invalid_argument m -> invalid_arg (Spec.error ~flag ~src m))
+  in
+  Term.map (List.map build)
+    Arg.(
+      value & opt_all string []
+      & info [ Spec.flag grammar ] ~docv:(Spec.usage grammar) ~doc)
 
 (* estimate *)
 
@@ -147,15 +184,11 @@ let tail_arg =
   Arg.(value & flag & info [ "tail" ] ~doc)
 
 let estimate_cmd =
-  let run graph_path rate packet queue_model tail =
-    let* () =
-      match queue_model with
-      | (Lognic.Latency.Mm1_model | Lognic.Latency.No_queueing) when tail ->
-        Error (`Msg "--tail needs --queue-model mm1n or mmcn")
-      | _ -> Ok ()
-    in
-    let* doc = load_document graph_path in
-    let* traffic = resolve_traffic doc rate packet in
+  let run ((doc : Lognic_dsl.Parser.document), traffic) queue_model tail =
+    (match queue_model with
+    | (Lognic.Latency.Mm1_model | Lognic.Latency.No_queueing) when tail ->
+      fail "--tail needs --queue-model mm1n or mmcn"
+    | _ -> ());
     let report =
       Lognic.Estimate.run ~queue_model doc.graph ~hw:(hardware_of doc) ~traffic
     in
@@ -169,19 +202,12 @@ let estimate_cmd =
       Fmt.pr "tail: p50 %.2f us, p90 %.2f us, p99 %.2f us@."
         (Lognic.Units.to_usec q.p50) (Lognic.Units.to_usec q.p90)
         (Lognic.Units.to_usec q.p99)
-    end;
-    Ok ()
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ graph_arg $ rate_arg $ packet_arg $ queue_model_arg
-       $ tail_arg))
+    end
   in
   Cmd.v
     (Cmd.info "estimate"
        ~doc:"Estimate throughput and latency of an execution graph (model mode).")
-    term
+    Term.(const run $ traffic_term $ queue_model_arg $ tail_arg)
 
 (* sweep *)
 
@@ -196,18 +222,16 @@ let sweep_cmd =
       value & opt (some quantity_conv) None & info [ "max-rate" ] ~docv:"RATE" ~doc)
   in
   let run graph_path packet queue_model points max_rate =
-    let* doc = load_document graph_path in
-    let* traffic = resolve_traffic doc None packet in
+    let doc = load_document graph_path in
+    let traffic = resolve_traffic doc None packet in
     let hw = hardware_of doc in
     let max_rate =
       match max_rate with
       | Some r -> r
       | None -> Lognic.Throughput.capacity doc.graph ~hw
     in
-    let* () =
-      if Float.is_finite max_rate then Ok ()
-      else Error (`Msg "graph has unbounded capacity: pass --max-rate")
-    in
+    if not (Float.is_finite max_rate) then
+      fail "graph has unbounded capacity: pass --max-rate";
     (* computed before the header, so a bad flag prints only its error *)
     let rows =
       Lognic.Estimate.saturation_sweep ~points ~queue_model doc.graph ~hw
@@ -220,32 +244,22 @@ let sweep_cmd =
           (Lognic.Units.to_gbps offered)
           (Lognic.Units.to_gbps attained)
           (Lognic.Units.to_usec latency))
-      rows;
-    Ok ()
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ graph_arg $ packet_arg $ queue_model_arg $ points_arg
-       $ max_rate_arg))
+      rows
   in
   Cmd.v
     (Cmd.info "sweep"
        ~doc:
          "Sweep the offered load to saturation and print the \
           latency-throughput curve.")
-    term
+    Term.(
+      const run $ graph_arg $ packet_arg $ queue_model_arg $ points_arg
+      $ max_rate_arg)
 
 (* simulate *)
 
 let simulate_cmd =
-  let run graph_path rate packet config =
-    let* doc = load_document graph_path in
-    let* mix = resolve_mix doc rate packet in
-    let m =
-      Lognic_sim.Netsim.(
-        execute (Run.make ~config doc.graph ~hw:(hardware_of doc) ~mix))
-    in
+  let run input config =
+    let m = simulate ~config input in
     let s = m.summary in
     Fmt.pr "throughput: %.3f Gbps (%d packets delivered, %d dropped)@."
       (Lognic.Units.to_gbps s.Lognic_sim.Telemetry.throughput)
@@ -258,18 +272,12 @@ let simulate_cmd =
       (fun (v : Lognic_sim.Netsim.vertex_stats) ->
         Fmt.pr "vertex %d (%s): utilization %.2f, drops %d@." v.vid v.vlabel
           v.utilization v.drops)
-      m.vertex_stats;
-    Ok ()
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ graph_arg $ rate_arg $ packet_arg $ config_arg))
+      m.vertex_stats
   in
   Cmd.v
     (Cmd.info "simulate"
        ~doc:"Run the packet-level simulator on an execution graph.")
-    term
+    Term.(const run $ mix_term $ config_arg)
 
 (* check *)
 
@@ -290,31 +298,21 @@ let check_cmd =
       ~duration_doc:"Simulated seconds per graph replay."
       ~seed_doc:"Random seed for the fuzz suite and graph replays." ()
   in
-  let check_graph ~config path =
-    let* doc = load_document path in
-    let* mix = resolve_mix doc None None in
-    let config = Lognic_sim.Netsim.Config.with_invariants true config in
-    let m =
-      Lognic_sim.Netsim.(
-        execute (Run.make ~config doc.graph ~hw:(hardware_of doc) ~mix))
-    in
-    match m.invariants with
-    | None ->
-      Error (`Msg "internal error: check_invariants was set but no report came back")
-    | Some report -> Ok (path, report)
-  in
   let run graphs scale (config : Lognic_sim.Netsim.config) json_path =
     let module Inv = Lognic_sim.Invariants in
     let seed = config.seed in
-    let* graph_reports =
-      List.fold_left
-        (fun acc path ->
-          let* acc = acc in
-          let* r = check_graph ~config path in
-          Ok (r :: acc))
-        (Ok []) graphs
+    let config = Lognic_sim.Netsim.Config.with_invariants true config in
+    let graph_reports =
+      List.map
+        (fun path ->
+          let doc = load_document path in
+          let m = simulate ~config (doc, resolve_mix doc None None) in
+          match m.invariants with
+          | Some report -> (path, report)
+          | None ->
+            fail "internal error: check_invariants was set but no report came back")
+        graphs
     in
-    let graph_reports = List.rev graph_reports in
     List.iter
       (fun (path, (r : Inv.report)) ->
         Fmt.pr "graph %s: %d checks, %d violations@." path r.checks
@@ -355,25 +353,18 @@ let check_cmd =
                ("passed", J.Bool passed);
              ]))
       json_path;
-    if passed then begin
-      Fmt.pr "check: all %d properties and %d graph replays passed@."
-        (List.length outcomes)
-        (List.length graph_reports);
-      Ok ()
-    end
-    else Error (`Msg "check: invariant violations or property failures (see above)")
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ graphs_arg $ scale_arg $ config_arg $ json_arg))
+    if not passed then
+      fail "check: invariant violations or property failures (see above)";
+    Fmt.pr "check: all %d properties and %d graph replays passed@."
+      (List.length outcomes)
+      (List.length graph_reports)
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Run the property-based fuzz suite and replay graphs under the \
           runtime invariant checkers.")
-    term
+    Term.(const run $ graphs_arg $ scale_arg $ config_arg $ json_arg)
 
 (* report *)
 
@@ -405,12 +396,9 @@ let report_cmd =
     let doc = "Sampling interval in simulated seconds (default: duration/200)." in
     Arg.(value & opt (some float) None & info [ "sample-interval" ] ~docv:"SECONDS" ~doc)
   in
-  let run graph_path rate packet (config : Lognic_sim.Netsim.config) interval
-      trace trace_events reservoir csv =
-    let* doc = load_document graph_path in
-    let* () =
-      if reservoir < 1 then Error (`Msg "--reservoir must be >= 1") else Ok ()
-    in
+  let run input (config : Lognic_sim.Netsim.config) interval trace
+      trace_events reservoir csv =
+    if reservoir < 1 then fail "--reservoir must be >= 1";
     let config =
       let open Lognic_sim.Netsim.Config in
       let config =
@@ -425,11 +413,7 @@ let report_cmd =
       | Some _ -> with_trace { Lognic_sim.Trace.reservoir } config
       | None -> config
     in
-    let* mix = resolve_mix doc rate packet in
-    let m =
-      Lognic_sim.Netsim.(
-        execute (Run.make ~config doc.graph ~hw:(hardware_of doc) ~mix))
-    in
+    let m = simulate ~config input in
     let s = m.summary in
     let module Tel = Lognic_sim.Telemetry in
     Fmt.pr "throughput: %.3f Gbps (%d delivered, %d dropped, loss %.2f%%)@."
@@ -488,14 +472,7 @@ let report_cmd =
                 output_string oc (Tel.Series.to_csv series)))
           series;
         Fmt.pr "%d series written to %s.*.csv@." (List.length series) prefix)
-      csv;
-    Ok ()
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ graph_arg $ rate_arg $ packet_arg $ config_arg
-       $ interval_arg $ trace_arg $ trace_events_arg $ reservoir_arg $ csv_arg))
+      csv
   in
   Cmd.v
     (Cmd.info "report"
@@ -504,7 +481,9 @@ let report_cmd =
           attribution, latency decomposition, sampled queue-depth traces, \
           per-packet lifecycle tracing (Perfetto-loadable), and structured \
           JSON/CSV export.")
-    term
+    Term.(
+      const run $ mix_term $ config_arg $ interval_arg $ trace_arg
+      $ trace_events_arg $ reservoir_arg $ csv_arg)
 
 (* watch *)
 
@@ -562,21 +541,17 @@ let watch_cmd =
     Arg.(
       value & opt (some string) None & info [ "profile-json" ] ~docv:"FILE" ~doc)
   in
-  let run graph_path rate packet (config : Lognic_sim.Netsim.config) interval
-      stream openmetrics slo_rules alerts_json profile profile_json =
-    let* doc = load_document graph_path in
+  let run input (config : Lognic_sim.Netsim.config) interval stream
+      openmetrics slo_rules alerts_json profile profile_json =
     let dt = Option.value interval ~default:(config.duration /. 100.) in
-    let* slo =
-      List.fold_left
-        (fun acc rule ->
-          let* rules = acc in
+    let slo =
+      List.map
+        (fun rule ->
           match M.Slo.parse rule with
-          | Ok r -> Ok (r :: rules)
-          | Error e -> Error (`Msg (Spec.error ~flag:"slo" ~src:rule e)))
-        (Ok []) slo_rules
-      |> Result.map List.rev
+          | Ok r -> r
+          | Error e -> invalid_arg (Spec.error ~flag:"slo" ~src:rule e))
+        slo_rules
     in
-    let* mix = resolve_mix doc rate packet in
     let stream_oc = Option.map Out_channel.open_text stream in
     let tty = Unix.isatty Unix.stdout in
     let active = Hashtbl.create 8 in
@@ -645,15 +620,12 @@ let watch_cmd =
         { M.interval = dt; slo; profile; on_snapshot = Some on_snapshot }
         config
     in
-    let m =
-      Lognic_sim.Netsim.(
-        execute (Run.make ~config doc.graph ~hw:(hardware_of doc) ~mix))
-    in
+    let m = simulate ~config input in
     Option.iter Out_channel.close stream_oc;
-    let* mm =
+    let mm =
       match m.metrics with
-      | Some mm -> Ok mm
-      | None -> Error (`Msg "internal error: metrics instance missing")
+      | Some mm -> mm
+      | None -> fail "internal error: metrics instance missing"
     in
     if tty then Fmt.pr "@.";
     let s = m.summary in
@@ -689,22 +661,14 @@ let watch_cmd =
     (match stream with
     | Some path -> Fmt.pr "metrics stream written to %s@." path
     | None -> ());
-    (match M.profiler mm with
+    match M.profiler mm with
     | Some p ->
       Fmt.pr "%a@." Lognic_sim.Profile.pp p;
       Option.iter
         (fun path ->
           Option.iter (write_json ~what:"profile" path) (M.profile_to_json mm))
         profile_json
-    | None -> ());
-    Ok ()
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ graph_arg $ rate_arg $ packet_arg $ config_arg
-       $ interval_arg $ stream_arg $ openmetrics_arg $ slo_arg
-       $ alerts_json_arg $ profile_arg $ profile_json_arg))
+    | None -> ()
   in
   Cmd.v
     (Cmd.info "watch"
@@ -714,24 +678,19 @@ let watch_cmd =
           delta-encoded NDJSON/OpenMetrics export, SLO watchdog rules with \
           hysteresis, an optional engine self-profiler, and a live \
           refreshing table on a TTY.")
-    term
+    Term.(
+      const run $ mix_term $ config_arg $ interval_arg $ stream_arg
+      $ openmetrics_arg $ slo_arg $ alerts_json_arg $ profile_arg
+      $ profile_json_arg)
 
 (* explain *)
 
 let explain_cmd =
-  let run graph_path rate packet queue_model config json =
-    let* doc = load_document graph_path in
-    let* mix = resolve_mix doc rate packet in
+  let run ((doc : Lognic_dsl.Parser.document), mix) queue_model config json =
     Lognic_sim.Explain.run ~config ~queue_model doc.graph ~hw:(hardware_of doc)
       ~mix
     |> print_report ~what:"explain" Lognic_sim.Explain.pp
          Lognic_sim.Explain.to_json json
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ graph_arg $ rate_arg $ packet_arg $ queue_model_arg
-       $ config_arg $ json_arg))
   in
   Cmd.v
     (Cmd.info "explain"
@@ -740,30 +699,28 @@ let explain_cmd =
           traffic, join them per entity, and rank the bottlenecks with \
           residual attribution (model vs measured utilization and queue \
           depths).")
-    term
+    Term.(const run $ mix_term $ queue_model_arg $ config_arg $ json_arg)
 
 (* tenants *)
 
 let tenants_cmd =
-  let tenant_grammar =
-    Spec.(grammar ~flag:"tenant"
-            [
-              field "NAME" Str; field "WEIGHT" Int;
-              field ~optional:true "SHARE" Float;
-              field ~optional:true "SLO" Float;
-            ])
-  in
+  let module T = Lognic_sim.Tenant in
   let tenant_arg =
-    let doc =
-      "Declare tenant (VF) $(i,NAME) with stage-1 WRR scheduler weight \
-       $(i,WEIGHT), an optional relative offered-traffic share $(i,SHARE) \
-       (normalized across the set; default 1) and an optional p99 latency \
-       SLO $(i,SLO) in seconds (repeatable)."
-    in
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "tenant" ] ~docv:"NAME:WEIGHT[:SHARE[:SLO]]" ~doc)
+    spec_arg
+      Spec.(grammar ~flag:"tenant"
+              [
+                field "NAME" Str; field "WEIGHT" Int;
+                field ~optional:true "SHARE" Float;
+                field ~optional:true "SLO" Float;
+              ])
+      ~doc:
+        "Declare tenant (VF) $(i,NAME) with stage-1 WRR scheduler weight \
+         $(i,WEIGHT), an optional relative offered-traffic share $(i,SHARE) \
+         (normalized across the set; default 1) and an optional p99 latency \
+         SLO $(i,SLO) in seconds (repeatable)."
+      (fun v ->
+        T.spec ~weight:(Spec.get_int v 1) ?share:(Spec.find_float v 2)
+          ?slo_p99:(Spec.find_float v 3) (Spec.get_str v 0))
   in
   let population_arg =
     let doc =
@@ -772,42 +729,19 @@ let tenants_cmd =
     in
     Arg.(value & opt (some int) None & info [ "tenants" ] ~docv:"N" ~doc)
   in
-  let run graph_path rate packet queue_model config tenant_specs population
-      json =
-    let module T = Lognic_sim.Tenant in
-    let* doc = load_document graph_path in
-    let* traffic = resolve_traffic doc rate packet in
-    let* tenants =
-      match (tenant_specs, population) with
-      | [], None ->
-        Error
-          (`Msg "no tenants: pass --tenant (repeatable) or --tenants N")
-      | _ :: _, Some _ ->
-        Error (`Msg "--tenant and --tenants are exclusive")
-      | [], Some n -> Ok (T.uniform n)
-      | specs, None ->
-        let* parsed = parse_specs tenant_grammar specs in
-        Ok
-          (T.set
-             (List.map
-                (fun v ->
-                  T.spec
-                    ~weight:(Spec.get_int v 1)
-                    ?share:(Spec.find_float v 2)
-                    ?slo_p99:(Spec.find_float v 3)
-                    (Spec.get_str v 0))
-                parsed))
+  let run ((doc : Lognic_dsl.Parser.document), traffic) queue_model config
+      specs population json =
+    let tenants =
+      match (specs, population) with
+      | [], None -> fail "no tenants: pass --tenant (repeatable) or --tenants N"
+      | _ :: _, Some _ -> fail "--tenant and --tenants are exclusive"
+      | [], Some n -> T.uniform n
+      | specs, None -> T.set specs
     in
     Lognic_sim.Explain.run_tenants ~config ~queue_model doc.graph
       ~hw:(hardware_of doc) ~traffic ~tenants
     |> print_report ~what:"tenants" Lognic_sim.Explain.pp_tenants
          Lognic_sim.Explain.tenants_to_json json
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ graph_arg $ rate_arg $ packet_arg $ queue_model_arg
-       $ config_arg $ tenant_arg $ population_arg $ json_arg))
   in
   Cmd.v
     (Cmd.info "tenants"
@@ -818,7 +752,9 @@ let tenants_cmd =
           decomposition at the model's bottleneck, and report per-tenant \
           throughput/latency residuals, SLO verdicts and \
           fairness/isolation indices.")
-    term
+    Term.(
+      const run $ traffic_term $ queue_model_arg $ config_arg $ tenant_arg
+      $ population_arg $ json_arg)
 
 (* flowcache *)
 
@@ -828,7 +764,7 @@ let flowcache_cmd =
       "Flow population size (accepts SI suffixes, e.g. 1M). The Zipf \
        popularity distribution is drawn over this many flows."
     in
-    Arg.(value & opt quantity_conv 1e6 & info [ "flows" ] ~docv:"N" ~doc)
+    Arg.(value & opt count_conv 1_000_000 & info [ "flows" ] ~docv:"N" ~doc)
   in
   let zipf_arg =
     let doc = "Zipf skew s >= 0 of the flow popularity (0 = uniform)." in
@@ -836,12 +772,12 @@ let flowcache_cmd =
   in
   let emc_arg =
     let doc = "Exact-match cache capacity in entries (e.g. 8K)." in
-    Arg.(value & opt quantity_conv 8192. & info [ "emc" ] ~docv:"ENTRIES" ~doc)
+    Arg.(value & opt count_conv 8192 & info [ "emc" ] ~docv:"ENTRIES" ~doc)
   in
   let megaflow_arg =
     let doc = "Megaflow-table capacity in entries (e.g. 64K)." in
     Arg.(
-      value & opt quantity_conv 65536. & info [ "megaflow" ] ~docv:"ENTRIES" ~doc)
+      value & opt count_conv 65536 & info [ "megaflow" ] ~docv:"ENTRIES" ~doc)
   in
   let ttl_arg =
     let doc =
@@ -864,20 +800,12 @@ let flowcache_cmd =
       | Some packet_size -> { App.default with App.packet_size }
     in
     let spec =
-      FC.spec ?ttl ~zipf ~emc_entries:(int_of_float emc)
-        ~megaflow_entries:(int_of_float megaflow) ~flows:(int_of_float flows)
-        ()
+      FC.spec ?ttl ~zipf ~emc_entries:emc ~megaflow_entries:megaflow ~flows ()
     in
     Lognic_sim.Explain.run_flowcache ~config ~queue_model spec (App.graph cfg)
       ~hw:App.hardware ~traffic:(App.traffic ~load cfg)
     |> print_report ~what:"flowcache" Lognic_sim.Explain.pp_flowcache
          Lognic_sim.Explain.flowcache_to_json json
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ flows_arg $ zipf_arg $ emc_arg $ megaflow_arg $ ttl_arg
-       $ load_arg $ packet_arg $ queue_model_arg $ config_arg $ json_arg))
   in
   Cmd.v
     (Cmd.info "flowcache"
@@ -889,93 +817,53 @@ let flowcache_cmd =
           datapath with per-packet cache lookups over a Zipf flow \
           population, and join the two — hit ratios, per-class (hot/warm/\
           cold) tail latency, and aggregate residuals.")
-    term
+    Term.(
+      const run $ flows_arg $ zipf_arg $ emc_arg $ megaflow_arg $ ttl_arg
+      $ load_arg $ packet_arg $ queue_model_arg $ config_arg $ json_arg)
 
 (* contention *)
 
 let contention_cmd =
   let resource_arg =
-    let doc =
-      "Add shared resource $(i,NAME) with byte/s capacity $(i,CAPACITY) to \
-       the hardware (repeatable; accepts unit suffixes)."
-    in
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "resource" ] ~docv:"NAME:CAPACITY" ~doc)
+    spec_arg
+      Spec.(grammar ~flag:"resource"
+              [ field "NAME" Str; field "CAPACITY" Quantity ])
+      ~doc:
+        "Add shared resource $(i,NAME) with byte/s capacity $(i,CAPACITY) to \
+         the hardware (repeatable; accepts unit suffixes)."
+      (fun v -> (Spec.get_str v 0, Spec.get_float v 1))
   in
   let demand_arg =
-    let doc =
-      "Class $(i,CLASS) (0-based mix index) consumes $(i,VALUE) bytes of \
-       resource $(i,RESOURCE) per offered byte (repeatable)."
-    in
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "class-demand" ] ~docv:"CLASS:RESOURCE:VALUE" ~doc)
+    spec_arg
+      Spec.(grammar ~flag:"class-demand"
+              [ field "CLASS" Int; field "RESOURCE" Str; field "VALUE" Quantity ])
+      ~doc:
+        "Class $(i,CLASS) (0-based mix index) consumes $(i,VALUE) bytes of \
+         resource $(i,RESOURCE) per offered byte (repeatable)."
+      (fun v -> (Spec.get_int v 0, Spec.get_str v 1, Spec.get_float v 2))
   in
   let interference_arg =
-    let doc =
-      "Class $(i,VICTIM) is slowed by $(i,M) times class $(i,AGGRESSOR)'s \
-       resource pressure (repeatable)."
-    in
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "interference" ] ~docv:"VICTIM:AGGRESSOR:M" ~doc)
+    spec_arg
+      Spec.(grammar ~flag:"interference"
+              [ field "VICTIM" Int; field "AGGRESSOR" Int; field "M" Quantity ])
+      ~doc:
+        "Class $(i,VICTIM) is slowed by $(i,M) times class $(i,AGGRESSOR)'s \
+         resource pressure (repeatable)."
+      (fun v -> (Spec.get_int v 0, Spec.get_int v 1, Spec.get_float v 2))
   in
-  let resource_grammar =
-    Spec.(grammar ~flag:"resource"
-            [ field "NAME" Str; field "CAPACITY" Quantity ])
-  in
-  let demand_grammar =
-    Spec.(grammar ~flag:"class-demand"
-            [ field "CLASS" Int; field "RESOURCE" Str; field "VALUE" Quantity ])
-  in
-  let interference_grammar =
-    Spec.(grammar ~flag:"interference"
-            [ field "VICTIM" Int; field "AGGRESSOR" Int; field "M" Quantity ])
-  in
-  let run graph_path rate packet queue_model config resources demands
-      interferences json =
-    let* doc = load_document graph_path in
-    let* mix = resolve_mix doc rate packet in
+  let run ((doc : Lognic_dsl.Parser.document), mix) queue_model config
+      resources demands interferences json =
     let n = List.length mix in
-    let* resources =
-      parse_specs resource_grammar resources
-      |> Result.map
-           (List.map (fun v -> (Spec.get_str v 0, Spec.get_float v 1)))
-    in
-    let* demands =
-      parse_specs demand_grammar demands
-      |> Result.map
-           (List.map (fun v ->
-                (Spec.get_int v 0, Spec.get_str v 1, Spec.get_float v 2)))
-    in
-    let* interferences =
-      parse_specs interference_grammar interferences
-      |> Result.map
-           (List.map (fun v ->
-                (Spec.get_int v 0, Spec.get_int v 1, Spec.get_float v 2)))
-    in
-    let* () =
-      let bad =
-        List.filter_map
-          (fun (c, _, _) -> if c < 0 || c >= n then Some c else None)
-          demands
-        @ List.concat_map
-            (fun (v, a, _) ->
-              List.filter (fun i -> i < 0 || i >= n) [ v; a ])
-            interferences
-      in
-      match bad with
-      | [] -> Ok ()
-      | c :: _ ->
-        Error
-          (`Msg
-             (Printf.sprintf "class index %d out of range (mix has %d classes)"
-                c n))
-    in
+    (match
+       List.filter_map
+         (fun (c, _, _) -> if c < 0 || c >= n then Some c else None)
+         demands
+       @ List.concat_map
+           (fun (v, a, _) -> List.filter (fun i -> i < 0 || i >= n) [ v; a ])
+           interferences
+     with
+    | [] -> ()
+    | c :: _ -> fail "class index %d out of range (mix has %d classes)" c n);
     let hw =
       let base = hardware_of doc in
       if resources = [] then base
@@ -1006,12 +894,6 @@ let contention_cmd =
     |> print_report ~what:"contention" Lognic_sim.Contention.pp
          Lognic_sim.Contention.to_json json
   in
-  let term =
-    Term.(
-      term_result
-        (const run $ graph_arg $ rate_arg $ packet_arg $ queue_model_arg
-       $ config_arg $ resource_arg $ demand_arg $ interference_arg $ json_arg))
-  in
   Cmd.v
     (Cmd.info "contention"
        ~doc:
@@ -1019,49 +901,56 @@ let contention_cmd =
           layer against one simulation: per-class model-vs-sim residuals, \
           contention slowdowns and resource ceilings, and a ranked \
           interference report.")
-    term
+    Term.(
+      const run $ mix_term $ queue_model_arg $ config_arg $ resource_arg
+      $ demand_arg $ interference_arg $ json_arg)
 
 (* faults *)
 
 let faults_cmd =
   let module F = Lognic_sim.Faults in
+  (* Every fault is active on [START, STOP), its grammar's last two
+     fields; [mk] takes the fields before them. *)
+  let fault_arg ~flag fields ~doc mk =
+    let n = List.length fields in
+    spec_arg
+      (Spec.grammar ~flag
+         (fields @ Spec.[ field "START" Float; field "STOP" Float ]))
+      ~doc
+      (fun v ->
+        mk v ~start:(Spec.get_float v n) ~stop:(Spec.get_float v (n + 1)))
+  in
   let engine_down_arg =
-    let doc =
-      "Take $(i,N) engines of vertex $(i,VERTEX) offline on \
-       [$(i,START), $(i,STOP)) simulated seconds (repeatable)."
-    in
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "engine-down" ] ~docv:"VERTEX:N:START:STOP" ~doc)
+    fault_arg ~flag:"engine-down" Spec.[ field "VERTEX" Str; field "N" Int ]
+      ~doc:
+        "Take $(i,N) engines of vertex $(i,VERTEX) offline on \
+         [$(i,START), $(i,STOP)) simulated seconds (repeatable)."
+      (fun v ->
+        F.engine_down ~vertex:(Spec.get_str v 0) ~engines:(Spec.get_int v 1))
   in
   let degrade_arg =
-    let doc =
-      "Run medium $(i,MEDIUM) (interface, memory, or link-SRC-DST) at \
-       $(i,FACTOR) of its bandwidth on [$(i,START), $(i,STOP)) (repeatable)."
-    in
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "degrade" ] ~docv:"MEDIUM:FACTOR:START:STOP" ~doc)
+    fault_arg ~flag:"degrade" Spec.[ field "MEDIUM" Str; field "FACTOR" Float ]
+      ~doc:
+        "Run medium $(i,MEDIUM) (interface, memory, or link-SRC-DST) at \
+         $(i,FACTOR) of its bandwidth on [$(i,START), $(i,STOP)) (repeatable)."
+      (fun v ->
+        F.medium_degraded ~medium:(Spec.get_str v 0)
+          ~factor:(Spec.get_float v 1))
   in
   let queue_shrink_arg =
-    let doc =
-      "Cap vertex $(i,VERTEX)'s queue at $(i,CAP) entries on \
-       [$(i,START), $(i,STOP)) (repeatable)."
-    in
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "queue-shrink" ] ~docv:"VERTEX:CAP:START:STOP" ~doc)
+    fault_arg ~flag:"queue-shrink" Spec.[ field "VERTEX" Str; field "CAP" Int ]
+      ~doc:
+        "Cap vertex $(i,VERTEX)'s queue at $(i,CAP) entries on \
+         [$(i,START), $(i,STOP)) (repeatable)."
+      (fun v ->
+        F.queue_shrunk ~vertex:(Spec.get_str v 0) ~capacity:(Spec.get_int v 1))
   in
   let drop_burst_arg =
-    let doc =
-      "Shed each offered packet with probability $(i,P) on \
-       [$(i,START), $(i,STOP)) (repeatable)."
-    in
-    Arg.(
-      value & opt_all string [] & info [ "drop-burst" ] ~docv:"P:START:STOP" ~doc)
+    fault_arg ~flag:"drop-burst" Spec.[ field "P" Float ]
+      ~doc:
+        "Shed each offered packet with probability $(i,P) on \
+         [$(i,START), $(i,STOP)) (repeatable)."
+      (fun v -> F.drop_burst ~probability:(Spec.get_float v 0))
   in
   let runs_arg =
     let doc =
@@ -1070,89 +959,15 @@ let faults_cmd =
     in
     Arg.(value & opt int 1 & info [ "runs" ] ~docv:"N" ~doc)
   in
-  (* The fault constructors validate their arguments (ordering, ranges)
-     with Invalid_argument; surface those through the same quoted-source
-     error shape as the field-level parse. *)
-  let parse_faults grammar specs mk =
-    let* parsed = parse_specs grammar specs in
-    List.fold_left
-      (fun acc (src, v) ->
-        let* acc = acc in
-        match mk v with
-        | ev -> Ok (ev :: acc)
-        | exception Invalid_argument m ->
-          Error (`Msg (Spec.error ~flag:(Spec.flag grammar) ~src m)))
-      (Ok [])
-      (List.combine specs parsed)
-    |> Result.map List.rev
-  in
-  let engine_down_grammar =
-    Spec.(grammar ~flag:"engine-down"
-            [
-              field "VERTEX" Str; field "N" Int; field "START" Float;
-              field "STOP" Float;
-            ])
-  in
-  let degrade_grammar =
-    Spec.(grammar ~flag:"degrade"
-            [
-              field "MEDIUM" Str; field "FACTOR" Float; field "START" Float;
-              field "STOP" Float;
-            ])
-  in
-  let queue_shrink_grammar =
-    Spec.(grammar ~flag:"queue-shrink"
-            [
-              field "VERTEX" Str; field "CAP" Int; field "START" Float;
-              field "STOP" Float;
-            ])
-  in
-  let drop_burst_grammar =
-    Spec.(grammar ~flag:"drop-burst"
-            [ field "P" Float; field "START" Float; field "STOP" Float ])
-  in
-  let run graph_path rate packet queue_model config engine_downs degrades
-      queue_shrinks drop_bursts runs jobs json =
+  let run ((doc : Lognic_dsl.Parser.document), traffic) queue_model config
+      engine_downs degrades queue_shrinks drop_bursts runs jobs json =
     apply_jobs jobs;
-    let* doc = load_document graph_path in
-    let* traffic = resolve_traffic doc rate packet in
-    let* engine_downs =
-      parse_faults engine_down_grammar engine_downs (fun v ->
-          F.engine_down ~vertex:(Spec.get_str v 0) ~engines:(Spec.get_int v 1)
-            ~start:(Spec.get_float v 2) ~stop:(Spec.get_float v 3))
-    in
-    let* degrades =
-      parse_faults degrade_grammar degrades (fun v ->
-          F.medium_degraded ~medium:(Spec.get_str v 0)
-            ~factor:(Spec.get_float v 1) ~start:(Spec.get_float v 2)
-            ~stop:(Spec.get_float v 3))
-    in
-    let* queue_shrinks =
-      parse_faults queue_shrink_grammar queue_shrinks (fun v ->
-          F.queue_shrunk ~vertex:(Spec.get_str v 0)
-            ~capacity:(Spec.get_int v 1) ~start:(Spec.get_float v 2)
-            ~stop:(Spec.get_float v 3))
-    in
-    let* drop_bursts =
-      parse_faults drop_burst_grammar drop_bursts (fun v ->
-          F.drop_burst ~probability:(Spec.get_float v 0)
-            ~start:(Spec.get_float v 1) ~stop:(Spec.get_float v 2))
-    in
-    let plan = engine_downs @ degrades @ queue_shrinks @ drop_bursts in
-    let* () =
-      if runs < 1 then Error (`Msg "--runs must be >= 1") else Ok ()
-    in
+    if runs < 1 then fail "--runs must be >= 1";
     Lognic_sim.Resilience.run ~config ~queue_model ~runs ?jobs doc.graph
-      ~hw:(hardware_of doc) ~traffic ~plan
+      ~hw:(hardware_of doc) ~traffic
+      ~plan:(engine_downs @ degrades @ queue_shrinks @ drop_bursts)
     |> print_report ~what:"faults" Lognic_sim.Resilience.pp
          Lognic_sim.Resilience.to_json json
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ graph_arg $ rate_arg $ packet_arg $ queue_model_arg
-       $ config_arg $ engine_down_arg $ degrade_arg $ queue_shrink_arg
-       $ drop_burst_arg $ runs_arg $ jobs_arg $ json_arg))
   in
   Cmd.v
     (Cmd.info "faults"
@@ -1162,7 +977,10 @@ let faults_cmd =
           evaluate the analytic degraded-mode model over the same plan, and \
           join the two per fault interval with availability and recovery \
           statistics.")
-    term
+    Term.(
+      const run $ traffic_term $ queue_model_arg $ config_arg $ engine_down_arg
+      $ degrade_arg $ queue_shrink_arg $ drop_burst_arg $ runs_arg $ jobs_arg
+      $ json_arg)
 
 (* validate *)
 
@@ -1172,18 +990,17 @@ let validate_cmd =
     Arg.(value & flag & info [ "dot" ] ~doc)
   in
   let run graph_path dot =
-    let* doc = load_document graph_path in
+    let doc = load_document graph_path in
     (match Lognic.Graph.validate doc.graph with
     | Ok () -> Fmt.epr "valid@."
     | Error errors -> List.iter (fun e -> Fmt.epr "error: %s@." e) errors);
     if dot then print_string (Lognic_dsl.Printer.to_dot doc.graph)
-    else Fmt.pr "%a@." Lognic.Graph.pp doc.graph;
-    Ok ()
+    else Fmt.pr "%a@." Lognic.Graph.pp doc.graph
   in
   Cmd.v
     (Cmd.info "validate"
        ~doc:"Check and pretty-print (or DOT-render) an execution graph.")
-    Term.(term_result (const run $ graph_arg $ dot_arg))
+    Term.(const run $ graph_arg $ dot_arg)
 
 (* optimize *)
 
@@ -1192,8 +1009,10 @@ let split_arg =
   Arg.(value & opt_all string [] & info [ "split" ] ~docv:"NAME" ~doc)
 
 let queue_arg =
-  let doc = "NAME:LO:HI — vertex whose queue capacity may vary in [LO, HI]." in
-  Arg.(value & opt_all string [] & info [ "queue" ] ~docv:"SPEC" ~doc)
+  spec_arg
+    Spec.(grammar ~flag:"queue" [ field "NAME" Str; field "LO" Int; field "HI" Int ])
+    ~doc:"NAME:LO:HI — vertex whose queue capacity may vary in [LO, HI]."
+    (fun v -> (Spec.get_str v 0, Spec.get_int v 1, Spec.get_int v 2))
 
 let objective_arg =
   let doc = "Optimization goal." in
@@ -1212,44 +1031,27 @@ let search_log_arg =
   Arg.(value & opt (some string) None & info [ "search-log" ] ~docv:"PATH" ~doc)
 
 let optimize_cmd =
-  let run graph_path rate packet splits queues objective jobs search_log =
+  let run ((doc : Lognic_dsl.Parser.document), traffic) splits queues
+      objective jobs search_log =
     apply_jobs jobs;
-    let* doc = load_document graph_path in
-    let* traffic = resolve_traffic doc rate packet in
     let resolve name =
       match Lognic_dsl.Parser.vertex_id doc name with
-      | Some id -> Ok id
-      | None -> Error (`Msg (Printf.sprintf "unknown vertex %S" name))
+      | Some id -> id
+      | None -> fail "unknown vertex %S" name
     in
-    let* split_knobs =
-      List.fold_left
-        (fun acc name ->
-          let* acc = acc in
-          let* id = resolve name in
-          Ok (Lognic.Optimizer.Out_split id :: acc))
-        (Ok []) splits
+    (* The search receives each flag's knobs in reverse flag order; the
+       printed assignment and the search log follow that order. *)
+    let split_knobs =
+      List.rev_map (fun name -> Lognic.Optimizer.Out_split (resolve name)) splits
     in
-    let queue_grammar =
-      Spec.(grammar ~flag:"queue"
-              [ field "NAME" Str; field "LO" Int; field "HI" Int ])
-    in
-    let* queue_specs = parse_specs queue_grammar queues in
-    let* queue_knobs =
-      List.fold_left
-        (fun acc v ->
-          let* acc = acc in
-          let* id = resolve (Spec.get_str v 0) in
-          Ok
-            (Lognic.Optimizer.Queue_capacity
-               (id, Spec.get_int v 1, Spec.get_int v 2)
-            :: acc))
-        (Ok []) queue_specs
+    let queue_knobs =
+      List.rev_map
+        (fun (name, lo, hi) ->
+          Lognic.Optimizer.Queue_capacity (resolve name, lo, hi))
+        queues
     in
     let knobs = split_knobs @ queue_knobs in
-    let* () =
-      if knobs = [] then Error (`Msg "no knobs: pass --split and/or --queue")
-      else Ok ()
-    in
+    if knobs = [] then fail "no knobs: pass --split and/or --queue";
     let objective =
       match objective with
       | `Max_throughput -> Lognic.Optimizer.Maximize_throughput
@@ -1270,29 +1072,22 @@ let optimize_cmd =
     Fmt.pr "search: %d model evaluations, %d memo hits@."
       solution.stats.Lognic.Optimizer.evaluations
       solution.stats.Lognic.Optimizer.memo_hits;
-    (match (search_log, log) with
+    match (search_log, log) with
     | Some path, Some l ->
       write_json ~what:"search log" path (Lognic_sim.Search_log.to_json l)
-    | _ -> ());
-    Ok ()
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ graph_arg $ rate_arg $ packet_arg $ split_arg $ queue_arg
-       $ objective_arg $ jobs_arg $ search_log_arg))
+    | _ -> ()
   in
   Cmd.v
     (Cmd.info "optimize"
        ~doc:"Search configurable parameters for a performance goal (optimizer mode).")
-    term
+    Term.(
+      const run $ traffic_term $ split_arg $ queue_arg $ objective_arg
+      $ jobs_arg $ search_log_arg)
 
 (* roofline *)
 
 let roofline_cmd =
-  let run graph_path rate packet =
-    let* doc = load_document graph_path in
-    let* traffic = resolve_traffic doc rate packet in
+  let run ((doc : Lognic_dsl.Parser.document), traffic) =
     let g = doc.graph in
     let size = traffic.Lognic.Traffic.packet_size in
     let intensity = 1. /. size in
@@ -1308,23 +1103,20 @@ let roofline_cmd =
             (Lognic.Units.to_gbps
                (Lognic.Roofline.attainable_bytes r ~intensity))
             (Lognic.Roofline.binding_ceiling r ~intensity))
-      (Lognic.Graph.vertices g);
-    Ok ()
+      (Lognic.Graph.vertices g)
   in
   Cmd.v
     (Cmd.info "roofline"
        ~doc:
          "Print each IP vertex's extended roofline at the traffic's packet \
           size (peak vs medium ceilings, binding constraint).")
-    Term.(term_result (const run $ graph_arg $ rate_arg $ packet_arg))
+    Term.(const run $ traffic_term)
 
 (* sensitivity *)
 
 let sensitivity_cmd =
-  let run graph_path rate packet queue_model jobs =
+  let run ((doc : Lognic_dsl.Parser.document), traffic) queue_model jobs =
     apply_jobs jobs;
-    let* doc = load_document graph_path in
-    let* traffic = resolve_traffic doc rate packet in
     let g = doc.graph in
     let elasticities =
       Lognic.Sensitivity.analyze ~queue_model g ~hw:(hardware_of doc) ~traffic
@@ -1338,32 +1130,21 @@ let sensitivity_cmd =
       elasticities;
     Fmt.pr "most binding: %a@."
       (Lognic.Sensitivity.pp_parameter g)
-      (Lognic.Sensitivity.most_binding elasticities);
-    Ok ()
-  in
-  let term =
-    Term.(
-      term_result
-        (const run $ graph_arg $ rate_arg $ packet_arg $ queue_model_arg
-       $ jobs_arg))
+      (Lognic.Sensitivity.most_binding elasticities)
   in
   Cmd.v
     (Cmd.info "sensitivity"
        ~doc:
          "Compute per-parameter elasticities: which knob limits throughput or \
           drives latency.")
-    term
+    Term.(const run $ traffic_term $ queue_model_arg $ jobs_arg)
 
 (* params *)
 
 let params_cmd =
-  let run () =
-    Lognic_apps.Figures.table2 Fmt.stdout;
-    Ok ()
-  in
   Cmd.v
     (Cmd.info "params" ~doc:"Print the LogNIC parameter glossary (paper Table 2).")
-    Term.(term_result (const run $ const ()))
+    Term.(const Lognic_apps.Figures.table2 $ const Fmt.stdout)
 
 (* figures *)
 
@@ -1380,24 +1161,19 @@ let figures_cmd =
     apply_jobs jobs;
     let speed = if quick then Lognic_apps.Figures.Quick else Lognic_apps.Figures.Full in
     match figures with
-    | [] ->
-      Lognic_apps.Figures.all ~speed Fmt.stdout;
-      Ok ()
+    | [] -> Lognic_apps.Figures.all ~speed Fmt.stdout
     | figures ->
-      List.fold_left
-        (fun acc name ->
-          match acc with
-          | Error _ as e -> e
-          | Ok () -> (
-            match Lognic_apps.Figures.render ~speed name Fmt.stdout with
-            | Ok () -> Ok ()
-            | Error e -> Error (`Msg e)))
-        (Ok ()) figures
+      List.iter
+        (fun name ->
+          match Lognic_apps.Figures.render ~speed name Fmt.stdout with
+          | Ok () -> ()
+          | Error e -> invalid_arg e)
+        figures
   in
   Cmd.v
     (Cmd.info "figures"
        ~doc:"Regenerate the paper's evaluation figures (model + simulator).")
-    Term.(term_result (const run $ figure_arg $ quick_arg $ jobs_arg))
+    Term.(const run $ figure_arg $ quick_arg $ jobs_arg)
 
 let () =
   let info =
@@ -1413,11 +1189,15 @@ let () =
         optimize_cmd; sensitivity_cmd; roofline_cmd; params_cmd; figures_cmd;
       ]
   in
-  (* The one exception boundary: library calls reject bad input with
-     [Invalid_argument], and an unwritable output path raises
-     [Sys_error]; both are reported like any other command-line error. *)
+  (* The one exception boundary: bad input, the CLI's or the library's,
+     raises [Invalid_argument], and an unwritable output path raises
+     [Sys_error]; both are reported like any other command-line error.
+     A message's continuation lines (a DSL source excerpt) line up under
+     its first. *)
   exit
     (try Cmd.eval ~catch:false group
      with Invalid_argument m | Sys_error m ->
-       Fmt.epr "lognic: %s@." m;
+       Fmt.epr "lognic: @[<v>%a@]@."
+         Fmt.(list ~sep:cut string)
+         (String.split_on_char '\n' m);
        Cmd.Exit.cli_error)

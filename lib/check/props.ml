@@ -1008,7 +1008,14 @@ let event_queue_matches_oracle ~count =
 let suite ?(scale = 1.) () =
   if not (scale > 0. && Float.is_finite scale) then
     invalid_arg "Props.suite: scale must be positive and finite";
-  let n base = max 1 (int_of_float (Float.round (float_of_int base *. scale))) in
+  let n base =
+    let cases = Float.round (float_of_int base *. scale) in
+    if cases >= float_of_int max_int then
+      invalid_arg
+        (Printf.sprintf "Props.suite: scale %g overflows a property's case count"
+           scale);
+    max 1 (int_of_float cases)
+  in
   [
     dsl_round_trip ~count:(n 500);
     mm1n_limit_is_mm1 ~count:(n 300);

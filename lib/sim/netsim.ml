@@ -365,8 +365,8 @@ let execute_with ?engine:reused (spec : Run.t) =
      the flow cache is enabled, after the tenant rng and before the
      trace rng (which must stay last) — so flow-cache-off runs leave
      every stream exactly where the pre-flow-cache code put it
-     (byte-identical measurements, held by the [flowcache_off_identity]
-     property), and enabled runs draw flow ids from their
+     (byte-identical measurements, held by the [layers_neutral_identity]
+     property), and enabled runs get flow ids from their
      own stream, bit-identical at any --jobs. *)
   let flow =
     Option.map

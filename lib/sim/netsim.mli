@@ -68,8 +68,8 @@ type config = private {
           as {!measurement.invariants} (default [false]). Checking is
           read-only: it never changes a measured quantity, and the
           disabled path adds no work to the simulator hot loop
-          (held by the [invariants] test "JSON identical on/off" and
-          the [invariants_hold_everywhere] property). *)
+          (held by the [layers_neutral_identity] property and by the
+          [invariants_hold_everywhere] property too). *)
   metrics : Metrics.config option;
       (** when [Some], sample a live metrics registry every
           [interval] sim-seconds, evaluate its SLO rules, keep each
@@ -92,7 +92,7 @@ type config = private {
           groups by tenant weight). A {e single}-tenant set keeps the
           untenanted scheduler and rng streams, so its measurement JSON
           is byte-identical to [tenants = None] (held by the
-          [tenant_single_identity] property); with [>= 2] tenants the
+          [layers_neutral_identity] property); for [>= 2] tenants the
           tenant rng is split after the fault rng and before the trace
           rng. Default [None]. *)
   flow_cache : Lognic.Flowcache.spec option;
@@ -105,9 +105,9 @@ type config = private {
           out-edge, miss the second; the static δs on those edges are
           ignored. Per-class (hot/warm/cold) telemetry accumulates into
           {!measurement.flow_cache}. Disabled runs are byte-identical
-          to builds without the feature (held by the
-          [flowcache_off_identity] property). Both cache vertices
-          must exist with exactly two out-edges, or the run raises
+          to runs without the feature (held by the
+          [layers_neutral_identity] property). Both cache vertices
+          must exist, with exactly two out-edges, or the run raises
           [Invalid_argument]. Default [None]. *)
 }
 

@@ -17,8 +17,8 @@ type row = {
       (** the interval's model carried rate against delivered bytes /
           interval seconds *)
   latency : Explain.pair;
-      (** the sim side is always present: 0 when the interval delivered
-          no packet *)
+      (** the sim side follows {!Explain.if_delivered}: absent when the
+          interval delivered no packet *)
   sim_offered : int;
   sim_delivered : int;
   sim_dropped : int;

@@ -23,7 +23,6 @@ let grammar ~flag fields =
 
 let flag g = g.g_flag
 
-(* ["NAME:WEIGHT[:SHARE[:SLO]]"] — the docv-style shape string. *)
 let usage g =
   let buf = Buffer.create 32 in
   let opened = ref 0 in
@@ -107,16 +106,6 @@ let parse ?quantity g src =
         | Error _ as e -> e)
     in
     go 0 [] parts
-
-let parse_all ?quantity g srcs =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | src :: rest -> (
-      match parse ?quantity g src with
-      | Ok v -> go (v :: acc) rest
-      | Error _ as e -> e)
-  in
-  go [] srcs
 
 let render g values =
   let n = Array.length values in

@@ -8,8 +8,8 @@
     [String.split_on_char] match. Declaring the grammar buys three
     things: a uniform quoted-source error message
     ([--flag "SRC": FIELD NAME: reason; expected USAGE]), a derived
-    usage string for docs, and {!render} as the inverse of {!parse} so
-    every grammar is round-trip testable.
+    {!usage} string that the CLI shows as the flag's docv, and {!render}
+    as the inverse of {!parse} so every grammar is round-trip testable.
 
     The module is deliberately independent of the DSL: fields that
     accept unit-suffixed quantities ([25Gbps], [4KiB]) take the parser
@@ -39,6 +39,10 @@ val grammar : flag:string -> field list -> grammar
 
 val flag : grammar -> string
 
+val usage : grammar -> string
+(** The spec's shape, e.g. ["NAME:WEIGHT[:SHARE[:SLO]]"]: the flag's
+    docv, and the tail of every parse error. *)
+
 type value = I of int | F of float | S of string
 
 val parse :
@@ -50,13 +54,6 @@ val parse :
     of fields present (every required field, plus any prefix of the
     optional ones). Errors are uniformly
     ["--FLAG \"SRC\": FIELD: reason; expected USAGE"]. *)
-
-val parse_all :
-  ?quantity:(string -> (float, string) result) ->
-  grammar ->
-  string list ->
-  (value array list, string) result
-(** {!parse} over a repeated flag, stopping at the first error. *)
 
 val render : grammar -> value array -> string
 (** The colon form that {!parse} maps back to the same values — the
